@@ -100,7 +100,6 @@ class Receiver:
     refractive_index: float = 1.5
     filter_gain: float = 1.0
     responsivity: float = 1.0  # A/W
-    noise_variance: float = 1.0  # A^2
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec3(self.position, "position"))
@@ -113,8 +112,6 @@ class Receiver:
             raise ValueError("refractive_index must be >= 1")
         if not 0.0 < self.filter_gain <= 1.0:
             raise ValueError("filter_gain must lie in (0, 1]")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,8 @@ class RunConfig:
             raise ConfigError("exactly one of --scenario / --scenario-file is required")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +126,6 @@ def save_scenario(spec: ScenarioSpec, path: str) -> None:
             "refractive_index": repr(rx.refractive_index),
             "filter_gain": repr(rx.filter_gain),
             "responsivity": repr(rx.responsivity),
-            "noise_variance": repr(rx.noise_variance),
         }
     with open(path, "w") as fh:
         cp.write(fh)
@@ -165,7 +166,6 @@ def load_scenario(path: str) -> ScenarioSpec:
                         refractive_index=s.getfloat("refractive_index", 1.5),
                         filter_gain=s.getfloat("filter_gain", 1.0),
                         responsivity=s.getfloat("responsivity", 1.0),
-                        noise_variance=s.getfloat("noise_variance", 1.0),
                     )
                 )
         ao = AoConfig(
@@ -414,7 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("RSMA_VLC_WORKERS", "1"))
+        text = os.environ.get("RSMA_VLC_WORKERS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ConfigError(f"RSMA_VLC_WORKERS must be an integer, got {text!r}") from None
     scenario = args.scenario
     if scenario is None and args.scenario_file is None and args.command == "validate":
         scenario = "scenario1_4led"  # validate needs no scenario; satisfy the invariant

@@ -13,12 +13,25 @@ priorities the optimal split is greedy (everything to the highest
 priority taker, or to the weak user under NOMA), so the common stream
 contributes through the minimum of the decoders' surrogate rates. The
 exact shares are re-materialized from the true rates on exit.
+
+Every start is one problem of a lockstep batch. The problems of a batch
+share one channel and one layout; precoders are stacked as (B, L, S)
+arrays, and each problem has its own amplitude budget, FISTA state,
+outer iteration count, convergence flag and WSR history. All active
+problems take each AO iteration, and each projected-gradient step
+inside it, together; a problem that has finished drops out of the
+batch. Each array operation applies to every problem the same
+floating-point operations in the same order as a batch of one, so a
+problem's result does not depend, bit for bit, on the problems that
+share its batch. `ao_solve` runs every start of every config it is
+given as one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,7 +89,6 @@ class AoConfig:
     snr_db: float = 40.0
     epsilon: float | None = None
     reference_gain: float = 1.0
-    subproblem: str = "projected_gradient"
     pg_max_iter: int = 150
     pg_tol: float = 1e-8
     # also start from single-user corners (degenerate service); off by
@@ -88,8 +100,10 @@ class AoConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be >= 1")
-        if self.subproblem != "projected_gradient":
-            raise ValueError(f"unknown subproblem solver {self.subproblem!r}")
+
+
+# the only AoConfig fields that may differ between the configs of one batch
+_PER_PROBLEM_FIELDS = ("seed", "snr_db", "epsilon", "reference_gain")
 
 
 @dataclass
@@ -100,7 +114,6 @@ class WmmseState:
     shares: np.ndarray
     equalizers: dict  # {"private": per private column, "common": per decoder}
     mse_weights: dict  # matching inverse-MSE weights
-    receiver_weights: dict  # alias of the equalizer gains in this realization
     wsr_history: list = field(default_factory=list)
 
 
@@ -147,10 +160,20 @@ def epsilon_from_snr(
 # --------------------------------------------------------------------------
 
 
-class _Stats:
-    """Per-precoder received statistics shared by the solver pieces."""
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, one per batch row.
 
-    __slots__ = ("A", "priv_pow", "priv_sum", "a_p", "T_p", "intf_p", "a_c", "T_c", "intf_c")
+    Goes through matmul's vector-vector path (BLAS ddot per row), which
+    rounds exactly like np.dot of one row; an elementwise product summed
+    with .sum() may round differently.
+    """
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
+
+
+class _Stats:
+    """Received statistics of a batch of precoders, one row per problem."""
+
+    __slots__ = ("A", "priv_pow", "priv_sum", "a_p", "T_p", "a_c", "T_c")
 
 
 class _Compiled:
@@ -158,6 +181,7 @@ class _Compiled:
 
     def __init__(self, channel: ChannelMatrix, layout: StreamLayout, priorities: np.ndarray):
         self.H = channel.gains
+        self.HT = self.H.T
         self.sig2 = channel.noise
         K = channel.num_users
         w = np.asarray(priorities, dtype=float)
@@ -186,36 +210,38 @@ class _Compiled:
         self.hnorm2 = np.sum(self.H**2, axis=1)
         # zero-diagonal mask: cross interference among private columns
         self.cross = 1.0 - np.eye(self.n_priv)
+        self.w_own = w[self.owners]
+        self.sig2_own = self.sig2[self.owners]
+        self.sig2_dec = self.sig2[self.decoders]
 
     def stats(self, P: np.ndarray) -> _Stats:
+        """Statistics of the (B, L, S) precoders P."""
         s = _Stats()
-        s.A = self.H @ P
-        s.priv_pow = s.A[:, self.priv_cols] ** 2
-        s.priv_sum = s.priv_pow.sum(axis=1)
-        s.a_p = s.A[self.owners, self.priv_cols]
-        s.intf_p = (s.priv_pow[self.owners] * self.cross[np.arange(self.n_priv)]).sum(axis=1)
-        s.T_p = self.sig2[self.owners] + s.priv_sum[self.owners]
-        if self.common_col is None:
-            s.a_c = s.T_c = s.intf_c = np.empty(0)
-        else:
-            s.a_c = s.A[self.decoders, self.common_col]
-            s.intf_c = s.priv_sum[self.decoders]
-            s.T_c = self.sig2[self.decoders] + s.intf_c + s.a_c**2
+        s.A = A = self.H @ P
+        s.priv_pow = A[:, :, self.priv_cols] ** 2
+        s.priv_sum = s.priv_pow.sum(axis=2)
+        s.a_p = A[:, self.owners, self.priv_cols]
+        s.T_p = self.sig2_own + s.priv_sum[:, self.owners]
+        if self.common_col is not None:
+            s.a_c = A[:, self.decoders, self.common_col]
+            s.T_c = self.sig2_dec + s.priv_sum[:, self.decoders] + s.a_c**2
         return s
 
     def true_rates(self, P: np.ndarray):
-        """(wsr, cap, private_rates) under the greedy common-rate split."""
+        """(wsr, cap) of the (B, L, S) precoders under the greedy common-rate split."""
         s = self.stats(P)
-        priv_rates = np.zeros(len(self.w))
+        priv_rates = np.zeros((len(P), len(self.w)))
         if self.n_priv:
-            sinr_p = s.a_p**2 / np.maximum(s.intf_p + self.sig2[self.owners], _DEN_FLOOR)
-            priv_rates[self.owners] = np.log2(1.0 + sinr_p)
-        cap = 0.0
+            intf_p = (s.priv_pow[:, self.owners] * self.cross).sum(axis=2)
+            sinr_p = s.a_p**2 / np.maximum(intf_p + self.sig2_own, _DEN_FLOOR)
+            priv_rates[:, self.owners] = np.log2(1.0 + sinr_p)
+        cap = np.zeros(len(P))
         if self.common_col is not None:
-            sinr_c = s.a_c**2 / np.maximum(s.intf_c + self.sig2[self.decoders], _DEN_FLOOR)
-            cap = float(np.min(np.log2(1.0 + sinr_c)))
-        wsr = float(self.w @ priv_rates) + self.w_common * cap
-        return wsr, cap, priv_rates
+            intf_c = s.priv_sum[:, self.decoders]
+            sinr_c = s.a_c**2 / np.maximum(intf_c + self.sig2_dec, _DEN_FLOOR)
+            cap = np.log2(1.0 + sinr_c).min(axis=1)
+        wsr = _rowdot(priv_rates, self.w) + self.w_common * cap
+        return wsr, cap
 
 
 def _mmse_gu(a: np.ndarray, T: np.ndarray):
@@ -272,17 +298,16 @@ def mse_and_weight(
 def snapshot_state(channel: ChannelMatrix, layout: StreamLayout, priorities, P: np.ndarray) -> WmmseState:
     """WmmseState with freshly updated equalizers/weights at precoder P."""
     comp = _Compiled(channel, layout, np.asarray(priorities, dtype=float))
-    s = comp.stats(np.asarray(P, dtype=float))
-    g_p, u_p = _mmse_gu(s.a_p, s.T_p)
-    g_c, u_c = _mmse_gu(s.a_c, s.T_c)
-    _, cap, _ = comp.true_rates(np.asarray(P, dtype=float))
-    eq = {"private": g_p, "common": g_c}
+    batch = np.array(P, dtype=float)[None]
+    s = comp.stats(batch)
+    g_p, u_p = _mmse_gu(s.a_p[0], s.T_p[0])
+    g_c, u_c = _mmse_gu(s.a_c[0], s.T_c[0]) if comp.common_col is not None else (np.empty(0),) * 2
+    _, cap = comp.true_rates(batch)
     return WmmseState(
-        precoder=np.array(P, dtype=float),
-        shares=default_shares(layout, cap, comp.w),
-        equalizers=eq,
+        precoder=batch[0],
+        shares=default_shares(layout, float(cap[0]), comp.w),
+        equalizers={"private": g_p, "common": g_c},
         mse_weights={"private": u_p, "common": u_c},
-        receiver_weights=eq,
     )
 
 
@@ -291,133 +316,197 @@ def snapshot_state(channel: ChannelMatrix, layout: StreamLayout, priorities, P: 
 # --------------------------------------------------------------------------
 
 
-def project_rows_l1(matrix: np.ndarray, radius: float) -> np.ndarray:
+def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
     """Euclidean projection of every row onto the L1 ball of `radius`.
 
-    Sort-based exact projection; rows already inside the ball are
-    returned unchanged (bitwise).
+    Rows run along the last axis. `radius` is one budget for all rows
+    or an array of budgets that broadcasts against matrix.shape[:-1],
+    e.g. shape (B, 1) for a (B, L, S) batch with one budget per problem
+    (shape (B, L), one entry per row, is the cheapest to index).
+    Sort-based exact projection; rows already inside their ball are
+    returned unchanged (bitwise), and every row is projected with the
+    same operations whatever the other rows are.
     """
-    if radius < 0:
+    r = np.asarray(radius, dtype=float)
+    if (r < 0).any():
         raise ValueError("radius must be nonnegative")
     P = np.array(matrix, dtype=float)
-    if radius == 0.0:
-        P[:] = 0.0
-        return P
     absP = np.abs(P)
-    over = absP.sum(axis=1) > radius
-    if not np.any(over):
+    over = absP.sum(axis=-1) > r
+    if not r.all():
+        zero = np.broadcast_to(r == 0.0, over.shape)
+        P[zero] = 0.0
+        over &= ~zero
+    if not over.any():
         return P
+    if r.ndim:
+        rad = (r if r.shape == over.shape else np.broadcast_to(r, over.shape))[over]
+        col = rad[:, None]
+    else:
+        rad = col = r
     V = absP[over]
     U = -np.sort(-V, axis=1)
     css = np.cumsum(U, axis=1)
     ranks = np.arange(1, V.shape[1] + 1)
-    cond = U - (css - radius) / ranks > 0
+    cond = U - (css - col) / ranks > 0
     rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = (css[np.arange(V.shape[0]), rho] - radius) / (rho + 1)
+    theta = (css[np.arange(V.shape[0]), rho] - rad) / (rho + 1)
     P[over] = np.sign(P[over]) * np.maximum(V - theta[:, None], 0.0)
     return P
 
 
-class _Surrogate:
-    """Weighted-sum surrogate of the WSR for fixed equalizers/weights.
+class _SurrogateBatch:
+    """Weighted-sum surrogates of the WSR for fixed equalizers/weights.
 
-    value(P) = sum_k w_k * r_p_k(P) + w_common * min_j r_c_j(P) with
-    r = log2(u) + (1 - u * mse(P)) / ln 2 per stream stage; concave in P
-    (quadratic per smooth piece). The gradient uses the binding decoder
-    of the min term. The fixed step is 1 / (Hessian norm bound), which
-    satisfies the descent lemma on every smooth piece.
+    One surrogate per problem of the batch: value(P) = sum_k w_k *
+    r_p_k(P) + w_common * min_j r_c_j(P) with r = log2(u) + (1 - u *
+    mse(P)) / ln 2 per stream stage; concave in P (quadratic per smooth
+    piece). The gradient uses the binding decoder of the min term. The
+    fixed step is 1 / (Hessian norm bound), which satisfies the descent
+    lemma on every smooth piece. Equalizers and weights have one row per
+    problem: (B, private columns) and (B, common decoders).
     """
+
+    _FIELDS = (
+        "g2_p", "two_g_p", "coef_p", "base_p", "alpha", "lin_p",
+        "g2_c", "two_g_c", "rate_coef_c", "base_c", "cc2", "lin_c", "step",
+    )
 
     def __init__(self, comp: _Compiled, g_p, u_p, g_c, u_c):
         self.c = comp
-        self.g_p, self.u_p, self.g_c, self.u_c = g_p, u_p, g_c, u_c
-        self.coef_p = comp.w[comp.owners] * u_p / LN2
-        self.rate_coef_c = u_c / LN2  # unweighted; the min picks the binding decoder
-        self.coef_c = comp.w_common * self.rate_coef_c
-        self.base_p = float(comp.w[comp.owners] @ (np.log2(u_p) + 1.0 / LN2)) if len(u_p) else 0.0
-        self.base_c = np.log2(u_c) + 1.0 / LN2 if len(u_c) else np.empty(0)
-        lip = float(np.sum(2.0 * self.coef_p * g_p**2 * comp.hnorm2[comp.owners]))
-        if comp.common_col is not None and len(g_c):
-            lip += float(np.max(2.0 * self.coef_c * g_c**2 * comp.hnorm2[comp.decoders]))
-        self.step = 1.0 / max(lip, 1e-12)
+        B = len(g_p)
+        self.g2_p = g_p**2
+        self.two_g_p = 2.0 * g_p
+        self.coef_p = comp.w_own * u_p / LN2
+        # gradient pieces: -alpha_k * a_k on user k's private amplitudes,
+        # +lin on each owner's own column
+        self.alpha = np.zeros((B, len(comp.w)))
+        self.alpha[:, comp.owners] = 2.0 * self.coef_p * self.g2_p
+        self.lin_p = 2.0 * self.coef_p * g_p
+        if comp.n_priv:
+            self.base_p = _rowdot(np.log2(u_p) + 1.0 / LN2, comp.w_own)
+        else:
+            self.base_p = np.zeros(B)
+        lip = (2.0 * self.coef_p * self.g2_p * comp.hnorm2[comp.owners]).sum(axis=1)
+        if comp.common_col is not None:
+            self.g2_c = g_c**2
+            self.two_g_c = 2.0 * g_c
+            self.rate_coef_c = u_c / LN2  # unweighted; the min picks the binding decoder
+            coef_c = comp.w_common * self.rate_coef_c
+            self.base_c = np.log2(u_c) + 1.0 / LN2
+            self.lin_c = 2.0 * coef_c * g_c
+            lip = lip + (2.0 * coef_c * self.g2_c * comp.hnorm2[comp.decoders]).max(axis=1)
+            # the gradient squares each decoder gain with numpy's scalar
+            # `**` (C pow()), which can round differently from the array
+            # square above; tests/serial_reference.py pins these bits
+            g2_pow = np.array([g**2 for g in g_c.ravel()]).reshape(g_c.shape)
+            self.cc2 = 2.0 * coef_c * g2_pow
+        self.step = 1.0 / np.maximum(lip, 1e-12)
 
-    def _pieces(self, P: np.ndarray):
+    def take(self, keep: np.ndarray) -> "_SurrogateBatch":
+        """The surrogates of the problems selected by `keep`."""
+        sub = object.__new__(_SurrogateBatch)
+        sub.c = self.c
+        for name in self._FIELDS:
+            if hasattr(self, name):
+                setattr(sub, name, getattr(self, name)[keep])
+        return sub
+
+    def _common_rates(self, s: _Stats) -> np.ndarray:
+        mse_c = self.g2_c * s.T_c - self.two_g_c * s.a_c + 1.0
+        return self.base_c - self.rate_coef_c * mse_c
+
+    def value(self, P: np.ndarray) -> np.ndarray:
         c = self.c
         s = c.stats(P)
         value = self.base_p
         if c.n_priv:
-            mse_p = self.g_p**2 * s.T_p - 2.0 * self.g_p * s.a_p + 1.0
-            value -= float(np.dot(self.coef_p, mse_p))
-        r_c = None
+            mse_p = self.g2_p * s.T_p - self.two_g_p * s.a_p + 1.0
+            value = value - _rowdot(self.coef_p, mse_p)
         if c.common_col is not None:
-            mse_c = self.g_c**2 * s.T_c - 2.0 * self.g_c * s.a_c + 1.0
-            r_c = self.base_c - self.rate_coef_c * mse_c
-            value += c.w_common * float(np.min(r_c))
-        return s, value, r_c
+            value = value + c.w_common * self._common_rates(s).min(axis=1)
+        return value
 
-    def value(self, P: np.ndarray) -> float:
-        return self._pieces(P)[1]
-
-    def value_and_grad(self, P: np.ndarray):
+    def grad(self, P: np.ndarray) -> np.ndarray:
         c = self.c
-        s, value, r_c = self._pieces(P)
-        G = np.zeros_like(s.A)
+        s = c.stats(P)
+        A = s.A
+        G = np.zeros_like(A)
         if c.n_priv:
-            alpha = np.zeros(len(c.w))
-            alpha[c.owners] = 2.0 * self.coef_p * self.g_p**2
-            G[:, c.priv_cols] -= alpha[:, None] * s.A[:, c.priv_cols]
-            G[c.owners, c.priv_cols] += 2.0 * self.coef_p * self.g_p
-        if r_c is not None:
-            jb = int(np.argmin(r_c))
+            G[:, :, c.priv_cols] -= self.alpha[:, :, None] * A[:, :, c.priv_cols]
+            G[:, c.owners, c.priv_cols] += self.lin_p
+        if c.common_col is not None:
+            rows = np.arange(len(P))
+            jb = self._common_rates(s).argmin(axis=1)
             k = c.decoders[jb]
-            cc2 = 2.0 * self.coef_c[jb] * self.g_c[jb] ** 2
-            G[k, c.priv_cols] -= cc2 * s.A[k, c.priv_cols]
-            G[k, c.common_col] += -cc2 * s.A[k, c.common_col] + 2.0 * self.coef_c[jb] * self.g_c[jb]
-        return value, c.H.T @ G
+            cc2, lin = self.cc2[rows, jb], self.lin_c[rows, jb]
+            r2, k2 = rows[:, None], k[:, None]
+            G[r2, k2, c.priv_cols] -= cc2[:, None] * A[r2, k2, c.priv_cols]
+            G[rows, k, c.common_col] += -cc2 * A[rows, k, c.common_col] + lin
+        return c.HT @ G
 
-    def common_bound(self, P: np.ndarray) -> float:
-        r_c = self._pieces(P)[2]
-        return float(np.min(r_c)) if r_c is not None else 0.0
+    def common_bound(self, P: np.ndarray) -> np.ndarray:
+        if self.c.common_col is None:
+            return np.zeros(len(P))
+        return self._common_rates(self.c.stats(P)).min(axis=1)
 
 
-def _maximize_surrogate(sur: _Surrogate, epsilon: float, P0: np.ndarray, max_iter: int, tol: float):
-    """Monotone accelerated projected gradient on the concave surrogate.
+def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, max_iter: int, tol: float):
+    """Monotone accelerated projected gradient on every surrogate in lockstep.
 
     FISTA-style momentum with a monotone safeguard: the kept iterate
     never decreases the surrogate, and momentum restarts whenever the
-    accelerated candidate fails to improve.
+    accelerated candidate fails to improve. Each problem keeps its own
+    momentum t, small-step count and flag for "y is the best point x";
+    it leaves the batch when its step from x itself fails or after two
+    consecutive small gains. `radius` is (B, L); returns the (B, L, S)
+    maximizers.
     """
-    x = project_rows_l1(P0, epsilon)
+    x = project_rows_l1(P0, radius)
     fx = sur.value(x)
-    if not np.isfinite(fx):
-        raise NumericalFailure(f"non-finite surrogate value {fx} at the subproblem start")
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        raise NumericalFailure(f"non-finite surrogate value {fx[bad][0]} at the subproblem start")
+    out = np.empty_like(x)
+    live = np.arange(len(x))  # batch positions of the problems still running
     y, x_prev = x, x
-    t = 1.0
-    small_steps = 0
+    t = np.ones(len(x))
+    small_steps = np.zeros(len(x), dtype=np.intp)
+    y_is_x = np.ones(len(x), dtype=bool)
     for _ in range(max_iter):
-        fy, grad = sur.value_and_grad(y)
-        if not np.all(np.isfinite(grad)):
+        grad = sur.grad(y)
+        if not np.isfinite(grad).all():
             raise NumericalFailure("non-finite surrogate gradient (check channel and noise scaling)")
-        z = project_rows_l1(y + sur.step * grad, epsilon)
+        z = project_rows_l1(y + sur.step[:, None, None] * grad, radius)
         fz = sur.value(z)
-        if fz >= fx:
-            gain = fz - fx
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = z + (t / t_next) * (z - x) + ((t - 1.0) / t_next) * (x - x_prev)
-            x_prev, x, fx, t = x, z, fz, t_next
-        elif y is not x:
-            # momentum overshoot: restart from the best point
-            y, x_prev, t = x, x, 1.0
-            continue
-        else:
-            break  # no improving step from the best point itself
-        if gain <= tol * max(1.0, abs(fx)):
-            small_steps += 1
-            if small_steps >= 2:
-                break
-        else:
-            small_steps = 0
-    return x, fx
+        up = fz >= fx
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum = z + (t / t_next)[:, None, None] * (z - x) + ((t - 1.0) / t_next)[:, None, None] * (x - x_prev)
+        small = fz - fx <= tol * np.maximum(1.0, np.abs(fz))
+        # improved: keep z and step on with momentum; otherwise restart
+        # the momentum from x, or stop if the step from x itself failed
+        done = ~up & y_is_x
+        up3 = up[:, None, None]
+        x_prev = x
+        x = np.where(up3, z, x)
+        y = np.where(up3, momentum, x_prev)
+        fx = np.where(up, fz, fx)
+        t = np.where(up, t_next, 1.0)
+        small_steps = np.where(up, np.where(small, small_steps + 1, 0), small_steps)
+        y_is_x = ~up
+        done |= small_steps >= 2
+        if done.any():
+            out[live[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            live = live[keep]
+            sur = sur.take(keep)
+            radius = radius[keep]
+            x, x_prev, y, fx, t = x[keep], x_prev[keep], y[keep], fx[keep], t[keep]
+            small_steps, y_is_x = small_steps[keep], y_is_x[keep]
+    out[live] = x
+    return out
 
 
 def solve_subproblem(
@@ -436,24 +525,31 @@ def solve_subproblem(
     `equalizers`/`mse_weights` hold "private" (per private column) and
     "common" (per common decoder) arrays as in WmmseState. Returns the
     precoder matrix and the greedy common-rate shares measured against
-    the surrogate common bound (clamped at zero).
+    the surrogate common bound (clamped at zero). Runs the batched
+    solver on a batch of one.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     comp = _Compiled(channel, layout, np.asarray(priorities, dtype=float))
-    sur = _Surrogate(
+
+    def row(d, key):
+        return np.asarray(d.get(key, ()), dtype=float)[None]
+
+    sur = _SurrogateBatch(
         comp,
-        np.asarray(equalizers.get("private", ()), dtype=float),
-        np.asarray(mse_weights.get("private", ()), dtype=float),
-        np.asarray(equalizers.get("common", ()), dtype=float),
-        np.asarray(mse_weights.get("common", ()), dtype=float),
+        row(equalizers, "private"),
+        row(mse_weights, "private"),
+        row(equalizers, "common"),
+        row(mse_weights, "common"),
     )
     if start is None:
         start = np.zeros((channel.num_fixtures, layout.num_streams))
-    P, _ = _maximize_surrogate(sur, epsilon, start, max_iter, tol)
-    cap = max(0.0, sur.common_bound(P))
+    start = np.asarray(start, dtype=float)[None]
+    radius = np.full(start.shape[:2], float(epsilon))
+    P = _maximize_batch(sur, radius, start, max_iter, tol)
+    cap = max(0.0, float(sur.common_bound(P)[0]))
     shares = default_shares(layout, cap, comp.w)
-    return P, shares
+    return P[0], shares
 
 
 # --------------------------------------------------------------------------
@@ -542,26 +638,44 @@ def embed_noma_matrix(rsma_layout: StreamLayout, noma_layout: StreamLayout, matr
 # --------------------------------------------------------------------------
 
 
-def _ao_single(comp: _Compiled, epsilon: float, P0: np.ndarray, config: AoConfig):
-    """One AO run from one start; returns (P, history, iterations, converged)."""
-    P = project_rows_l1(P0, epsilon)
-    wsr, _, _ = comp.true_rates(P)
-    history = [wsr]
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoConfig):
+    """AO from every start of the (B, L, S) stack P0 in lockstep.
+
+    `epsilon` holds one budget per start. Returns (P, histories,
+    converged): the final precoders, one WSR history list per start
+    (its length minus one is the start's iteration count) and one
+    convergence flag per start. A start leaves the batch once its WSR
+    changes by at most `config.tolerance` in one iteration.
+    """
+    radius = np.repeat(np.asarray(epsilon, dtype=float)[:, None], P0.shape[1], axis=1)
+    P = project_rows_l1(P0, radius)
+    wsr, _ = comp.true_rates(P)
+    histories = [[v] for v in wsr.tolist()]
+    converged = np.zeros(len(P), dtype=bool)
+    out = np.empty_like(P)
+    live = np.arange(len(P))
+    for _ in range(config.max_iterations):
         s = comp.stats(P)
         g_p, u_p = _mmse_gu(s.a_p, s.T_p)
-        g_c, u_c = _mmse_gu(s.a_c, s.T_c)
-        sur = _Surrogate(comp, g_p, u_p, g_c, u_c)
-        P, _ = _maximize_surrogate(sur, epsilon, P, config.pg_max_iter, config.pg_tol)
-        new_wsr, _, _ = comp.true_rates(P)
-        history.append(new_wsr)
-        if abs(new_wsr - wsr) <= config.tolerance:
-            converged = True
-            break
+        g_c = u_c = None
+        if comp.common_col is not None:
+            g_c, u_c = _mmse_gu(s.a_c, s.T_c)
+        sur = _SurrogateBatch(comp, g_p, u_p, g_c, u_c)
+        P = _maximize_batch(sur, radius, P, config.pg_max_iter, config.pg_tol)
+        new_wsr, _ = comp.true_rates(P)
+        for b, v in zip(live.tolist(), new_wsr.tolist()):
+            histories[b].append(v)
+        done = np.abs(new_wsr - wsr) <= config.tolerance
+        if done.any():
+            converged[live[done]] = True
+            out[live[done]] = P[done]
+            keep = ~done
+            live, P, radius, new_wsr = live[keep], P[keep], radius[keep], new_wsr[keep]
+            if not len(live):
+                break
         wsr = new_wsr
-    return P, history, iterations, converged
+    out[live] = P
+    return out, histories, converged
 
 
 def _resolve_epsilon(channel: ChannelMatrix, config: AoConfig) -> float:
@@ -573,15 +687,28 @@ def _resolve_epsilon(channel: ChannelMatrix, config: AoConfig) -> float:
     return epsilon_from_snr(config.snr_db, sigma, reference_gain=config.reference_gain)
 
 
+def _check_batchable(configs: tuple) -> None:
+    if not configs:
+        raise ValueError("ao_solve needs at least one config")
+
+    def shared(cfg):
+        return [getattr(cfg, f.name) for f in fields(cfg) if f.name not in _PER_PROBLEM_FIELDS]
+
+    first = shared(configs[0])
+    for cfg in configs[1:]:
+        if shared(cfg) != first:
+            raise ValueError(f"batched configs may differ only in {', '.join(_PER_PROBLEM_FIELDS)}")
+
+
 def ao_solve(
     channel: ChannelMatrix,
     layout: StreamLayout,
     priorities,
-    config: AoConfig = AoConfig(),
+    config: AoConfig | Sequence[AoConfig] = AoConfig(),
     dc_bias: np.ndarray | None = None,
     warm_starts: tuple = (),
     embed_special_cases: bool = True,
-) -> Solution:
+) -> Solution | tuple[Solution, ...]:
     """Maximize the weighted sum rate with the multi-start AO solver.
 
     The restart set always contains the ZF start; for RSMA it also
@@ -595,49 +722,79 @@ def ao_solve(
     nested solves. `config.corner_starts` adds per-user full-budget
     starts that reach degenerate single-user optima. Seeded random
     feasible starts fill up to `config.restarts` (at least one always).
+
+    `config` may also be a sequence of configs for the same channel,
+    layout and priorities, e.g. the points of an SNR sweep. They may
+    differ only in `seed`, `snr_db`, `epsilon` and `reference_gain`;
+    `warm_starts` then holds one tuple of matrices per config (or is
+    empty), and the result is a tuple with one Solution per config.
+    Every start of every config runs in one lockstep batch (see the
+    module docstring), and each Solution is bit-for-bit the one that
+    config gets when solved alone: a problem's result does not depend on
+    its batch.
     """
+    single = isinstance(config, AoConfig)
+    configs = (config,) if single else tuple(config)
+    _check_batchable(configs)
+    if single:
+        warm = (tuple(warm_starts),)
+    else:
+        warm = tuple(tuple(ws) for ws in warm_starts) or ((),) * len(configs)
+        if len(warm) != len(configs):
+            raise ValueError("warm_starts needs one tuple of matrices per config")
     w = np.asarray(priorities, dtype=float)
     comp = _Compiled(channel, layout, w)
-    epsilon = _resolve_epsilon(channel, config)
+    epsilons = [_resolve_epsilon(channel, cfg) for cfg in configs]
 
-    starts: list[np.ndarray] = [_zf_start(channel, comp, epsilon)]
-    if config.corner_starts:
-        starts += [_beam_start(channel, comp, epsilon, k) for k in range(channel.num_users)]
+    embedded = [[] for _ in configs]
     if layout.scheme == "rsma" and embed_special_cases:
         sdma_layout = build_layout("sdma", channel.num_users, channel)
-        sdma = ao_solve(channel, sdma_layout, w, config)
-        starts.append(embed_sdma_matrix(layout, sdma_layout, sdma.precoder.matrix))
+        for extra, sol in zip(embedded, ao_solve(channel, sdma_layout, w, configs)):
+            extra.append(embed_sdma_matrix(layout, sdma_layout, sol.precoder.matrix))
         if channel.num_users == 2:
             noma_layout = build_layout("noma", channel.num_users, channel)
-            noma = ao_solve(channel, noma_layout, w, config)
-            starts.append(embed_noma_matrix(layout, noma_layout, noma.precoder.matrix))
-    for extra in warm_starts:
-        starts.append(np.asarray(extra, dtype=float))
-    rng = np.random.default_rng(config.seed)
-    n_random = max(1, config.restarts - len(starts))  # always explore at random too
-    for _ in range(n_random):
-        starts.append(_random_start(channel, comp, epsilon, rng))
+            for extra, sol in zip(embedded, ao_solve(channel, noma_layout, w, configs)):
+                extra.append(embed_noma_matrix(layout, noma_layout, sol.precoder.matrix))
 
-    best = None
-    for idx, P0 in enumerate(starts):
-        P, history, iterations, converged = _ao_single(comp, epsilon, P0, config)
-        if best is None or history[-1] > best[1]:
-            best = (P, history[-1], history, iterations, converged, idx)
+    starts: list[np.ndarray] = []
+    counts = []
+    for cfg, epsilon, extra, warm_i in zip(configs, epsilons, embedded, warm):
+        own = [_zf_start(channel, comp, epsilon)]
+        if cfg.corner_starts:
+            own += [_beam_start(channel, comp, epsilon, k) for k in range(channel.num_users)]
+        own += extra
+        own += [np.asarray(m, dtype=float) for m in warm_i]
+        rng = np.random.default_rng(cfg.seed)
+        n_random = max(1, cfg.restarts - len(own))  # always explore at random too
+        own += [_random_start(channel, comp, epsilon, rng) for _ in range(n_random)]
+        starts += own
+        counts.append(len(own))
 
-    P, _, history, iterations, converged, idx = best
-    _, cap, _ = comp.true_rates(P)
-    shares = default_shares(layout, cap, w)
-    precoder = Precoder(matrix=P, dc_bias=dc_bias)
-    report = assemble_report(channel, precoder, layout, shares=shares, weights=w)
-    return Solution(
-        precoder=precoder,
-        shares=shares,
-        report=report,
-        iterations=iterations,
-        converged=converged,
-        restart_index=idx,
-        wsr_history=tuple(history),
-    )
+    P, histories, converged = _ao_batch(comp, np.repeat(epsilons, counts), np.stack(starts), configs[0])
+    solutions = []
+    lo = 0
+    for n in counts:
+        best = lo
+        for b in range(lo + 1, lo + n):
+            if histories[b][-1] > histories[best][-1]:
+                best = b
+        _, cap = comp.true_rates(P[best : best + 1])
+        shares = default_shares(layout, float(cap[0]), w)
+        precoder = Precoder(matrix=P[best].copy(), dc_bias=dc_bias)
+        report = assemble_report(channel, precoder, layout, shares=shares, weights=w)
+        solutions.append(
+            Solution(
+                precoder=precoder,
+                shares=shares,
+                report=report,
+                iterations=len(histories[best]) - 1,
+                converged=bool(converged[best]),
+                restart_index=best - lo,
+                wsr_history=tuple(histories[best]),
+            )
+        )
+        lo += n
+    return solutions[0] if single else tuple(solutions)
 
 
 # --------------------------------------------------------------------------

@@ -222,99 +222,133 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _solve_point(spec: ScenarioSpec, index: int, value: float, base_seed: int, ref: float) -> list:
-    """All requested schemes at one sweep point (separate process safe).
+def _solve_points(channel, layout, priorities, configs, dc_bias, warm) -> list:
+    """One Solution or the raised exception per config.
 
-    The special cases are solved before RSMA so their converged
-    precoders feed the RSMA restart set; when RSMA alone is requested
-    the helper solves still run (their rows are simply not emitted).
+    Several configs run as one batched ao_solve call; if it raises, they
+    are solved again one at a time so that only the failing points fail.
+    RSMA gets its SDMA/NOMA starts through `warm`, so ao_solve never
+    solves them again.
     """
-    rows = []
-    channel = build_scene_channel(spec, value)
+    if len(configs) > 1:
+        try:
+            return list(ao_solve(
+                channel, layout, priorities, configs, dc_bias=dc_bias,
+                warm_starts=warm, embed_special_cases=False,
+            ))
+        except Exception:  # isolate the failure below
+            pass
+    results = []
+    for cfg, ws in zip(configs, warm):
+        try:
+            results.append(ao_solve(
+                channel, layout, priorities, cfg, dc_bias=dc_bias,
+                warm_starts=ws, embed_special_cases=False,
+            ))
+        except Exception as exc:  # failed points must not sink the sweep
+            results.append(exc)
+    return results
+
+
+def _solve_group(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
+    """All requested schemes at sweep points that share one channel.
+
+    One batched solve per scheme, in the order SDMA, NOMA, RSMA, so
+    each RSMA point starts from its own point's converged SDMA/NOMA
+    precoders; when RSMA alone is requested the helper solves still run
+    (their rows are simply not emitted).
+    """
+    channel = build_scene_channel(spec, points[0][1])
     dc_bias = np.array([f.dc_bias for f in spec.fixtures])
-    snr = value if spec.sweep.name == "snr_db" else spec.snr_db
     run_order = [s for s in ("sdma", "noma", "rsma") if s in spec.schemes]
     if "rsma" in spec.schemes:
         helpers = ["sdma"] + (["noma"] if channel.num_users == 2 else [])
         run_order = helpers + [s for s in run_order if s not in helpers]
-    solutions = {}
+    solved = {}  # scheme -> (layout, one Solution or exception per point)
+    rows = []
     for scheme in run_order:
-        seed = _point_seed(base_seed, scheme, index)
-        cfg = replace(spec.ao, seed=seed, snr_db=snr, reference_gain=ref)
+        seeds = [_point_seed(base_seed, scheme, i) for i, _ in points]
+        configs = [
+            replace(
+                spec.ao, seed=seed, reference_gain=ref,
+                snr_db=value if spec.sweep.name == "snr_db" else spec.snr_db,
+            )
+            for seed, (_, value) in zip(seeds, points)
+        ]
         try:
             layout = build_layout(scheme, channel.num_users, channel)
-            if scheme == "rsma" and solutions:
-                warm = []
-                if "sdma" in solutions:
-                    sd_lay = build_layout("sdma", channel.num_users, channel)
-                    warm.append(embed_sdma_matrix(layout, sd_lay, solutions["sdma"].precoder.matrix))
-                if "noma" in solutions:
-                    no_lay = build_layout("noma", channel.num_users, channel)
-                    warm.append(embed_noma_matrix(layout, no_lay, solutions["noma"].precoder.matrix))
-                sol = ao_solve(
-                    channel, layout, spec.priorities, cfg, dc_bias=dc_bias,
-                    warm_starts=tuple(warm), embed_special_cases=False,
-                )
+        except ValueError as exc:
+            results = [exc] * len(points)
+        else:
+            warm = [()] * len(points)
+            if scheme == "rsma":
+                embedders = {"sdma": embed_sdma_matrix, "noma": embed_noma_matrix}
+                warm = [
+                    tuple(
+                        embedders[h](layout, solved[h][0], solved[h][1][j].precoder.matrix)
+                        for h in ("sdma", "noma")
+                        if h in solved and not isinstance(solved[h][1][j], Exception)
+                    )
+                    for j in range(len(points))
+                ]
+            results = _solve_points(channel, layout, spec.priorities, configs, dc_bias, warm)
+            solved[scheme] = (layout, results)
+        if scheme not in spec.schemes:
+            continue
+        for (_, value), seed, sol in zip(points, seeds, results):
+            if isinstance(sol, Exception):
+                rows.append(SweepRow(
+                    scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
+                    wsr=0.0, rates=(0.0,) * channel.num_users, common_cap=0.0,
+                    iterations=0, converged=False, seed=seed,
+                    error=f"{type(sol).__name__}: {sol}",
+                ))
             else:
-                sol = ao_solve(channel, layout, spec.priorities, cfg, dc_bias=dc_bias)
-            solutions[scheme] = sol
-            if scheme not in spec.schemes:
-                continue
-            rows.append(
-                SweepRow(
-                    scheme=scheme,
-                    sweep_name=spec.sweep.name,
-                    sweep_value=value,
-                    wsr=sol.wsr,
-                    rates=tuple(float(r) for r in sol.report.overall),
-                    common_cap=sol.report.common_cap,
-                    iterations=sol.iterations,
-                    converged=sol.converged,
-                    seed=seed,
-                )
-            )
-        except Exception as exc:  # failed points must not sink the sweep
-            if scheme not in spec.schemes:
-                continue
-            rows.append(
-                SweepRow(
-                    scheme=scheme,
-                    sweep_name=spec.sweep.name,
-                    sweep_value=value,
-                    wsr=0.0,
-                    rates=(0.0,) * channel.num_users,
-                    common_cap=0.0,
-                    iterations=0,
-                    converged=False,
-                    seed=seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+                rows.append(SweepRow(
+                    scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
+                    wsr=sol.wsr, rates=tuple(float(r) for r in sol.report.overall),
+                    common_cap=sol.report.common_cap, iterations=sol.iterations,
+                    converged=sol.converged, seed=seed,
+                ))
     return rows
+
+
+def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
+    """Rows of a chunk of (index, value) sweep points (separate process safe).
+
+    The points of an SNR sweep share one channel and are solved as one
+    group; a separation sweep moves the users, so each of its points is
+    a group of its own.
+    """
+    groups = [points] if spec.sweep.name == "snr_db" else [[p] for p in points]
+    return [row for group in groups for row in _solve_group(spec, group, base_seed, ref)]
 
 
 def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> SweepResult:
     """Solve every (scheme, sweep value) of the scenario.
 
-    Per-point seeds derive from (base_seed, scheme, sweep index), so any
-    worker count produces identical results; rows come back sorted by
-    (scheme, sweep index).
+    Per-point seeds derive from (base_seed, scheme, sweep index). With
+    `workers` > 1 the points are split into that many contiguous chunks,
+    one per worker process; each chunk solves its points in batched
+    ao_solve calls (one per scheme for an SNR sweep). A point's result
+    does not depend on the batch it is solved in, so any worker count
+    produces identical rows. If a batched call raises, its points are
+    solved again one at a time, and only the points that still fail get
+    a row with `error` set. Rows come back sorted by (scheme, sweep
+    index).
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     points = list(enumerate(spec.sweep.values))
     ref = reference_gain(spec)
-    if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                _solve_point,
-                [spec] * len(points),
-                [i for i, _ in points],
-                [v for _, v in points],
-                [base_seed] * len(points),
-                [ref] * len(points),
-            ))
+    n = min(workers, len(points))
+    if n > 1:
+        chunks = [points[c * len(points) // n : (c + 1) * len(points) // n] for c in range(n)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            results = list(pool.map(_solve_chunk, [spec] * n, chunks, [base_seed] * n, [ref] * n))
     else:
-        chunks = [_solve_point(spec, i, v, base_seed, ref) for i, v in points]
-    rows = [row for chunk in chunks for row in chunk]
+        results = [_solve_chunk(spec, points, base_seed, ref)]
+    rows = [row for chunk in results for row in chunk]
     order = {v: i for i, v in points}
     rows.sort(key=lambda r: (r.scheme, order[r.sweep_value]))
     return SweepResult(scenario=spec.name, rows=tuple(rows))

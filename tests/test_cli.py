@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 
@@ -81,6 +82,22 @@ class TestScenarioFiles:
             assert np.allclose(a.position, b.position)
             assert a.area == b.area
 
+    def test_legacy_noise_variance_key_ignored(self, tmp_path):
+        # files written before Receiver.noise_variance was removed still load
+        path = tmp_path / "scene.ini"
+        save_scenario(catalog()["scenario1_2led"], str(path))
+        cp = configparser.ConfigParser()
+        cp.read(path)
+        for section in ("user 1", "user 2"):
+            cp[section]["noise_variance"] = "2.5"
+        legacy = tmp_path / "legacy.ini"
+        with open(legacy, "w") as fh:
+            cp.write(fh)
+        assert "noise_variance" in legacy.read_text()
+        resaved = tmp_path / "resaved.ini"
+        save_scenario(load_scenario(str(legacy)), str(resaved))
+        assert resaved.read_text() == path.read_text()
+
     def test_run_from_file(self, tmp_path):
         path = tmp_path / "scene.ini"
         save_scenario(catalog()["scenario1_2led"], str(path))
@@ -156,6 +173,14 @@ class TestConfigPlumbing:
         monkeypatch.delenv("RSMA_VLC_WORKERS")
         args = cli.build_parser().parse_args(["run", "--scenario", "scenario1_2led", "--workers", "2"])
         assert cli._config_from_args(args).workers == 2
+
+    def test_bad_worker_counts_exit_1(self, monkeypatch, capsys):
+        assert main(["run", "--scenario", "scenario1_2led", "--workers", "-3"]) == 1
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+        assert main(["run", "--scenario", "scenario1_2led", "--workers", "0"]) == 1
+        monkeypatch.setenv("RSMA_VLC_WORKERS", "two")
+        assert main(["run", "--scenario", "scenario1_2led"]) == 1
+        assert "error: RSMA_VLC_WORKERS must be an integer" in capsys.readouterr().err
 
     def test_runconfig_validation(self):
         with pytest.raises(ConfigError):

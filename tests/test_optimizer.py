@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import serial_reference
 
+import rsma_vlc.optimizer as optimizer
 from rsma_vlc.channel import ChannelMatrix, Fixture
 from rsma_vlc.optimizer import (
     AoConfig,
     NumericalFailure,
     ao_solve,
+    embed_sdma_matrix,
     epsilon_from_snr,
     grid_oracle,
     mmse_equalizer,
@@ -302,6 +305,124 @@ class TestAoSolve:
         even = ao_solve(ch, lay, (0.5, 0.5), AoConfig(epsilon=10.0, seed=3))
         heavy = ao_solve(ch, lay, (0.9, 0.1), AoConfig(epsilon=10.0, seed=3))
         assert heavy.report.overall[0] >= even.report.overall[0] - 1e-6
+
+
+class TestBatchedSolver:
+    """The lockstep batch against the serial single-start reference, bit for bit."""
+
+    @staticmethod
+    def _same(a, b):
+        return (
+            np.array_equal(a.precoder.matrix, b.precoder.matrix)
+            and a.wsr_history == b.wsr_history
+            and a.iterations == b.iterations
+            and a.converged == b.converged
+            and a.restart_index == b.restart_index
+        )
+
+    @pytest.mark.parametrize("fixtures", [2, 4])
+    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
+    def test_every_start_matches_serial_reference(self, scheme, fixtures):
+        rng = np.random.default_rng(40 + fixtures)
+        ch = random_channel(rng, l=fixtures)
+        lay = build_layout(scheme, 2, ch)
+        w = np.array([0.5, 0.5])
+        comp = optimizer._Compiled(ch, lay, w)
+        cfg = AoConfig(max_iterations=25)
+        eps, starts = [], []
+        for snr in (5.0, 15.0, 30.0):
+            e = epsilon_from_snr(snr, 1.0)
+            starts.append(optimizer._zf_start(ch, comp, e))
+            starts += [optimizer._beam_start(ch, comp, e, k) for k in range(2)]
+            starts += [optimizer._random_start(ch, comp, e, rng) for _ in range(2)]
+            eps += [e] * 5
+        P, hist, conv = optimizer._ao_batch(comp, np.array(eps), np.stack(starts), cfg)
+        ref_comp = serial_reference._Compiled(ch, lay, w)
+        outcomes = set()
+        for b, (e, P0) in enumerate(zip(eps, starts)):
+            P_ref, hist_ref, its_ref, conv_ref = serial_reference._ao_single(ref_comp, e, P0, cfg)
+            assert np.array_equal(P[b], P_ref)
+            assert hist[b] == hist_ref and len(hist[b]) - 1 == its_ref
+            assert conv[b] == conv_ref
+            outcomes.add(conv_ref)
+        assert outcomes == {True, False}  # both exits are exercised
+
+    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
+    def test_surrogate_pieces_match_serial_reference(self, scheme):
+        # many random states, so that rare last-bit differences show
+        rng = np.random.default_rng(44)
+        ch = random_channel(rng, l=4)
+        lay = build_layout(scheme, 2, ch)
+        w = np.array([0.3, 0.7])
+        comp = optimizer._Compiled(ch, lay, w)
+        ref_comp = serial_reference._Compiled(ch, lay, w)
+        P = rng.normal(size=(500, 4, lay.num_streams)) * 10.0 ** rng.uniform(-1, 2, size=(500, 1, 1))
+        Q = rng.normal(size=P.shape) * 10.0
+        s = comp.stats(P)
+        gu = [*optimizer._mmse_gu(s.a_p, s.T_p), None, None]
+        if comp.common_col is not None:
+            gu[2:] = optimizer._mmse_gu(s.a_c, s.T_c)
+        sur = optimizer._SurrogateBatch(comp, *gu)
+        wsr, cap = comp.true_rates(Q)
+        value, grad = sur.value(Q), sur.grad(Q)
+        for b in range(len(P)):
+            rs = ref_comp.stats(P[b])
+            g_p, u_p = serial_reference._mmse_gu(rs.a_p, rs.T_p)
+            g_c, u_c = serial_reference._mmse_gu(rs.a_c, rs.T_c)
+            ref = serial_reference._Surrogate(ref_comp, g_p, u_p, g_c, u_c)
+            ref_value, ref_grad = ref.value_and_grad(Q[b])
+            assert (sur.step[b], value[b]) == (ref.step, ref_value)
+            assert np.array_equal(grad[b], ref_grad)
+            assert (wsr[b], cap[b]) == ref_comp.true_rates(Q[b])[:2]
+
+    def test_mixed_budgets_and_start_counts(self):
+        rng = np.random.default_rng(45)
+        ch = random_channel(rng, l=4)
+        lay = build_layout("rsma", 2, ch)
+        sd_lay = build_layout("sdma", 2, ch)
+        extra = embed_sdma_matrix(lay, sd_lay, zf_precoder(ch, 2.0).matrix)
+        configs = [
+            AoConfig(epsilon=2.0, seed=1, max_iterations=80),
+            AoConfig(snr_db=12.0, seed=2, max_iterations=80),
+            AoConfig(epsilon=30.0, seed=3, max_iterations=80),
+        ]
+        warm = [(), (extra,), (extra, 0.5 * extra)]
+        sols = ao_solve(ch, lay, (0.5, 0.5), configs, warm_starts=warm)
+        assert isinstance(sols, tuple) and len(sols) == 3
+        for cfg, ws, sol in zip(configs, warm, sols):
+            P, hist, its, conv, idx = serial_reference.ao_solve(ch, lay, (0.5, 0.5), cfg, warm_starts=ws)
+            assert np.array_equal(sol.precoder.matrix, P)
+            assert sol.wsr_history == tuple(hist)
+            assert (sol.iterations, sol.converged, sol.restart_index) == (its, conv, idx)
+
+    def test_batch_of_one_equals_batch_of_many(self):
+        rng = np.random.default_rng(46)
+        ch = random_channel(rng, l=2)
+        for scheme in ("rsma", "sdma", "noma"):
+            lay = build_layout(scheme, 2, ch)
+            configs = [AoConfig(snr_db=snr, seed=7 + i) for i, snr in enumerate((0.0, 10.0, 20.0, 30.0))]
+            many = ao_solve(ch, lay, (0.5, 0.5), configs)
+            for cfg, sol in zip(configs, many):
+                assert self._same(ao_solve(ch, lay, (0.5, 0.5), cfg), sol)
+
+    def test_configs_may_differ_only_in_per_problem_fields(self):
+        ch = channel([[0.9, 0.4], [0.3, 0.8]])
+        lay = build_layout("sdma", 2, ch)
+        with pytest.raises(ValueError):
+            ao_solve(ch, lay, (0.5, 0.5), [AoConfig(), AoConfig(restarts=2)])
+        with pytest.raises(ValueError):
+            ao_solve(ch, lay, (0.5, 0.5), [AoConfig(), AoConfig()], warm_starts=[()])
+        with pytest.raises(ValueError):
+            ao_solve(ch, lay, (0.5, 0.5), [])
+
+    def test_projection_radius_per_row(self):
+        rng = np.random.default_rng(47)
+        M = rng.normal(size=(5, 4, 3)) * 3.0
+        radius = rng.uniform(0.0, 4.0, size=(5, 1))
+        radius[2] = 0.0
+        batch = project_rows_l1(M, radius)
+        for b in range(5):
+            assert np.array_equal(batch[b], serial_reference.project_rows_l1(M[b], float(radius[b, 0])))
 
 
 class TestGridOracle:

@@ -6,6 +6,7 @@ import pytest
 
 import rsma_vlc.scenarios as scenarios
 from rsma_vlc.channel import Receiver
+from rsma_vlc.optimizer import AoConfig
 from rsma_vlc.scenarios import (
     ScenarioSpec,
     Sweep,
@@ -156,10 +157,12 @@ class TestRunSweep:
         assert res.rows == ()
 
     def test_deterministic_across_reruns_and_workers(self):
-        spec = self._tiny(schemes=("rsma",))
+        # the chunks differ with the worker count, the rows must not
+        spec = replace(self._tiny(), sweep=Sweep("snr_db", (5.0, 15.0, 25.0)))
         a = run_sweep(spec, base_seed=7, workers=1)
         b = run_sweep(spec, base_seed=7, workers=1)
         c = run_sweep(spec, base_seed=7, workers=2)
+        assert len(a.rows) == 9
         assert a == b == c
 
     def test_seed_changes_solutions_not_structure(self):
@@ -194,6 +197,33 @@ class TestRunSweep:
         assert all(not r.converged and r.wsr == 0.0 for r in failed)
         assert all(r.error is None and r.converged for r in fine)
         assert res.failures == tuple(failed)
+
+        # a failure at one point of a batched call fails that point only
+        spec = self._tiny()
+        monkeypatch.setattr(scenarios, "ao_solve", real)
+        clean = run_sweep(spec, base_seed=1)
+        calls = []
+
+        def point_flaky(channel, layout, priorities, config, **kw):
+            configs = (config,) if isinstance(config, AoConfig) else tuple(config)
+            calls.append((layout.scheme, len(configs)))
+            if layout.scheme == "noma" and any(c.snr_db == 15.0 for c in configs):
+                raise RuntimeError("synthetic point blowup")
+            return real(channel, layout, priorities, config, **kw)
+
+        monkeypatch.setattr(scenarios, "ao_solve", point_flaky)
+        res = run_sweep(spec, base_seed=1)
+        # one batched call per scheme; NOMA then falls back to one call per point
+        assert calls == [("sdma", 2), ("noma", 2), ("noma", 1), ("noma", 1), ("rsma", 2)]
+        assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0)]
+        assert "synthetic point blowup" in res.failures[0].error
+        # every other row is the clean one, except RSMA at the failed point,
+        # which lost its NOMA warm start
+        for got, want in zip(res.rows, clean.rows):
+            if (got.scheme, got.sweep_value) not in {("noma", 15.0), ("rsma", 15.0)}:
+                assert got == want
+        rsma15 = [r for r in res.rows if (r.scheme, r.sweep_value) == ("rsma", 15.0)]
+        assert rsma15[0].error is None and rsma15[0].converged
 
     def test_separation_sweep_point(self):
         spec = replace(
