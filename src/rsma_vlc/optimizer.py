@@ -320,9 +320,7 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
     """Euclidean projection of every row onto the L1 ball of `radius`.
 
     Rows run along the last axis. `radius` is one budget for all rows
-    or an array of budgets that broadcasts against matrix.shape[:-1],
-    e.g. shape (B, 1) for a (B, L, S) batch with one budget per problem
-    (shape (B, L), one entry per row, is the cheapest to index).
+    or an array of shape matrix.shape[:-1] with one budget per row.
     Sort-based exact projection; rows already inside their ball are
     returned unchanged (bitwise), and every row is projected with the
     same operations whatever the other rows are.
@@ -331,6 +329,8 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
     if (r < 0).any():
         raise ValueError("radius must be nonnegative")
     P = np.array(matrix, dtype=float)
+    if r.ndim and r.shape != P.shape[:-1]:
+        raise ValueError("radius must be a scalar or of shape matrix.shape[:-1]")
     absP = np.abs(P)
     over = absP.sum(axis=-1) > r
     if not r.all():
@@ -340,7 +340,7 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
     if not over.any():
         return P
     if r.ndim:
-        rad = (r if r.shape == over.shape else np.broadcast_to(r, over.shape))[over]
+        rad = r[over]
         col = rad[:, None]
     else:
         rad = col = r

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -328,14 +329,16 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     """Solve every (scheme, sweep value) of the scenario.
 
     Per-point seeds derive from (base_seed, scheme, sweep index). With
-    `workers` > 1 the points are split into that many contiguous chunks,
-    one per worker process; each chunk solves its points in batched
-    ao_solve calls (one per scheme for an SNR sweep). A point's result
-    does not depend on the batch it is solved in, so any worker count
-    produces identical rows. If a batched call raises, its points are
-    solved again one at a time, and only the points that still fail get
-    a row with `error` set. Rows come back sorted by (scheme, sweep
-    index).
+    `workers` > 1 an SNR sweep deals its points round-robin into that
+    many chunks, one per worker process, so the slow high-SNR points
+    spread over the workers; each chunk solves its points in one batched
+    ao_solve call per scheme. A separation sweep gains nothing from
+    batching (every point has its own channel), so its points go to the
+    pool one at a time. A point's result does not depend on the batch it
+    is solved in, so any worker count produces identical rows. If a
+    batched call raises, its points are solved again one at a time, and
+    only the points that still fail get a row with `error` set. Rows
+    come back sorted by (scheme, sweep index).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -343,9 +346,12 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     ref = reference_gain(spec)
     n = min(workers, len(points))
     if n > 1:
-        chunks = [points[c * len(points) // n : (c + 1) * len(points) // n] for c in range(n)]
+        if spec.sweep.name == "snr_db":
+            chunks = [points[c::n] for c in range(n)]
+        else:
+            chunks = [[p] for p in points]
         with ProcessPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(_solve_chunk, [spec] * n, chunks, [base_seed] * n, [ref] * n))
+            results = list(pool.map(_solve_chunk, repeat(spec), chunks, repeat(base_seed), repeat(ref)))
     else:
         results = [_solve_chunk(spec, points, base_seed, ref)]
     rows = [row for chunk in results for row in chunk]

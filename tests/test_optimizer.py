@@ -418,11 +418,13 @@ class TestBatchedSolver:
     def test_projection_radius_per_row(self):
         rng = np.random.default_rng(47)
         M = rng.normal(size=(5, 4, 3)) * 3.0
-        radius = rng.uniform(0.0, 4.0, size=(5, 1))
-        radius[2] = 0.0
-        batch = project_rows_l1(M, radius)
+        budget = rng.uniform(0.0, 4.0, size=5)
+        budget[2] = 0.0
+        batch = project_rows_l1(M, np.repeat(budget[:, None], 4, axis=1))
         for b in range(5):
-            assert np.array_equal(batch[b], serial_reference.project_rows_l1(M[b], float(radius[b, 0])))
+            assert np.array_equal(batch[b], serial_reference.project_rows_l1(M[b], budget[b]))
+        with pytest.raises(ValueError):
+            project_rows_l1(M, budget[:, None])
 
 
 class TestGridOracle:

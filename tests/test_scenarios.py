@@ -225,6 +225,32 @@ class TestRunSweep:
         rsma15 = [r for r in res.rows if (r.scheme, r.sweep_value) == ("rsma", 15.0)]
         assert rsma15[0].error is None and rsma15[0].converged
 
+        # when every helper fails at a point, RSMA still solves it, from its
+        # own ZF/random starts alone (no warm start, no helper re-solve)
+        calls = []
+
+        def helpers_flaky(channel, layout, priorities, config, **kw):
+            configs = (config,) if isinstance(config, AoConfig) else tuple(config)
+            calls.append((layout.scheme, len(configs)))
+            if layout.scheme == "rsma":
+                warm = kw["warm_starts"] if len(configs) > 1 else (kw["warm_starts"],)
+                assert kw["embed_special_cases"] is False
+                assert [len(w) for w in warm] == [2, 0]
+            elif any(c.snr_db == 15.0 for c in configs):
+                raise RuntimeError("synthetic helper blowup")
+            return real(channel, layout, priorities, config, **kw)
+
+        monkeypatch.setattr(scenarios, "ao_solve", helpers_flaky)
+        res = run_sweep(spec, base_seed=1)
+        assert calls == [
+            ("sdma", 2), ("sdma", 1), ("sdma", 1),
+            ("noma", 2), ("noma", 1), ("noma", 1), ("rsma", 2),
+        ]
+        assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0), ("sdma", 15.0)]
+        rsma = {r.sweep_value: r for r in res.for_scheme("rsma")}
+        assert rsma[5.0] == [r for r in clean.rows if (r.scheme, r.sweep_value) == ("rsma", 5.0)][0]
+        assert rsma[15.0].error is None and rsma[15.0].converged and rsma[15.0].wsr > 0.0
+
     def test_separation_sweep_point(self):
         spec = replace(
             catalog()["separation_sweep_2led"],
@@ -235,3 +261,16 @@ class TestRunSweep:
         assert len(res.rows) == 1
         assert res.rows[0].sweep_value == 3.6
         assert res.rows[0].wsr > 5.0
+
+    def test_separation_sweep_workers(self):
+        # each separation point goes to the pool on its own; rows must not change
+        spec = replace(
+            catalog()["separation_sweep_2led"],
+            sweep=Sweep("separation", (2.0, 3.6, 5.0)),
+            snr_db=20.0,
+            schemes=("sdma",),
+        )
+        a = run_sweep(spec, base_seed=4, workers=1)
+        b = run_sweep(spec, base_seed=4, workers=2)
+        assert [r.sweep_value for r in a.rows] == [2.0, 3.6, 5.0]
+        assert a == b
