@@ -24,7 +24,7 @@ import numpy as np
 
 from . import optimizer, scenarios, signal_model
 from .channel import ChannelMatrix, Fixture, Receiver
-from .optimizer import AoConfig
+from .optimizer import ORACLE_RESOLUTIONS, AoConfig
 from .scenarios import ScenarioSpec, Sweep, build_scene_channel, catalog, reference_gain, run_sweep
 
 __all__ = [
@@ -59,7 +59,6 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     format: str = "csv"
-    verbosity: int = 0
     noise_mode: str | None = None
     tolerance: float | None = None
     max_iters: int | None = None
@@ -77,6 +76,11 @@ class RunConfig:
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.mc_symbols < signal_model.MC_MIN_SYMBOLS:
+            raise ConfigError(f"mc-symbols must be >= {signal_model.MC_MIN_SYMBOLS}, got {self.mc_symbols}")
+        if self.oracle_resolution not in ORACLE_RESOLUTIONS:
+            lo, hi = ORACLE_RESOLUTIONS[0], ORACLE_RESOLUTIONS[-1]
+            raise ConfigError(f"oracle-resolution must be in [{lo}, {hi}], got {self.oracle_resolution}")
 
 
 # --------------------------------------------------------------------------
@@ -106,6 +110,7 @@ def save_scenario(spec: ScenarioSpec, path: str) -> None:
         "max_iterations": str(spec.ao.max_iterations),
         "restarts": str(spec.ao.restarts),
         "seed": str(spec.ao.seed),
+        "corner_starts": str(spec.ao.corner_starts),
     }
     for i, fx in enumerate(spec.fixtures, start=1):
         cp[f"fixture {i}"] = {
@@ -173,6 +178,7 @@ def load_scenario(path: str) -> ScenarioSpec:
             max_iterations=cp.getint("ao", "max_iterations", fallback=500),
             restarts=cp.getint("ao", "restarts", fallback=4),
             seed=cp.getint("ao", "seed", fallback=0),
+            corner_starts=cp.getboolean("ao", "corner_starts", fallback=False),
         )
         return ScenarioSpec(
             name=sc.get("name", os.path.basename(path)),
@@ -217,15 +223,13 @@ def _resolve_spec(config: RunConfig) -> ScenarioSpec:
             spec = replace(spec, snr_db=config.snr[0])
         else:
             raise ConfigError("separation sweeps take a single --snr operating point")
-    ao = spec.ao
-    if config.tolerance is not None:
-        ao = replace(ao, tolerance=config.tolerance)
-    if config.max_iters is not None:
-        ao = replace(ao, max_iterations=config.max_iters)
-    if config.restarts is not None:
-        ao = replace(ao, restarts=config.restarts)
-    if ao is not spec.ao:
-        spec = replace(spec, ao=ao)
+    given = {"tolerance": config.tolerance, "max_iterations": config.max_iters, "restarts": config.restarts}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    if overrides:
+        try:
+            spec = replace(spec, ao=replace(spec.ao, **overrides))
+        except ValueError as exc:  # AoConfig's own limits
+            raise ConfigError(str(exc)) from None
     return spec
 
 
@@ -356,9 +360,6 @@ def cmd_validate(config: RunConfig | None = None) -> int:
             gains = rng.uniform(0.2, 1.0, size=(2, 2))
             channel = ChannelMatrix(gains=gains, noise=np.ones(2))
             layout = signal_model.build_layout(scheme, 2, channel)
-            if channel.num_fixtures > 2 or layout.num_streams > 3:
-                print(f"oracle[{scheme}:{i:02d}] skipped: dimensions above oracle caps")
-                continue
             cfg = AoConfig(snr_db=15.0, seed=int(rng.integers(1 << 31)), corner_starts=True)
             sol = optimizer.ao_solve(channel, layout, (0.5, 0.5), cfg)
             oracle = optimizer.grid_oracle(
@@ -394,7 +395,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, help="AO iteration cap")
     p.add_argument("--restarts", type=int, help="AO restart count")
     p.add_argument("--workers", type=int, help="parallel sweep workers")
-    p.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +430,6 @@ def _config_from_args(args) -> RunConfig:
         seed=args.seed,
         out=args.out,
         format=args.format,
-        verbosity=args.verbose,
         noise_mode=args.noise_mode,
         tolerance=args.delta,
         max_iters=args.max_iters,

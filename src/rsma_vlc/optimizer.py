@@ -6,7 +6,9 @@ with those fixed, the weighted-sum-MSE surrogate is concave quadratic
 in the precoder and is maximized by accelerated projected gradient over
 the per-row L1 balls. The surrogate is a tight lower bound of the true
 weighted sum rate at freshly updated equalizers/weights, which makes
-the outer loop monotonically nondecreasing.
+the outer loop monotonically nondecreasing. The stage amplitudes,
+received powers and SINRs behind the equalizers, the surrogate, the
+true rates and the grid oracle all come from signal_model.SicKernel.
 
 The common-rate shares never enter the subproblem explicitly: for fixed
 priorities the optimal split is greedy (everything to the highest
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .channel import ChannelMatrix, Fixture
 from .signal_model import (
     Precoder,
     RateReport,
+    SicKernel,
     StreamLayout,
     assemble_report,
     build_layout,
@@ -65,6 +68,12 @@ __all__ = [
 
 LN2 = math.log(2.0)
 _DEN_FLOOR = 1e-300
+# inner projected-gradient loop of every AO iteration: step cap and
+# relative surrogate-gain stop
+_PG_MAX_ITER = 150
+_PG_TOL = 1e-8
+# grid points per dimension the grid oracle accepts
+ORACLE_RESOLUTIONS = range(2, 22)
 
 
 class NumericalFailure(RuntimeError):
@@ -89,8 +98,6 @@ class AoConfig:
     snr_db: float = 40.0
     epsilon: float | None = None
     reference_gain: float = 1.0
-    pg_max_iter: int = 150
-    pg_tol: float = 1e-8
     # also start from single-user corners (degenerate service); off by
     # default so scheme comparisons rank non-degenerate solutions
     corner_starts: bool = False
@@ -114,7 +121,6 @@ class WmmseState:
     shares: np.ndarray
     equalizers: dict  # {"private": per private column, "common": per decoder}
     mse_weights: dict  # matching inverse-MSE weights
-    wsr_history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -171,77 +177,51 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Stats:
-    """Received statistics of a batch of precoders, one row per problem."""
+    """Received amplitudes and stage quantities of a batch of precoders."""
 
-    __slots__ = ("A", "priv_pow", "priv_sum", "a_p", "T_p", "a_c", "T_c")
+    __slots__ = ("A", "a_p", "T_p", "a_c", "T_c")
 
 
-class _Compiled:
-    """Channel/layout constants reused across solver iterations."""
+class _Compiled(SicKernel):
+    """The layout's SIC kernel plus the channel gains and priorities."""
 
     def __init__(self, channel: ChannelMatrix, layout: StreamLayout, priorities: np.ndarray):
+        super().__init__(layout, channel.noise)
         self.H = channel.gains
         self.HT = self.H.T
-        self.sig2 = channel.noise
-        K = channel.num_users
         w = np.asarray(priorities, dtype=float)
-        if w.shape != (K,) or np.any(w <= 0):
+        if w.shape != (channel.num_users,) or np.any(w <= 0):
             raise ValueError("priorities must be positive, one per user")
         self.w = w
-        self.layout = layout
-        self.priv_cols = np.array(layout.private_columns, dtype=np.intp)
-        self.owners = np.array(
-            [layout.streams[j].owner for j in layout.private_columns], dtype=np.intp
-        )
-        self.n_priv = len(self.priv_cols)
-        self.common_col = layout.common_column
-        stream = layout.common_stream
-        if stream is None:
-            self.decoders = np.empty(0, dtype=np.intp)
-            self.w_common = 0.0
-        else:
-            self.decoders = np.array(stream.decoders, dtype=np.intp)
-            if len(stream.carries) == 1:
-                self.w_common = float(w[stream.carries[0]])
-            else:
-                self.w_common = float(w[int(np.argmax(w))])
-        self.num_streams = layout.num_streams
-        self.num_fixtures = channel.num_fixtures
-        self.hnorm2 = np.sum(self.H**2, axis=1)
-        # zero-diagonal mask: cross interference among private columns
-        self.cross = 1.0 - np.eye(self.n_priv)
         self.w_own = w[self.owners]
-        self.sig2_own = self.sig2[self.owners]
-        self.sig2_dec = self.sig2[self.decoders]
+        # priority of the user the greedy split hands the common rate to
+        self.w_common = float(w @ default_shares(layout, 1.0, w))
+        self.hnorm2 = np.sum(self.H**2, axis=1)
 
     def stats(self, P: np.ndarray) -> _Stats:
-        """Statistics of the (B, L, S) precoders P."""
+        """Amplitudes and stage quantities of the (B, L, S) precoders P."""
         s = _Stats()
-        s.A = A = self.H @ P
-        s.priv_pow = A[:, :, self.priv_cols] ** 2
-        s.priv_sum = s.priv_pow.sum(axis=2)
-        s.a_p = A[:, self.owners, self.priv_cols]
-        s.T_p = self.sig2_own + s.priv_sum[:, self.owners]
-        if self.common_col is not None:
-            s.a_c = A[:, self.decoders, self.common_col]
-            s.T_c = self.sig2_dec + s.priv_sum[:, self.decoders] + s.a_c**2
+        s.A = self.H @ P
+        s.a_p, s.T_p, s.a_c, s.T_c = self.stages(s.A)
         return s
 
     def true_rates(self, P: np.ndarray):
         """(wsr, cap) of the (B, L, S) precoders under the greedy common-rate split."""
-        s = self.stats(P)
+        sinr_p, sinr_c = self.sinrs(self.H @ P)
         priv_rates = np.zeros((len(P), len(self.w)))
-        if self.n_priv:
-            intf_p = (s.priv_pow[:, self.owners] * self.cross).sum(axis=2)
-            sinr_p = s.a_p**2 / np.maximum(intf_p + self.sig2_own, _DEN_FLOOR)
-            priv_rates[:, self.owners] = np.log2(1.0 + sinr_p)
-        cap = np.zeros(len(P))
-        if self.common_col is not None:
-            intf_c = s.priv_sum[:, self.decoders]
-            sinr_c = s.a_c**2 / np.maximum(intf_c + self.sig2_dec, _DEN_FLOOR)
-            cap = np.log2(1.0 + sinr_c).min(axis=1)
-        wsr = _rowdot(priv_rates, self.w) + self.w_common * cap
-        return wsr, cap
+        priv_rates[:, self.owners] = np.log2(1.0 + sinr_p)
+        cap = np.zeros(len(P)) if sinr_c is None else np.log2(1.0 + sinr_c).min(axis=1)
+        return _rowdot(priv_rates, self.w) + self.w_common * cap, cap
+
+    def amplitude_wsr(self, A: np.ndarray) -> np.ndarray:
+        """WSR of (N, K, S) received amplitudes under the greedy common-rate
+        split; unlike true_rates, sums rates by one matrix-vector product."""
+        sinr_p, sinr_c = self.sinrs(A)
+        # .T: the stage-major (private columns, N) array, a BLAS-friendly operand
+        wsr = self.w_own @ np.log2(1.0 + sinr_p).T
+        if sinr_c is not None:
+            wsr += self.w_common * np.log2(1.0 + sinr_c).min(axis=1)
+        return wsr
 
 
 def _mmse_gu(a: np.ndarray, T: np.ndarray):
@@ -252,26 +232,10 @@ def _mmse_gu(a: np.ndarray, T: np.ndarray):
     return g, u
 
 
-def _stage_quantities(channel, precoder, layout, user, stream):
-    """(a, T) of one user/stream pair at its SIC stage."""
-    desc = layout.streams[stream]
-    amps = channel.gains[user] @ precoder.matrix
-    priv = list(layout.private_columns)
-    if desc.kind == "common":
-        if user not in desc.decoders:
-            raise ValueError(f"user {user} does not decode stream {stream}")
-        total = channel.noise[user] + amps[stream] ** 2 + sum(amps[j] ** 2 for j in priv)
-    else:
-        if desc.owner != user:
-            raise ValueError(f"stream {stream} is not user {user}'s private stream")
-        total = channel.noise[user] + sum(amps[j] ** 2 for j in priv)
-    return float(amps[stream]), float(total)
-
-
 def mmse_equalizer(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int, stream: int) -> float:
     """Stage-MSE-minimizing scalar equalizer g = a / (a^2 + interference + noise)."""
-    a, T = _stage_quantities(channel, precoder, layout, user, stream)
-    return a / max(T, _DEN_FLOOR)
+    a, T = SicKernel(layout, channel.noise).stage(channel.gains @ precoder.matrix[None], user, stream)
+    return float(a[0] / max(T[0], _DEN_FLOOR))
 
 
 def mse_and_weight(
@@ -287,8 +251,8 @@ def mse_and_weight(
     At the MMSE equalizer the MSE equals 1/(1+SINR), so -log2(mse) is
     the stream rate.
     """
-    a, T = _stage_quantities(channel, precoder, layout, user, stream)
-    mse = equalizer**2 * T - 2.0 * equalizer * a + 1.0
+    a, T = SicKernel(layout, channel.noise).stage(channel.gains @ precoder.matrix[None], user, stream)
+    mse = float(equalizer**2 * T[0] - 2.0 * equalizer * a[0] + 1.0)
     if not 0.0 < mse <= 1.0 + 1e-12:
         raise ValueError(f"stage MSE {mse} outside (0, 1]; equalizer not at its MMSE value")
     mse = min(mse, 1.0)
@@ -517,8 +481,8 @@ def solve_subproblem(
     priorities,
     epsilon: float,
     start: np.ndarray | None = None,
-    max_iter: int = 150,
-    tol: float = 1e-8,
+    max_iter: int = _PG_MAX_ITER,
+    tol: float = _PG_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One WMMSE subproblem: precoder update for fixed equalizers/weights.
 
@@ -661,7 +625,7 @@ def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoCo
         if comp.common_col is not None:
             g_c, u_c = _mmse_gu(s.a_c, s.T_c)
         sur = _SurrogateBatch(comp, g_p, u_p, g_c, u_c)
-        P = _maximize_batch(sur, radius, P, config.pg_max_iter, config.pg_tol)
+        P = _maximize_batch(sur, radius, P, _PG_MAX_ITER, _PG_TOL)
         new_wsr, _ = comp.true_rates(P)
         for b, v in zip(live.tolist(), new_wsr.tolist()):
             histories[b].append(v)
@@ -705,7 +669,6 @@ def ao_solve(
     layout: StreamLayout,
     priorities,
     config: AoConfig | Sequence[AoConfig] = AoConfig(),
-    dc_bias: np.ndarray | None = None,
     warm_starts: tuple = (),
     embed_special_cases: bool = True,
 ) -> Solution | tuple[Solution, ...]:
@@ -780,7 +743,7 @@ def ao_solve(
                 best = b
         _, cap = comp.true_rates(P[best : best + 1])
         shares = default_shares(layout, float(cap[0]), w)
-        precoder = Precoder(matrix=P[best].copy(), dc_bias=dc_bias)
+        precoder = Precoder(matrix=P[best].copy())
         report = assemble_report(channel, precoder, layout, shares=shares, weights=w)
         solutions.append(
             Solution(
@@ -802,29 +765,6 @@ def ao_solve(
 # --------------------------------------------------------------------------
 
 
-def _oracle_wsr_block(comp: _Compiled, A: np.ndarray) -> np.ndarray:
-    """WSR of candidate precoders given their (N, K, S) amplitude tensors.
-
-    Same closed-form SINR/rate arithmetic as signal_model, vectorized,
-    with the greedy common-rate split.
-    """
-    priv = A[:, :, comp.priv_cols] ** 2
-    priv_sum = priv.sum(axis=2)
-    wsr = np.zeros(A.shape[0])
-    for si, owner in enumerate(comp.owners):
-        signal = priv[:, owner, si]
-        interf = priv_sum[:, owner] - signal
-        wsr += comp.w[owner] * np.log2(1.0 + signal / (interf + comp.sig2[owner]))
-    if comp.common_col is not None:
-        caps = None
-        for k in comp.decoders:
-            sig = A[:, k, comp.common_col] ** 2
-            r = np.log2(1.0 + sig / (priv_sum[:, k] + comp.sig2[k]))
-            caps = r if caps is None else np.minimum(caps, r)
-        wsr += comp.w_common * caps
-    return wsr
-
-
 def grid_oracle(
     channel: ChannelMatrix,
     layout: StreamLayout,
@@ -835,12 +775,13 @@ def grid_oracle(
     """Exhaustive WSR maximum over a per-row L1-feasible precoder grid.
 
     Desk-scale verification only: refuses more than 2 fixtures, 3
-    streams or 21 grid points per dimension (combinatorial blow-up).
+    streams or a resolution outside ORACLE_RESOLUTIONS (combinatorial
+    blow-up).
     """
     comp = _Compiled(channel, layout, np.asarray(priorities, dtype=float))
     L, S = channel.num_fixtures, layout.num_streams
-    if L > 2 or S > 3 or resolution > 21 or resolution < 2:
-        raise ValueError("grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in [2, 21]")
+    if L > 2 or S > 3 or resolution not in ORACLE_RESOLUTIONS:
+        raise ValueError(f"grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in {ORACLE_RESOLUTIONS}")
     if epsilon == 0.0:
         return 0.0
     axis = np.linspace(-epsilon, epsilon, resolution)
@@ -848,10 +789,10 @@ def grid_oracle(
     rows = mesh[np.abs(mesh).sum(axis=1) <= epsilon + 1e-12]
     H = channel.gains
     if L == 1:
-        A = rows[:, None, :] * H[None, :, 0:1]
-        return float(np.max(_oracle_wsr_block(comp, A)))
+        return float(comp.amplitude_wsr(rows[:, None, :] * H[None, :, 0:1]).max())
     best = -np.inf
-    chunk = max(1, int(2e6 / (rows.shape[0] * S)))
+    # blocks of about 4e4 amplitude entries keep the temporaries in cache
+    chunk = max(1, int(4e4 / (rows.shape[0] * S)))
     for lo in range(0, rows.shape[0], chunk):
         r1 = rows[lo : lo + chunk]
         # amplitudes for every (row1, row2) pair: A[k] = h_k0 r1 + h_k1 r2
@@ -859,5 +800,5 @@ def grid_oracle(
             H[None, None, :, 0:1] * r1[:, None, None, :]
             + H[None, None, :, 1:2] * rows[None, :, None, :]
         ).reshape(-1, channel.num_users, S)
-        best = max(best, float(np.max(_oracle_wsr_block(comp, A))))
+        best = max(best, float(comp.amplitude_wsr(A).max()))
     return best

@@ -223,7 +223,7 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _solve_points(channel, layout, priorities, configs, dc_bias, warm) -> list:
+def _solve_points(channel, layout, priorities, configs, warm) -> list:
     """One Solution or the raised exception per config.
 
     Several configs run as one batched ao_solve call; if it raises, they
@@ -234,7 +234,7 @@ def _solve_points(channel, layout, priorities, configs, dc_bias, warm) -> list:
     if len(configs) > 1:
         try:
             return list(ao_solve(
-                channel, layout, priorities, configs, dc_bias=dc_bias,
+                channel, layout, priorities, configs,
                 warm_starts=warm, embed_special_cases=False,
             ))
         except Exception:  # isolate the failure below
@@ -243,7 +243,7 @@ def _solve_points(channel, layout, priorities, configs, dc_bias, warm) -> list:
     for cfg, ws in zip(configs, warm):
         try:
             results.append(ao_solve(
-                channel, layout, priorities, cfg, dc_bias=dc_bias,
+                channel, layout, priorities, cfg,
                 warm_starts=ws, embed_special_cases=False,
             ))
         except Exception as exc:  # failed points must not sink the sweep
@@ -260,7 +260,6 @@ def _solve_group(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
     (their rows are simply not emitted).
     """
     channel = build_scene_channel(spec, points[0][1])
-    dc_bias = np.array([f.dc_bias for f in spec.fixtures])
     run_order = [s for s in ("sdma", "noma", "rsma") if s in spec.schemes]
     if "rsma" in spec.schemes:
         helpers = ["sdma"] + (["noma"] if channel.num_users == 2 else [])
@@ -292,7 +291,7 @@ def _solve_group(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
                     )
                     for j in range(len(points))
                 ]
-            results = _solve_points(channel, layout, spec.priorities, configs, dc_bias, warm)
+            results = _solve_points(channel, layout, spec.priorities, configs, warm)
             solved[scheme] = (layout, results)
         if scheme not in spec.schemes:
             continue

@@ -11,6 +11,13 @@ model x = P s + d_dc:
   weaker user's message rides the common stream, which both users
   decode first.
 
+All three share one successive-interference-cancellation rule: a user
+decodes the common stream with every private stream as interference,
+cancels it, then decodes its own private stream with the other private
+streams as interference. `SicKernel` is that rule's one home: every
+analytic SINR, rate and equalizer in the package, and the Monte-Carlo
+estimator's interferer set, come from it.
+
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
 """
@@ -27,6 +34,7 @@ __all__ = [
     "SCHEMES",
     "StreamDesc",
     "StreamLayout",
+    "SicKernel",
     "Precoder",
     "RateReport",
     "build_layout",
@@ -43,6 +51,8 @@ SCHEMES = ("rsma", "sdma", "noma")
 
 # guards divisions in deliberately noiseless validation runs
 _DEN_FLOOR = 1e-300
+# fewest symbols monte_carlo_sinr accepts: fewer give no stable estimate
+MC_MIN_SYMBOLS = 10_000
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,7 @@ class StreamLayout:
 
 @dataclass(frozen=True)
 class Precoder:
-    """Fixture-by-stream precoding matrix plus per-fixture DC bias.
+    """Fixture-by-stream precoding matrix.
 
     Row l holds the amplitudes driving fixture l; its L1 norm is the
     drive headroom that row consumes and must stay within the active
@@ -108,7 +118,6 @@ class Precoder:
     """
 
     matrix: np.ndarray
-    dc_bias: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -117,13 +126,6 @@ class Precoder:
         if not np.all(np.isfinite(m)):
             raise ValueError("precoder entries must be finite")
         object.__setattr__(self, "matrix", m)
-        if self.dc_bias is None:
-            object.__setattr__(self, "dc_bias", np.zeros(m.shape[0]))
-        else:
-            b = np.asarray(self.dc_bias, dtype=float)
-            if b.shape != (m.shape[0],):
-                raise ValueError("dc_bias needs one entry per fixture row")
-            object.__setattr__(self, "dc_bias", b)
 
     @property
     def num_streams(self) -> int:
@@ -185,33 +187,102 @@ def build_layout(scheme: str, num_users: int, channel: ChannelMatrix) -> StreamL
     return StreamLayout(scheme, num_users, streams)
 
 
-def _row_inner(channel: ChannelMatrix, precoder: Precoder, user: int) -> np.ndarray:
-    return channel.gains[user] @ precoder.matrix
+class SicKernel:
+    """The SIC decoding rule of one layout, on received amplitudes.
+
+    Amplitudes A = H @ P have shape (B, K, S): [b, k, s] is stream s's
+    amplitude at user k under precoder b. A stage is one user decoding
+    one stream: a private column at its owner (stages in column order)
+    or the common stream at a decoder (in decoder order). A private
+    stage's interference is the power of the other private columns,
+    summed in column order; a common stage's is all private power.
+    """
+
+    def __init__(self, layout: StreamLayout, noise: np.ndarray):
+        self.layout = layout
+        self.num_streams = layout.num_streams
+        self._cols = layout.private_columns  # python ints index faster than numpy ones
+        self.priv_cols = np.array(self._cols, dtype=np.intp)
+        self.owners = np.array([layout.streams[j].owner for j in self._cols], dtype=np.intp)
+        self.n_priv = len(self.priv_cols)
+        self.common_col = layout.common_column
+        stream = layout.common_stream
+        self.decoders = np.array(() if stream is None else stream.decoders, dtype=np.intp)
+        # noise floored at _DEN_FLOOR keeps every stage denominator positive
+        noise = np.maximum(noise, _DEN_FLOOR)
+        self.sig2_own = noise[self.owners]
+        self.sig2_dec = noise[self.decoders]
+
+    def stage_of(self, user: int, stream: int) -> tuple[bool, int]:
+        """(is_common, index among the common or the private stages) of `user` decoding `stream`."""
+        desc = self.layout.streams[stream]
+        if desc.kind == "common":
+            if user not in desc.decoders:
+                raise ValueError(f"user {user} does not decode stream {stream}")
+            return True, desc.decoders.index(user)
+        if desc.owner != user:
+            raise ValueError(f"stream {stream} is not user {user}'s private stream")
+        return False, self._cols.index(stream)
+
+    def interferers(self, user: int, stream: int) -> list[int]:
+        """Columns whose power is interference when `user` decodes `stream`."""
+        common, _ = self.stage_of(user, stream)
+        return [j for j in self._cols if common or j != stream]
+
+    def _powers(self, A: np.ndarray):
+        """Each private column's (B, K) power at every user, and their sum in column order."""
+        powers = [A[:, :, j] ** 2 for j in self._cols]
+        return powers, (sum(powers[1:], powers[0]) if powers else np.zeros(A.shape[:2]))
+
+    def stages(self, A: np.ndarray):
+        """(a_p, T_p, a_c, T_c): signal amplitude a and received power T
+        (signal, interference and noise) of every private stage (B,
+        private columns) and common stage (B, decoders; None without a
+        common stream)."""
+        _, total = self._powers(A)
+        a_p = A[:, self.owners, self.priv_cols]
+        T_p = self.sig2_own + total[:, self.owners]
+        if self.common_col is None:
+            return a_p, T_p, None, None
+        a_c = A[:, self.decoders, self.common_col]
+        return a_p, T_p, a_c, self.sig2_dec + total[:, self.decoders] + a_c**2
+
+    def stage(self, A: np.ndarray, user: int, stream: int):
+        """(a, T) of `user` decoding `stream`, one entry per precoder."""
+        common, i = self.stage_of(user, stream)
+        a_p, T_p, a_c, T_c = self.stages(A)
+        return (a_c[:, i], T_c[:, i]) if common else (a_p[:, i], T_p[:, i])
+
+    def sinrs(self, A: np.ndarray):
+        """(sinr_p, sinr_c): SINR of every private stage (B, private
+        columns) and common stage (B, decoders; None without a common
+        stream), as transposed views of stage-major arrays."""
+        powers, total = self._powers(A)
+        sinr_p = np.empty((self.n_priv, len(A)))
+        for i, (k, sig2, out) in enumerate(zip(self.owners.tolist(), self.sig2_own, sinr_p)):
+            others = [p[:, k] for j, p in enumerate(powers) if j != i]
+            np.add(sum(others[1:], others[0]) if others else 0.0, sig2, out=out)
+            np.divide(powers[i][:, k], out, out=out)
+        if self.common_col is None:
+            return sinr_p.T, None
+        sinr_c = np.empty((len(self.decoders), len(A)))
+        for k, sig2, out in zip(self.decoders.tolist(), self.sig2_dec, sinr_c):
+            np.divide(np.square(A[:, k, self.common_col], out=out), total[:, k] + sig2, out=out)
+        return sinr_p.T, sinr_c.T
 
 
 def sinr_common(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int) -> float:
     """SINR of the common stream at `user`: every private stream interferes."""
-    c = layout.common_column
-    if c is None:
+    if layout.common_column is None:
         raise ValueError("layout has no common stream")
-    a = _row_inner(channel, precoder, user)
-    interference = 0.0
-    for j in layout.private_columns:
-        interference += a[j] ** 2
-    return a[c] ** 2 / max(interference + channel.noise[user], _DEN_FLOOR)
+    return float(assemble_report(channel, precoder, layout).sinr_common[user])
 
 
 def sinr_private(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int) -> float:
     """SINR of `user`'s private stream after the common stream is cancelled."""
-    col = layout.private_column_of(user)
-    if col is None:
+    if layout.private_column_of(user) is None:
         raise ValueError(f"user {user} has no private stream in this layout")
-    a = _row_inner(channel, precoder, user)
-    interference = 0.0
-    for j in layout.private_columns:
-        if j != col:
-            interference += a[j] ** 2
-    return a[col] ** 2 / max(interference + channel.noise[user], _DEN_FLOOR)
+    return float(assemble_report(channel, precoder, layout).sinr_private[user])
 
 
 def rate(sinr: float) -> float:
@@ -223,10 +294,9 @@ def rate(sinr: float) -> float:
 
 def common_cap(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout) -> float:
     """Decodable common rate: the minimum common-stream rate over its decoders."""
-    stream = layout.common_stream
-    if stream is None:
+    if layout.common_column is None:
         raise ValueError("layout has no common stream")
-    return min(rate(sinr_common(channel, precoder, layout, k)) for k in stream.decoders)
+    return assemble_report(channel, precoder, layout).common_cap
 
 
 def default_shares(layout: StreamLayout, cap: float, weights: np.ndarray) -> np.ndarray:
@@ -265,19 +335,15 @@ def assemble_report(
     if w.shape != (K,) or np.any(w <= 0):
         raise ValueError("weights must be positive, one per user")
 
-    s_common = np.zeros(K)
-    s_private = np.zeros(K)
-    p_rates = np.zeros(K)
-    for k in range(K):
-        if layout.private_column_of(k) is not None:
-            s_private[k] = sinr_private(channel, precoder, layout, k)
-            p_rates[k] = rate(s_private[k])
+    kernel = SicKernel(layout, channel.noise)
+    sinr_p, sinr_c = kernel.sinrs(channel.gains @ precoder.matrix[None])
+    s_private, s_common = np.zeros(K), np.zeros(K)
+    s_private[kernel.owners] = sinr_p[0]
+    p_rates = np.log2(1.0 + s_private)  # 0 for a user without a private stream
     cap = 0.0
-    stream = layout.common_stream
-    if stream is not None:
-        for k in stream.decoders:
-            s_common[k] = sinr_common(channel, precoder, layout, k)
-        cap = common_cap(channel, precoder, layout)
+    if sinr_c is not None:
+        s_common[kernel.decoders] = sinr_c[0]
+        cap = float(np.log2(1.0 + sinr_c[0]).min())
 
     if shares is None:
         shares = default_shares(layout, cap, w)
@@ -321,17 +387,9 @@ def monte_carlo_sinr(
     Converges to the analytic SINR; the estimate is deterministic for a
     fixed seed.
     """
-    if num_symbols < 10_000:
-        raise ValueError("need at least 1e4 symbols for a stable estimate")
-    desc = layout.streams[stream]
-    if desc.kind == "common":
-        if user not in desc.decoders:
-            raise ValueError(f"user {user} does not decode stream {stream}")
-        interferers = list(layout.private_columns)
-    else:
-        if desc.owner != user:
-            raise ValueError(f"stream {stream} is not user {user}'s private stream")
-        interferers = [j for j in layout.private_columns if j != stream]
+    if num_symbols < MC_MIN_SYMBOLS:
+        raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
+    interferers = SicKernel(layout, channel.noise).interferers(user, stream)
 
     rng = np.random.default_rng(seed)
     amps = channel.gains[user] @ precoder.matrix

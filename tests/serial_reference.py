@@ -16,6 +16,8 @@ import math
 import numpy as np
 
 from rsma_vlc.optimizer import (
+    _PG_MAX_ITER,
+    _PG_TOL,
     _beam_start,
     _random_start,
     _resolve_epsilon,
@@ -210,7 +212,7 @@ def _ao_single(comp, epsilon, P0, config):
         g_p, u_p = _mmse_gu(s.a_p, s.T_p)
         g_c, u_c = _mmse_gu(s.a_c, s.T_c)
         sur = _Surrogate(comp, g_p, u_p, g_c, u_c)
-        P, _ = _maximize_surrogate(sur, epsilon, P, config.pg_max_iter, config.pg_tol)
+        P, _ = _maximize_surrogate(sur, epsilon, P, _PG_MAX_ITER, _PG_TOL)
         new_wsr, _, _ = comp.true_rates(P)
         history.append(new_wsr)
         if abs(new_wsr - wsr) <= config.tolerance:

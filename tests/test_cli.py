@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import rsma_vlc.cli as cli
 import rsma_vlc.signal_model as signal_model
 from rsma_vlc.cli import CSV_HEADER, ConfigError, RunConfig, load_scenario, main, save_scenario
+from rsma_vlc.optimizer import ORACLE_RESOLUTIONS, AoConfig
 from rsma_vlc.scenarios import catalog
 
 RUN = ["run", "--scenario", "scenario1_2led", "--schemes", "rsma,sdma", "--snr", "5,15"]
@@ -81,6 +83,13 @@ class TestScenarioFiles:
         for a, b in zip(loaded.users, spec.users):
             assert np.allclose(a.position, b.position)
             assert a.area == b.area
+
+    def test_ao_round_trip(self, tmp_path):
+        ao = AoConfig(tolerance=3e-3, max_iterations=77, restarts=6, seed=11, corner_starts=True)
+        spec = replace(catalog()["scenario1_2led"], ao=ao)
+        path = tmp_path / "scene.ini"
+        save_scenario(spec, str(path))
+        assert load_scenario(str(path)).ao == ao
 
     def test_legacy_noise_variance_key_ignored(self, tmp_path):
         # files written before Receiver.noise_variance was removed still load
@@ -181,6 +190,25 @@ class TestConfigPlumbing:
         monkeypatch.setenv("RSMA_VLC_WORKERS", "two")
         assert main(["run", "--scenario", "scenario1_2led"]) == 1
         assert "error: RSMA_VLC_WORKERS must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--mc-symbols", str(signal_model.MC_MIN_SYMBOLS - 1)],
+            ["validate", "--oracle-resolution", str(ORACLE_RESOLUTIONS[-1] + 1)],
+            ["validate", "--oracle-resolution", str(ORACLE_RESOLUTIONS[0] - 1)],
+            RUN + ["--max-iters", "0"],
+            RUN + ["--restarts", "0"],
+            RUN + ["--delta", "-1"],
+        ],
+    )
+    def test_bad_inputs_exit_1_before_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
 
     def test_runconfig_validation(self):
         with pytest.raises(ConfigError):

@@ -452,20 +452,25 @@ class TestGridOracle:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_oracle_matches_report_arithmetic(self):
-        # the vectorized oracle WSR agrees with assemble_report on grid points
-        from rsma_vlc.optimizer import _Compiled, _oracle_wsr_block
+        # the oracle's maximum is the best assemble_report WSR over its own grid
         from rsma_vlc.signal_model import assemble_report
 
         rng = np.random.default_rng(13)
-        ch = random_channel(rng)
-        lay = build_layout("rsma", 2, ch)
-        comp = _Compiled(ch, lay, np.array([0.5, 0.5]))
-        for _ in range(20):
-            P = rng.uniform(-1, 1, size=(2, 3))
-            A = (ch.gains @ P)[None, :, :]
-            block = float(_oracle_wsr_block(comp, A)[0])
-            rep = assemble_report(ch, Precoder(matrix=P), lay, weights=np.array([0.5, 0.5]))
-            assert block == pytest.approx(rep.wsr, abs=1e-12)
+        eps, res = 1.5, 5
+        for scheme in ("rsma", "sdma", "noma"):
+            ch = random_channel(rng)
+            lay = build_layout(scheme, 2, ch)
+            S = lay.num_streams
+            axis = np.linspace(-eps, eps, res)
+            mesh = np.stack(np.meshgrid(*([axis] * S), indexing="ij"), axis=-1).reshape(-1, S)
+            rows = mesh[np.abs(mesh).sum(axis=1) <= eps + 1e-12]
+            best = max(
+                assemble_report(ch, Precoder(matrix=np.stack([r1, r2])), lay, weights=np.array([0.5, 0.5])).wsr
+                for r1 in rows
+                for r2 in rows
+            )
+            got = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=res)
+            assert got == pytest.approx(best, abs=1e-12)
 
     def test_ao_close_to_oracle(self):
         rng = np.random.default_rng(14)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import rsma_vlc.optimizer as optimizer
 from rsma_vlc.channel import ChannelMatrix
 from rsma_vlc.signal_model import (
+    SCHEMES,
     Precoder,
+    SicKernel,
     build_layout,
     assemble_report,
     common_cap,
@@ -93,6 +96,22 @@ class TestSinr:
     def test_private_hand_instance(self):
         lay = build_layout("rsma", 2, channel_2x2())
         assert sinr_private(channel_2x2(), HAND, lay, 0) == pytest.approx(HAND_PRIVATE_U1, rel=1e-12)
+
+    def test_three_user_private_hand_instance(self):
+        # h1=(1,0), h2=(0,1), h3=(1,1); columns p1=(1,0), p2=(0,2), p3=(0.5,0.5), common=(1,1)
+        ch = ChannelMatrix(gains=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), noise=np.ones(3))
+        lay = build_layout("rsma", 3, ch)
+        P = Precoder(matrix=np.array([[1.0, 0.0, 0.5, 1.0], [0.0, 2.0, 0.5, 1.0]]))
+        # user amplitudes (p1, p2, p3, common): (1, 0, .5, 1), (0, 2, .5, 1), (1, 2, 1, 2)
+        assert sinr_private(ch, P, lay, 0) == pytest.approx(1.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
+        assert sinr_private(ch, P, lay, 1) == pytest.approx(4.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
+        assert sinr_private(ch, P, lay, 2) == pytest.approx(1.0 / (1.0 + 4.0 + 1.0), rel=1e-14)
+        assert sinr_common(ch, P, lay, 2) == pytest.approx(4.0 / (1.0 + 4.0 + 1.0 + 1.0), rel=1e-14)
+        kernel = SicKernel(lay, ch.noise)
+        assert kernel.interferers(0, 0) == [1, 2]
+        assert kernel.interferers(2, 3) == [0, 1, 2]
+        with pytest.raises(ValueError):
+            kernel.interferers(0, 1)
 
     def test_private_stage_excludes_common_stream(self):
         # adding power to the common column must not change any private SINR
@@ -261,3 +280,63 @@ class TestMonteCarlo:
         lay = build_layout("rsma", 2, ch)
         with pytest.raises(ValueError):
             monte_carlo_sinr(ch, HAND, lay, 0, 1, num_symbols=10_000, seed=1)
+
+
+def loop_sinrs(H, noise, P, layout):
+    """Reference SINRs from explicit loops: private by column, common by decoder."""
+    A = H @ P
+    priv = layout.private_columns
+    sinr_p = []
+    for c in priv:
+        k = layout.streams[c].owner
+        interference = 0.0
+        for j in priv:
+            if j != c:
+                interference += A[k, j] ** 2
+        sinr_p.append(A[k, c] ** 2 / (interference + noise[k]))
+    sinr_c = []
+    if layout.common_column is not None:
+        for k in layout.common_stream.decoders:
+            interference = 0.0
+            for j in priv:
+                interference += A[k, j] ** 2
+            sinr_c.append(A[k, layout.common_column] ** 2 / (interference + noise[k]))
+    return np.array(sinr_p), np.array(sinr_c)
+
+
+KERNEL_CASES = [(s, k, l) for s in SCHEMES for k in (2, 3) for l in (1, 2, 4) if s != "noma" or k == 2]
+
+
+@pytest.mark.parametrize("scheme,users,fixtures", KERNEL_CASES)
+def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
+    # reports, true_rates, the oracle WSR and the stage (a, T) all come from SicKernel
+    rng = np.random.default_rng(100 * users + fixtures)
+    ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
+    lay = build_layout(scheme, users, ch)
+    w = rng.uniform(0.2, 1.0, size=users)
+    comp = optimizer._Compiled(ch, lay, w)
+    P = rng.normal(size=(16, fixtures, lay.num_streams))
+    A = ch.gains @ P
+    kernel = SicKernel(lay, ch.noise)
+    sinr_p, sinr_c = kernel.sinrs(A)
+    a_p, T_p, a_c, T_c = kernel.stages(A)
+    wsr_true, cap_true = comp.true_rates(P)
+    wsr_oracle = comp.amplitude_wsr(A)
+    owners = [lay.streams[c].owner for c in lay.private_columns]
+    for b in range(len(P)):
+        ref_p, ref_c = loop_sinrs(ch.gains, ch.noise, P[b], lay)
+        np.testing.assert_allclose(sinr_p[b], ref_p, rtol=1e-12)
+        rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=w)
+        np.testing.assert_allclose(rep.sinr_private[owners], ref_p, rtol=1e-12)
+        # stage rates from (a, T): log2(T / (T - a^2)) is the rate at the MMSE equalizer
+        wsr_stage = float(comp.w_own @ np.log2(T_p[b] / (T_p[b] - a_p[b] ** 2)))
+        if lay.common_column is not None:
+            np.testing.assert_allclose(sinr_c[b], ref_c, rtol=1e-12)
+            decoders = list(lay.common_stream.decoders)
+            np.testing.assert_allclose(rep.sinr_common[decoders], ref_c, rtol=1e-12)
+            wsr_stage += comp.w_common * float(np.log2(T_c[b] / (T_c[b] - a_c[b] ** 2)).min())
+            assert cap_true[b] == pytest.approx(rep.common_cap, abs=1e-12)
+        else:
+            assert a_c is None and T_c is None and sinr_c is None
+        for wsr in (wsr_true[b], wsr_oracle[b], wsr_stage):
+            assert wsr == pytest.approx(rep.wsr, abs=1e-12)
