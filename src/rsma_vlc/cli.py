@@ -355,17 +355,28 @@ def cmd_validate(config: RunConfig | None = None) -> int:
               f"{'PASS' if ok else 'FAIL'}")
 
     print("== AO vs grid oracle (tolerance 5%) ==")
+    # every instance is drawn first, in the order the checks print
+    snr_db = 15.0
+    drawn = {}
     for scheme in signal_model.SCHEMES:
-        for i in range(config.oracle_instances):
+        drawn[scheme] = []
+        for _ in range(config.oracle_instances):
             gains = rng.uniform(0.2, 1.0, size=(2, 2))
-            channel = ChannelMatrix(gains=gains, noise=np.ones(2))
-            layout = signal_model.build_layout(scheme, 2, channel)
-            cfg = AoConfig(snr_db=15.0, seed=int(rng.integers(1 << 31)), corner_starts=True)
-            sol = optimizer.ao_solve(channel, layout, (0.5, 0.5), cfg)
+            cfg = AoConfig(snr_db=snr_db, seed=int(rng.integers(1 << 31)), corner_starts=True)
+            drawn[scheme].append((ChannelMatrix(gains=gains, noise=np.ones(2)), cfg))
+    epsilon = optimizer.epsilon_from_snr(snr_db, 1.0)
+    for scheme, instances in drawn.items():
+        channels = [channel for channel, _ in instances]
+        solved = [None] * len(instances)  # (layout, Solution) per instance
+        for layout, idx in signal_model.layout_groups(scheme, channels):
+            sols = optimizer.ao_solve(
+                [channels[i] for i in idx], layout, (0.5, 0.5), [instances[i][1] for i in idx],
+            )
+            for i, sol in zip(idx, sols):
+                solved[i] = (layout, sol)
+        for i, (channel, (layout, sol)) in enumerate(zip(channels, solved)):
             oracle = optimizer.grid_oracle(
-                channel, layout, (0.5, 0.5),
-                epsilon=optimizer.epsilon_from_snr(cfg.snr_db, 1.0),
-                resolution=config.oracle_resolution,
+                channel, layout, (0.5, 0.5), epsilon=epsilon, resolution=config.oracle_resolution,
             )
             deviation = abs(sol.wsr - oracle) / max(oracle, 1e-12)
             ok = deviation <= 0.05
@@ -411,7 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options of run/channel-dump that validate, which draws its own
+# instances, would otherwise silently ignore
+_NOT_FOR_VALIDATE = (
+    "scenario", "scenario_file", "schemes", "snr", "noise_mode", "delta", "max_iters", "restarts", "workers",
+)
+
+
 def _config_from_args(args) -> RunConfig:
+    if args.command == "validate":
+        given = ["--" + name.replace("_", "-") for name in _NOT_FOR_VALIDATE if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"validate does not take {', '.join(given)}")
     workers = args.workers
     if workers is None:
         text = os.environ.get("RSMA_VLC_WORKERS", "1")
@@ -420,7 +442,7 @@ def _config_from_args(args) -> RunConfig:
         except ValueError:
             raise ConfigError(f"RSMA_VLC_WORKERS must be an integer, got {text!r}") from None
     scenario = args.scenario
-    if scenario is None and args.scenario_file is None and args.command == "validate":
+    if args.command == "validate":
         scenario = "scenario1_4led"  # validate needs no scenario; satisfy the invariant
     return RunConfig(
         scenario=scenario,

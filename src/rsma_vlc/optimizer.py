@@ -17,16 +17,17 @@ contributes through the minimum of the decoders' surrogate rates. The
 exact shares are re-materialized from the true rates on exit.
 
 Every start is one problem of a lockstep batch. The problems of a batch
-share one channel and one layout; precoders are stacked as (B, L, S)
-arrays, and each problem has its own amplitude budget, FISTA state,
-outer iteration count, convergence flag and WSR history. All active
-problems take each AO iteration, and each projected-gradient step
-inside it, together; a problem that has finished drops out of the
-batch. Each array operation applies to every problem the same
-floating-point operations in the same order as a batch of one, so a
-problem's result does not depend, bit for bit, on the problems that
-share its batch. `ao_solve` runs every start of every config it is
-given as one batch.
+share one layout; each has its own channel (gains stacked as (B, K, L),
+noise as (B, K); a batch whose problems share a channel is one whose
+gains are all the same), its own (L, S) precoder in a (B, L, S) stack,
+amplitude budget, FISTA state, outer iteration count, convergence flag
+and WSR history. All active problems take each AO iteration, and each
+projected-gradient step inside it, together; a problem that has
+finished drops out of the batch, its channel with it. Each array
+operation applies to every problem the same floating-point operations
+in the same order as a batch of one, so a problem's result does not
+depend, bit for bit, on the problems that share its batch. `ao_solve`
+runs every start of every config it is given as one batch.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .signal_model import (
     SicKernel,
     StreamLayout,
     assemble_report,
-    build_layout,
     default_shares,
+    layout_groups,
 )
 
 __all__ = [
@@ -183,20 +184,37 @@ class _Stats:
 
 
 class _Compiled(SicKernel):
-    """The layout's SIC kernel plus the channel gains and priorities."""
+    """The layout's SIC kernel plus the channel gains and priorities.
 
-    def __init__(self, channel: ChannelMatrix, layout: StreamLayout, priorities: np.ndarray):
-        super().__init__(layout, channel.noise)
-        self.H = channel.gains
-        self.HT = self.H.T
+    `channel` is one ChannelMatrix, shared by every precoder of a batch,
+    or a sequence with one per precoder. The gains are held as (1 or B,
+    K, L) with `HT` the matching (1 or B, L, K) view and `hnorm2` as (1
+    or B, K); a single channel broadcasts over any batch.
+    """
+
+    def __init__(self, channel, layout: StreamLayout, priorities: np.ndarray):
+        channels = (channel,) if isinstance(channel, ChannelMatrix) else tuple(channel)
+        if not channels or len({c.gains.shape for c in channels}) != 1:
+            raise ValueError("a batch needs at least one channel, all of one shape")
+        super().__init__(layout, np.stack([c.noise for c in channels]))
+        self.H = np.stack([c.gains for c in channels])
+        # a view: each problem's HT has the strides of its (K, L) gains' .T
+        self.HT = self.H.transpose(0, 2, 1)
+        self.hnorm2 = np.sum(self.H**2, axis=2)
         w = np.asarray(priorities, dtype=float)
-        if w.shape != (channel.num_users,) or np.any(w <= 0):
+        if w.shape != (self.H.shape[1],) or np.any(w <= 0):
             raise ValueError("priorities must be positive, one per user")
         self.w = w
         self.w_own = w[self.owners]
         # priority of the user the greedy split hands the common rate to
         self.w_common = float(w @ default_shares(layout, 1.0, w))
-        self.hnorm2 = np.sum(self.H**2, axis=1)
+
+    def take(self, keep: np.ndarray) -> "_Compiled":
+        sub = super().take(keep)
+        if sub is not self:
+            sub.H, sub.hnorm2 = self.H[keep], self.hnorm2[keep]
+            sub.HT = sub.H.transpose(0, 2, 1)
+        return sub
 
     def stats(self, P: np.ndarray) -> _Stats:
         """Amplitudes and stage quantities of the (B, L, S) precoders P."""
@@ -351,7 +369,7 @@ class _SurrogateBatch:
             self.base_p = _rowdot(np.log2(u_p) + 1.0 / LN2, comp.w_own)
         else:
             self.base_p = np.zeros(B)
-        lip = (2.0 * self.coef_p * self.g2_p * comp.hnorm2[comp.owners]).sum(axis=1)
+        lip = (2.0 * self.coef_p * self.g2_p * comp.hnorm2[:, comp.owners]).sum(axis=1)
         if comp.common_col is not None:
             self.g2_c = g_c**2
             self.two_g_c = 2.0 * g_c
@@ -359,7 +377,7 @@ class _SurrogateBatch:
             coef_c = comp.w_common * self.rate_coef_c
             self.base_c = np.log2(u_c) + 1.0 / LN2
             self.lin_c = 2.0 * coef_c * g_c
-            lip = lip + (2.0 * coef_c * self.g2_c * comp.hnorm2[comp.decoders]).max(axis=1)
+            lip = lip + (2.0 * coef_c * self.g2_c * comp.hnorm2[:, comp.decoders]).max(axis=1)
             # the gradient squares each decoder gain with numpy's scalar
             # `**` (C pow()), which can round differently from the array
             # square above; tests/serial_reference.py pins these bits
@@ -370,7 +388,7 @@ class _SurrogateBatch:
     def take(self, keep: np.ndarray) -> "_SurrogateBatch":
         """The surrogates of the problems selected by `keep`."""
         sub = object.__new__(_SurrogateBatch)
-        sub.c = self.c
+        sub.c = self.c.take(keep)
         for name in self._FIELDS:
             if hasattr(self, name):
                 setattr(sub, name, getattr(self, name)[keep])
@@ -605,11 +623,12 @@ def embed_noma_matrix(rsma_layout: StreamLayout, noma_layout: StreamLayout, matr
 def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoConfig):
     """AO from every start of the (B, L, S) stack P0 in lockstep.
 
-    `epsilon` holds one budget per start. Returns (P, histories,
-    converged): the final precoders, one WSR history list per start
-    (its length minus one is the start's iteration count) and one
-    convergence flag per start. A start leaves the batch once its WSR
-    changes by at most `config.tolerance` in one iteration.
+    `comp` holds one channel per start or one shared channel, and
+    `epsilon` one budget per start. Returns (P, histories, converged):
+    the final precoders, one WSR history list per start (its length
+    minus one is the start's iteration count) and one convergence flag
+    per start. A start leaves the batch once its WSR changes by at most
+    `config.tolerance` in one iteration.
     """
     radius = np.repeat(np.asarray(epsilon, dtype=float)[:, None], P0.shape[1], axis=1)
     P = project_rows_l1(P0, radius)
@@ -634,9 +653,10 @@ def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoCo
             converged[live[done]] = True
             out[live[done]] = P[done]
             keep = ~done
+            if not keep.any():
+                return out, histories, converged
             live, P, radius, new_wsr = live[keep], P[keep], radius[keep], new_wsr[keep]
-            if not len(live):
-                break
+            comp = comp.take(keep)
         wsr = new_wsr
     out[live] = P
     return out, histories, converged
@@ -665,7 +685,7 @@ def _check_batchable(configs: tuple) -> None:
 
 
 def ao_solve(
-    channel: ChannelMatrix,
+    channel: ChannelMatrix | Sequence[ChannelMatrix],
     layout: StreamLayout,
     priorities,
     config: AoConfig | Sequence[AoConfig] = AoConfig(),
@@ -686,15 +706,19 @@ def ao_solve(
     starts that reach degenerate single-user optima. Seeded random
     feasible starts fill up to `config.restarts` (at least one always).
 
-    `config` may also be a sequence of configs for the same channel,
-    layout and priorities, e.g. the points of an SNR sweep. They may
-    differ only in `seed`, `snr_db`, `epsilon` and `reference_gain`;
-    `warm_starts` then holds one tuple of matrices per config (or is
-    empty), and the result is a tuple with one Solution per config.
-    Every start of every config runs in one lockstep batch (see the
-    module docstring), and each Solution is bit-for-bit the one that
-    config gets when solved alone: a problem's result does not depend on
-    its batch.
+    `config` may also be a sequence of configs, e.g. the points of a
+    sweep. They may differ only in `seed`, `snr_db`, `epsilon` and
+    `reference_gain`; `channel` is then one channel shared by all of
+    them or a sequence with one channel per config (all of one shape),
+    `warm_starts` holds one tuple of matrices per config (or is empty),
+    and the result is a tuple with one Solution per config. Every
+    problem is solved under `layout`, so callers that batch NOMA
+    problems over several channels group them by their strong user
+    first (`signal_model.layout_groups`); the nested SDMA/NOMA solves
+    of `embed_special_cases` are grouped that way. Every start of every
+    config runs in one lockstep batch (see the module docstring), and
+    each Solution is bit-for-bit the one that config gets when solved
+    alone: a problem's result does not depend on its batch.
     """
     single = isinstance(config, AoConfig)
     configs = (config,) if single else tuple(config)
@@ -705,46 +729,57 @@ def ao_solve(
         warm = tuple(tuple(ws) for ws in warm_starts) or ((),) * len(configs)
         if len(warm) != len(configs):
             raise ValueError("warm_starts needs one tuple of matrices per config")
+    if isinstance(channel, ChannelMatrix):
+        channels = (channel,) * len(configs)
+    else:
+        channels = tuple(channel)
+        if single or len(channels) != len(configs):
+            raise ValueError("a sequence of channels needs a sequence of configs, one per channel")
     w = np.asarray(priorities, dtype=float)
-    comp = _Compiled(channel, layout, w)
-    epsilons = [_resolve_epsilon(channel, cfg) for cfg in configs]
+    # a channel every problem shares is compiled once and broadcasts over
+    # the batch, so dropping finished problems never copies its gains
+    shared = all(ch is channels[0] for ch in channels)
+    comp = _Compiled(channels[0] if shared else channels, layout, w)
+    epsilons = [_resolve_epsilon(ch, cfg) for ch, cfg in zip(channels, configs)]
 
     embedded = [[] for _ in configs]
     if layout.scheme == "rsma" and embed_special_cases:
-        sdma_layout = build_layout("sdma", channel.num_users, channel)
-        for extra, sol in zip(embedded, ao_solve(channel, sdma_layout, w, configs)):
-            extra.append(embed_sdma_matrix(layout, sdma_layout, sol.precoder.matrix))
-        if channel.num_users == 2:
-            noma_layout = build_layout("noma", channel.num_users, channel)
-            for extra, sol in zip(embedded, ao_solve(channel, noma_layout, w, configs)):
-                extra.append(embed_noma_matrix(layout, noma_layout, sol.precoder.matrix))
+        helpers = [("sdma", embed_sdma_matrix)]
+        if channels[0].num_users == 2:
+            helpers.append(("noma", embed_noma_matrix))
+        for scheme, embed in helpers:
+            for sub_layout, idx in layout_groups(scheme, channels):
+                sols = ao_solve([channels[i] for i in idx], sub_layout, w, [configs[i] for i in idx])
+                for i, sol in zip(idx, sols):
+                    embedded[i].append(embed(layout, sub_layout, sol.precoder.matrix))
 
     starts: list[np.ndarray] = []
     counts = []
-    for cfg, epsilon, extra, warm_i in zip(configs, epsilons, embedded, warm):
-        own = [_zf_start(channel, comp, epsilon)]
+    for ch, cfg, epsilon, extra, warm_i in zip(channels, configs, epsilons, embedded, warm):
+        own = [_zf_start(ch, comp, epsilon)]
         if cfg.corner_starts:
-            own += [_beam_start(channel, comp, epsilon, k) for k in range(channel.num_users)]
+            own += [_beam_start(ch, comp, epsilon, k) for k in range(ch.num_users)]
         own += extra
         own += [np.asarray(m, dtype=float) for m in warm_i]
         rng = np.random.default_rng(cfg.seed)
         n_random = max(1, cfg.restarts - len(own))  # always explore at random too
-        own += [_random_start(channel, comp, epsilon, rng) for _ in range(n_random)]
+        own += [_random_start(ch, comp, epsilon, rng) for _ in range(n_random)]
         starts += own
         counts.append(len(own))
 
-    P, histories, converged = _ao_batch(comp, np.repeat(epsilons, counts), np.stack(starts), configs[0])
+    batch = comp.take(np.repeat(np.arange(len(configs)), counts))
+    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.stack(starts), configs[0])
+    _, caps = batch.true_rates(P)
     solutions = []
     lo = 0
-    for n in counts:
+    for ch, n in zip(channels, counts):
         best = lo
         for b in range(lo + 1, lo + n):
             if histories[b][-1] > histories[best][-1]:
                 best = b
-        _, cap = comp.true_rates(P[best : best + 1])
-        shares = default_shares(layout, float(cap[0]), w)
+        shares = default_shares(layout, float(caps[best]), w)
         precoder = Precoder(matrix=P[best].copy())
-        report = assemble_report(channel, precoder, layout, shares=shares, weights=w)
+        report = assemble_report(ch, precoder, layout, shares=shares, weights=w)
         solutions.append(
             Solution(
                 precoder=precoder,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, Fixture, Receiver, build_channel, fixture_gain
 from .optimizer import AoConfig, ao_solve, embed_noma_matrix, embed_sdma_matrix
-from .signal_model import SCHEMES, build_layout
+from .signal_model import SCHEMES, layout_groups
 
 __all__ = [
     "Sweep",
@@ -223,8 +223,8 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _solve_points(channel, layout, priorities, configs, warm) -> list:
-    """One Solution or the raised exception per config.
+def _solve_points(channels, layout, priorities, configs, warm) -> list:
+    """One Solution or the raised exception per (channel, config).
 
     Several configs run as one batched ao_solve call; if it raises, they
     are solved again one at a time so that only the failing points fail.
@@ -234,13 +234,13 @@ def _solve_points(channel, layout, priorities, configs, warm) -> list:
     if len(configs) > 1:
         try:
             return list(ao_solve(
-                channel, layout, priorities, configs,
+                channels, layout, priorities, configs,
                 warm_starts=warm, embed_special_cases=False,
             ))
         except Exception:  # isolate the failure below
             pass
     results = []
-    for cfg, ws in zip(configs, warm):
+    for channel, cfg, ws in zip(channels, configs, warm):
         try:
             results.append(ao_solve(
                 channel, layout, priorities, cfg,
@@ -251,55 +251,68 @@ def _solve_points(channel, layout, priorities, configs, warm) -> list:
     return results
 
 
-def _solve_group(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
-    """All requested schemes at sweep points that share one channel.
+def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
+    """Rows of a chunk of (index, value) sweep points (separate process safe).
 
-    One batched solve per scheme, in the order SDMA, NOMA, RSMA, so
-    each RSMA point starts from its own point's converged SDMA/NOMA
-    precoders; when RSMA alone is requested the helper solves still run
-    (their rows are simply not emitted).
+    One batched solve per scheme (and per NOMA layout: the strong user
+    can differ between the channels of a separation sweep), in the
+    order SDMA, NOMA, RSMA, so each RSMA point starts from its own
+    point's converged SDMA/NOMA precoders; when RSMA alone is requested
+    the helper solves still run (their rows are simply not emitted).
+    The points of an SNR sweep share one channel; a separation sweep
+    moves the users, so each of its points has a channel of its own.
     """
-    channel = build_scene_channel(spec, points[0][1])
+    if spec.sweep.name == "separation":
+        channels = [build_scene_channel(spec, value) for _, value in points]
+        snrs = [spec.snr_db] * len(points)
+    else:
+        channels = [build_scene_channel(spec)] * len(points)
+        snrs = [value for _, value in points]
+    num_users = len(spec.users)
     run_order = [s for s in ("sdma", "noma", "rsma") if s in spec.schemes]
     if "rsma" in spec.schemes:
-        helpers = ["sdma"] + (["noma"] if channel.num_users == 2 else [])
+        helpers = ["sdma"] + (["noma"] if num_users == 2 else [])
         run_order = helpers + [s for s in run_order if s not in helpers]
-    solved = {}  # scheme -> (layout, one Solution or exception per point)
+    embedders = {"sdma": embed_sdma_matrix, "noma": embed_noma_matrix}
+    solved = {}  # scheme -> (layout, Solution or exception) per point
     rows = []
     for scheme in run_order:
         seeds = [_point_seed(base_seed, scheme, i) for i, _ in points]
         configs = [
-            replace(
-                spec.ao, seed=seed, reference_gain=ref,
-                snr_db=value if spec.sweep.name == "snr_db" else spec.snr_db,
-            )
-            for seed, (_, value) in zip(seeds, points)
+            replace(spec.ao, seed=seed, reference_gain=ref, snr_db=snr)
+            for seed, snr in zip(seeds, snrs)
         ]
         try:
-            layout = build_layout(scheme, channel.num_users, channel)
+            groups = layout_groups(scheme, channels)
         except ValueError as exc:
             results = [exc] * len(points)
         else:
-            warm = [()] * len(points)
-            if scheme == "rsma":
-                embedders = {"sdma": embed_sdma_matrix, "noma": embed_noma_matrix}
-                warm = [
-                    tuple(
-                        embedders[h](layout, solved[h][0], solved[h][1][j].precoder.matrix)
-                        for h in ("sdma", "noma")
-                        if h in solved and not isinstance(solved[h][1][j], Exception)
-                    )
-                    for j in range(len(points))
-                ]
-            results = _solve_points(channel, layout, spec.priorities, configs, warm)
-            solved[scheme] = (layout, results)
+            results = [None] * len(points)
+            layouts = [None] * len(points)
+            for layout, idx in groups:
+                warm = [()] * len(idx)
+                if scheme == "rsma":
+                    warm = [
+                        tuple(
+                            embedders[h](layout, solved[h][j][0], solved[h][j][1].precoder.matrix)
+                            for h in ("sdma", "noma")
+                            if h in solved and not isinstance(solved[h][j][1], Exception)
+                        )
+                        for j in idx
+                    ]
+                sols = _solve_points(
+                    [channels[j] for j in idx], layout, spec.priorities, [configs[j] for j in idx], warm,
+                )
+                for j, sol in zip(idx, sols):
+                    layouts[j], results[j] = layout, sol
+            solved[scheme] = list(zip(layouts, results))
         if scheme not in spec.schemes:
             continue
         for (_, value), seed, sol in zip(points, seeds, results):
             if isinstance(sol, Exception):
                 rows.append(SweepRow(
                     scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
-                    wsr=0.0, rates=(0.0,) * channel.num_users, common_cap=0.0,
+                    wsr=0.0, rates=(0.0,) * num_users, common_cap=0.0,
                     iterations=0, converged=False, seed=seed,
                     error=f"{type(sol).__name__}: {sol}",
                 ))
@@ -313,31 +326,20 @@ def _solve_group(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
     return rows
 
 
-def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
-    """Rows of a chunk of (index, value) sweep points (separate process safe).
-
-    The points of an SNR sweep share one channel and are solved as one
-    group; a separation sweep moves the users, so each of its points is
-    a group of its own.
-    """
-    groups = [points] if spec.sweep.name == "snr_db" else [[p] for p in points]
-    return [row for group in groups for row in _solve_group(spec, group, base_seed, ref)]
-
-
 def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> SweepResult:
     """Solve every (scheme, sweep value) of the scenario.
 
     Per-point seeds derive from (base_seed, scheme, sweep index). With
-    `workers` > 1 an SNR sweep deals its points round-robin into that
-    many chunks, one per worker process, so the slow high-SNR points
-    spread over the workers; each chunk solves its points in one batched
-    ao_solve call per scheme. A separation sweep gains nothing from
-    batching (every point has its own channel), so its points go to the
-    pool one at a time. A point's result does not depend on the batch it
-    is solved in, so any worker count produces identical rows. If a
-    batched call raises, its points are solved again one at a time, and
-    only the points that still fail get a row with `error` set. Rows
-    come back sorted by (scheme, sweep index).
+    `workers` > 1 the points are dealt round-robin into that many
+    chunks, one per worker process, so the slow points (high SNR) spread
+    over the workers; each chunk solves its points in one batched
+    ao_solve call per scheme (per NOMA layout), whether they share one
+    channel (an SNR sweep) or each have their own (a separation sweep).
+    A point's result does not depend on the batch it is solved in, so
+    any worker count produces identical rows. If a batched call raises,
+    its points are solved again one at a time, and only the points that
+    still fail get a row with `error` set. Rows come back sorted by
+    (scheme, sweep index).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -345,10 +347,7 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     ref = reference_gain(spec)
     n = min(workers, len(points))
     if n > 1:
-        if spec.sweep.name == "snr_db":
-            chunks = [points[c::n] for c in range(n)]
-        else:
-            chunks = [[p] for p in points]
+        chunks = [points[c::n] for c in range(n)]
         with ProcessPoolExecutor(max_workers=n) as pool:
             results = list(pool.map(_solve_chunk, repeat(spec), chunks, repeat(base_seed), repeat(ref)))
     else:

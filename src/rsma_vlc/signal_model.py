@@ -38,6 +38,7 @@ __all__ = [
     "Precoder",
     "RateReport",
     "build_layout",
+    "layout_groups",
     "sinr_common",
     "sinr_private",
     "rate",
@@ -187,6 +188,19 @@ def build_layout(scheme: str, num_users: int, channel: ChannelMatrix) -> StreamL
     return StreamLayout(scheme, num_users, streams)
 
 
+def layout_groups(scheme: str, channels) -> list:
+    """(layout, channel indices) pairs: the channels grouped by the layout
+    build_layout gives each, in order of first appearance.
+
+    Only NOMA's layout depends on the channel (its strong user), so the
+    other schemes always give one group.
+    """
+    groups: dict = {}
+    for i, channel in enumerate(channels):
+        groups.setdefault(build_layout(scheme, channel.num_users, channel), []).append(i)
+    return list(groups.items())
+
+
 class SicKernel:
     """The SIC decoding rule of one layout, on received amplitudes.
 
@@ -196,6 +210,9 @@ class SicKernel:
     or the common stream at a decoder (in decoder order). A private
     stage's interference is the power of the other private columns,
     summed in column order; a common stage's is all private power.
+
+    `noise` holds the K noise variances of one channel, shared by every
+    precoder, or a (B, K) array with one row per precoder.
     """
 
     def __init__(self, layout: StreamLayout, noise: np.ndarray):
@@ -208,10 +225,22 @@ class SicKernel:
         self.common_col = layout.common_column
         stream = layout.common_stream
         self.decoders = np.array(() if stream is None else stream.decoders, dtype=np.intp)
-        # noise floored at _DEN_FLOOR keeps every stage denominator positive
-        noise = np.maximum(noise, _DEN_FLOOR)
-        self.sig2_own = noise[self.owners]
-        self.sig2_dec = noise[self.decoders]
+        # noise floored at _DEN_FLOOR keeps every stage denominator positive;
+        # (1 or B, stages): a single row broadcasts over any batch
+        noise = np.atleast_2d(np.maximum(noise, _DEN_FLOOR))
+        self.sig2_own = noise[:, self.owners]
+        self.sig2_dec = noise[:, self.decoders]
+
+    def take(self, keep: np.ndarray) -> "SicKernel":
+        """The kernel of the precoders selected by `keep` (a boolean mask or
+        indices); a kernel of one shared channel is returned as it is."""
+        if len(self.sig2_own) == 1:
+            return self
+        sub = object.__new__(type(self))
+        sub.__dict__.update(self.__dict__)
+        sub.sig2_own = self.sig2_own[keep]
+        sub.sig2_dec = self.sig2_dec[keep]
+        return sub
 
     def stage_of(self, user: int, stream: int) -> tuple[bool, int]:
         """(is_common, index among the common or the private stages) of `user` decoding `stream`."""
@@ -259,14 +288,14 @@ class SicKernel:
         stream), as transposed views of stage-major arrays."""
         powers, total = self._powers(A)
         sinr_p = np.empty((self.n_priv, len(A)))
-        for i, (k, sig2, out) in enumerate(zip(self.owners.tolist(), self.sig2_own, sinr_p)):
+        for i, (k, sig2, out) in enumerate(zip(self.owners.tolist(), self.sig2_own.T, sinr_p)):
             others = [p[:, k] for j, p in enumerate(powers) if j != i]
             np.add(sum(others[1:], others[0]) if others else 0.0, sig2, out=out)
             np.divide(powers[i][:, k], out, out=out)
         if self.common_col is None:
             return sinr_p.T, None
         sinr_c = np.empty((len(self.decoders), len(A)))
-        for k, sig2, out in zip(self.decoders.tolist(), self.sig2_dec, sinr_c):
+        for k, sig2, out in zip(self.decoders.tolist(), self.sig2_dec.T, sinr_c):
             np.divide(np.square(A[:, k, self.common_col], out=out), total[:, k] + sig2, out=out)
         return sinr_p.T, sinr_c.T
 

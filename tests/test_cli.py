@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import rsma_vlc.cli as cli
+import rsma_vlc.optimizer as optimizer
 import rsma_vlc.signal_model as signal_model
+from rsma_vlc.channel import ChannelMatrix
 from rsma_vlc.cli import CSV_HEADER, ConfigError, RunConfig, load_scenario, main, save_scenario
 from rsma_vlc.optimizer import ORACLE_RESOLUTIONS, AoConfig
 from rsma_vlc.scenarios import catalog
@@ -172,6 +174,46 @@ class TestValidate:
         monkeypatch.setattr(signal_model, "sinr_private", corrupted)
         assert main(self.ARGS) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--scenario", "scenario1_2led"],
+            ["--scenario-file", "scene.ini"],
+            ["--schemes", "rsma"],
+            ["--snr", "20"],
+            ["--noise-mode", "physical"],
+            ["--delta", "0.1"],
+            ["--max-iters", "1"],
+            ["--restarts", "2"],
+            ["--workers", "2"],
+        ],
+    )
+    def test_options_validate_would_ignore_exit_1(self, option, capsys):
+        assert main(self.ARGS + option) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and option[0] in captured.err
+
+    def test_batched_solves_print_what_one_at_a_time_solves_print(self, capsys):
+        assert main(["validate", "--seed", "0", "--mc-instances", "2", "--oracle-instances", "3"]) in (0, 2)
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("oracle[")]
+        # the same draws, each instance solved on its own
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            cli._random_instance(rng, epsilon=3.0)
+        expected = []
+        for scheme in signal_model.SCHEMES:
+            for i in range(3):
+                ch = ChannelMatrix(gains=rng.uniform(0.2, 1.0, size=(2, 2)), noise=np.ones(2))
+                lay = signal_model.build_layout(scheme, 2, ch)
+                cfg = AoConfig(snr_db=15.0, seed=int(rng.integers(1 << 31)), corner_starts=True)
+                sol = optimizer.ao_solve(ch, lay, (0.5, 0.5), cfg)
+                oracle = optimizer.grid_oracle(ch, lay, (0.5, 0.5), epsilon=optimizer.epsilon_from_snr(15.0, 1.0))
+                deviation = abs(sol.wsr - oracle) / max(oracle, 1e-12)
+                expected.append(f"oracle[{scheme}:{i:02d}] ao {sol.wsr:.4f} grid {oracle:.4f} "
+                                f"deviation {deviation:.3%} {'PASS' if deviation <= 0.05 else 'FAIL'}")
+        assert printed == expected
 
 
 class TestConfigPlumbing:

@@ -405,6 +405,47 @@ class TestBatchedSolver:
             for cfg, sol in zip(configs, many):
                 assert self._same(ao_solve(ch, lay, (0.5, 0.5), cfg), sol)
 
+    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
+    def test_mixed_channel_batch_equals_each_problem_alone(self, scheme):
+        # different gains and non-unit noise per problem; the channels
+        # alternate which user is stronger, so NOMA sees both strong-user
+        # orders under one layout and RSMA's nested NOMA solves split
+        # into two layout groups
+        rng = np.random.default_rng(48)
+        channels, configs = [], []
+        for i in range(6):
+            gains = rng.uniform(0.1, 1.0, size=(2, 4))
+            if (np.linalg.norm(gains[0]) >= np.linalg.norm(gains[1])) != (i % 2 == 0):
+                gains = gains[::-1].copy()
+            channels.append(channel(gains, rng.uniform(0.3, 3.0, size=2)))
+            configs.append(AoConfig(snr_db=5.0 + 6.0 * i, seed=100 + i, max_iterations=12, corner_starts=True))
+        configs[3] = AoConfig(epsilon=4.0, seed=103, max_iterations=12, corner_starts=True)
+        assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
+        lay = build_layout(scheme, 2, channels[0])
+        w = (0.4, 0.6)
+        batched = ao_solve(channels, lay, w, configs)
+        assert isinstance(batched, tuple) and len(batched) == len(configs)
+        outcomes = set()
+        for ch, cfg, sol in zip(channels, configs, batched):
+            alone = ao_solve(ch, lay, w, cfg)
+            assert self._same(sol, alone)
+            assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
+            P, hist, its, conv, idx = serial_reference.ao_solve(ch, lay, w, cfg)
+            assert np.array_equal(sol.precoder.matrix, P) and sol.wsr_history == tuple(hist)
+            assert (sol.iterations, sol.converged, sol.restart_index) == (its, conv, idx)
+            outcomes.add(sol.converged)
+        assert outcomes == {True, False}  # both exits are exercised
+
+    def test_channel_sequence_needs_one_config_each(self):
+        a, b = channel([[0.9, 0.4], [0.3, 0.8]]), channel([[0.5, 0.4], [0.3, 0.2]])
+        lay = build_layout("sdma", 2, a)
+        with pytest.raises(ValueError):
+            ao_solve([a, b], lay, (0.5, 0.5), AoConfig())
+        with pytest.raises(ValueError):
+            ao_solve([a, b], lay, (0.5, 0.5), [AoConfig()] * 3)
+        with pytest.raises(ValueError):
+            ao_solve([a, channel(np.ones((2, 3)))], lay, (0.5, 0.5), [AoConfig()] * 2)
+
     def test_configs_may_differ_only_in_per_problem_fields(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
         lay = build_layout("sdma", 2, ch)

@@ -16,6 +16,7 @@ from rsma_vlc.scenarios import (
     run_sweep,
     users_for_separation,
 )
+from rsma_vlc.signal_model import layout_groups
 
 CATALOG_NAMES = {
     "scenario1_4led",
@@ -263,14 +264,46 @@ class TestRunSweep:
         assert res.rows[0].wsr > 5.0
 
     def test_separation_sweep_workers(self):
-        # each separation point goes to the pool on its own; rows must not change
+        # the chunks (batches of points with their own channels) differ
+        # with the worker count, the rows must not
         spec = replace(
             catalog()["separation_sweep_2led"],
             sweep=Sweep("separation", (2.0, 3.6, 5.0)),
             snr_db=20.0,
-            schemes=("sdma",),
+            schemes=("rsma", "sdma", "noma"),
         )
         a = run_sweep(spec, base_seed=4, workers=1)
         b = run_sweep(spec, base_seed=4, workers=2)
-        assert [r.sweep_value for r in a.rows] == [2.0, 3.6, 5.0]
+        assert [r.sweep_value for r in a.rows] == [2.0, 3.6, 5.0] * 3
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_separation_sweep_batch_equals_points_alone(self, workers, monkeypatch):
+        # off-centre fixtures make the second user the stronger one at
+        # short separations and the first at long ones, so NOMA's points
+        # fall into two layouts
+        spec = replace(
+            catalog()["separation_sweep_2led"],
+            fixtures=(scenarios._fixture(-2.4, 0.0), scenarios._fixture(0.4, 0.0)),
+            sweep=Sweep("separation", (0.4, 1.2, 2.8, 4.4)),
+            snr_db=20.0,
+            schemes=("rsma", "sdma", "noma"),
+        )
+        values = spec.sweep.values
+        channels = [build_scene_channel(spec, v) for v in values]
+        assert [len(idx) for _, idx in layout_groups("noma", channels)] == [2, 2]
+        ref = reference_gain(spec)
+        alone = [row for point in enumerate(values) for row in scenarios._solve_chunk(spec, [point], 5, ref)]
+        alone.sort(key=lambda r: (r.scheme, values.index(r.sweep_value)))
+        calls = []
+        real = scenarios.ao_solve
+
+        def spy(channel, layout, priorities, config, **kw):
+            calls.append((layout.scheme, 1 if isinstance(config, AoConfig) else len(config)))
+            return real(channel, layout, priorities, config, **kw)
+
+        monkeypatch.setattr(scenarios, "ao_solve", spy)
+        res = run_sweep(spec, base_seed=5, workers=workers)
+        assert res.rows == tuple(alone)
+        if workers == 1:  # the pool's processes keep their own call lists
+            assert calls == [("sdma", 4), ("noma", 2), ("noma", 2), ("rsma", 4)]
