@@ -28,7 +28,7 @@ from .optimizer import (
     grid_oracle,
     zf_precoder,
 )
-from .scenarios import ScenarioSpec, Sweep, catalog, run_sweep
+from .scenarios import ScenarioSpec, Sweep, catalog, run_sweep, solve_schemes
 from .signal_model import (
     Precoder,
     RateReport,

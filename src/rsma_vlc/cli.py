@@ -367,14 +367,11 @@ def cmd_validate(config: RunConfig | None = None) -> int:
     epsilon = optimizer.epsilon_from_snr(snr_db, 1.0)
     for scheme, instances in drawn.items():
         channels = [channel for channel, _ in instances]
-        solved = [None] * len(instances)  # (layout, Solution) per instance
-        for layout, idx in signal_model.layout_groups(scheme, channels):
-            sols = optimizer.ao_solve(
-                [channels[i] for i in idx], layout, (0.5, 0.5), [instances[i][1] for i in idx],
-            )
-            for i, sol in zip(idx, sols):
-                solved[i] = (layout, sol)
+        configs = [cfg for _, cfg in instances]  # RSMA's helpers run under RSMA's config
+        solved = scenarios.solve_schemes(channels, (0.5, 0.5), (scheme,), lambda _, i: configs[i])[scheme]
         for i, (channel, (layout, sol)) in enumerate(zip(channels, solved)):
+            if isinstance(sol, Exception):
+                raise sol
             oracle = optimizer.grid_oracle(
                 channel, layout, (0.5, 0.5), epsilon=epsilon, resolution=config.oracle_resolution,
             )
@@ -398,9 +395,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario-file", help="path to a scenario INI file")
     p.add_argument("--schemes", help="comma list from rsma,sdma,noma")
     p.add_argument("--snr", help="comma list of SNR points in dB")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--noise-mode", choices=("unit", "physical"))
     p.add_argument("--delta", type=float, help="AO convergence tolerance in bits/s/Hz")
     p.add_argument("--max-iters", type=int, help="AO iteration cap")
@@ -422,20 +419,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options of run/channel-dump that validate, which draws its own
-# instances, would otherwise silently ignore
-_NOT_FOR_VALIDATE = (
-    "scenario", "scenario_file", "schemes", "snr", "noise_mode", "delta", "max_iters", "restarts", "workers",
-)
+# the options each command would otherwise silently ignore: validate
+# draws its own instances, channel-dump solves and writes nothing
+_NOT_TAKEN = {
+    "channel-dump": ("out", "format", "seed", "workers", "schemes", "snr", "delta", "max_iters", "restarts"),
+    "validate": ("scenario", "scenario_file", "schemes", "snr", "noise_mode", "delta", "max_iters", "restarts",
+                 "workers", "out", "format"),
+}
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.command == "validate":
-        given = ["--" + name.replace("_", "-") for name in _NOT_FOR_VALIDATE if getattr(args, name) is not None]
-        if given:
-            raise ConfigError(f"validate does not take {', '.join(given)}")
+    not_taken = _NOT_TAKEN.get(args.command, ())
+    given = ["--" + name.replace("_", "-") for name in not_taken if getattr(args, name) is not None]
+    if given:
+        raise ConfigError(f"{args.command} does not take {', '.join(given)}")
     workers = args.workers
-    if workers is None:
+    if args.command == "run" and workers is None:
         text = os.environ.get("RSMA_VLC_WORKERS", "1")
         try:
             workers = int(text)
@@ -449,14 +448,14 @@ def _config_from_args(args) -> RunConfig:
         scenario_file=args.scenario_file,
         schemes=tuple(args.schemes.split(",")) if args.schemes else None,
         snr=tuple(float(s) for s in args.snr.split(",")) if args.snr else None,
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
         out=args.out,
-        format=args.format,
+        format=args.format or "csv",
         noise_mode=args.noise_mode,
         tolerance=args.delta,
         max_iters=args.max_iters,
         restarts=args.restarts,
-        workers=workers,
+        workers=1 if workers is None else workers,
         mc_instances=getattr(args, "mc_instances", 20),
         mc_symbols=getattr(args, "mc_symbols", 1_000_000),
         oracle_instances=getattr(args, "oracle_instances", 20),

@@ -27,7 +27,9 @@ finished drops out of the batch, its channel with it. Each array
 operation applies to every problem the same floating-point operations
 in the same order as a batch of one, so a problem's result does not
 depend, bit for bit, on the problems that share its batch. `ao_solve`
-runs every start of every config it is given as one batch.
+runs every start of every config it is given as one batch, and solves
+nothing else: seeding RSMA from the converged SDMA/NOMA solutions is
+`scenarios.solve_schemes`'s job.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .signal_model import (
     StreamLayout,
     assemble_report,
     default_shares,
-    layout_groups,
 )
 
 __all__ = [
@@ -88,8 +89,8 @@ class AoConfig:
     `epsilon` overrides the SNR-derived amplitude budget when set;
     otherwise epsilon = sigma * 10^(snr_db/20) / reference_gain with
     sigma the RMS noise level of the channel. `restarts` counts all
-    initializations including the mandatory ones (ZF, and for RSMA the
-    embedded converged SDMA/NOMA solutions).
+    initializations including the mandatory ones (ZF, the corners and
+    the caller's warm starts); random starts fill the rest, at least one.
     """
 
     tolerance: float = 1e-4  # bits/s/Hz WSR change
@@ -690,21 +691,19 @@ def ao_solve(
     priorities,
     config: AoConfig | Sequence[AoConfig] = AoConfig(),
     warm_starts: tuple = (),
-    embed_special_cases: bool = True,
 ) -> Solution | tuple[Solution, ...]:
     """Maximize the weighted sum rate with the multi-start AO solver.
 
-    The restart set always contains the ZF start; for RSMA it also
-    contains the converged SDMA solution padded with a zero common
-    column and (two users) the converged NOMA solution mapped onto the
-    RSMA streams, so WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)) holds by
-    monotone ascent. The special-case solves run under the same config
-    so they reproduce standalone results; callers that already hold
-    those solutions can pass the embedded matrices through
-    `warm_starts` and set `embed_special_cases=False` to skip the
-    nested solves. `config.corner_starts` adds per-user full-budget
-    starts that reach degenerate single-user optima. Seeded random
-    feasible starts fill up to `config.restarts` (at least one always).
+    The starts are, in this order: ZF; with `config.corner_starts`, one
+    per-user full-budget start each (they reach degenerate single-user
+    optima); the matrices of `warm_starts`; and seeded random feasible
+    starts up to `config.restarts` (at least one always). The best
+    final WSR wins, the earliest start on ties. Ascent is monotone, so
+    the result is at least as good as every warm start: an RSMA solve
+    warm-started from the converged SDMA and NOMA solutions embedded on
+    its streams (`embed_sdma_matrix`, `embed_noma_matrix`) satisfies
+    WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)). `scenarios.solve_schemes`
+    seeds RSMA that way; without warm starts that bound is not assured.
 
     `config` may also be a sequence of configs, e.g. the points of a
     sweep. They may differ only in `seed`, `snr_db`, `epsilon` and
@@ -714,8 +713,7 @@ def ao_solve(
     and the result is a tuple with one Solution per config. Every
     problem is solved under `layout`, so callers that batch NOMA
     problems over several channels group them by their strong user
-    first (`signal_model.layout_groups`); the nested SDMA/NOMA solves
-    of `embed_special_cases` are grouped that way. Every start of every
+    first (`signal_model.layout_groups`). Every start of every
     config runs in one lockstep batch (see the module docstring), and
     each Solution is bit-for-bit the one that config gets when solved
     alone: a problem's result does not depend on its batch.
@@ -742,24 +740,12 @@ def ao_solve(
     comp = _Compiled(channels[0] if shared else channels, layout, w)
     epsilons = [_resolve_epsilon(ch, cfg) for ch, cfg in zip(channels, configs)]
 
-    embedded = [[] for _ in configs]
-    if layout.scheme == "rsma" and embed_special_cases:
-        helpers = [("sdma", embed_sdma_matrix)]
-        if channels[0].num_users == 2:
-            helpers.append(("noma", embed_noma_matrix))
-        for scheme, embed in helpers:
-            for sub_layout, idx in layout_groups(scheme, channels):
-                sols = ao_solve([channels[i] for i in idx], sub_layout, w, [configs[i] for i in idx])
-                for i, sol in zip(idx, sols):
-                    embedded[i].append(embed(layout, sub_layout, sol.precoder.matrix))
-
     starts: list[np.ndarray] = []
     counts = []
-    for ch, cfg, epsilon, extra, warm_i in zip(channels, configs, epsilons, embedded, warm):
+    for ch, cfg, epsilon, warm_i in zip(channels, configs, epsilons, warm):
         own = [_zf_start(ch, comp, epsilon)]
         if cfg.corner_starts:
             own += [_beam_start(ch, comp, epsilon, k) for k in range(ch.num_users)]
-        own += extra
         own += [np.asarray(m, dtype=float) for m in warm_i]
         rng = np.random.default_rng(cfg.seed)
         n_random = max(1, cfg.restarts - len(own))  # always explore at random too

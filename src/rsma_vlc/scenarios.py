@@ -1,4 +1,5 @@
-"""Catalog of room/user experiment setups and the sweep runner.
+"""Catalog of room/user experiment setups, the sweep runner, and
+`solve_schemes`, the one path that seeds RSMA from SDMA/NOMA.
 
 All cataloged scenes use a 5 x 5 x 4 m room (origin at the floor
 center, z up), ceiling fixtures of 3600 LEDs with a 60 degree
@@ -36,6 +37,7 @@ __all__ = [
     "build_scene_channel",
     "users_for_separation",
     "run_sweep",
+    "solve_schemes",
 ]
 
 ROOM = (5.0, 5.0, 4.0)
@@ -228,39 +230,77 @@ def _solve_points(channels, layout, priorities, configs, warm) -> list:
 
     Several configs run as one batched ao_solve call; if it raises, they
     are solved again one at a time so that only the failing points fail.
-    RSMA gets its SDMA/NOMA starts through `warm`, so ao_solve never
-    solves them again.
     """
     if len(configs) > 1:
         try:
-            return list(ao_solve(
-                channels, layout, priorities, configs,
-                warm_starts=warm, embed_special_cases=False,
-            ))
+            return list(ao_solve(channels, layout, priorities, configs, warm_starts=warm))
         except Exception:  # isolate the failure below
             pass
     results = []
     for channel, cfg, ws in zip(channels, configs, warm):
         try:
-            results.append(ao_solve(
-                channel, layout, priorities, cfg,
-                warm_starts=ws, embed_special_cases=False,
-            ))
+            results.append(ao_solve(channel, layout, priorities, cfg, warm_starts=ws))
         except Exception as exc:  # failed points must not sink the sweep
             results.append(exc)
     return results
 
 
+def solve_schemes(channels, priorities, schemes, config_for) -> dict:
+    """{scheme: [(layout, Solution or the raised exception) per channel]}.
+
+    The one place RSMA is seeded from the special cases: each RSMA
+    problem gets its own channel's converged SDMA and (two users) NOMA
+    precoders, embedded on its streams, as warm starts in that order,
+    so WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent.
+    These helpers run first, also when only RSMA is requested; one that
+    failed at a channel gives no warm start there. `config_for(scheme,
+    index)` gives each solve's AoConfig. Each scheme's channels are
+    grouped by layout (`signal_model.layout_groups`), one batched
+    ao_solve call per group. A scheme whose layout cannot be built gets
+    the ValueError, with layout None, at every channel.
+    """
+    channels = list(channels)
+    helpers = {"sdma": embed_sdma_matrix}
+    if channels and channels[0].num_users == 2:
+        helpers["noma"] = embed_noma_matrix
+    solved = {}
+    for scheme in ("sdma", "noma", "rsma"):
+        if scheme not in schemes and not ("rsma" in schemes and scheme in helpers):
+            continue
+        try:
+            groups = layout_groups(scheme, channels)
+        except ValueError as exc:
+            solved[scheme] = [(None, exc)] * len(channels)
+            continue
+        results = [None] * len(channels)
+        for layout, idx in groups:
+            warm = [()] * len(idx)
+            if scheme == "rsma":
+                warm = [
+                    tuple(
+                        embed(layout, solved[h][j][0], solved[h][j][1].precoder.matrix)
+                        for h, embed in helpers.items()
+                        if not isinstance(solved[h][j][1], Exception)
+                    )
+                    for j in idx
+                ]
+            configs = [config_for(scheme, j) for j in idx]
+            sols = _solve_points([channels[j] for j in idx], layout, priorities, configs, warm)
+            for j, sol in zip(idx, sols):
+                results[j] = (layout, sol)
+        solved[scheme] = results
+    return {s: solved[s] for s in solved if s in schemes}
+
+
 def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
     """Rows of a chunk of (index, value) sweep points (separate process safe).
 
-    One batched solve per scheme (and per NOMA layout: the strong user
-    can differ between the channels of a separation sweep), in the
-    order SDMA, NOMA, RSMA, so each RSMA point starts from its own
-    point's converged SDMA/NOMA precoders; when RSMA alone is requested
-    the helper solves still run (their rows are simply not emitted).
-    The points of an SNR sweep share one channel; a separation sweep
-    moves the users, so each of its points has a channel of its own.
+    The chunk is one `solve_schemes` call, so each scheme (each NOMA
+    layout) is one batched solve and each RSMA point starts from its
+    own point's SDMA/NOMA solutions. A point's config carries its
+    per-scheme seed, its SNR and the reference gain. The points of an
+    SNR sweep share one channel; a separation sweep moves the users, so
+    each of its points has a channel of its own.
     """
     if spec.sweep.name == "separation":
         channels = [build_scene_channel(spec, value) for _, value in points]
@@ -268,47 +308,16 @@ def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
     else:
         channels = [build_scene_channel(spec)] * len(points)
         snrs = [value for _, value in points]
+
+    def config_for(scheme, j):
+        seed = _point_seed(base_seed, scheme, points[j][0])
+        return replace(spec.ao, seed=seed, reference_gain=ref, snr_db=snrs[j])
+
     num_users = len(spec.users)
-    run_order = [s for s in ("sdma", "noma", "rsma") if s in spec.schemes]
-    if "rsma" in spec.schemes:
-        helpers = ["sdma"] + (["noma"] if num_users == 2 else [])
-        run_order = helpers + [s for s in run_order if s not in helpers]
-    embedders = {"sdma": embed_sdma_matrix, "noma": embed_noma_matrix}
-    solved = {}  # scheme -> (layout, Solution or exception) per point
     rows = []
-    for scheme in run_order:
-        seeds = [_point_seed(base_seed, scheme, i) for i, _ in points]
-        configs = [
-            replace(spec.ao, seed=seed, reference_gain=ref, snr_db=snr)
-            for seed, snr in zip(seeds, snrs)
-        ]
-        try:
-            groups = layout_groups(scheme, channels)
-        except ValueError as exc:
-            results = [exc] * len(points)
-        else:
-            results = [None] * len(points)
-            layouts = [None] * len(points)
-            for layout, idx in groups:
-                warm = [()] * len(idx)
-                if scheme == "rsma":
-                    warm = [
-                        tuple(
-                            embedders[h](layout, solved[h][j][0], solved[h][j][1].precoder.matrix)
-                            for h in ("sdma", "noma")
-                            if h in solved and not isinstance(solved[h][j][1], Exception)
-                        )
-                        for j in idx
-                    ]
-                sols = _solve_points(
-                    [channels[j] for j in idx], layout, spec.priorities, [configs[j] for j in idx], warm,
-                )
-                for j, sol in zip(idx, sols):
-                    layouts[j], results[j] = layout, sol
-            solved[scheme] = list(zip(layouts, results))
-        if scheme not in spec.schemes:
-            continue
-        for (_, value), seed, sol in zip(points, seeds, results):
+    for scheme, results in solve_schemes(channels, spec.priorities, spec.schemes, config_for).items():
+        for (i, value), (_, sol) in zip(points, results):
+            seed = _point_seed(base_seed, scheme, i)
             if isinstance(sol, Exception):
                 rows.append(SweepRow(
                     scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,

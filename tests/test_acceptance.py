@@ -16,8 +16,8 @@ import pytest
 from rsma_vlc.channel import ChannelMatrix, Fixture, Receiver, fixture_gain, lambertian_order, los_gain
 from rsma_vlc.channel import concentrator_gain
 from rsma_vlc.cli import main
-from rsma_vlc.optimizer import AoConfig, ao_solve, epsilon_from_snr, grid_oracle
-from rsma_vlc.scenarios import Sweep, build_scene_channel, catalog, reference_gain, run_sweep
+from rsma_vlc.optimizer import AoConfig, epsilon_from_snr, grid_oracle
+from rsma_vlc.scenarios import Sweep, build_scene_channel, catalog, reference_gain, run_sweep, solve_schemes
 from rsma_vlc.signal_model import (
     Precoder,
     build_layout,
@@ -54,9 +54,8 @@ def test_criterion_1_scenario1_absolute_wsr():
     t0 = time.monotonic()
     spec = catalog()["scenario1_4led"]
     channel = build_scene_channel(spec)
-    layout = build_layout("rsma", 2, channel)
     cfg = replace(spec.ao, snr_db=40.0, reference_gain=reference_gain(spec))
-    sol = ao_solve(channel, layout, (0.5, 0.5), cfg)
+    _, sol = solve_schemes([channel], (0.5, 0.5), ("rsma",), lambda *_: cfg)["rsma"][0]
     elapsed = time.monotonic() - t0
     assert 15.5 * 0.8 <= sol.wsr <= 15.5 * 1.2
     assert elapsed <= 120.0
@@ -145,7 +144,7 @@ def test_criterion_6_property_suite():
         scheme = ("rsma", "sdma", "noma")[i % 3]
         eps = float(rng.uniform(0.5, 40.0))
         cfg = AoConfig(epsilon=eps, restarts=2, seed=int(rng.integers(1 << 16)))
-        sol = ao_solve(ch, build_layout(scheme, 2, ch), (0.5, 0.5), cfg)
+        _, sol = solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
         assert np.all(np.diff(sol.wsr_history) >= -1e-8)
         assert sol.precoder.max_row_l1() <= eps + 1e-9
         assert np.all(sol.shares >= 0) and sol.shares.sum() <= sol.report.common_cap + 1e-9
@@ -174,9 +173,8 @@ def test_criterion_6_property_suite():
     for scheme in ("rsma", "sdma", "noma"):
         for i in range(20):
             ch = ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2))
-            lay = build_layout(scheme, 2, ch)
             cfg = AoConfig(epsilon=eps, seed=int(rng.integers(1 << 16)), corner_starts=True)
-            sol = ao_solve(ch, lay, (0.5, 0.5), cfg)
+            lay, sol = solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
             oracle = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)
             assert abs(sol.wsr - oracle) <= 0.05 * oracle, (scheme, i)
 

@@ -8,6 +8,7 @@ import pytest
 
 import rsma_vlc.cli as cli
 import rsma_vlc.optimizer as optimizer
+import rsma_vlc.scenarios as scenarios
 import rsma_vlc.signal_model as signal_model
 from rsma_vlc.channel import ChannelMatrix
 from rsma_vlc.cli import CSV_HEADER, ConfigError, RunConfig, load_scenario, main, save_scenario
@@ -175,9 +176,14 @@ class TestValidate:
         assert main(self.ARGS) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_symbol_floor_passes_on_correct_formulas(self, capsys):
+        argv = ["validate", "--seed", "0", "--mc-instances", "20", "--oracle-instances", "0"]
+        assert main(argv + ["--mc-symbols", str(signal_model.MC_MIN_SYMBOLS)]) == 0
+        assert "validation PASSED" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
-        "option",
-        [
+        "option",  # (command, an option it does not take)
+        [("validate", o) for o in (
             ["--scenario", "scenario1_2led"],
             ["--scenario-file", "scene.ini"],
             ["--schemes", "rsma"],
@@ -187,13 +193,29 @@ class TestValidate:
             ["--max-iters", "1"],
             ["--restarts", "2"],
             ["--workers", "2"],
-        ],
+            ["--out", "val.txt"],
+            ["--format", "csv"],
+        )] + [("channel-dump", o) for o in (
+            ["--out", "dump.csv"],
+            ["--format", "json"],
+            ["--seed", "5"],
+            ["--workers", "3"],
+            ["--schemes", "rsma"],
+            ["--snr", "20"],
+            ["--delta", "0.1"],
+            ["--max-iters", "1"],
+            ["--restarts", "2"],
+        )],
     )
-    def test_options_validate_would_ignore_exit_1(self, option, capsys):
-        assert main(self.ARGS + option) == 1
+    def test_options_validate_would_ignore_exit_1(self, option, tmp_path, monkeypatch, capsys):
+        command, given = option
+        monkeypatch.chdir(tmp_path)
+        base = self.ARGS if command == "validate" else ["channel-dump", "--scenario", "scenario1_2led"]
+        assert main(base + given) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and option[0] in captured.err
+        assert captured.err.startswith(f"error: {command} does not take {given[0]}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_batched_solves_print_what_one_at_a_time_solves_print(self, capsys):
         assert main(["validate", "--seed", "0", "--mc-instances", "2", "--oracle-instances", "3"]) in (0, 2)
@@ -206,9 +228,8 @@ class TestValidate:
         for scheme in signal_model.SCHEMES:
             for i in range(3):
                 ch = ChannelMatrix(gains=rng.uniform(0.2, 1.0, size=(2, 2)), noise=np.ones(2))
-                lay = signal_model.build_layout(scheme, 2, ch)
                 cfg = AoConfig(snr_db=15.0, seed=int(rng.integers(1 << 31)), corner_starts=True)
-                sol = optimizer.ao_solve(ch, lay, (0.5, 0.5), cfg)
+                lay, sol = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
                 oracle = optimizer.grid_oracle(ch, lay, (0.5, 0.5), epsilon=optimizer.epsilon_from_snr(15.0, 1.0))
                 deviation = abs(sol.wsr - oracle) / max(oracle, 1e-12)
                 expected.append(f"oracle[{scheme}:{i:02d}] ao {sol.wsr:.4f} grid {oracle:.4f} "
@@ -232,6 +253,7 @@ class TestConfigPlumbing:
         monkeypatch.setenv("RSMA_VLC_WORKERS", "two")
         assert main(["run", "--scenario", "scenario1_2led"]) == 1
         assert "error: RSMA_VLC_WORKERS must be an integer" in capsys.readouterr().err
+        assert main(["channel-dump", "--scenario", "scenario1_2led"]) == 0  # only run reads it
 
     @pytest.mark.parametrize(
         "argv",
@@ -246,10 +268,14 @@ class TestConfigPlumbing:
     )
     def test_bad_inputs_exit_1_before_output(self, argv, tmp_path, capsys):
         out = tmp_path / "rows.csv"
-        assert main(argv + ["--out", str(out)]) == 1
+        if argv[0] == "run":  # validate writes no file and does not take --out
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        if argv[0] == "validate":
+            assert captured.err.startswith(f"error: {argv[1][2:]} must be")
         assert not out.exists()
 
     def test_runconfig_validation(self):

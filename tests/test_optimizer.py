@@ -3,11 +3,13 @@ import pytest
 import serial_reference
 
 import rsma_vlc.optimizer as optimizer
+import rsma_vlc.scenarios as scenarios
 from rsma_vlc.channel import ChannelMatrix, Fixture
 from rsma_vlc.optimizer import (
     AoConfig,
     NumericalFailure,
     ao_solve,
+    embed_noma_matrix,
     embed_sdma_matrix,
     epsilon_from_snr,
     grid_oracle,
@@ -18,7 +20,7 @@ from rsma_vlc.optimizer import (
     solve_subproblem,
     zf_precoder,
 )
-from rsma_vlc.signal_model import Precoder, build_layout, rate, sinr_common, sinr_private
+from rsma_vlc.signal_model import SCHEMES, Precoder, build_layout, rate, sinr_common, sinr_private
 
 
 def channel(gains, noise=None):
@@ -283,10 +285,8 @@ class TestAoSolve:
         for _ in range(6):
             ch = random_channel(rng)
             cfg = AoConfig(epsilon=float(rng.uniform(2.0, 20.0)), seed=int(rng.integers(1 << 16)))
-            sols = {
-                s: ao_solve(ch, build_layout(s, 2, ch), (0.5, 0.5), cfg)
-                for s in ("rsma", "sdma", "noma")
-            }
+            solved = scenarios.solve_schemes([ch], (0.5, 0.5), SCHEMES, lambda *_: cfg)
+            sols = {s: sol for s, [(_, sol)] in solved.items()}
             assert sols["rsma"].wsr >= sols["sdma"].wsr - 1e-9
             assert sols["rsma"].wsr >= sols["noma"].wsr - 1e-9
 
@@ -390,10 +390,9 @@ class TestBatchedSolver:
         sols = ao_solve(ch, lay, (0.5, 0.5), configs, warm_starts=warm)
         assert isinstance(sols, tuple) and len(sols) == 3
         for cfg, ws, sol in zip(configs, warm, sols):
-            P, hist, its, conv, idx = serial_reference.ao_solve(ch, lay, (0.5, 0.5), cfg, warm_starts=ws)
-            assert np.array_equal(sol.precoder.matrix, P)
-            assert sol.wsr_history == tuple(hist)
-            assert (sol.iterations, sol.converged, sol.restart_index) == (its, conv, idx)
+            assert self._same_as_serial_reference(
+                sol, ch, lay, (0.5, 0.5), cfg, warm_starts=ws, embed_special_cases=False,
+            )
 
     def test_batch_of_one_equals_batch_of_many(self):
         rng = np.random.default_rng(46)
@@ -405,12 +404,12 @@ class TestBatchedSolver:
             for cfg, sol in zip(configs, many):
                 assert self._same(ao_solve(ch, lay, (0.5, 0.5), cfg), sol)
 
-    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
-    def test_mixed_channel_batch_equals_each_problem_alone(self, scheme):
+    @staticmethod
+    def _mixed_problems():
         # different gains and non-unit noise per problem; the channels
         # alternate which user is stronger, so NOMA sees both strong-user
-        # orders under one layout and RSMA's nested NOMA solves split
-        # into two layout groups
+        # orders under one layout and RSMA's NOMA warm starts come from
+        # two layout groups
         rng = np.random.default_rng(48)
         channels, configs = [], []
         for i in range(6):
@@ -421,6 +420,19 @@ class TestBatchedSolver:
             configs.append(AoConfig(snr_db=5.0 + 6.0 * i, seed=100 + i, max_iterations=12, corner_starts=True))
         configs[3] = AoConfig(epsilon=4.0, seed=103, max_iterations=12, corner_starts=True)
         assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
+        return channels, configs
+
+    @staticmethod
+    def _same_as_serial_reference(sol, ch, lay, w, cfg, **kw):
+        P, hist, its, conv, idx = serial_reference.ao_solve(ch, lay, w, cfg, **kw)
+        return (
+            np.array_equal(sol.precoder.matrix, P) and sol.wsr_history == tuple(hist)
+            and (sol.iterations, sol.converged, sol.restart_index) == (its, conv, idx)
+        )
+
+    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
+    def test_mixed_channel_batch_equals_each_problem_alone(self, scheme):
+        channels, configs = self._mixed_problems()
         lay = build_layout(scheme, 2, channels[0])
         w = (0.4, 0.6)
         batched = ao_solve(channels, lay, w, configs)
@@ -430,11 +442,38 @@ class TestBatchedSolver:
             alone = ao_solve(ch, lay, w, cfg)
             assert self._same(sol, alone)
             assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
-            P, hist, its, conv, idx = serial_reference.ao_solve(ch, lay, w, cfg)
-            assert np.array_equal(sol.precoder.matrix, P) and sol.wsr_history == tuple(hist)
-            assert (sol.iterations, sol.converged, sol.restart_index) == (its, conv, idx)
+            assert self._same_as_serial_reference(sol, ch, lay, w, cfg, embed_special_cases=False)
             outcomes.add(sol.converged)
         assert outcomes == {True, False}  # both exits are exercised
+
+    def test_seeded_rsma_equals_nested_reference_and_each_channel_alone(self, monkeypatch):
+        # solve_schemes gives RSMA the starts the serial reference's nested
+        # SDMA/NOMA solves give it, in the same order
+        channels, configs = self._mixed_problems()
+        w = (0.4, 0.6)
+        warm = []
+        real = scenarios.ao_solve
+
+        def spy(channel, layout, priorities, config, **kw):
+            if layout.scheme == "rsma":
+                warm.append(kw["warm_starts"])
+            return real(channel, layout, priorities, config, **kw)
+
+        monkeypatch.setattr(scenarios, "ao_solve", spy)
+        solved = scenarios.solve_schemes(channels, w, ("rsma",), lambda _, i: configs[i])
+        monkeypatch.undo()
+        assert list(solved) == ["rsma"] and len(warm) == 1  # one batched RSMA call
+        for ch, cfg, ws, (lay, sol) in zip(channels, configs, warm[0], solved["rsma"]):
+            expected = [
+                embed(lay, sub, serial_reference.ao_solve(ch, sub, w, cfg)[0])
+                for embed, sub in ((embed_sdma_matrix, build_layout("sdma", 2, ch)),
+                                   (embed_noma_matrix, build_layout("noma", 2, ch)))
+            ]
+            assert len(ws) == 2 and all(np.array_equal(a, b) for a, b in zip(ws, expected))
+            [(_, alone)] = scenarios.solve_schemes([ch], w, ("rsma",), lambda *_: cfg)["rsma"]
+            assert self._same(sol, alone)
+            assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
+            assert self._same_as_serial_reference(sol, ch, lay, w, cfg, embed_special_cases=True)
 
     def test_channel_sequence_needs_one_config_each(self):
         a, b = channel([[0.9, 0.4], [0.3, 0.8]]), channel([[0.5, 0.4], [0.3, 0.2]])
@@ -518,9 +557,8 @@ class TestGridOracle:
         for scheme in ("rsma", "sdma", "noma"):
             for _ in range(3):
                 ch = random_channel(rng)
-                lay = build_layout(scheme, 2, ch)
                 eps = epsilon_from_snr(15.0, 1.0)
                 cfg = AoConfig(epsilon=eps, seed=int(rng.integers(1 << 16)), corner_starts=True)
-                sol = ao_solve(ch, lay, (0.5, 0.5), cfg)
+                lay, sol = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
                 oracle = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)
                 assert abs(sol.wsr - oracle) <= 0.05 * oracle

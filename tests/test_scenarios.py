@@ -235,7 +235,6 @@ class TestRunSweep:
             calls.append((layout.scheme, len(configs)))
             if layout.scheme == "rsma":
                 warm = kw["warm_starts"] if len(configs) > 1 else (kw["warm_starts"],)
-                assert kw["embed_special_cases"] is False
                 assert [len(w) for w in warm] == [2, 0]
             elif any(c.snr_db == 15.0 for c in configs):
                 raise RuntimeError("synthetic helper blowup")

@@ -4,6 +4,7 @@ import pytest
 import rsma_vlc.optimizer as optimizer
 from rsma_vlc.channel import ChannelMatrix
 from rsma_vlc.signal_model import (
+    MC_MIN_SYMBOLS,
     SCHEMES,
     Precoder,
     SicKernel,
@@ -258,15 +259,15 @@ class TestMonteCarlo:
     def test_seed_reproducibility(self):
         ch = channel_2x2()
         lay = build_layout("rsma", 2, ch)
-        a = monte_carlo_sinr(ch, HAND, lay, 1, 1, num_symbols=20_000, seed=5)
-        b = monte_carlo_sinr(ch, HAND, lay, 1, 1, num_symbols=20_000, seed=5)
+        a = monte_carlo_sinr(ch, HAND, lay, 1, 1, num_symbols=MC_MIN_SYMBOLS, seed=5)
+        b = monte_carlo_sinr(ch, HAND, lay, 1, 1, num_symbols=MC_MIN_SYMBOLS, seed=5)
         assert a == b
 
     def test_noiseless_single_stream_is_flagged_large(self):
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)), noise=(1e-300, 1e-300))
         lay = build_layout("rsma", 2, ch)
         p = Precoder(matrix=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
-        est = monte_carlo_sinr(ch, p, lay, 0, lay.common_column, num_symbols=10_000, seed=1)
+        est = monte_carlo_sinr(ch, p, lay, 0, lay.common_column, num_symbols=MC_MIN_SYMBOLS, seed=1)
         assert est > 1e12
 
     def test_symbol_count_floor(self):
@@ -278,8 +279,8 @@ class TestMonteCarlo:
     def test_wrong_stream_pairing_rejected(self):
         ch = channel_2x2()
         lay = build_layout("rsma", 2, ch)
-        with pytest.raises(ValueError):
-            monte_carlo_sinr(ch, HAND, lay, 0, 1, num_symbols=10_000, seed=1)
+        with pytest.raises(ValueError, match="not user 0's private stream"):
+            monte_carlo_sinr(ch, HAND, lay, 0, 1, num_symbols=MC_MIN_SYMBOLS, seed=1)
 
 
 def loop_sinrs(H, noise, P, layout):
