@@ -59,13 +59,13 @@ MC_MIN_SYMBOLS = 100_000
 
 @dataclass(frozen=True)
 class StreamDesc:
-    """One transmit stream: who owns it, who decodes it, SIC position."""
+    """One transmit stream: who owns it and who decodes it; a common stream
+    is decoded before the private ones (SIC)."""
 
     kind: str  # "private" | "common"
     owner: int | None  # private stream owner, None for common
     carries: tuple[int, ...]  # users whose messages ride this stream
     decoders: tuple[int, ...]  # users that decode this stream
-    decode_order: int  # 0 = decoded first (common), 1 = after SIC
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,6 @@ class Precoder:
     def max_row_l1(self) -> float:
         return float(np.abs(self.matrix).sum(axis=1).max()) if self.matrix.size else 0.0
 
-    def is_feasible(self, amplitude_budget: float, tol: float = 1e-9) -> bool:
-        return self.max_row_l1() <= amplitude_budget + tol
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -170,11 +167,11 @@ def build_layout(scheme: str, num_users: int, channel: ChannelMatrix) -> StreamL
         raise ValueError("need at least one user")
     every = tuple(range(num_users))
     if scheme == "sdma":
-        streams = tuple(StreamDesc("private", k, (k,), (k,), 1) for k in every)
+        streams = tuple(StreamDesc("private", k, (k,), (k,)) for k in every)
         return StreamLayout(scheme, num_users, streams)
     if scheme == "rsma":
-        streams = tuple(StreamDesc("private", k, (k,), (k,), 1) for k in every)
-        streams += (StreamDesc("common", None, every, every, 0),)
+        streams = tuple(StreamDesc("private", k, (k,), (k,)) for k in every)
+        streams += (StreamDesc("common", None, every, every),)
         return StreamLayout(scheme, num_users, streams)
     # noma: two-user formulation only
     if num_users != 2:
@@ -183,8 +180,8 @@ def build_layout(scheme: str, num_users: int, channel: ChannelMatrix) -> StreamL
     strong = 0 if norms[0] >= norms[1] else 1  # ties break to the lower index
     weak = 1 - strong
     streams = (
-        StreamDesc("private", strong, (strong,), (strong,), 1),
-        StreamDesc("common", None, (weak,), (0, 1), 0),
+        StreamDesc("private", strong, (strong,), (strong,)),
+        StreamDesc("common", None, (weak,), (0, 1)),
     )
     return StreamLayout(scheme, num_users, streams)
 

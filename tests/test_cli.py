@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,10 @@ import rsma_vlc.cli as cli
 import rsma_vlc.optimizer as optimizer
 import rsma_vlc.scenarios as scenarios
 import rsma_vlc.signal_model as signal_model
-from rsma_vlc.channel import ChannelMatrix
+from rsma_vlc.channel import ChannelMatrix, Fixture, Receiver
 from rsma_vlc.cli import CSV_HEADER, ConfigError, RunConfig, load_scenario, main, save_scenario
 from rsma_vlc.optimizer import ORACLE_RESOLUTIONS, AoConfig
-from rsma_vlc.scenarios import catalog
+from rsma_vlc.scenarios import ScenarioSpec, Sweep, catalog
 
 RUN = ["run", "--scenario", "scenario1_2led", "--schemes", "rsma,sdma", "--snr", "5,15"]
 
@@ -86,13 +87,40 @@ class TestScenarioFiles:
         for a, b in zip(loaded.users, spec.users):
             assert np.allclose(a.position, b.position)
             assert a.area == b.area
+        for spec in catalog().values():  # every field of every catalog scene
+            save_scenario(spec, str(path))
+            assert repr(load_scenario(str(path))) == repr(spec)
+
+    def test_missing_keys_take_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.ini"
+        path.write_text(
+            "[sweep]\nname = snr_db\nvalues = 0 10\n\n"
+            "[fixture 1]\nposition = 0 0 4\n\n"
+            "[user 1]\nposition = -1 0 0.8\n\n"
+            "[user 2]\nposition = 1 0 0.8\n"
+        )
+        expected = ScenarioSpec(
+            name="minimal.ini",
+            fixtures=(Fixture(position=(0.0, 0.0, 4.0)),),
+            users=(Receiver(position=(-1.0, 0.0, 0.8)), Receiver(position=(1.0, 0.0, 0.8))),
+            sweep=Sweep("snr_db", (0.0, 10.0)),
+        )
+        assert repr(load_scenario(str(path))) == repr(expected)
 
     def test_ao_round_trip(self, tmp_path):
-        ao = AoConfig(tolerance=3e-3, max_iterations=77, restarts=6, seed=11, corner_starts=True)
+        ao = AoConfig(tolerance=3e-3, max_iterations=77, restarts=6, corner_starts=True)
         spec = replace(catalog()["scenario1_2led"], ao=ao)
         path = tmp_path / "scene.ini"
         save_scenario(spec, str(path))
         assert load_scenario(str(path)).ao == ao
+        # the sweep sets each point's seed, so files no longer store one;
+        # files that still do load their other [ao] values
+        text = path.read_text()
+        assert "seed" not in text
+        legacy = tmp_path / "legacy.ini"
+        legacy.write_text(text.replace("restarts = 6\n", "restarts = 6\nseed = 11\n"))
+        assert "seed = 11" in legacy.read_text()
+        assert load_scenario(str(legacy)).ao == ao
 
     def test_legacy_noise_variance_key_ignored(self, tmp_path):
         # files written before Receiver.noise_variance was removed still load
@@ -238,6 +266,22 @@ class TestValidate:
 
 
 class TestConfigPlumbing:
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("run", {"--scenario", "--scenario-file", "--schemes", "--snr", "--noise-mode", "--delta",
+                     "--max-iters", "--restarts", "--seed", "--workers", "--out", "--format"}),
+            ("channel-dump", {"--scenario", "--scenario-file", "--noise-mode"}),
+            ("validate", {"--seed", "--mc-instances", "--mc-symbols", "--oracle-instances",
+                          "--oracle-resolution"}),
+        ],
+    )
+    def test_help_lists_exactly_own_options(self, command, options, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == options | {"--help"}
+
     def test_workers_env_fallback(self, monkeypatch):
         monkeypatch.setenv("RSMA_VLC_WORKERS", "3")
         args = cli.build_parser().parse_args(["run", "--scenario", "scenario1_2led"])
@@ -264,9 +308,16 @@ class TestConfigPlumbing:
             RUN + ["--max-iters", "0"],
             RUN + ["--restarts", "0"],
             RUN + ["--delta", "-1"],
+            ["run", "--scenario", "scenario1_2led", "--snr", "abc"],
+            ["run", "--scenario", "scenario1_2led", "--snr", "5,,15"],
+            ["validate", "--mc-instances", "-3", "--oracle-instances", "-2"],
+            ["validate", "--oracle-instances", "-2"],
+            ["validate", "--seed", "-1"],
+            ["run", "--scenario", "scenario1_2led", "--seed", "-1"],
         ],
     )
     def test_bad_inputs_exit_1_before_output(self, argv, tmp_path, capsys):
+        bad_snr = argv[-2:] in (["--snr", "abc"], ["--snr", "5,,15"])
         out = tmp_path / "rows.csv"
         if argv[0] == "run":  # validate writes no file and does not take --out
             argv = argv + ["--out", str(out)]
@@ -276,6 +327,8 @@ class TestConfigPlumbing:
         assert captured.err.startswith("error: ")
         if argv[0] == "validate":
             assert captured.err.startswith(f"error: {argv[1][2:]} must be")
+        if bad_snr:
+            assert captured.err.startswith("error: --snr ")
         assert not out.exists()
 
     def test_runconfig_validation(self):

@@ -43,7 +43,6 @@ class TestLayouts:
         assert lay.common_column == 2
         assert lay.common_stream.decoders == (0, 1)
         assert lay.common_stream.carries == (0, 1)
-        assert lay.common_stream.decode_order == 0
 
     def test_noma_strong_user_selection(self):
         ch = channel_2x2(gains=((1.0, 0.2), (0.3, 0.25)))
