@@ -10,12 +10,24 @@ floor center and z pointing up. Fixtures normally face straight down
 (0, 0, -1), receivers straight up (0, 0, 1). Angles are measured from
 the device axis; a link contributes zero gain once the incidence angle
 exceeds the receiver field of view or the emitter faces away.
+
+`los_gain` is the one LoS kernel. It takes arrays of LED positions or
+of photodiode positions (a `Receiver` whose position is (..., 3)) and
+evaluates all links in one numpy pass; `radiant_intensity` and
+`concentrator_gain` take arrays of angles. One position in gives a
+Python float out, and an array call equals the single calls bit for bit.
+Arc cosines, cosines and powers go through the C math library one
+element at a time, so the gains are those of Python's `math` formulas on
+any CPU. `fixture_gain` passes its batch of positions straight to the
+kernel; `scenarios.reference_gain` probes the whole floor lattice with
+one call per fixture.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -39,12 +51,20 @@ DOWN = (0.0, 0.0, -1.0)
 UP = (0.0, 0.0, 1.0)
 
 
-def _vec3(value, name: str) -> np.ndarray:
+def _points(value, name: str) -> np.ndarray:
+    """One point (3,) or an array of points (..., 3), all finite."""
     v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must have exactly 3 components, got shape {v.shape}")
+    if v.ndim == 0 or v.shape[-1] != 3:
+        raise ValueError(f"{name} must have 3 components per point, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite, got {v}")
+    return v
+
+
+def _vec3(value, name: str) -> np.ndarray:
+    v = _points(value, name)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must have exactly 3 components, got shape {v.shape}")
     return v
 
 
@@ -91,7 +111,12 @@ class Fixture:
 
 @dataclass(frozen=True)
 class Receiver:
-    """A single-photodiode receiver with optical filter and concentrator."""
+    """A single-photodiode receiver with optical filter and concentrator.
+
+    `position` is one point (3,) or, to probe many places at once (see
+    `fixture_gain`), an array of points (..., 3) sharing the other
+    properties.
+    """
 
     position: np.ndarray
     normal: np.ndarray = UP
@@ -102,7 +127,7 @@ class Receiver:
     responsivity: float = 1.0  # A/W
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec3(self.position, "position"))
+        object.__setattr__(self, "position", _points(self.position, "position"))
         object.__setattr__(self, "normal", _unit_vec3(self.normal, "normal"))
         if self.area <= 0:
             raise ValueError("area must be positive")
@@ -181,70 +206,106 @@ def lambertian_order(semi_angle_half_power: float) -> float:
     return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_half_power)))
 
 
-def radiant_intensity(m: float, tx_angle: float) -> float:
+def _libm(fn, values: np.ndarray, *constants: float) -> np.ndarray:
+    """The math-library function fn(value, *constants) of each value of a 1-D array.
+
+    numpy's SIMD arccos and power may round the last bit differently from
+    the C library, depending on the CPU; going through `math` keeps every
+    gain the same on every host.
+    """
+    return np.fromiter(map(fn, values.tolist(), *map(repeat, constants)), float, len(values))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, one per row of the 2-D `a`;
+    `b` is one vector or one row per row of `a`.
+
+    Goes through matmul's vector-vector path (BLAS ddot per row), which
+    rounds exactly like np.dot of one row; a matrix-vector product, an
+    einsum or an elementwise product summed with .sum() may round
+    differently.
+    """
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
+
+
+def _as_given(out: np.ndarray) -> float | np.ndarray:
+    """A Python float for a single evaluation, the array otherwise."""
+    return float(out) if out.ndim == 0 else out
+
+
+def radiant_intensity(m: float, tx_angle) -> float | np.ndarray:
     """Generalized Lambertian radiant intensity (m+1)/(2*pi) * cos(angle)^m.
 
-    `tx_angle` is the emission angle from the fixture axis in radians;
-    anything beyond pi/2 radiates into the back hemisphere and returns 0.
+    `tx_angle` is the emission angle from the fixture axis in radians, a
+    number or an array; the result is a float or an array of its shape.
+    Anything beyond pi/2 radiates into the back hemisphere and gives 0.
     """
     if m <= 0:
         raise ValueError("Lambertian order must be positive")
-    if tx_angle < 0:
+    angle = np.asarray(tx_angle, dtype=float)
+    if np.any(angle < 0):
         raise ValueError("emission angle must be nonnegative")
-    if tx_angle > math.pi / 2:
-        return 0.0
-    return (m + 1.0) / (2.0 * math.pi) * math.cos(tx_angle) ** m
+    lit = angle <= math.pi / 2
+    out = np.zeros(angle.shape)
+    out[lit] = (m + 1.0) / (2.0 * math.pi) * _libm(math.pow, _libm(math.cos, angle[lit]), m)
+    return _as_given(out)
 
 
-def concentrator_gain(n: float, fov: float, rx_angle: float) -> float:
+def concentrator_gain(n: float, fov: float, rx_angle) -> float | np.ndarray:
     """Optical concentrator gain n^2 / sin^2(fov) inside the field of view.
 
     `fov` in degrees, `rx_angle` (incidence from the receiver normal) in
-    radians. Incidence beyond the field of view returns 0.
+    radians, a number or an array; the result is a float or an array of
+    its shape. Incidence beyond the field of view gives 0.
     """
     if n < 1.0:
         raise ValueError("refractive index must be >= 1")
     if not 0.0 < fov <= 90.0:
         raise ValueError("fov must lie in (0, 90] degrees")
-    if rx_angle < 0:
+    angle = np.asarray(rx_angle, dtype=float)
+    if np.any(angle < 0):
         raise ValueError("incidence angle must be nonnegative")
-    if rx_angle > math.radians(fov):
-        return 0.0
-    return n**2 / math.sin(math.radians(fov)) ** 2
+    return _as_given(np.where(angle > math.radians(fov), 0.0, n**2 / math.sin(math.radians(fov)) ** 2))
 
 
-def los_gain(led_position, led_orientation, m: float, rx: Receiver) -> float:
-    """DC gain of a single LED to photodiode line-of-sight link.
+def los_gain(led_position, led_orientation, m: float, rx: Receiver) -> float | np.ndarray:
+    """DC gain of LED to photodiode line-of-sight links.
 
     h = A/d^2 * R_o(tx_angle) * T_s * g(rx_angle) * cos(rx_angle) inside
-    the receiver field of view, 0 outside. Cosines are clamped to [-1, 1]
-    to absorb floating-point drift in the dot products.
+    the receiver field of view, 0 outside or when the LED faces away.
+    Cosines are clamped to [-1, 1] to absorb floating-point drift in the
+    dot products.
+
+    `led_position` and `rx.position` are each one point (3,) or an array
+    of points (..., 3); they broadcast against each other, for example N
+    LEDs to one photodiode or one LED to N photodiode positions. One pair
+    of points gives a float, anything else an array of the broadcast
+    shape less its last axis. Every link is evaluated with the same
+    operations, so an array call equals the single calls bit for bit.
     """
-    led_pos = _vec3(led_position, "led_position")
+    led_pos = _points(led_position, "led_position")
     led_dir = _unit_vec3(led_orientation, "led_orientation")
     ray = rx.position - led_pos  # LED -> PD
-    d2 = float(ray @ ray)
-    if d2 < 1e-24:
+    shape = ray.shape[:-1]
+    ray = ray.reshape(-1, 3)
+    d2 = _rowdot(ray, ray)
+    if np.any(d2 < 1e-24):
         raise ValueError("LED and receiver positions coincide")
-    d = math.sqrt(d2)
-    cos_tx = float(np.clip((ray @ led_dir) / d, -1.0, 1.0))
-    cos_rx = float(np.clip((-ray @ rx.normal) / d, -1.0, 1.0))
-    if cos_rx <= 0.0:
-        return 0.0
-    rx_angle = math.acos(cos_rx)
-    if rx_angle > math.radians(rx.fov):
-        return 0.0
-    if cos_tx <= 0.0:
-        return 0.0
-    tx_angle = math.acos(cos_tx)
-    return (
+    d = np.sqrt(d2)
+    cos_tx = np.clip(_rowdot(ray, led_dir) / d, -1.0, 1.0)
+    cos_rx = np.clip(_rowdot(-ray, rx.normal) / d, -1.0, 1.0)
+    lit = (cos_rx > 0.0) & (cos_tx > 0.0)
+    cos_rx = cos_rx[lit]
+    gain = np.zeros(len(ray))
+    gain[lit] = (
         rx.area
-        / d2
-        * radiant_intensity(m, tx_angle)
+        / d2[lit]
+        * radiant_intensity(m, _libm(math.acos, cos_tx[lit]))
         * rx.filter_gain
-        * concentrator_gain(rx.refractive_index, rx.fov, rx_angle)
+        * concentrator_gain(rx.refractive_index, rx.fov, _libm(math.acos, cos_rx))
         * cos_rx
     )
+    return _as_given(gain.reshape(shape))
 
 
 def _fixture_led_grid(fixture: Fixture, pitch: float) -> np.ndarray:
@@ -264,21 +325,26 @@ def _fixture_led_grid(fixture: Fixture, pitch: float) -> np.ndarray:
     return grid.reshape(-1, 3)
 
 
-def fixture_gain(fixture: Fixture, rx: Receiver, exact: bool = False, led_pitch: float = 0.01) -> float:
-    """DC gain of a whole fixture to one photodiode.
+def fixture_gain(
+    fixture: Fixture, rx: Receiver, exact: bool = False, led_pitch: float = 0.01
+) -> float | np.ndarray:
+    """DC gain of a whole fixture to one photodiode, or to each of a batch.
 
-    Default uses the center-point approximation Q * los_gain(center):
-    the LEDs of one fixture are far closer to each other than to the
-    receiver. `exact=True` sums the per-LED gains over a square grid of
-    spacing `led_pitch` instead (validation path).
+    `rx.position` is one point (3,), which gives a float, or an array of
+    points (..., 3), which gives an array of gains of shape (...); the
+    other receiver properties are shared. Default uses the center-point
+    approximation Q * los_gain(center): the LEDs of one fixture are far
+    closer to each other than to the receiver. `exact=True` sums the
+    per-LED gains over a square grid of spacing `led_pitch` instead
+    (validation path), all LEDs in one `los_gain` call.
     """
     m = lambertian_order(fixture.semi_angle_half_power)
     if not exact:
         return fixture.leds_per_fixture * los_gain(fixture.position, fixture.orientation, m, rx)
-    total = 0.0
-    for pos in _fixture_led_grid(fixture, led_pitch):
-        total += los_gain(pos, fixture.orientation, m, rx)
-    return total
+    grid = _fixture_led_grid(fixture, led_pitch)
+    # one LED per leading row, broadcast against the photodiode positions
+    grid = grid.reshape(len(grid), *(1,) * (rx.position.ndim - 1), 3)
+    return _as_given(los_gain(grid, fixture.orientation, m, rx).sum(axis=0))
 
 
 def shot_noise_variance(params: NoiseParams, responsivity: float, received_signal: float) -> float:

@@ -21,7 +21,8 @@ and values) are required; name defaults to the file's basename. Vectors
 and lists are space-separated. AoConfig's per-point fields, which the
 sweep sets, are not stored.
 
-Exit codes: 0 full success, 1 configuration errors, 2 partial solver or
+Exit codes: 0 full success (and -h), 1 configuration errors (an unknown
+option, a malformed value, an unusable setting), 2 partial solver or
 validation failures. Output files are written atomically (temp file
 then rename), so a file exists only for completed runs.
 """
@@ -413,8 +414,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose value errors raise ConfigError (exit 1)
+    instead of printing the usage text and exiting 2; -h still exits 0.
+    The subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rsma-vlc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,8 +469,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
     try:
+        args, extras = build_parser().parse_known_args(argv)
         if extras:
             named = [t.partition("=")[0] for t in extras if t.startswith("--")]
             raise ConfigError(f"{args.command} does not take {', '.join(named or extras)}")

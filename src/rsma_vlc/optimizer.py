@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelMatrix, Fixture
+from .channel import ChannelMatrix, Fixture, _rowdot
 from .signal_model import (
     Precoder,
     RateReport,
@@ -166,16 +166,6 @@ def epsilon_from_snr(
 # --------------------------------------------------------------------------
 # layout compilation and stage statistics
 # --------------------------------------------------------------------------
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products over the last axis, one per batch row.
-
-    Goes through matmul's vector-vector path (BLAS ddot per row), which
-    rounds exactly like np.dot of one row; an elementwise product summed
-    with .sum() may round differently.
-    """
-    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
 
 
 class _Stats:

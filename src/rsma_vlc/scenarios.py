@@ -157,19 +157,22 @@ def reference_gain(spec: ScenarioSpec, grid: int = 41) -> float:
     Deterministic midpoint-free quadrature on a grid x grid lattice
     spanning the floor; averaged over fixtures. This is the link-gain
     reference of the SNR axis under the "area_mean" policy.
+
+    One `fixture_gain` call per fixture evaluates the whole lattice. The
+    gains are added strictly left to right, fixture by fixture and x
+    before y: this value sets epsilon at every sweep point, and a
+    pairwise sum (np.sum) would move it, and every row, in the last bits.
     """
     if spec.gain_reference == "none":
         return 1.0
     xs = np.linspace(-spec.room[0] / 2.0, spec.room[0] / 2.0, grid)
     ys = np.linspace(-spec.room[1] / 2.0, spec.room[1] / 2.0, grid)
     height = spec.users[0].position[2]
-    probe = spec.users[0]
-    total = 0.0
-    for fx in spec.fixtures:
-        for x in xs:
-            for y in ys:
-                total += fixture_gain(fx, replace(probe, position=(x, y, height)))
-    return total / (len(spec.fixtures) * grid * grid)
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    floor = np.stack([x.ravel(), y.ravel(), np.full(x.size, height)], axis=1)
+    probe = replace(spec.users[0], position=floor)
+    gains = np.concatenate([fixture_gain(fx, probe) for fx in spec.fixtures])
+    return float(np.add.accumulate(gains)[-1]) / (len(spec.fixtures) * grid * grid)
 
 
 def users_for_separation(spec: ScenarioSpec, separation: float) -> tuple:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rsma_vlc.channel import (
     Fixture,
     NoiseParams,
     Receiver,
+    _fixture_led_grid,
     build_channel,
     concentrator_gain,
     fixture_gain,
@@ -148,6 +150,84 @@ class TestFixtureGain:
         fx = Fixture(position=LED_POS, leds_per_fixture=10)
         with pytest.raises(ValueError):
             fixture_gain(fx, RX, exact=True)
+
+
+class TestArrayKernel:
+    """One array call of the kernel equals the single-position calls bit for bit."""
+
+    @staticmethod
+    def _geometry(seed):
+        # tilted fixture and receiver; the points reach above the fixture
+        # (emitter faces away) and far to the side (outside the fov)
+        rng = np.random.default_rng(seed)
+        fx = Fixture(
+            position=(0.3, -0.2, 3.0),
+            orientation=np.array([0.0, 0.0, -1.0]) + rng.normal(scale=0.4, size=3),
+            semi_angle_half_power=rng.uniform(20.0, 70.0),
+        )
+        rx = Receiver(
+            position=(0.0, 0.0, 0.8),
+            normal=np.array([0.0, 0.0, 1.0]) + rng.normal(scale=0.4, size=3),
+            fov=rng.uniform(30.0, 80.0),
+            area=rng.uniform(0.5e-4, 2e-4),
+            filter_gain=rng.uniform(0.5, 1.0),
+        )
+        points = rng.uniform((-5.0, -5.0, -1.0), (5.0, 5.0, 5.0), size=(300, 3))
+        return fx, rx, points
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_of_photodiodes_equals_single_calls(self, seed):
+        fx, rx, points = self._geometry(seed)
+        m = lambertian_order(fx.semi_angle_half_power)
+        batch_rx = replace(rx, position=points)
+        singles = [replace(rx, position=p) for p in points]
+        los = los_gain(fx.position, fx.orientation, m, batch_rx)
+        fixture = fixture_gain(fx, batch_rx)
+        assert los.shape == fixture.shape == (len(points),)
+        assert all(type(los_gain(fx.position, fx.orientation, m, r)) is float for r in singles[:3])
+        assert los.tolist() == [los_gain(fx.position, fx.orientation, m, r) for r in singles]
+        assert fixture.tolist() == [fixture_gain(fx, r) for r in singles]
+        # both ways to a dark link occur, and give exactly 0
+        ray = points - fx.position
+        cos_rx = -ray @ rx.normal / np.linalg.norm(ray, axis=1)
+        facing_away = ray @ fx.orientation <= 0.0
+        outside_fov = ~facing_away & (cos_rx < math.cos(math.radians(rx.fov)))
+        assert facing_away.any() and outside_fov.any() and (los > 0).any()
+        assert np.all(los[facing_away | outside_fov] == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_of_leds_equals_single_calls(self, seed):
+        fx, rx, points = self._geometry(seed)
+        rx = replace(rx, position=(0.1, 0.2, 0.8))
+        m = lambertian_order(fx.semi_angle_half_power)
+        batch = los_gain(points, fx.orientation, m, rx)
+        assert batch.tolist() == [los_gain(p, fx.orientation, m, rx) for p in points]
+        assert (batch == 0.0).any() and (batch > 0.0).any()
+
+    def test_coincident_position_in_a_batch_rejected(self):
+        fx, rx, points = self._geometry(0)
+        points[7] = fx.position
+        with pytest.raises(ValueError, match="coincide"):
+            fixture_gain(fx, replace(rx, position=points))
+        with pytest.raises(ValueError, match="coincide"):
+            los_gain(points, fx.orientation, 1.0, replace(rx, position=fx.position))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_sum_equals_single_led_calls(self, seed):
+        fx, rx, points = self._geometry(seed)
+        fx = replace(fx, leds_per_fixture=49)
+        m = lambertian_order(fx.semi_angle_half_power)
+        grid = _fixture_led_grid(fx, 0.05)
+        lit = points[fixture_gain(fx, replace(rx, position=points)) > 0][:5]
+        for p in lit:
+            probe = replace(rx, position=p)
+            expected = 0.0
+            for led in grid:
+                expected += los_gain(led, fx.orientation, m, probe)
+            assert fixture_gain(fx, probe, exact=True, led_pitch=0.05) == pytest.approx(expected, rel=1e-12)
+        batch = fixture_gain(fx, replace(rx, position=lit), exact=True, led_pitch=0.05)
+        singles = [fixture_gain(fx, replace(rx, position=p), exact=True, led_pitch=0.05) for p in lit]
+        assert batch == pytest.approx(singles, rel=1e-12)
 
 
 class TestNoise:

@@ -314,6 +314,12 @@ class TestConfigPlumbing:
             ["validate", "--oracle-instances", "-2"],
             ["validate", "--seed", "-1"],
             ["run", "--scenario", "scenario1_2led", "--seed", "-1"],
+            # malformed values argparse itself rejects
+            ["run", "--scenario", "scenario1_2led", "--seed", "abc"],
+            ["run", "--scenario", "scenario1_2led", "--workers", "two"],
+            ["run", "--scenario", "scenario1_2led", "--format", "xml"],
+            ["run", "--scenario", "scenario1_2led", "--max-iters", "1.5"],
+            ["run", "--scenario", "scenario1_2led", "--noise-mode", "loud"],
         ],
     )
     def test_bad_inputs_exit_1_before_output(self, argv, tmp_path, capsys):

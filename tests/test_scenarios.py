@@ -114,10 +114,11 @@ class TestGeometryValidation:
 
 class TestReferenceGain:
     def test_area_mean_value(self):
-        # deterministic quadrature over the floor; frozen reference values
-        cat = catalog()
-        assert reference_gain(cat["scenario1_4led"]) == pytest.approx(0.0150834, rel=1e-5)
-        assert reference_gain(cat["scenario1_2led"]) == pytest.approx(0.0165994, rel=1e-5)
+        # deterministic quadrature over the floor, frozen bit for bit: the
+        # gains are added in a fixed order, so another summation order fails
+        expected = {4: 0.015083412588890803, 2: 0.01659942443770614}  # by fixture count
+        for name, spec in catalog().items():
+            assert reference_gain(spec) == expected[len(spec.fixtures)], name
 
     def test_none_policy(self):
         spec = replace(catalog()["scenario1_4led"], gain_reference="none")
