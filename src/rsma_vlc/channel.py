@@ -80,9 +80,10 @@ def _unit_vec3(value, name: str) -> np.ndarray:
 class Fixture:
     """A ceiling luminaire of `leds_per_fixture` co-located LEDs.
 
-    The whole fixture acts as one source; `dc_bias` and `max_drive`
-    bound the drive signal so the LEDs stay in their dynamic range
-    (amplitude budget min(dc_bias, max_drive - dc_bias) per fixture).
+    The whole fixture acts as one source. `dc_bias` is the DC operating
+    point at which the "physical" noise model evaluates shot noise; it
+    must lie below `max_drive`. Neither caps the amplitude budget, which
+    the sweep derives from the SNR (see scenarios).
     """
 
     position: np.ndarray
@@ -102,11 +103,6 @@ class Fixture:
             raise ValueError("leds_per_fixture must be >= 1")
         if not 0.0 < self.dc_bias < self.max_drive:
             raise ValueError("drive levels must satisfy 0 < dc_bias < max_drive")
-
-    @property
-    def drive_headroom(self) -> float:
-        """Per-fixture amplitude budget keeping the LEDs in range."""
-        return min(self.dc_bias, self.max_drive - self.dc_bias)
 
 
 @dataclass(frozen=True)
@@ -396,7 +392,6 @@ def build_channel(
     scene: list[Fixture],
     users: list[Receiver],
     noise_mode: str = "unit",
-    noise_params: NoiseParams | None = None,
 ) -> ChannelMatrix:
     """Assemble the users x fixtures gain matrix and noise vector.
 
@@ -415,7 +410,7 @@ def build_channel(
     if noise_mode == "unit":
         noise = np.ones(len(users))
     else:
-        params = noise_params or NoiseParams()
+        params = NoiseParams()
         noise = np.empty(len(users))
         for k, rx in enumerate(users):
             received = sum(

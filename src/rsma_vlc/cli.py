@@ -18,8 +18,7 @@ them). Each key is a field name of ScenarioSpec, Sweep, AoConfig, Fixture
 or Receiver; a missing key takes the field's default and an unknown key
 is ignored. The fields without a default (each position, the sweep's name
 and values) are required; name defaults to the file's basename. Vectors
-and lists are space-separated. AoConfig's per-point fields, which the
-sweep sets, are not stored.
+and lists are space-separated.
 
 Exit codes: 0 full success (and -h), 1 configuration errors (an unknown
 option, a malformed value, an unusable setting), 2 partial solver or
@@ -32,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import os
@@ -117,11 +117,8 @@ _NESTED = ("fixtures", "users", "sweep", "ao")
 
 
 def _file_keys(cls) -> list:
-    """(name, type) of each field a scenario file stores for `cls`.
-
-    AoConfig's per-point fields are left out: the sweep sets them.
-    """
-    skip = {ScenarioSpec: _NESTED, AoConfig: optimizer._PER_PROBLEM_FIELDS}.get(cls, ())
+    """(name, type) of each field a scenario file stores for `cls`."""
+    skip = _NESTED if cls is ScenarioSpec else ()
     hints = get_type_hints(cls)
     return [(f.name, hints[f.name]) for f in fields(cls) if f.name not in skip]
 
@@ -345,20 +342,22 @@ def cmd_validate(config: RunConfig) -> int:
               f"{'PASS' if ok else 'FAIL'}")
 
     print("== AO vs grid oracle (tolerance 5%) ==")
-    # every instance is drawn first, in the order the checks print
-    snr_db = 15.0
+    # every instance is drawn first, in the order the checks print; the
+    # channels have unit noise, so 15 dB is this budget for AO and oracle alike
+    epsilon = optimizer.epsilon_from_snr(15.0, 1.0)
     drawn = {}
     for scheme in signal_model.SCHEMES:
         drawn[scheme] = []
         for _ in range(config.oracle_instances):
             gains = rng.uniform(0.2, 1.0, size=(2, 2))
-            cfg = AoConfig(snr_db=snr_db, seed=int(rng.integers(1 << 31)), corner_starts=True)
-            drawn[scheme].append((ChannelMatrix(gains=gains, noise=np.ones(2)), cfg))
-    epsilon = optimizer.epsilon_from_snr(snr_db, 1.0)
+            drawn[scheme].append((ChannelMatrix(gains=gains, noise=np.ones(2)), int(rng.integers(1 << 31))))
+    ao = AoConfig(corner_starts=True)
     for scheme, instances in drawn.items():
         channels = [channel for channel, _ in instances]
-        configs = [cfg for _, cfg in instances]  # RSMA's helpers run under RSMA's config
-        solved = scenarios.solve_schemes(channels, (0.5, 0.5), (scheme,), lambda _, i: configs[i])[scheme]
+        seeds = [seed for _, seed in instances]  # RSMA's helpers use RSMA's seeds
+        solved = scenarios.solve_schemes(
+            channels, (0.5, 0.5), (scheme,), ao, [epsilon] * len(channels), lambda _, i: seeds[i]
+        )[scheme]
         for i, (channel, (layout, sol)) in enumerate(zip(channels, solved)):
             if isinstance(sol, Exception):
                 raise sol
@@ -423,7 +422,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every `main` call."""
     parser = _Parser(
         prog="rsma-vlc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )

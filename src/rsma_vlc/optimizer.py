@@ -27,20 +27,25 @@ finished drops out of the batch, its channel with it. Each array
 operation applies to every problem the same floating-point operations
 in the same order as a batch of one, so a problem's result does not
 depend, bit for bit, on the problems that share its batch. `ao_solve`
-runs every start of every config it is given as one batch, and solves
+runs every start of every problem it is given as one batch, and solves
 nothing else: seeding RSMA from the converged SDMA/NOMA solutions is
 `scenarios.solve_schemes`'s job.
+
+A problem is a channel, an amplitude budget epsilon, a random-start seed
+and its warm starts; `AoConfig` holds only the settings every problem of
+a call shares. The solver never sees an SNR: turning a sweep's SNR into
+epsilon (`epsilon_from_snr`) is the caller's job.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, Fixture, _rowdot
+from .channel import ChannelMatrix, _rowdot
 from .signal_model import (
     Precoder,
     RateReport,
@@ -84,22 +89,18 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class AoConfig:
-    """Knobs of the alternating-optimization solver.
+    """Settings of the alternating-optimization solver.
 
-    `epsilon` overrides the SNR-derived amplitude budget when set;
-    otherwise epsilon = sigma * 10^(snr_db/20) / reference_gain with
-    sigma the RMS noise level of the channel. `restarts` counts all
-    initializations including the mandatory ones (ZF, the corners and
-    the caller's warm starts); random starts fill the rest, at least one.
+    They hold for every problem of an `ao_solve` call; a problem's
+    amplitude budget, random-start seed and warm starts are arguments of
+    that call. `restarts` counts all initializations including the
+    mandatory ones (ZF, the corners and the caller's warm starts); random
+    starts fill the rest, at least one.
     """
 
     tolerance: float = 1e-4  # bits/s/Hz WSR change
     max_iterations: int = 500
     restarts: int = 4
-    seed: int = 0
-    snr_db: float = 40.0
-    epsilon: float | None = None
-    reference_gain: float = 1.0
     # also start from single-user corners (degenerate service); off by
     # default so scheme comparisons rank non-degenerate solutions
     corner_starts: bool = False
@@ -109,10 +110,6 @@ class AoConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be >= 1")
-
-
-# the only AoConfig fields that may differ between the configs of one batch
-_PER_PROBLEM_FIELDS = ("seed", "snr_db", "epsilon", "reference_gain")
 
 
 @dataclass
@@ -140,27 +137,18 @@ class Solution:
         return self.report.wsr
 
 
-def epsilon_from_snr(
-    snr_db: float,
-    sigma: float,
-    fixture: Fixture | None = None,
-    reference_gain: float = 1.0,
-) -> float:
+def epsilon_from_snr(snr_db: float, sigma: float, reference_gain: float = 1.0) -> float:
     """Per-fixture amplitude budget for a target transmit SNR.
 
     epsilon = sigma * 10^(snr_db/20) / reference_gain, so the received
     electrical SNR (h p)^2 / sigma^2 of a reference-gain link scales as
-    10^(snr_db/10). Passing a fixture enables the physical drive cap
-    min(dc_bias, max_drive - dc_bias).
+    10^(snr_db/10).
     """
     if sigma <= 0:
         raise ValueError("noise standard deviation must be positive")
     if reference_gain <= 0:
         raise ValueError("reference gain must be positive")
-    eps = sigma * 10.0 ** (snr_db / 20.0) / reference_gain
-    if fixture is not None:
-        eps = min(eps, fixture.drive_headroom)
-    return eps
+    return sigma * 10.0 ** (snr_db / 20.0) / reference_gain
 
 
 # --------------------------------------------------------------------------
@@ -653,98 +641,81 @@ def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoCo
     return out, histories, converged
 
 
-def _resolve_epsilon(channel: ChannelMatrix, config: AoConfig) -> float:
-    if config.epsilon is not None:
-        if config.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        return float(config.epsilon)
-    sigma = float(np.sqrt(np.mean(channel.noise)))
-    return epsilon_from_snr(config.snr_db, sigma, reference_gain=config.reference_gain)
-
-
-def _check_batchable(configs: tuple) -> None:
-    if not configs:
-        raise ValueError("ao_solve needs at least one config")
-
-    def shared(cfg):
-        return [getattr(cfg, f.name) for f in fields(cfg) if f.name not in _PER_PROBLEM_FIELDS]
-
-    first = shared(configs[0])
-    for cfg in configs[1:]:
-        if shared(cfg) != first:
-            raise ValueError(f"batched configs may differ only in {', '.join(_PER_PROBLEM_FIELDS)}")
-
-
 def ao_solve(
     channel: ChannelMatrix | Sequence[ChannelMatrix],
     layout: StreamLayout,
     priorities,
-    config: AoConfig | Sequence[AoConfig] = AoConfig(),
+    epsilon: float | Sequence[float],
+    seed: int | Sequence[int] = 0,
+    config: AoConfig = AoConfig(),
     warm_starts: tuple = (),
 ) -> Solution | tuple[Solution, ...]:
     """Maximize the weighted sum rate with the multi-start AO solver.
 
-    The starts are, in this order: ZF; with `config.corner_starts`, one
-    per-user full-budget start each (they reach degenerate single-user
-    optima); the matrices of `warm_starts`; and seeded random feasible
-    starts up to `config.restarts` (at least one always). The best
-    final WSR wins, the earliest start on ties. Ascent is monotone, so
-    the result is at least as good as every warm start: an RSMA solve
-    warm-started from the converged SDMA and NOMA solutions embedded on
-    its streams (`embed_sdma_matrix`, `embed_noma_matrix`) satisfies
-    WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)). `scenarios.solve_schemes`
-    seeds RSMA that way; without warm starts that bound is not assured.
+    `epsilon` is the per-fixture amplitude budget (the radius of every
+    row's L1 ball) and `seed` seeds the random starts. The starts are,
+    in this order: ZF; with `config.corner_starts`, one per-user
+    full-budget start each (they reach degenerate single-user optima);
+    the matrices of `warm_starts`; and seeded random feasible starts up
+    to `config.restarts` (at least one always). The best final WSR
+    wins, the earliest start on ties. Ascent is monotone, so the result
+    is at least as good as every warm start: an RSMA solve warm-started
+    from the converged SDMA and NOMA solutions embedded on its streams
+    (`embed_sdma_matrix`, `embed_noma_matrix`) satisfies WSR(RSMA) >=
+    max(WSR(SDMA), WSR(NOMA)). `scenarios.solve_schemes` seeds RSMA that
+    way; without warm starts that bound is not assured.
 
-    `config` may also be a sequence of configs, e.g. the points of a
-    sweep. They may differ only in `seed`, `snr_db`, `epsilon` and
-    `reference_gain`; `channel` is then one channel shared by all of
-    them or a sequence with one channel per config (all of one shape),
-    `warm_starts` holds one tuple of matrices per config (or is empty),
-    and the result is a tuple with one Solution per config. Every
-    problem is solved under `layout`, so callers that batch NOMA
-    problems over several channels group them by their strong user
-    first (`signal_model.layout_groups`). Every start of every
-    config runs in one lockstep batch (see the module docstring), and
-    each Solution is bit-for-bit the one that config gets when solved
-    alone: a problem's result does not depend on its batch.
+    `epsilon` may also be a sequence of budgets, one problem each, e.g.
+    the points of a sweep. `seed` is then a sequence of as many seeds,
+    `channel` one channel shared by all problems or a sequence with one
+    channel per problem (all of one shape), `warm_starts` one tuple of
+    matrices per problem (or empty), and the result a tuple with one
+    Solution per problem. Every problem is solved under `layout` and
+    `config`, so callers that batch NOMA problems over several channels
+    group them by their strong user first (`signal_model.layout_groups`).
+    Every start of every problem runs in one lockstep batch (see the
+    module docstring), and each Solution is bit-for-bit the one that
+    problem gets when solved alone: a problem's result does not depend
+    on its batch.
     """
-    single = isinstance(config, AoConfig)
-    configs = (config,) if single else tuple(config)
-    _check_batchable(configs)
+    single = np.ndim(epsilon) == 0
     if single:
-        warm = (tuple(warm_starts),)
+        epsilons, seeds, warm = (float(epsilon),), (seed,), (tuple(warm_starts),)
     else:
-        warm = tuple(tuple(ws) for ws in warm_starts) or ((),) * len(configs)
-        if len(warm) != len(configs):
-            raise ValueError("warm_starts needs one tuple of matrices per config")
+        epsilons = tuple(float(e) for e in epsilon)
+        seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
+        warm = tuple(tuple(ws) for ws in warm_starts) or ((),) * len(epsilons)
+        if not epsilons or len(seeds) != len(epsilons) or len(warm) != len(epsilons):
+            raise ValueError("ao_solve needs at least one problem, and one seed and warm-start tuple each")
+    if min(epsilons) < 0:
+        raise ValueError("epsilon must be nonnegative")
     if isinstance(channel, ChannelMatrix):
-        channels = (channel,) * len(configs)
+        channels = (channel,) * len(epsilons)
     else:
         channels = tuple(channel)
-        if single or len(channels) != len(configs):
-            raise ValueError("a sequence of channels needs a sequence of configs, one per channel")
+        if single or len(channels) != len(epsilons):
+            raise ValueError("a sequence of channels needs a sequence of budgets, one per channel")
     w = np.asarray(priorities, dtype=float)
     # a channel every problem shares is compiled once and broadcasts over
     # the batch, so dropping finished problems never copies its gains
     shared = all(ch is channels[0] for ch in channels)
     comp = _Compiled(channels[0] if shared else channels, layout, w)
-    epsilons = [_resolve_epsilon(ch, cfg) for ch, cfg in zip(channels, configs)]
 
     starts: list[np.ndarray] = []
     counts = []
-    for ch, cfg, epsilon, warm_i in zip(channels, configs, epsilons, warm):
-        own = [_zf_start(ch, comp, epsilon)]
-        if cfg.corner_starts:
-            own += [_beam_start(ch, comp, epsilon, k) for k in range(ch.num_users)]
+    for ch, eps, seed_i, warm_i in zip(channels, epsilons, seeds, warm):
+        own = [_zf_start(ch, comp, eps)]
+        if config.corner_starts:
+            own += [_beam_start(ch, comp, eps, k) for k in range(ch.num_users)]
         own += [np.asarray(m, dtype=float) for m in warm_i]
-        rng = np.random.default_rng(cfg.seed)
-        n_random = max(1, cfg.restarts - len(own))  # always explore at random too
-        own += [_random_start(ch, comp, epsilon, rng) for _ in range(n_random)]
+        rng = np.random.default_rng(seed_i)
+        n_random = max(1, config.restarts - len(own))  # always explore at random too
+        own += [_random_start(ch, comp, eps, rng) for _ in range(n_random)]
         starts += own
         counts.append(len(own))
 
-    batch = comp.take(np.repeat(np.arange(len(configs)), counts))
-    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.stack(starts), configs[0])
+    batch = comp.take(np.repeat(np.arange(len(epsilons)), counts))
+    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.stack(starts), config)
     _, caps = batch.true_rates(P)
     solutions = []
     lo = 0

@@ -7,12 +7,14 @@ half-power semi-angle, and 1 cm^2 photodiodes (refractive index 1.5,
 unit filter gain, 60 degree field of view) at 0.8 m height. Fixture
 layouts: four at the room quarter points or two on the x axis.
 
-The per-fixture SNR axis is referenced to the spatially averaged
-fixture gain over the room floor at user height ("area_mean" policy):
-epsilon = sigma * 10^(SNR/20) / reference_gain. This keeps the SNR
-scale geometry-independent while preserving all relative path effects;
-set gain_reference="none" to interpret the SNR against raw physical
-gains instead.
+The sweep turns each point's SNR into the amplitude budget epsilon
+that the solver is given; the optimizer itself never sees an SNR. The
+per-fixture SNR axis is referenced to the spatially averaged fixture
+gain over the room floor at user height ("area_mean" policy): epsilon =
+sigma * 10^(SNR/20) / reference_gain, with sigma the RMS noise level of
+the point's channel. This keeps the SNR scale geometry-independent
+while preserving all relative path effects; set gain_reference="none"
+to interpret the SNR against raw physical gains instead.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import ChannelMatrix, Fixture, Receiver, build_channel, fixture_gain
-from .optimizer import AoConfig, ao_solve, embed_noma_matrix, embed_sdma_matrix
+from .optimizer import AoConfig, ao_solve, embed_noma_matrix, embed_sdma_matrix, epsilon_from_snr
 from .signal_model import SCHEMES, layout_groups
 
 __all__ = [
@@ -228,27 +230,29 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _solve_points(channels, layout, priorities, configs, warm) -> list:
-    """One Solution or the raised exception per (channel, config).
+def _solve_points(channels, layout, priorities, config, epsilons, seeds, warm) -> list:
+    """One Solution or the raised exception per (channel, epsilon, seed).
 
-    Several configs run as one batched ao_solve call; if it raises, they
-    are solved again one at a time so that only the failing points fail.
+    Several problems run as one batched ao_solve call; if it raises,
+    they are solved again one at a time so that only the failing points
+    fail.
     """
-    if len(configs) > 1:
+    if len(epsilons) > 1:
         try:
-            return list(ao_solve(channels, layout, priorities, configs, warm_starts=warm))
+            sols = ao_solve(channels, layout, priorities, epsilons, seed=seeds, config=config, warm_starts=warm)
+            return list(sols)
         except Exception:  # isolate the failure below
             pass
     results = []
-    for channel, cfg, ws in zip(channels, configs, warm):
+    for channel, eps, seed, ws in zip(channels, epsilons, seeds, warm):
         try:
-            results.append(ao_solve(channel, layout, priorities, cfg, warm_starts=ws))
+            results.append(ao_solve(channel, layout, priorities, eps, seed=seed, config=config, warm_starts=ws))
         except Exception as exc:  # failed points must not sink the sweep
             results.append(exc)
     return results
 
 
-def solve_schemes(channels, priorities, schemes, config_for) -> dict:
+def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> dict:
     """{scheme: [(layout, Solution or the raised exception) per channel]}.
 
     The one place RSMA is seeded from the special cases: each RSMA
@@ -256,11 +260,13 @@ def solve_schemes(channels, priorities, schemes, config_for) -> dict:
     precoders, embedded on its streams, as warm starts in that order,
     so WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent.
     These helpers run first, also when only RSMA is requested; one that
-    failed at a channel gives no warm start there. `config_for(scheme,
-    index)` gives each solve's AoConfig. Each scheme's channels are
-    grouped by layout (`signal_model.layout_groups`), one batched
-    ao_solve call per group. A scheme whose layout cannot be built gets
-    the ValueError, with layout None, at every channel.
+    failed at a channel gives no warm start there. Every solve runs
+    under the AoConfig `config`; channel j has the amplitude budget
+    `epsilons[j]` in every scheme, and `seed_for(scheme, j)` gives its
+    random-start seed. Each scheme's channels are grouped by layout
+    (`signal_model.layout_groups`), one batched ao_solve call per group.
+    A scheme whose layout cannot be built gets the ValueError, with
+    layout None, at every channel.
     """
     channels = list(channels)
     helpers = {"sdma": embed_sdma_matrix}
@@ -287,54 +293,70 @@ def solve_schemes(channels, priorities, schemes, config_for) -> dict:
                     )
                     for j in idx
                 ]
-            configs = [config_for(scheme, j) for j in idx]
-            sols = _solve_points([channels[j] for j in idx], layout, priorities, configs, warm)
+            sols = _solve_points(
+                [channels[j] for j in idx], layout, priorities, config,
+                [epsilons[j] for j in idx], [seed_for(scheme, j) for j in idx], warm,
+            )
             for j, sol in zip(idx, sols):
                 results[j] = (layout, sol)
         solved[scheme] = results
     return {s: solved[s] for s in solved if s in schemes}
 
 
+def _row(spec: ScenarioSpec, scheme: str, value: float, seed: int, sol) -> SweepRow:
+    """The sweep row of one point: its Solution, or the exception it raised."""
+    if isinstance(sol, Exception):
+        return SweepRow(
+            scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
+            wsr=0.0, rates=(0.0,) * len(spec.users), common_cap=0.0,
+            iterations=0, converged=False, seed=seed,
+            error=f"{type(sol).__name__}: {sol}",
+        )
+    return SweepRow(
+        scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
+        wsr=sol.wsr, rates=tuple(float(r) for r in sol.report.overall),
+        common_cap=sol.report.common_cap, iterations=sol.iterations,
+        converged=sol.converged, seed=seed,
+    )
+
+
 def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
     """Rows of a chunk of (index, value) sweep points (separate process safe).
 
-    The chunk is one `solve_schemes` call, so each scheme (each NOMA
-    layout) is one batched solve and each RSMA point starts from its
-    own point's SDMA/NOMA solutions. A point's config carries its
-    per-scheme seed, its SNR and the reference gain. The points of an
-    SNR sweep share one channel; a separation sweep moves the users, so
-    each of its points has a channel of its own.
+    Each point's amplitude budget is epsilon_from_snr of its SNR, its
+    channel's RMS noise level and the reference gain `ref`. The chunk is
+    one `solve_schemes` call, so each scheme (each NOMA layout) is one
+    batched solve and each RSMA point starts from its own point's
+    SDMA/NOMA solutions; a point's seed derives from (base_seed, scheme,
+    sweep index). The points of an SNR sweep share one channel; a
+    separation sweep moves the users, so each of its points has a
+    channel of its own. A point whose budget cannot be computed (say,
+    10^(SNR/20) overflows) gets an error row in every scheme and is not
+    solved.
     """
     if spec.sweep.name == "separation":
-        channels = [build_scene_channel(spec, value) for _, value in points]
-        snrs = [spec.snr_db] * len(points)
+        scenes = [(build_scene_channel(spec, value), spec.snr_db) for _, value in points]
     else:
-        channels = [build_scene_channel(spec)] * len(points)
-        snrs = [value for _, value in points]
+        channel = build_scene_channel(spec)
+        scenes = [(channel, value) for _, value in points]
+    rows, solvable, channels, epsilons = [], [], [], []
+    for (i, value), (channel, snr) in zip(points, scenes):
+        try:
+            eps = epsilon_from_snr(snr, float(np.sqrt(np.mean(channel.noise))), reference_gain=ref)
+        except (ArithmeticError, ValueError) as exc:
+            rows += [_row(spec, s, value, _point_seed(base_seed, s, i), exc) for s in spec.schemes]
+            continue
+        solvable.append((i, value))
+        channels.append(channel)
+        epsilons.append(eps)
 
-    def config_for(scheme, j):
-        seed = _point_seed(base_seed, scheme, points[j][0])
-        return replace(spec.ao, seed=seed, reference_gain=ref, snr_db=snrs[j])
+    def seed_for(scheme, j):
+        return _point_seed(base_seed, scheme, solvable[j][0])
 
-    num_users = len(spec.users)
-    rows = []
-    for scheme, results in solve_schemes(channels, spec.priorities, spec.schemes, config_for).items():
-        for (i, value), (_, sol) in zip(points, results):
-            seed = _point_seed(base_seed, scheme, i)
-            if isinstance(sol, Exception):
-                rows.append(SweepRow(
-                    scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
-                    wsr=0.0, rates=(0.0,) * num_users, common_cap=0.0,
-                    iterations=0, converged=False, seed=seed,
-                    error=f"{type(sol).__name__}: {sol}",
-                ))
-            else:
-                rows.append(SweepRow(
-                    scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
-                    wsr=sol.wsr, rates=tuple(float(r) for r in sol.report.overall),
-                    common_cap=sol.report.common_cap, iterations=sol.iterations,
-                    converged=sol.converged, seed=seed,
-                ))
+    solved = solve_schemes(channels, spec.priorities, spec.schemes, spec.ao, epsilons, seed_for)
+    for scheme, results in solved.items():
+        rows += [_row(spec, scheme, value, seed_for(scheme, j), sol)
+                 for j, ((_, value), (_, sol)) in enumerate(zip(solvable, results))]
     return rows
 
 

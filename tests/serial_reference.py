@@ -18,9 +18,9 @@ import numpy as np
 from rsma_vlc.optimizer import (
     _PG_MAX_ITER,
     _PG_TOL,
+    AoConfig,
     _beam_start,
     _random_start,
-    _resolve_epsilon,
     _zf_start,
     embed_noma_matrix,
     embed_sdma_matrix,
@@ -222,25 +222,26 @@ def _ao_single(comp, epsilon, P0, config):
     return P, history, iterations, converged
 
 
-def ao_solve(channel, layout, priorities, config, warm_starts=(), embed_special_cases=True):
+def ao_solve(channel, layout, priorities, epsilon, seed=0, config=AoConfig(), warm_starts=(),
+             embed_special_cases=True):
     """Multi-start AO, one start after another; returns (P, history, iterations, converged, index)."""
     w = np.asarray(priorities, dtype=float)
     comp = _Compiled(channel, layout, w)
-    epsilon = _resolve_epsilon(channel, config)
+    epsilon = float(epsilon)
     starts = [_zf_start(channel, comp, epsilon)]
     if config.corner_starts:
         starts += [_beam_start(channel, comp, epsilon, k) for k in range(channel.num_users)]
     if layout.scheme == "rsma" and embed_special_cases:
         sdma_layout = build_layout("sdma", channel.num_users, channel)
-        sdma = ao_solve(channel, sdma_layout, w, config)
+        sdma = ao_solve(channel, sdma_layout, w, epsilon, seed, config)
         starts.append(embed_sdma_matrix(layout, sdma_layout, sdma[0]))
         if channel.num_users == 2:
             noma_layout = build_layout("noma", channel.num_users, channel)
-            noma = ao_solve(channel, noma_layout, w, config)
+            noma = ao_solve(channel, noma_layout, w, epsilon, seed, config)
             starts.append(embed_noma_matrix(layout, noma_layout, noma[0]))
     for extra in warm_starts:
         starts.append(np.asarray(extra, dtype=float))
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(max(1, config.restarts - len(starts))):
         starts.append(_random_start(channel, comp, epsilon, rng))
     best = None

@@ -54,8 +54,8 @@ def test_criterion_1_scenario1_absolute_wsr():
     t0 = time.monotonic()
     spec = catalog()["scenario1_4led"]
     channel = build_scene_channel(spec)
-    cfg = replace(spec.ao, snr_db=40.0, reference_gain=reference_gain(spec))
-    _, sol = solve_schemes([channel], (0.5, 0.5), ("rsma",), lambda *_: cfg)["rsma"][0]
+    eps = epsilon_from_snr(40.0, float(np.sqrt(np.mean(channel.noise))), reference_gain=reference_gain(spec))
+    _, sol = solve_schemes([channel], (0.5, 0.5), ("rsma",), spec.ao, [eps], lambda *_: 0)["rsma"][0]
     elapsed = time.monotonic() - t0
     assert 15.5 * 0.8 <= sol.wsr <= 15.5 * 1.2
     assert elapsed <= 120.0
@@ -137,17 +137,23 @@ def test_criterion_5_separation_peak():
 
 
 def test_criterion_6_property_suite():
-    # a) monotone ascent and feasibility on 100 random instances
+    # a) monotone ascent and feasibility on 100 random instances: every
+    # instance is drawn first, then each scheme's are solved in one call
     rng = np.random.default_rng(606)
+    drawn = {"rsma": [], "sdma": [], "noma": []}
     for i in range(100):
         ch = ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2))
         scheme = ("rsma", "sdma", "noma")[i % 3]
         eps = float(rng.uniform(0.5, 40.0))
-        cfg = AoConfig(epsilon=eps, restarts=2, seed=int(rng.integers(1 << 16)))
-        _, sol = solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
-        assert np.all(np.diff(sol.wsr_history) >= -1e-8)
-        assert sol.precoder.max_row_l1() <= eps + 1e-9
-        assert np.all(sol.shares >= 0) and sol.shares.sum() <= sol.report.common_cap + 1e-9
+        drawn[scheme].append((ch, eps, int(rng.integers(1 << 16))))
+    for scheme, instances in drawn.items():
+        channels, epsilons, seeds = zip(*instances)
+        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(restarts=2), epsilons,
+                               lambda _, j: seeds[j])[scheme]
+        for eps, (_, sol) in zip(epsilons, solved):
+            assert np.all(np.diff(sol.wsr_history) >= -1e-8)
+            assert sol.precoder.max_row_l1() <= eps + 1e-9
+            assert np.all(sol.shares >= 0) and sol.shares.sum() <= sol.report.common_cap + 1e-9
 
     # b) Monte-Carlo agreement within 2% at 1e6 symbols on 20 instances
     rng = np.random.default_rng(707)
@@ -167,14 +173,21 @@ def test_criterion_6_property_suite():
         empirical = monte_carlo_sinr(ch, pre, lay, user, stream, num_symbols=1_000_000, seed=i)
         assert abs(empirical - analytic) <= 0.02 * analytic, i
 
-    # c) grid-oracle agreement within 5% on 20 instances per scheme
+    # c) grid-oracle agreement within 5% on 20 instances per scheme, all
+    # drawn first and each scheme's solved in one call
     rng = np.random.default_rng(808)
     eps = epsilon_from_snr(15.0, 1.0)
+    drawn = {}
     for scheme in ("rsma", "sdma", "noma"):
-        for i in range(20):
-            ch = ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2))
-            cfg = AoConfig(epsilon=eps, seed=int(rng.integers(1 << 16)), corner_starts=True)
-            lay, sol = solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
+        drawn[scheme] = [
+            (ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2)), int(rng.integers(1 << 16)))
+            for _ in range(20)
+        ]
+    for scheme, instances in drawn.items():
+        channels, seeds = zip(*instances)
+        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(corner_starts=True), [eps] * 20,
+                               lambda _, j: seeds[j])[scheme]
+        for i, (ch, (lay, sol)) in enumerate(zip(channels, solved)):
             oracle = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)
             assert abs(sol.wsr - oracle) <= 0.05 * oracle, (scheme, i)
 

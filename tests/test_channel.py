@@ -315,7 +315,6 @@ class TestTypes:
             Fixture(position=LED_POS, leds_per_fixture=0)
         with pytest.raises(ValueError):
             Fixture(position=LED_POS, dc_bias=1.5, max_drive=1.0)
-        assert Fixture(position=LED_POS).drive_headroom == 0.5
 
     def test_receiver_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import configparser
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -113,14 +113,22 @@ class TestScenarioFiles:
         path = tmp_path / "scene.ini"
         save_scenario(spec, str(path))
         assert load_scenario(str(path)).ao == ao
-        # the sweep sets each point's seed, so files no longer store one;
-        # files that still do load their other [ao] values
+        # the sweep sets each point's seed, so files store none; files that
+        # still do load their other [ao] values
         text = path.read_text()
         assert "seed" not in text
         legacy = tmp_path / "legacy.ini"
         legacy.write_text(text.replace("restarts = 6\n", "restarts = 6\nseed = 11\n"))
         assert "seed = 11" in legacy.read_text()
         assert load_scenario(str(legacy)).ao == ao
+
+    def test_ao_config_is_the_ao_section(self, tmp_path):
+        # every solver setting is a scene-file key, and nothing else is
+        path = tmp_path / "scene.ini"
+        save_scenario(catalog()["scenario1_2led"], str(path))
+        cp = configparser.ConfigParser()
+        cp.read(path)
+        assert [f.name for f in fields(AoConfig)] == list(cp["ao"])
 
     def test_legacy_noise_variance_key_ignored(self, tmp_path):
         # files written before Receiver.noise_variance was removed still load
@@ -253,12 +261,14 @@ class TestValidate:
         for _ in range(2):
             cli._random_instance(rng, epsilon=3.0)
         expected = []
+        eps, cfg = optimizer.epsilon_from_snr(15.0, 1.0), AoConfig(corner_starts=True)
         for scheme in signal_model.SCHEMES:
             for i in range(3):
                 ch = ChannelMatrix(gains=rng.uniform(0.2, 1.0, size=(2, 2)), noise=np.ones(2))
-                cfg = AoConfig(snr_db=15.0, seed=int(rng.integers(1 << 31)), corner_starts=True)
-                lay, sol = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
-                oracle = optimizer.grid_oracle(ch, lay, (0.5, 0.5), epsilon=optimizer.epsilon_from_snr(15.0, 1.0))
+                seed = int(rng.integers(1 << 31))
+                solved = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), cfg, [eps], lambda *_: seed)
+                lay, sol = solved[scheme][0]
+                oracle = optimizer.grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps)
                 deviation = abs(sol.wsr - oracle) / max(oracle, 1e-12)
                 expected.append(f"oracle[{scheme}:{i:02d}] ao {sol.wsr:.4f} grid {oracle:.4f} "
                                 f"deviation {deviation:.3%} {'PASS' if deviation <= 0.05 else 'FAIL'}")

@@ -4,7 +4,7 @@ import serial_reference
 
 import rsma_vlc.optimizer as optimizer
 import rsma_vlc.scenarios as scenarios
-from rsma_vlc.channel import ChannelMatrix, Fixture
+from rsma_vlc.channel import ChannelMatrix
 from rsma_vlc.optimizer import (
     AoConfig,
     NumericalFailure,
@@ -41,11 +41,6 @@ class TestEpsilonFromSnr:
 
     def test_reference_gain_rescales(self):
         assert epsilon_from_snr(40.0, 1.0, reference_gain=0.02) == pytest.approx(5000.0)
-
-    def test_fixture_enables_drive_cap(self):
-        fx = Fixture(position=(0, 0, 4.0), dc_bias=0.4, max_drive=1.0)
-        assert epsilon_from_snr(40.0, 1.0, fixture=fx) == pytest.approx(0.4)
-        assert epsilon_from_snr(-20.0, 1.0, fixture=fx) == pytest.approx(0.1)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -249,10 +244,18 @@ class TestAoSolve:
     def test_zero_budget(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         lay = build_layout("rsma", 2, ch)
-        sol = ao_solve(ch, lay, (0.5, 0.5), AoConfig(epsilon=0.0))
+        sol = ao_solve(ch, lay, (0.5, 0.5), 0.0)
         assert sol.wsr == 0.0
         assert sol.converged
         assert sol.iterations == 1
+
+    def test_negative_budget_rejected(self):
+        ch = channel([[1.0, 0.2], [0.2, 1.0]])
+        lay = build_layout("sdma", 2, ch)
+        with pytest.raises(ValueError, match="epsilon"):
+            ao_solve(ch, lay, (0.5, 0.5), -1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            ao_solve(ch, lay, (0.5, 0.5), [2.0, -1e-9], seed=[0, 1])
 
     def test_monotone_and_feasible(self):
         rng = np.random.default_rng(10)
@@ -261,8 +264,8 @@ class TestAoSolve:
             scheme = ("rsma", "sdma", "noma")[int(rng.integers(3))]
             lay = build_layout(scheme, 2, ch)
             eps = float(rng.uniform(1.0, 30.0))
-            cfg = AoConfig(epsilon=eps, restarts=2, seed=int(rng.integers(1 << 16)))
-            sol = ao_solve(ch, lay, (0.5, 0.5), cfg)
+            seed = int(rng.integers(1 << 16))
+            sol = ao_solve(ch, lay, (0.5, 0.5), eps, seed, AoConfig(restarts=2))
             hist = np.array(sol.wsr_history)
             assert np.all(np.diff(hist) >= -1e-8)
             assert sol.precoder.max_row_l1() <= eps + 1e-9
@@ -272,9 +275,8 @@ class TestAoSolve:
     def test_determinism(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
         lay = build_layout("rsma", 2, ch)
-        cfg = AoConfig(epsilon=5.0, seed=123)
-        a = ao_solve(ch, lay, (0.5, 0.5), cfg)
-        b = ao_solve(ch, lay, (0.5, 0.5), cfg)
+        a = ao_solve(ch, lay, (0.5, 0.5), 5.0, seed=123)
+        b = ao_solve(ch, lay, (0.5, 0.5), 5.0, seed=123)
         assert np.array_equal(a.precoder.matrix, b.precoder.matrix)
         assert a.wsr == b.wsr
         assert a.wsr_history == b.wsr_history
@@ -284,8 +286,8 @@ class TestAoSolve:
         rng = np.random.default_rng(12)
         for _ in range(6):
             ch = random_channel(rng)
-            cfg = AoConfig(epsilon=float(rng.uniform(2.0, 20.0)), seed=int(rng.integers(1 << 16)))
-            solved = scenarios.solve_schemes([ch], (0.5, 0.5), SCHEMES, lambda *_: cfg)
+            eps, seed = float(rng.uniform(2.0, 20.0)), int(rng.integers(1 << 16))
+            solved = scenarios.solve_schemes([ch], (0.5, 0.5), SCHEMES, AoConfig(), [eps], lambda *_: seed)
             sols = {s: sol for s, [(_, sol)] in solved.items()}
             assert sols["rsma"].wsr >= sols["sdma"].wsr - 1e-9
             assert sols["rsma"].wsr >= sols["noma"].wsr - 1e-9
@@ -293,17 +295,17 @@ class TestAoSolve:
     def test_report_matches_stored_wsr(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
         lay = build_layout("noma", 2, ch)
-        sol = ao_solve(ch, lay, (0.5, 0.5), AoConfig(epsilon=8.0, seed=2))
+        sol = ao_solve(ch, lay, (0.5, 0.5), 8.0, seed=2)
         assert sol.report.wsr == pytest.approx(sol.wsr_history[-1], abs=1e-9)
 
     def test_unequal_priorities_respected(self):
         # correlated channel: rates trade off, so the heavy user must win
         ch = channel([[1.0, 0.8], [0.8, 1.0]])
         lay = build_layout("sdma", 2, ch)
-        lop = ao_solve(ch, lay, (0.9, 0.1), AoConfig(epsilon=10.0, seed=3))
+        lop = ao_solve(ch, lay, (0.9, 0.1), 10.0, seed=3)
         assert lop.report.overall[0] > lop.report.overall[1]
-        even = ao_solve(ch, lay, (0.5, 0.5), AoConfig(epsilon=10.0, seed=3))
-        heavy = ao_solve(ch, lay, (0.9, 0.1), AoConfig(epsilon=10.0, seed=3))
+        even = ao_solve(ch, lay, (0.5, 0.5), 10.0, seed=3)
+        heavy = ao_solve(ch, lay, (0.9, 0.1), 10.0, seed=3)
         assert heavy.report.overall[0] >= even.report.overall[0] - 1e-6
 
 
@@ -381,17 +383,14 @@ class TestBatchedSolver:
         lay = build_layout("rsma", 2, ch)
         sd_lay = build_layout("sdma", 2, ch)
         extra = embed_sdma_matrix(lay, sd_lay, zf_precoder(ch, 2.0).matrix)
-        configs = [
-            AoConfig(epsilon=2.0, seed=1, max_iterations=80),
-            AoConfig(snr_db=12.0, seed=2, max_iterations=80),
-            AoConfig(epsilon=30.0, seed=3, max_iterations=80),
-        ]
+        cfg = AoConfig(max_iterations=80)
+        epsilons, seeds = [2.0, epsilon_from_snr(12.0, 1.0), 30.0], [1, 2, 3]
         warm = [(), (extra,), (extra, 0.5 * extra)]
-        sols = ao_solve(ch, lay, (0.5, 0.5), configs, warm_starts=warm)
+        sols = ao_solve(ch, lay, (0.5, 0.5), epsilons, seeds, cfg, warm_starts=warm)
         assert isinstance(sols, tuple) and len(sols) == 3
-        for cfg, ws, sol in zip(configs, warm, sols):
+        for eps, seed, ws, sol in zip(epsilons, seeds, warm, sols):
             assert self._same_as_serial_reference(
-                sol, ch, lay, (0.5, 0.5), cfg, warm_starts=ws, embed_special_cases=False,
+                sol, ch, lay, (0.5, 0.5), eps, seed, cfg, warm_starts=ws, embed_special_cases=False,
             )
 
     def test_batch_of_one_equals_batch_of_many(self):
@@ -399,10 +398,11 @@ class TestBatchedSolver:
         ch = random_channel(rng, l=2)
         for scheme in ("rsma", "sdma", "noma"):
             lay = build_layout(scheme, 2, ch)
-            configs = [AoConfig(snr_db=snr, seed=7 + i) for i, snr in enumerate((0.0, 10.0, 20.0, 30.0))]
-            many = ao_solve(ch, lay, (0.5, 0.5), configs)
-            for cfg, sol in zip(configs, many):
-                assert self._same(ao_solve(ch, lay, (0.5, 0.5), cfg), sol)
+            epsilons = [epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0)]
+            seeds = [7 + i for i in range(len(epsilons))]
+            many = ao_solve(ch, lay, (0.5, 0.5), epsilons, seeds)
+            for eps, seed, sol in zip(epsilons, seeds, many):
+                assert self._same(ao_solve(ch, lay, (0.5, 0.5), eps, seed), sol)
 
     @staticmethod
     def _mixed_problems():
@@ -411,20 +411,22 @@ class TestBatchedSolver:
         # orders under one layout and RSMA's NOMA warm starts come from
         # two layout groups
         rng = np.random.default_rng(48)
-        channels, configs = [], []
+        channels, epsilons = [], []
         for i in range(6):
             gains = rng.uniform(0.1, 1.0, size=(2, 4))
             if (np.linalg.norm(gains[0]) >= np.linalg.norm(gains[1])) != (i % 2 == 0):
                 gains = gains[::-1].copy()
             channels.append(channel(gains, rng.uniform(0.3, 3.0, size=2)))
-            configs.append(AoConfig(snr_db=5.0 + 6.0 * i, seed=100 + i, max_iterations=12, corner_starts=True))
-        configs[3] = AoConfig(epsilon=4.0, seed=103, max_iterations=12, corner_starts=True)
+            sigma = float(np.sqrt(np.mean(channels[-1].noise)))
+            epsilons.append(epsilon_from_snr(5.0 + 6.0 * i, sigma))
+        epsilons[3] = 4.0
         assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
-        return channels, configs
+        seeds = [100 + i for i in range(6)]
+        return channels, epsilons, seeds, AoConfig(max_iterations=12, corner_starts=True)
 
     @staticmethod
-    def _same_as_serial_reference(sol, ch, lay, w, cfg, **kw):
-        P, hist, its, conv, idx = serial_reference.ao_solve(ch, lay, w, cfg, **kw)
+    def _same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, **kw):
+        P, hist, its, conv, idx = serial_reference.ao_solve(ch, lay, w, eps, seed, cfg, **kw)
         return (
             np.array_equal(sol.precoder.matrix, P) and sol.wsr_history == tuple(hist)
             and (sol.iterations, sol.converged, sol.restart_index) == (its, conv, idx)
@@ -432,68 +434,70 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
     def test_mixed_channel_batch_equals_each_problem_alone(self, scheme):
-        channels, configs = self._mixed_problems()
+        channels, epsilons, seeds, cfg = self._mixed_problems()
         lay = build_layout(scheme, 2, channels[0])
         w = (0.4, 0.6)
-        batched = ao_solve(channels, lay, w, configs)
-        assert isinstance(batched, tuple) and len(batched) == len(configs)
+        batched = ao_solve(channels, lay, w, epsilons, seeds, cfg)
+        assert isinstance(batched, tuple) and len(batched) == len(channels)
         outcomes = set()
-        for ch, cfg, sol in zip(channels, configs, batched):
-            alone = ao_solve(ch, lay, w, cfg)
+        for ch, eps, seed, sol in zip(channels, epsilons, seeds, batched):
+            alone = ao_solve(ch, lay, w, eps, seed, cfg)
             assert self._same(sol, alone)
             assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
-            assert self._same_as_serial_reference(sol, ch, lay, w, cfg, embed_special_cases=False)
+            assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=False)
             outcomes.add(sol.converged)
         assert outcomes == {True, False}  # both exits are exercised
 
     def test_seeded_rsma_equals_nested_reference_and_each_channel_alone(self, monkeypatch):
         # solve_schemes gives RSMA the starts the serial reference's nested
         # SDMA/NOMA solves give it, in the same order
-        channels, configs = self._mixed_problems()
+        channels, epsilons, seeds, cfg = self._mixed_problems()
         w = (0.4, 0.6)
         warm = []
         real = scenarios.ao_solve
 
-        def spy(channel, layout, priorities, config, **kw):
+        def spy(channel, layout, priorities, epsilon, **kw):
             if layout.scheme == "rsma":
                 warm.append(kw["warm_starts"])
-            return real(channel, layout, priorities, config, **kw)
+            return real(channel, layout, priorities, epsilon, **kw)
 
         monkeypatch.setattr(scenarios, "ao_solve", spy)
-        solved = scenarios.solve_schemes(channels, w, ("rsma",), lambda _, i: configs[i])
+        solved = scenarios.solve_schemes(channels, w, ("rsma",), cfg, epsilons, lambda _, i: seeds[i])
         monkeypatch.undo()
         assert list(solved) == ["rsma"] and len(warm) == 1  # one batched RSMA call
-        for ch, cfg, ws, (lay, sol) in zip(channels, configs, warm[0], solved["rsma"]):
+        for ch, eps, seed, ws, (lay, sol) in zip(channels, epsilons, seeds, warm[0], solved["rsma"]):
             expected = [
-                embed(lay, sub, serial_reference.ao_solve(ch, sub, w, cfg)[0])
+                embed(lay, sub, serial_reference.ao_solve(ch, sub, w, eps, seed, cfg)[0])
                 for embed, sub in ((embed_sdma_matrix, build_layout("sdma", 2, ch)),
                                    (embed_noma_matrix, build_layout("noma", 2, ch)))
             ]
             assert len(ws) == 2 and all(np.array_equal(a, b) for a, b in zip(ws, expected))
-            [(_, alone)] = scenarios.solve_schemes([ch], w, ("rsma",), lambda *_: cfg)["rsma"]
+            [(_, alone)] = scenarios.solve_schemes([ch], w, ("rsma",), cfg, [eps], lambda *_: seed)["rsma"]
             assert self._same(sol, alone)
             assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
-            assert self._same_as_serial_reference(sol, ch, lay, w, cfg, embed_special_cases=True)
+            assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=True)
 
-    def test_channel_sequence_needs_one_config_each(self):
+    def test_channel_sequence_needs_one_budget_each(self):
         a, b = channel([[0.9, 0.4], [0.3, 0.8]]), channel([[0.5, 0.4], [0.3, 0.2]])
         lay = build_layout("sdma", 2, a)
         with pytest.raises(ValueError):
-            ao_solve([a, b], lay, (0.5, 0.5), AoConfig())
+            ao_solve([a, b], lay, (0.5, 0.5), 1.0)
         with pytest.raises(ValueError):
-            ao_solve([a, b], lay, (0.5, 0.5), [AoConfig()] * 3)
+            ao_solve([a, b], lay, (0.5, 0.5), [1.0] * 3, seed=[0] * 3)
         with pytest.raises(ValueError):
-            ao_solve([a, channel(np.ones((2, 3)))], lay, (0.5, 0.5), [AoConfig()] * 2)
+            ao_solve([a, channel(np.ones((2, 3)))], lay, (0.5, 0.5), [1.0] * 2, seed=[0] * 2)
 
-    def test_configs_may_differ_only_in_per_problem_fields(self):
-        ch = channel([[0.9, 0.4], [0.3, 0.8]])
-        lay = build_layout("sdma", 2, ch)
+    def test_budget_sequence_needs_one_seed_each(self):
+        a = channel([[0.9, 0.4], [0.3, 0.8]])
+        lay = build_layout("sdma", 2, a)
         with pytest.raises(ValueError):
-            ao_solve(ch, lay, (0.5, 0.5), [AoConfig(), AoConfig(restarts=2)])
+            ao_solve(a, lay, (0.5, 0.5), [1.0] * 2)  # the default seed is one, not two
         with pytest.raises(ValueError):
-            ao_solve(ch, lay, (0.5, 0.5), [AoConfig(), AoConfig()], warm_starts=[()])
+            ao_solve(a, lay, (0.5, 0.5), [1.0] * 2, seed=[0] * 3)
         with pytest.raises(ValueError):
-            ao_solve(ch, lay, (0.5, 0.5), [])
+            ao_solve(a, lay, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, warm_starts=[()])
+        with pytest.raises(ValueError):
+            ao_solve(a, lay, (0.5, 0.5), [], seed=[])
 
     def test_projection_radius_per_row(self):
         rng = np.random.default_rng(47)
@@ -554,11 +558,12 @@ class TestGridOracle:
 
     def test_ao_close_to_oracle(self):
         rng = np.random.default_rng(14)
+        cfg = AoConfig(corner_starts=True)
         for scheme in ("rsma", "sdma", "noma"):
             for _ in range(3):
                 ch = random_channel(rng)
-                eps = epsilon_from_snr(15.0, 1.0)
-                cfg = AoConfig(epsilon=eps, seed=int(rng.integers(1 << 16)), corner_starts=True)
-                lay, sol = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), lambda *_: cfg)[scheme][0]
+                eps, seed = epsilon_from_snr(15.0, 1.0), int(rng.integers(1 << 16))
+                solved = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), cfg, [eps], lambda *_: seed)
+                lay, sol = solved[scheme][0]
                 oracle = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)
                 assert abs(sol.wsr - oracle) <= 0.05 * oracle

@@ -6,7 +6,7 @@ import pytest
 
 import rsma_vlc.scenarios as scenarios
 from rsma_vlc.channel import Receiver
-from rsma_vlc.optimizer import AoConfig
+from rsma_vlc.optimizer import epsilon_from_snr
 from rsma_vlc.scenarios import (
     ScenarioSpec,
     Sweep,
@@ -158,6 +158,16 @@ class TestRunSweep:
         res = run_sweep(self._tiny(schemes=()))
         assert res.rows == ()
 
+    def test_budget_overflow_fails_its_point_only(self):
+        # 10^(SNR/20) overflows a float at 10,000 dB: that point gets an
+        # error row in every scheme, the other point its clean row
+        spec = replace(self._tiny(schemes=("rsma", "sdma")), sweep=Sweep("snr_db", (5.0, 1e4)))
+        res = run_sweep(spec, base_seed=1)
+        clean = run_sweep(replace(spec, sweep=Sweep("snr_db", (5.0,))), base_seed=1)
+        assert [(r.scheme, r.sweep_value) for r in res.failures] == [("rsma", 1e4), ("sdma", 1e4)]
+        assert all(r.error.startswith("OverflowError") and r.wsr == 0.0 for r in res.failures)
+        assert tuple(r for r in res.rows if r.sweep_value == 5.0) == clean.rows
+
     def test_deterministic_across_reruns_and_workers(self):
         # the chunks differ with the worker count, the rows must not
         spec = replace(self._tiny(), sweep=Sweep("snr_db", (5.0, 15.0, 25.0)))
@@ -185,11 +195,11 @@ class TestRunSweep:
         calls = {"n": 0}
         real = scenarios.ao_solve
 
-        def flaky(channel, layout, priorities, config, **kw):
+        def flaky(channel, layout, priorities, epsilon, **kw):
             calls["n"] += 1
             if layout.scheme == "sdma":
                 raise RuntimeError("synthetic solver blowup")
-            return real(channel, layout, priorities, config, **kw)
+            return real(channel, layout, priorities, epsilon, **kw)
 
         monkeypatch.setattr(scenarios, "ao_solve", flaky)
         res = run_sweep(self._tiny(schemes=("sdma", "noma")), base_seed=1)
@@ -205,13 +215,14 @@ class TestRunSweep:
         monkeypatch.setattr(scenarios, "ao_solve", real)
         clean = run_sweep(spec, base_seed=1)
         calls = []
+        # the budget of the 15 dB point (the scene has unit noise)
+        eps15 = epsilon_from_snr(15.0, 1.0, reference_gain=reference_gain(spec))
 
-        def point_flaky(channel, layout, priorities, config, **kw):
-            configs = (config,) if isinstance(config, AoConfig) else tuple(config)
-            calls.append((layout.scheme, len(configs)))
-            if layout.scheme == "noma" and any(c.snr_db == 15.0 for c in configs):
+        def point_flaky(channel, layout, priorities, epsilon, **kw):
+            calls.append((layout.scheme, np.size(epsilon)))
+            if layout.scheme == "noma" and eps15 in np.atleast_1d(epsilon):
                 raise RuntimeError("synthetic point blowup")
-            return real(channel, layout, priorities, config, **kw)
+            return real(channel, layout, priorities, epsilon, **kw)
 
         monkeypatch.setattr(scenarios, "ao_solve", point_flaky)
         res = run_sweep(spec, base_seed=1)
@@ -231,15 +242,14 @@ class TestRunSweep:
         # own ZF/random starts alone (no warm start, no helper re-solve)
         calls = []
 
-        def helpers_flaky(channel, layout, priorities, config, **kw):
-            configs = (config,) if isinstance(config, AoConfig) else tuple(config)
-            calls.append((layout.scheme, len(configs)))
+        def helpers_flaky(channel, layout, priorities, epsilon, **kw):
+            calls.append((layout.scheme, np.size(epsilon)))
             if layout.scheme == "rsma":
-                warm = kw["warm_starts"] if len(configs) > 1 else (kw["warm_starts"],)
+                warm = kw["warm_starts"] if np.ndim(epsilon) else (kw["warm_starts"],)
                 assert [len(w) for w in warm] == [2, 0]
-            elif any(c.snr_db == 15.0 for c in configs):
+            elif eps15 in np.atleast_1d(epsilon):
                 raise RuntimeError("synthetic helper blowup")
-            return real(channel, layout, priorities, config, **kw)
+            return real(channel, layout, priorities, epsilon, **kw)
 
         monkeypatch.setattr(scenarios, "ao_solve", helpers_flaky)
         res = run_sweep(spec, base_seed=1)
@@ -298,9 +308,9 @@ class TestRunSweep:
         calls = []
         real = scenarios.ao_solve
 
-        def spy(channel, layout, priorities, config, **kw):
-            calls.append((layout.scheme, 1 if isinstance(config, AoConfig) else len(config)))
-            return real(channel, layout, priorities, config, **kw)
+        def spy(channel, layout, priorities, epsilon, **kw):
+            calls.append((layout.scheme, np.size(epsilon)))
+            return real(channel, layout, priorities, epsilon, **kw)
 
         monkeypatch.setattr(scenarios, "ao_solve", spy)
         res = run_sweep(spec, base_seed=5, workers=workers)
