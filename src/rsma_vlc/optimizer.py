@@ -16,20 +16,32 @@ priority taker, or to the weak user under NOMA), so the common stream
 contributes through the minimum of the decoders' surrogate rates. The
 exact shares are re-materialized from the true rates on exit.
 
-Every start is one problem of a lockstep batch. The problems of a batch
-share one layout; each has its own channel (gains stacked as (B, K, L),
-noise as (B, K); a batch whose problems share a channel is one whose
-gains are all the same), its own (L, S) precoder in a (B, L, S) stack,
-amplitude budget, FISTA state, outer iteration count, convergence flag
-and WSR history. All active problems take each AO iteration, and each
-projected-gradient step inside it, together; a problem that has
-finished drops out of the batch, its channel with it. Each array
-operation applies to every problem the same floating-point operations
-in the same order as a batch of one, so a problem's result does not
-depend, bit for bit, on the problems that share its batch. `ao_solve`
-runs every start of every problem it is given as one batch, and solves
-nothing else: seeding RSMA from the converged SDMA/NOMA solutions is
-`scenarios.solve_schemes`'s job.
+Every problem is solved on the RSMA streams of its K users: the
+private columns in user order, then the common one. Its scheme enters
+only through its stream weights: a private weight is the user's
+priority if its layout gives that user a private stream, else 0, and the
+common weight is the priority of the user the greedy split hands the
+common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with a
+zero-weighted stream. That stream starts at 0, gets a zero gradient,
+and the L1 projection keeps it at 0, so it adds exact zeros to every
+rate, surrogate value and step bound, and the solve is the one of the
+scheme's own layout bit for bit. The stages of a stream that no
+problem of a batch weights are left out.
+
+Every start is one problem of a lockstep batch. Each problem has its
+own channel (gains stacked as (B, K, L), noise as (B, K); a batch whose
+problems share a channel is one whose gains are all the same), stream
+weights, (L, K + 1) precoder in a (B, L, K + 1) stack, amplitude budget,
+FISTA state, outer iteration count, convergence flag and WSR history.
+All active problems take each AO iteration, and each projected-gradient
+step inside it, together; a problem that has finished drops out of the
+batch, its channel with it. Each array operation applies to every
+problem the same floating-point operations in the same order as a batch
+of one, so a problem's result does not depend, bit for bit, on the
+problems that share its batch. `ao_solve` runs every start of every
+problem it is given as one batch, and solves nothing else: seeding RSMA
+from the converged SDMA/NOMA solutions is `scenarios.solve_schemes`'s
+job.
 
 A problem is a channel, an amplitude budget epsilon, a random-start seed
 and its warm starts; `AoConfig` holds only the settings every problem of
@@ -52,23 +64,17 @@ from .signal_model import (
     SicKernel,
     StreamLayout,
     assemble_report,
+    build_layout,
     default_shares,
 )
 
 __all__ = [
     "AoConfig",
-    "WmmseState",
     "Solution",
     "NumericalFailure",
     "epsilon_from_snr",
-    "mmse_equalizer",
-    "mse_and_weight",
-    "snapshot_state",
     "project_rows_l1",
-    "solve_subproblem",
     "ao_solve",
-    "embed_sdma_matrix",
-    "embed_noma_matrix",
     "grid_oracle",
     "zf_precoder",
 ]
@@ -112,16 +118,6 @@ class AoConfig:
             raise ValueError("max_iterations and restarts must be >= 1")
 
 
-@dataclass
-class WmmseState:
-    """Snapshot of one AO iterate: precoder, shares, per-stage scalars."""
-
-    precoder: np.ndarray
-    shares: np.ndarray
-    equalizers: dict  # {"private": per private column, "common": per decoder}
-    mse_weights: dict  # matching inverse-MSE weights
-
-
 @dataclass(frozen=True)
 class Solution:
     precoder: Precoder
@@ -162,63 +158,94 @@ class _Stats:
     __slots__ = ("A", "a_p", "T_p", "a_c", "T_c")
 
 
+def _stream_weights(layout: StreamLayout, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """(private, common) weights of a `layout` problem on the RSMA streams.
+
+    private[k] is w_k if the layout gives user k a private stream, else
+    0; common is the priority of the user the greedy split hands the
+    common rate to, 0 without a common stream.
+    """
+    if w.shape != (layout.num_users,) or np.any(w <= 0):
+        raise ValueError("priorities must be positive, one per user")
+    private = np.zeros(layout.num_users)
+    owners = [layout.streams[j].owner for j in layout.private_columns]
+    private[owners] = w[owners]
+    return private, float(w @ default_shares(layout, 1.0, w))
+
+
 class _Compiled(SicKernel):
-    """The layout's SIC kernel plus the channel gains and priorities.
+    """The RSMA streams' SIC kernel plus the channel gains and stream weights.
 
     `channel` is one ChannelMatrix, shared by every precoder of a batch,
-    or a sequence with one per precoder. The gains are held as (1 or B,
-    K, L) with `HT` the matching (1 or B, L, K) view and `hnorm2` as (1
-    or B, K); a single channel broadcasts over any batch.
+    or a sequence with one per precoder; `layout` is the scheme layout of
+    each channel, one StreamLayout or a sequence to match. The gains are
+    held as (1 or B, K, L) with `HT` the matching (1 or B, L, K) view and
+    `hnorm2` as (1 or B, K), the weights as `w_priv` (1 or B, K) and
+    `w_common` (1 or B,); a single channel broadcasts over any batch.
+    Precoders are (B, L, K + 1). The stages of a stream that no layout
+    weights are left out, since its column stays 0 and adds exact zeros:
+    SDMA's common stream (`common_col` is None), and the weak user's
+    private stream when every NOMA problem has the same strong user.
+    `w_own` holds the weights of the private stages kept.
     """
 
-    def __init__(self, channel, layout: StreamLayout, priorities: np.ndarray):
+    def __init__(self, channel, layout, priorities: np.ndarray):
         channels = (channel,) if isinstance(channel, ChannelMatrix) else tuple(channel)
-        if not channels or len({c.gains.shape for c in channels}) != 1:
-            raise ValueError("a batch needs at least one channel, all of one shape")
-        super().__init__(layout, np.stack([c.noise for c in channels]))
+        layouts = (layout,) if isinstance(layout, StreamLayout) else tuple(layout)
+        if not channels or len({c.gains.shape for c in channels}) != 1 or len(layouts) != len(channels):
+            raise ValueError("a batch needs at least one channel, all of one shape, and a layout each")
+        w = np.asarray(priorities, dtype=float)
+        weights = [_stream_weights(lay, w) for lay in layouts]
+        self.w_priv = np.array([private for private, _ in weights])
+        self.w_common = np.array([common for _, common in weights])
+        # without a weighted common stream, the RSMA streams left are SDMA's
+        scheme = "rsma" if self.w_common.any() else "sdma"
+        super().__init__(build_layout(scheme, len(w), channels[0]), np.stack([c.noise for c in channels]))
+        weighted = self.w_priv.any(axis=0)  # per private column, in user order
+        self._cols = tuple(c for c, keep in zip(self._cols, weighted.tolist()) if keep)
+        self.priv_cols, self.owners = self.priv_cols[weighted], self.owners[weighted]
+        self.n_priv = len(self._cols)
+        self.sig2_own = self.sig2_own[:, weighted]
+        self.w_own = self.w_priv[:, weighted]
         self.H = np.stack([c.gains for c in channels])
         # a view: each problem's HT has the strides of its (K, L) gains' .T
         self.HT = self.H.transpose(0, 2, 1)
         self.hnorm2 = np.sum(self.H**2, axis=2)
-        w = np.asarray(priorities, dtype=float)
-        if w.shape != (self.H.shape[1],) or np.any(w <= 0):
-            raise ValueError("priorities must be positive, one per user")
-        self.w = w
-        self.w_own = w[self.owners]
-        # priority of the user the greedy split hands the common rate to
-        self.w_common = float(w @ default_shares(layout, 1.0, w))
 
     def take(self, keep: np.ndarray) -> "_Compiled":
         sub = super().take(keep)
         if sub is not self:
             sub.H, sub.hnorm2 = self.H[keep], self.hnorm2[keep]
             sub.HT = sub.H.transpose(0, 2, 1)
+            sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
         return sub
 
     def stats(self, P: np.ndarray) -> _Stats:
-        """Amplitudes and stage quantities of the (B, L, S) precoders P."""
+        """Amplitudes and stage quantities of the (B, L, K + 1) precoders P."""
         s = _Stats()
         s.A = self.H @ P
         s.a_p, s.T_p, s.a_c, s.T_c = self.stages(s.A)
         return s
 
     def true_rates(self, P: np.ndarray):
-        """(wsr, cap) of the (B, L, S) precoders under the greedy common-rate split."""
+        """(wsr, cap) of the (B, L, K + 1) precoders under the greedy common-rate split."""
         sinr_p, sinr_c = self.sinrs(self.H @ P)
-        priv_rates = np.zeros((len(P), len(self.w)))
+        priv_rates = np.zeros((len(P), self.H.shape[1]))
         priv_rates[:, self.owners] = np.log2(1.0 + sinr_p)
         cap = np.zeros(len(P)) if sinr_c is None else np.log2(1.0 + sinr_c).min(axis=1)
-        return _rowdot(priv_rates, self.w) + self.w_common * cap, cap
+        return _rowdot(priv_rates, self.w_priv) + self.w_common * cap, cap
 
-    def amplitude_wsr(self, A: np.ndarray) -> np.ndarray:
-        """WSR of (N, K, S) received amplitudes under the greedy common-rate
-        split; unlike true_rates, sums rates by one matrix-vector product."""
-        sinr_p, sinr_c = self.sinrs(A)
-        # .T: the stage-major (private columns, N) array, a BLAS-friendly operand
-        wsr = self.w_own @ np.log2(1.0 + sinr_p).T
-        if sinr_c is not None:
-            wsr += self.w_common * np.log2(1.0 + sinr_c).min(axis=1)
-        return wsr
+
+def _amplitude_wsr(kernel: SicKernel, w_own: np.ndarray, w_common: float, A: np.ndarray) -> np.ndarray:
+    """WSR of (N, K, S) received amplitudes of one layout's `kernel` under
+    the greedy common-rate split, with `w_own` the weight of each private
+    column; unlike true_rates, sums rates by one matrix-vector product."""
+    sinr_p, sinr_c = kernel.sinrs(A)
+    # .T: the stage-major (private columns, N) array, a BLAS-friendly operand
+    wsr = w_own @ np.log2(1.0 + sinr_p).T
+    if sinr_c is not None:
+        wsr += w_common * np.log2(1.0 + sinr_c).min(axis=1)
+    return wsr
 
 
 def _mmse_gu(a: np.ndarray, T: np.ndarray):
@@ -227,49 +254,6 @@ def _mmse_gu(a: np.ndarray, T: np.ndarray):
     mse = 1.0 - g * a  # equals 1/(1+SINR) at the MMSE gain
     u = 1.0 / np.maximum(mse, 1e-15)
     return g, u
-
-
-def mmse_equalizer(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int, stream: int) -> float:
-    """Stage-MSE-minimizing scalar equalizer g = a / (a^2 + interference + noise)."""
-    a, T = SicKernel(layout, channel.noise).stage(channel.gains @ precoder.matrix[None], user, stream)
-    return float(a[0] / max(T[0], _DEN_FLOOR))
-
-
-def mse_and_weight(
-    channel: ChannelMatrix,
-    precoder: Precoder,
-    layout: StreamLayout,
-    equalizer: float,
-    user: int,
-    stream: int,
-) -> tuple[float, float]:
-    """Stage MSE at a given equalizer and the inverse-MSE weight.
-
-    At the MMSE equalizer the MSE equals 1/(1+SINR), so -log2(mse) is
-    the stream rate.
-    """
-    a, T = SicKernel(layout, channel.noise).stage(channel.gains @ precoder.matrix[None], user, stream)
-    mse = float(equalizer**2 * T[0] - 2.0 * equalizer * a[0] + 1.0)
-    if not 0.0 < mse <= 1.0 + 1e-12:
-        raise ValueError(f"stage MSE {mse} outside (0, 1]; equalizer not at its MMSE value")
-    mse = min(mse, 1.0)
-    return mse, 1.0 / max(mse, 1e-15)
-
-
-def snapshot_state(channel: ChannelMatrix, layout: StreamLayout, priorities, P: np.ndarray) -> WmmseState:
-    """WmmseState with freshly updated equalizers/weights at precoder P."""
-    comp = _Compiled(channel, layout, np.asarray(priorities, dtype=float))
-    batch = np.array(P, dtype=float)[None]
-    s = comp.stats(batch)
-    g_p, u_p = _mmse_gu(s.a_p[0], s.T_p[0])
-    g_c, u_c = _mmse_gu(s.a_c[0], s.T_c[0]) if comp.common_col is not None else (np.empty(0),) * 2
-    _, cap = comp.true_rates(batch)
-    return WmmseState(
-        precoder=batch[0],
-        shares=default_shares(layout, float(cap[0]), comp.w),
-        equalizers={"private": g_p, "common": g_c},
-        mse_weights={"private": u_p, "common": u_c},
-    )
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +309,7 @@ class _SurrogateBatch:
     piece). The gradient uses the binding decoder of the min term. The
     fixed step is 1 / (Hessian norm bound), which satisfies the descent
     lemma on every smooth piece. Equalizers and weights have one row per
-    problem: (B, private columns) and (B, common decoders).
+    problem: (B, private stages) and (B, common decoders).
     """
 
     _FIELDS = (
@@ -335,25 +319,21 @@ class _SurrogateBatch:
 
     def __init__(self, comp: _Compiled, g_p, u_p, g_c, u_c):
         self.c = comp
-        B = len(g_p)
         self.g2_p = g_p**2
         self.two_g_p = 2.0 * g_p
         self.coef_p = comp.w_own * u_p / LN2
         # gradient pieces: -alpha_k * a_k on user k's private amplitudes,
         # +lin on each owner's own column
-        self.alpha = np.zeros((B, len(comp.w)))
+        self.alpha = np.zeros((len(g_p), comp.H.shape[1]))
         self.alpha[:, comp.owners] = 2.0 * self.coef_p * self.g2_p
         self.lin_p = 2.0 * self.coef_p * g_p
-        if comp.n_priv:
-            self.base_p = _rowdot(np.log2(u_p) + 1.0 / LN2, comp.w_own)
-        else:
-            self.base_p = np.zeros(B)
+        self.base_p = _rowdot(np.log2(u_p) + 1.0 / LN2, comp.w_own)
         lip = (2.0 * self.coef_p * self.g2_p * comp.hnorm2[:, comp.owners]).sum(axis=1)
         if comp.common_col is not None:
             self.g2_c = g_c**2
             self.two_g_c = 2.0 * g_c
             self.rate_coef_c = u_c / LN2  # unweighted; the min picks the binding decoder
-            coef_c = comp.w_common * self.rate_coef_c
+            coef_c = comp.w_common[:, None] * self.rate_coef_c
             self.base_c = np.log2(u_c) + 1.0 / LN2
             self.lin_c = 2.0 * coef_c * g_c
             lip = lip + (2.0 * coef_c * self.g2_c * comp.hnorm2[:, comp.decoders]).max(axis=1)
@@ -380,10 +360,8 @@ class _SurrogateBatch:
     def value(self, P: np.ndarray) -> np.ndarray:
         c = self.c
         s = c.stats(P)
-        value = self.base_p
-        if c.n_priv:
-            mse_p = self.g2_p * s.T_p - self.two_g_p * s.a_p + 1.0
-            value = value - _rowdot(self.coef_p, mse_p)
+        mse_p = self.g2_p * s.T_p - self.two_g_p * s.a_p + 1.0
+        value = self.base_p - _rowdot(self.coef_p, mse_p)
         if c.common_col is not None:
             value = value + c.w_common * self._common_rates(s).min(axis=1)
         return value
@@ -393,9 +371,8 @@ class _SurrogateBatch:
         s = c.stats(P)
         A = s.A
         G = np.zeros_like(A)
-        if c.n_priv:
-            G[:, :, c.priv_cols] -= self.alpha[:, :, None] * A[:, :, c.priv_cols]
-            G[:, c.owners, c.priv_cols] += self.lin_p
+        G[:, :, c.priv_cols] -= self.alpha[:, :, None] * A[:, :, c.priv_cols]
+        G[:, c.owners, c.priv_cols] += self.lin_p
         if c.common_col is not None:
             rows = np.arange(len(P))
             jb = self._common_rates(s).argmin(axis=1)
@@ -405,11 +382,6 @@ class _SurrogateBatch:
             G[r2, k2, c.priv_cols] -= cc2[:, None] * A[r2, k2, c.priv_cols]
             G[rows, k, c.common_col] += -cc2 * A[rows, k, c.common_col] + lin
         return c.HT @ G
-
-    def common_bound(self, P: np.ndarray) -> np.ndarray:
-        if self.c.common_col is None:
-            return np.zeros(len(P))
-        return self._common_rates(self.c.stats(P)).min(axis=1)
 
 
 def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, max_iter: int, tol: float):
@@ -470,49 +442,6 @@ def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, ma
     return out
 
 
-def solve_subproblem(
-    channel: ChannelMatrix,
-    layout: StreamLayout,
-    equalizers: dict,
-    mse_weights: dict,
-    priorities,
-    epsilon: float,
-    start: np.ndarray | None = None,
-    max_iter: int = _PG_MAX_ITER,
-    tol: float = _PG_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One WMMSE subproblem: precoder update for fixed equalizers/weights.
-
-    `equalizers`/`mse_weights` hold "private" (per private column) and
-    "common" (per common decoder) arrays as in WmmseState. Returns the
-    precoder matrix and the greedy common-rate shares measured against
-    the surrogate common bound (clamped at zero). Runs the batched
-    solver on a batch of one.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    comp = _Compiled(channel, layout, np.asarray(priorities, dtype=float))
-
-    def row(d, key):
-        return np.asarray(d.get(key, ()), dtype=float)[None]
-
-    sur = _SurrogateBatch(
-        comp,
-        row(equalizers, "private"),
-        row(mse_weights, "private"),
-        row(equalizers, "common"),
-        row(mse_weights, "common"),
-    )
-    if start is None:
-        start = np.zeros((channel.num_fixtures, layout.num_streams))
-    start = np.asarray(start, dtype=float)[None]
-    radius = np.full(start.shape[:2], float(epsilon))
-    P = _maximize_batch(sur, radius, start, max_iter, tol)
-    cap = max(0.0, float(sur.common_bound(P)[0]))
-    shares = default_shares(layout, cap, comp.w)
-    return P[0], shares
-
-
 # --------------------------------------------------------------------------
 # initial precoders
 # --------------------------------------------------------------------------
@@ -540,58 +469,40 @@ def zf_precoder(channel: ChannelMatrix, epsilon: float) -> Precoder:
     return Precoder(matrix=W * (epsilon / max(row_l1, 1e-30)))
 
 
-def _zf_start(channel: ChannelMatrix, comp: _Compiled, epsilon: float) -> np.ndarray:
+def _zf_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float) -> np.ndarray:
     """ZF private columns; any common column takes the leftover row budget."""
-    P = np.zeros((channel.num_fixtures, comp.num_streams))
+    P = np.zeros((channel.num_fixtures, layout.num_streams))
     zf = zf_precoder(channel, epsilon).matrix
-    frac = 1.0 if comp.common_col is None else 1.0 - 1e-3
-    for col, owner in zip(comp.priv_cols, comp.owners):
-        P[:, col] = zf[:, owner] * frac
-    if comp.common_col is not None:
+    common = layout.common_column
+    frac = 1.0 if common is None else 1.0 - 1e-3
+    for col in layout.private_columns:
+        P[:, col] = zf[:, layout.streams[col].owner] * frac
+    if common is not None:
         residual = np.maximum(epsilon - np.abs(P).sum(axis=1), 0.0)
         broadside = np.sign(channel.gains.sum(axis=0))
         broadside[broadside == 0] = 1.0
-        P[:, comp.common_col] = residual * broadside
+        P[:, common] = residual * broadside
     return P
 
 
-def _beam_start(channel: ChannelMatrix, comp: _Compiled, epsilon: float, user: int) -> np.ndarray:
+def _beam_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, user: int) -> np.ndarray:
     """Full budget to one user's stream: covers single-user corner optima.
 
     Users without a private stream (NOMA weak user) get the common
     column instead, matched in sign to their channel row.
     """
-    P = np.zeros((channel.num_fixtures, comp.num_streams))
-    own = np.nonzero(comp.owners == user)[0]
-    col = comp.priv_cols[own[0]] if len(own) else comp.common_col
+    P = np.zeros((channel.num_fixtures, layout.num_streams))
+    col = layout.private_column_of(user)
     signs = np.sign(channel.gains[user])
     signs[signs == 0] = 1.0
-    P[:, col] = epsilon * signs
+    P[:, layout.common_column if col is None else col] = epsilon * signs
     return P
 
 
-def _random_start(channel: ChannelMatrix, comp: _Compiled, epsilon: float, rng) -> np.ndarray:
-    P = rng.uniform(-1.0, 1.0, size=(channel.num_fixtures, comp.num_streams))
+def _random_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, rng) -> np.ndarray:
+    P = rng.uniform(-1.0, 1.0, size=(channel.num_fixtures, layout.num_streams))
     row_l1 = np.abs(P).sum(axis=1, keepdims=True)
     return P / np.maximum(row_l1, 1e-30) * (epsilon * rng.uniform(0.3, 1.0))
-
-
-def embed_sdma_matrix(rsma_layout: StreamLayout, sdma_layout: StreamLayout, matrix: np.ndarray) -> np.ndarray:
-    """SDMA precoder mapped onto RSMA streams (zero common column)."""
-    P = np.zeros((matrix.shape[0], rsma_layout.num_streams))
-    for col in sdma_layout.private_columns:
-        owner = sdma_layout.streams[col].owner
-        P[:, rsma_layout.private_column_of(owner)] = matrix[:, col]
-    return P
-
-
-def embed_noma_matrix(rsma_layout: StreamLayout, noma_layout: StreamLayout, matrix: np.ndarray) -> np.ndarray:
-    """NOMA precoder mapped onto RSMA streams (weak private column zero)."""
-    P = np.zeros((matrix.shape[0], rsma_layout.num_streams))
-    strong = noma_layout.streams[0].owner
-    P[:, rsma_layout.private_column_of(strong)] = matrix[:, 0]
-    P[:, rsma_layout.common_column] = matrix[:, noma_layout.common_column]
-    return P
 
 
 # --------------------------------------------------------------------------
@@ -600,7 +511,7 @@ def embed_noma_matrix(rsma_layout: StreamLayout, noma_layout: StreamLayout, matr
 
 
 def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoConfig):
-    """AO from every start of the (B, L, S) stack P0 in lockstep.
+    """AO from every start of the (B, L, K + 1) stack P0 in lockstep.
 
     `comp` holds one channel per start or one shared channel, and
     `epsilon` one budget per start. Returns (P, histories, converged):
@@ -660,23 +571,27 @@ def ao_solve(
     to `config.restarts` (at least one always). The best final WSR
     wins, the earliest start on ties. Ascent is monotone, so the result
     is at least as good as every warm start: an RSMA solve warm-started
-    from the converged SDMA and NOMA solutions embedded on its streams
-    (`embed_sdma_matrix`, `embed_noma_matrix`) satisfies WSR(RSMA) >=
-    max(WSR(SDMA), WSR(NOMA)). `scenarios.solve_schemes` seeds RSMA that
-    way; without warm starts that bound is not assured.
+    from the converged SDMA and NOMA solutions placed on its streams
+    (`StreamLayout.to_rsma`) satisfies WSR(RSMA) >= max(WSR(SDMA),
+    WSR(NOMA)). `scenarios.solve_schemes` seeds RSMA that way; without
+    warm starts that bound is not assured.
+
+    `layout` selects the scheme: each problem is solved under
+    `build_layout(layout.scheme, K, its channel)`, so one call takes NOMA
+    problems of either strong user. Every start, warm starts included, is
+    a matrix of that layout; the solver places it on the RSMA streams
+    (see the module docstring), and each Solution's precoder and report
+    are read back in that layout.
 
     `epsilon` may also be a sequence of budgets, one problem each, e.g.
     the points of a sweep. `seed` is then a sequence of as many seeds,
     `channel` one channel shared by all problems or a sequence with one
     channel per problem (all of one shape), `warm_starts` one tuple of
     matrices per problem (or empty), and the result a tuple with one
-    Solution per problem. Every problem is solved under `layout` and
-    `config`, so callers that batch NOMA problems over several channels
-    group them by their strong user first (`signal_model.layout_groups`).
-    Every start of every problem runs in one lockstep batch (see the
-    module docstring), and each Solution is bit-for-bit the one that
-    problem gets when solved alone: a problem's result does not depend
-    on its batch.
+    Solution per problem. Every problem is solved under `config`. Every
+    start of every problem runs in one lockstep batch, and each Solution
+    is bit-for-bit the one that problem gets when solved alone: a
+    problem's result does not depend on its batch.
     """
     single = np.ndim(epsilon) == 0
     if single:
@@ -699,34 +614,38 @@ def ao_solve(
     # a channel every problem shares is compiled once and broadcasts over
     # the batch, so dropping finished problems never copies its gains
     shared = all(ch is channels[0] for ch in channels)
-    comp = _Compiled(channels[0] if shared else channels, layout, w)
+    distinct = channels[:1] if shared else channels
+    layouts = [build_layout(layout.scheme, ch.num_users, ch) for ch in distinct]
+    comp = _Compiled(distinct, layouts, w)
+    if shared:
+        layouts *= len(channels)
 
     starts: list[np.ndarray] = []
     counts = []
-    for ch, eps, seed_i, warm_i in zip(channels, epsilons, seeds, warm):
-        own = [_zf_start(ch, comp, eps)]
+    for ch, lay, eps, seed_i, warm_i in zip(channels, layouts, epsilons, seeds, warm):
+        own = [_zf_start(ch, lay, eps)]
         if config.corner_starts:
-            own += [_beam_start(ch, comp, eps, k) for k in range(ch.num_users)]
+            own += [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
         own += [np.asarray(m, dtype=float) for m in warm_i]
         rng = np.random.default_rng(seed_i)
         n_random = max(1, config.restarts - len(own))  # always explore at random too
-        own += [_random_start(ch, comp, eps, rng) for _ in range(n_random)]
-        starts += own
+        own += [_random_start(ch, lay, eps, rng) for _ in range(n_random)]
+        starts.append(lay.to_rsma(np.stack(own)))
         counts.append(len(own))
 
     batch = comp.take(np.repeat(np.arange(len(epsilons)), counts))
-    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.stack(starts), config)
+    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.concatenate(starts), config)
     _, caps = batch.true_rates(P)
     solutions = []
     lo = 0
-    for ch, n in zip(channels, counts):
+    for ch, lay, n in zip(channels, layouts, counts):
         best = lo
         for b in range(lo + 1, lo + n):
             if histories[b][-1] > histories[best][-1]:
                 best = b
-        shares = default_shares(layout, float(caps[best]), w)
-        precoder = Precoder(matrix=P[best].copy())
-        report = assemble_report(ch, precoder, layout, shares=shares, weights=w)
+        shares = default_shares(lay, float(caps[best]), w)
+        precoder = Precoder(matrix=P[best][:, lay.rsma_columns])
+        report = assemble_report(ch, precoder, lay, shares=shares, weights=w)
         solutions.append(
             Solution(
                 precoder=precoder,
@@ -760,7 +679,9 @@ def grid_oracle(
     streams or a resolution outside ORACLE_RESOLUTIONS (combinatorial
     blow-up).
     """
-    comp = _Compiled(channel, layout, np.asarray(priorities, dtype=float))
+    kernel = SicKernel(layout, channel.noise)
+    private, common = _stream_weights(layout, np.asarray(priorities, dtype=float))
+    w_own = private[kernel.owners]
     L, S = channel.num_fixtures, layout.num_streams
     if L > 2 or S > 3 or resolution not in ORACLE_RESOLUTIONS:
         raise ValueError(f"grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in {ORACLE_RESOLUTIONS}")
@@ -771,7 +692,7 @@ def grid_oracle(
     rows = mesh[np.abs(mesh).sum(axis=1) <= epsilon + 1e-12]
     H = channel.gains
     if L == 1:
-        return float(comp.amplitude_wsr(rows[:, None, :] * H[None, :, 0:1]).max())
+        return float(_amplitude_wsr(kernel, w_own, common, rows[:, None, :] * H[None, :, 0:1]).max())
     best = -np.inf
     # blocks of about 4e4 amplitude entries keep the temporaries in cache
     chunk = max(1, int(4e4 / (rows.shape[0] * S)))
@@ -782,5 +703,5 @@ def grid_oracle(
             H[None, None, :, 0:1] * r1[:, None, None, :]
             + H[None, None, :, 1:2] * rows[None, :, None, :]
         ).reshape(-1, channel.num_users, S)
-        best = max(best, float(comp.amplitude_wsr(A).max()))
+        best = max(best, float(_amplitude_wsr(kernel, w_own, common, A).max()))
     return best

@@ -1,5 +1,7 @@
 """Catalog of room/user experiment setups, the sweep runner, and
-`solve_schemes`, the one path that seeds RSMA from SDMA/NOMA.
+`solve_schemes`, the one path that seeds RSMA from SDMA/NOMA. SDMA and
+NOMA are RSMA with a zero-weighted stream (see `optimizer`), so their
+converged precoders, placed on the RSMA streams, are RSMA warm starts.
 
 All cataloged scenes use a 5 x 5 x 4 m room (origin at the floor
 center, z up), ceiling fixtures of 3600 LEDs with a 60 degree
@@ -15,6 +17,11 @@ sigma * 10^(SNR/20) / reference_gain, with sigma the RMS noise level of
 the point's channel. This keeps the SNR scale geometry-independent
 while preserving all relative path effects; set gain_reference="none"
 to interpret the SNR against raw physical gains instead.
+
+Since epsilon scales with sigma, the noise level cancels from every SINR
+when the users see equal noise: there, noise_mode="physical" moves no
+rate beyond rounding. Physical noise acts only through unequal per-user
+noise, each user's SINR scaling with sigma^2 over its own variance.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from itertools import repeat
 import numpy as np
 
 from .channel import ChannelMatrix, Fixture, Receiver, build_channel, fixture_gain
-from .optimizer import AoConfig, ao_solve, embed_noma_matrix, embed_sdma_matrix, epsilon_from_snr
-from .signal_model import SCHEMES, layout_groups
+from .optimizer import AoConfig, ao_solve, epsilon_from_snr
+from .signal_model import SCHEMES, build_layout
 
 __all__ = [
     "Sweep",
@@ -81,6 +88,8 @@ class ScenarioSpec:
     room: tuple = ROOM
     priorities: tuple = (0.5, 0.5)
     schemes: tuple = SCHEMES
+    # "physical" moves rates only through unequal per-user noise: the
+    # sweep's epsilon scales with the RMS noise level sigma
     noise_mode: str = "unit"
     snr_db: float = 40.0  # operating SNR when sweeping separations
     gain_reference: str = "area_mean"
@@ -230,21 +239,21 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _solve_points(channels, layout, priorities, config, epsilons, seeds, warm) -> list:
+def _solve_points(channels, layouts, priorities, config, epsilons, seeds, warm) -> list:
     """One Solution or the raised exception per (channel, epsilon, seed).
 
     Several problems run as one batched ao_solve call; if it raises,
     they are solved again one at a time so that only the failing points
-    fail.
+    fail. `layouts` holds each channel's layout of one scheme.
     """
     if len(epsilons) > 1:
         try:
-            sols = ao_solve(channels, layout, priorities, epsilons, seed=seeds, config=config, warm_starts=warm)
+            sols = ao_solve(channels, layouts[0], priorities, epsilons, seed=seeds, config=config, warm_starts=warm)
             return list(sols)
         except Exception:  # isolate the failure below
             pass
     results = []
-    for channel, eps, seed, ws in zip(channels, epsilons, seeds, warm):
+    for channel, layout, eps, seed, ws in zip(channels, layouts, epsilons, seeds, warm):
         try:
             results.append(ao_solve(channel, layout, priorities, eps, seed=seed, config=config, warm_starts=ws))
         except Exception as exc:  # failed points must not sink the sweep
@@ -257,49 +266,38 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
 
     The one place RSMA is seeded from the special cases: each RSMA
     problem gets its own channel's converged SDMA and (two users) NOMA
-    precoders, embedded on its streams, as warm starts in that order,
-    so WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent.
-    These helpers run first, also when only RSMA is requested; one that
-    failed at a channel gives no warm start there. Every solve runs
-    under the AoConfig `config`; channel j has the amplitude budget
-    `epsilons[j]` in every scheme, and `seed_for(scheme, j)` gives its
-    random-start seed. Each scheme's channels are grouped by layout
-    (`signal_model.layout_groups`), one batched ao_solve call per group.
-    A scheme whose layout cannot be built gets the ValueError, with
-    layout None, at every channel.
+    precoders, placed on its streams (`StreamLayout.to_rsma`), as warm
+    starts in that order, so WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA))
+    holds by monotone ascent. These helpers run first, also when only
+    RSMA is requested; one that failed at a channel gives no warm start
+    there. Every solve runs under the AoConfig `config`; channel j has
+    the amplitude budget `epsilons[j]` in every scheme, and
+    `seed_for(scheme, j)` gives its random-start seed. Each scheme is one
+    batched ao_solve call over all channels, NOMA ones of either strong
+    user included. A scheme whose layout cannot be built gets the
+    ValueError, with layout None, at every channel.
     """
     channels = list(channels)
-    helpers = {"sdma": embed_sdma_matrix}
-    if channels and channels[0].num_users == 2:
-        helpers["noma"] = embed_noma_matrix
+    helpers = ("sdma", "noma") if channels and channels[0].num_users == 2 else ("sdma",)
     solved = {}
     for scheme in ("sdma", "noma", "rsma"):
         if scheme not in schemes and not ("rsma" in schemes and scheme in helpers):
             continue
         try:
-            groups = layout_groups(scheme, channels)
+            layouts = [build_layout(scheme, ch.num_users, ch) for ch in channels]
         except ValueError as exc:
             solved[scheme] = [(None, exc)] * len(channels)
             continue
-        results = [None] * len(channels)
-        for layout, idx in groups:
-            warm = [()] * len(idx)
-            if scheme == "rsma":
-                warm = [
-                    tuple(
-                        embed(layout, solved[h][j][0], solved[h][j][1].precoder.matrix)
-                        for h, embed in helpers.items()
-                        if not isinstance(solved[h][j][1], Exception)
-                    )
-                    for j in idx
-                ]
-            sols = _solve_points(
-                [channels[j] for j in idx], layout, priorities, config,
-                [epsilons[j] for j in idx], [seed_for(scheme, j) for j in idx], warm,
-            )
-            for j, sol in zip(idx, sols):
-                results[j] = (layout, sol)
-        solved[scheme] = results
+        warm = [()] * len(channels)
+        if scheme == "rsma":
+            warm = [
+                tuple(lay.to_rsma(sol.precoder.matrix) for lay, sol in (solved[h][j] for h in helpers)
+                      if not isinstance(sol, Exception))
+                for j in range(len(channels))
+            ]
+        seeds = [seed_for(scheme, j) for j in range(len(channels))]
+        sols = _solve_points(channels, layouts, priorities, config, epsilons, seeds, warm)
+        solved[scheme] = list(zip(layouts, sols))
     return {s: solved[s] for s in solved if s in schemes}
 
 
@@ -325,14 +323,13 @@ def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
 
     Each point's amplitude budget is epsilon_from_snr of its SNR, its
     channel's RMS noise level and the reference gain `ref`. The chunk is
-    one `solve_schemes` call, so each scheme (each NOMA layout) is one
-    batched solve and each RSMA point starts from its own point's
-    SDMA/NOMA solutions; a point's seed derives from (base_seed, scheme,
-    sweep index). The points of an SNR sweep share one channel; a
-    separation sweep moves the users, so each of its points has a
-    channel of its own. A point whose budget cannot be computed (say,
-    10^(SNR/20) overflows) gets an error row in every scheme and is not
-    solved.
+    one `solve_schemes` call, so each scheme is one batched solve and
+    each RSMA point starts from its own point's SDMA/NOMA solutions; a
+    point's seed derives from (base_seed, scheme, sweep index). The
+    points of an SNR sweep share one channel; a separation sweep moves
+    the users, so each of its points has a channel of its own. A point
+    whose budget cannot be computed (say, 10^(SNR/20) overflows) gets an
+    error row in every scheme and is not solved.
     """
     if spec.sweep.name == "separation":
         scenes = [(build_scene_channel(spec, value), spec.snr_db) for _, value in points]
@@ -367,8 +364,8 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     `workers` > 1 the points are dealt round-robin into that many
     chunks, one per worker process, so the slow points (high SNR) spread
     over the workers; each chunk solves its points in one batched
-    ao_solve call per scheme (per NOMA layout), whether they share one
-    channel (an SNR sweep) or each have their own (a separation sweep).
+    ao_solve call per scheme, whether they share one channel (an SNR
+    sweep) or each have their own (a separation sweep).
     A point's result does not depend on the batch it is solved in, so
     any worker count produces identical rows. If a batched call raises,
     its points are solved again one at a time, and only the points that

@@ -18,6 +18,12 @@ streams as interference. `SicKernel` is that rule's one home: every
 analytic SINR, rate and equalizer in the package, and the Monte-Carlo
 estimator's interferer set, come from it.
 
+SDMA and NOMA are RSMA with a stream left at zero and given zero
+weight: SDMA is RSMA without the common stream, and NOMA is RSMA
+without the weak user's private stream, its message riding the common
+one. `StreamLayout.rsma_columns` maps each stream of a layout onto the
+RSMA streams of as many users, which is all the optimizer compiles.
+
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
 """
@@ -38,7 +44,6 @@ __all__ = [
     "Precoder",
     "RateReport",
     "build_layout",
-    "layout_groups",
     "sinr_common",
     "sinr_private",
     "rate",
@@ -108,6 +113,20 @@ class StreamLayout:
     def common_stream(self) -> StreamDesc | None:
         c = self.common_column
         return self.streams[c] if c is not None else None
+
+    @property
+    def rsma_columns(self) -> tuple[int, ...]:
+        """Each stream's column among the RSMA streams of as many users:
+        user k's private stream is column k, the common stream column K."""
+        return tuple(self.num_users if s.kind == "common" else s.owner for s in self.streams)
+
+    def to_rsma(self, matrix: np.ndarray) -> np.ndarray:
+        """(..., fixtures, streams) precoders of this layout placed on the
+        RSMA columns; the columns this layout lacks are zero."""
+        m = np.asarray(matrix, dtype=float)
+        out = np.zeros(m.shape[:-1] + (self.num_users + 1,))
+        out[..., self.rsma_columns] = m
+        return out
 
 
 @dataclass(frozen=True)
@@ -184,19 +203,6 @@ def build_layout(scheme: str, num_users: int, channel: ChannelMatrix) -> StreamL
         StreamDesc("common", None, (weak,), (0, 1)),
     )
     return StreamLayout(scheme, num_users, streams)
-
-
-def layout_groups(scheme: str, channels) -> list:
-    """(layout, channel indices) pairs: the channels grouped by the layout
-    build_layout gives each, in order of first appearance.
-
-    Only NOMA's layout depends on the channel (its strong user), so the
-    other schemes always give one group.
-    """
-    groups: dict = {}
-    for i, channel in enumerate(channels):
-        groups.setdefault(build_layout(scheme, channel.num_users, channel), []).append(i)
-    return list(groups.items())
 
 
 class SicKernel:

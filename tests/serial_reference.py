@@ -22,8 +22,6 @@ from rsma_vlc.optimizer import (
     _beam_start,
     _random_start,
     _zf_start,
-    embed_noma_matrix,
-    embed_sdma_matrix,
 )
 from rsma_vlc.signal_model import build_layout
 
@@ -228,22 +226,22 @@ def ao_solve(channel, layout, priorities, epsilon, seed=0, config=AoConfig(), wa
     w = np.asarray(priorities, dtype=float)
     comp = _Compiled(channel, layout, w)
     epsilon = float(epsilon)
-    starts = [_zf_start(channel, comp, epsilon)]
+    starts = [_zf_start(channel, layout, epsilon)]
     if config.corner_starts:
-        starts += [_beam_start(channel, comp, epsilon, k) for k in range(channel.num_users)]
+        starts += [_beam_start(channel, layout, epsilon, k) for k in range(channel.num_users)]
     if layout.scheme == "rsma" and embed_special_cases:
         sdma_layout = build_layout("sdma", channel.num_users, channel)
         sdma = ao_solve(channel, sdma_layout, w, epsilon, seed, config)
-        starts.append(embed_sdma_matrix(layout, sdma_layout, sdma[0]))
+        starts.append(sdma_layout.to_rsma(sdma[0]))
         if channel.num_users == 2:
             noma_layout = build_layout("noma", channel.num_users, channel)
             noma = ao_solve(channel, noma_layout, w, epsilon, seed, config)
-            starts.append(embed_noma_matrix(layout, noma_layout, noma[0]))
+            starts.append(noma_layout.to_rsma(noma[0]))
     for extra in warm_starts:
         starts.append(np.asarray(extra, dtype=float))
     rng = np.random.default_rng(seed)
     for _ in range(max(1, config.restarts - len(starts))):
-        starts.append(_random_start(channel, comp, epsilon, rng))
+        starts.append(_random_start(channel, layout, epsilon, rng))
     best = None
     for idx, P0 in enumerate(starts):
         P, history, iterations, converged = _ao_single(comp, epsilon, P0, config)

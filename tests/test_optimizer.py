@@ -9,18 +9,12 @@ from rsma_vlc.optimizer import (
     AoConfig,
     NumericalFailure,
     ao_solve,
-    embed_noma_matrix,
-    embed_sdma_matrix,
     epsilon_from_snr,
     grid_oracle,
-    mmse_equalizer,
-    mse_and_weight,
     project_rows_l1,
-    snapshot_state,
-    solve_subproblem,
     zf_precoder,
 )
-from rsma_vlc.signal_model import SCHEMES, Precoder, build_layout, rate, sinr_common, sinr_private
+from rsma_vlc.signal_model import SCHEMES, Precoder, assemble_report, build_layout, rate, sinr_common, sinr_private
 
 
 def channel(gains, noise=None):
@@ -31,6 +25,19 @@ def channel(gains, noise=None):
 
 def random_channel(rng, k=2, l=2):
     return channel(rng.uniform(0.1, 1.0, size=(k, l)))
+
+
+def fresh_stages(ch, lay, P, w=None):
+    """(compiled kernel, P on the RSMA streams, _mmse_gu's (g_p, u_p, g_c,
+    u_c) there) for the (B, L, S) precoders P of layout `lay`."""
+    w = np.full(ch.num_users, 1.0 / ch.num_users) if w is None else w
+    comp = optimizer._Compiled(ch, lay, np.asarray(w, dtype=float))
+    Q = lay.to_rsma(P)
+    s = comp.stats(Q)
+    gu = [*optimizer._mmse_gu(s.a_p, s.T_p), None, None]
+    if comp.common_col is not None:
+        gu[2:] = optimizer._mmse_gu(s.a_c, s.T_c)
+    return comp, Q, gu
 
 
 class TestEpsilonFromSnr:
@@ -48,38 +55,46 @@ class TestEpsilonFromSnr:
 
 
 class TestEqualizerAndWeights:
+    """The MMSE equalizers and inverse-MSE weights of _mmse_gu at the compiled stages."""
+
     def test_zero_column_gives_zero_gain(self):
         ch = channel([[1.0, 0.0], [0.0, 1.0]])
         lay = build_layout("sdma", 2, ch)
-        p = Precoder(matrix=np.zeros((2, 2)))
-        assert mmse_equalizer(ch, p, lay, 0, 0) == 0.0
-        mse, u = mse_and_weight(ch, p, lay, 0.0, 0, 0)
-        assert mse == 1.0 and u == 1.0
+        _, _, (g, u, _, _) = fresh_stages(ch, lay, np.zeros((1, 2, 2)))
+        assert np.all(g == 0.0) and np.all(u == 1.0)
+        # a NOMA batch of both strong users keeps every private stage; each
+        # problem's weak user has a zero amplitude under interference
+        channels = [channel([[1.0, 0.2], [0.2, 0.5]]), channel([[0.5, 0.2], [0.2, 1.0]])]
+        layouts = [build_layout("noma", 2, c) for c in channels]
+        comp = optimizer._Compiled(channels, layouts, np.array([0.5, 0.5]))
+        s = comp.stats(np.stack([lay.to_rsma(np.ones((2, 2))) for lay in layouts]))
+        g, u = optimizer._mmse_gu(s.a_p, s.T_p)
+        for b, lay in enumerate(layouts):
+            weak = lay.common_stream.carries[0]
+            assert g[b, weak] == 0.0 and u[b, weak] == 1.0 and g[b, 1 - weak] != 0.0
 
     def test_single_stream_half_gain(self):
         ch = channel([[1.0, 0.0]])
         lay = build_layout("sdma", 1, ch)
-        p = Precoder(matrix=np.array([[1.0], [0.0]]))
-        assert mmse_equalizer(ch, p, lay, 0, 0) == pytest.approx(0.5, rel=1e-14)
+        _, _, (g, _, _, _) = fresh_stages(ch, lay, np.array([[[1.0], [0.0]]]))
+        assert g[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_unit_sinr_gives_half_mse(self):
         ch = channel([[1.0, 0.0]])
         lay = build_layout("sdma", 1, ch)
-        p = Precoder(matrix=np.array([[1.0], [0.0]]))
-        g = mmse_equalizer(ch, p, lay, 0, 0)
-        mse, u = mse_and_weight(ch, p, lay, g, 0, 0)
-        assert mse == pytest.approx(0.5, rel=1e-12)
-        assert u == pytest.approx(2.0, rel=1e-12)
+        _, _, (_, u, _, _) = fresh_stages(ch, lay, np.array([[[1.0], [0.0]]]))
+        assert 1.0 / u[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert u[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_equalizer_is_stage_mse_minimizer(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             ch = random_channel(rng)
             lay = build_layout("rsma", 2, ch)
-            p = Precoder(matrix=rng.normal(size=(2, 3)))
-            for user, stream in ((0, 0), (1, 1), (0, 2), (1, 2)):
-                g = mmse_equalizer(ch, p, lay, user, stream)
-                amps = ch.gains[user] @ p.matrix
+            P = rng.normal(size=(2, 3))
+            _, _, (g_p, _, g_c, _) = fresh_stages(ch, lay, P[None])
+            for user, stream, g in ((0, 0, g_p[0, 0]), (1, 1, g_p[0, 1]), (0, 2, g_c[0, 0]), (1, 2, g_c[0, 1])):
+                amps = ch.gains[user] @ P
                 if stream == 2:
                     total = ch.noise[user] + amps[2] ** 2 + amps[0] ** 2 + amps[1] ** 2
                 else:
@@ -89,35 +104,33 @@ class TestEqualizerAndWeights:
                 assert mse(g) <= mse(g - 1e-3) + 1e-15
 
     def test_neg_log_mse_equals_rate(self):
+        # the weight u is 1 / mse, so log2(u) = -log2(mse)
         rng = np.random.default_rng(3)
         for _ in range(20):
             ch = random_channel(rng)
             lay = build_layout("rsma", 2, ch)
             p = Precoder(matrix=rng.normal(size=(2, 3)))
+            _, _, (_, u_p, _, u_c) = fresh_stages(ch, lay, p.matrix[None])
             for user in (0, 1):
-                g = mmse_equalizer(ch, p, lay, user, user)
-                mse, _ = mse_and_weight(ch, p, lay, g, user, user)
-                assert -np.log2(mse) == pytest.approx(rate(sinr_private(ch, p, lay, user)), abs=1e-9)
-                gc = mmse_equalizer(ch, p, lay, user, 2)
-                mse_c, _ = mse_and_weight(ch, p, lay, gc, user, 2)
-                assert -np.log2(mse_c) == pytest.approx(rate(sinr_common(ch, p, lay, user)), abs=1e-9)
+                assert np.log2(u_p[0, user]) == pytest.approx(rate(sinr_private(ch, p, lay, user)), abs=1e-9)
+                assert np.log2(u_c[0, user]) == pytest.approx(rate(sinr_common(ch, p, lay, user)), abs=1e-9)
 
     def test_state_rate_identity(self):
-        # -sum_k w_k log2(mse) over streams reproduces the greedy-share WSR
+        # at fresh equalizers/weights the surrogate equals the greedy-share
+        # WSR, for every scheme on the RSMA streams
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            ch = random_channel(rng)
-            lay = build_layout("rsma", 2, ch)
-            P = rng.normal(size=(2, 3))
-            w = np.array([0.5, 0.5])
-            st = snapshot_state(ch, lay, w, P)
-            priv = -np.log2(1.0 / st.mse_weights["private"])
-            common = -np.log2(1.0 / st.mse_weights["common"])
-            wsr_from_mse = float(w @ priv) + max(w) * float(np.min(common))
-            from rsma_vlc.signal_model import assemble_report
-
-            rep = assemble_report(ch, Precoder(matrix=P), lay, weights=w)
-            assert wsr_from_mse == pytest.approx(rep.wsr, abs=1e-9)
+        for scheme in SCHEMES:
+            for w in ((0.5, 0.5), (0.3, 0.7), (0.8, 0.2)):
+                ch = random_channel(rng)
+                lay = build_layout(scheme, 2, ch)
+                P = rng.normal(size=(10, 2, lay.num_streams))
+                comp, Q, gu = fresh_stages(ch, lay, P, w)
+                value = optimizer._SurrogateBatch(comp, *gu).value(Q)
+                wsr, _ = comp.true_rates(Q)
+                np.testing.assert_allclose(value, wsr, rtol=0.0, atol=1e-9)
+                for b in range(len(P)):
+                    rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=np.array(w))
+                    assert value[b] == pytest.approx(rep.wsr, abs=1e-9)
 
 
 class TestProjection:
@@ -159,32 +172,34 @@ class TestProjection:
 
 
 class TestSubproblem:
-    def _state(self, ch, lay, P):
-        st = snapshot_state(ch, lay, (0.5,) * ch.num_users, P)
-        return st.equalizers, st.mse_weights
+    """_maximize_batch on the surrogate of one WMMSE subproblem."""
+
+    @staticmethod
+    def _maximize(sur, eps, start, max_iter=optimizer._PG_MAX_ITER, tol=optimizer._PG_TOL):
+        radius = np.full(start.shape[:2], float(eps))
+        return optimizer._maximize_batch(sur, radius, start, max_iter, tol)
 
     def test_zero_budget_returns_origin(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         lay = build_layout("rsma", 2, ch)
-        eq, uw = self._state(ch, lay, np.ones((2, 3)))
-        P, shares = solve_subproblem(ch, lay, eq, uw, (0.5, 0.5), epsilon=0.0)
+        comp, Q, gu = fresh_stages(ch, lay, np.ones((1, 2, 3)), (0.5, 0.5))
+        P = self._maximize(optimizer._SurrogateBatch(comp, *gu), 0.0, Q)
         assert np.all(P == 0.0)
-        assert np.all(shares == 0.0)
+        wsr, cap = comp.true_rates(P)
+        assert wsr[0] == 0.0 and cap[0] == 0.0
 
     def test_scalar_closed_form(self):
         # one fixture, one user, one stream: quadratic in p with known optimum
         ch = channel([[0.8]])
         lay = build_layout("sdma", 1, ch)
         for p_prev, eps in ((0.4, 10.0), (0.9, 0.5)):
-            st = snapshot_state(ch, lay, (1.0,), np.array([[p_prev]]))
-            g = float(st.equalizers["private"][0])
+            comp, Q, gu = fresh_stages(ch, lay, np.array([[[p_prev]]]), (1.0,))
+            g = float(gu[0][0, 0])
             # argmin of g^2 (h p)^2 - 2 g h p is p = 1/(g h), clipped to the budget
             expected = np.clip(1.0 / (g * 0.8), -eps, eps)
-            P, _ = solve_subproblem(
-                ch, lay, st.equalizers, st.mse_weights, (1.0,), epsilon=eps,
-                start=np.array([[p_prev]]), max_iter=4000, tol=1e-14,
-            )
-            assert P[0, 0] == pytest.approx(float(expected), abs=1e-6)
+            P = self._maximize(optimizer._SurrogateBatch(comp, *gu), eps, Q, max_iter=4000, tol=1e-14)
+            assert P[0, 0, 0] == pytest.approx(float(expected), abs=1e-6)
+            assert P[0, 0, 1] == 0.0  # the unweighted common column
 
     def test_result_always_feasible(self):
         rng = np.random.default_rng(8)
@@ -192,18 +207,19 @@ class TestSubproblem:
             ch = random_channel(rng)
             lay = build_layout("rsma", 2, ch)
             eps = rng.uniform(0.5, 20.0)
-            eq, uw = self._state(ch, lay, rng.normal(size=(2, 3)))
-            P, shares = solve_subproblem(ch, lay, eq, uw, (0.5, 0.5), epsilon=eps)
-            assert np.abs(P).sum(axis=1).max() <= eps + 1e-9
-            assert np.all(shares >= 0.0)
+            comp, _, gu = fresh_stages(ch, lay, rng.normal(size=(1, 2, 3)), (0.5, 0.5))
+            sur = optimizer._SurrogateBatch(comp, *gu)
+            start = np.zeros((1, 2, 3))
+            P = self._maximize(sur, eps, start)
+            assert np.abs(P).sum(axis=2).max() <= eps + 1e-9
+            assert sur.value(P)[0] >= sur.value(start)[0]
 
     def test_non_finite_state_raises(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
-        lay = build_layout("sdma", 2, ch)
-        eq = {"private": np.array([np.inf, 1.0]), "common": np.array([])}
-        uw = {"private": np.array([1.0, 1.0]), "common": np.array([])}
+        comp = optimizer._Compiled(ch, build_layout("sdma", 2, ch), np.array([0.5, 0.5]))
+        sur = optimizer._SurrogateBatch(comp, np.array([[np.inf, 1.0]]), np.ones((1, 2)), None, None)
         with pytest.raises(NumericalFailure):
-            solve_subproblem(ch, lay, eq, uw, (0.5, 0.5), epsilon=1.0)
+            self._maximize(sur, 1.0, np.zeros((1, 2, 3)))
 
 
 class TestZfPrecoder:
@@ -322,51 +338,65 @@ class TestBatchedSolver:
             and a.restart_index == b.restart_index
         )
 
-    @pytest.mark.parametrize("fixtures", [2, 4])
+    # unequal priorities move NOMA's common weight (the weak user's) away
+    # from RSMA's (the top priority): the weak user is user 0 on the
+    # 2-fixture channel and user 1 on the 4-fixture one
+    @pytest.mark.parametrize("fixtures,w", [
+        pytest.param(2, (0.5, 0.5), id="2"),
+        pytest.param(4, (0.5, 0.5), id="4"),
+        pytest.param(2, (0.3, 0.7), id="2-w0.3,0.7"),
+        pytest.param(4, (0.8, 0.2), id="4-w0.8,0.2"),
+    ])
     @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
-    def test_every_start_matches_serial_reference(self, scheme, fixtures):
+    def test_every_start_matches_serial_reference(self, scheme, fixtures, w):
         rng = np.random.default_rng(40 + fixtures)
         ch = random_channel(rng, l=fixtures)
         lay = build_layout(scheme, 2, ch)
-        w = np.array([0.5, 0.5])
+        w = np.array(w)
         comp = optimizer._Compiled(ch, lay, w)
         cfg = AoConfig(max_iterations=25)
         eps, starts = [], []
         for snr in (5.0, 15.0, 30.0):
             e = epsilon_from_snr(snr, 1.0)
-            starts.append(optimizer._zf_start(ch, comp, e))
-            starts += [optimizer._beam_start(ch, comp, e, k) for k in range(2)]
-            starts += [optimizer._random_start(ch, comp, e, rng) for _ in range(2)]
+            starts.append(optimizer._zf_start(ch, lay, e))
+            starts += [optimizer._beam_start(ch, lay, e, k) for k in range(2)]
+            starts += [optimizer._random_start(ch, lay, e, rng) for _ in range(2)]
             eps += [e] * 5
-        P, hist, conv = optimizer._ao_batch(comp, np.array(eps), np.stack(starts), cfg)
+        P, hist, conv = optimizer._ao_batch(comp, np.array(eps), lay.to_rsma(np.stack(starts)), cfg)
+        # SDMA's common column, NOMA's weak user's private column
+        unused = [c for c in range(3) if c not in lay.rsma_columns]
         ref_comp = serial_reference._Compiled(ch, lay, w)
         outcomes = set()
         for b, (e, P0) in enumerate(zip(eps, starts)):
             P_ref, hist_ref, its_ref, conv_ref = serial_reference._ao_single(ref_comp, e, P0, cfg)
-            assert np.array_equal(P[b], P_ref)
+            assert np.array_equal(P[b][:, lay.rsma_columns], P_ref)
+            assert np.all(P[b][:, unused] == 0.0)
             assert hist[b] == hist_ref and len(hist[b]) - 1 == its_ref
             assert conv[b] == conv_ref
             outcomes.add(conv_ref)
-        assert outcomes == {True, False}  # both exits are exercised
+        # RSMA converges from every start at 4 fixtures and (0.8, 0.2)
+        if scheme != "rsma" or fixtures == 2 or w[0] == w[1]:
+            assert outcomes == {True, False}  # both exits are exercised
 
-    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
-    def test_surrogate_pieces_match_serial_reference(self, scheme):
+    @pytest.mark.parametrize("scheme,w", [
+        *[pytest.param(scheme, (0.3, 0.7), id=scheme) for scheme in SCHEMES],
+        *[pytest.param(scheme, (0.8, 0.2), id=f"{scheme}-w0.8,0.2") for scheme in SCHEMES],
+    ])
+    def test_surrogate_pieces_match_serial_reference(self, scheme, w):
         # many random states, so that rare last-bit differences show
         rng = np.random.default_rng(44)
         ch = random_channel(rng, l=4)
         lay = build_layout(scheme, 2, ch)
-        w = np.array([0.3, 0.7])
-        comp = optimizer._Compiled(ch, lay, w)
+        w = np.array(w)
         ref_comp = serial_reference._Compiled(ch, lay, w)
         P = rng.normal(size=(500, 4, lay.num_streams)) * 10.0 ** rng.uniform(-1, 2, size=(500, 1, 1))
         Q = rng.normal(size=P.shape) * 10.0
-        s = comp.stats(P)
-        gu = [*optimizer._mmse_gu(s.a_p, s.T_p), None, None]
-        if comp.common_col is not None:
-            gu[2:] = optimizer._mmse_gu(s.a_c, s.T_c)
+        comp, _, gu = fresh_stages(ch, lay, P, w)
         sur = optimizer._SurrogateBatch(comp, *gu)
-        wsr, cap = comp.true_rates(Q)
-        value, grad = sur.value(Q), sur.grad(Q)
+        wsr, cap = comp.true_rates(lay.to_rsma(Q))
+        value, grad = sur.value(lay.to_rsma(Q)), sur.grad(lay.to_rsma(Q))
+        unused = [c for c in range(3) if c not in lay.rsma_columns]
+        assert np.all(grad[:, :, unused] == 0.0)
         for b in range(len(P)):
             rs = ref_comp.stats(P[b])
             g_p, u_p = serial_reference._mmse_gu(rs.a_p, rs.T_p)
@@ -374,15 +404,14 @@ class TestBatchedSolver:
             ref = serial_reference._Surrogate(ref_comp, g_p, u_p, g_c, u_c)
             ref_value, ref_grad = ref.value_and_grad(Q[b])
             assert (sur.step[b], value[b]) == (ref.step, ref_value)
-            assert np.array_equal(grad[b], ref_grad)
+            assert np.array_equal(grad[b][:, lay.rsma_columns], ref_grad)
             assert (wsr[b], cap[b]) == ref_comp.true_rates(Q[b])[:2]
 
     def test_mixed_budgets_and_start_counts(self):
         rng = np.random.default_rng(45)
         ch = random_channel(rng, l=4)
         lay = build_layout("rsma", 2, ch)
-        sd_lay = build_layout("sdma", 2, ch)
-        extra = embed_sdma_matrix(lay, sd_lay, zf_precoder(ch, 2.0).matrix)
+        extra = build_layout("sdma", 2, ch).to_rsma(zf_precoder(ch, 2.0).matrix)
         cfg = AoConfig(max_iterations=80)
         epsilons, seeds = [2.0, epsilon_from_snr(12.0, 1.0), 30.0], [1, 2, 3]
         warm = [(), (extra,), (extra, 0.5 * extra)]
@@ -407,9 +436,8 @@ class TestBatchedSolver:
     @staticmethod
     def _mixed_problems():
         # different gains and non-unit noise per problem; the channels
-        # alternate which user is stronger, so NOMA sees both strong-user
-        # orders under one layout and RSMA's NOMA warm starts come from
-        # two layout groups
+        # alternate which user is stronger, so one NOMA batch holds both
+        # NOMA layouts
         rng = np.random.default_rng(48)
         channels, epsilons = [], []
         for i in range(6):
@@ -432,21 +460,26 @@ class TestBatchedSolver:
             and (sol.iterations, sol.converged, sol.restart_index) == (its, conv, idx)
         )
 
-    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
-    def test_mixed_channel_batch_equals_each_problem_alone(self, scheme):
+    @pytest.mark.parametrize("scheme,w", [
+        *[pytest.param(scheme, (0.4, 0.6), id=scheme) for scheme in SCHEMES],
+        *[pytest.param(scheme, w, id=f"{scheme}-w{w[0]},{w[1]}") for w in ((0.3, 0.7), (0.8, 0.2))
+          for scheme in SCHEMES],
+    ])
+    def test_mixed_channel_batch_equals_each_problem_alone(self, scheme, w):
+        # each problem is solved under its own channel's layout
         channels, epsilons, seeds, cfg = self._mixed_problems()
-        lay = build_layout(scheme, 2, channels[0])
-        w = (0.4, 0.6)
-        batched = ao_solve(channels, lay, w, epsilons, seeds, cfg)
+        batched = ao_solve(channels, build_layout(scheme, 2, channels[0]), w, epsilons, seeds, cfg)
         assert isinstance(batched, tuple) and len(batched) == len(channels)
         outcomes = set()
         for ch, eps, seed, sol in zip(channels, epsilons, seeds, batched):
+            lay = build_layout(scheme, 2, ch)
             alone = ao_solve(ch, lay, w, eps, seed, cfg)
             assert self._same(sol, alone)
             assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
             assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=False)
             outcomes.add(sol.converged)
-        assert outcomes == {True, False}  # both exits are exercised
+        if w == (0.4, 0.6):  # at the other priorities every NOMA problem converges
+            assert outcomes == {True, False}  # both exits are exercised
 
     def test_seeded_rsma_equals_nested_reference_and_each_channel_alone(self, monkeypatch):
         # solve_schemes gives RSMA the starts the serial reference's nested
@@ -467,9 +500,8 @@ class TestBatchedSolver:
         assert list(solved) == ["rsma"] and len(warm) == 1  # one batched RSMA call
         for ch, eps, seed, ws, (lay, sol) in zip(channels, epsilons, seeds, warm[0], solved["rsma"]):
             expected = [
-                embed(lay, sub, serial_reference.ao_solve(ch, sub, w, eps, seed, cfg)[0])
-                for embed, sub in ((embed_sdma_matrix, build_layout("sdma", 2, ch)),
-                                   (embed_noma_matrix, build_layout("noma", 2, ch)))
+                sub.to_rsma(serial_reference.ao_solve(ch, sub, w, eps, seed, cfg)[0])
+                for sub in (build_layout("sdma", 2, ch), build_layout("noma", 2, ch))
             ]
             assert len(ws) == 2 and all(np.array_equal(a, b) for a, b in zip(ws, expected))
             [(_, alone)] = scenarios.solve_schemes([ch], w, ("rsma",), cfg, [eps], lambda *_: seed)["rsma"]

@@ -16,7 +16,8 @@ from rsma_vlc.scenarios import (
     run_sweep,
     users_for_separation,
 )
-from rsma_vlc.signal_model import layout_groups
+from rsma_vlc.cli import main
+from rsma_vlc.signal_model import build_layout
 
 CATALOG_NAMES = {
     "scenario1_4led",
@@ -158,7 +159,7 @@ class TestRunSweep:
         res = run_sweep(self._tiny(schemes=()))
         assert res.rows == ()
 
-    def test_budget_overflow_fails_its_point_only(self):
+    def test_budget_overflow_fails_its_point_only(self, monkeypatch, tmp_path):
         # 10^(SNR/20) overflows a float at 10,000 dB: that point gets an
         # error row in every scheme, the other point its clean row
         spec = replace(self._tiny(schemes=("rsma", "sdma")), sweep=Sweep("snr_db", (5.0, 1e4)))
@@ -167,6 +168,18 @@ class TestRunSweep:
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("rsma", 1e4), ("sdma", 1e4)]
         assert all(r.error.startswith("OverflowError") and r.wsr == 0.0 for r in res.failures)
         assert tuple(r for r in res.rows if r.sweep_value == 5.0) == clean.rows
+
+        # a sweep whose every point overflows solves nothing: one error row
+        # per scheme, and `run` exits 2
+        calls = []
+        monkeypatch.setattr(scenarios, "ao_solve", lambda *args, **kw: calls.append(args))
+        res = run_sweep(replace(self._tiny(), sweep=Sweep("snr_db", (1e4,))), base_seed=1)
+        assert [(r.scheme, r.sweep_value) for r in res.rows] == [(s, 1e4) for s in ("noma", "rsma", "sdma")]
+        assert res.failures == res.rows
+        assert all(r.error.startswith("OverflowError") for r in res.rows)
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--scenario", "scenario1_2led", "--snr", "10000", "--out", str(out)]) == 2
+        assert calls == []
 
     def test_deterministic_across_reruns_and_workers(self):
         # the chunks differ with the worker count, the rows must not
@@ -291,7 +304,7 @@ class TestRunSweep:
     def test_separation_sweep_batch_equals_points_alone(self, workers, monkeypatch):
         # off-centre fixtures make the second user the stronger one at
         # short separations and the first at long ones, so NOMA's points
-        # fall into two layouts
+        # have two layouts, and one batched call solves them all
         spec = replace(
             catalog()["separation_sweep_2led"],
             fixtures=(scenarios._fixture(-2.4, 0.0), scenarios._fixture(0.4, 0.0)),
@@ -301,7 +314,7 @@ class TestRunSweep:
         )
         values = spec.sweep.values
         channels = [build_scene_channel(spec, v) for v in values]
-        assert [len(idx) for _, idx in layout_groups("noma", channels)] == [2, 2]
+        assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
         ref = reference_gain(spec)
         alone = [row for point in enumerate(values) for row in scenarios._solve_chunk(spec, [point], 5, ref)]
         alone.sort(key=lambda r: (r.scheme, values.index(r.sweep_value)))
@@ -316,4 +329,4 @@ class TestRunSweep:
         res = run_sweep(spec, base_seed=5, workers=workers)
         assert res.rows == tuple(alone)
         if workers == 1:  # the pool's processes keep their own call lists
-            assert calls == [("sdma", 4), ("noma", 2), ("noma", 2), ("rsma", 4)]
+            assert calls == [("sdma", 4), ("noma", 4), ("rsma", 4)]

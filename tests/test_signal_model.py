@@ -320,8 +320,10 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     kernel = SicKernel(lay, ch.noise)
     sinr_p, sinr_c = kernel.sinrs(A)
     a_p, T_p, a_c, T_c = kernel.stages(A)
-    wsr_true, cap_true = comp.true_rates(P)
-    wsr_oracle = comp.amplitude_wsr(A)
+    wsr_true, cap_true = comp.true_rates(lay.to_rsma(P))
+    w_priv, w_common = optimizer._stream_weights(lay, w)
+    w_own = w_priv[kernel.owners]
+    wsr_oracle = optimizer._amplitude_wsr(kernel, w_own, w_common, A)
     owners = [lay.streams[c].owner for c in lay.private_columns]
     for b in range(len(P)):
         ref_p, ref_c = loop_sinrs(ch.gains, ch.noise, P[b], lay)
@@ -329,12 +331,12 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
         rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=w)
         np.testing.assert_allclose(rep.sinr_private[owners], ref_p, rtol=1e-12)
         # stage rates from (a, T): log2(T / (T - a^2)) is the rate at the MMSE equalizer
-        wsr_stage = float(comp.w_own @ np.log2(T_p[b] / (T_p[b] - a_p[b] ** 2)))
+        wsr_stage = float(w_own @ np.log2(T_p[b] / (T_p[b] - a_p[b] ** 2)))
         if lay.common_column is not None:
             np.testing.assert_allclose(sinr_c[b], ref_c, rtol=1e-12)
             decoders = list(lay.common_stream.decoders)
             np.testing.assert_allclose(rep.sinr_common[decoders], ref_c, rtol=1e-12)
-            wsr_stage += comp.w_common * float(np.log2(T_c[b] / (T_c[b] - a_c[b] ** 2)).min())
+            wsr_stage += w_common * float(np.log2(T_c[b] / (T_c[b] - a_c[b] ** 2)).min())
             assert cap_true[b] == pytest.approx(rep.common_cap, abs=1e-12)
         else:
             assert a_c is None and T_c is None and sinr_c is None
