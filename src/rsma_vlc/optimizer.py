@@ -43,6 +43,18 @@ problem it is given as one batch, and solves nothing else: seeding RSMA
 from the converged SDMA/NOMA solutions is `scenarios.solve_schemes`'s
 job.
 
+The arrays are a few problems of 2 x 4 x 3 entries, so a
+projected-gradient step costs its count of numpy calls, not its
+arithmetic, and the step keeps that count low: the stage amplitudes and
+powers come from one flat gather (`SicKernel.stage_arrays`); the
+gradient is assembled from dense per-problem pieces built once per AO
+iteration, with one gather of the binding common decoder's piece
+(`_SurrogateBatch`); the L1 projection sorts and thresholds the whole
+stack and keeps the rows inside their balls with `where`
+(`project_rows_l1`); and FISTA's momentum weights come from a table.
+None of this changes an operation: every entry still gets the
+floating-point operations of a batch of one, in the same order.
+
 A problem is a channel, an amplitude budget epsilon, a random-start seed
 and its warm starts; `AoConfig` holds only the settings every problem of
 a call shares. The solver never sees an SNR: turning a sweep's SNR into
@@ -51,13 +63,14 @@ epsilon (`epsilon_from_snr`) is the caller's job.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, _rowdot
+from .channel import ChannelMatrix, _libm, _rowdot
 from .signal_model import (
     Precoder,
     RateReport,
@@ -152,12 +165,6 @@ def epsilon_from_snr(snr_db: float, sigma: float, reference_gain: float = 1.0) -
 # --------------------------------------------------------------------------
 
 
-class _Stats:
-    """Received amplitudes and stage quantities of a batch of precoders."""
-
-    __slots__ = ("A", "a_p", "T_p", "a_c", "T_c")
-
-
 def _stream_weights(layout: StreamLayout, w: np.ndarray) -> tuple[np.ndarray, float]:
     """(private, common) weights of a `layout` problem on the RSMA streams.
 
@@ -206,11 +213,41 @@ class _Compiled(SicKernel):
         self.priv_cols, self.owners = self.priv_cols[weighted], self.owners[weighted]
         self.n_priv = len(self._cols)
         self.sig2_own = self.sig2_own[:, weighted]
+        self._index_stages(len(w) + 1)
         self.w_own = self.w_priv[:, weighted]
         self.H = np.stack([c.gains for c in channels])
         # a view: each problem's HT has the strides of its (K, L) gains' .T
         self.HT = self.H.transpose(0, 2, 1)
         self.hnorm2 = np.sum(self.H**2, axis=2)
+        self._index_pieces(len(w))
+
+    def _index_pieces(self, K: int) -> None:
+        """Where `_SurrogateBatch` places its gradient coefficients.
+
+        A problem's pieces are (slices, blocks, K, K + 1): one slice per
+        common decoder (a single one without a common stream), holding
+        the blocks lin, alpha and, with a common stream, cc2. Their
+        coefficients come as one row per problem: the private stages'
+        lin, then their alpha, then each decoder's cc2, then its lin.
+        `piece_at` holds each coefficient's flat position in the pieces
+        and `piece_of` its column in that row.
+        """
+        n, cols, owners = self.n_priv, list(self._cols), self.owners.tolist()
+        decoders, common = self.decoders.tolist(), self.common_col is not None
+        slices = len(decoders) if common else 1
+        entries = []  # (slice, block, user, column, source column) of each coefficient
+        for d in range(slices):
+            for i, (owner, col) in enumerate(zip(owners, cols)):
+                entries.append((d, 0, owner, col, i))
+                entries += [(d, 1, owner, other, n + i) for other in cols]
+            if common:
+                entries += [(d, 2, decoders[d], col, 2 * n + d) for col in cols + [self.common_col]]
+                entries.append((d, 0, decoders[d], self.common_col, 2 * n + slices + d))
+        entries = np.array(entries, dtype=np.intp)
+        self.piece_shape = (slices, 3 if common else 2, K, K + 1)
+        self.piece_size = math.prod(self.piece_shape)
+        self.piece_at = np.ravel_multi_index(tuple(entries[:, :4].T), self.piece_shape)
+        self.piece_of = entries[:, 4]
 
     def take(self, keep: np.ndarray) -> "_Compiled":
         sub = super().take(keep)
@@ -219,13 +256,6 @@ class _Compiled(SicKernel):
             sub.HT = sub.H.transpose(0, 2, 1)
             sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
         return sub
-
-    def stats(self, P: np.ndarray) -> _Stats:
-        """Amplitudes and stage quantities of the (B, L, K + 1) precoders P."""
-        s = _Stats()
-        s.A = self.H @ P
-        s.a_p, s.T_p, s.a_c, s.T_c = self.stages(s.A)
-        return s
 
     def true_rates(self, P: np.ndarray):
         """(wsr, cap) of the (B, L, K + 1) precoders under the greedy common-rate split."""
@@ -266,38 +296,47 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
 
     Rows run along the last axis. `radius` is one budget for all rows
     or an array of shape matrix.shape[:-1] with one budget per row.
-    Sort-based exact projection; rows already inside their ball are
-    returned unchanged (bitwise), and every row is projected with the
-    same operations whatever the other rows are.
+    Sort-based exact projection, gather-free: every row of the stack is
+    sorted and thresholded, none is picked out by a mask, and `where`
+    keeps the rows already inside their ball unchanged (bitwise), so
+    every row is projected with the same operations whatever the other
+    rows are. The threshold theta is read from the (cumsum - radius) /
+    rank array the sort condition is evaluated on, at the last rank
+    where the condition holds.
     """
     r = np.asarray(radius, dtype=float)
-    if (r < 0).any():
-        raise ValueError("radius must be nonnegative")
-    P = np.array(matrix, dtype=float)
+    zero = None
+    if np.count_nonzero(r <= 0.0):
+        if np.count_nonzero(r < 0.0):
+            raise ValueError("radius must be nonnegative")
+        zero = r == 0.0
+    P = np.asarray(matrix, dtype=float)
     if r.ndim and r.shape != P.shape[:-1]:
         raise ValueError("radius must be a scalar or of shape matrix.shape[:-1]")
     absP = np.abs(P)
-    over = absP.sum(axis=-1) > r
-    if not r.all():
-        zero = np.broadcast_to(r == 0.0, over.shape)
-        P[zero] = 0.0
+    over = np.add.reduce(absP, axis=-1) > r
+    if zero is not None:
         over &= ~zero
-    if not over.any():
-        return P
-    if r.ndim:
-        rad = r[over]
-        col = rad[:, None]
+    over_rows = np.count_nonzero(over)
+    if over_rows:
+        n = P.shape[-1]
+        U = absP.copy()
+        U.sort(axis=-1)
+        U = U[..., ::-1]
+        css = np.add.accumulate(U, axis=-1)
+        q = (css - (r[..., None] if r.ndim else r)) / np.arange(1.0, n + 1.0)
+        cond = U > q  # U - q > 0, exactly, for finite U and q
+        # flat index of the last rank whose condition holds (the last
+        # rank if none does), counted back from each row's end
+        last = np.arange(n - 1, q.size, n).reshape(over.shape) - cond[..., ::-1].argmax(axis=-1)
+        out = np.sign(P) * np.maximum(absP - q.take(last)[..., None], 0.0)
+        if over_rows < over.size:
+            out = np.where(over[..., None], out, P)
     else:
-        rad = col = r
-    V = absP[over]
-    U = -np.sort(-V, axis=1)
-    css = np.cumsum(U, axis=1)
-    ranks = np.arange(1, V.shape[1] + 1)
-    cond = U - (css - col) / ranks > 0
-    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = (css[np.arange(V.shape[0]), rho] - rad) / (rho + 1)
-    P[over] = np.sign(P[over]) * np.maximum(V - theta[:, None], 0.0)
-    return P
+        out = np.array(P)
+    if zero is not None:
+        out[np.broadcast_to(zero, over.shape)] = 0.0
+    return out
 
 
 class _SurrogateBatch:
@@ -310,78 +349,114 @@ class _SurrogateBatch:
     fixed step is 1 / (Hessian norm bound), which satisfies the descent
     lemma on every smooth piece. Equalizers and weights have one row per
     problem: (B, private stages) and (B, common decoders).
-    """
 
-    _FIELDS = (
-        "g2_p", "two_g_p", "coef_p", "base_p", "alpha", "lin_p",
-        "g2_c", "two_g_c", "rate_coef_c", "base_c", "cc2", "lin_c", "step",
-    )
+    The gradient with respect to the amplitudes A = H P is built from
+    dense (K, K + 1) pieces, one stack per problem and possible binding
+    decoder, set up once per AO iteration: `lin`, the constant term (each
+    private stage's 2 coef g at its owner's own column, and the
+    decoder's common term at its row of the common column); `alpha`,
+    each user's private-stage curvature on every private column of its
+    row; and the decoder's curvature `cc2` on the private and common
+    columns of its row. A step gathers the binding decoder's stack and
+    forms lin - alpha * A - cc2 * A, entry by entry the floating-point
+    operations of a batch of one that scatters each term into zeros
+    (the zeros of lin are +0, so no entry's sign of zero moves). Per-stage
+    coefficients and per-problem scalars are columns of one array, so
+    dropping finished problems is two row gathers.
+    """
 
     def __init__(self, comp: _Compiled, g_p, u_p, g_c, u_c):
         self.c = comp
-        self.g2_p = g_p**2
-        self.two_g_p = 2.0 * g_p
-        self.coef_p = comp.w_own * u_p / LN2
-        # gradient pieces: -alpha_k * a_k on user k's private amplitudes,
-        # +lin on each owner's own column
-        self.alpha = np.zeros((len(g_p), comp.H.shape[1]))
-        self.alpha[:, comp.owners] = 2.0 * self.coef_p * self.g2_p
-        self.lin_p = 2.0 * self.coef_p * g_p
-        self.base_p = _rowdot(np.log2(u_p) + 1.0 / LN2, comp.w_own)
-        lip = (2.0 * self.coef_p * self.g2_p * comp.hnorm2[:, comp.owners]).sum(axis=1)
-        if comp.common_col is not None:
-            self.g2_c = g_c**2
-            self.two_g_c = 2.0 * g_c
-            self.rate_coef_c = u_c / LN2  # unweighted; the min picks the binding decoder
-            coef_c = comp.w_common[:, None] * self.rate_coef_c
-            self.base_c = np.log2(u_c) + 1.0 / LN2
-            self.lin_c = 2.0 * coef_c * g_c
-            lip = lip + (2.0 * coef_c * self.g2_c * comp.hnorm2[:, comp.decoders]).max(axis=1)
-            # the gradient squares each decoder gain with numpy's scalar
-            # `**` (C pow()), which can round differently from the array
-            # square above; tests/serial_reference.py pins these bits
-            g2_pow = np.array([g**2 for g in g_c.ravel()]).reshape(g_c.shape)
-            self.cc2 = 2.0 * coef_c * g2_pow
-        self.step = 1.0 / np.maximum(lip, 1e-12)
+        n = comp.n_priv
+        common = comp.common_col is not None
+        g = np.concatenate((g_p, g_c), axis=1) if common else g_p
+        g2 = g**2
+        coef_p = comp.w_own * u_p / LN2
+        two_coef = 2.0 * coef_p
+        alpha = two_coef * g2[:, :n]
+        pieces = [two_coef * g_p, alpha]
+        columns = [g2, 2.0 * g, coef_p, _rowdot(np.log2(u_p) + 1.0 / LN2, comp.w_own)[:, None]]
+        lip = (alpha * comp.hnorm2[:, comp.owners]).sum(axis=1)
+        if common:
+            rate_coef_c = u_c / LN2  # unweighted; the min picks the binding decoder
+            two_coef_c = 2.0 * (comp.w_common[:, None] * rate_coef_c)
+            lip = lip + (two_coef_c * g2[:, n:] * comp.hnorm2[:, comp.decoders]).max(axis=1)
+            # the gradient squares each decoder gain with the C library's
+            # pow(), which can round differently from the array square
+            # above; tests/serial_reference.py pins these bits
+            g2_pow = _libm(math.pow, g_c.ravel(), 2.0).reshape(g_c.shape)
+            pieces += [two_coef_c * g2_pow, two_coef_c * g_c]
+            columns += [rate_coef_c, np.log2(u_c) + 1.0 / LN2]
+        columns.append((1.0 / np.maximum(lip, 1e-12))[:, None])
+        # g2, two_g (every stage), coef_p, base_p, [rate_coef_c, base_c], step
+        self._columns = np.concatenate(columns, axis=1)
+        # + 0.0 turns a -0.0 coefficient into the +0.0 that adding it to zeros gives
+        dense = np.zeros((len(g), comp.piece_size))
+        dense[:, comp.piece_at] = (np.concatenate(pieces, axis=1) + 0.0)[:, comp.piece_of]
+        self._pieces = dense.reshape((len(g),) + comp.piece_shape)
+        self._views()
+
+    def _views(self):
+        """Name the columns and pieces of the current problems."""
+        c, v = self.c, self._columns
+        n, m = c.n_priv, c.n_priv + len(c.decoders)  # private stages, all stages
+        self.g2, self.two_g, self.coef_p = v[:, :m], v[:, m : 2 * m], v[:, 2 * m : 2 * m + n]
+        self.base_p, self.step = v[:, 2 * m + n], v[:, -1]
+        self.step3 = self.step[:, None, None]
+        if c.common_col is None:
+            self._lin, self._alpha = self._pieces[:, 0, 0], self._pieces[:, 0, 1]
+        else:
+            self.rate_coef_c, self.base_c = v[:, 2 * m + n + 1 : 3 * m + 1], v[:, 3 * m + 1 : -1]
+            self._by_decoder = self._pieces.reshape((-1,) + self._pieces.shape[2:])
+            self._first = np.arange(0, len(v) * (m - n), m - n)  # each problem's first stack
 
     def take(self, keep: np.ndarray) -> "_SurrogateBatch":
         """The surrogates of the problems selected by `keep`."""
         sub = object.__new__(_SurrogateBatch)
         sub.c = self.c.take(keep)
-        for name in self._FIELDS:
-            if hasattr(self, name):
-                setattr(sub, name, getattr(self, name)[keep])
+        sub._columns, sub._pieces = self._columns[keep], self._pieces[keep]
+        sub._views()
         return sub
 
-    def _common_rates(self, s: _Stats) -> np.ndarray:
-        mse_c = self.g2_c * s.T_c - self.two_g_c * s.a_c + 1.0
-        return self.base_c - self.rate_coef_c * mse_c
+    def _amplitudes_and_mse(self, P: np.ndarray):
+        A = self.c.H @ P
+        a, T = self.c.stage_arrays(A)
+        return A, self.g2 * T - self.two_g * a + 1.0
 
     def value(self, P: np.ndarray) -> np.ndarray:
         c = self.c
-        s = c.stats(P)
-        mse_p = self.g2_p * s.T_p - self.two_g_p * s.a_p + 1.0
-        value = self.base_p - _rowdot(self.coef_p, mse_p)
+        _, mse = self._amplitudes_and_mse(P)
+        n = c.n_priv
+        value = self.base_p - _rowdot(self.coef_p, mse[:, :n])
         if c.common_col is not None:
-            value = value + c.w_common * self._common_rates(s).min(axis=1)
+            value = value + c.w_common * (self.base_c - self.rate_coef_c * mse[:, n:]).min(axis=1)
         return value
 
     def grad(self, P: np.ndarray) -> np.ndarray:
         c = self.c
-        s = c.stats(P)
-        A = s.A
-        G = np.zeros_like(A)
-        G[:, :, c.priv_cols] -= self.alpha[:, :, None] * A[:, :, c.priv_cols]
-        G[:, c.owners, c.priv_cols] += self.lin_p
-        if c.common_col is not None:
-            rows = np.arange(len(P))
-            jb = self._common_rates(s).argmin(axis=1)
-            k = c.decoders[jb]
-            cc2, lin = self.cc2[rows, jb], self.lin_c[rows, jb]
-            r2, k2 = rows[:, None], k[:, None]
-            G[r2, k2, c.priv_cols] -= cc2[:, None] * A[r2, k2, c.priv_cols]
-            G[rows, k, c.common_col] += -cc2 * A[rows, k, c.common_col] + lin
-        return c.HT @ G
+        if c.common_col is None:
+            return c.HT @ (self._lin - self._alpha * (c.H @ P))
+        A, mse = self._amplitudes_and_mse(P)
+        jb = (self.base_c - self.rate_coef_c * mse[:, c.n_priv :]).argmin(axis=1)
+        lin_alpha_cc2 = self._by_decoder.take(self._first + jb, axis=0)
+        terms = lin_alpha_cc2[:, 1:] * A[:, None]
+        return c.HT @ (lin_alpha_cc2[:, 0] - terms[:, 0] - terms[:, 1])
+
+
+@functools.lru_cache(maxsize=4)
+def _momentum(steps: int) -> np.ndarray:
+    """FISTA's momentum weights (t_n / t_{n+1}, (t_n - 1) / t_{n+1}) for
+    n = 0 .. steps, with t_0 = 1 and t_{n+1} = (1 + sqrt(1 + 4 t_n^2)) / 2;
+    a read-only array shared by every caller. Each weight is computed
+    with the float operations, in the order, of a per-step update."""
+    table = np.empty((steps + 1, 2))
+    t = 1.0
+    for row in table:
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        row[:] = t / t_next, (t - 1.0) / t_next
+        t = t_next
+    table.flags.writeable = False
+    return table
 
 
 def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, max_iter: int, tol: float):
@@ -390,10 +465,10 @@ def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, ma
     FISTA-style momentum with a monotone safeguard: the kept iterate
     never decreases the surrogate, and momentum restarts whenever the
     accelerated candidate fails to improve. Each problem keeps its own
-    momentum t, small-step count and flag for "y is the best point x";
-    it leaves the batch when its step from x itself fails or after two
-    consecutive small gains. `radius` is (B, L); returns the (B, L, S)
-    maximizers.
+    momentum index, small-step count and flag for "y is the best point
+    x"; it leaves the batch when its step from x itself fails or after
+    two consecutive small gains. `radius` is (B, L); returns the (B, L,
+    S) maximizers.
     """
     x = project_rows_l1(P0, radius)
     fx = sur.value(x)
@@ -403,41 +478,54 @@ def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, ma
     out = np.empty_like(x)
     live = np.arange(len(x))  # batch positions of the problems still running
     y, x_prev = x, x
-    t = np.ones(len(x))
+    momentum = _momentum(max_iter)
+    steps = np.zeros(len(x), dtype=np.intp)  # improving steps since the momentum restarted
     small_steps = np.zeros(len(x), dtype=np.intp)
-    y_is_x = np.ones(len(x), dtype=bool)
+    y_is_x = np.ones(len(x), dtype=bool)  # None stands for False for every problem
+    # np.count_nonzero tests a mask in one C call; .any() and .all() add a
+    # Python frame each
     for _ in range(max_iter):
         grad = sur.grad(y)
-        if not np.isfinite(grad).all():
+        if np.count_nonzero(np.isfinite(grad)) < grad.size:
             raise NumericalFailure("non-finite surrogate gradient (check channel and noise scaling)")
-        z = project_rows_l1(y + sur.step[:, None, None] * grad, radius)
+        z = project_rows_l1(y + sur.step3 * grad, radius)
         fz = sur.value(z)
         up = fz >= fx
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = z + (t / t_next)[:, None, None] * (z - x) + ((t - 1.0) / t_next)[:, None, None] * (x - x_prev)
+        weights = momentum.take(steps, axis=0)
+        y_next = z + weights[:, 0, None, None] * (z - x) + weights[:, 1, None, None] * (x - x_prev)
         small = fz - fx <= tol * np.maximum(1.0, np.abs(fz))
         # improved: keep z and step on with momentum; otherwise restart
         # the momentum from x, or stop if the step from x itself failed
-        done = ~up & y_is_x
-        up3 = up[:, None, None]
-        x_prev = x
-        x = np.where(up3, z, x)
-        y = np.where(up3, momentum, x_prev)
-        fx = np.where(up, fz, fx)
-        t = np.where(up, t_next, 1.0)
-        small_steps = np.where(up, np.where(small, small_steps + 1, 0), small_steps)
-        y_is_x = ~up
-        done |= small_steps >= 2
-        if done.any():
+        if np.count_nonzero(up) == len(up):
+            x_prev, x, y, fx = x, z, y_next, fz
+            steps = steps + 1
+            small_steps = np.where(small, small_steps + 1, 0)
+            done = small_steps >= 2
+            y_is_x = None
+        else:
+            down = ~up
+            up3 = up[:, None, None]
+            x_prev, x = x, np.where(up3, z, x)
+            y = np.where(up3, y_next, x_prev)
+            fx = np.where(up, fz, fx)
+            steps = np.where(up, steps + 1, 0)
+            small_steps = np.where(up, np.where(small, small_steps + 1, 0), small_steps)
+            done = small_steps >= 2
+            if y_is_x is not None:
+                done |= down & y_is_x
+            y_is_x = down
+        if np.count_nonzero(done):
             out[live[done]] = x[done]
             keep = ~done
-            if not keep.any():
+            if not np.count_nonzero(keep):
                 return out
             live = live[keep]
             sur = sur.take(keep)
             radius = radius[keep]
-            x, x_prev, y, fx, t = x[keep], x_prev[keep], y[keep], fx[keep], t[keep]
-            small_steps, y_is_x = small_steps[keep], y_is_x[keep]
+            x, x_prev, y, fx = x[keep], x_prev[keep], y[keep], fx[keep]
+            steps, small_steps = steps[keep], small_steps[keep]
+            if y_is_x is not None:
+                y_is_x = y_is_x[keep]
     out[live] = x
     return out
 
@@ -523,32 +611,34 @@ def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoCo
     radius = np.repeat(np.asarray(epsilon, dtype=float)[:, None], P0.shape[1], axis=1)
     P = project_rows_l1(P0, radius)
     wsr, _ = comp.true_rates(P)
-    histories = [[v] for v in wsr.tolist()]
+    # row i: the WSR after iteration i of every start still running then
+    history = np.empty((config.max_iterations + 1, len(P)))
+    history[0] = wsr
+    iterations = np.full(len(P), config.max_iterations)
     converged = np.zeros(len(P), dtype=bool)
     out = np.empty_like(P)
     live = np.arange(len(P))
-    for _ in range(config.max_iterations):
-        s = comp.stats(P)
-        g_p, u_p = _mmse_gu(s.a_p, s.T_p)
-        g_c = u_c = None
-        if comp.common_col is not None:
-            g_c, u_c = _mmse_gu(s.a_c, s.T_c)
-        sur = _SurrogateBatch(comp, g_p, u_p, g_c, u_c)
+    n = comp.n_priv
+    for i in range(1, config.max_iterations + 1):
+        g, u = _mmse_gu(*comp.stage_arrays(comp.H @ P))
+        sur = _SurrogateBatch(comp, g[:, :n], u[:, :n], g[:, n:], u[:, n:])
         P = _maximize_batch(sur, radius, P, _PG_MAX_ITER, _PG_TOL)
         new_wsr, _ = comp.true_rates(P)
-        for b, v in zip(live.tolist(), new_wsr.tolist()):
-            histories[b].append(v)
+        history[i, live] = new_wsr
         done = np.abs(new_wsr - wsr) <= config.tolerance
         if done.any():
-            converged[live[done]] = True
-            out[live[done]] = P[done]
+            finished = live[done]
+            converged[finished] = True
+            iterations[finished] = i
+            out[finished] = P[done]
             keep = ~done
-            if not keep.any():
-                return out, histories, converged
             live, P, radius, new_wsr = live[keep], P[keep], radius[keep], new_wsr[keep]
+            if not len(live):
+                break
             comp = comp.take(keep)
         wsr = new_wsr
     out[live] = P
+    histories = [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())]
     return out, histories, converged
 
 

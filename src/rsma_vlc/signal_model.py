@@ -216,7 +216,9 @@ class SicKernel:
     summed in column order; a common stage's is all private power.
 
     `noise` holds the K noise variances of one channel, shared by every
-    precoder, or a (B, K) array with one row per precoder.
+    precoder, or a (B, K) array with one row per precoder. `stage_arrays`
+    reads every stage's amplitudes through one flat gather whose indices
+    are computed here.
     """
 
     def __init__(self, layout: StreamLayout, noise: np.ndarray):
@@ -234,6 +236,27 @@ class SicKernel:
         noise = np.atleast_2d(np.maximum(noise, _DEN_FLOOR))
         self.sig2_own = noise[:, self.owners]
         self.sig2_dec = noise[:, self.decoders]
+        self._index_stages(self.num_streams)
+
+    def _index_stages(self, width: int) -> None:
+        """Precompute the flat indices `stage_arrays` gathers through, for
+        amplitudes of `width` columns.
+
+        Amplitudes (B, K, width) are read as (B, K * width). Each stage
+        (the private ones, then the common ones) is a column of `_gather`;
+        its rows are every private column at the stage's user, in column
+        order, then the common column there (with a common stream), then
+        the stage's own amplitude. `_sig2` holds the stage noise in the
+        same order.
+        """
+        users = np.concatenate((self.owners, self.decoders))
+        rows = [users * width + j for j in self._cols]
+        own = self.owners * width + self.priv_cols
+        if self.common_col is not None:
+            rows.append(users * width + self.common_col)
+            own = np.concatenate((own, rows[-1][self.n_priv :]))
+        self._gather = np.array(rows + [own], dtype=np.intp)
+        self._sig2 = np.concatenate((self.sig2_own, self.sig2_dec), axis=1)
 
     def take(self, keep: np.ndarray) -> "SicKernel":
         """The kernel of the precoders selected by `keep` (a boolean mask or
@@ -244,6 +267,7 @@ class SicKernel:
         sub.__dict__.update(self.__dict__)
         sub.sig2_own = self.sig2_own[keep]
         sub.sig2_dec = self.sig2_dec[keep]
+        sub._sig2 = self._sig2[keep]
         return sub
 
     def stage_of(self, user: int, stream: int) -> tuple[bool, int]:
@@ -267,18 +291,36 @@ class SicKernel:
         powers = [A[:, :, j] ** 2 for j in self._cols]
         return powers, (sum(powers[1:], powers[0]) if powers else np.zeros(A.shape[:2]))
 
+    def stage_arrays(self, A: np.ndarray):
+        """(a, T): signal amplitude a and received power T (signal,
+        interference and noise) of every stage, (B, stages) each, the
+        private stages first.
+
+        One flat gather reads every amplitude a stage needs; the private
+        powers are summed in column order, then added to the noise, and a
+        common stage adds its own power last.
+        """
+        X = A.reshape(len(A), -1).take(self._gather, axis=1)
+        X2 = X * X
+        total = X2[:, 0]
+        for i in range(1, self.n_priv):
+            total = total + X2[:, i]
+        T = self._sig2 + total
+        if self.common_col is not None:
+            n = self.n_priv
+            T_c = T[:, n:]
+            T_c += X2[:, n, n:]
+        return X[:, -1], T
+
     def stages(self, A: np.ndarray):
-        """(a_p, T_p, a_c, T_c): signal amplitude a and received power T
-        (signal, interference and noise) of every private stage (B,
-        private columns) and common stage (B, decoders; None without a
-        common stream)."""
-        _, total = self._powers(A)
-        a_p = A[:, self.owners, self.priv_cols]
-        T_p = self.sig2_own + total[:, self.owners]
+        """(a_p, T_p, a_c, T_c): `stage_arrays` split into the private
+        stages (B, private columns) and the common stages (B, decoders;
+        None without a common stream)."""
+        a, T = self.stage_arrays(A)
         if self.common_col is None:
-            return a_p, T_p, None, None
-        a_c = A[:, self.decoders, self.common_col]
-        return a_p, T_p, a_c, self.sig2_dec + total[:, self.decoders] + a_c**2
+            return a, T, None, None
+        n = self.n_priv
+        return a[:, :n], T[:, :n], a[:, n:], T[:, n:]
 
     def stage(self, A: np.ndarray, user: int, stream: int):
         """(a, T) of `user` decoding `stream`, one entry per precoder."""

@@ -33,10 +33,10 @@ def fresh_stages(ch, lay, P, w=None):
     w = np.full(ch.num_users, 1.0 / ch.num_users) if w is None else w
     comp = optimizer._Compiled(ch, lay, np.asarray(w, dtype=float))
     Q = lay.to_rsma(P)
-    s = comp.stats(Q)
-    gu = [*optimizer._mmse_gu(s.a_p, s.T_p), None, None]
+    a_p, T_p, a_c, T_c = comp.stages(comp.H @ Q)
+    gu = [*optimizer._mmse_gu(a_p, T_p), None, None]
     if comp.common_col is not None:
-        gu[2:] = optimizer._mmse_gu(s.a_c, s.T_c)
+        gu[2:] = optimizer._mmse_gu(a_c, T_c)
     return comp, Q, gu
 
 
@@ -67,8 +67,8 @@ class TestEqualizerAndWeights:
         channels = [channel([[1.0, 0.2], [0.2, 0.5]]), channel([[0.5, 0.2], [0.2, 1.0]])]
         layouts = [build_layout("noma", 2, c) for c in channels]
         comp = optimizer._Compiled(channels, layouts, np.array([0.5, 0.5]))
-        s = comp.stats(np.stack([lay.to_rsma(np.ones((2, 2))) for lay in layouts]))
-        g, u = optimizer._mmse_gu(s.a_p, s.T_p)
+        a_p, T_p, _, _ = comp.stages(comp.H @ np.stack([lay.to_rsma(np.ones((2, 2))) for lay in layouts]))
+        g, u = optimizer._mmse_gu(a_p, T_p)
         for b, lay in enumerate(layouts):
             weak = lay.common_stream.carries[0]
             assert g[b, weak] == 0.0 and u[b, weak] == 1.0 and g[b, 1 - weak] != 0.0
@@ -213,6 +213,35 @@ class TestSubproblem:
             P = self._maximize(sur, eps, start)
             assert np.abs(P).sum(axis=2).max() <= eps + 1e-9
             assert sur.value(P)[0] >= sur.value(start)[0]
+
+    @pytest.mark.parametrize("w", [(0.3, 0.7), (0.7, 0.3)], ids=["w0.3,0.7", "w0.7,0.3"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_grad_matches_central_difference(self, scheme, w):
+        # the surrogate is quadratic on each smooth piece, so away from
+        # the common-rate kink a central difference is exact up to rounding
+        rng = np.random.default_rng(10)
+        ch = random_channel(rng, l=3)
+        lay = build_layout(scheme, 2, ch)
+        comp, _, gu = fresh_stages(ch, lay, rng.normal(size=(40, 3, lay.num_streams)), w)
+        sur = optimizer._SurrogateBatch(comp, *gu)
+        Q = lay.to_rsma(rng.normal(size=(40, 3, lay.num_streams)))
+        if comp.common_col is not None:
+            # keep the states whose two decoders' rates differ by far more
+            # than a step of h can move them
+            _, mse = sur._amplitudes_and_mse(Q)
+            rates = sur.base_c - sur.rate_coef_c * mse[:, comp.n_priv :]
+            clear = np.abs(rates[:, 0] - rates[:, 1]) > 1e-2
+            assert clear.sum() >= 20
+            sur, Q = sur.take(clear), Q[clear]
+        grad = sur.grad(Q)
+        h = 1e-4
+        central = np.empty_like(Q)
+        for entry in np.ndindex(Q.shape[1:]):
+            step = np.zeros_like(Q)
+            step[(slice(None),) + entry] = h
+            central[(slice(None),) + entry] = (sur.value(Q + step) - sur.value(Q - step)) / (2.0 * h)
+        np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-9 * np.abs(grad).max())
+        assert np.abs(grad).max() > 1e-3
 
     def test_non_finite_state_raises(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
@@ -536,9 +565,28 @@ class TestBatchedSolver:
         M = rng.normal(size=(5, 4, 3)) * 3.0
         budget = rng.uniform(0.0, 4.0, size=5)
         budget[2] = 0.0
+        # every branch of the projection: a problem inside its ball, one
+        # with rows inside and rows outside, tied magnitudes ((1, 1, 1) at
+        # radius 2, (2, -2, 0) at radius 1) and a zero-radius problem
+        # whose rows hold -0.0
+        special = np.array([
+            [[0.1, -0.2, 0.3], [0.0, 0.5, -0.5], [1.0, -0.0, 0.0], [-0.3, 0.3, 0.3]],
+            [[0.1, -0.2, 0.3], [3.0, -2.0, 1.0], [0.5, 0.5, -0.5], [-4.0, -0.0, 1.0]],
+            [[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0]],
+            [[2.0, -2.0, 0.0], [0.0, 2.0, -2.0], [-2.0, -0.0, 2.0], [2.0, 2.0, 2.0]],
+            [[-0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [2.0, -1.0, 0.5]],
+        ])
+        M = np.concatenate((M, special))
+        budget = np.concatenate((budget, [4.0, 2.0, 2.0, 1.0, 0.0]))
         batch = project_rows_l1(M, np.repeat(budget[:, None], 4, axis=1))
-        for b in range(5):
+        for b in range(len(M)):
             assert np.array_equal(batch[b], serial_reference.project_rows_l1(M[b], budget[b]))
+            assert batch[b].tobytes() == serial_reference.project_rows_l1(M[b], budget[b]).tobytes()
+        # a stack with every row outside its ball, and one with none
+        for rows, radius in ((M[7:9], 0.5), (M[5:6], 4.0)):
+            expected = np.stack([serial_reference.project_rows_l1(m, radius) for m in rows])
+            assert project_rows_l1(rows, np.full(rows.shape[:2], radius)).tobytes() == expected.tobytes()
+            assert project_rows_l1(rows, radius).tobytes() == expected.tobytes()
         with pytest.raises(ValueError):
             project_rows_l1(M, budget[:, None])
 
