@@ -88,7 +88,7 @@ def record(bench: dict, runs: int, seconds: float, size: str) -> dict:
             "failed": failed,
             "end_to_end": {name: {"unit": result["metrics"][name]["unit"], **summary(values)}
                            for name, values in samples.items()},
-            "per_layer": {name: metric for name, metric in traced["metrics"].items()},
+            "per_layer": traced["metrics"],
         }
     environment = {key: env.get(key) for key in ("python", "numpy", "nproc", "cpu", "commit")}
     environment.update(runs=runs, seconds=seconds, size=size)
