@@ -213,7 +213,7 @@ class _Compiled(SicKernel):
         self.priv_cols, self.owners = self.priv_cols[weighted], self.owners[weighted]
         self.n_priv = len(self._cols)
         self.sig2_own = self.sig2_own[:, weighted]
-        self._index_stages(len(w) + 1)
+        self._index_stages(len(w) + 1)  # the kept stages, on precoders of K + 1 columns
         self.w_own = self.w_priv[:, weighted]
         self.H = np.stack([c.gains for c in channels])
         # a view: each problem's HT has the strides of its (K, L) gains' .T
