@@ -39,9 +39,11 @@ batch, its channel with it. Each array operation applies to every
 problem the same floating-point operations in the same order as a batch
 of one, so a problem's result does not depend, bit for bit, on the
 problems that share its batch. `ao_solve` runs every start of every
-problem it is given as one batch, and solves nothing else: seeding RSMA
-from the converged SDMA/NOMA solutions is `scenarios.solve_schemes`'s
-job.
+problem it is given as one batch, each problem under its own scheme, and
+solves nothing else: a batch that mixes SDMA and NOMA problems is one
+RSMA batch in which each problem zero-weights its own stream. Seeding
+RSMA from the converged SDMA/NOMA solutions is
+`scenarios.solve_schemes`'s job.
 
 The arrays are a few problems of 2 x 4 x 3 entries, so a
 projected-gradient step costs its count of numpy calls, not its
@@ -184,13 +186,14 @@ class _Compiled(SicKernel):
     """The RSMA streams' SIC kernel plus the channel gains and stream weights.
 
     `channel` is one ChannelMatrix, shared by every precoder of a batch,
-    or a sequence with one per precoder; `layout` is the scheme layout of
-    each channel, one StreamLayout or a sequence to match. The gains are
-    held as (1 or B, K, L) with `HT` the matching (1 or B, L, K) view and
-    `hnorm2` as (1 or B, K), the weights as `w_priv` (1 or B, K) and
-    `w_common` (1 or B,); a single channel broadcasts over any batch.
-    Precoders are (B, L, K + 1). The stages of a stream that no layout
-    weights are left out, since its column stays 0 and adds exact zeros:
+    or a sequence with one per precoder; `layout` is the layout of each
+    channel, one StreamLayout or a sequence to match, of any schemes. The
+    gains are held as (1 or B, K, L) with `HT` the matching (1 or B, L,
+    K) view and `hnorm2` as (1 or B, K), the weights as `w_priv` (1 or
+    B, K) and `w_common` (1 or B,); a single channel broadcasts over any
+    batch. Precoders are (B, L, K + 1). The stages of a stream that no
+    layout weights are left out, since its column stays 0 and adds exact
+    zeros:
     SDMA's common stream (`common_col` is None), and the weak user's
     private stream when every NOMA problem has the same strong user.
     `w_own` holds the weights of the private stages kept.
@@ -650,6 +653,7 @@ def ao_solve(
     seed: int | Sequence[int] = 0,
     config: AoConfig = AoConfig(),
     warm_starts: tuple = (),
+    schemes: Sequence[str] = (),
 ) -> Solution | tuple[Solution, ...]:
     """Maximize the weighted sum rate with the multi-start AO solver.
 
@@ -667,8 +671,9 @@ def ao_solve(
     warm starts that bound is not assured.
 
     `layout` selects the scheme: each problem is solved under
-    `build_layout(layout.scheme, K, its channel)`, so one call takes NOMA
-    problems of either strong user. Every start, warm starts included, is
+    `build_layout(layout.scheme, K, its channel)`, or under its own
+    scheme from `schemes` (below), so one call takes NOMA problems of
+    either strong user. Every start, warm starts included, is
     a matrix of that layout; the solver places it on the RSMA streams
     (see the module docstring), and each Solution's precoder and report
     are read back in that layout.
@@ -678,10 +683,14 @@ def ao_solve(
     `channel` one channel shared by all problems or a sequence with one
     channel per problem (all of one shape), `warm_starts` one tuple of
     matrices per problem (or empty), and the result a tuple with one
-    Solution per problem. Every problem is solved under `config`. Every
-    start of every problem runs in one lockstep batch, and each Solution
-    is bit-for-bit the one that problem gets when solved alone: a
-    problem's result does not depend on its batch.
+    Solution per problem. `schemes` may name each problem's scheme, one
+    per problem, so that one call solves, say, the SDMA and the NOMA
+    problems of a sweep; its first entry must be `layout.scheme`, so
+    `layout` stays the layout of the first problem's scheme. Every
+    problem is solved under `config`. Every start of every problem runs
+    in one lockstep batch, and each Solution is bit-for-bit the one that
+    problem gets when solved alone: a problem's result does not depend
+    on its batch.
     """
     single = np.ndim(epsilon) == 0
     if single:
@@ -700,15 +709,19 @@ def ao_solve(
         channels = tuple(channel)
         if single or len(channels) != len(epsilons):
             raise ValueError("a sequence of channels needs a sequence of budgets, one per channel")
+    schemes = tuple(schemes) or (layout.scheme,) * len(epsilons)
+    if len(schemes) != len(epsilons) or schemes[0] != layout.scheme:
+        raise ValueError("schemes needs one scheme per problem, the first one layout's")
     w = np.asarray(priorities, dtype=float)
-    # a channel every problem shares is compiled once and broadcasts over
-    # the batch, so dropping finished problems never copies its gains
-    shared = all(ch is channels[0] for ch in channels)
-    distinct = channels[:1] if shared else channels
-    layouts = [build_layout(layout.scheme, ch.num_users, ch) for ch in distinct]
-    comp = _Compiled(distinct, layouts, w)
-    if shared:
-        layouts *= len(channels)
+    built = {}  # one layout per distinct (scheme, channel)
+    for scheme, ch in zip(schemes, channels):
+        if (scheme, id(ch)) not in built:
+            built[scheme, id(ch)] = build_layout(scheme, ch.num_users, ch)
+    layouts = [built[scheme, id(ch)] for scheme, ch in zip(schemes, channels)]
+    # a channel every problem shares under one layout is compiled once and
+    # broadcasts over the batch, so dropping finished problems never copies
+    # its gains
+    comp = _Compiled(channels[0], layouts[0], w) if len(built) == 1 else _Compiled(channels, layouts, w)
 
     starts: list[np.ndarray] = []
     counts = []
@@ -768,6 +781,13 @@ def grid_oracle(
     Desk-scale verification only: refuses more than 2 fixtures, 3
     streams or a resolution outside ORACLE_RESOLUTIONS (combinatorial
     blow-up).
+
+    The grid is `_grid_rows`, which holds the negation of each of its
+    rows. Negating column s of every precoder row negates column s of the
+    received amplitudes exactly, and every rate depends only on their
+    squares, so the search fixes the sign of each column: the first row
+    runs only over the grid rows whose entries are all >= 0, and the
+    maximum is the one over the full grid, bit for bit.
     """
     kernel = SicKernel(layout, channel.noise)
     private, common = _stream_weights(layout, np.asarray(priorities, dtype=float))
@@ -777,17 +797,16 @@ def grid_oracle(
         raise ValueError(f"grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in {ORACLE_RESOLUTIONS}")
     if epsilon == 0.0:
         return 0.0
-    axis = np.linspace(-epsilon, epsilon, resolution)
-    mesh = np.stack(np.meshgrid(*([axis] * S), indexing="ij"), axis=-1).reshape(-1, S)
-    rows = mesh[np.abs(mesh).sum(axis=1) <= epsilon + 1e-12]
+    rows = _grid_rows(epsilon, resolution, S)
+    first = rows[(rows >= 0.0).all(axis=1)]
     H = channel.gains
     if L == 1:
-        return float(_amplitude_wsr(kernel, w_own, common, rows[:, None, :] * H[None, :, 0:1]).max())
+        return float(_amplitude_wsr(kernel, w_own, common, first[:, None, :] * H[None, :, 0:1]).max())
     best = -np.inf
     # blocks of about 4e4 amplitude entries keep the temporaries in cache
     chunk = max(1, int(4e4 / (rows.shape[0] * S)))
-    for lo in range(0, rows.shape[0], chunk):
-        r1 = rows[lo : lo + chunk]
+    for lo in range(0, first.shape[0], chunk):
+        r1 = first[lo : lo + chunk]
         # amplitudes for every (row1, row2) pair: A[k] = h_k0 r1 + h_k1 r2
         A = (
             H[None, None, :, 0:1] * r1[:, None, None, :]
@@ -795,3 +814,15 @@ def grid_oracle(
         ).reshape(-1, channel.num_users, S)
         best = max(best, float(_amplitude_wsr(kernel, w_own, common, A).max()))
     return best
+
+
+def _grid_rows(epsilon: float, resolution: int, S: int) -> np.ndarray:
+    """The grid oracle's precoder rows: every point of the S-dimensional
+    grid of `resolution` values per axis, from -epsilon to epsilon, that
+    lies in the L1 ball of radius epsilon. Unlike np.linspace, whose
+    middle point can round to a tiny negative number, the axis is
+    symmetric bit for bit, so the negation of every grid row is one too.
+    """
+    axis = epsilon * (2.0 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
+    mesh = np.stack(np.meshgrid(*([axis] * S), indexing="ij"), axis=-1).reshape(-1, S)
+    return mesh[np.abs(mesh).sum(axis=1) <= epsilon + 1e-12]

@@ -240,16 +240,19 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
 
 
 def _solve_points(channels, layouts, priorities, config, epsilons, seeds, warm) -> list:
-    """One Solution or the raised exception per (channel, epsilon, seed).
+    """One Solution or the raised exception per problem (channel,
+    layout, epsilon, seed, warm starts).
 
-    Several problems run as one batched ao_solve call; if it raises,
-    they are solved again one at a time so that only the failing points
-    fail. `layouts` holds each channel's layout of one scheme.
+    Several problems run as one batched ao_solve call, each under its own
+    layout's scheme; the call gets the first problem's layout, so its
+    `layout` is one StreamLayout whatever the batch holds. If it raises,
+    the problems are solved again one at a time so that only the failing
+    ones fail.
     """
     if len(epsilons) > 1:
         try:
-            sols = ao_solve(channels, layouts[0], priorities, epsilons, seed=seeds, config=config, warm_starts=warm)
-            return list(sols)
+            return list(ao_solve(channels, layouts[0], priorities, epsilons, seed=seeds, config=config,
+                                 warm_starts=warm, schemes=[lay.scheme for lay in layouts]))
         except Exception:  # isolate the failure below
             pass
     results = []
@@ -272,33 +275,40 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
     RSMA is requested; one that failed at a channel gives no warm start
     there. Every solve runs under the AoConfig `config`; channel j has
     the amplitude budget `epsilons[j]` in every scheme, and
-    `seed_for(scheme, j)` gives its random-start seed. Each scheme is one
-    batched ao_solve call over all channels, NOMA ones of either strong
-    user included. A scheme whose layout cannot be built gets the
-    ValueError, with layout None, at every channel.
+    `seed_for(scheme, j)` gives its random-start seed. The SDMA and NOMA
+    problems of every channel are one batched ao_solve call, NOMA ones of
+    either strong user included, so the batch's slowest start holds up
+    one call, not two; RSMA is a second call. If a call raises, each
+    (scheme, channel) of it is solved alone. A scheme whose layout cannot
+    be built gets the ValueError, with layout None, at every channel.
     """
     channels = list(channels)
+    n = len(channels)
     helpers = ("sdma", "noma") if channels and channels[0].num_users == 2 else ("sdma",)
-    solved = {}
+    layouts, solved = {}, {}
     for scheme in ("sdma", "noma", "rsma"):
-        if scheme not in schemes and not ("rsma" in schemes and scheme in helpers):
-            continue
-        try:
-            layouts = [build_layout(scheme, ch.num_users, ch) for ch in channels]
-        except ValueError as exc:
-            solved[scheme] = [(None, exc)] * len(channels)
-            continue
-        warm = [()] * len(channels)
-        if scheme == "rsma":
-            warm = [
-                tuple(lay.to_rsma(sol.precoder.matrix) for lay, sol in (solved[h][j] for h in helpers)
-                      if not isinstance(sol, Exception))
-                for j in range(len(channels))
-            ]
-        seeds = [seed_for(scheme, j) for j in range(len(channels))]
-        sols = _solve_points(channels, layouts, priorities, config, epsilons, seeds, warm)
-        solved[scheme] = list(zip(layouts, sols))
-    return {s: solved[s] for s in solved if s in schemes}
+        if scheme in schemes or ("rsma" in schemes and scheme in helpers):
+            try:
+                layouts[scheme] = [build_layout(scheme, ch.num_users, ch) for ch in channels]
+            except ValueError as exc:
+                solved[scheme] = [(None, exc)] * n
+
+    def helper_starts(j):
+        return tuple(lay.to_rsma(sol.precoder.matrix) for lay, sol in (solved[h][j] for h in helpers)
+                     if not isinstance(sol, Exception))
+
+    # the helpers in one batch, then RSMA warm-started from them
+    for names, warm_for in ((("sdma", "noma"), lambda j: ()), (("rsma",), helper_starts)):
+        batch = [scheme for scheme in names if scheme in layouts]
+        problems = [(scheme, j) for scheme in batch for j in range(n)]
+        sols = _solve_points(
+            [channels[j] for _, j in problems], [layouts[s][j] for s, j in problems], priorities, config,
+            [epsilons[j] for _, j in problems], [seed_for(s, j) for s, j in problems],
+            [warm_for(j) for _, j in problems],
+        )
+        for i, scheme in enumerate(batch):
+            solved[scheme] = list(zip(layouts[scheme], sols[i * n : (i + 1) * n]))
+    return {s: solved[s] for s in ("sdma", "noma", "rsma") if s in schemes}
 
 
 def _row(spec: ScenarioSpec, scheme: str, value: float, seed: int, sol) -> SweepRow:
@@ -323,9 +333,10 @@ def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
 
     Each point's amplitude budget is epsilon_from_snr of its SNR, its
     channel's RMS noise level and the reference gain `ref`. The chunk is
-    one `solve_schemes` call, so each scheme is one batched solve and
-    each RSMA point starts from its own point's SDMA/NOMA solutions; a
-    point's seed derives from (base_seed, scheme, sweep index). The
+    one `solve_schemes` call, so its SDMA and NOMA points are one
+    batched solve and its RSMA points a second one, each RSMA point
+    starting from its own point's SDMA/NOMA solutions; a point's seed
+    derives from (base_seed, scheme, sweep index). The
     points of an SNR sweep share one channel; a separation sweep moves
     the users, so each of its points has a channel of its own. A point
     whose budget cannot be computed (say, 10^(SNR/20) overflows) gets an
@@ -363,14 +374,14 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     Per-point seeds derive from (base_seed, scheme, sweep index). With
     `workers` > 1 the points are dealt round-robin into that many
     chunks, one per worker process, so the slow points (high SNR) spread
-    over the workers; each chunk solves its points in one batched
-    ao_solve call per scheme, whether they share one channel (an SNR
-    sweep) or each have their own (a separation sweep).
-    A point's result does not depend on the batch it is solved in, so
-    any worker count produces identical rows. If a batched call raises,
-    its points are solved again one at a time, and only the points that
-    still fail get a row with `error` set. Rows come back sorted by
-    (scheme, sweep index).
+    over the workers; each chunk solves the SDMA and NOMA problems of
+    its points in one batched ao_solve call and its RSMA problems in a
+    second one, whether the points share one channel (an SNR sweep) or
+    each have their own (a separation sweep). A point's result does not
+    depend on the batch it is solved in, so any worker count produces
+    identical rows. If a batched call raises, each (scheme, point) of it
+    is solved again alone, and only the ones that still fail get a row
+    with `error` set. Rows come back sorted by (scheme, sweep index).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -14,7 +14,16 @@ from rsma_vlc.optimizer import (
     project_rows_l1,
     zf_precoder,
 )
-from rsma_vlc.signal_model import SCHEMES, Precoder, assemble_report, build_layout, rate, sinr_common, sinr_private
+from rsma_vlc.signal_model import (
+    SCHEMES,
+    Precoder,
+    SicKernel,
+    assemble_report,
+    build_layout,
+    rate,
+    sinr_common,
+    sinr_private,
+)
 
 
 def channel(gains, noise=None):
@@ -510,6 +519,49 @@ class TestBatchedSolver:
         if w == (0.4, 0.6):  # at the other priorities every NOMA problem converges
             assert outcomes == {True, False}  # both exits are exercised
 
+    @pytest.mark.parametrize("w", [(0.4, 0.6), (0.8, 0.2)], ids=["w0.4,0.6", "w0.8,0.2"])
+    def test_sdma_and_noma_batch_equals_each_problem_alone(self, w):
+        # one call solves the SDMA and the NOMA problem of every channel:
+        # an RSMA batch in which SDMA zero-weights the common stream and
+        # NOMA the weak user's private one, with NOMA of both strong users
+        channels, epsilons, seeds, cfg = self._mixed_problems()
+        problems = [(s, ch, eps, seed + 10 * (s == "noma"))
+                    for ch, eps, seed in zip(channels, epsilons, seeds) for s in ("sdma", "noma")]
+        batched = ao_solve(
+            [ch for _, ch, _, _ in problems], build_layout("sdma", 2, channels[0]), w,
+            [eps for *_, eps, _ in problems], [seed for *_, seed in problems], cfg,
+            schemes=[s for s, *_ in problems],
+        )
+        assert len(batched) == len(problems)
+        outcomes = set()
+        for (scheme, ch, eps, seed), sol in zip(problems, batched):
+            lay = build_layout(scheme, 2, ch)
+            alone = ao_solve(ch, lay, w, eps, seed, cfg)
+            assert self._same(sol, alone)
+            assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
+            assert sol.precoder.matrix.shape == (ch.num_fixtures, lay.num_streams)
+            assert np.array_equal(sol.report.overall, alone.report.overall)
+            assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=False)
+            outcomes.add((scheme, sol.converged))
+        if w == (0.4, 0.6):  # at the other priorities every NOMA problem converges
+            assert outcomes == {(s, c) for s in ("sdma", "noma") for c in (True, False)}  # both exits of both
+        # on one shared channel, too
+        ch = channels[0]
+        shared = ao_solve(ch, build_layout("noma", 2, ch), w, [2.0, 2.0, 9.0], [1, 2, 3], cfg,
+                          schemes=["noma", "sdma", "sdma"])
+        for scheme, eps, seed, sol in zip(["noma", "sdma", "sdma"], [2.0, 2.0, 9.0], [1, 2, 3], shared):
+            assert self._same(sol, ao_solve(ch, build_layout(scheme, 2, ch), w, eps, seed, cfg))
+
+    def test_schemes_need_one_per_problem_the_first_layouts(self):
+        a = channel([[0.9, 0.4], [0.3, 0.8]])
+        sdma, noma = build_layout("sdma", 2, a), build_layout("noma", 2, a)
+        with pytest.raises(ValueError):
+            ao_solve(a, sdma, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, schemes=["sdma"])
+        with pytest.raises(ValueError):
+            ao_solve(a, noma, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, schemes=["sdma", "noma"])
+        with pytest.raises(ValueError):
+            ao_solve(a, sdma, (0.5, 0.5), 1.0, schemes=["sdma", "noma"])
+
     def test_seeded_rsma_equals_nested_reference_and_each_channel_alone(self, monkeypatch):
         # solve_schemes gives RSMA the starts the serial reference's nested
         # SDMA/NOMA solves give it, in the same order
@@ -635,6 +687,30 @@ class TestGridOracle:
             )
             got = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=res)
             assert got == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("resolution", [5, 11, 15, 21])
+    def test_sign_fixed_search_equals_full_grid(self, resolution):
+        # the oracle's first row runs over the grid rows with no negative
+        # entry; on a grid that holds the negation of every row this loses
+        # no maximum, bit for bit (on np.linspace it does)
+        rng = np.random.default_rng(resolution)
+        for scheme in SCHEMES:
+            for _ in range(10):
+                ch = channel(rng.uniform(0.1, 1.0, size=(2, 2)), rng.uniform(0.3, 3.0, size=2))
+                lay = build_layout(scheme, 2, ch)
+                w = rng.uniform(0.2, 1.0, size=2)
+                eps = float(10.0 ** rng.uniform(-0.5, 1.5))
+                kernel = SicKernel(lay, ch.noise)
+                private, common = optimizer._stream_weights(lay, w)
+                rows = optimizer._grid_rows(eps, resolution, lay.num_streams)
+                assert set(map(tuple, -rows)) == set(map(tuple, rows))  # the negation of every row
+                H = ch.gains
+                best = -np.inf
+                for lo in range(0, len(rows), 100):  # every (row 1, row 2) pair
+                    A = (H[None, None, :, 0:1] * rows[lo : lo + 100, None, None, :]
+                         + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.num_streams)
+                    best = max(best, float(optimizer._amplitude_wsr(kernel, private[kernel.owners], common, A).max()))
+                assert grid_oracle(ch, lay, w, eps, resolution) == best
 
     def test_ao_close_to_oracle(self):
         rng = np.random.default_rng(14)

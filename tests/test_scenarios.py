@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from rsma_vlc.scenarios import (
     users_for_separation,
 )
 from rsma_vlc.cli import main
-from rsma_vlc.signal_model import build_layout
+from rsma_vlc.signal_model import StreamLayout, build_layout
 
 CATALOG_NAMES = {
     "scenario1_4led",
@@ -32,6 +33,12 @@ CATALOG_NAMES = {
 def separation(spec):
     a, b = spec.users[0].position, spec.users[1].position
     return float(np.linalg.norm(a - b))
+
+
+def _problems(layout, epsilon, kw):
+    """(scheme, epsilon) of every problem of one ao_solve call."""
+    epsilons = np.atleast_1d(epsilon).tolist()
+    return list(zip(kw.get("schemes") or [layout.scheme] * len(epsilons), epsilons))
 
 
 class TestCatalog:
@@ -233,14 +240,15 @@ class TestRunSweep:
 
         def point_flaky(channel, layout, priorities, epsilon, **kw):
             calls.append((layout.scheme, np.size(epsilon)))
-            if layout.scheme == "noma" and eps15 in np.atleast_1d(epsilon):
+            if ("noma", eps15) in _problems(layout, epsilon, kw):
                 raise RuntimeError("synthetic point blowup")
             return real(channel, layout, priorities, epsilon, **kw)
 
         monkeypatch.setattr(scenarios, "ao_solve", point_flaky)
         res = run_sweep(spec, base_seed=1)
-        # one batched call per scheme; NOMA then falls back to one call per point
-        assert calls == [("sdma", 2), ("noma", 2), ("noma", 1), ("noma", 1), ("rsma", 2)]
+        # one batched SDMA + NOMA call, reported under its first problem's
+        # scheme, falls back to one call per (scheme, point); RSMA is one call
+        assert calls == [("sdma", 4), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 2)]
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0)]
         assert "synthetic point blowup" in res.failures[0].error
         # every other row is the clean one, except RSMA at the failed point,
@@ -267,8 +275,7 @@ class TestRunSweep:
         monkeypatch.setattr(scenarios, "ao_solve", helpers_flaky)
         res = run_sweep(spec, base_seed=1)
         assert calls == [
-            ("sdma", 2), ("sdma", 1), ("sdma", 1),
-            ("noma", 2), ("noma", 1), ("noma", 1), ("rsma", 2),
+            ("sdma", 4), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 2),
         ]
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0), ("sdma", 15.0)]
         rsma = {r.sweep_value: r for r in res.for_scheme("rsma")}
@@ -329,4 +336,44 @@ class TestRunSweep:
         res = run_sweep(spec, base_seed=5, workers=workers)
         assert res.rows == tuple(alone)
         if workers == 1:  # the pool's processes keep their own call lists
-            assert calls == [("sdma", 4), ("noma", 4), ("rsma", 4)]
+            assert calls == [("sdma", 8), ("rsma", 4)]
+
+
+class TestTracerContract:
+    """The benchmark's traced run wraps ao_solve, binds its `layout` and
+    reads `layout.scheme` to tag each call. A call whose `layout` is not
+    one StreamLayout would raise there, the sweep would fall back to one
+    solve per problem, and the traced run would time another program."""
+
+    def test_every_call_gets_one_layout_and_none_falls_back(self, monkeypatch):
+        real = scenarios.ao_solve
+        signature = inspect.signature(real)
+        calls, raised = [], []
+
+        def traced(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            try:
+                return real(*args, **kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+            finally:
+                layout = bound["layout"]
+                calls.append((type(layout), layout.scheme, np.size(bound["epsilon"])))
+
+        monkeypatch.setattr(scenarios, "ao_solve", traced)
+        spec = replace(catalog()["scenario1_2led"], sweep=Sweep("snr_db", (5.0, 15.0)))
+        assert not run_sweep(spec, base_seed=1).failures
+        separations = replace(
+            catalog()["separation_sweep_2led"],
+            sweep=Sweep("separation", (1.2, 3.6)),
+            snr_db=20.0,
+            schemes=("rsma", "sdma", "noma"),
+        )
+        assert not run_sweep(separations, base_seed=1).failures
+        assert main(["validate", "--mc-instances", "1", "--oracle-instances", "2"]) == 0
+        assert raised == []
+        # each sweep: SDMA and NOMA in one call, then RSMA; validate also
+        # solves SDMA and NOMA alone
+        one_sweep = [(StreamLayout, "sdma", 4), (StreamLayout, "rsma", 2)]
+        assert calls == one_sweep * 3 + [(StreamLayout, "sdma", 2), (StreamLayout, "noma", 2)]
