@@ -345,20 +345,19 @@ def cmd_validate(config: RunConfig) -> int:
     # every instance is drawn first, in the order the checks print; the
     # channels have unit noise, so 15 dB is this budget for AO and oracle alike
     epsilon = optimizer.epsilon_from_snr(15.0, 1.0)
-    drawn = {}
+    instances = []  # (scheme, channel, seed)
     for scheme in signal_model.SCHEMES:
-        drawn[scheme] = []
         for _ in range(config.oracle_instances):
             gains = rng.uniform(0.2, 1.0, size=(2, 2))
-            drawn[scheme].append((ChannelMatrix(gains=gains, noise=np.ones(2)), int(rng.integers(1 << 31))))
-    ao = AoConfig(corner_starts=True)
-    for scheme, instances in drawn.items():
-        channels = [channel for channel, _ in instances]
-        seeds = [seed for _, seed in instances]  # RSMA's helpers use RSMA's seeds
-        solved = scenarios.solve_schemes(
-            channels, (0.5, 0.5), (scheme,), ao, [epsilon] * len(channels), lambda _, i: seeds[i]
-        )[scheme]
-        for i, (channel, (layout, sol)) in enumerate(zip(channels, solved)):
+            instances.append((scheme, ChannelMatrix(gains=gains, noise=np.ones(2)), int(rng.integers(1 << 31))))
+    # one solve for every instance; RSMA's helpers use RSMA's seeds
+    solved = scenarios.solve_schemes(
+        [channel for _, channel, _ in instances], (0.5, 0.5), [(scheme,) for scheme, _, _ in instances],
+        AoConfig(corner_starts=True), [epsilon] * len(instances), lambda _, j: instances[j][2],
+    )
+    for scheme in signal_model.SCHEMES:
+        checked = [channel for s, channel, _ in instances if s == scheme]
+        for i, (channel, (layout, sol)) in enumerate(zip(checked, solved.get(scheme, ()))):
             if isinstance(sol, Exception):
                 raise sol
             oracle = optimizer.grid_oracle(

@@ -29,21 +29,23 @@ scheme's own layout bit for bit. The stages of a stream that no
 problem of a batch weights are left out.
 
 Every start is one problem of a lockstep batch. Each problem has its
-own channel (gains stacked as (B, K, L), noise as (B, K); a batch whose
-problems share a channel is one whose gains are all the same), stream
-weights, (L, K + 1) precoder in a (B, L, K + 1) stack, amplitude budget,
-FISTA state, outer iteration count, convergence flag and WSR history.
-All active problems take each AO iteration, and each projected-gradient
-step inside it, together; a problem that has finished drops out of the
-batch, its channel with it. Each array operation applies to every
-problem the same floating-point operations in the same order as a batch
-of one, so a problem's result does not depend, bit for bit, on the
-problems that share its batch. `ao_solve` runs every start of every
-problem it is given as one batch, each problem under its own scheme, and
-solves nothing else: a batch that mixes SDMA and NOMA problems is one
-RSMA batch in which each problem zero-weights its own stream. Seeding
-RSMA from the converged SDMA/NOMA solutions is
-`scenarios.solve_schemes`'s job.
+own channel (gains stacked as (B, K, L), noise as (B, K); a channel that
+every problem shares is one row that broadcasts), stream weights, (L, K
++ 1) precoder in a (B, L, K + 1) stack, amplitude budget, FISTA state,
+outer iteration count, convergence flag and WSR history. All active
+problems take each AO iteration, and each projected-gradient step
+inside it, together; a problem that has finished drops out of the
+batch, and one can enter it later. Each array operation applies to
+every problem the same floating-point operations in the same order as a
+batch of one, so a problem's result does not depend, bit for bit, on
+the problems that share its batch. `ao_solve` runs every start of every
+problem it is given as one batch, each problem under its own scheme: a
+batch that mixes SDMA, NOMA and RSMA problems is one RSMA batch in which
+each problem zero-weights the streams its scheme lacks. A problem may
+name earlier problems of the call whose solutions become its warm
+starts (`warm_from`); those starts enter the running batch once the
+problems they name have finished. Which problems seed RSMA, and from
+what, is `scenarios.solve_schemes`'s choice.
 
 The arrays are a few problems of 2 x 4 x 3 entries, so a
 projected-gradient step costs its count of numpy calls, not its
@@ -185,15 +187,16 @@ def _stream_weights(layout: StreamLayout, w: np.ndarray) -> tuple[np.ndarray, fl
 class _Compiled(SicKernel):
     """The RSMA streams' SIC kernel plus the channel gains and stream weights.
 
-    `channel` is one ChannelMatrix, shared by every precoder of a batch,
-    or a sequence with one per precoder; `layout` is the layout of each
-    channel, one StreamLayout or a sequence to match, of any schemes. The
-    gains are held as (1 or B, K, L) with `HT` the matching (1 or B, L,
-    K) view and `hnorm2` as (1 or B, K), the weights as `w_priv` (1 or
-    B, K) and `w_common` (1 or B,); a single channel broadcasts over any
-    batch. Precoders are (B, L, K + 1). The stages of a stream that no
-    layout weights are left out, since its column stays 0 and adds exact
-    zeros:
+    `layout` is one StreamLayout or a sequence of them, of any schemes,
+    one per problem; `channel` is one ChannelMatrix, shared by every
+    problem, or a sequence with one per layout. The gains are held as (1
+    or B, K, L) with `HT` the matching (1 or B, L, K) view, `hnorm2` as
+    (1 or B, K) and the noise as (1 or B, K): a single channel is one
+    row, whatever the layouts, and broadcasts over any batch. The
+    weights are `w_priv` (1 or B, K) and `w_common` (1 or B,), one row
+    per layout. Precoders are (B, L, K + 1). The stages of a stream that
+    no layout weights are left out, since its column stays 0 and adds
+    exact zeros:
     SDMA's common stream (`common_col` is None), and the weak user's
     private stream when every NOMA problem has the same strong user.
     `w_own` holds the weights of the private stages kept.
@@ -202,8 +205,8 @@ class _Compiled(SicKernel):
     def __init__(self, channel, layout, priorities: np.ndarray):
         channels = (channel,) if isinstance(channel, ChannelMatrix) else tuple(channel)
         layouts = (layout,) if isinstance(layout, StreamLayout) else tuple(layout)
-        if not channels or len({c.gains.shape for c in channels}) != 1 or len(layouts) != len(channels):
-            raise ValueError("a batch needs at least one channel, all of one shape, and a layout each")
+        if not channels or len({c.gains.shape for c in channels}) != 1 or len(channels) not in (1, len(layouts)):
+            raise ValueError("a batch needs at least one channel, all of one shape: one shared or one per layout")
         w = np.asarray(priorities, dtype=float)
         weights = [_stream_weights(lay, w) for lay in layouts]
         self.w_priv = np.array([private for private, _ in weights])
@@ -253,11 +256,19 @@ class _Compiled(SicKernel):
         self.piece_of = entries[:, 4]
 
     def take(self, keep: np.ndarray) -> "_Compiled":
-        sub = super().take(keep)
-        if sub is not self:
+        """The compiled batch of the precoders selected by `keep` (a boolean
+        mask or indices). A single channel stays one row, so only the
+        weights are gathered; a batch of one layout on one channel is
+        returned as it is."""
+        if len(self.w_priv) == 1:
+            return self
+        sub = object.__new__(_Compiled)
+        sub.__dict__.update(self.__dict__)
+        sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
+        if len(self.H) > 1:
             sub.H, sub.hnorm2 = self.H[keep], self.hnorm2[keep]
             sub.HT = sub.H.transpose(0, 2, 1)
-            sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
+            sub.sig2_own, sub.sig2_dec, sub._sig2 = self.sig2_own[keep], self.sig2_dec[keep], self._sig2[keep]
         return sub
 
     def true_rates(self, P: np.ndarray):
@@ -601,46 +612,92 @@ def _random_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, 
 # --------------------------------------------------------------------------
 
 
-def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoConfig):
+def _best(final, lo: int, n: int) -> int:
+    """The start of lo .. lo + n - 1 with the best final WSR, the earliest on ties."""
+    best = lo
+    for b in range(lo + 1, lo + n):
+        if final[b] > final[best]:
+            best = b
+    return best
+
+
+def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoConfig, admit=()):
     """AO from every start of the (B, L, K + 1) stack P0 in lockstep.
 
     `comp` holds one channel per start or one shared channel, and
-    `epsilon` one budget per start. Returns (P, histories, converged):
-    the final precoders, one WSR history list per start (its length
-    minus one is the start's iteration count) and one convergence flag
-    per start. A start leaves the batch once its WSR changes by at most
-    `config.tolerance` in one iteration.
+    `epsilon` one budget per start. Every start enters the batch at outer
+    iteration 0, except those of `admit`: an entry (rows, after, fill)
+    names starts whose rows of P0 are placeholders. They enter at the
+    first outer iteration after every start of `after` has finished, from
+    the (len(rows), L, K + 1) stack `fill(P, final)` returns, where P and
+    `final` hold the final precoders and WSRs of the finished starts. A
+    start's history, iteration count and `config.max_iterations` cap
+    count its own iterations from its entry. The full compiled batch is
+    kept, and the live rows are taken from it again whenever starts
+    finish or enter.
+
+    Returns (P, histories, converged): the final precoders, one WSR
+    history list per start (its length minus one is the start's
+    iteration count) and one convergence flag per start. A start leaves
+    the batch once its WSR changes by at most `config.tolerance` in one
+    iteration.
     """
-    radius = np.repeat(np.asarray(epsilon, dtype=float)[:, None], P0.shape[1], axis=1)
-    P = project_rows_l1(P0, radius)
-    wsr, _ = comp.true_rates(P)
-    # row i: the WSR after iteration i of every start still running then
-    history = np.empty((config.max_iterations + 1, len(P)))
-    history[0] = wsr
-    iterations = np.full(len(P), config.max_iterations)
-    converged = np.zeros(len(P), dtype=bool)
-    out = np.empty_like(P)
-    live = np.arange(len(P))
+    radii = np.repeat(np.asarray(epsilon, dtype=float)[:, None], P0.shape[1], axis=1)
+    # row t: the WSR of each start after its own iteration t
+    history = np.empty((config.max_iterations + 1, len(P0)))
+    iterations = np.full(len(P0), config.max_iterations)
+    converged = np.zeros(len(P0), dtype=bool)
+    finished = np.zeros(len(P0), dtype=bool)
+    entered = np.zeros(len(P0), dtype=np.intp)  # the outer iteration of each start's iteration 0
+    out, final = np.empty_like(P0), np.empty(len(P0))
+    waiting = list(admit)
+    later = np.zeros(len(P0), dtype=bool)
+    for rows, _, _ in waiting:
+        later[rows] = True
+    enter = np.flatnonzero(~later)
+    P_enter = P0[enter]
+    live, P, wsr = enter[:0], P0[:0], np.empty(0)
     n = comp.n_priv
-    for i in range(1, config.max_iterations + 1):
-        g, u = _mmse_gu(*comp.stage_arrays(comp.H @ P))
-        sur = _SurrogateBatch(comp, g[:, :n], u[:, :n], g[:, n:], u[:, n:])
+    i, retake = 0, False
+    while True:
+        if len(enter):
+            P_enter = project_rows_l1(P_enter, radii[enter])
+            history[0, enter], _ = comp.take(enter).true_rates(P_enter)
+            entered[enter] = i
+            live = np.concatenate((live, enter))
+            P = np.concatenate((P, P_enter))
+            wsr = np.concatenate((wsr, history[0, enter]))
+            retake = True
+        if not len(live):
+            break
+        if retake:
+            batch, radius, retake = comp.take(live), radii[live], False
+        i += 1
+        g, u = _mmse_gu(*batch.stage_arrays(batch.H @ P))
+        sur = _SurrogateBatch(batch, g[:, :n], u[:, :n], g[:, n:], u[:, n:])
         P = _maximize_batch(sur, radius, P, _PG_MAX_ITER, _PG_TOL)
-        new_wsr, _ = comp.true_rates(P)
-        history[i, live] = new_wsr
-        done = np.abs(new_wsr - wsr) <= config.tolerance
+        new_wsr, _ = batch.true_rates(P)
+        own = i - entered[live]
+        history[own, live] = new_wsr
+        settled = np.abs(new_wsr - wsr) <= config.tolerance
+        done = settled | (own == config.max_iterations)
         if done.any():
-            finished = live[done]
-            converged[finished] = True
-            iterations[finished] = i
-            out[finished] = P[done]
+            ended = live[done]
+            converged[live[settled]] = True
+            finished[ended] = True
+            iterations[ended] = own[done]
+            out[ended], final[ended] = P[done], new_wsr[done]
             keep = ~done
-            live, P, radius, new_wsr = live[keep], P[keep], radius[keep], new_wsr[keep]
-            if not len(live):
-                break
-            comp = comp.take(keep)
+            live, P, new_wsr = live[keep], P[keep], new_wsr[keep]
+            retake = True
         wsr = new_wsr
-    out[live] = P
+        ready = [entry for entry in waiting if finished[entry[1]].all()]
+        if ready:
+            waiting = [entry for entry in waiting if not finished[entry[1]].all()]
+            enter = np.concatenate([rows for rows, _, _ in ready])
+            P_enter = np.concatenate([fill(out, final) for _, _, fill in ready])
+        else:
+            enter = enter[:0]
     histories = [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())]
     return out, histories, converged
 
@@ -654,6 +711,7 @@ def ao_solve(
     config: AoConfig = AoConfig(),
     warm_starts: tuple = (),
     schemes: Sequence[str] = (),
+    warm_from: tuple = (),
 ) -> Solution | tuple[Solution, ...]:
     """Maximize the weighted sum rate with the multi-start AO solver.
 
@@ -661,14 +719,14 @@ def ao_solve(
     row's L1 ball) and `seed` seeds the random starts. The starts are,
     in this order: ZF; with `config.corner_starts`, one per-user
     full-budget start each (they reach degenerate single-user optima);
-    the matrices of `warm_starts`; and seeded random feasible starts up
-    to `config.restarts` (at least one always). The best final WSR
-    wins, the earliest start on ties. Ascent is monotone, so the result
-    is at least as good as every warm start: an RSMA solve warm-started
-    from the converged SDMA and NOMA solutions placed on its streams
-    (`StreamLayout.to_rsma`) satisfies WSR(RSMA) >= max(WSR(SDMA),
-    WSR(NOMA)). `scenarios.solve_schemes` seeds RSMA that way; without
-    warm starts that bound is not assured.
+    the matrices of `warm_starts`; the solutions of `warm_from` (below);
+    and seeded random feasible starts up to `config.restarts` (at least
+    one always). The best final WSR wins, the earliest start on ties.
+    Ascent is monotone, so the result is at least as good as every warm
+    start: an RSMA solve warm-started from the converged SDMA and NOMA
+    solutions placed on its streams (`StreamLayout.to_rsma`) satisfies
+    WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)). `scenarios.solve_schemes`
+    seeds RSMA that way; without warm starts that bound is not assured.
 
     `layout` selects the scheme: each problem is solved under
     `build_layout(layout.scheme, K, its channel)`, or under its own
@@ -684,23 +742,37 @@ def ao_solve(
     channel per problem (all of one shape), `warm_starts` one tuple of
     matrices per problem (or empty), and the result a tuple with one
     Solution per problem. `schemes` may name each problem's scheme, one
-    per problem, so that one call solves, say, the SDMA and the NOMA
+    per problem, so that one call solves, say, the SDMA, NOMA and RSMA
     problems of a sweep; its first entry must be `layout.scheme`, so
-    `layout` stays the layout of the first problem's scheme. Every
-    problem is solved under `config`. Every start of every problem runs
-    in one lockstep batch, and each Solution is bit-for-bit the one that
-    problem gets when solved alone: a problem's result does not depend
-    on its batch.
+    `layout` stays the layout of the first problem's scheme.
+
+    `warm_from` may hold, per problem, a tuple of earlier problems of the
+    call (their indices; empty, the default, for none). The winning
+    precoder of each, placed on the RSMA streams (`StreamLayout.to_rsma`)
+    and read in this problem's layout, is one of its warm starts, in the
+    order given. These starts enter the running batch at the first outer
+    iteration after every start of the problems they name has finished;
+    the problem's other starts enter at once. Every start counts its own
+    iterations, under its own `config.max_iterations` cap, so its result
+    is the one of a solve that begins when it enters.
+
+    Every problem is solved under `config`. Every start of every problem
+    runs in one lockstep batch, and each Solution is bit-for-bit the one
+    that problem gets when solved alone, with its `warm_from` solutions
+    as `warm_starts`: a problem's result does not depend on its batch.
     """
     single = np.ndim(epsilon) == 0
     if single:
-        epsilons, seeds, warm = (float(epsilon),), (seed,), (tuple(warm_starts),)
+        epsilons, seeds, warm, deps = (float(epsilon),), (seed,), (tuple(warm_starts),), (tuple(warm_from),)
     else:
         epsilons = tuple(float(e) for e in epsilon)
         seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
         warm = tuple(tuple(ws) for ws in warm_starts) or ((),) * len(epsilons)
-        if not epsilons or len(seeds) != len(epsilons) or len(warm) != len(epsilons):
+        deps = tuple(tuple(refs) for refs in warm_from) or ((),) * len(epsilons)
+        if not epsilons or not len(seeds) == len(warm) == len(deps) == len(epsilons):
             raise ValueError("ao_solve needs at least one problem, and one seed and warm-start tuple each")
+    if any(not 0 <= q < p for p, refs in enumerate(deps) for q in refs):
+        raise ValueError("warm_from may name only earlier problems of the call")
     if min(epsilons) < 0:
         raise ValueError("epsilon must be nonnegative")
     if isinstance(channel, ChannelMatrix):
@@ -718,34 +790,47 @@ def ao_solve(
         if (scheme, id(ch)) not in built:
             built[scheme, id(ch)] = build_layout(scheme, ch.num_users, ch)
     layouts = [built[scheme, id(ch)] for scheme, ch in zip(schemes, channels)]
-    # a channel every problem shares under one layout is compiled once and
-    # broadcasts over the batch, so dropping finished problems never copies
-    # its gains
-    comp = _Compiled(channels[0], layouts[0], w) if len(built) == 1 else _Compiled(channels, layouts, w)
+    # a channel every problem shares is compiled once and broadcasts over
+    # the batch, so dropping finished problems never copies its gains
+    shared = len({id(ch) for ch in channels}) == 1
+    comp = _Compiled(channels[0] if shared else channels, layouts[0] if len(built) == 1 else layouts, w)
+
+    def warm_solutions(refs, lay):
+        def fill(P, final):
+            ms = []
+            for q in refs:
+                sub = layouts[q]
+                matrix = P[_best(final, firsts[q], counts[q])][:, sub.rsma_columns]  # its Solution's
+                ms.append(sub.to_rsma(matrix)[:, lay.rsma_columns])
+            return lay.to_rsma(np.stack(ms))
+        return fill
 
     starts: list[np.ndarray] = []
-    counts = []
-    for ch, lay, eps, seed_i, warm_i in zip(channels, layouts, epsilons, seeds, warm):
+    counts, firsts, admit = [], [], []
+    for ch, lay, eps, seed_i, warm_i, refs in zip(channels, layouts, epsilons, seeds, warm, deps):
         own = [_zf_start(ch, lay, eps)]
         if config.corner_starts:
             own += [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
         own += [np.asarray(m, dtype=float) for m in warm_i]
+        if refs:
+            rows = sum(counts) + len(own) + np.arange(len(refs))
+            after = np.concatenate([np.arange(firsts[q], firsts[q] + counts[q]) for q in refs])
+            admit.append((rows, after, warm_solutions(refs, lay)))
+            own += [np.zeros_like(own[0])] * len(refs)  # placeholders until the named problems finish
         rng = np.random.default_rng(seed_i)
         n_random = max(1, config.restarts - len(own))  # always explore at random too
         own += [_random_start(ch, lay, eps, rng) for _ in range(n_random)]
         starts.append(lay.to_rsma(np.stack(own)))
+        firsts.append(sum(counts))
         counts.append(len(own))
 
     batch = comp.take(np.repeat(np.arange(len(epsilons)), counts))
-    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.concatenate(starts), config)
+    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.concatenate(starts), config, admit)
     _, caps = batch.true_rates(P)
+    final = [h[-1] for h in histories]
     solutions = []
-    lo = 0
-    for ch, lay, n in zip(channels, layouts, counts):
-        best = lo
-        for b in range(lo + 1, lo + n):
-            if histories[b][-1] > histories[best][-1]:
-                best = b
+    for ch, lay, lo, n in zip(channels, layouts, firsts, counts):
+        best = _best(final, lo, n)
         shares = default_shares(lay, float(caps[best]), w)
         precoder = Precoder(matrix=P[best][:, lay.rsma_columns])
         report = assemble_report(ch, precoder, lay, shares=shares, weights=w)
@@ -760,7 +845,6 @@ def ao_solve(
                 wsr_history=tuple(histories[best]),
             )
         )
-        lo += n
     return solutions[0] if single else tuple(solutions)
 
 

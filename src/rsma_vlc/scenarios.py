@@ -239,76 +239,85 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _solve_points(channels, layouts, priorities, config, epsilons, seeds, warm) -> list:
+def _solve_points(channels, layouts, priorities, config, epsilons, seeds, warm_from) -> list:
     """One Solution or the raised exception per problem (channel,
-    layout, epsilon, seed, warm starts).
+    layout, epsilon, seed, and the earlier problems whose solutions are
+    its warm starts).
 
     Several problems run as one batched ao_solve call, each under its own
     layout's scheme; the call gets the first problem's layout, so its
     `layout` is one StreamLayout whatever the batch holds. If it raises,
-    the problems are solved again one at a time so that only the failing
-    ones fail.
+    the problems are solved again one at a time, in order, each
+    warm-started from the solutions of its `warm_from` problems that
+    succeeded, so that only the failing ones fail.
     """
     if len(epsilons) > 1:
         try:
             return list(ao_solve(channels, layouts[0], priorities, epsilons, seed=seeds, config=config,
-                                 warm_starts=warm, schemes=[lay.scheme for lay in layouts]))
+                                 schemes=[lay.scheme for lay in layouts], warm_from=warm_from))
         except Exception:  # isolate the failure below
             pass
     results = []
-    for channel, layout, eps, seed, ws in zip(channels, layouts, epsilons, seeds, warm):
+    for channel, layout, eps, seed, refs in zip(channels, layouts, epsilons, seeds, warm_from):
+        warm = tuple(layouts[q].to_rsma(results[q].precoder.matrix)[:, layout.rsma_columns]
+                     for q in refs if not isinstance(results[q], Exception))
         try:
-            results.append(ao_solve(channel, layout, priorities, eps, seed=seed, config=config, warm_starts=ws))
+            results.append(ao_solve(channel, layout, priorities, eps, seed=seed, config=config, warm_starts=warm))
         except Exception as exc:  # failed points must not sink the sweep
             results.append(exc)
     return results
 
 
 def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> dict:
-    """{scheme: [(layout, Solution or the raised exception) per channel]}.
+    """{scheme: [(layout, Solution or the raised exception) per channel
+    that requests the scheme, in channel order]}.
 
-    The one place RSMA is seeded from the special cases: each RSMA
-    problem gets its own channel's converged SDMA and (two users) NOMA
-    precoders, placed on its streams (`StreamLayout.to_rsma`), as warm
-    starts in that order, so WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA))
-    holds by monotone ascent. These helpers run first, also when only
-    RSMA is requested; one that failed at a channel gives no warm start
-    there. Every solve runs under the AoConfig `config`; channel j has
-    the amplitude budget `epsilons[j]` in every scheme, and
-    `seed_for(scheme, j)` gives its random-start seed. The SDMA and NOMA
-    problems of every channel are one batched ao_solve call, NOMA ones of
-    either strong user included, so the batch's slowest start holds up
-    one call, not two; RSMA is a second call. If a call raises, each
-    (scheme, channel) of it is solved alone. A scheme whose layout cannot
-    be built gets the ValueError, with layout None, at every channel.
+    `schemes` names the schemes to solve at every channel, or holds one
+    such tuple per channel. The one place RSMA is seeded from the
+    special cases: each RSMA problem gets its own channel's converged
+    SDMA and (two users) NOMA precoders, placed on its streams
+    (`StreamLayout.to_rsma`), as warm starts in that order, so WSR(RSMA)
+    >= max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent. These helpers
+    are solved also where only RSMA is requested; one that failed at a
+    channel gives no warm start there. Every solve runs under the
+    AoConfig `config`; channel j has the amplitude budget `epsilons[j]`
+    in every scheme, and `seed_for(scheme, j)` gives its random-start
+    seed. Every problem of every channel is one batched ao_solve call,
+    NOMA ones of either strong user included: each RSMA problem's warm
+    starts enter the running batch once its helpers have finished, so
+    the batch's slowest start holds up one call. If the call raises, each
+    (scheme, channel) is solved alone, the helpers first. A scheme whose
+    layout cannot be built at a channel gets the ValueError there, with
+    layout None.
     """
     channels = list(channels)
-    n = len(channels)
-    helpers = ("sdma", "noma") if channels and channels[0].num_users == 2 else ("sdma",)
-    layouts, solved = {}, {}
+    wanted = [tuple(schemes)] * len(channels) if not schemes or isinstance(schemes[0], str) else list(schemes)
+    if len(wanted) != len(channels):
+        raise ValueError("schemes needs one tuple of schemes per channel")
+    layouts, solved = {}, {}  # by (scheme, channel index), the helpers first
     for scheme in ("sdma", "noma", "rsma"):
-        if scheme in schemes or ("rsma" in schemes and scheme in helpers):
-            try:
-                layouts[scheme] = [build_layout(scheme, ch.num_users, ch) for ch in channels]
-            except ValueError as exc:
-                solved[scheme] = [(None, exc)] * n
+        for j, ch in enumerate(channels):
+            if scheme in wanted[j] or ("rsma" in wanted[j] and scheme in _helpers(ch)):
+                try:
+                    layouts[scheme, j] = build_layout(scheme, ch.num_users, ch)
+                except ValueError as exc:
+                    solved[scheme, j] = (None, exc)
+    problems = list(layouts)
+    index = {problem: p for p, problem in enumerate(problems)}
+    warm_from = [tuple(index[h, j] for h in _helpers(channels[j]) if (h, j) in index) if scheme == "rsma" else ()
+                 for scheme, j in problems]
+    sols = _solve_points(
+        [channels[j] for _, j in problems], list(layouts.values()), priorities, config,
+        [epsilons[j] for _, j in problems], [seed_for(s, j) for s, j in problems], warm_from,
+    )
+    solved.update((problem, (layouts[problem], sol)) for problem, sol in zip(problems, sols))
+    return {s: [solved[s, j] for j, w in enumerate(wanted) if s in w]
+            for s in ("sdma", "noma", "rsma") if any(s in w for w in wanted)}
 
-    def helper_starts(j):
-        return tuple(lay.to_rsma(sol.precoder.matrix) for lay, sol in (solved[h][j] for h in helpers)
-                     if not isinstance(sol, Exception))
 
-    # the helpers in one batch, then RSMA warm-started from them
-    for names, warm_for in ((("sdma", "noma"), lambda j: ()), (("rsma",), helper_starts)):
-        batch = [scheme for scheme in names if scheme in layouts]
-        problems = [(scheme, j) for scheme in batch for j in range(n)]
-        sols = _solve_points(
-            [channels[j] for _, j in problems], [layouts[s][j] for s, j in problems], priorities, config,
-            [epsilons[j] for _, j in problems], [seed_for(s, j) for s, j in problems],
-            [warm_for(j) for _, j in problems],
-        )
-        for i, scheme in enumerate(batch):
-            solved[scheme] = list(zip(layouts[scheme], sols[i * n : (i + 1) * n]))
-    return {s: solved[s] for s in ("sdma", "noma", "rsma") if s in schemes}
+def _helpers(channel: ChannelMatrix) -> tuple:
+    """The schemes whose solutions seed RSMA at `channel`."""
+    return ("sdma", "noma") if channel.num_users == 2 else ("sdma",)
 
 
 def _row(spec: ScenarioSpec, scheme: str, value: float, seed: int, sol) -> SweepRow:
@@ -333,9 +342,9 @@ def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
 
     Each point's amplitude budget is epsilon_from_snr of its SNR, its
     channel's RMS noise level and the reference gain `ref`. The chunk is
-    one `solve_schemes` call, so its SDMA and NOMA points are one
-    batched solve and its RSMA points a second one, each RSMA point
-    starting from its own point's SDMA/NOMA solutions; a point's seed
+    one `solve_schemes` call, so its SDMA, NOMA and RSMA points are one
+    batched solve, each RSMA point's warm starts entering it once its
+    own point's SDMA/NOMA solutions have converged; a point's seed
     derives from (base_seed, scheme, sweep index). The
     points of an SNR sweep share one channel; a separation sweep moves
     the users, so each of its points has a channel of its own. A point
@@ -374,14 +383,14 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     Per-point seeds derive from (base_seed, scheme, sweep index). With
     `workers` > 1 the points are dealt round-robin into that many
     chunks, one per worker process, so the slow points (high SNR) spread
-    over the workers; each chunk solves the SDMA and NOMA problems of
-    its points in one batched ao_solve call and its RSMA problems in a
-    second one, whether the points share one channel (an SNR sweep) or
-    each have their own (a separation sweep). A point's result does not
-    depend on the batch it is solved in, so any worker count produces
-    identical rows. If a batched call raises, each (scheme, point) of it
-    is solved again alone, and only the ones that still fail get a row
-    with `error` set. Rows come back sorted by (scheme, sweep index).
+    over the workers; each chunk solves the SDMA, NOMA and RSMA problems
+    of its points in one batched ao_solve call, whether the points share
+    one channel (an SNR sweep) or each have their own (a separation
+    sweep). A point's result does not depend on the batch it is solved
+    in, so any worker count produces identical rows. If a batched call
+    raises, each (scheme, point) of it is solved again alone, the helpers
+    first, and only the ones that still fail get a row with `error` set.
+    Rows come back sorted by (scheme, sweep index).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -258,18 +258,6 @@ class SicKernel:
         self._gather = np.array(rows + [own], dtype=np.intp)
         self._sig2 = np.concatenate((self.sig2_own, self.sig2_dec), axis=1)
 
-    def take(self, keep: np.ndarray) -> "SicKernel":
-        """The kernel of the precoders selected by `keep` (a boolean mask or
-        indices); a kernel of one shared channel is returned as it is."""
-        if len(self.sig2_own) == 1:
-            return self
-        sub = object.__new__(type(self))
-        sub.__dict__.update(self.__dict__)
-        sub.sig2_own = self.sig2_own[keep]
-        sub.sig2_dec = self.sig2_dec[keep]
-        sub._sig2 = self._sig2[keep]
-        return sub
-
     def stage_of(self, user: int, stream: int) -> tuple[bool, int]:
         """(is_common, index among the common or the private stages) of `user` decoding `stream`."""
         desc = self.layout.streams[stream]
@@ -442,6 +430,11 @@ def assemble_report(
 
 # 4-PAM, zero mean, unit variance: levels {-3,-1,1,3}/sqrt(5)
 _PAM4 = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(5.0)
+# symbol rows monte_carlo_sinr draws per call of the generator. Each
+# index takes the next 32 bits of the generator's stream, whose spare
+# half-word carries over from one call to the next, so the chunks draw
+# the indices one call for all rows would, whatever their size
+_MC_CHUNK_ROWS = 1 << 14
 
 
 def monte_carlo_sinr(
@@ -461,6 +454,11 @@ def monte_carlo_sinr(
     private streams; private stage has the common stream cancelled).
     Converges to the analytic SINR; the estimate is deterministic for a
     fixed seed.
+
+    The symbol indices of every stream are drawn in chunks of rows, then
+    the noise; only the stream's and its interferers' symbols are kept.
+    The estimate is the one of drawing every symbol in one call, bit for
+    bit.
     """
     if num_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
@@ -468,8 +466,16 @@ def monte_carlo_sinr(
 
     rng = np.random.default_rng(seed)
     amps = channel.gains[user] @ precoder.matrix
-    symbols = _PAM4[rng.integers(0, 4, size=(num_symbols, precoder.num_streams))]
+    signal = np.empty(num_symbols)
+    others = np.empty((num_symbols, len(interferers)))
+    for lo in range(0, num_symbols, _MC_CHUNK_ROWS):
+        index = rng.integers(0, 4, size=(min(_MC_CHUNK_ROWS, num_symbols - lo), precoder.num_streams))
+        _PAM4.take(index[:, stream], out=signal[lo : lo + len(index)])
+        _PAM4.take(index[:, interferers], out=others[lo : lo + len(index)])
     noise = rng.normal(0.0, np.sqrt(channel.noise[user]), size=num_symbols)
-    signal = amps[stream] * symbols[:, stream]
-    disturbance = symbols[:, interferers] @ amps[interferers] + noise
-    return float(np.mean(signal**2) / max(np.mean(disturbance**2), _DEN_FLOOR))
+    signal *= amps[stream]
+    disturbance = others @ amps[interferers]
+    disturbance += noise
+    # squared in place: no array of N symbols is allocated past this point
+    power = np.mean(np.square(signal, out=signal))
+    return float(power / max(np.mean(np.square(disturbance, out=disturbance)), _DEN_FLOOR))

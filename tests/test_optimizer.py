@@ -567,28 +567,107 @@ class TestBatchedSolver:
         # SDMA/NOMA solves give it, in the same order
         channels, epsilons, seeds, cfg = self._mixed_problems()
         w = (0.4, 0.6)
-        warm = []
+        calls = []
         real = scenarios.ao_solve
 
         def spy(channel, layout, priorities, epsilon, **kw):
-            if layout.scheme == "rsma":
-                warm.append(kw["warm_starts"])
-            return real(channel, layout, priorities, epsilon, **kw)
+            sols = real(channel, layout, priorities, epsilon, **kw)
+            calls.append((kw["schemes"], kw["warm_from"], sols))
+            return sols
 
         monkeypatch.setattr(scenarios, "ao_solve", spy)
         solved = scenarios.solve_schemes(channels, w, ("rsma",), cfg, epsilons, lambda _, i: seeds[i])
         monkeypatch.undo()
-        assert list(solved) == ["rsma"] and len(warm) == 1  # one batched RSMA call
-        for ch, eps, seed, ws, (lay, sol) in zip(channels, epsilons, seeds, warm[0], solved["rsma"]):
-            expected = [
-                sub.to_rsma(serial_reference.ao_solve(ch, sub, w, eps, seed, cfg)[0])
-                for sub in (build_layout("sdma", 2, ch), build_layout("noma", 2, ch))
-            ]
-            assert len(ws) == 2 and all(np.array_equal(a, b) for a, b in zip(ws, expected))
+        assert list(solved) == ["rsma"] and len(calls) == 1  # one batched call, the helpers included
+        [(schemes, warm_from, sols)] = calls
+        n = len(channels)
+        assert list(schemes) == ["sdma"] * n + ["noma"] * n + ["rsma"] * n
+        # each RSMA problem is warm-started from its channel's SDMA, then NOMA problem
+        assert list(warm_from) == [()] * (2 * n) + [(j, n + j) for j in range(n)]
+        for j, (ch, eps, seed, (lay, sol)) in enumerate(zip(channels, epsilons, seeds, solved["rsma"])):
+            for sub, helper in zip((build_layout("sdma", 2, ch), build_layout("noma", 2, ch)), sols[j::n]):
+                expected = serial_reference.ao_solve(ch, sub, w, eps, seed, cfg)[0]
+                assert np.array_equal(sub.to_rsma(helper.precoder.matrix), sub.to_rsma(expected))
             [(_, alone)] = scenarios.solve_schemes([ch], w, ("rsma",), cfg, [eps], lambda *_: seed)["rsma"]
             assert self._same(sol, alone)
             assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
             assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=True)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-channels", "shared-channel"])
+    def test_warm_from_equals_helpers_then_explicit_warm_starts(self, shared):
+        # one call holds the SDMA, NOMA and RSMA problems; an RSMA
+        # problem's warm starts enter once its helpers' starts have all
+        # finished, and it ends as if solved after them from their
+        # solutions, given as warm_starts
+        channels, epsilons, seeds, cfg = self._mixed_problems()
+        if shared:
+            channels = [channels[0]] * len(channels)
+        w = (0.4, 0.6)
+        n = len(channels)
+        schemes = ["sdma"] * n + ["noma"] * n + ["rsma"] * n
+        batched = ao_solve(channels * 3, build_layout("sdma", 2, channels[0]), w, epsilons * 3,
+                           [s + 10 * (i // n) for i, s in enumerate(seeds * 3)], cfg, schemes=schemes,
+                           warm_from=[()] * (2 * n) + [(j, n + j) for j in range(n)])
+        winners = set()
+        for j, (ch, eps, seed) in enumerate(zip(channels, epsilons, seeds)):
+            layouts = [build_layout(s, 2, ch) for s in ("sdma", "noma", "rsma")]
+            helpers = [ao_solve(ch, lay, w, eps, seed + 10 * i, cfg) for i, lay in enumerate(layouts[:2])]
+            warm = tuple(lay.to_rsma(h.precoder.matrix) for lay, h in zip(layouts, helpers))
+            rsma = ao_solve(ch, layouts[2], w, eps, seed + 20, cfg, warm_starts=warm)
+            for got, want in zip(batched[j::n], helpers + [rsma]):
+                assert np.array_equal(got.precoder.matrix, want.precoder.matrix)
+                assert (got.iterations, got.converged, got.restart_index) == (
+                    want.iterations, want.converged, want.restart_index)
+                assert got.wsr_history == want.wsr_history
+                assert np.array_equal(got.shares, want.shares) and got.wsr == want.wsr
+            winners.add(rsma.restart_index)
+            assert max(h.wsr for h in helpers) <= rsma.wsr
+        if not shared:
+            assert winners & {3, 4}  # a warm start won somewhere (ZF and the corners are starts 0-2)
+
+    def test_admitted_start_counts_its_own_iterations(self):
+        # the first start converges after 3 iterations, the second runs to
+        # the cap of 4; the admitted one enters at outer iteration 5, after
+        # both, and still runs to a cap of 4 iterations of its own
+        rng = np.random.default_rng(49)
+        ch = random_channel(rng, l=4)
+        lay = build_layout("rsma", 2, ch)
+        comp = optimizer._Compiled(ch, lay, np.array([0.4, 0.6]))
+        cfg = AoConfig(max_iterations=4, tolerance=1e-300)
+        eps = epsilon_from_snr(10.0, 1.0)
+        P0 = lay.to_rsma(np.stack([optimizer._zf_start(ch, lay, eps), optimizer._random_start(ch, lay, eps, rng),
+                                   np.zeros((4, 3))]))
+        seen = []
+
+        def fill(P, final):
+            seen.append(final[:2].tolist())
+            return P[[0], :, ::-1].copy()  # the first start's result, its columns reversed
+
+        P, hist, conv = optimizer._ao_batch(comp, np.full(3, eps), P0, cfg, admit=[([2], [0, 1], fill)])
+        assert [len(h) - 1 for h in hist] == [3, 4, 4] and conv.tolist() == [True, False, False]
+        assert seen == [[hist[0][-1], hist[1][-1]]]
+        P_alone, hist_alone, _ = optimizer._ao_batch(comp, np.full(1, eps), P[[0], :, ::-1].copy(), cfg)
+        assert hist[2] == hist_alone[0] and np.array_equal(P[2], P_alone[0])
+
+    def test_warm_from_names_earlier_problems_only(self):
+        a = channel([[0.9, 0.4], [0.3, 0.8]])
+        sdma = build_layout("sdma", 2, a)
+        for warm_from in ([(0,), ()], [(), (1,)], [(), (2,)], [(), (-1,)], [()]):
+            with pytest.raises(ValueError):
+                ao_solve(a, sdma, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, warm_from=warm_from)
+        with pytest.raises(ValueError):  # a single problem has no earlier one
+            ao_solve(a, sdma, (0.5, 0.5), 1.0, warm_from=(0,))
+
+    def test_shared_channel_stays_one_row_in_a_mixed_batch(self):
+        ch = channel([[0.9, 0.4], [0.3, 0.8]])
+        layouts = [build_layout(s, 2, ch) for s in ("sdma", "noma", "rsma")]
+        comp = optimizer._Compiled(ch, layouts, np.array([0.4, 0.6]))
+        assert (len(comp.H), len(comp._sig2), len(comp.w_priv)) == (1, 1, 3)
+        keep = np.array([2, 0, 2, 1])
+        sub = comp.take(keep)
+        assert sub.H is comp.H and sub.HT is comp.HT and sub._sig2 is comp._sig2
+        for name in ("w_priv", "w_own", "w_common"):
+            assert np.array_equal(getattr(sub, name), getattr(comp, name)[keep])
 
     def test_channel_sequence_needs_one_budget_each(self):
         a, b = channel([[0.9, 0.4], [0.3, 0.8]]), channel([[0.5, 0.4], [0.3, 0.2]])

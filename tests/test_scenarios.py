@@ -246,9 +246,9 @@ class TestRunSweep:
 
         monkeypatch.setattr(scenarios, "ao_solve", point_flaky)
         res = run_sweep(spec, base_seed=1)
-        # one batched SDMA + NOMA call, reported under its first problem's
-        # scheme, falls back to one call per (scheme, point); RSMA is one call
-        assert calls == [("sdma", 4), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 2)]
+        # one batched SDMA + NOMA + RSMA call, reported under its first
+        # problem's scheme, falls back to one call per (scheme, point)
+        assert calls == [("sdma", 6), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 1), ("rsma", 1)]
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0)]
         assert "synthetic point blowup" in res.failures[0].error
         # every other row is the clean one, except RSMA at the failed point,
@@ -261,13 +261,12 @@ class TestRunSweep:
 
         # when every helper fails at a point, RSMA still solves it, from its
         # own ZF/random starts alone (no warm start, no helper re-solve)
-        calls = []
+        calls, warm = [], []
 
         def helpers_flaky(channel, layout, priorities, epsilon, **kw):
             calls.append((layout.scheme, np.size(epsilon)))
             if layout.scheme == "rsma":
-                warm = kw["warm_starts"] if np.ndim(epsilon) else (kw["warm_starts"],)
-                assert [len(w) for w in warm] == [2, 0]
+                warm.append(len(kw["warm_starts"]))
             elif eps15 in np.atleast_1d(epsilon):
                 raise RuntimeError("synthetic helper blowup")
             return real(channel, layout, priorities, epsilon, **kw)
@@ -275,8 +274,9 @@ class TestRunSweep:
         monkeypatch.setattr(scenarios, "ao_solve", helpers_flaky)
         res = run_sweep(spec, base_seed=1)
         assert calls == [
-            ("sdma", 4), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 2),
+            ("sdma", 6), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 1), ("rsma", 1),
         ]
+        assert warm == [2, 0]
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0), ("sdma", 15.0)]
         rsma = {r.sweep_value: r for r in res.for_scheme("rsma")}
         assert rsma[5.0] == [r for r in clean.rows if (r.scheme, r.sweep_value) == ("rsma", 5.0)][0]
@@ -336,7 +336,7 @@ class TestRunSweep:
         res = run_sweep(spec, base_seed=5, workers=workers)
         assert res.rows == tuple(alone)
         if workers == 1:  # the pool's processes keep their own call lists
-            assert calls == [("sdma", 8), ("rsma", 4)]
+            assert calls == [("sdma", 12)]
 
 
 class TestTracerContract:
@@ -373,7 +373,7 @@ class TestTracerContract:
         assert not run_sweep(separations, base_seed=1).failures
         assert main(["validate", "--mc-instances", "1", "--oracle-instances", "2"]) == 0
         assert raised == []
-        # each sweep: SDMA and NOMA in one call, then RSMA; validate also
-        # solves SDMA and NOMA alone
-        one_sweep = [(StreamLayout, "sdma", 4), (StreamLayout, "rsma", 2)]
-        assert calls == one_sweep * 3 + [(StreamLayout, "sdma", 2), (StreamLayout, "noma", 2)]
+        # each sweep: SDMA, NOMA and RSMA in one call; validate: one call
+        # for every oracle instance, RSMA's helpers included
+        one_sweep = [(StreamLayout, "sdma", 6)]
+        assert calls == one_sweep * 2 + [(StreamLayout, "sdma", 10)]

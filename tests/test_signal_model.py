@@ -269,6 +269,30 @@ class TestMonteCarlo:
         est = monte_carlo_sinr(ch, p, lay, 0, lay.common_column, num_symbols=MC_MIN_SYMBOLS, seed=1)
         assert est > 1e12
 
+    @pytest.mark.parametrize("scheme", ["rsma", "noma"])
+    def test_streamed_draws_equal_one_draw(self, scheme):
+        # an odd symbol count ends on a partial chunk with an odd number of
+        # indices; NOMA's private stage has no interferer at all
+        ch = channel_2x2(noise=(1.3, 0.7))
+        lay = build_layout(scheme, 2, ch)
+        P = np.array([[0.5, -0.2, 1.0], [-0.5, 0.4, 1.0]])[:, : lay.num_streams]
+        num_symbols = MC_MIN_SYMBOLS + 1
+        kernel = SicKernel(lay, ch.noise)
+        stages = [(user, stream) for stream, desc in enumerate(lay.streams)
+                  for user in (desc.decoders if desc.kind == "common" else (desc.owner,))]
+        for seed, (user, stream) in enumerate(stages):
+            rng = np.random.default_rng(seed)
+            amps = ch.gains[user] @ P
+            pam4 = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(5.0)
+            symbols = pam4[rng.integers(0, 4, size=(num_symbols, lay.num_streams))]
+            noise = rng.normal(0.0, np.sqrt(ch.noise[user]), size=num_symbols)
+            others = kernel.interferers(user, stream)
+            signal = amps[stream] * symbols[:, stream]
+            disturbance = symbols[:, others] @ amps[others] + noise
+            expected = float(np.mean(signal**2) / np.mean(disturbance**2))
+            got = monte_carlo_sinr(ch, Precoder(matrix=P), lay, user, stream, num_symbols=num_symbols, seed=seed)
+            assert got == expected, (user, stream)
+
     def test_symbol_count_floor(self):
         ch = channel_2x2()
         lay = build_layout("rsma", 2, ch)
