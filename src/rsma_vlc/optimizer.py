@@ -25,8 +25,9 @@ common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with a
 zero-weighted stream. That stream starts at 0, gets a zero gradient,
 and the L1 projection keeps it at 0, so it adds exact zeros to every
 rate, surrogate value and step bound, and the solve is the one of the
-scheme's own layout bit for bit. The stages of a stream that no
-problem of a batch weights are left out.
+scheme's own layout bit for bit. A batch's SIC kernel is built from
+its one layout, or from RSMA's when its layouts differ, so the stages of
+a stream that no problem of the batch weights are left out.
 
 Every start is one problem of a lockstep batch. Each problem has its
 own channel (gains stacked as (B, K, L), noise as (B, K); a channel that
@@ -185,7 +186,8 @@ def _stream_weights(layout: StreamLayout, w: np.ndarray) -> tuple[np.ndarray, fl
 
 
 class _Compiled(SicKernel):
-    """The RSMA streams' SIC kernel plus the channel gains and stream weights.
+    """The SIC kernel of a batch on the RSMA streams, plus the channel
+    gains and stream weights.
 
     `layout` is one StreamLayout or a sequence of them, of any schemes,
     one per problem; `channel` is one ChannelMatrix, shared by every
@@ -194,12 +196,15 @@ class _Compiled(SicKernel):
     (1 or B, K) and the noise as (1 or B, K): a single channel is one
     row, whatever the layouts, and broadcasts over any batch. The
     weights are `w_priv` (1 or B, K) and `w_common` (1 or B,), one row
-    per layout. Precoders are (B, L, K + 1). The stages of a stream that
-    no layout weights are left out, since its column stays 0 and adds
-    exact zeros:
-    SDMA's common stream (`common_col` is None), and the weak user's
-    private stream when every NOMA problem has the same strong user.
-    `w_own` holds the weights of the private stages kept.
+    per layout. Precoders are (B, L, K + 1).
+
+    The kernel is built once, placed on the K + 1 RSMA columns, from the
+    batch's one layout, or from RSMA's when its layouts differ. With
+    positive priorities its stages are exactly those of the streams some
+    problem weights: a stream no problem weights stays 0 and adds exact
+    zeros, so SDMA's common stream (`common_col` is None) and the weak
+    user's private stream of a NOMA batch with one strong user are left
+    out. `w_own` holds the weights of the private stages kept.
     """
 
     def __init__(self, channel, layout, priorities: np.ndarray):
@@ -211,16 +216,9 @@ class _Compiled(SicKernel):
         weights = [_stream_weights(lay, w) for lay in layouts]
         self.w_priv = np.array([private for private, _ in weights])
         self.w_common = np.array([common for _, common in weights])
-        # without a weighted common stream, the RSMA streams left are SDMA's
-        scheme = "rsma" if self.w_common.any() else "sdma"
-        super().__init__(build_layout(scheme, len(w), channels[0]), np.stack([c.noise for c in channels]))
-        weighted = self.w_priv.any(axis=0)  # per private column, in user order
-        self._cols = tuple(c for c, keep in zip(self._cols, weighted.tolist()) if keep)
-        self.priv_cols, self.owners = self.priv_cols[weighted], self.owners[weighted]
-        self.n_priv = len(self._cols)
-        self.sig2_own = self.sig2_own[:, weighted]
-        self._index_stages(len(w) + 1)  # the kept stages, on precoders of K + 1 columns
-        self.w_own = self.w_priv[:, weighted]
+        batch_layout = layouts[0] if len(set(layouts)) == 1 else build_layout("rsma", len(w), channels[0])
+        super().__init__(batch_layout, np.stack([c.noise for c in channels]), on_rsma=True)
+        self.w_own = self.w_priv[:, self.owners]
         self.H = np.stack([c.gains for c in channels])
         # a view: each problem's HT has the strides of its (K, L) gains' .T
         self.HT = self.H.transpose(0, 2, 1)
@@ -266,9 +264,8 @@ class _Compiled(SicKernel):
         sub.__dict__.update(self.__dict__)
         sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
         if len(self.H) > 1:
-            sub.H, sub.hnorm2 = self.H[keep], self.hnorm2[keep]
+            sub.H, sub.hnorm2, sub._sig2 = self.H[keep], self.hnorm2[keep], self._sig2[keep]
             sub.HT = sub.H.transpose(0, 2, 1)
-            sub.sig2_own, sub.sig2_dec, sub._sig2 = self.sig2_own[keep], self.sig2_dec[keep], self._sig2[keep]
         return sub
 
     def true_rates(self, P: np.ndarray):

@@ -26,6 +26,7 @@ noise, each user's SINR scaling with sigma^2 over its own variance.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -72,9 +73,9 @@ class Sweep:
     def __post_init__(self):
         if self.name not in ("snr_db", "separation"):
             raise ValueError(f"unknown sweep {self.name!r}")
-        if not self.values:
-            raise ValueError("sweep values must be nonempty")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not self.values or not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"sweep values must be one or more finite numbers, got {self.values}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,10 @@ class ScenarioSpec:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if not self.fixtures or not self.users:
             raise ValueError("scenario needs at least one fixture and one user")
-        if any(p <= 0 for p in self.priorities) or len(self.priorities) != len(self.users):
-            raise ValueError("priorities must be positive, one per user")
+        if not all(0 < p < math.inf for p in self.priorities) or len(self.priorities) != len(self.users):
+            raise ValueError("priorities must be positive finite numbers, one per user")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")

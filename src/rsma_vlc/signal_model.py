@@ -14,9 +14,12 @@ model x = P s + d_dc:
 All three share one successive-interference-cancellation rule: a user
 decodes the common stream with every private stream as interference,
 cancels it, then decodes its own private stream with the other private
-streams as interference. `SicKernel` is that rule's one home: every
-analytic SINR, rate and equalizer in the package, and the Monte-Carlo
-estimator's interferer set, come from it.
+streams as interference. `SicKernel` is that rule's one home, coded
+once as a 0/1 mask of the private columns that interfere at each stage:
+every analytic SINR, rate and equalizer in the package, and the
+Monte-Carlo estimator's interferer set, come from it. A kernel is placed
+at construction on the layout's own columns or, for the optimizer's
+batches, on the RSMA columns of as many users.
 
 SDMA and NOMA are RSMA with a stream left at zero and given zero
 weight: SDMA is RSMA without the common stream, and NOMA is RSMA
@@ -211,82 +214,65 @@ class SicKernel:
     Amplitudes A = H @ P have shape (B, K, S): [b, k, s] is stream s's
     amplitude at user k under precoder b. A stage is one user decoding
     one stream: a private column at its owner (stages in column order)
-    or the common stream at a decoder (in decoder order). A private
-    stage's interference is the power of the other private columns,
-    summed in column order; a common stage's is all private power.
+    or the common stream at a decoder (in decoder order). The rule is
+    coded once, as a 0/1 mask over (private columns, stages): a stage's
+    interference is the power of the private columns the mask keeps,
+    summed in column order. The mask drops only a private stage's own
+    column, so a common stage sees all private power.
 
-    `noise` holds the K noise variances of one channel, shared by every
-    precoder, or a (B, K) array with one row per precoder. `stage_arrays`
-    reads every stage's amplitudes through one flat gather whose indices
-    are computed here.
+    The streams sit on the layout's own columns (S = its stream count),
+    or with `on_rsma` on the RSMA columns of as many users
+    (`StreamLayout.rsma_columns`, S = K + 1), the placement of the
+    optimizer's batches. `noise` holds the K noise variances of one
+    channel, shared by every precoder, or a (B, K) array with one row per
+    precoder. `stage_arrays` and `sinrs` read every stage's amplitudes
+    through one flat gather whose indices are computed here.
     """
 
-    def __init__(self, layout: StreamLayout, noise: np.ndarray):
+    def __init__(self, layout: StreamLayout, noise: np.ndarray, on_rsma: bool = False):
         self.layout = layout
-        self.num_streams = layout.num_streams
-        self._cols = layout.private_columns  # python ints index faster than numpy ones
-        self.priv_cols = np.array(self._cols, dtype=np.intp)
-        self.owners = np.array([layout.streams[j].owner for j in self._cols], dtype=np.intp)
-        self.n_priv = len(self.priv_cols)
-        self.common_col = layout.common_column
+        place = layout.rsma_columns if on_rsma else tuple(range(layout.num_streams))
+        width = layout.num_users + 1 if on_rsma else layout.num_streams
+        self._cols = tuple(place[j] for j in layout.private_columns)  # python ints index faster than numpy ones
+        self.owners = np.array([layout.streams[j].owner for j in layout.private_columns], dtype=np.intp)
+        self.n_priv = len(self._cols)
         stream = layout.common_stream
+        self.common_col = None if stream is None else place[layout.common_column]
         self.decoders = np.array(() if stream is None else stream.decoders, dtype=np.intp)
-        # noise floored at _DEN_FLOOR keeps every stage denominator positive;
-        # (1 or B, stages): a single row broadcasts over any batch
-        noise = np.atleast_2d(np.maximum(noise, _DEN_FLOOR))
-        self.sig2_own = noise[:, self.owners]
-        self.sig2_dec = noise[:, self.decoders]
-        self._index_stages(self.num_streams)
-
-    def _index_stages(self, width: int) -> None:
-        """Precompute the flat indices `stage_arrays` gathers through, for
-        amplitudes of `width` columns.
-
-        Amplitudes (B, K, width) are read as (B, K * width). Each stage
-        (the private ones, then the common ones) is a column of `_gather`;
-        its rows are every private column at the stage's user, in column
-        order, then the common column there (with a common stream), then
-        the stage's own amplitude. `_sig2` holds the stage noise in the
-        same order.
-        """
+        # Amplitudes (B, K, width) are read as (B, K * width). Each stage
+        # (the private ones, then the common ones) is a column of
+        # `_gather`; its rows are every private column at the stage's
+        # user, in column order, then the stage's own amplitude
         users = np.concatenate((self.owners, self.decoders))
-        rows = [users * width + j for j in self._cols]
-        own = self.owners * width + self.priv_cols
-        if self.common_col is not None:
-            rows.append(users * width + self.common_col)
-            own = np.concatenate((own, rows[-1][self.n_priv :]))
-        self._gather = np.array(rows + [own], dtype=np.intp)
-        self._sig2 = np.concatenate((self.sig2_own, self.sig2_dec), axis=1)
+        own = np.array(self._cols + (self.common_col,) * len(self.decoders), dtype=np.intp)
+        self._gather = np.array([users * width + j for j in (*self._cols, own)], dtype=np.intp)
+        # the stage noise, floored at _DEN_FLOOR so every denominator is
+        # positive; (1 or B, stages): a single row broadcasts over any batch
+        self._sig2 = np.atleast_2d(np.maximum(noise, _DEN_FLOOR))[:, users]
+        # 0 where a private column is its stage's own signal, else 1
+        self._interferes = 1.0 - np.eye(self.n_priv, len(users))
 
-    def stage_of(self, user: int, stream: int) -> tuple[bool, int]:
-        """(is_common, index among the common or the private stages) of `user` decoding `stream`."""
+    def interferers(self, user: int, stream: int) -> list[int]:
+        """Columns whose power is interference when `user` decodes `stream`."""
         desc = self.layout.streams[stream]
         if desc.kind == "common":
             if user not in desc.decoders:
                 raise ValueError(f"user {user} does not decode stream {stream}")
-            return True, desc.decoders.index(user)
-        if desc.owner != user:
+            stage = self.n_priv + desc.decoders.index(user)
+        elif desc.owner != user:
             raise ValueError(f"stream {stream} is not user {user}'s private stream")
-        return False, self._cols.index(stream)
-
-    def interferers(self, user: int, stream: int) -> list[int]:
-        """Columns whose power is interference when `user` decodes `stream`."""
-        common, _ = self.stage_of(user, stream)
-        return [j for j in self._cols if common or j != stream]
-
-    def _powers(self, A: np.ndarray):
-        """Each private column's (B, K) power at every user, and their sum in column order."""
-        powers = [A[:, :, j] ** 2 for j in self._cols]
-        return powers, (sum(powers[1:], powers[0]) if powers else np.zeros(A.shape[:2]))
+        else:
+            stage = self.layout.private_columns.index(stream)
+        return [j for j, m in zip(self._cols, self._interferes[:, stage].tolist()) if m]
 
     def stage_arrays(self, A: np.ndarray):
         """(a, T): signal amplitude a and received power T (signal,
         interference and noise) of every stage, (B, stages) each, the
         private stages first.
 
-        One flat gather reads every amplitude a stage needs; the private
-        powers are summed in column order, then added to the noise, and a
-        common stage adds its own power last.
+        The private powers, own one included, are summed in column order,
+        then added to the noise, and a common stage adds its own power
+        last.
         """
         X = A.reshape(len(A), -1).take(self._gather, axis=1)
         X2 = X * X
@@ -296,8 +282,7 @@ class SicKernel:
         T = self._sig2 + total
         if self.common_col is not None:
             n = self.n_priv
-            T_c = T[:, n:]
-            T_c += X2[:, n, n:]
+            T[:, n:] += X2[:, -1, n:]
         return X[:, -1], T
 
     def stages(self, A: np.ndarray):
@@ -310,28 +295,30 @@ class SicKernel:
         n = self.n_priv
         return a[:, :n], T[:, :n], a[:, n:], T[:, n:]
 
-    def stage(self, A: np.ndarray, user: int, stream: int):
-        """(a, T) of `user` decoding `stream`, one entry per precoder."""
-        common, i = self.stage_of(user, stream)
-        a_p, T_p, a_c, T_c = self.stages(A)
-        return (a_c[:, i], T_c[:, i]) if common else (a_p[:, i], T_p[:, i])
-
     def sinrs(self, A: np.ndarray):
         """(sinr_p, sinr_c): SINR of every private stage (B, private
         columns) and common stage (B, decoders; None without a common
-        stream), as transposed views of stage-major arrays."""
-        powers, total = self._powers(A)
-        sinr_p = np.empty((self.n_priv, len(A)))
-        for i, (k, sig2, out) in enumerate(zip(self.owners.tolist(), self.sig2_own.T, sinr_p)):
-            others = [p[:, k] for j, p in enumerate(powers) if j != i]
-            np.add(sum(others[1:], others[0]) if others else 0.0, sig2, out=out)
-            np.divide(powers[i][:, k], out, out=out)
-        if self.common_col is None:
-            return sinr_p.T, None
-        sinr_c = np.empty((len(self.decoders), len(A)))
-        for k, sig2, out in zip(self.decoders.tolist(), self.sig2_dec.T, sinr_c):
-            np.divide(np.square(A[:, k, self.common_col], out=out), total[:, k] + sig2, out=out)
-        return sinr_p.T, sinr_c.T
+        stream), as transposed views of one stage-major array.
+
+        The squared amplitudes are read through the gather of
+        `stage_arrays`, stage-major, (gather rows, stages, B): each
+        amplitude column is squared into a contiguous row first, so a
+        block of many precoders is gathered a row at a time. The
+        interference is the masked private powers summed in column order:
+        a private stage's own power becomes x * 0 = +0, and 0 + x = x
+        exactly, so the sum is the other columns' in column order.
+        """
+        X2 = np.square(A.reshape(len(A), -1).T, order="C").take(self._gather, axis=0)
+        n = self.n_priv
+        # in place, so that a block of many precoders allocates few large
+        # arrays; the common stages' mask is all 1
+        X2[:n, :n] *= self._interferes[:, :n, None]
+        sinr = X2[0]
+        for i in range(1, n):
+            sinr += X2[i]
+        sinr += self._sig2.T
+        np.divide(X2[-1], sinr, out=sinr)
+        return sinr[:n].T, (None if self.common_col is None else sinr[n:].T)
 
 
 def sinr_common(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int) -> float:

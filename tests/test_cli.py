@@ -163,6 +163,30 @@ class TestScenarioFiles:
         assert main(["run", "--scenario-file", str(path), "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("sweep", "values", "5 nan"),
+        ("sweep", "values", "5 inf"),
+        ("sweep", "values", "-inf 10"),
+        ("scenario", "snr_db", "nan"),
+        ("scenario", "snr_db", "inf"),
+        ("scenario", "priorities", "0.5 nan"),
+        ("scenario", "priorities", "inf 0.5"),
+    ])
+    def test_non_finite_number_exits_1_without_output(self, section, key, value, tmp_path, capsys):
+        path = tmp_path / "scene.ini"
+        save_scenario(catalog()["scenario1_2led"], str(path))
+        cp = configparser.ConfigParser()
+        cp.read(path)
+        cp[section][key] = value
+        with open(path, "w") as fh:
+            cp.write(fh)
+        out = tmp_path / "never.csv"
+        assert main(["run", "--scenario-file", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed scenario file {str(path)!r}")
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["run", "--scenario-file", str(tmp_path / "nope.ini")]) == 1
 
@@ -252,6 +276,34 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {command} does not take {given[0]}")
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_solve_is_one_fail_line(self, capsys, monkeypatch):
+        argv = ["validate", "--seed", "0", "--mc-instances", "0", "--oracle-instances", "2"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out.splitlines()
+        real_solve_schemes, real_ao_solve = scenarios.solve_schemes, scenarios.ao_solve
+        failing = []  # the channel of the first NOMA instance
+
+        def solve_schemes(channels, priorities, schemes, *args):
+            failing.append(next(ch for ch, wanted in zip(channels, schemes) if wanted == ("noma",)))
+            return real_solve_schemes(channels, priorities, schemes, *args)
+
+        def ao_solve(channel, layout, *args, schemes=(), **kwargs):
+            channels = (channel,) if isinstance(channel, ChannelMatrix) else tuple(channel)
+            names = schemes or (layout.scheme,) * len(channels)
+            if any(ch is failing[0] and s == "noma" for ch, s in zip(channels, names)):
+                raise optimizer.NumericalFailure("non-finite surrogate value nan at the subproblem start")
+            return real_ao_solve(channel, layout, *args, schemes=schemes, **kwargs)
+
+        monkeypatch.setattr(scenarios, "solve_schemes", solve_schemes)
+        monkeypatch.setattr(scenarios, "ao_solve", ao_solve)
+        assert main(argv) == 2
+        printed = capsys.readouterr().out.splitlines()
+        fail = "oracle[noma:00] solve failed: NumericalFailure: non-finite surrogate value nan at the subproblem start FAIL"
+        # every other line, the other instances' checks included, is the one of a clean run
+        assert printed == [fail if line.startswith("oracle[noma:00]") else line for line in clean[:-1]] + [
+            "validation FAILED (1 checks)"
+        ]
 
     def test_batched_solves_print_what_one_at_a_time_solves_print(self, capsys):
         assert main(["validate", "--seed", "0", "--mc-instances", "2", "--oracle-instances", "3"]) in (0, 2)

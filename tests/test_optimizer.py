@@ -669,6 +669,41 @@ class TestBatchedSolver:
         for name in ("w_priv", "w_own", "w_common"):
             assert np.array_equal(getattr(sub, name), getattr(comp, name)[keep])
 
+    # channels a and c have user 0 as NOMA's strong user, b has user 1
+    KEPT_BATCHES = {
+        "sdma": ("sdma@a", "sdma@b"),
+        "noma-one-strong-user": ("noma@a", "noma@c"),
+        "noma-both-strong-users": ("noma@a", "noma@b"),
+        "sdma+noma": ("sdma@a", "noma@b"),
+        "rsma": ("rsma@a",),
+        "rsma+sdma": ("sdma@a", "rsma@b"),
+        "rsma+noma": ("noma@b", "rsma@a"),
+        "rsma+sdma+noma": ("sdma@c", "noma@a", "rsma@b"),
+    }
+
+    @pytest.mark.parametrize("w", [(0.5, 0.5), (0.8, 0.2)], ids=["w0.5,0.5", "w0.8,0.2"])
+    @pytest.mark.parametrize("kind", KEPT_BATCHES)
+    def test_kept_stages_are_the_streams_some_problem_weights(self, kind, w):
+        channels = {"a": channel([[0.9, 0.4], [0.3, 0.8]]), "b": channel([[0.3, 0.2], [0.5, 0.9]]),
+                    "c": channel([[0.8, 0.5], [0.2, 0.3]])}
+        problems = [entry.split("@") for entry in self.KEPT_BATCHES[kind]]
+        chans = [channels[name] for _, name in problems]
+        layouts = [build_layout(scheme, 2, ch) for (scheme, _), ch in zip(problems, chans)]
+        comp = optimizer._Compiled(chans, layouts, np.array(w))
+        # a private column is kept if some problem weights it, the common one likewise
+        weighted = comp.w_priv.any(axis=0)
+        kept = np.flatnonzero(weighted)
+        assert comp._cols == tuple(kept.tolist())
+        assert np.array_equal(comp.owners, kept)
+        assert np.array_equal(comp.w_own, comp.w_priv[:, weighted])
+        if comp.w_common.any():
+            assert comp.common_col == 2 and comp.decoders.tolist() == [0, 1]
+        else:
+            assert comp.common_col is None and len(comp.decoders) == 0
+        assert kind != "noma-one-strong-user" or comp._cols == (0,)
+        # every kept stage reads the (B, K, K + 1) amplitudes of the RSMA columns
+        assert comp._gather.max() < 2 * 3
+
     def test_channel_sequence_needs_one_budget_each(self):
         a, b = channel([[0.9, 0.4], [0.3, 0.8]]), channel([[0.5, 0.4], [0.3, 0.2]])
         lay = build_layout("sdma", 2, a)

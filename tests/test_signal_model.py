@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import serial_reference
 
 import rsma_vlc.optimizer as optimizer
 from rsma_vlc.channel import ChannelMatrix
@@ -333,7 +334,9 @@ KERNEL_CASES = [(s, k, l) for s in SCHEMES for k in (2, 3) for l in (1, 2, 4) if
 
 @pytest.mark.parametrize("scheme,users,fixtures", KERNEL_CASES)
 def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
-    # reports, true_rates, the oracle WSR and the stage (a, T) all come from SicKernel
+    # reports, true_rates, the oracle WSR and the stage (a, T) all come from
+    # SicKernel; true_rates is the serial reference's bit for bit, which at
+    # three users pins the order of each private stage's interference sum
     rng = np.random.default_rng(100 * users + fixtures)
     ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
     lay = build_layout(scheme, users, ch)
@@ -345,11 +348,13 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     sinr_p, sinr_c = kernel.sinrs(A)
     a_p, T_p, a_c, T_c = kernel.stages(A)
     wsr_true, cap_true = comp.true_rates(lay.to_rsma(P))
+    ref = serial_reference._Compiled(ch, lay, w)
     w_priv, w_common = optimizer._stream_weights(lay, w)
     w_own = w_priv[kernel.owners]
     wsr_oracle = optimizer._amplitude_wsr(kernel, w_own, w_common, A)
     owners = [lay.streams[c].owner for c in lay.private_columns]
     for b in range(len(P)):
+        assert (wsr_true[b], cap_true[b]) == ref.true_rates(P[b])[:2]
         ref_p, ref_c = loop_sinrs(ch.gains, ch.noise, P[b], lay)
         np.testing.assert_allclose(sinr_p[b], ref_p, rtol=1e-12)
         rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=w)
