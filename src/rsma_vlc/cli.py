@@ -353,7 +353,7 @@ def cmd_validate(config: RunConfig) -> int:
     # one solve for every instance; RSMA's helpers use RSMA's seeds
     solved = scenarios.solve_schemes(
         [channel for _, channel, _ in instances], (0.5, 0.5), [(scheme,) for scheme, _, _ in instances],
-        AoConfig(corner_starts=True), [epsilon] * len(instances), lambda _, j: instances[j][2],
+        AoConfig(), [epsilon] * len(instances), lambda _, j: instances[j][2],
     )
     for scheme in signal_model.SCHEMES:
         checked = [channel for s, channel, _ in instances if s == scheme]

@@ -118,16 +118,14 @@ class AoConfig:
     They hold for every problem of an `ao_solve` call; a problem's
     amplitude budget, random-start seed and warm starts are arguments of
     that call. `restarts` counts all initializations including the
-    mandatory ones (ZF, the corners and the caller's warm starts); random
-    starts fill the rest, at least one.
+    mandatory ones (ZF, one single-user corner per user, the caller's
+    warm starts and the solutions of `warm_from`); random starts fill
+    the rest, at least one.
     """
 
     tolerance: float = 1e-4  # bits/s/Hz WSR change
     max_iterations: int = 500
     restarts: int = 4
-    # also start from single-user corners (degenerate service); off by
-    # default so scheme comparisons rank non-degenerate solutions
-    corner_starts: bool = False
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -372,8 +370,9 @@ class _SurrogateBatch:
     forms lin - alpha * A - cc2 * A, entry by entry the floating-point
     operations of a batch of one that scatters each term into zeros
     (the zeros of lin are +0, so no entry's sign of zero moves). Per-stage
-    coefficients and per-problem scalars are columns of one array, so
-    dropping finished problems is two row gathers.
+    coefficients and per-problem scalars, the common weight included, are
+    columns of one array, so dropping finished problems is two row
+    gathers, plus the channels' when each problem has its own.
     """
 
     def __init__(self, comp: _Compiled, g_p, u_p, g_c, u_c):
@@ -397,9 +396,9 @@ class _SurrogateBatch:
             # above; tests/serial_reference.py pins these bits
             g2_pow = _libm(math.pow, g_c.ravel(), 2.0).reshape(g_c.shape)
             pieces += [two_coef_c * g2_pow, two_coef_c * g_c]
-            columns += [rate_coef_c, np.log2(u_c) + 1.0 / LN2]
+            columns += [rate_coef_c, np.log2(u_c) + 1.0 / LN2, np.broadcast_to(comp.w_common, len(g))[:, None]]
         columns.append((1.0 / np.maximum(lip, 1e-12))[:, None])
-        # g2, two_g (every stage), coef_p, base_p, [rate_coef_c, base_c], step
+        # g2, two_g (every stage), coef_p, base_p, [rate_coef_c, base_c, w_common], step
         self._columns = np.concatenate(columns, axis=1)
         # + 0.0 turns a -0.0 coefficient into the +0.0 that adding it to zeros gives
         dense = np.zeros((len(g), comp.piece_size))
@@ -417,14 +416,17 @@ class _SurrogateBatch:
         if c.common_col is None:
             self._lin, self._alpha = self._pieces[:, 0, 0], self._pieces[:, 0, 1]
         else:
-            self.rate_coef_c, self.base_c = v[:, 2 * m + n + 1 : 3 * m + 1], v[:, 3 * m + 1 : -1]
+            self.rate_coef_c, self.base_c = v[:, 2 * m + n + 1 : 3 * m + 1], v[:, 3 * m + 1 : -2]
+            self.w_common = v[:, -2]
             self._by_decoder = self._pieces.reshape((-1,) + self._pieces.shape[2:])
             self._first = np.arange(0, len(v) * (m - n), m - n)  # each problem's first stack
 
     def take(self, keep: np.ndarray) -> "_SurrogateBatch":
-        """The surrogates of the problems selected by `keep`."""
+        """The surrogates of the problems selected by `keep`. The weights
+        are columns, so a shared channel (one row of gains and noise) is
+        kept as it is and only a batch of per-problem channels is taken."""
         sub = object.__new__(_SurrogateBatch)
-        sub.c = self.c.take(keep)
+        sub.c = self.c if len(self.c.H) == 1 else self.c.take(keep)
         sub._columns, sub._pieces = self._columns[keep], self._pieces[keep]
         sub._views()
         return sub
@@ -440,7 +442,7 @@ class _SurrogateBatch:
         n = c.n_priv
         value = self.base_p - _rowdot(self.coef_p, mse[:, :n])
         if c.common_col is not None:
-            value = value + c.w_common * (self.base_c - self.rate_coef_c * mse[:, n:]).min(axis=1)
+            value = value + self.w_common * (self.base_c - self.rate_coef_c * mse[:, n:]).min(axis=1)
         return value
 
     def grad(self, P: np.ndarray) -> np.ndarray:
@@ -470,7 +472,7 @@ def _momentum(steps: int) -> np.ndarray:
     return table
 
 
-def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, max_iter: int, tol: float):
+def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, x: np.ndarray, max_iter: int, tol: float):
     """Monotone accelerated projected gradient on every surrogate in lockstep.
 
     FISTA-style momentum with a monotone safeguard: the kept iterate
@@ -478,10 +480,10 @@ def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, P0: np.ndarray, ma
     accelerated candidate fails to improve. Each problem keeps its own
     momentum index, small-step count and flag for "y is the best point
     x"; it leaves the batch when its step from x itself fails or after
-    two consecutive small gains. `radius` is (B, L); returns the (B, L,
-    S) maximizers.
+    two consecutive small gains. `radius` is (B, L) and every row of the
+    (B, L, S) start `x` lies in its ball (the AO loop passes the previous
+    projection's output); returns the (B, L, S) maximizers.
     """
-    x = project_rows_l1(P0, radius)
     fx = sur.value(x)
     bad = ~np.isfinite(fx)
     if bad.any():
@@ -714,11 +716,12 @@ def ao_solve(
 
     `epsilon` is the per-fixture amplitude budget (the radius of every
     row's L1 ball) and `seed` seeds the random starts. The starts are,
-    in this order: ZF; with `config.corner_starts`, one per-user
-    full-budget start each (they reach degenerate single-user optima);
-    the matrices of `warm_starts`; the solutions of `warm_from` (below);
-    and seeded random feasible starts up to `config.restarts` (at least
-    one always). The best final WSR wins, the earliest start on ties.
+    in this order: ZF; one single-user corner per user, the full budget
+    on that user's stream (`_beam_start`: the single-user optima, which
+    a start inside the balls reaches only by crawling); the matrices
+    of `warm_starts`; the solutions of `warm_from` (below); and seeded
+    random feasible starts up to `config.restarts` (at least one
+    always). The best final WSR wins, the earliest start on ties.
     Ascent is monotone, so the result is at least as good as every warm
     start: an RSMA solve warm-started from the converged SDMA and NOMA
     solutions placed on its streams (`StreamLayout.to_rsma`) satisfies
@@ -805,9 +808,7 @@ def ao_solve(
     starts: list[np.ndarray] = []
     counts, firsts, admit = [], [], []
     for ch, lay, eps, seed_i, warm_i, refs in zip(channels, layouts, epsilons, seeds, warm, deps):
-        own = [_zf_start(ch, lay, eps)]
-        if config.corner_starts:
-            own += [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
+        own = [_zf_start(ch, lay, eps)] + [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
         own += [np.asarray(m, dtype=float) for m in warm_i]
         if refs:
             rows = sum(counts) + len(own) + np.arange(len(refs))

@@ -5,8 +5,11 @@ ran before its AO loop became a lockstep batch: `_Compiled` statistics
 of one precoder, the `_Surrogate` of one problem, the monotone FISTA
 loop `_maximize_surrogate`, the AO loop `_ao_single` and the
 multi-start `ao_solve` around it. The equivalence tests require the
-batched solver to reproduce its results bit for bit, so nothing here may
-change its arithmetic.
+batched solver to reproduce its results bit for bit, so its arithmetic
+changes only together with the batched solver's, on purpose: the start
+list (ZF, both corners, warm starts, random) and the subproblem start
+(the feasible point the previous one returned, not projected again)
+follow the optimizer's.
 """
 
 from __future__ import annotations
@@ -169,8 +172,8 @@ class _Surrogate:
         return value, c.H.T @ G
 
 
-def _maximize_surrogate(sur, epsilon, P0, max_iter, tol):
-    x = project_rows_l1(P0, epsilon)
+def _maximize_surrogate(sur, epsilon, x, max_iter, tol):
+    # x, the previous subproblem's output or the projected start, is feasible
     fx = sur.value(x)
     y, x_prev = x, x
     t = 1.0
@@ -227,8 +230,7 @@ def ao_solve(channel, layout, priorities, epsilon, seed=0, config=AoConfig(), wa
     comp = _Compiled(channel, layout, w)
     epsilon = float(epsilon)
     starts = [_zf_start(channel, layout, epsilon)]
-    if config.corner_starts:
-        starts += [_beam_start(channel, layout, epsilon, k) for k in range(channel.num_users)]
+    starts += [_beam_start(channel, layout, epsilon, k) for k in range(channel.num_users)]
     if layout.scheme == "rsma" and embed_special_cases:
         sdma_layout = build_layout("sdma", channel.num_users, channel)
         sdma = ao_solve(channel, sdma_layout, w, epsilon, seed, config)

@@ -92,6 +92,31 @@ def test_criterion_3_scheme_ordering_suite():
     )
 
 
+def test_rows_reach_single_user_floor():
+    # serving user k alone, at the full budget on its own stream, gives
+    # w_k log2(1 + (eps ||h_k||_1)^2 / sigma_k^2); every scheme that gives
+    # user k a private stream can do that, so no row may fall below it
+    below = []
+    for name in SCENARIOS:
+        spec = catalog()[name]
+        channel = build_scene_channel(spec)
+        sigma, ref = float(np.sqrt(np.mean(channel.noise))), reference_gain(spec)
+        for scheme in ("rsma", "sdma", "noma"):
+            layout = build_layout(scheme, channel.num_users, channel)
+            served = [k for k in range(channel.num_users) if layout.private_column_of(k) is not None]
+            for snr, wsr in scenario_sweep(name).wsr_series(scheme):
+                eps = epsilon_from_snr(snr, sigma, reference_gain=ref)
+                floor = max(spec.priorities[k] * math.log2(1.0 + (eps * np.abs(channel.gains[k]).sum()) ** 2
+                                                           / channel.noise[k]) for k in served)
+                if wsr < floor - 1e-9:
+                    below.append((name, scheme, snr, wsr, floor))
+    assert below == []
+    _report(
+        "SINGLE-USER FLOOR: PASS  every row of the five SNR sweeps is at least the best "
+        "single-user rate of the users its scheme gives a private stream"
+    )
+
+
 def _crossover_interval(name: str):
     """Grid interval where the NOMA-SDMA gap changes sign."""
     gaps = [(snr, wsr_at(name, "noma", snr) - wsr_at(name, "sdma", snr)) for snr in SNR_GRID]
@@ -185,7 +210,7 @@ def test_criterion_6_property_suite():
         ]
     for scheme, instances in drawn.items():
         channels, seeds = zip(*instances)
-        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(corner_starts=True), [eps] * 20,
+        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), [eps] * 20,
                                lambda _, j: seeds[j])[scheme]
         for i, (ch, (lay, sol)) in enumerate(zip(channels, solved)):
             oracle = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from rsma_vlc.optimizer import ORACLE_RESOLUTIONS, AoConfig
 from rsma_vlc.scenarios import ScenarioSpec, Sweep, catalog
 
 RUN = ["run", "--scenario", "scenario1_2led", "--schemes", "rsma,sdma", "--snr", "5,15"]
+# scenario1_2led as saved while AoConfig still had corner_starts
+LEGACY_SCENE = Path(__file__).parent / "data" / "legacy_corner_starts.ini"
 
 
 class TestRunCommand:
@@ -108,7 +111,7 @@ class TestScenarioFiles:
         assert repr(load_scenario(str(path))) == repr(expected)
 
     def test_ao_round_trip(self, tmp_path):
-        ao = AoConfig(tolerance=3e-3, max_iterations=77, restarts=6, corner_starts=True)
+        ao = AoConfig(tolerance=3e-3, max_iterations=77, restarts=6)
         spec = replace(catalog()["scenario1_2led"], ao=ao)
         path = tmp_path / "scene.ini"
         save_scenario(spec, str(path))
@@ -145,6 +148,22 @@ class TestScenarioFiles:
         resaved = tmp_path / "resaved.ini"
         save_scenario(load_scenario(str(legacy)), str(resaved))
         assert resaved.read_text() == path.read_text()
+
+    def test_legacy_corner_starts_key_ignored(self, tmp_path):
+        # files saved while AoConfig had corner_starts still load: every
+        # solve starts at the corners now, so the key is an unknown one
+        legacy = LEGACY_SCENE.read_text()
+        assert "corner_starts = false\n" in legacy
+        plain = tmp_path / LEGACY_SCENE.name  # the same basename, so the same default name
+        plain.write_text(legacy.replace("corner_starts = false\n", ""))
+        assert repr(load_scenario(str(LEGACY_SCENE))) == repr(load_scenario(str(plain)))
+        rows = []
+        for path in (LEGACY_SCENE, plain):
+            out = tmp_path / f"rows{len(rows)}.json"
+            argv = ["run", "--scenario-file", str(path), "--schemes", "sdma", "--snr", "10", "--format", "json"]
+            assert main(argv + ["--out", str(out)]) == 0
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
 
     def test_run_from_file(self, tmp_path):
         path = tmp_path / "scene.ini"
@@ -313,7 +332,7 @@ class TestValidate:
         for _ in range(2):
             cli._random_instance(rng, epsilon=3.0)
         expected = []
-        eps, cfg = optimizer.epsilon_from_snr(15.0, 1.0), AoConfig(corner_starts=True)
+        eps, cfg = optimizer.epsilon_from_snr(15.0, 1.0), AoConfig()
         for scheme in signal_model.SCHEMES:
             for i in range(3):
                 ch = ChannelMatrix(gains=rng.uniform(0.2, 1.0, size=(2, 2)), noise=np.ones(2))

@@ -185,8 +185,9 @@ class TestSubproblem:
 
     @staticmethod
     def _maximize(sur, eps, start, max_iter=optimizer._PG_MAX_ITER, tol=optimizer._PG_TOL):
+        # the solver starts each subproblem from a feasible point, as the AO loop does
         radius = np.full(start.shape[:2], float(eps))
-        return optimizer._maximize_batch(sur, radius, start, max_iter, tol)
+        return optimizer._maximize_batch(sur, radius, project_rows_l1(start, radius), max_iter, tol)
 
     def test_zero_budget_returns_origin(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
@@ -488,7 +489,7 @@ class TestBatchedSolver:
         epsilons[3] = 4.0
         assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
         seeds = [100 + i for i in range(6)]
-        return channels, epsilons, seeds, AoConfig(max_iterations=12, corner_starts=True)
+        return channels, epsilons, seeds, AoConfig(max_iterations=12)
 
     @staticmethod
     def _same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, **kw):
@@ -828,7 +829,7 @@ class TestGridOracle:
 
     def test_ao_close_to_oracle(self):
         rng = np.random.default_rng(14)
-        cfg = AoConfig(corner_starts=True)
+        cfg = AoConfig()
         for scheme in ("rsma", "sdma", "noma"):
             for _ in range(3):
                 ch = random_channel(rng)

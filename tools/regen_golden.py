@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Regenerate the golden outputs that tests/test_golden.py pins.
+
+    PYTHONPATH=src python3 tools/regen_golden.py
+
+Run it from the root of a source checkout. It runs each command of
+COMMANDS through `rsma_vlc.cli.main` in-process and writes
+tests/golden_outputs.json: per command its argument list, its exit code
+and either the JSON rows `run` writes (to a temporary `--out` file) or
+the lines `validate` prints. The test replays the stored argument lists,
+so this table is their one definition. A change that moves results on
+purpose regenerates the file and lists the moved rows, or the largest
+move, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from rsma_vlc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "tests" / "golden_outputs.json"
+
+
+def _run(scenario: str, snr: str) -> list:
+    return ["run", "--scenario", scenario, "--snr", snr, "--seed", "0", "--workers", "1", "--format", "json"]
+
+
+# the rows of the paper's main figure (the benchmark's snr_sweep) and the
+# validate pass the benchmark runs
+COMMANDS = {
+    "scenario2_2led": _run("scenario2_2led", "0,5,10,15,20,25,30,35,40"),
+    "scenario1_4led": _run("scenario1_4led", "0,5,10,15,20,25"),
+    "validate": ["validate", "--seed", "0", "--mc-instances", "20", "--oracle-instances", "18"],
+}
+
+
+def record(argv: list) -> dict:
+    """argv, exit code and output of one command: the rows of a `run`, the stdout lines otherwise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "rows.json")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv + ["--out", out] if argv[0] == "run" else argv)
+        entry = {"argv": argv, "exit": code}
+        if argv[0] == "run":
+            with open(out) as fh:
+                entry["rows"] = json.load(fh)
+        else:
+            entry["stdout"] = stdout.getvalue().splitlines()
+    return entry
+
+
+def main() -> None:
+    golden = {name: record(argv) for name, argv in COMMANDS.items()}
+    OUT.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {OUT.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    main()
