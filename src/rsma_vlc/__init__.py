@@ -22,6 +22,7 @@ from .channel import (
 )
 from .optimizer import (
     AoConfig,
+    Problem,
     Solution,
     ao_solve,
     epsilon_from_snr,

@@ -3,7 +3,9 @@
 Commands and the options each takes (any other option exits 1):
   run           solve a scene's sweep, print CSV rows, write CSV/JSON rows
                 --scenario NAME or --scenario-file PATH, --schemes, --snr,
-                --noise-mode, --delta, --max-iters, --restarts, --seed,
+                --noise-mode, --delta, --max-iters, --restarts N (the
+                starts of each problem, ZF, the corners and warm starts
+                included; at least one random start always runs), --seed,
                 --workers (RSMA_VLC_WORKERS when not given), --out, --format
   channel-dump  print the gain matrix and noise vector of a scene
                 --scenario NAME or --scenario-file PATH, --noise-mode
@@ -391,7 +393,8 @@ _OPTIONS = {
     "--delta": {"dest": "tolerance", "metavar": "DELTA", "type": float,
                 "help": "AO convergence tolerance in bits/s/Hz"},
     "--max-iters": {"type": int, "help": "AO iteration cap"},
-    "--restarts": {"type": int, "help": "AO restart count"},
+    "--restarts": {"type": int, "help": "AO starts per problem, ZF, corners and warm starts included; "
+                                        "at least one random start always runs"},
     "--seed": {"type": int, "help": "random seed"},
     "--workers": {"type": int, "help": "parallel sweep workers; RSMA_VLC_WORKERS when not given"},
     "--out": {"help": "output file path"},

@@ -44,8 +44,9 @@ problem it is given as one batch, each problem under its own scheme: a
 batch that mixes SDMA, NOMA and RSMA problems is one RSMA batch in which
 each problem zero-weights the streams its scheme lacks. A problem may
 name earlier problems of the call whose solutions become its warm
-starts (`warm_from`); those starts enter the running batch once the
-problems they name have finished. Which problems seed RSMA, and from
+starts (`Problem.warm_from`), the only way a solution seeds another
+solve; those starts enter the running batch once the problems they
+name have finished. Which problems seed RSMA, and from
 what, is `scenarios.solve_schemes`'s choice.
 
 The arrays are a few problems of 2 x 4 x 3 entries, so a
@@ -60,9 +61,10 @@ stack and keeps the rows inside their balls with `where`
 None of this changes an operation: every entry still gets the
 floating-point operations of a batch of one, in the same order.
 
-A problem is a channel, an amplitude budget epsilon, a random-start seed
-and its warm starts; `AoConfig` holds only the settings every problem of
-a call shares. The solver never sees an SNR: turning a sweep's SNR into
+A problem (`Problem`) is a channel, a scheme, an amplitude budget
+epsilon, a random-start seed and the problems whose solutions are its
+warm starts; `AoConfig` holds only the settings every problem of a call
+shares. The solver never sees an SNR: turning a sweep's SNR into
 epsilon (`epsilon_from_snr`) is the caller's job.
 """
 
@@ -88,6 +90,7 @@ from .signal_model import (
 
 __all__ = [
     "AoConfig",
+    "Problem",
     "Solution",
     "NumericalFailure",
     "epsilon_from_snr",
@@ -116,11 +119,11 @@ class AoConfig:
     """Settings of the alternating-optimization solver.
 
     They hold for every problem of an `ao_solve` call; a problem's
-    amplitude budget, random-start seed and warm starts are arguments of
-    that call. `restarts` counts all initializations including the
-    mandatory ones (ZF, one single-user corner per user, the caller's
-    warm starts and the solutions of `warm_from`); random starts fill
-    the rest, at least one.
+    amplitude budget, random-start seed and warm starts are fields of its
+    `Problem`. `restarts` counts all initializations including the
+    mandatory ones (ZF, one single-user corner per user and the
+    solutions of `warm_from`); random starts fill the rest, at least
+    one.
     """
 
     tolerance: float = 1e-4  # bits/s/Hz WSR change
@@ -132,6 +135,22 @@ class AoConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be >= 1")
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One problem of an `ao_solve` call: maximize the weighted sum rate
+    of `scheme` ("rsma", "sdma" or "noma") on `channel` under the
+    per-fixture amplitude budget `epsilon` (the radius of every row's L1
+    ball), with `seed` seeding its random starts. `warm_from` names
+    earlier problems of the call (their indices) whose solutions are its
+    warm starts, in that order."""
+
+    channel: ChannelMatrix
+    scheme: str
+    epsilon: float
+    seed: int
+    warm_from: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -702,94 +721,70 @@ def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoCo
 
 
 def ao_solve(
-    channel: ChannelMatrix | Sequence[ChannelMatrix],
-    layout: StreamLayout,
+    problems: Sequence[Problem],
     priorities,
-    epsilon: float | Sequence[float],
-    seed: int | Sequence[int] = 0,
     config: AoConfig = AoConfig(),
-    warm_starts: tuple = (),
-    schemes: Sequence[str] = (),
-    warm_from: tuple = (),
-) -> Solution | tuple[Solution, ...]:
-    """Maximize the weighted sum rate with the multi-start AO solver.
+    *,
+    layout: StreamLayout,
+) -> tuple[Solution, ...]:
+    """Maximize each problem's weighted sum rate with the multi-start AO
+    solver; returns one Solution per problem, in order.
 
-    `epsilon` is the per-fixture amplitude budget (the radius of every
-    row's L1 ball) and `seed` seeds the random starts. The starts are,
-    in this order: ZF; one single-user corner per user, the full budget
-    on that user's stream (`_beam_start`: the single-user optima, which
-    a start inside the balls reaches only by crawling); the matrices
-    of `warm_starts`; the solutions of `warm_from` (below); and seeded
-    random feasible starts up to `config.restarts` (at least one
+    A problem's starts are, in this order: ZF; one single-user corner
+    per user, the full budget on that user's stream (`_beam_start`: the
+    single-user optima, which a start inside the balls reaches only by
+    crawling); the solutions of its `warm_from` problems (below); and
+    seeded random feasible starts up to `config.restarts` (at least one
     always). The best final WSR wins, the earliest start on ties.
     Ascent is monotone, so the result is at least as good as every warm
-    start: an RSMA solve warm-started from the converged SDMA and NOMA
-    solutions placed on its streams (`StreamLayout.to_rsma`) satisfies
-    WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)). `scenarios.solve_schemes`
-    seeds RSMA that way; without warm starts that bound is not assured.
+    start: an RSMA problem warm-started from its channel's converged
+    SDMA and NOMA problems satisfies WSR(RSMA) >= max(WSR(SDMA),
+    WSR(NOMA)). `scenarios.solve_schemes` seeds RSMA that way; without
+    warm starts that bound is not assured.
 
-    `layout` selects the scheme: each problem is solved under
-    `build_layout(layout.scheme, K, its channel)`, or under its own
-    scheme from `schemes` (below), so one call takes NOMA problems of
-    either strong user. Every start, warm starts included, is
-    a matrix of that layout; the solver places it on the RSMA streams
-    (see the module docstring), and each Solution's precoder and report
-    are read back in that layout.
+    Each problem is solved under `build_layout(scheme, K, channel)` of
+    its own scheme and channel, so one call takes, say, the SDMA, NOMA
+    (of either strong user) and RSMA problems of a sweep; the channels
+    must all have one shape. Every start is a matrix of that layout; the
+    solver places it on the RSMA streams (see the module docstring), and
+    each Solution's precoder and report are read back in that layout.
 
-    `epsilon` may also be a sequence of budgets, one problem each, e.g.
-    the points of a sweep. `seed` is then a sequence of as many seeds,
-    `channel` one channel shared by all problems or a sequence with one
-    channel per problem (all of one shape), `warm_starts` one tuple of
-    matrices per problem (or empty), and the result a tuple with one
-    Solution per problem. `schemes` may name each problem's scheme, one
-    per problem, so that one call solves, say, the SDMA, NOMA and RSMA
-    problems of a sweep; its first entry must be `layout.scheme`, so
-    `layout` stays the layout of the first problem's scheme.
+    The winning precoder of each `warm_from` problem, placed on the RSMA
+    streams (`StreamLayout.to_rsma`) and read in this problem's layout,
+    is one of its warm starts, in the order given. These starts enter
+    the running batch at the first outer iteration after every start of
+    the problems they name has finished; the problem's other starts
+    enter at once. Every start counts its own iterations, under its own
+    `config.max_iterations` cap, so its result is the one of a solve that
+    begins when it enters.
 
-    `warm_from` may hold, per problem, a tuple of earlier problems of the
-    call (their indices; empty, the default, for none). The winning
-    precoder of each, placed on the RSMA streams (`StreamLayout.to_rsma`)
-    and read in this problem's layout, is one of its warm starts, in the
-    order given. These starts enter the running batch at the first outer
-    iteration after every start of the problems they name has finished;
-    the problem's other starts enter at once. Every start counts its own
-    iterations, under its own `config.max_iterations` cap, so its result
-    is the one of a solve that begins when it enters.
+    `layout` is the first problem's layout, of its scheme: the
+    benchmark's tracer binds it to tag the call by `layout.scheme`. It
+    goes once the tracer tags each problem by its own scheme (ROADMAP
+    item 1).
 
     Every problem is solved under `config`. Every start of every problem
     runs in one lockstep batch, and each Solution is bit-for-bit the one
-    that problem gets when solved alone, with its `warm_from` solutions
-    as `warm_starts`: a problem's result does not depend on its batch.
+    that problem gets in a call of its `warm_from` problems and itself
+    alone: a problem's result does not depend on its batch.
     """
-    single = np.ndim(epsilon) == 0
-    if single:
-        epsilons, seeds, warm, deps = (float(epsilon),), (seed,), (tuple(warm_starts),), (tuple(warm_from),)
-    else:
-        epsilons = tuple(float(e) for e in epsilon)
-        seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
-        warm = tuple(tuple(ws) for ws in warm_starts) or ((),) * len(epsilons)
-        deps = tuple(tuple(refs) for refs in warm_from) or ((),) * len(epsilons)
-        if not epsilons or not len(seeds) == len(warm) == len(deps) == len(epsilons):
-            raise ValueError("ao_solve needs at least one problem, and one seed and warm-start tuple each")
-    if any(not 0 <= q < p for p, refs in enumerate(deps) for q in refs):
+    problems = tuple(problems)
+    if not problems:
+        raise ValueError("ao_solve needs at least one problem")
+    if layout.scheme != problems[0].scheme:
+        raise ValueError("layout must be of the first problem's scheme")
+    if any(not 0 <= q < p for p, problem in enumerate(problems) for q in problem.warm_from):
         raise ValueError("warm_from may name only earlier problems of the call")
+    epsilons = [float(problem.epsilon) for problem in problems]
     if min(epsilons) < 0:
         raise ValueError("epsilon must be nonnegative")
-    if isinstance(channel, ChannelMatrix):
-        channels = (channel,) * len(epsilons)
-    else:
-        channels = tuple(channel)
-        if single or len(channels) != len(epsilons):
-            raise ValueError("a sequence of channels needs a sequence of budgets, one per channel")
-    schemes = tuple(schemes) or (layout.scheme,) * len(epsilons)
-    if len(schemes) != len(epsilons) or schemes[0] != layout.scheme:
-        raise ValueError("schemes needs one scheme per problem, the first one layout's")
     w = np.asarray(priorities, dtype=float)
+    channels = [problem.channel for problem in problems]
     built = {}  # one layout per distinct (scheme, channel)
-    for scheme, ch in zip(schemes, channels):
-        if (scheme, id(ch)) not in built:
-            built[scheme, id(ch)] = build_layout(scheme, ch.num_users, ch)
-    layouts = [built[scheme, id(ch)] for scheme, ch in zip(schemes, channels)]
+    for problem, ch in zip(problems, channels):
+        if (problem.scheme, id(ch)) not in built:
+            built[problem.scheme, id(ch)] = build_layout(problem.scheme, ch.num_users, ch)
+    layouts = [built[problem.scheme, id(ch)] for problem, ch in zip(problems, channels)]
     # a channel every problem shares is compiled once and broadcasts over
     # the batch, so dropping finished problems never copies its gains
     shared = len({id(ch) for ch in channels}) == 1
@@ -807,22 +802,22 @@ def ao_solve(
 
     starts: list[np.ndarray] = []
     counts, firsts, admit = [], [], []
-    for ch, lay, eps, seed_i, warm_i, refs in zip(channels, layouts, epsilons, seeds, warm, deps):
+    for problem, lay, eps in zip(problems, layouts, epsilons):
+        ch, refs = problem.channel, problem.warm_from
         own = [_zf_start(ch, lay, eps)] + [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
-        own += [np.asarray(m, dtype=float) for m in warm_i]
         if refs:
             rows = sum(counts) + len(own) + np.arange(len(refs))
             after = np.concatenate([np.arange(firsts[q], firsts[q] + counts[q]) for q in refs])
             admit.append((rows, after, warm_solutions(refs, lay)))
             own += [np.zeros_like(own[0])] * len(refs)  # placeholders until the named problems finish
-        rng = np.random.default_rng(seed_i)
+        rng = np.random.default_rng(problem.seed)
         n_random = max(1, config.restarts - len(own))  # always explore at random too
         own += [_random_start(ch, lay, eps, rng) for _ in range(n_random)]
         starts.append(lay.to_rsma(np.stack(own)))
         firsts.append(sum(counts))
         counts.append(len(own))
 
-    batch = comp.take(np.repeat(np.arange(len(epsilons)), counts))
+    batch = comp.take(np.repeat(np.arange(len(problems)), counts))
     P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.concatenate(starts), config, admit)
     _, caps = batch.true_rates(P)
     final = [h[-1] for h in histories]
@@ -843,7 +838,7 @@ def ao_solve(
                 wsr_history=tuple(histories[best]),
             )
         )
-    return solutions[0] if single else tuple(solutions)
+    return tuple(solutions)
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import ChannelMatrix, Fixture, Receiver, build_channel, fixture_gain
-from .optimizer import AoConfig, ao_solve, epsilon_from_snr
+from .optimizer import AoConfig, Problem, ao_solve, epsilon_from_snr
 from .signal_model import SCHEMES, build_layout
 
 __all__ = [
@@ -242,33 +242,38 @@ def _point_seed(base_seed: int, scheme: str, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _solve_points(channels, layouts, priorities, config, epsilons, seeds, warm_from) -> list:
-    """One Solution or the raised exception per problem (channel,
-    layout, epsilon, seed, and the earlier problems whose solutions are
-    its warm starts).
+def _solve_points(problems, priorities, config) -> list:
+    """One Solution or the raised exception per Problem.
 
-    Several problems run as one batched ao_solve call, each under its own
-    layout's scheme; the call gets the first problem's layout, so its
-    `layout` is one StreamLayout whatever the batch holds. If it raises,
-    the problems are solved again one at a time, in order, each
-    warm-started from the solutions of its `warm_from` problems that
-    succeeded, so that only the failing ones fail.
+    Several problems run as one batched ao_solve call. If it raises,
+    each problem is solved again, in order, as one call of its own: the
+    problems of its `warm_from` that succeeded (solve_schemes's helpers,
+    which have no warm starts of their own), then the problem,
+    warm-started from their solutions. A problem's result does not
+    depend on its batch, so the helpers solve to their results again and
+    only the failing problems fail.
     """
-    if len(epsilons) > 1:
+    if len(problems) > 1:
         try:
-            return list(ao_solve(channels, layouts[0], priorities, epsilons, seed=seeds, config=config,
-                                 schemes=[lay.scheme for lay in layouts], warm_from=warm_from))
+            return list(_ao_solve(problems, priorities, config))
         except Exception:  # isolate the failure below
             pass
     results = []
-    for channel, layout, eps, seed, refs in zip(channels, layouts, epsilons, seeds, warm_from):
-        warm = tuple(layouts[q].to_rsma(results[q].precoder.matrix)[:, layout.rsma_columns]
-                     for q in refs if not isinstance(results[q], Exception))
+    for problem in problems:
+        helpers = [problems[q] for q in problem.warm_from if not isinstance(results[q], Exception)]
+        alone = replace(problem, warm_from=tuple(range(len(helpers))))
         try:
-            results.append(ao_solve(channel, layout, priorities, eps, seed=seed, config=config, warm_starts=warm))
+            results.append(_ao_solve(helpers + [alone], priorities, config)[-1])
         except Exception as exc:  # failed points must not sink the sweep
             results.append(exc)
     return results
+
+
+def _ao_solve(problems, priorities, config):
+    """ao_solve, given the first problem's layout as its `layout`."""
+    first = problems[0]
+    layout = build_layout(first.scheme, first.channel.num_users, first.channel)
+    return ao_solve(problems, priorities, config, layout=layout)
 
 
 def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> dict:
@@ -277,10 +282,10 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
 
     `schemes` names the schemes to solve at every channel, or holds one
     such tuple per channel. The one place RSMA is seeded from the
-    special cases: each RSMA problem gets its own channel's converged
-    SDMA and (two users) NOMA precoders, placed on its streams
-    (`StreamLayout.to_rsma`), as warm starts in that order, so WSR(RSMA)
-    >= max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent. These helpers
+    special cases: each RSMA problem names its own channel's SDMA and
+    (two users) NOMA problems, in that order, as its `warm_from`, so their
+    converged precoders are its warm starts and WSR(RSMA) >=
+    max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent. These helpers
     are solved also where only RSMA is requested; one that failed at a
     channel gives no warm start there. Every solve runs under the
     AoConfig `config`; channel j has the amplitude budget `epsilons[j]`
@@ -289,9 +294,9 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
     NOMA ones of either strong user included: each RSMA problem's warm
     starts enter the running batch once its helpers have finished, so
     the batch's slowest start holds up one call. If the call raises, each
-    (scheme, channel) is solved alone, the helpers first. A scheme whose
-    layout cannot be built at a channel gets the ValueError there, with
-    layout None.
+    (scheme, channel) is solved in a call of its own, after its helpers
+    that succeeded. A scheme whose layout cannot be built at a channel
+    gets the ValueError there, with layout None.
     """
     channels = list(channels)
     wanted = [tuple(schemes)] * len(channels) if not schemes or isinstance(schemes[0], str) else list(schemes)
@@ -305,15 +310,15 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
                     layouts[scheme, j] = build_layout(scheme, ch.num_users, ch)
                 except ValueError as exc:
                     solved[scheme, j] = (None, exc)
-    problems = list(layouts)
-    index = {problem: p for p, problem in enumerate(problems)}
-    warm_from = [tuple(index[h, j] for h in _helpers(channels[j]) if (h, j) in index) if scheme == "rsma" else ()
-                 for scheme, j in problems]
-    sols = _solve_points(
-        [channels[j] for _, j in problems], list(layouts.values()), priorities, config,
-        [epsilons[j] for _, j in problems], [seed_for(s, j) for s, j in problems], warm_from,
-    )
-    solved.update((problem, (layouts[problem], sol)) for problem, sol in zip(problems, sols))
+    keys = list(layouts)
+    index = {key: p for p, key in enumerate(keys)}
+    problems = [
+        Problem(channels[j], scheme, epsilons[j], seed_for(scheme, j),
+                tuple(index[h, j] for h in _helpers(channels[j]) if (h, j) in index) if scheme == "rsma" else ())
+        for scheme, j in keys
+    ]
+    sols = _solve_points(problems, priorities, config)
+    solved.update((key, (layouts[key], sol)) for key, sol in zip(keys, sols))
     return {s: [solved[s, j] for j, w in enumerate(wanted) if s in w]
             for s in ("sdma", "noma", "rsma") if any(s in w for w in wanted)}
 
@@ -391,9 +396,10 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     one channel (an SNR sweep) or each have their own (a separation
     sweep). A point's result does not depend on the batch it is solved
     in, so any worker count produces identical rows. If a batched call
-    raises, each (scheme, point) of it is solved again alone, the helpers
-    first, and only the ones that still fail get a row with `error` set.
-    Rows come back sorted by (scheme, sweep index).
+    raises, each (scheme, point) of it is solved again in a call of its
+    own, after its helpers that succeeded, and only the ones that still
+    fail get a row with `error` set. Rows come back sorted by (scheme,
+    sweep index).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

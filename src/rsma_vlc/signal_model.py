@@ -285,16 +285,6 @@ class SicKernel:
             T[:, n:] += X2[:, -1, n:]
         return X[:, -1], T
 
-    def stages(self, A: np.ndarray):
-        """(a_p, T_p, a_c, T_c): `stage_arrays` split into the private
-        stages (B, private columns) and the common stages (B, decoders;
-        None without a common stream)."""
-        a, T = self.stage_arrays(A)
-        if self.common_col is None:
-            return a, T, None, None
-        n = self.n_priv
-        return a[:, :n], T[:, :n], a[:, n:], T[:, n:]
-
     def sinrs(self, A: np.ndarray):
         """(sinr_p, sinr_c): SINR of every private stage (B, private
         columns) and common stage (B, decoders; None without a common

@@ -307,12 +307,10 @@ class TestValidate:
             failing.append(next(ch for ch, wanted in zip(channels, schemes) if wanted == ("noma",)))
             return real_solve_schemes(channels, priorities, schemes, *args)
 
-        def ao_solve(channel, layout, *args, schemes=(), **kwargs):
-            channels = (channel,) if isinstance(channel, ChannelMatrix) else tuple(channel)
-            names = schemes or (layout.scheme,) * len(channels)
-            if any(ch is failing[0] and s == "noma" for ch, s in zip(channels, names)):
+        def ao_solve(problems, *args, **kwargs):
+            if any(p.channel is failing[0] and p.scheme == "noma" for p in problems):
                 raise optimizer.NumericalFailure("non-finite surrogate value nan at the subproblem start")
-            return real_ao_solve(channel, layout, *args, schemes=schemes, **kwargs)
+            return real_ao_solve(problems, *args, **kwargs)
 
         monkeypatch.setattr(scenarios, "solve_schemes", solve_schemes)
         monkeypatch.setattr(scenarios, "ao_solve", ao_solve)

@@ -8,6 +8,7 @@ from rsma_vlc.channel import ChannelMatrix
 from rsma_vlc.optimizer import (
     AoConfig,
     NumericalFailure,
+    Problem,
     ao_solve,
     epsilon_from_snr,
     grid_oracle,
@@ -36,16 +37,29 @@ def random_channel(rng, k=2, l=2):
     return channel(rng.uniform(0.1, 1.0, size=(k, l)))
 
 
+def solve(ch, lay, w, eps, seed=0, config=AoConfig()):
+    """The Solution of one problem of `lay`'s scheme, solved alone."""
+    [sol] = ao_solve([Problem(ch, lay.scheme, eps, seed)], w, config, layout=lay)
+    return sol
+
+
+def solve_all(problems, w, config=AoConfig()):
+    """ao_solve on `problems`, given the first problem's layout."""
+    first = problems[0]
+    return ao_solve(problems, w, config, layout=build_layout(first.scheme, first.channel.num_users, first.channel))
+
+
 def fresh_stages(ch, lay, P, w=None):
     """(compiled kernel, P on the RSMA streams, _mmse_gu's (g_p, u_p, g_c,
     u_c) there) for the (B, L, S) precoders P of layout `lay`."""
     w = np.full(ch.num_users, 1.0 / ch.num_users) if w is None else w
     comp = optimizer._Compiled(ch, lay, np.asarray(w, dtype=float))
     Q = lay.to_rsma(P)
-    a_p, T_p, a_c, T_c = comp.stages(comp.H @ Q)
-    gu = [*optimizer._mmse_gu(a_p, T_p), None, None]
+    a, T = comp.stage_arrays(comp.H @ Q)
+    n = comp.n_priv
+    gu = [*optimizer._mmse_gu(a[:, :n], T[:, :n]), None, None]
     if comp.common_col is not None:
-        gu[2:] = optimizer._mmse_gu(a_c, T_c)
+        gu[2:] = optimizer._mmse_gu(a[:, n:], T[:, n:])
     return comp, Q, gu
 
 
@@ -76,8 +90,8 @@ class TestEqualizerAndWeights:
         channels = [channel([[1.0, 0.2], [0.2, 0.5]]), channel([[0.5, 0.2], [0.2, 1.0]])]
         layouts = [build_layout("noma", 2, c) for c in channels]
         comp = optimizer._Compiled(channels, layouts, np.array([0.5, 0.5]))
-        a_p, T_p, _, _ = comp.stages(comp.H @ np.stack([lay.to_rsma(np.ones((2, 2))) for lay in layouts]))
-        g, u = optimizer._mmse_gu(a_p, T_p)
+        a, T = comp.stage_arrays(comp.H @ np.stack([lay.to_rsma(np.ones((2, 2))) for lay in layouts]))
+        g, u = optimizer._mmse_gu(a[:, : comp.n_priv], T[:, : comp.n_priv])
         for b, lay in enumerate(layouts):
             weak = lay.common_stream.carries[0]
             assert g[b, weak] == 0.0 and u[b, weak] == 1.0 and g[b, 1 - weak] != 0.0
@@ -299,7 +313,7 @@ class TestAoSolve:
     def test_zero_budget(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         lay = build_layout("rsma", 2, ch)
-        sol = ao_solve(ch, lay, (0.5, 0.5), 0.0)
+        sol = solve(ch, lay, (0.5, 0.5), 0.0)
         assert sol.wsr == 0.0
         assert sol.converged
         assert sol.iterations == 1
@@ -308,9 +322,9 @@ class TestAoSolve:
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         lay = build_layout("sdma", 2, ch)
         with pytest.raises(ValueError, match="epsilon"):
-            ao_solve(ch, lay, (0.5, 0.5), -1.0)
+            solve(ch, lay, (0.5, 0.5), -1.0)
         with pytest.raises(ValueError, match="epsilon"):
-            ao_solve(ch, lay, (0.5, 0.5), [2.0, -1e-9], seed=[0, 1])
+            ao_solve([Problem(ch, "sdma", 2.0, 0), Problem(ch, "sdma", -1e-9, 1)], (0.5, 0.5), layout=lay)
 
     def test_monotone_and_feasible(self):
         rng = np.random.default_rng(10)
@@ -320,7 +334,7 @@ class TestAoSolve:
             lay = build_layout(scheme, 2, ch)
             eps = float(rng.uniform(1.0, 30.0))
             seed = int(rng.integers(1 << 16))
-            sol = ao_solve(ch, lay, (0.5, 0.5), eps, seed, AoConfig(restarts=2))
+            sol = solve(ch, lay, (0.5, 0.5), eps, seed, AoConfig(restarts=2))
             hist = np.array(sol.wsr_history)
             assert np.all(np.diff(hist) >= -1e-8)
             assert sol.precoder.max_row_l1() <= eps + 1e-9
@@ -330,8 +344,8 @@ class TestAoSolve:
     def test_determinism(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
         lay = build_layout("rsma", 2, ch)
-        a = ao_solve(ch, lay, (0.5, 0.5), 5.0, seed=123)
-        b = ao_solve(ch, lay, (0.5, 0.5), 5.0, seed=123)
+        a = solve(ch, lay, (0.5, 0.5), 5.0, seed=123)
+        b = solve(ch, lay, (0.5, 0.5), 5.0, seed=123)
         assert np.array_equal(a.precoder.matrix, b.precoder.matrix)
         assert a.wsr == b.wsr
         assert a.wsr_history == b.wsr_history
@@ -350,17 +364,17 @@ class TestAoSolve:
     def test_report_matches_stored_wsr(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
         lay = build_layout("noma", 2, ch)
-        sol = ao_solve(ch, lay, (0.5, 0.5), 8.0, seed=2)
+        sol = solve(ch, lay, (0.5, 0.5), 8.0, seed=2)
         assert sol.report.wsr == pytest.approx(sol.wsr_history[-1], abs=1e-9)
 
     def test_unequal_priorities_respected(self):
         # correlated channel: rates trade off, so the heavy user must win
         ch = channel([[1.0, 0.8], [0.8, 1.0]])
         lay = build_layout("sdma", 2, ch)
-        lop = ao_solve(ch, lay, (0.9, 0.1), 10.0, seed=3)
+        lop = solve(ch, lay, (0.9, 0.1), 10.0, seed=3)
         assert lop.report.overall[0] > lop.report.overall[1]
-        even = ao_solve(ch, lay, (0.5, 0.5), 10.0, seed=3)
-        heavy = ao_solve(ch, lay, (0.9, 0.1), 10.0, seed=3)
+        even = solve(ch, lay, (0.5, 0.5), 10.0, seed=3)
+        heavy = solve(ch, lay, (0.9, 0.1), 10.0, seed=3)
         assert heavy.report.overall[0] >= even.report.overall[0] - 1e-6
 
 
@@ -447,16 +461,19 @@ class TestBatchedSolver:
             assert (wsr[b], cap[b]) == ref_comp.true_rates(Q[b])[:2]
 
     def test_mixed_budgets_and_start_counts(self):
+        # the problems hold no, one and two warm starts: the solutions of
+        # earlier problems, found under other budgets
         rng = np.random.default_rng(45)
         ch = random_channel(rng, l=4)
         lay = build_layout("rsma", 2, ch)
-        extra = build_layout("sdma", 2, ch).to_rsma(zf_precoder(ch, 2.0).matrix)
         cfg = AoConfig(max_iterations=80)
         epsilons, seeds = [2.0, epsilon_from_snr(12.0, 1.0), 30.0], [1, 2, 3]
-        warm = [(), (extra,), (extra, 0.5 * extra)]
-        sols = ao_solve(ch, lay, (0.5, 0.5), epsilons, seeds, cfg, warm_starts=warm)
+        warm_from = [(), (0,), (0, 1)]
+        problems = [Problem(ch, "rsma", eps, seed, refs) for eps, seed, refs in zip(epsilons, seeds, warm_from)]
+        sols = ao_solve(problems, (0.5, 0.5), cfg, layout=lay)
         assert isinstance(sols, tuple) and len(sols) == 3
-        for eps, seed, ws, sol in zip(epsilons, seeds, warm, sols):
+        for eps, seed, refs, sol in zip(epsilons, seeds, warm_from, sols):
+            ws = tuple(sols[q].precoder.matrix for q in refs)
             assert self._same_as_serial_reference(
                 sol, ch, lay, (0.5, 0.5), eps, seed, cfg, warm_starts=ws, embed_special_cases=False,
             )
@@ -468,9 +485,10 @@ class TestBatchedSolver:
             lay = build_layout(scheme, 2, ch)
             epsilons = [epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0)]
             seeds = [7 + i for i in range(len(epsilons))]
-            many = ao_solve(ch, lay, (0.5, 0.5), epsilons, seeds)
+            many = ao_solve([Problem(ch, scheme, eps, seed) for eps, seed in zip(epsilons, seeds)], (0.5, 0.5),
+                            layout=lay)
             for eps, seed, sol in zip(epsilons, seeds, many):
-                assert self._same(ao_solve(ch, lay, (0.5, 0.5), eps, seed), sol)
+                assert self._same(solve(ch, lay, (0.5, 0.5), eps, seed), sol)
 
     @staticmethod
     def _mixed_problems():
@@ -507,12 +525,12 @@ class TestBatchedSolver:
     def test_mixed_channel_batch_equals_each_problem_alone(self, scheme, w):
         # each problem is solved under its own channel's layout
         channels, epsilons, seeds, cfg = self._mixed_problems()
-        batched = ao_solve(channels, build_layout(scheme, 2, channels[0]), w, epsilons, seeds, cfg)
+        batched = solve_all([Problem(*p) for p in zip(channels, [scheme] * len(channels), epsilons, seeds)], w, cfg)
         assert isinstance(batched, tuple) and len(batched) == len(channels)
         outcomes = set()
         for ch, eps, seed, sol in zip(channels, epsilons, seeds, batched):
             lay = build_layout(scheme, 2, ch)
-            alone = ao_solve(ch, lay, w, eps, seed, cfg)
+            alone = solve(ch, lay, w, eps, seed, cfg)
             assert self._same(sol, alone)
             assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
             assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=False)
@@ -526,18 +544,15 @@ class TestBatchedSolver:
         # an RSMA batch in which SDMA zero-weights the common stream and
         # NOMA the weak user's private one, with NOMA of both strong users
         channels, epsilons, seeds, cfg = self._mixed_problems()
-        problems = [(s, ch, eps, seed + 10 * (s == "noma"))
+        problems = [Problem(ch, s, eps, seed + 10 * (s == "noma"))
                     for ch, eps, seed in zip(channels, epsilons, seeds) for s in ("sdma", "noma")]
-        batched = ao_solve(
-            [ch for _, ch, _, _ in problems], build_layout("sdma", 2, channels[0]), w,
-            [eps for *_, eps, _ in problems], [seed for *_, seed in problems], cfg,
-            schemes=[s for s, *_ in problems],
-        )
+        batched = solve_all(problems, w, cfg)
         assert len(batched) == len(problems)
         outcomes = set()
-        for (scheme, ch, eps, seed), sol in zip(problems, batched):
+        for problem, sol in zip(problems, batched):
+            ch, scheme, eps, seed = problem.channel, problem.scheme, problem.epsilon, problem.seed
             lay = build_layout(scheme, 2, ch)
-            alone = ao_solve(ch, lay, w, eps, seed, cfg)
+            alone = solve(ch, lay, w, eps, seed, cfg)
             assert self._same(sol, alone)
             assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
             assert sol.precoder.matrix.shape == (ch.num_fixtures, lay.num_streams)
@@ -548,20 +563,18 @@ class TestBatchedSolver:
             assert outcomes == {(s, c) for s in ("sdma", "noma") for c in (True, False)}  # both exits of both
         # on one shared channel, too
         ch = channels[0]
-        shared = ao_solve(ch, build_layout("noma", 2, ch), w, [2.0, 2.0, 9.0], [1, 2, 3], cfg,
-                          schemes=["noma", "sdma", "sdma"])
-        for scheme, eps, seed, sol in zip(["noma", "sdma", "sdma"], [2.0, 2.0, 9.0], [1, 2, 3], shared):
-            assert self._same(sol, ao_solve(ch, build_layout(scheme, 2, ch), w, eps, seed, cfg))
+        schemes = ["noma", "sdma", "sdma"]
+        shared = solve_all([Problem(*p) for p in zip([ch] * 3, schemes, [2.0, 2.0, 9.0], [1, 2, 3])], w, cfg)
+        for scheme, eps, seed, sol in zip(schemes, [2.0, 2.0, 9.0], [1, 2, 3], shared):
+            assert self._same(sol, solve(ch, build_layout(scheme, 2, ch), w, eps, seed, cfg))
 
-    def test_schemes_need_one_per_problem_the_first_layouts(self):
+    def test_layout_is_the_first_problems_scheme(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
         sdma, noma = build_layout("sdma", 2, a), build_layout("noma", 2, a)
         with pytest.raises(ValueError):
-            ao_solve(a, sdma, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, schemes=["sdma"])
+            ao_solve([Problem(a, "sdma", 1.0, 0), Problem(a, "noma", 1.0, 0)], (0.5, 0.5), layout=noma)
         with pytest.raises(ValueError):
-            ao_solve(a, noma, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, schemes=["sdma", "noma"])
-        with pytest.raises(ValueError):
-            ao_solve(a, sdma, (0.5, 0.5), 1.0, schemes=["sdma", "noma"])
+            ao_solve([Problem(a, "noma", 1.0, 0)], (0.5, 0.5), layout=sdma)
 
     def test_seeded_rsma_equals_nested_reference_and_each_channel_alone(self, monkeypatch):
         # solve_schemes gives RSMA the starts the serial reference's nested
@@ -571,20 +584,20 @@ class TestBatchedSolver:
         calls = []
         real = scenarios.ao_solve
 
-        def spy(channel, layout, priorities, epsilon, **kw):
-            sols = real(channel, layout, priorities, epsilon, **kw)
-            calls.append((kw["schemes"], kw["warm_from"], sols))
+        def spy(problems, priorities, config, *, layout):
+            sols = real(problems, priorities, config, layout=layout)
+            calls.append((problems, sols))
             return sols
 
         monkeypatch.setattr(scenarios, "ao_solve", spy)
         solved = scenarios.solve_schemes(channels, w, ("rsma",), cfg, epsilons, lambda _, i: seeds[i])
         monkeypatch.undo()
         assert list(solved) == ["rsma"] and len(calls) == 1  # one batched call, the helpers included
-        [(schemes, warm_from, sols)] = calls
+        [(problems, sols)] = calls
         n = len(channels)
-        assert list(schemes) == ["sdma"] * n + ["noma"] * n + ["rsma"] * n
+        assert [p.scheme for p in problems] == ["sdma"] * n + ["noma"] * n + ["rsma"] * n
         # each RSMA problem is warm-started from its channel's SDMA, then NOMA problem
-        assert list(warm_from) == [()] * (2 * n) + [(j, n + j) for j in range(n)]
+        assert [p.warm_from for p in problems] == [()] * (2 * n) + [(j, n + j) for j in range(n)]
         for j, (ch, eps, seed, (lay, sol)) in enumerate(zip(channels, epsilons, seeds, solved["rsma"])):
             for sub, helper in zip((build_layout("sdma", 2, ch), build_layout("noma", 2, ch)), sols[j::n]):
                 expected = serial_reference.ao_solve(ch, sub, w, eps, seed, cfg)[0]
@@ -598,23 +611,30 @@ class TestBatchedSolver:
     def test_warm_from_equals_helpers_then_explicit_warm_starts(self, shared):
         # one call holds the SDMA, NOMA and RSMA problems; an RSMA
         # problem's warm starts enter once its helpers' starts have all
-        # finished, and it ends as if solved after them from their
-        # solutions, given as warm_starts
+        # finished, and it ends as in a call of its channel's helpers and
+        # itself alone, and as the serial reference solved after them
+        # from their solutions, given as explicit warm starts
         channels, epsilons, seeds, cfg = self._mixed_problems()
         if shared:
             channels = [channels[0]] * len(channels)
         w = (0.4, 0.6)
         n = len(channels)
         schemes = ["sdma"] * n + ["noma"] * n + ["rsma"] * n
-        batched = ao_solve(channels * 3, build_layout("sdma", 2, channels[0]), w, epsilons * 3,
-                           [s + 10 * (i // n) for i, s in enumerate(seeds * 3)], cfg, schemes=schemes,
-                           warm_from=[()] * (2 * n) + [(j, n + j) for j in range(n)])
+        warm_from = [()] * (2 * n) + [(j, n + j) for j in range(n)]
+        batched = solve_all([Problem(*p) for p in zip(
+            channels * 3, schemes, epsilons * 3, [s + 10 * (i // n) for i, s in enumerate(seeds * 3)], warm_from,
+        )], w, cfg)
         winners = set()
         for j, (ch, eps, seed) in enumerate(zip(channels, epsilons, seeds)):
             layouts = [build_layout(s, 2, ch) for s in ("sdma", "noma", "rsma")]
-            helpers = [ao_solve(ch, lay, w, eps, seed + 10 * i, cfg) for i, lay in enumerate(layouts[:2])]
+            helpers = [solve(ch, lay, w, eps, seed + 10 * i, cfg) for i, lay in enumerate(layouts[:2])]
+            alone = solve_all([Problem(ch, "sdma", eps, seed, ()), Problem(ch, "noma", eps, seed + 10, ()),
+                               Problem(ch, "rsma", eps, seed + 20, (0, 1))], w, cfg)
+            rsma = alone[2]
+            assert all(self._same(got, want) for got, want in zip(alone, helpers))
             warm = tuple(lay.to_rsma(h.precoder.matrix) for lay, h in zip(layouts, helpers))
-            rsma = ao_solve(ch, layouts[2], w, eps, seed + 20, cfg, warm_starts=warm)
+            assert self._same_as_serial_reference(rsma, ch, layouts[2], w, eps, seed + 20, cfg, warm_starts=warm,
+                                                  embed_special_cases=False)
             for got, want in zip(batched[j::n], helpers + [rsma]):
                 assert np.array_equal(got.precoder.matrix, want.precoder.matrix)
                 assert (got.iterations, got.converged, got.restart_index) == (
@@ -653,11 +673,11 @@ class TestBatchedSolver:
     def test_warm_from_names_earlier_problems_only(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
         sdma = build_layout("sdma", 2, a)
-        for warm_from in ([(0,), ()], [(), (1,)], [(), (2,)], [(), (-1,)], [()]):
+        for warm_from in ([(0,), ()], [(), (1,)], [(), (2,)], [(), (-1,)]):
             with pytest.raises(ValueError):
-                ao_solve(a, sdma, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, warm_from=warm_from)
+                ao_solve([Problem(a, "sdma", 1.0, 0, refs) for refs in warm_from], (0.5, 0.5), layout=sdma)
         with pytest.raises(ValueError):  # a single problem has no earlier one
-            ao_solve(a, sdma, (0.5, 0.5), 1.0, warm_from=(0,))
+            ao_solve([Problem(a, "sdma", 1.0, 0, (0,))], (0.5, 0.5), layout=sdma)
 
     def test_shared_channel_stays_one_row_in_a_mixed_batch(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
@@ -705,27 +725,17 @@ class TestBatchedSolver:
         # every kept stage reads the (B, K, K + 1) amplitudes of the RSMA columns
         assert comp._gather.max() < 2 * 3
 
-    def test_channel_sequence_needs_one_budget_each(self):
-        a, b = channel([[0.9, 0.4], [0.3, 0.8]]), channel([[0.5, 0.4], [0.3, 0.2]])
-        lay = build_layout("sdma", 2, a)
-        with pytest.raises(ValueError):
-            ao_solve([a, b], lay, (0.5, 0.5), 1.0)
-        with pytest.raises(ValueError):
-            ao_solve([a, b], lay, (0.5, 0.5), [1.0] * 3, seed=[0] * 3)
-        with pytest.raises(ValueError):
-            ao_solve([a, channel(np.ones((2, 3)))], lay, (0.5, 0.5), [1.0] * 2, seed=[0] * 2)
-
-    def test_budget_sequence_needs_one_seed_each(self):
+    def test_channels_need_one_shape(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
         lay = build_layout("sdma", 2, a)
         with pytest.raises(ValueError):
-            ao_solve(a, lay, (0.5, 0.5), [1.0] * 2)  # the default seed is one, not two
+            ao_solve([Problem(a, "sdma", 1.0, 0), Problem(channel(np.ones((2, 3))), "sdma", 1.0, 0)], (0.5, 0.5),
+                     layout=lay)
+
+    def test_empty_problem_list_rejected(self):
+        a = channel([[0.9, 0.4], [0.3, 0.8]])
         with pytest.raises(ValueError):
-            ao_solve(a, lay, (0.5, 0.5), [1.0] * 2, seed=[0] * 3)
-        with pytest.raises(ValueError):
-            ao_solve(a, lay, (0.5, 0.5), [1.0] * 2, seed=[0] * 2, warm_starts=[()])
-        with pytest.raises(ValueError):
-            ao_solve(a, lay, (0.5, 0.5), [], seed=[])
+            ao_solve([], (0.5, 0.5), layout=build_layout("sdma", 2, a))
 
     def test_projection_radius_per_row(self):
         rng = np.random.default_rng(47)

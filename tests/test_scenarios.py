@@ -35,10 +35,9 @@ def separation(spec):
     return float(np.linalg.norm(a - b))
 
 
-def _problems(layout, epsilon, kw):
+def _problems(problems):
     """(scheme, epsilon) of every problem of one ao_solve call."""
-    epsilons = np.atleast_1d(epsilon).tolist()
-    return list(zip(kw.get("schemes") or [layout.scheme] * len(epsilons), epsilons))
+    return [(p.scheme, p.epsilon) for p in problems]
 
 
 class TestCatalog:
@@ -215,11 +214,11 @@ class TestRunSweep:
         calls = {"n": 0}
         real = scenarios.ao_solve
 
-        def flaky(channel, layout, priorities, epsilon, **kw):
+        def flaky(problems, priorities, config, *, layout):
             calls["n"] += 1
-            if layout.scheme == "sdma":
+            if any(p.scheme == "sdma" for p in problems):
                 raise RuntimeError("synthetic solver blowup")
-            return real(channel, layout, priorities, epsilon, **kw)
+            return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", flaky)
         res = run_sweep(self._tiny(schemes=("sdma", "noma")), base_seed=1)
@@ -238,17 +237,18 @@ class TestRunSweep:
         # the budget of the 15 dB point (the scene has unit noise)
         eps15 = epsilon_from_snr(15.0, 1.0, reference_gain=reference_gain(spec))
 
-        def point_flaky(channel, layout, priorities, epsilon, **kw):
-            calls.append((layout.scheme, np.size(epsilon)))
-            if ("noma", eps15) in _problems(layout, epsilon, kw):
+        def point_flaky(problems, priorities, config, *, layout):
+            calls.append((problems[0].scheme, len(problems)))
+            if ("noma", eps15) in _problems(problems):
                 raise RuntimeError("synthetic point blowup")
-            return real(channel, layout, priorities, epsilon, **kw)
+            return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", point_flaky)
         res = run_sweep(spec, base_seed=1)
-        # one batched SDMA + NOMA + RSMA call, reported under its first
-        # problem's scheme, falls back to one call per (scheme, point)
-        assert calls == [("sdma", 6), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 1), ("rsma", 1)]
+        # one batched SDMA + NOMA + RSMA call, listed under its first
+        # problem's scheme, falls back to one call per (scheme, point); an
+        # RSMA point's call solves its helpers that succeeded again first
+        assert calls == [("sdma", 6), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("sdma", 3), ("sdma", 2)]
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0)]
         assert "synthetic point blowup" in res.failures[0].error
         # every other row is the clean one, except RSMA at the failed point,
@@ -260,23 +260,23 @@ class TestRunSweep:
         assert rsma15[0].error is None and rsma15[0].converged
 
         # when every helper fails at a point, RSMA still solves it, from its
-        # own ZF/random starts alone (no warm start, no helper re-solve)
+        # own ZF/corner/random starts alone (no warm start, no helper
+        # re-solve); at the other point its call re-solves both helpers
         calls, warm = [], []
 
-        def helpers_flaky(channel, layout, priorities, epsilon, **kw):
-            calls.append((layout.scheme, np.size(epsilon)))
-            if layout.scheme == "rsma":
-                warm.append(len(kw["warm_starts"]))
-            elif eps15 in np.atleast_1d(epsilon):
+        def helpers_flaky(problems, priorities, config, *, layout):
+            calls.append((problems[0].scheme, len(problems)))
+            warm.append([len(p.warm_from) for p in problems if p.scheme == "rsma"])
+            if any(p.scheme != "rsma" and p.epsilon == eps15 for p in problems):
                 raise RuntimeError("synthetic helper blowup")
-            return real(channel, layout, priorities, epsilon, **kw)
+            return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", helpers_flaky)
         res = run_sweep(spec, base_seed=1)
         assert calls == [
-            ("sdma", 6), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("rsma", 1), ("rsma", 1),
+            ("sdma", 6), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("sdma", 3), ("rsma", 1),
         ]
-        assert warm == [2, 0]
+        assert warm == [[2, 2], [], [], [], [], [2], [0]]
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0), ("sdma", 15.0)]
         rsma = {r.sweep_value: r for r in res.for_scheme("rsma")}
         assert rsma[5.0] == [r for r in clean.rows if (r.scheme, r.sweep_value) == ("rsma", 5.0)][0]
@@ -328,9 +328,9 @@ class TestRunSweep:
         calls = []
         real = scenarios.ao_solve
 
-        def spy(channel, layout, priorities, epsilon, **kw):
-            calls.append((layout.scheme, np.size(epsilon)))
-            return real(channel, layout, priorities, epsilon, **kw)
+        def spy(problems, priorities, config, *, layout):
+            calls.append((problems[0].scheme, len(problems)))
+            return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", spy)
         res = run_sweep(spec, base_seed=5, workers=workers)
@@ -359,7 +359,7 @@ class TestTracerContract:
                 raise
             finally:
                 layout = bound["layout"]
-                calls.append((type(layout), layout.scheme, np.size(bound["epsilon"])))
+                calls.append((type(layout), layout.scheme, len(bound["problems"])))
 
         monkeypatch.setattr(scenarios, "ao_solve", traced)
         spec = replace(catalog()["scenario1_2led"], sweep=Sweep("snr_db", (5.0, 15.0)))

@@ -329,14 +329,15 @@ def loop_sinrs(H, noise, P, layout):
     return np.array(sinr_p), np.array(sinr_c)
 
 
-KERNEL_CASES = [(s, k, l) for s in SCHEMES for k in (2, 3) for l in (1, 2, 4) if s != "noma" or k == 2]
+KERNEL_CASES = [(s, k, l) for s in SCHEMES for k in (2, 3, 4) for l in (1, 2, 4) if s != "noma" or k == 2]
 
 
 @pytest.mark.parametrize("scheme,users,fixtures", KERNEL_CASES)
 def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     # reports, true_rates, the oracle WSR and the stage (a, T) all come from
     # SicKernel; true_rates is the serial reference's bit for bit, which at
-    # three users pins the order of each private stage's interference sum
+    # three users pins where the noise enters each private stage's
+    # interference sum and at four users the order of its terms
     rng = np.random.default_rng(100 * users + fixtures)
     ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
     lay = build_layout(scheme, users, ch)
@@ -346,7 +347,9 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     A = ch.gains @ P
     kernel = SicKernel(lay, ch.noise)
     sinr_p, sinr_c = kernel.sinrs(A)
-    a_p, T_p, a_c, T_c = kernel.stages(A)
+    a, T = kernel.stage_arrays(A)
+    n = kernel.n_priv
+    a_p, T_p, a_c, T_c = a[:, :n], T[:, :n], a[:, n:], T[:, n:]
     wsr_true, cap_true = comp.true_rates(lay.to_rsma(P))
     ref = serial_reference._Compiled(ch, lay, w)
     w_priv, w_common = optimizer._stream_weights(lay, w)
@@ -368,6 +371,6 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
             wsr_stage += w_common * float(np.log2(T_c[b] / (T_c[b] - a_c[b] ** 2)).min())
             assert cap_true[b] == pytest.approx(rep.common_cap, abs=1e-12)
         else:
-            assert a_c is None and T_c is None and sinr_c is None
+            assert a_c.size == 0 and T_c.size == 0 and sinr_c is None
         for wsr in (wsr_true[b], wsr_oracle[b], wsr_stage):
             assert wsr == pytest.approx(rep.wsr, abs=1e-12)
