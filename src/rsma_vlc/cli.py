@@ -3,10 +3,8 @@
 Commands and the options each takes (any other option exits 1):
   run           solve a scene's sweep, print CSV rows, write CSV/JSON rows
                 --scenario NAME or --scenario-file PATH, --schemes, --snr,
-                --noise-mode, --delta, --max-iters, --restarts N (the
-                starts of each problem, ZF, the corners and warm starts
-                included; at least one random start always runs), --seed,
-                --workers (RSMA_VLC_WORKERS when not given), --out, --format
+                --noise-mode, --delta, --max-iters, --seed, --workers
+                (RSMA_VLC_WORKERS when not given), --out, --format
   channel-dump  print the gain matrix and noise vector of a scene
                 --scenario NAME or --scenario-file PATH, --noise-mode
   validate      Monte-Carlo SINR checks and brute-force oracle cross-checks
@@ -83,7 +81,6 @@ class RunConfig:
     noise_mode: str | None = None
     tolerance: float | None = None
     max_iters: int | None = None
-    restarts: int | None = None
     workers: int = 1
     mc_instances: int = 20
     mc_symbols: int = 1_000_000
@@ -218,7 +215,7 @@ def _resolve_spec(config: RunConfig) -> ScenarioSpec:
             spec = replace(spec, snr_db=config.snr[0])
         else:
             raise ConfigError("separation sweeps take a single --snr operating point")
-    given = {"tolerance": config.tolerance, "max_iterations": config.max_iters, "restarts": config.restarts}
+    given = {"tolerance": config.tolerance, "max_iterations": config.max_iters}
     overrides = {k: v for k, v in given.items() if v is not None}
     if overrides:
         try:
@@ -393,8 +390,6 @@ _OPTIONS = {
     "--delta": {"dest": "tolerance", "metavar": "DELTA", "type": float,
                 "help": "AO convergence tolerance in bits/s/Hz"},
     "--max-iters": {"type": int, "help": "AO iteration cap"},
-    "--restarts": {"type": int, "help": "AO starts per problem, ZF, corners and warm starts included; "
-                                        "at least one random start always runs"},
     "--seed": {"type": int, "help": "random seed"},
     "--workers": {"type": int, "help": "parallel sweep workers; RSMA_VLC_WORKERS when not given"},
     "--out": {"help": "output file path"},
@@ -409,7 +404,7 @@ _OPTIONS = {
 _COMMANDS = {
     "run": ("solve a scene's sweep and write one row per scheme and point", (
         "--scenario", "--scenario-file", "--schemes", "--snr", "--noise-mode", "--delta",
-        "--max-iters", "--restarts", "--seed", "--workers", "--out", "--format")),
+        "--max-iters", "--seed", "--workers", "--out", "--format")),
     "channel-dump": ("print a scene's gain matrix and noise vector",
                      ("--scenario", "--scenario-file", "--noise-mode")),
     "validate": ("Monte-Carlo SINR checks and brute-force oracle cross-checks", (

@@ -120,21 +120,18 @@ class AoConfig:
 
     They hold for every problem of an `ao_solve` call; a problem's
     amplitude budget, random-start seed and warm starts are fields of its
-    `Problem`. `restarts` counts all initializations including the
-    mandatory ones (ZF, one single-user corner per user and the
-    solutions of `warm_from`); random starts fill the rest, at least
-    one.
+    `Problem`. The starts are no setting: ZF, each user's corner, the
+    `warm_from` solutions and one random start (see `Solution`).
     """
 
     tolerance: float = 1e-4  # bits/s/Hz WSR change
     max_iterations: int = 500
-    restarts: int = 4
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1 or self.restarts < 1:
-            raise ValueError("max_iterations and restarts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class Problem:
     """One problem of an `ao_solve` call: maximize the weighted sum rate
     of `scheme` ("rsma", "sdma" or "noma") on `channel` under the
     per-fixture amplitude budget `epsilon` (the radius of every row's L1
-    ball), with `seed` seeding its random starts. `warm_from` names
+    ball), with `seed` seeding its one random start. `warm_from` names
     earlier problems of the call (their indices) whose solutions are its
     warm starts, in that order."""
 
@@ -155,8 +152,14 @@ class Problem:
 
 @dataclass(frozen=True)
 class Solution:
+    """One problem's result: the winning start's precoder, rate report
+    (with the common-rate shares), iterations, convergence flag and WSR
+    history. Every problem has the same fixed starts, and
+    `restart_index` names the winner: 0 is ZF, 1..K the single-user
+    corners, then the `warm_from` solutions in order, and last,
+    1 + K + len(warm_from), the one random start."""
+
     precoder: Precoder
-    shares: np.ndarray
     report: RateReport
     iterations: int
     converged: bool
@@ -495,7 +498,7 @@ def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, x: np.ndarray, max
     """Monotone accelerated projected gradient on every surrogate in lockstep.
 
     FISTA-style momentum with a monotone safeguard: the kept iterate
-    never decreases the surrogate, and momentum restarts whenever the
+    never decreases the surrogate, and momentum is reset whenever the
     accelerated candidate fails to improve. Each problem keeps its own
     momentum index, small-step count and flag for "y is the best point
     x"; it leaves the batch when its step from x itself fails or after
@@ -734,8 +737,8 @@ def ao_solve(
     per user, the full budget on that user's stream (`_beam_start`: the
     single-user optima, which a start inside the balls reaches only by
     crawling); the solutions of its `warm_from` problems (below); and
-    seeded random feasible starts up to `config.restarts` (at least one
-    always). The best final WSR wins, the earliest start on ties.
+    one random feasible start seeded by `Problem.seed`. The best final
+    WSR wins, the earliest start on ties (`Solution.restart_index`).
     Ascent is monotone, so the result is at least as good as every warm
     start: an RSMA problem warm-started from its channel's converged
     SDMA and NOMA problems satisfies WSR(RSMA) >= max(WSR(SDMA),
@@ -810,9 +813,7 @@ def ao_solve(
             after = np.concatenate([np.arange(firsts[q], firsts[q] + counts[q]) for q in refs])
             admit.append((rows, after, warm_solutions(refs, lay)))
             own += [np.zeros_like(own[0])] * len(refs)  # placeholders until the named problems finish
-        rng = np.random.default_rng(problem.seed)
-        n_random = max(1, config.restarts - len(own))  # always explore at random too
-        own += [_random_start(ch, lay, eps, rng) for _ in range(n_random)]
+        own.append(_random_start(ch, lay, eps, np.random.default_rng(problem.seed)))
         starts.append(lay.to_rsma(np.stack(own)))
         firsts.append(sum(counts))
         counts.append(len(own))
@@ -830,7 +831,6 @@ def ao_solve(
         solutions.append(
             Solution(
                 precoder=precoder,
-                shares=shares,
                 report=report,
                 iterations=len(histories[best]) - 1,
                 converged=bool(converged[best]),

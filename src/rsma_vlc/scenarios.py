@@ -61,6 +61,7 @@ TWO_LED_XY = ((-1.25, 0.0), (1.25, 0.0))
 SCENARIO2_Y = 1.4
 DEFAULT_SNR_SWEEP = tuple(float(s) for s in range(0, 41, 5))
 DEFAULT_SEPARATIONS = tuple(k / 5.0 for k in range(1, 26))  # 0.2 .. 5.0 m
+REFERENCE_GRID = 41  # lattice points per floor axis in reference_gain
 
 
 @dataclass(frozen=True)
@@ -165,12 +166,12 @@ def catalog() -> dict[str, ScenarioSpec]:
     return {s.name: s for s in specs}
 
 
-def reference_gain(spec: ScenarioSpec, grid: int = 41) -> float:
+def reference_gain(spec: ScenarioSpec) -> float:
     """Spatially averaged fixture gain over the room floor at user height.
 
-    Deterministic midpoint-free quadrature on a grid x grid lattice
-    spanning the floor; averaged over fixtures. This is the link-gain
-    reference of the SNR axis under the "area_mean" policy.
+    Deterministic midpoint-free quadrature on a square lattice spanning
+    the floor; averaged over fixtures. This is the link-gain reference
+    of the SNR axis under the "area_mean" policy.
 
     One `fixture_gain` call per fixture evaluates the whole lattice. The
     gains are added strictly left to right, fixture by fixture and x
@@ -179,14 +180,14 @@ def reference_gain(spec: ScenarioSpec, grid: int = 41) -> float:
     """
     if spec.gain_reference == "none":
         return 1.0
-    xs = np.linspace(-spec.room[0] / 2.0, spec.room[0] / 2.0, grid)
-    ys = np.linspace(-spec.room[1] / 2.0, spec.room[1] / 2.0, grid)
+    xs = np.linspace(-spec.room[0] / 2.0, spec.room[0] / 2.0, REFERENCE_GRID)
+    ys = np.linspace(-spec.room[1] / 2.0, spec.room[1] / 2.0, REFERENCE_GRID)
     height = spec.users[0].position[2]
     x, y = np.meshgrid(xs, ys, indexing="ij")
     floor = np.stack([x.ravel(), y.ravel(), np.full(x.size, height)], axis=1)
     probe = replace(spec.users[0], position=floor)
     gains = np.concatenate([fixture_gain(fx, probe) for fx in spec.fixtures])
-    return float(np.add.accumulate(gains)[-1]) / (len(spec.fixtures) * grid * grid)
+    return float(np.add.accumulate(gains)[-1]) / (len(spec.fixtures) * REFERENCE_GRID**2)
 
 
 def users_for_separation(spec: ScenarioSpec, separation: float) -> tuple:

@@ -241,9 +241,7 @@ def ao_solve(channel, layout, priorities, epsilon, seed=0, config=AoConfig(), wa
             starts.append(noma_layout.to_rsma(noma[0]))
     for extra in warm_starts:
         starts.append(np.asarray(extra, dtype=float))
-    rng = np.random.default_rng(seed)
-    for _ in range(max(1, config.restarts - len(starts))):
-        starts.append(_random_start(channel, layout, epsilon, rng))
+    starts.append(_random_start(channel, layout, epsilon, np.random.default_rng(seed)))
     best = None
     for idx, P0 in enumerate(starts):
         P, history, iterations, converged = _ao_single(comp, epsilon, P0, config)

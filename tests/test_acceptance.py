@@ -173,12 +173,13 @@ def test_criterion_6_property_suite():
         drawn[scheme].append((ch, eps, int(rng.integers(1 << 16))))
     for scheme, instances in drawn.items():
         channels, epsilons, seeds = zip(*instances)
-        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(restarts=2), epsilons,
+        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), epsilons,
                                lambda _, j: seeds[j])[scheme]
         for eps, (_, sol) in zip(epsilons, solved):
             assert np.all(np.diff(sol.wsr_history) >= -1e-8)
             assert sol.precoder.max_row_l1() <= eps + 1e-9
-            assert np.all(sol.shares >= 0) and sol.shares.sum() <= sol.report.common_cap + 1e-9
+            shares = sol.report.common_shares
+            assert np.all(shares >= 0) and shares.sum() <= sol.report.common_cap + 1e-9
 
     # b) Monte-Carlo agreement within 2% at 1e6 symbols on 20 instances
     rng = np.random.default_rng(707)

@@ -111,7 +111,7 @@ class TestScenarioFiles:
         assert repr(load_scenario(str(path))) == repr(expected)
 
     def test_ao_round_trip(self, tmp_path):
-        ao = AoConfig(tolerance=3e-3, max_iterations=77, restarts=6)
+        ao = AoConfig(tolerance=3e-3, max_iterations=77)
         spec = replace(catalog()["scenario1_2led"], ao=ao)
         path = tmp_path / "scene.ini"
         save_scenario(spec, str(path))
@@ -121,7 +121,7 @@ class TestScenarioFiles:
         text = path.read_text()
         assert "seed" not in text
         legacy = tmp_path / "legacy.ini"
-        legacy.write_text(text.replace("restarts = 6\n", "restarts = 6\nseed = 11\n"))
+        legacy.write_text(text.replace("max_iterations = 77\n", "max_iterations = 77\nseed = 11\n"))
         assert "seed = 11" in legacy.read_text()
         assert load_scenario(str(legacy)).ao == ao
 
@@ -149,13 +149,16 @@ class TestScenarioFiles:
         save_scenario(load_scenario(str(legacy)), str(resaved))
         assert resaved.read_text() == path.read_text()
 
-    def test_legacy_corner_starts_key_ignored(self, tmp_path):
-        # files saved while AoConfig had corner_starts still load: every
-        # solve starts at the corners now, so the key is an unknown one
+    @pytest.mark.parametrize("line", ["corner_starts = false\n", "restarts = 4\n"],
+                             ids=["corner_starts", "restarts"])
+    def test_legacy_corner_starts_key_ignored(self, line, tmp_path):
+        # files saved while AoConfig had corner_starts or restarts still
+        # load: every solve has the one fixed start set now, so each key
+        # is an unknown one
         legacy = LEGACY_SCENE.read_text()
-        assert "corner_starts = false\n" in legacy
+        assert line in legacy
         plain = tmp_path / LEGACY_SCENE.name  # the same basename, so the same default name
-        plain.write_text(legacy.replace("corner_starts = false\n", ""))
+        plain.write_text(legacy.replace(line, ""))
         assert repr(load_scenario(str(LEGACY_SCENE))) == repr(load_scenario(str(plain)))
         rows = []
         for path in (LEGACY_SCENE, plain):
@@ -349,7 +352,7 @@ class TestConfigPlumbing:
         "command, options",
         [
             ("run", {"--scenario", "--scenario-file", "--schemes", "--snr", "--noise-mode", "--delta",
-                     "--max-iters", "--restarts", "--seed", "--workers", "--out", "--format"}),
+                     "--max-iters", "--seed", "--workers", "--out", "--format"}),
             ("channel-dump", {"--scenario", "--scenario-file", "--noise-mode"}),
             ("validate", {"--seed", "--mc-instances", "--mc-symbols", "--oracle-instances",
                           "--oracle-resolution"}),
@@ -425,7 +428,7 @@ class TestConfigPlumbing:
     def test_ao_overrides_reach_solver(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(
-            RUN + ["--out", str(out), "--delta", "0.1", "--max-iters", "3", "--restarts", "1"]
+            RUN + ["--out", str(out), "--delta", "0.1", "--max-iters", "3"]
         )
         assert code in (0, 2)  # loose settings may stop before convergence
         assert out.exists()

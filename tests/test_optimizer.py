@@ -334,12 +334,12 @@ class TestAoSolve:
             lay = build_layout(scheme, 2, ch)
             eps = float(rng.uniform(1.0, 30.0))
             seed = int(rng.integers(1 << 16))
-            sol = solve(ch, lay, (0.5, 0.5), eps, seed, AoConfig(restarts=2))
+            sol = solve(ch, lay, (0.5, 0.5), eps, seed, AoConfig())
             hist = np.array(sol.wsr_history)
             assert np.all(np.diff(hist) >= -1e-8)
             assert sol.precoder.max_row_l1() <= eps + 1e-9
-            assert np.all(sol.shares >= 0.0)
-            assert sol.shares.sum() <= sol.report.common_cap + 1e-9
+            assert np.all(sol.report.common_shares >= 0.0)
+            assert sol.report.common_shares.sum() <= sol.report.common_cap + 1e-9
 
     def test_determinism(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
@@ -350,6 +350,33 @@ class TestAoSolve:
         assert a.wsr == b.wsr
         assert a.wsr_history == b.wsr_history
         assert a.restart_index == b.restart_index
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fixed_start_set(self, k, monkeypatch):
+        # every problem starts from ZF, one corner per user, its warm_from
+        # solutions and exactly one random start, whatever its K
+        ch = random_channel(np.random.default_rng(50 + k), k=k, l=3)
+        problems = [Problem(ch, "sdma", 4.0, 1)]
+        if k == 2:
+            problems += [Problem(ch, "noma", 5.0, 2), Problem(ch, "rsma", 6.0, 3, warm_from=(0, 1))]
+        drawn, batches = [], []
+        real_start, real_batch = optimizer._random_start, optimizer._ao_batch
+
+        def random_start(channel, layout, epsilon, rng):
+            drawn.append(epsilon)
+            return real_start(channel, layout, epsilon, rng)
+
+        def ao_batch(comp, epsilon, P0, config, admit=()):
+            batches.append(len(P0))
+            return real_batch(comp, epsilon, P0, config, admit)
+
+        monkeypatch.setattr(optimizer, "_random_start", random_start)
+        monkeypatch.setattr(optimizer, "_ao_batch", ao_batch)
+        sols = solve_all(problems, np.full(k, 1.0 / k), AoConfig(max_iterations=30))
+        assert drawn == [p.epsilon for p in problems]  # one random start per problem
+        assert batches == [sum(1 + k + len(p.warm_from) + 1 for p in problems)]
+        for problem, sol in zip(problems, sols):
+            assert 0 <= sol.restart_index < 1 + k + len(problem.warm_from) + 1
 
     def test_special_case_dominance(self):
         rng = np.random.default_rng(12)
@@ -532,7 +559,7 @@ class TestBatchedSolver:
             lay = build_layout(scheme, 2, ch)
             alone = solve(ch, lay, w, eps, seed, cfg)
             assert self._same(sol, alone)
-            assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
+            assert np.array_equal(sol.report.common_shares, alone.report.common_shares) and sol.wsr == alone.wsr
             assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=False)
             outcomes.add(sol.converged)
         if w == (0.4, 0.6):  # at the other priorities every NOMA problem converges
@@ -554,7 +581,7 @@ class TestBatchedSolver:
             lay = build_layout(scheme, 2, ch)
             alone = solve(ch, lay, w, eps, seed, cfg)
             assert self._same(sol, alone)
-            assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
+            assert np.array_equal(sol.report.common_shares, alone.report.common_shares) and sol.wsr == alone.wsr
             assert sol.precoder.matrix.shape == (ch.num_fixtures, lay.num_streams)
             assert np.array_equal(sol.report.overall, alone.report.overall)
             assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=False)
@@ -604,7 +631,7 @@ class TestBatchedSolver:
                 assert np.array_equal(sub.to_rsma(helper.precoder.matrix), sub.to_rsma(expected))
             [(_, alone)] = scenarios.solve_schemes([ch], w, ("rsma",), cfg, [eps], lambda *_: seed)["rsma"]
             assert self._same(sol, alone)
-            assert np.array_equal(sol.shares, alone.shares) and sol.wsr == alone.wsr
+            assert np.array_equal(sol.report.common_shares, alone.report.common_shares) and sol.wsr == alone.wsr
             assert self._same_as_serial_reference(sol, ch, lay, w, eps, seed, cfg, embed_special_cases=True)
 
     @pytest.mark.parametrize("shared", [False, True], ids=["own-channels", "shared-channel"])
@@ -640,7 +667,7 @@ class TestBatchedSolver:
                 assert (got.iterations, got.converged, got.restart_index) == (
                     want.iterations, want.converged, want.restart_index)
                 assert got.wsr_history == want.wsr_history
-                assert np.array_equal(got.shares, want.shares) and got.wsr == want.wsr
+                assert np.array_equal(got.report.common_shares, want.report.common_shares) and got.wsr == want.wsr
             winners.add(rsma.restart_index)
             assert max(h.wsr for h in helpers) <= rsma.wsr
         if not shared:
