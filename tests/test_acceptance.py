@@ -5,10 +5,12 @@ lines. The scenario sweeps (five scenes, SNR 0..40 dB in 5 dB steps, all
 three schemes) are computed once and shared across criteria.
 """
 
+import json
 import math
 import time
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +117,20 @@ def test_rows_reach_single_user_floor():
         "SINGLE-USER FLOOR: PASS  every row of the five SNR sweeps is at least the best "
         "single-user rate of the users its scheme gives a private stream"
     )
+
+
+def test_rows_reach_recorded_floor():
+    # tests/data/wsr_floor.json holds a WSR floor for every row of the five
+    # SNR sweeps (and the best-known value at 20-40 dB); rows may only rise
+    table = json.loads((Path(__file__).parent / "data" / "wsr_floor.json").read_text())["rows"]
+    assert len(table) == len(SCENARIOS) * 3 * len(SNR_GRID)
+    below = [(r["scenario"], r["scheme"], r["snr_db"], wsr_at(r["scenario"], r["scheme"], r["snr_db"]), r["floor"])
+             for r in table if wsr_at(r["scenario"], r["scheme"], r["snr_db"]) < r["floor"] - 1e-6]
+    assert below == []
+    short = sum(1 for r in table if r["best_known"] is not None
+                and wsr_at(r["scenario"], r["scheme"], r["snr_db"]) < r["best_known"] - 1e-3)
+    _report(f"WSR FLOOR: PASS  all {len(table)} rows at or above their recorded floor; "
+            f"{short} of 75 rows at 20-40 dB more than 1e-3 below the best known")
 
 
 def _crossover_interval(name: str):
