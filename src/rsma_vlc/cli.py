@@ -243,6 +243,7 @@ def _row_record(row) -> dict:
         "iterations": int(row.iterations),
         "converged": bool(row.converged),
         "seed": int(row.seed),
+        "residual": None if row.residual is None else float(row.residual),
     }
 
 
@@ -388,8 +389,8 @@ _OPTIONS = {
     "--snr": {"help": "comma list of SNR points in dB"},
     "--noise-mode": {"choices": ("unit", "physical"), "help": "receiver noise model"},
     "--delta": {"dest": "tolerance", "metavar": "DELTA", "type": float,
-                "help": "AO convergence tolerance in bits/s/Hz"},
-    "--max-iters": {"type": int, "help": "AO iteration cap"},
+                "help": "AO stop and convergence (residual) tolerance in bits/s/Hz"},
+    "--max-iters": {"type": int, "help": "AO iteration cap of each start, before its polish"},
     "--seed": {"type": int, "help": "random seed"},
     "--workers": {"type": int, "help": "parallel sweep workers; RSMA_VLC_WORKERS when not given"},
     "--out": {"help": "output file path"},

@@ -1,20 +1,39 @@
 """Weighted-sum-rate precoder optimization under per-fixture L1 budgets.
 
-Alternating optimization in the WMMSE form: with the precoder fixed,
-per-stream MMSE equalizers and inverse-MSE weights have closed forms;
-with those fixed, the weighted-sum-MSE surrogate is concave quadratic
-in the precoder and is maximized by accelerated projected gradient over
-the per-row L1 balls. The surrogate is a tight lower bound of the true
-weighted sum rate at freshly updated equalizers/weights, which makes
-the outer loop monotonically nondecreasing. The stage amplitudes,
-received powers and SINRs behind the equalizers, the surrogate, the
-true rates and the grid oracle all come from signal_model.SicKernel.
+Every start of a problem runs two stages, and both only ever raise its
+true weighted sum rate (WSR):
+
+- WMMSE alternating optimization (AO): with the precoder fixed,
+  per-stream MMSE equalizers and inverse-MSE weights have closed forms;
+  with those fixed, the weighted-sum-MSE surrogate is concave quadratic
+  in the precoder and is maximized by accelerated projected gradient
+  (PG) over the per-row L1 balls. The surrogate is a tight lower bound
+  of the true WSR at freshly updated equalizers/weights, so the outer
+  loop is monotonically nondecreasing. AO explores: it stops once its
+  WSR settles (`AoConfig.tolerance`) or after `AoConfig.max_iterations`.
+- The polish (`_polish`): projected Newton on the face the AO point
+  identifies (each row's support and signs, and the rows on their L1
+  balls), with a Levenberg shift. Rates depend on the precoder P only
+  through the received amplitudes A = H P, so the gradient and Hessian
+  are closed forms in A chained through H: one small (n, n) system per
+  start, n = L (K + 1) <= 12, solved for the whole batch at once. The
+  common-rate min enters through its decoders' weights: the binding
+  decoder's, or at the min's kink the weighting that makes the point
+  most nearly stationary, with the step held on the kink. A step is kept
+  only if the true WSR rises.
+
+A start's residual is the Frank-Wolfe gap of its final point, the most
+a linear model of the WSR could gain over the balls (b/s/Hz), and a
+solution is `converged` when the winning start's residual is at most
+`AoConfig.tolerance`. The stage amplitudes, received powers and SINRs
+behind the equalizers, the surrogate, the polish's derivatives, the true
+rates and the grid oracle all come from signal_model.SicKernel.
 
 The common-rate shares never enter the subproblem explicitly: for fixed
 priorities the optimal split is greedy (everything to the highest
 priority taker, or to the weak user under NOMA), so the common stream
-contributes through the minimum of the decoders' surrogate rates. The
-exact shares are re-materialized from the true rates on exit.
+contributes through the minimum of the decoders' rates. The exact
+shares are re-materialized from the true rates on exit.
 
 Every problem is solved on the RSMA streams of its K users: the
 private columns in user order, then the common one. Its scheme enters
@@ -23,43 +42,42 @@ priority if its layout gives that user a private stream, else 0, and the
 common weight is the priority of the user the greedy split hands the
 common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with a
 zero-weighted stream. That stream starts at 0, gets a zero gradient,
-and the L1 projection keeps it at 0, so it adds exact zeros to every
-rate, surrogate value and step bound, and the solve is the one of the
-scheme's own layout bit for bit. A batch's SIC kernel is built from
-its one layout, or from RSMA's when its layouts differ, so the stages of
-a stream that no problem of the batch weights are left out.
+the L1 projection keeps it at 0 and the polish leaves its column out of
+every face, so it adds exact zeros to every rate, surrogate value and
+step bound. A batch's SIC kernel is built from its one layout, or from
+RSMA's when its layouts differ, so the stages of a stream that no
+problem of the batch weights are left out.
 
 Every start is one problem of a lockstep batch. Each problem has its
 own channel (gains stacked as (B, K, L), noise as (B, K); a channel that
 every problem shares is one row that broadcasts), stream weights, (L, K
-+ 1) precoder in a (B, L, K + 1) stack, amplitude budget, FISTA state,
-outer iteration count, convergence flag and WSR history. All active
-problems take each AO iteration, and each projected-gradient step
-inside it, together; a problem that has finished drops out of the
-batch, and one can enter it later. Each array operation applies to
-every problem the same floating-point operations in the same order as a
-batch of one, so a problem's result does not depend, bit for bit, on
-the problems that share its batch. `ao_solve` runs every start of every
-problem it is given as one batch, each problem under its own scheme: a
-batch that mixes SDMA, NOMA and RSMA problems is one RSMA batch in which
-each problem zero-weights the streams its scheme lacks. A problem may
-name earlier problems of the call whose solutions become its warm
-starts (`Problem.warm_from`), the only way a solution seeds another
-solve; those starts enter the running batch once the problems they
-name have finished. Which problems seed RSMA, and from
-what, is `scenarios.solve_schemes`'s choice.
++ 1) precoder in a (B, L, K + 1) stack, amplitude budget, FISTA and
+Newton state, iteration counts and WSR history. All active problems
+take each AO iteration, each PG step inside it and each polish
+iteration together; a problem that has finished drops out of the
+batch. Each array operation touches only a problem's own rows, and its
+sums run over that problem's entries alone (no matrix product whose
+blocking could depend on the batch size), so a problem's result does
+not depend on the problems that share its batch. `ao_solve` runs the
+starts of every problem it is given in waves, each wave one batch in
+which each problem keeps its own scheme: a batch that mixes SDMA, NOMA
+and RSMA problems is one RSMA batch in which each problem zero-weights
+the streams its scheme lacks. A problem may name earlier problems of
+the call whose solutions become its warm starts (`Problem.warm_from`),
+the only way a solution seeds another solve; those starts run in a
+later wave, from the named problems' polished winners. Which problems
+seed RSMA, and from what, is `scenarios.solve_schemes`'s choice.
 
-The arrays are a few problems of 2 x 4 x 3 entries, so a
-projected-gradient step costs its count of numpy calls, not its
-arithmetic, and the step keeps that count low: the stage amplitudes and
-powers come from one flat gather (`SicKernel.stage_arrays`); the
-gradient is assembled from dense per-problem pieces built once per AO
-iteration, with one gather of the binding common decoder's piece
-(`_SurrogateBatch`); the L1 projection sorts and thresholds the whole
-stack and keeps the rows inside their balls with `where`
-(`project_rows_l1`); and FISTA's momentum weights come from a table.
-None of this changes an operation: every entry still gets the
-floating-point operations of a batch of one, in the same order.
+The arrays are a few problems of 2 x 4 x 3 entries, so a PG step costs
+its count of numpy calls, not its arithmetic, and the step keeps that
+count low: the stage amplitudes and powers come from one flat gather
+(`SicKernel.stage_arrays`); the gradient is assembled from dense
+per-problem pieces built once per AO iteration, with one gather of the
+binding common decoder's piece (`_SurrogateBatch`); the L1 projection
+sorts and thresholds the whole stack and keeps the rows inside their
+balls with `where` (`project_rows_l1`); and FISTA's momentum weights
+come from a table. A polish iteration is a few dozen calls on (B, n, n)
+stacks, and one `eigvalsh` and one or two `solve`s.
 
 A problem (`Problem`) is a channel, a scheme, an amplitude budget
 epsilon, a random-start seed and the problems whose solutions are its
@@ -77,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, _libm, _rowdot
+from .channel import ChannelMatrix, _rowdot
 from .signal_model import (
     Precoder,
     RateReport,
@@ -106,6 +124,23 @@ _DEN_FLOOR = 1e-300
 # relative surrogate-gain stop
 _PG_MAX_ITER = 150
 _PG_TOL = 1e-8
+# the polish: iteration cap, stop and step grids (Newton step lengths 2^-k
+# and gradient steps 8^-k, k below each count)
+_POLISH_MAX_ITER = 100
+_POLISH_GAP = 1e-7
+_NEWTON_STEPS = 8
+_GRADIENT_STEPS = 8
+# two common decoders this close, in bits, are at the common-rate min's
+# kink: for the step, and for the residual
+_KINK = 1e-2
+_KINK_RESIDUAL = 1e-4
+# a row this close to its ball (relative to the radius) counts as on it
+_FACE_BAND = 1e-2
+# the Levenberg weight nu, relative to the largest curvature on the face:
+# its floor, start and ceiling
+_NU = (1e-9, 1e-3, 1e3)
+# the common stream's budget shares of RSMA's split starts
+_SPLITS = (0.2, 0.4, 0.6, 0.8)
 # grid points per dimension the grid oracle accepts
 ORACLE_RESOLUTIONS = range(2, 22)
 
@@ -116,16 +151,19 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class AoConfig:
-    """Settings of the alternating-optimization solver.
+    """Settings of the solver.
 
     They hold for every problem of an `ao_solve` call; a problem's
     amplitude budget, random-start seed and warm starts are fields of its
-    `Problem`. The starts are no setting: ZF, each user's corner, the
-    `warm_from` solutions and one random start (see `Solution`).
+    `Problem`. `max_iterations` caps each start's AO stage, which also
+    ends once one iteration moves its WSR by at most `tolerance`; the
+    polish then finishes every start. `tolerance` is also the residual
+    (Frank-Wolfe gap, b/s/Hz) at or below which a solution is
+    `converged`. The starts are no setting: see `ao_solve`.
     """
 
-    tolerance: float = 1e-4  # bits/s/Hz WSR change
-    max_iterations: int = 500
+    tolerance: float = 1e-4  # b/s/Hz: AO's WSR change, and the residual of a converged solution
+    max_iterations: int = 20
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -153,11 +191,19 @@ class Problem:
 @dataclass(frozen=True)
 class Solution:
     """One problem's result: the winning start's precoder, rate report
-    (with the common-rate shares), iterations, convergence flag and WSR
-    history. Every problem has the same fixed starts, and
-    `restart_index` names the winner: 0 is ZF, 1..K the single-user
-    corners, then the `warm_from` solutions in order, and last,
-    1 + K + len(warm_from), the one random start."""
+    (with the common-rate shares), iteration count, convergence flag,
+    WSR history and residual.
+
+    `restart_index` names the winner among the problem's starts, in the
+    order `ao_solve` lists them: 0 is ZF, 1..K the single-user corners,
+    then the `warm_from` solutions in order, then the one random start,
+    and last, for RSMA, the four split starts. `iterations` counts the
+    winner's AO iterations plus its polish iterations, and `wsr_history`
+    holds its WSR at its start and after each of them (so it has
+    `iterations` + 1 entries and never falls). `residual` is the
+    winner's final Frank-Wolfe gap in b/s/Hz (see `_decoder_weights`),
+    and `converged` means it is at most `AoConfig.tolerance`.
+    """
 
     precoder: Precoder
     report: RateReport
@@ -165,6 +211,7 @@ class Solution:
     converged: bool
     restart_index: int
     wsr_history: tuple
+    residual: float
 
     @property
     def wsr(self) -> float:
@@ -244,6 +291,7 @@ class _Compiled(SicKernel):
         self.HT = self.H.transpose(0, 2, 1)
         self.hnorm2 = np.sum(self.H**2, axis=2)
         self._index_pieces(len(w))
+        self._index_powers(len(w))
 
     def _index_pieces(self, K: int) -> None:
         """Where `_SurrogateBatch` places its gradient coefficients.
@@ -273,6 +321,25 @@ class _Compiled(SicKernel):
         self.piece_at = np.ravel_multi_index(tuple(entries[:, :4].T), self.piece_shape)
         self.piece_of = entries[:, 4]
 
+    def _index_powers(self, K: int) -> None:
+        """Which flat amplitudes make up each stage's powers, for the polish.
+
+        Amplitudes (B, K, K + 1) are read as x (B, K (K + 1)). A stage's
+        received power T is its noise plus the squares of `power_mask`'s
+        entries of x (the private columns at its user, and for a common
+        stage its own amplitude), and its interference plus noise I the
+        same without its own amplitude (`interference_mask`). `active`
+        marks the columns some stage weights, (1 or B, K + 1).
+        """
+        width = K * (K + 1)
+        stages = self._gather.shape[1]
+        self.power_mask = np.zeros((stages, width))
+        for s in range(stages):
+            self.power_mask[s, self._gather[:, s]] = 1.0
+        self.interference_mask = self.power_mask.copy()
+        self.interference_mask[np.arange(stages), self._gather[-1]] = 0.0
+        self.active = np.concatenate((self.w_priv > 0.0, (self.w_common > 0.0)[:, None]), axis=1)
+
     def take(self, keep: np.ndarray) -> "_Compiled":
         """The compiled batch of the precoders selected by `keep` (a boolean
         mask or indices). A single channel stays one row, so only the
@@ -283,6 +350,7 @@ class _Compiled(SicKernel):
         sub = object.__new__(_Compiled)
         sub.__dict__.update(self.__dict__)
         sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
+        sub.active = self.active[keep]
         if len(self.H) > 1:
             sub.H, sub.hnorm2, sub._sig2 = self.H[keep], self.hnorm2[keep], self._sig2[keep]
             sub.HT = sub.H.transpose(0, 2, 1)
@@ -413,18 +481,13 @@ class _SurrogateBatch:
             rate_coef_c = u_c / LN2  # unweighted; the min picks the binding decoder
             two_coef_c = 2.0 * (comp.w_common[:, None] * rate_coef_c)
             lip = lip + (two_coef_c * g2[:, n:] * comp.hnorm2[:, comp.decoders]).max(axis=1)
-            # the gradient squares each decoder gain with the C library's
-            # pow(), which can round differently from the array square
-            # above; tests/serial_reference.py pins these bits
-            g2_pow = _libm(math.pow, g_c.ravel(), 2.0).reshape(g_c.shape)
-            pieces += [two_coef_c * g2_pow, two_coef_c * g_c]
+            pieces += [two_coef_c * g2[:, n:], two_coef_c * g_c]
             columns += [rate_coef_c, np.log2(u_c) + 1.0 / LN2, np.broadcast_to(comp.w_common, len(g))[:, None]]
         columns.append((1.0 / np.maximum(lip, 1e-12))[:, None])
         # g2, two_g (every stage), coef_p, base_p, [rate_coef_c, base_c, w_common], step
         self._columns = np.concatenate(columns, axis=1)
-        # + 0.0 turns a -0.0 coefficient into the +0.0 that adding it to zeros gives
         dense = np.zeros((len(g), comp.piece_size))
-        dense[:, comp.piece_at] = (np.concatenate(pieces, axis=1) + 0.0)[:, comp.piece_of]
+        dense[:, comp.piece_at] = np.concatenate(pieces, axis=1)[:, comp.piece_of]
         self._pieces = dense.reshape((len(g),) + comp.piece_shape)
         self._views()
 
@@ -622,6 +685,18 @@ def _beam_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, us
     return P
 
 
+def _split_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, alpha: float) -> np.ndarray:
+    """A share alpha of the budget on a common stream matched in sign to
+    the summed channel (broadside), the rest on ZF, projected onto the
+    balls: the split between the private and the common streams that
+    ZF and the corners leave out."""
+    P = (1.0 - alpha) * _zf_start(channel, layout, epsilon)
+    broadside = np.sign(channel.gains.sum(axis=0))
+    broadside[broadside == 0] = 1.0
+    P[:, layout.common_column] += alpha * epsilon * broadside
+    return project_rows_l1(P, epsilon)
+
+
 def _random_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, rng) -> np.ndarray:
     P = rng.uniform(-1.0, 1.0, size=(channel.num_fixtures, layout.num_streams))
     row_l1 = np.abs(P).sum(axis=1, keepdims=True)
@@ -642,85 +717,390 @@ def _best(final, lo: int, n: int) -> int:
     return best
 
 
-def _ao_batch(comp: _Compiled, epsilon: np.ndarray, P0: np.ndarray, config: AoConfig, admit=()):
-    """AO from every start of the (B, L, K + 1) stack P0 in lockstep.
+def _ao_batch(comp: _Compiled, radii: np.ndarray, P: np.ndarray, config: AoConfig):
+    """AO from every start of the (B, L, K + 1) stack P in lockstep.
 
     `comp` holds one channel per start or one shared channel, and
-    `epsilon` one budget per start. Every start enters the batch at outer
-    iteration 0, except those of `admit`: an entry (rows, after, fill)
-    names starts whose rows of P0 are placeholders. They enter at the
-    first outer iteration after every start of `after` has finished, from
-    the (len(rows), L, K + 1) stack `fill(P, final)` returns, where P and
-    `final` hold the final precoders and WSRs of the finished starts. A
-    start's history, iteration count and `config.max_iterations` cap
-    count its own iterations from its entry. The full compiled batch is
-    kept, and the live rows are taken from it again whenever starts
-    finish or enter.
-
-    Returns (P, histories, converged): the final precoders, one WSR
-    history list per start (its length minus one is the start's
-    iteration count) and one convergence flag per start. A start leaves
-    the batch once its WSR changes by at most `config.tolerance` in one
-    iteration.
+    `radii` the (B, L) row budgets. A start leaves the batch once its WSR
+    changes by at most `config.tolerance` in one iteration, or after
+    `config.max_iterations`. Returns (P, history): the final precoders
+    and one WSR history list per start, its initial WSR first (its
+    length minus one is the start's iteration count).
     """
-    radii = np.repeat(np.asarray(epsilon, dtype=float)[:, None], P0.shape[1], axis=1)
-    # row t: the WSR of each start after its own iteration t
-    history = np.empty((config.max_iterations + 1, len(P0)))
-    iterations = np.full(len(P0), config.max_iterations)
-    converged = np.zeros(len(P0), dtype=bool)
-    finished = np.zeros(len(P0), dtype=bool)
-    entered = np.zeros(len(P0), dtype=np.intp)  # the outer iteration of each start's iteration 0
-    out, final = np.empty_like(P0), np.empty(len(P0))
-    waiting = list(admit)
-    later = np.zeros(len(P0), dtype=bool)
-    for rows, _, _ in waiting:
-        later[rows] = True
-    enter = np.flatnonzero(~later)
-    P_enter = P0[enter]
-    live, P, wsr = enter[:0], P0[:0], np.empty(0)
+    P = project_rows_l1(P, radii)
+    wsr, _ = comp.true_rates(P)
+    history = np.empty((config.max_iterations + 1, len(P)))
+    history[0] = wsr
+    iterations = np.full(len(P), config.max_iterations)
+    out = np.empty_like(P)
+    live = np.arange(len(P))
+    batch, radius = comp, radii
     n = comp.n_priv
-    i, retake = 0, False
-    while True:
-        if len(enter):
-            P_enter = project_rows_l1(P_enter, radii[enter])
-            history[0, enter], _ = comp.take(enter).true_rates(P_enter)
-            entered[enter] = i
-            live = np.concatenate((live, enter))
-            P = np.concatenate((P, P_enter))
-            wsr = np.concatenate((wsr, history[0, enter]))
-            retake = True
-        if not len(live):
-            break
-        if retake:
-            batch, radius, retake = comp.take(live), radii[live], False
-        i += 1
+    for i in range(1, config.max_iterations + 1):
         g, u = _mmse_gu(*batch.stage_arrays(batch.H @ P))
         sur = _SurrogateBatch(batch, g[:, :n], u[:, :n], g[:, n:], u[:, n:])
         P = _maximize_batch(sur, radius, P, _PG_MAX_ITER, _PG_TOL)
         new_wsr, _ = batch.true_rates(P)
-        own = i - entered[live]
-        history[own, live] = new_wsr
-        settled = np.abs(new_wsr - wsr) <= config.tolerance
-        done = settled | (own == config.max_iterations)
+        history[i, live] = new_wsr
+        done = np.abs(new_wsr - wsr) <= config.tolerance
+        if i == config.max_iterations:
+            done[:] = True
         if done.any():
-            ended = live[done]
-            converged[live[settled]] = True
-            finished[ended] = True
-            iterations[ended] = own[done]
-            out[ended], final[ended] = P[done], new_wsr[done]
+            out[live[done]] = P[done]
+            iterations[live[done]] = i
             keep = ~done
+            if not keep.any():
+                break
             live, P, new_wsr = live[keep], P[keep], new_wsr[keep]
-            retake = True
+            batch, radius = comp.take(live), radii[live]
         wsr = new_wsr
-        ready = [entry for entry in waiting if finished[entry[1]].all()]
-        if ready:
-            waiting = [entry for entry in waiting if not finished[entry[1]].all()]
-            enter = np.concatenate([rows for rows, _, _ in ready])
-            P_enter = np.concatenate([fill(out, final) for _, _, fill in ready])
+    return out, [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())]
+
+
+# --------------------------------------------------------------------------
+# the projected-Newton polish
+# --------------------------------------------------------------------------
+
+
+def _stage_derivatives(comp: _Compiled, P: np.ndarray):
+    """(r, dr, d2r): every stage's rate in bits (B, stages), and its
+    gradient (B, stages, W) and Hessian (B, stages, W, W) with respect to
+    the flat received amplitudes x = (H P).reshape(B, W), W = K (K + 1).
+
+    A stage's rate is (ln T - ln I) / ln 2 with T its received power and
+    I = T - a^2 its interference plus noise. Each is the noise plus a sum
+    of squares of x over a mask J, and ln(c + sum_J x_j^2) has gradient
+    2 x_J / D and Hessian 2 diag(1_J) / D - (2 x_J / D)(2 x_J / D)^T.
+    """
+    x = (comp.H @ P).reshape(len(P), -1)
+    x2 = x * x
+    rate, grad, hess = 0.0, 0.0, 0.0
+    for mask, sign in ((comp.power_mask, 1.0), (comp.interference_mask, -1.0)):
+        D = comp._sig2 + (x2[:, None, :] * mask).sum(axis=2)
+        g = (2.0 * mask) * (x[:, None, :] / D[..., None])
+        rate = rate + sign * np.log(D)
+        grad = grad + sign * g
+        diag = (2.0 * mask)[..., None] * np.eye(x.shape[1])
+        hess = hess + sign * (diag / D[..., None, None] - g[..., :, None] * g[..., None, :])
+    return rate / LN2, grad / LN2, hess / LN2
+
+
+def _objective(comp: _Compiled, dr, d2r, lam: np.ndarray):
+    """Gradient (B, W) and Hessian (B, W, W) in the flat amplitudes of
+    sum_k w_k r_k + w_c sum_j lam_j r_cj, the common decoders weighted by
+    the (B, decoders) `lam`."""
+    B, n = len(dr), comp.n_priv
+    weights = np.broadcast_to(comp.w_own, (B, n))
+    if comp.common_col is not None:
+        weights = np.concatenate((weights, comp.w_common[:, None] * lam), axis=1)
+    return _stage_sum(weights, dr), _stage_sum(weights, d2r)
+
+
+def _stage_sum(weights: np.ndarray, per_stage: np.ndarray) -> np.ndarray:
+    """sum_s weights[:, s] per_stage[:, s], added stage by stage in order.
+    A stage no problem weights adds exact zeros, so a problem's sum does
+    not depend on which other stages its batch's kernel holds."""
+    total = weights[:, 0, None] * per_stage[:, 0].reshape(len(per_stage), -1)
+    for s in range(1, weights.shape[1]):
+        total = total + weights[:, s, None] * per_stage[:, s].reshape(len(per_stage), -1)
+    return total.reshape(per_stage.shape[:1] + per_stage.shape[2:])
+
+
+def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, active: np.ndarray, near: float):
+    """(gap, lam): the Frank-Wolfe gap max_Q <G, Q - P> = sum_l eps
+    ||G_l||_inf - <G, P> over the balls, in b/s/Hz, of the (B, L, S)
+    precoders P, and the (B, decoders) common-decoder weights lam of G.
+
+    G is the gradient in P (chained through J) of sum_k w_k r_k + w_c
+    sum_j lam_j r_cj, and lam picks the binding common decoder. When two
+    decoders are within `near` bits of each other (the common-rate min's
+    kink), lam = (t, 1 - t) runs over t in [0, 1] and the gap is its
+    smallest value there: a point of that kink is stationary when some
+    weighting of the two decoders is. G(t) = a + t b is affine, so the
+    gap is convex and piecewise linear in t, and its minimum lies at 0,
+    1, or where two of a row's lines +-(a + t b) cross. With more than
+    two decoders the binding one alone is weighted (the catalog's
+    problems have two).
+    """
+    B, n = len(r), comp.n_priv
+    a = _stage_sum(np.broadcast_to(comp.w_own, (B, n)), dr[:, :n])[:, None, :]  # (B, 1, W)
+    b = np.zeros_like(a)
+    lo = hi = np.zeros((B, 1))
+    lam = np.zeros((B, 0))
+    if comp.common_col is not None:
+        rc = r[:, n:]
+        binding = rc.argmin(axis=1)
+        drc = dr[:, n:] * comp.w_common[:, None, None]
+        lam = np.zeros_like(rc)
+        lam[np.arange(B), binding] = 1.0
+        if rc.shape[1] == 2:  # t weights decoder 0, 1 - t decoder 1
+            a, b = a + drc[:, 1:], drc[:, :1] - drc[:, 1:]
+            kink = np.abs(rc[:, :1] - rc[:, 1:]) <= near
+            fixed = (binding == 0).astype(float)[:, None]
+            lo, hi = np.where(kink, 0.0, fixed), np.where(kink, 1.0, fixed)
         else:
-            enter = enter[:0]
-    histories = [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())]
-    return out, histories, converged
+            a = a + _stage_sum(lam, drc)[:, None, :]
+    mask = active[:, None, :]
+    a = (a @ J)[:, 0].reshape(P.shape) * mask
+    b = (b @ J)[:, 0].reshape(P.shape) * mask
+    lines0 = np.concatenate((a, -a), axis=2)  # every row's 2 S lines, (B, L, 2 S)
+    lines1 = np.concatenate((b, -b), axis=2)
+    i, j = np.triu_indices(lines0.shape[2], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (lines0[..., j] - lines0[..., i]) / (lines1[..., i] - lines1[..., j])
+    t = np.concatenate((np.zeros((B, 1)), np.ones((B, 1)), cross.reshape(B, -1)), axis=1)
+    t = np.clip(np.nan_to_num(t, nan=0.0, posinf=0.0, neginf=0.0), lo, hi)
+    G = a[:, None] + t[..., None, None] * b[:, None]
+    gaps = eps[:, None] * np.abs(G).max(axis=3).sum(axis=2) - (G * P[:, None]).sum(axis=(2, 3))
+    k = gaps.argmin(axis=1)
+    if lam.shape[1] == 2:
+        t = t[np.arange(B), k]
+        lam = np.stack((t, 1.0 - t), axis=1)
+    return gaps[np.arange(B), k], lam
+
+
+def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, radii: np.ndarray, active: np.ndarray,
+                 held: np.ndarray, nu: np.ndarray, kink: np.ndarray, c: np.ndarray, gap_c: np.ndarray) -> np.ndarray:
+    """The (B, L, S) Levenberg-shifted Newton step at P on the face that
+    holds the rows of `held` (B, L) on their L1 balls and, where `kink`,
+    moves the two common decoders' rate difference gap_c (B,), of
+    gradient c (B, n), to 0 to first order.
+
+    A held row keeps its support and signs s, and its L1 norm moves to
+    its radius. Its support is its entries above _FACE_BAND of the
+    radius, and those below it (zeros included) whose signed gradient
+    s_i G_i exceeds the row's multiplier, the mean s_i G_i of the others:
+    an entry the multiplier outweighs goes to 0. The step is d0 + Z y,
+    where d0 zeroes the entries dropped, spreads the missing norm evenly
+    over the support along s, and Z projects onto the directions
+    that keep the norm (I - s s^T / |support| on the support, 0
+    elsewhere). Every other row moves freely in its active columns (Z =
+    the identity there). Rows are separate blocks of Z, so every problem
+    has one (n + 1, n + 1) system, n = L S:
+
+        [sigma I - Z Hess Z   Z c] [y] = [Z (grad + Hess d0)]
+        [(Z c)^T              0  ] [v]   [-gap_c - c^T d0   ]
+
+    (the last row and column are the identity's without a kink, or when
+    the face cannot move the difference; the kink row is scaled to
+    sigma). The Levenberg shift sigma = max(lambda_max(Z Hess Z), 0) + nu
+    |lambda|_max makes the upper left block positive definite; `nu` (one
+    per problem) damps the step toward the gradient as it grows. Returns
+    the step, the multiplier v of the kink row and Z c (both 0 without a
+    kink row).
+    """
+    B, L, S = P.shape
+    n = L * S
+    absP = np.abs(P)
+    G = grad.reshape(P.shape) * active[:, None, :]
+    # a held row's multiplier: the mean of s_i G_i over its entries above
+    # the band (its largest one if none is); an entry below the band stays
+    # in (or enters) the support, with its sign or, at 0, its gradient's,
+    # only if that beats the multiplier
+    big = (absP > _FACE_BAND * radii[..., None]) | (absP == absP.max(axis=2, keepdims=True))
+    big &= active[:, None, :] & (absP > 0.0)
+    sign = np.where(absP > 0.0, np.sign(P), np.sign(G))
+    multiplier = (sign * G * big).sum(axis=2) / np.maximum(big.sum(axis=2), 1)
+    support = big | (active[:, None, :] & (sign * G > multiplier[..., None]))
+    free = np.where(held[..., None], support, active[:, None, :])
+    s = np.where(held[..., None] & free, sign, 0.0)
+    count = np.maximum(free.sum(axis=2), 1)
+    dropped = held[..., None] & ~free
+    d0 = -P * dropped + s * ((radii - (absP * ~dropped).sum(axis=2)) / count)[..., None]
+    d0 = d0.reshape(B, n, 1)
+    rows = free[..., None] * np.eye(S) - s[..., :, None] * s[..., None, :] / count[..., None, None]
+    Z = np.einsum("blst,lm->blsmt", rows, np.eye(L)).reshape(B, n, n)
+    ZHZ = Z @ hess @ Z
+    ZHZ = 0.5 * (ZHZ + ZHZ.transpose(0, 2, 1))
+    lam = np.linalg.eigvalsh(ZHZ)
+    scale = np.abs(lam).max(axis=1)
+    shift = np.where(scale > 0.0, np.maximum(lam[:, -1], 0.0) + nu * scale, 1.0)
+    M = np.zeros((B, n + 1, n + 1))
+    M[:, :n, :n] = shift[:, None, None] * np.eye(n) - ZHZ
+    Zc = (Z @ c[..., None])[..., 0]
+    # a face that cannot move the difference leaves it alone; the kink row
+    # is scaled to the shift, so that no pivot of the system is tiny
+    zmax = np.abs(Zc).max(axis=1)
+    kink = kink & (zmax > 1e-9 * np.abs(c).max(axis=1))
+    scaled = np.where(kink, shift / np.where(kink, zmax, 1.0), 0.0)
+    M[:, :n, n] = M[:, n, :n] = Zc * scaled[:, None]
+    M[:, n, n] = np.where(kink, 0.0, 1.0)
+    rhs = np.concatenate(((Z @ (grad[..., None] + hess @ d0))[..., 0],
+                          (scaled * (-gap_c - (c[:, None, :] @ d0)[:, 0, 0]))[:, None]), axis=1)
+    y = np.linalg.solve(M, rhs[..., None])
+    return (d0 + Z @ y[:, :n]).reshape(P.shape), scaled * y[:, n, 0], Zc * kink[:, None]
+
+
+def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray):
+    """Projected Newton on the identified face, from every (B, L, K + 1)
+    start of P in lockstep; `radii` holds the (B, L) row budgets and
+    `wsr` the starts' WSRs.
+
+    Each iteration differentiates sum_k w_k r_k + w_c sum_j lam_j r_cj in
+    A = H P and chains it through H: a (B, n) gradient and (B, n, n)
+    Hessian, n = L (K + 1). Its Newton step d (`_newton_step`) is taken
+    on the face that holds the rows near their balls (within _FACE_BAND)
+    that a gradient step would push out, and then the rows the free step
+    would take out of them, with lam weighting the binding common
+    decoder. When two decoders are within _KINK bits of each other, a
+    second step d' follows the kink of the common-rate min: it closes
+    their difference to first order, with lam = (t, 1 - t), t first the
+    weighting that makes the point most nearly stationary
+    (`_decoder_weights`) and then corrected by each step's multiplier
+    (sequential quadratic programming on the kink).
+
+    The candidates proj(P + a d) and proj(P + a d'), a = 2^-k, and each
+    proj(P + a d') moved along Z c back onto the kink to first order (a
+    second-order correction), are projected onto the balls, and the one
+    of the highest true WSR is kept if it rises; if none does, the best
+    of proj(P + t grad), t = 8^-k eps / |grad|_max, is kept if it rises,
+    a step that can change the face. A problem's Levenberg weight nu
+    falls fourfold after a full Newton step that rises and grows
+    sixteenfold after a Newton step that does not.
+
+    The residual is `_decoder_weights`'s gap with the decoders within
+    _KINK_RESIDUAL bits of each other counted as binding. A problem stops
+    when its residual is at most _POLISH_GAP, when nothing rises at nu
+    above _NU[2], or after _POLISH_MAX_ITER iterations. Returns (P,
+    history, residual): the final precoders, one list per start of its
+    WSR before and after each of its iterations, and the final
+    residuals.
+    """
+    B, L, S = P.shape
+    n = L * S
+    P, wsr = P.copy(), np.array(wsr, dtype=float)
+    eps = radii.max(axis=1)
+    active = np.broadcast_to(comp.active, (B, S))
+    nu = np.full(B, _NU[1])
+    kink_t = np.full(B, np.nan)  # the weight of decoder 0 at the kink
+    history = np.empty((_POLISH_MAX_ITER + 1, B))
+    history[0] = wsr
+    iterations = np.full(B, _POLISH_MAX_ITER)
+    residual = np.empty(B)
+    steps, tsteps = 0.5 ** np.arange(_NEWTON_STEPS), 0.125 ** np.arange(_GRADIENT_STEPS)
+    H = comp.H
+    J = (H[:, :, None, :, None] * np.eye(S)[None, None, :, None, :]).reshape(len(H), -1, n)
+    JT = J.transpose(0, 2, 1)
+    live, batch, nd, n_priv = np.arange(B), comp, len(comp.decoders), comp.n_priv
+    for it in range(1, _POLISH_MAX_ITER + 2):
+        Q, e, act, R = P[live], eps[live], active[live], radii[live]
+        Jl, JTl = (J, JT) if len(J) == 1 else (J[live], JT[live])
+        r, dr, d2r = _stage_derivatives(batch, Q)
+        res, _ = _decoder_weights(batch, r, dr, Jl, Q, e, act, _KINK_RESIDUAL)
+        finished = res <= _POLISH_GAP
+        if it > _POLISH_MAX_ITER:
+            finished[:] = True
+        if finished.any():
+            residual[live[finished]] = res[finished]
+            iterations[live[finished]] = it - 1
+            keep = ~finished
+            if not keep.any():
+                break
+            live, Q, e, act, R, res = live[keep], Q[keep], e[keep], act[keep], R[keep], res[keep]
+            r, dr, d2r = r[keep], dr[keep], d2r[keep]
+            batch = comp.take(live)
+            Jl, JTl = (J, JT) if len(J) == 1 else (J[live], JT[live])
+        m = len(live)
+        if nd == 2:
+            gap_c = r[:, -2] - r[:, -1]
+            c = ((dr[:, -2] - dr[:, -1])[:, None, :] @ Jl)[:, 0]
+            near = (np.abs(gap_c) <= _KINK) & (batch.w_common > 0.0)
+        else:
+            gap_c, c, near = np.zeros(m), np.zeros((m, n)), np.zeros(m, dtype=bool)
+
+        def face_step(lam, kink):
+            grad_a, hess_a = _objective(batch, dr, d2r, lam)
+            grad, hess = (grad_a[:, None, :] @ Jl)[:, 0], JTl @ hess_a @ Jl
+            # the face: rows near their ball that a gradient step would
+            # push out, and then the rows the free step would take out of it
+            G = grad.reshape(Q.shape) * act[:, None, :]
+            absQ = np.abs(Q)
+            outward = np.where(absQ > 0.0, np.sign(Q) * G, np.abs(G)).sum(axis=2) > 0.0
+            held = (absQ.sum(axis=2) >= R * (1.0 - _FACE_BAND)) & outward
+            d, v, zc = _newton_step(Q, grad, hess, R, act, held, nu[live], kink, c, gap_c)
+            leaving = np.abs(Q + d).sum(axis=2) > R
+            if (leaving & ~held).any():
+                d, v, zc = _newton_step(Q, grad, hess, R, act, held | leaving, nu[live], kink, c, gap_c)
+            return d, v, zc, G
+
+        # the step on the binding decoder's smooth piece, and, near the
+        # kink, the one that follows it, its decoders weighted by (t, 1 - t):
+        # first the weighting that makes the point most nearly stationary,
+        # then t corrected by the kink row's multiplier of each step
+        binding = np.zeros((m, nd))
+        if nd:
+            binding[np.arange(m), r[:, n_priv:].argmin(axis=1)] = 1.0
+        d, _, _, G = face_step(binding, np.zeros(m, dtype=bool))
+        directions = [d]
+        kink_t[live[~near]] = np.nan
+        if near.any():
+            t = kink_t[live]
+            fresh = near & np.isnan(t)
+            if fresh.any():
+                t = np.where(fresh, _decoder_weights(batch, r, dr, Jl, Q, e, act, _KINK)[1][:, 0], t)
+            t = np.where(near, t, 0.0)
+            d, v, zc, _ = face_step(np.stack((t, 1.0 - t), axis=1), near)
+            # away from the kink these candidates repeat the free ones, so
+            # a problem's pick does not depend on the others
+            directions.append(np.where(near[:, None, None], d, directions[0]))
+            w_c = np.broadcast_to(batch.w_common, (m,))
+            kink_t[live[near]] = np.clip(t - v / np.where(near, w_c, 1.0), 0.0, 1.0)[near]
+        # a step longer than a ball's diameter is cut to it: projecting a
+        # far point loses the step's direction, and its digits
+        longest = [np.maximum(np.abs(d).sum(axis=2).max(axis=1), 1e-300) for d in directions]
+        directions = [d * np.minimum(1.0, 2.0 * e / size)[:, None, None] for d, size in zip(directions, longest)]
+        newton_cands = [Q[:, None] + steps[:, None, None] * d[:, None] for d in directions]
+        if near.any():
+            # a second-order correction: each kink candidate moves along Z c
+            # until the decoders' rate difference is 0 to first order again
+            k = len(steps)
+            kc = project_rows_l1(newton_cands[1].reshape(m * k, L, S), np.repeat(R, k, axis=0))
+            rep = batch.take(np.repeat(np.arange(m), k))
+            rates_c = np.log2(1.0 + rep.sinrs(rep.H @ kc)[1])
+            czc = (c * zc).sum(axis=1)
+            along = np.where(near & (czc > 0.0), 1.0 / np.where(czc > 0.0, czc, 1.0), 0.0)
+            shift_k = (rates_c[:, 0] - rates_c[:, 1]).reshape(m, k) * along[:, None]
+            corrected = kc.reshape(m, k, L, S) - shift_k[..., None, None] * zc.reshape(m, 1, L, S)
+            newton_cands.append(np.where(near[:, None, None, None], corrected, newton_cands[1]))
+        N = len(steps) * len(newton_cands)
+        C = N + len(tsteps)
+        gmax = np.abs(G).max(axis=(1, 2))
+        t0 = e / np.where(gmax > 0.0, gmax, np.inf)
+        cand = np.concatenate(newton_cands + [Q[:, None] + (t0[:, None] * tsteps)[..., None, None] * G[:, None]],
+                              axis=1)
+        cand = project_rows_l1(cand.reshape(m * C, L, S), np.repeat(R, C, axis=0))
+        cwsr, _ = batch.take(np.repeat(np.arange(m), C)).true_rates(cand)
+        cwsr = cwsr.reshape(m, C)
+        # the best Newton candidate if one rises, else the best gradient one
+        newton_rose = cwsr[:, :N].max(axis=1) > wsr[live]
+        best = np.where(newton_rose, cwsr[:, :N].argmax(axis=1), N + cwsr[:, N:].argmax(axis=1))
+        top = cwsr[np.arange(m), best]
+        rise = top > wsr[live]
+        P[live[rise]] = cand.reshape(m, C, L, S)[rise, best[rise]]
+        wsr[live[rise]] = top[rise]
+        history[it, live] = wsr[live]
+        full = best % len(steps) == 0
+        nu[live] = np.where(newton_rose, np.where(full, np.maximum(nu[live] / 4.0, _NU[0]), nu[live]),
+                            np.minimum(nu[live] * 16.0, 16.0 * _NU[2]))
+        stuck = ~rise & (nu[live] > _NU[2])
+        if stuck.any():
+            residual[live[stuck]] = res[stuck]
+            iterations[live[stuck]] = it
+            keep = ~stuck
+            if not keep.any():
+                break
+            live = live[keep]
+            batch = comp.take(live)
+    return P, [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())], residual
+
+
+def _solve_starts(comp: _Compiled, radii: np.ndarray, P0: np.ndarray, config: AoConfig):
+    """AO, then the polish, from every start of P0 in lockstep; returns
+    (P, history, residual), each start's history its AO then its polish
+    WSRs."""
+    P, history = _ao_batch(comp, radii, P0, config)
+    P, polished, residual = _polish(comp, radii, P, np.array([h[-1] for h in history]))
+    return P, [h + p[1:] for h, p in zip(history, polished)], residual
 
 
 def ao_solve(
@@ -731,19 +1111,22 @@ def ao_solve(
     layout: StreamLayout,
 ) -> tuple[Solution, ...]:
     """Maximize each problem's weighted sum rate with the multi-start AO
-    solver; returns one Solution per problem, in order.
+    solver and its polish; returns one Solution per problem, in order.
 
     A problem's starts are, in this order: ZF; one single-user corner
     per user, the full budget on that user's stream (`_beam_start`: the
     single-user optima, which a start inside the balls reaches only by
-    crawling); the solutions of its `warm_from` problems (below); and
-    one random feasible start seeded by `Problem.seed`. The best final
-    WSR wins, the earliest start on ties (`Solution.restart_index`).
-    Ascent is monotone, so the result is at least as good as every warm
-    start: an RSMA problem warm-started from its channel's converged
-    SDMA and NOMA problems satisfies WSR(RSMA) >= max(WSR(SDMA),
-    WSR(NOMA)). `scenarios.solve_schemes` seeds RSMA that way; without
-    warm starts that bound is not assured.
+    crawling); the solutions of its `warm_from` problems (below); one
+    random feasible start seeded by `Problem.seed`; and, for RSMA, the
+    four split starts `_split_start` with alpha = _SPLITS. Every start runs
+    WMMSE AO until its WSR settles or `config.max_iterations`, then the
+    projected-Newton polish (`_polish`). The best final WSR wins, the
+    earliest start on ties (`Solution.restart_index`). Both stages only
+    ever raise the WSR, so the result is at least as good as every warm
+    start: an RSMA problem warm-started from its channel's SDMA and NOMA
+    problems satisfies WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)).
+    `scenarios.solve_schemes` seeds RSMA that way; without warm starts
+    that bound is not assured.
 
     Each problem is solved under `build_layout(scheme, K, channel)` of
     its own scheme and channel, so one call takes, say, the SDMA, NOMA
@@ -752,24 +1135,23 @@ def ao_solve(
     solver places it on the RSMA streams (see the module docstring), and
     each Solution's precoder and report are read back in that layout.
 
-    The winning precoder of each `warm_from` problem, placed on the RSMA
+    The starts run in waves. Wave 0 holds every start but the warm
+    ones. The warm starts of a problem run in wave d,
+    one more than the deepest wave its `warm_from` problems finished in
+    (a problem without warm starts finishes in wave 0): each is the
+    polished winner of one `warm_from` problem, placed on the RSMA
     streams (`StreamLayout.to_rsma`) and read in this problem's layout,
-    is one of its warm starts, in the order given. These starts enter
-    the running batch at the first outer iteration after every start of
-    the problems they name has finished; the problem's other starts
-    enter at once. Every start counts its own iterations, under its own
-    `config.max_iterations` cap, so its result is the one of a solve that
-    begins when it enters.
+    in the order given. Each wave is one lockstep batch, AO then polish.
 
     `layout` is the first problem's layout, of its scheme: the
     benchmark's tracer binds it to tag the call by `layout.scheme`. It
     goes once the tracer tags each problem by its own scheme (ROADMAP
     item 1).
 
-    Every problem is solved under `config`. Every start of every problem
-    runs in one lockstep batch, and each Solution is bit-for-bit the one
-    that problem gets in a call of its `warm_from` problems and itself
-    alone: a problem's result does not depend on its batch.
+    Every problem is solved under `config`. Each start's arithmetic
+    touches only its own rows of every batched array, so a problem's
+    Solution is the one it gets in a call of its `warm_from` problems
+    and itself alone: a problem's result does not depend on its batch.
     """
     problems = tuple(problems)
     if not problems:
@@ -793,38 +1175,46 @@ def ao_solve(
     shared = len({id(ch) for ch in channels}) == 1
     comp = _Compiled(channels[0] if shared else channels, layouts[0] if len(built) == 1 else layouts, w)
 
-    def warm_solutions(refs, lay):
-        def fill(P, final):
-            ms = []
-            for q in refs:
-                sub = layouts[q]
-                matrix = P[_best(final, firsts[q], counts[q])][:, sub.rsma_columns]  # its Solution's
-                ms.append(sub.to_rsma(matrix)[:, lay.rsma_columns])
-            return lay.to_rsma(np.stack(ms))
-        return fill
-
-    starts: list[np.ndarray] = []
-    counts, firsts, admit = [], [], []
+    starts, counts, firsts, wave = [], [], [], []
     for problem, lay, eps in zip(problems, layouts, epsilons):
         ch, refs = problem.channel, problem.warm_from
         own = [_zf_start(ch, lay, eps)] + [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
-        if refs:
-            rows = sum(counts) + len(own) + np.arange(len(refs))
-            after = np.concatenate([np.arange(firsts[q], firsts[q] + counts[q]) for q in refs])
-            admit.append((rows, after, warm_solutions(refs, lay)))
-            own += [np.zeros_like(own[0])] * len(refs)  # placeholders until the named problems finish
+        own += [np.zeros_like(own[0])] * len(refs)  # filled from the named problems' winners
         own.append(_random_start(ch, lay, eps, np.random.default_rng(problem.seed)))
-        starts.append(lay.to_rsma(np.stack(own)))
+        if problem.scheme == "rsma":
+            own += [_split_start(ch, lay, eps, alpha) for alpha in _SPLITS]
         firsts.append(sum(counts))
         counts.append(len(own))
+        starts.append(lay.to_rsma(np.stack(own)))
+        wave.append(1 + max(wave[q] for q in refs) if refs else 0)
+    K = channels[0].num_users
+    owner = np.repeat(np.arange(len(problems)), counts)
+    P = np.concatenate(starts)
+    radii = np.repeat(np.repeat(epsilons, counts)[:, None], P.shape[1], axis=1)
+    rank = np.concatenate([np.arange(n) for n in counts])  # each start's place among its problem's
+    warm = (rank > K) & (rank <= K + np.array([len(problems[q].warm_from) for q in owner]))
+    histories, residual, final = [None] * len(P), np.empty(len(P)), np.empty(len(P))
 
-    batch = comp.take(np.repeat(np.arange(len(problems)), counts))
-    P, histories, converged = _ao_batch(batch, np.repeat(epsilons, counts), np.concatenate(starts), config, admit)
-    _, caps = batch.true_rates(P)
-    final = [h[-1] for h in histories]
+    def winner(q):
+        return _best(final, firsts[q], counts[q])
+
+    for d in range(max(wave) + 1):
+        rows = np.flatnonzero(np.where(warm, np.array(wave)[owner] == d, d == 0))
+        if not len(rows):
+            continue
+        for b in rows[warm[rows]]:
+            p, q = owner[b], problems[owner[b]].warm_from[rank[b] - K - 1]
+            sub, lay = layouts[q], layouts[p]
+            matrix = P[winner(q)][:, sub.rsma_columns]  # its Solution's
+            P[b] = lay.to_rsma(sub.to_rsma(matrix)[:, lay.rsma_columns])
+        P[rows], hist, residual[rows] = _solve_starts(comp.take(owner[rows]), radii[rows], P[rows], config)
+        for b, h in zip(rows, hist):
+            histories[b], final[b] = h, h[-1]
+
+    _, caps = comp.take(owner).true_rates(P)
     solutions = []
-    for ch, lay, lo, n in zip(channels, layouts, firsts, counts):
-        best = _best(final, lo, n)
+    for p, (ch, lay) in enumerate(zip(channels, layouts)):
+        best = winner(p)
         shares = default_shares(lay, float(caps[best]), w)
         precoder = Precoder(matrix=P[best][:, lay.rsma_columns])
         report = assemble_report(ch, precoder, lay, shares=shares, weights=w)
@@ -833,9 +1223,10 @@ def ao_solve(
                 precoder=precoder,
                 report=report,
                 iterations=len(histories[best]) - 1,
-                converged=bool(converged[best]),
-                restart_index=best - lo,
+                converged=bool(residual[best] <= config.tolerance),
+                restart_index=best - firsts[p],
                 wsr_history=tuple(histories[best]),
+                residual=float(residual[best]),
             )
         )
     return tuple(solutions)

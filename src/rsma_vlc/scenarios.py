@@ -220,6 +220,7 @@ class SweepRow:
     converged: bool
     seed: int
     error: str | None = None
+    residual: float | None = None  # the Solution's; None on an error row
 
 
 @dataclass(frozen=True)
@@ -292,9 +293,9 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
     AoConfig `config`; channel j has the amplitude budget `epsilons[j]`
     in every scheme, and `seed_for(scheme, j)` gives its random-start
     seed. Every problem of every channel is one batched ao_solve call,
-    NOMA ones of either strong user included: each RSMA problem's warm
-    starts enter the running batch once its helpers have finished, so
-    the batch's slowest start holds up one call. If the call raises, each
+    NOMA ones of either strong user included: the RSMA problems' warm
+    starts run as its second wave, from the helpers' polished winners.
+    If the call raises, each
     (scheme, channel) is solved in a call of its own, after its helpers
     that succeeded. A scheme whose layout cannot be built at a channel
     gets the ValueError there, with layout None.
@@ -342,7 +343,7 @@ def _row(spec: ScenarioSpec, scheme: str, value: float, seed: int, sol) -> Sweep
         scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
         wsr=sol.wsr, rates=tuple(float(r) for r in sol.report.overall),
         common_cap=sol.report.common_cap, iterations=sol.iterations,
-        converged=sol.converged, seed=seed,
+        converged=sol.converged, seed=seed, residual=sol.residual,
     )
 
 
@@ -352,8 +353,8 @@ def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
     Each point's amplitude budget is epsilon_from_snr of its SNR, its
     channel's RMS noise level and the reference gain `ref`. The chunk is
     one `solve_schemes` call, so its SDMA, NOMA and RSMA points are one
-    batched solve, each RSMA point's warm starts entering it once its
-    own point's SDMA/NOMA solutions have converged; a point's seed
+    batched solve, each RSMA point's warm starts running in its second
+    wave from its own point's SDMA/NOMA solutions; a point's seed
     derives from (base_seed, scheme, sweep index). The
     points of an SNR sweep share one channel; a separation sweep moves
     the users, so each of its points has a channel of its own. A point

@@ -133,6 +133,26 @@ def test_rows_reach_recorded_floor():
             f"{short} of 75 rows at 20-40 dB more than 1e-3 below the best known")
 
 
+def test_rows_converged_with_residual():
+    # every row of the five SNR sweeps ends at a stationary point: its
+    # Frank-Wolfe gap is at most the solver tolerance
+    unconverged = []
+    for name in SCENARIOS:
+        tolerance = catalog()[name].ao.tolerance
+        for row in scenario_sweep(name).rows:
+            if row.error is not None or not row.converged or not 0.0 <= row.residual + 1e-12 <= tolerance:
+                unconverged.append((name, row.scheme, row.sweep_value, row.residual))
+    assert unconverged == []
+    _report(f"CONVERGED: PASS  all {len(SCENARIOS) * 3 * len(SNR_GRID)} rows converged, residual <= tolerance")
+
+
+def test_scenario3_sdma_40db_reaches_best_known():
+    # it stopped at the former 500-iteration AO cap at 12.192
+    [row] = [r for r in scenario_sweep("scenario3_4led").for_scheme("sdma") if r.sweep_value == 40.0]
+    assert row.converged and row.wsr >= 12.398 - 1e-3
+    _report(f"SCENARIO3 SDMA 40 dB: PASS  {row.wsr:.4f} b/s/Hz, converged (best known 12.398)")
+
+
 def _crossover_interval(name: str):
     """Grid interval where the NOMA-SDMA gap changes sign."""
     gaps = [(snr, wsr_at(name, "noma", snr) - wsr_at(name, "sdma", snr)) for snr in SNR_GRID]

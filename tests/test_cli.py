@@ -43,7 +43,9 @@ class TestRunCommand:
         assert main(RUN + ["--out", str(out), "--format", "json"]) == 0
         rows = json.loads(out.read_text())
         assert len(rows) == 4
-        assert set(rows[0]) == set(CSV_HEADER.split(","))
+        # the CSV columns, plus each row's solver residual
+        assert set(rows[0]) == set(CSV_HEADER.split(",")) | {"residual"}
+        assert all(0.0 <= row["residual"] <= 1e-4 for row in rows)
 
     def test_csv_cells_round_trip_precision(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -425,12 +427,22 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             RunConfig(scenario="a", format="xml")
 
-    def test_ao_overrides_reach_solver(self, tmp_path):
+    def test_ao_overrides_reach_solver(self, tmp_path, monkeypatch):
+        seen = []
+        real = optimizer._ao_batch
+
+        def ao_batch(comp, radii, P, config):
+            seen.append((config.tolerance, config.max_iterations))
+            return real(comp, radii, P, config)
+
+        monkeypatch.setattr(optimizer, "_ao_batch", ao_batch)
         out = tmp_path / "rows.csv"
         code = main(
             RUN + ["--out", str(out), "--delta", "0.1", "--max-iters", "3"]
         )
         assert code in (0, 2)  # loose settings may stop before convergence
         assert out.exists()
+        assert seen and set(seen) == {(0.1, 3)}
+        # a row counts its AO iterations (at most 3) and its polish iterations
         iterations = [int(l.split(",")[7]) for l in out.read_text().splitlines()[1:]]
-        assert all(i <= 3 for i in iterations)
+        assert all(i <= 3 + optimizer._POLISH_MAX_ITER for i in iterations)
