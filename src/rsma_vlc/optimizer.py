@@ -457,9 +457,7 @@ class _SurrogateBatch:
     each user's private-stage curvature on every private column of its
     row; and the decoder's curvature `cc2` on the private and common
     columns of its row. A step gathers the binding decoder's stack and
-    forms lin - alpha * A - cc2 * A, entry by entry the floating-point
-    operations of a batch of one that scatters each term into zeros
-    (the zeros of lin are +0, so no entry's sign of zero moves). Per-stage
+    forms lin - alpha * A - cc2 * A, entry by entry. Per-stage
     coefficients and per-problem scalars, the common weight included, are
     columns of one array, so dropping finished problems is two row
     gathers, plus the channels' when each problem has its own.

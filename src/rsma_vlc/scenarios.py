@@ -294,9 +294,9 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
     in every scheme, and `seed_for(scheme, j)` gives its random-start
     seed. Every problem of every channel is one batched ao_solve call,
     NOMA ones of either strong user included: the RSMA problems' warm
-    starts run as its second wave, from the helpers' polished winners.
-    If the call raises, each
-    (scheme, channel) is solved in a call of its own, after its helpers
+    starts run as the call's second wave, from the helpers' polished
+    winners. If the call raises, each (scheme, channel) is solved in a
+    call of its own, after its helpers
     that succeeded. A scheme whose layout cannot be built at a channel
     gets the ValueError there, with layout None.
     """
