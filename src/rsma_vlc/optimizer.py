@@ -841,20 +841,30 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
     mask = active[:, None, :]
     a = (a @ J)[:, 0].reshape(P.shape) * mask
     b = (b @ J)[:, 0].reshape(P.shape) * mask
-    lines0 = np.concatenate((a, -a), axis=2)  # every row's 2 S lines, (B, L, 2 S)
-    lines1 = np.concatenate((b, -b), axis=2)
-    i, j = np.triu_indices(lines0.shape[2], 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (lines0[..., j] - lines0[..., i]) / (lines1[..., i] - lines1[..., j])
-    t = np.concatenate((np.zeros((B, 1)), np.ones((B, 1)), cross.reshape(B, -1)), axis=1)
-    t = np.clip(np.nan_to_num(t, nan=0.0, posinf=0.0, neginf=0.0), lo, hi)
-    G = a[:, None] + t[..., None, None] * b[:, None]
-    gaps = eps[:, None] * np.abs(G).max(axis=3).sum(axis=2) - (G * P[:, None]).sum(axis=(2, 3))
-    k = gaps.argmin(axis=1)
+
+    def fw_gap(t, a, b, P, eps):  # at the (rows, T) weights t
+        G = a[:, None] + t[..., None, None] * b[:, None]
+        return eps[:, None] * np.abs(G).max(axis=3).sum(axis=2) - (G * P[:, None]).sum(axis=(2, 3))
+
+    t = lo[:, 0].copy()
+    gap = fw_gap(lo, a, b, P, eps)[:, 0]
+    kink = hi[:, 0] > lo[:, 0]
+    if kink.any():
+        a, b = a[kink], b[kink]
+        lines0 = np.concatenate((a, -a), axis=2)  # every row's 2 S lines, (rows, L, 2 S)
+        lines1 = np.concatenate((b, -b), axis=2)
+        i, j = np.triu_indices(lines0.shape[2], 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (lines0[..., j] - lines0[..., i]) / (lines1[..., i] - lines1[..., j])
+        rows = len(a)
+        tk = np.concatenate((np.zeros((rows, 1)), np.ones((rows, 1)), cross.reshape(rows, -1)), axis=1)
+        tk = np.clip(np.nan_to_num(tk, nan=0.0, posinf=0.0, neginf=0.0), 0.0, 1.0)
+        gaps = fw_gap(tk, a, b, P[kink], eps[kink])
+        k = gaps.argmin(axis=1)
+        gap[kink], t[kink] = gaps[np.arange(rows), k], tk[np.arange(rows), k]
     if lam.shape[1] == 2:
-        t = t[np.arange(B), k]
         lam = np.stack((t, 1.0 - t), axis=1)
-    return gaps[np.arange(B), k], lam
+    return gap, lam
 
 
 def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, radii: np.ndarray, active: np.ndarray,
