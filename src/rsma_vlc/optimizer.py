@@ -767,8 +767,9 @@ def _stage_derivatives(comp: _Compiled, P: np.ndarray):
 
     A stage's rate is (ln T - ln I) / ln 2 with T its received power and
     I = T - a^2 its interference plus noise. Each is the noise plus a sum
-    of squares of x over a mask J, and ln(c + sum_J x_j^2) has gradient
-    2 x_J / D and Hessian 2 diag(1_J) / D - (2 x_J / D)(2 x_J / D)^T.
+    of squares of x over a mask M (`_Compiled.power_mask`,
+    `interference_mask`), and ln D, D = c + sum_M x_j^2, has gradient
+    2 x_M / D and Hessian 2 diag(1_M) / D - (2 x_M / D)(2 x_M / D)^T.
     """
     x = (comp.H @ P).reshape(len(P), -1)
     x2 = x * x
@@ -833,9 +834,9 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
         lam[np.arange(B), binding] = 1.0
         if rc.shape[1] == 2:  # t weights decoder 0, 1 - t decoder 1
             a, b = a + drc[:, 1:], drc[:, :1] - drc[:, 1:]
-            kink = np.abs(rc[:, :1] - rc[:, 1:]) <= near
+            close = np.abs(rc[:, :1] - rc[:, 1:]) <= near
             fixed = (binding == 0).astype(float)[:, None]
-            lo, hi = np.where(kink, 0.0, fixed), np.where(kink, 1.0, fixed)
+            lo, hi = np.where(close, 0.0, fixed), np.where(close, 1.0, fixed)
         else:
             a = a + _stage_sum(lam, drc)[:, None, :]
     mask = active[:, None, :]
