@@ -2,7 +2,8 @@
 
 Submodules: channel (LoS gains and receiver noise), signal_model
 (stream layouts, SINRs, rates), optimizer (WMMSE alternating
-optimization under per-fixture L1 budgets), scenarios (experiment
+optimization under per-fixture L1 budgets, finished by a projected-Newton
+polish), scenarios (experiment
 catalog and sweeps), cli (command-line front end).
 """
 
