@@ -3,8 +3,9 @@
 Commands and the options each takes (any other option exits 1):
   run           solve a scene's sweep, print CSV rows, write CSV/JSON rows
                 --scenario NAME or --scenario-file PATH, --schemes, --snr,
-                --noise-mode, --delta, --max-iters, --seed, --workers
-                (RSMA_VLC_WORKERS when not given), --out, --format
+                --noise-mode, --delta, --max-iters, --seed (only written to
+                the seed column: the solver draws no random numbers),
+                --workers (RSMA_VLC_WORKERS when not given), --out, --format
   channel-dump  print the gain matrix and noise vector of a scene
                 --scenario NAME or --scenario-file PATH, --noise-mode
   validate      Monte-Carlo SINR checks and brute-force oracle cross-checks
@@ -230,7 +231,7 @@ def _resolve_spec(config: RunConfig) -> ScenarioSpec:
 # --------------------------------------------------------------------------
 
 
-def _row_record(row) -> dict:
+def _row_record(row, seed: int) -> dict:
     r1, r2 = row.rates
     return {
         "scheme": row.scheme,
@@ -242,7 +243,7 @@ def _row_record(row) -> dict:
         "r_common_cap": float(row.common_cap),
         "iterations": int(row.iterations),
         "converged": bool(row.converged),
-        "seed": int(row.seed),
+        "seed": seed,
         "residual": None if row.residual is None else float(row.residual),
     }
 
@@ -284,8 +285,8 @@ def cmd_run(config: RunConfig) -> int:
     spec = _resolve_spec(config)
     if len(spec.users) != 2:
         raise ConfigError("the tabular output format carries exactly two user rate columns")
-    result = run_sweep(spec, base_seed=config.seed, workers=config.workers)
-    records = [_row_record(r) for r in result.rows]
+    result = run_sweep(spec, workers=config.workers)
+    records = [_row_record(r, config.seed) for r in result.rows]
     if config.out:
         _write_atomic(config.out, _render(records, config.format))
     print(f"# scenario {spec.name}: {len(records)} rows")
@@ -345,18 +346,19 @@ def cmd_validate(config: RunConfig) -> int:
     # every instance is drawn first, in the order the checks print; the
     # channels have unit noise, so 15 dB is this budget for AO and oracle alike
     epsilon = optimizer.epsilon_from_snr(15.0, 1.0)
-    instances = []  # (scheme, channel, seed)
+    instances = []  # (scheme, channel)
     for scheme in signal_model.SCHEMES:
         for _ in range(config.oracle_instances):
             gains = rng.uniform(0.2, 1.0, size=(2, 2))
-            instances.append((scheme, ChannelMatrix(gains=gains, noise=np.ones(2)), int(rng.integers(1 << 31))))
-    # one solve for every instance; RSMA's helpers use RSMA's seeds
+            rng.integers(1 << 31)  # spent, so that a seed draws the instances it always has
+            instances.append((scheme, ChannelMatrix(gains=gains, noise=np.ones(2))))
+    # one solve for every instance
     solved = scenarios.solve_schemes(
-        [channel for _, channel, _ in instances], (0.5, 0.5), [(scheme,) for scheme, _, _ in instances],
-        AoConfig(), [epsilon] * len(instances), lambda _, j: instances[j][2],
+        [channel for _, channel in instances], (0.5, 0.5), [(scheme,) for scheme, _ in instances],
+        AoConfig(), [epsilon] * len(instances),
     )
     for scheme in signal_model.SCHEMES:
-        checked = [channel for s, channel, _ in instances if s == scheme]
+        checked = [channel for s, channel in instances if s == scheme]
         for i, (channel, (layout, sol)) in enumerate(zip(checked, solved.get(scheme, ()))):
             if isinstance(sol, Exception):  # a failed solve is one failed check
                 failures += 1
@@ -391,7 +393,7 @@ _OPTIONS = {
     "--delta": {"dest": "tolerance", "metavar": "DELTA", "type": float,
                 "help": "AO stop and convergence (residual) tolerance in bits/s/Hz"},
     "--max-iters": {"type": int, "help": "AO iteration cap of each start, before its polish"},
-    "--seed": {"type": int, "help": "random seed"},
+    "--seed": {"type": int, "help": "random seed of validate's instances; run writes it to its seed column"},
     "--workers": {"type": int, "help": "parallel sweep workers; RSMA_VLC_WORKERS when not given"},
     "--out": {"help": "output file path"},
     "--format": {"choices": ("csv", "json"), "help": "format of the --out file"},

@@ -80,8 +80,9 @@ come from a table. A polish iteration is a few dozen calls on (B, n, n)
 stacks, and one `eigvalsh` and one or two `solve`s.
 
 A problem (`Problem`) is a channel, a scheme, an amplitude budget
-epsilon, a random-start seed and the problems whose solutions are its
-warm starts; `AoConfig` holds only the settings every problem of a call
+epsilon and the problems whose solutions are its warm starts; its
+starts are fixed by these (see `ao_solve`), so a solve draws no random
+numbers. `AoConfig` holds only the settings every problem of a call
 shares. The solver never sees an SNR: turning a sweep's SNR into
 epsilon (`epsilon_from_snr`) is the caller's job.
 """
@@ -131,9 +132,8 @@ _POLISH_GAP = 1e-7
 _NEWTON_STEPS = 8
 _GRADIENT_STEPS = 8
 # two common decoders this close, in bits, are at the common-rate min's
-# kink: for the step, and for the residual
+# kink for the polish's step
 _KINK = 1e-2
-_KINK_RESIDUAL = 1e-4
 # a row this close to its ball (relative to the radius) counts as on it
 _FACE_BAND = 1e-2
 # the Levenberg weight nu, relative to the largest curvature on the face:
@@ -154,8 +154,7 @@ class AoConfig:
     """Settings of the solver.
 
     They hold for every problem of an `ao_solve` call; a problem's
-    amplitude budget, random-start seed and warm starts are fields of its
-    `Problem`. `max_iterations` caps each start's AO stage, which also
+    amplitude budget and warm starts are fields of its `Problem`. `max_iterations` caps each start's AO stage, which also
     ends once one iteration moves its WSR by at most `tolerance`; the
     polish then finishes every start. `tolerance` is also the residual
     (Frank-Wolfe gap, b/s/Hz) at or below which a solution is
@@ -177,14 +176,12 @@ class Problem:
     """One problem of an `ao_solve` call: maximize the weighted sum rate
     of `scheme` ("rsma", "sdma" or "noma") on `channel` under the
     per-fixture amplitude budget `epsilon` (the radius of every row's L1
-    ball), with `seed` seeding its one random start. `warm_from` names
-    earlier problems of the call (their indices) whose solutions are its
-    warm starts, in that order."""
+    ball). `warm_from` names earlier problems of the call (their indices)
+    whose solutions are its warm starts, in that order."""
 
     channel: ChannelMatrix
     scheme: str
     epsilon: float
-    seed: int
     warm_from: tuple = ()
 
 
@@ -196,8 +193,8 @@ class Solution:
 
     `restart_index` names the winner among the problem's starts, in the
     order `ao_solve` lists them: 0 is ZF, 1..K the single-user corners,
-    then the `warm_from` solutions in order, then the one random start,
-    and last, for RSMA, the four split starts. `iterations` counts the
+    then the `warm_from` solutions in order, and last, for RSMA, the four
+    split starts. `iterations` counts the
     winner's AO iterations plus its polish iterations, and `wsr_history`
     holds its WSR at its start and after each of them (so it has
     `iterations` + 1 entries and never falls). `residual` is the
@@ -662,11 +659,16 @@ def _zf_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float) -> n
     for col in layout.private_columns:
         P[:, col] = zf[:, layout.streams[col].owner] * frac
     if common is not None:
-        residual = np.maximum(epsilon - np.abs(P).sum(axis=1), 0.0)
-        broadside = np.sign(channel.gains.sum(axis=0))
-        broadside[broadside == 0] = 1.0
-        P[:, common] = residual * broadside
+        P[:, common] = np.maximum(epsilon - np.abs(P).sum(axis=1), 0.0) * _broadside(channel)
     return P
+
+
+def _broadside(channel: ChannelMatrix) -> np.ndarray:
+    """The signs (+1 at a zero) of each fixture's summed gains: a common
+    column of these signs adds up in phase at every user."""
+    signs = np.sign(channel.gains.sum(axis=0))
+    signs[signs == 0] = 1.0
+    return signs
 
 
 def _beam_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, user: int) -> np.ndarray:
@@ -689,16 +691,8 @@ def _split_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, a
     balls: the split between the private and the common streams that
     ZF and the corners leave out."""
     P = (1.0 - alpha) * _zf_start(channel, layout, epsilon)
-    broadside = np.sign(channel.gains.sum(axis=0))
-    broadside[broadside == 0] = 1.0
-    P[:, layout.common_column] += alpha * epsilon * broadside
+    P[:, layout.common_column] += alpha * epsilon * _broadside(channel)
     return project_rows_l1(P, epsilon)
-
-
-def _random_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, rng) -> np.ndarray:
-    P = rng.uniform(-1.0, 1.0, size=(channel.num_fixtures, layout.num_streams))
-    row_l1 = np.abs(P).sum(axis=1, keepdims=True)
-    return P / np.maximum(row_l1, 1e-30) * (epsilon * rng.uniform(0.3, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -805,26 +799,42 @@ def _stage_sum(weights: np.ndarray, per_stage: np.ndarray) -> np.ndarray:
     return total.reshape(per_stage.shape[:1] + per_stage.shape[2:])
 
 
-def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, active: np.ndarray, near: float):
-    """(gap, lam): the Frank-Wolfe gap max_Q <G, Q - P> = sum_l eps
-    ||G_l||_inf - <G, P> over the balls, in b/s/Hz, of the (B, L, S)
-    precoders P, and the (B, decoders) common-decoder weights lam of G.
+def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, active: np.ndarray, near=None):
+    """(gap, lam): the residual of the (B, L, S) precoders P in b/s/Hz,
+    and the (B, decoders) common-decoder weights lam that attain it.
 
-    G is the gradient in P (chained through J) of sum_k w_k r_k + w_c
-    sum_j lam_j r_cj, and lam picks the binding common decoder. When two
-    decoders are within `near` bits of each other (the common-rate min's
-    kink), lam = (t, 1 - t) runs over t in [0, 1] and the gap is its
-    smallest value there: a point of that kink is stationary when some
-    weighting of the two decoders is. G(t) = a + t b is affine, so the
-    gap is convex and piecewise linear in t, and its minimum lies at 0,
-    1, or where two of a row's lines +-(a + t b) cross. With more than
-    two decoders the binding one alone is weighted (the catalog's
-    problems have two).
+    With two common decoders, t in [0, 1] weights decoder 0 and 1 - t
+    decoder 1. G(t), the gradient in P (chained through J) of sum_k w_k
+    r_k + w_c (t r_c0 + (1 - t) r_c1), is affine in t, and
+
+        gap(t) = sum_l eps ||G_l(t)||_inf - <G(t), P>
+                 + w_c (t r_c0 + (1 - t) r_c1 - min_j r_cj)
+
+    is the Frank-Wolfe gap max_Q <G(t), Q - P> over the balls plus what
+    the weighting gives away on the min. Both are linear in the point Q
+    and in t, so min_t gap(t) is the most the WSR's first-order model,
+    with the min taken of the decoders' linearizations, gains over the
+    balls: the residual. On the common-rate min's kink (r_c0 = r_c1) it
+    is the smallest gap over the weightings; a decoder that binds by
+    delta bits costs the other one's weight w_c delta, so away from the
+    kink the binding decoder alone counts. gap is convex and piecewise
+    linear in t, so its minimum lies at 0, 1, or where two of a row's
+    lines +-(a + t b) cross; only rows where gap falls as t leaves the
+    binding decoder are searched.
+
+    With `near` (bits), the second term is left out and t runs over [0,
+    1] only where the decoders are within `near` of each other: the
+    weighting that makes the point most nearly stationary on the kink,
+    for the polish's kink step. Without a common stream the gap is the
+    private rates' alone; with more than two decoders the binding one
+    alone is weighted (the catalog's problems have two).
     """
     B, n = len(r), comp.n_priv
     a = _stage_sum(np.broadcast_to(comp.w_own, (B, n)), dr[:, :n])[:, None, :]  # (B, 1, W)
     b = np.zeros_like(a)
-    lo = hi = np.zeros((B, 1))
+    t = np.zeros(B)
+    cost = np.zeros((B, 2))  # what weight 1 on decoder 0, 1 gives away on the min
+    search = np.zeros(B, dtype=bool)
     lam = np.zeros((B, 0))
     if comp.common_col is not None:
         rc = r[:, n:]
@@ -832,37 +842,50 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
         drc = dr[:, n:] * comp.w_common[:, None, None]
         lam = np.zeros_like(rc)
         lam[np.arange(B), binding] = 1.0
-        if rc.shape[1] == 2:  # t weights decoder 0, 1 - t decoder 1
+        if rc.shape[1] == 2:
             a, b = a + drc[:, 1:], drc[:, :1] - drc[:, 1:]
-            close = np.abs(rc[:, :1] - rc[:, 1:]) <= near
-            fixed = (binding == 0).astype(float)[:, None]
-            lo, hi = np.where(close, 0.0, fixed), np.where(close, 1.0, fixed)
+            t = lam[:, 0].copy()
+            if near is None:
+                cost = comp.w_common[:, None] * (rc - rc.min(axis=1, keepdims=True))
+            else:
+                search = np.abs(rc[:, 0] - rc[:, 1]) <= near
         else:
             a = a + _stage_sum(lam, drc)[:, None, :]
     mask = active[:, None, :]
     a = (a @ J)[:, 0].reshape(P.shape) * mask
     b = (b @ J)[:, 0].reshape(P.shape) * mask
 
-    def fw_gap(t, a, b, P, eps):  # at the (rows, T) weights t
+    def fw_gap(t, a, b, P, eps, cost):  # at the (rows, T) weights t
         G = a[:, None] + t[..., None, None] * b[:, None]
-        return eps[:, None] * np.abs(G).max(axis=3).sum(axis=2) - (G * P[:, None]).sum(axis=(2, 3))
+        fw = eps[:, None] * np.abs(G).max(axis=3).sum(axis=2) - (G * P[:, None]).sum(axis=(2, 3))
+        return fw + t * cost[:, :1] + (1.0 - t) * cost[:, 1:]
 
-    t = lo[:, 0].copy()
-    gap = fw_gap(lo, a, b, P, eps)[:, 0]
-    kink = hi[:, 0] > lo[:, 0]
-    if kink.any():
-        a, b = a[kink], b[kink]
+    gap = fw_gap(t[:, None], a, b, P, eps, cost)[:, 0]
+    if near is None and lam.shape[1] == 2:
+        # gap's slope as weight moves off the binding decoder: a row's
+        # eps ||G_l||_inf changes at the rate of its largest s_i db_i
+        # over its entries of largest |G_i| (s_i the sign of G_i, or of
+        # db_i at 0), and the min gives away w_c delta
+        G = a + t[:, None, None] * b
+        db = b * (1.0 - 2.0 * t)[:, None, None]
+        absG = np.abs(G)
+        rate = np.where(G != 0.0, np.sign(G) * db, np.abs(db))
+        rate = np.where(absG == absG.max(axis=2, keepdims=True), rate, -np.inf).max(axis=2)
+        slope = (eps[:, None] * rate).sum(axis=1) - (db * P).sum(axis=(1, 2)) + cost.max(axis=1)
+        search = slope < 0.0
+    if search.any():
+        a, b = a[search], b[search]
         lines0 = np.concatenate((a, -a), axis=2)  # every row's 2 S lines, (rows, L, 2 S)
         lines1 = np.concatenate((b, -b), axis=2)
         i, j = np.triu_indices(lines0.shape[2], 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (lines0[..., j] - lines0[..., i]) / (lines1[..., i] - lines1[..., j])
         rows = len(a)
-        tk = np.concatenate((np.zeros((rows, 1)), np.ones((rows, 1)), cross.reshape(rows, -1)), axis=1)
+        tk = np.concatenate((t[search, None], 1.0 - t[search, None], cross.reshape(rows, -1)), axis=1)
         tk = np.clip(np.nan_to_num(tk, nan=0.0, posinf=0.0, neginf=0.0), 0.0, 1.0)
-        gaps = fw_gap(tk, a, b, P[kink], eps[kink])
+        gaps = fw_gap(tk, a, b, P[search], eps[search], cost[search])
         k = gaps.argmin(axis=1)
-        gap[kink], t[kink] = gaps[np.arange(rows), k], tk[np.arange(rows), k]
+        gap[search], t[search] = gaps[np.arange(rows), k], tk[np.arange(rows), k]
     if lam.shape[1] == 2:
         lam = np.stack((t, 1.0 - t), axis=1)
     return gap, lam
@@ -940,7 +963,7 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, radii: np.nd
     return (d0 + Z @ y[:, :n]).reshape(P.shape), scaled * y[:, n, 0], Zc * kink[:, None]
 
 
-def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray):
+def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     """Projected Newton on the identified face, from every (B, L, K + 1)
     start of P in lockstep; `radii` holds the (B, L) row budgets and
     `wsr` the starts' WSRs.
@@ -967,10 +990,10 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray):
     falls fourfold after a full Newton step that rises and grows
     sixteenfold after a Newton step that does not.
 
-    The residual is `_decoder_weights`'s gap with the decoders within
-    _KINK_RESIDUAL bits of each other counted as binding. A problem stops
-    when its residual is at most _POLISH_GAP, when nothing rises at nu
-    above _NU[2], or after _POLISH_MAX_ITER iterations. Returns (P,
+    The residual is `_decoder_weights`'s. A problem stops when its
+    residual is at most _POLISH_GAP or `tolerance`, whichever is smaller,
+    when nothing rises at nu above _NU[2], or after _POLISH_MAX_ITER
+    iterations. Returns (P,
     history, residual): the final precoders, one list per start of its
     WSR before and after each of its iterations, and the final
     residuals.
@@ -991,12 +1014,13 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray):
     J = (H[:, :, None, :, None] * np.eye(S)[None, None, :, None, :]).reshape(len(H), -1, n)
     JT = J.transpose(0, 2, 1)
     live, batch, nd, n_priv = np.arange(B), comp, len(comp.decoders), comp.n_priv
+    stop = min(_POLISH_GAP, tolerance)
     for it in range(1, _POLISH_MAX_ITER + 2):
         Q, e, act, R = P[live], eps[live], active[live], radii[live]
         Jl, JTl = (J, JT) if len(J) == 1 else (J[live], JT[live])
         r, dr, d2r = _stage_derivatives(batch, Q)
-        res, _ = _decoder_weights(batch, r, dr, Jl, Q, e, act, _KINK_RESIDUAL)
-        finished = res <= _POLISH_GAP
+        res, _ = _decoder_weights(batch, r, dr, Jl, Q, e, act)
+        finished = res <= stop
         if it > _POLISH_MAX_ITER:
             finished[:] = True
         if finished.any():
@@ -1108,7 +1132,7 @@ def _solve_starts(comp: _Compiled, radii: np.ndarray, P0: np.ndarray, config: Ao
     (P, history, residual), each start's history its AO then its polish
     WSRs."""
     P, history = _ao_batch(comp, radii, P0, config)
-    P, polished, residual = _polish(comp, radii, P, np.array([h[-1] for h in history]))
+    P, polished, residual = _polish(comp, radii, P, np.array([h[-1] for h in history]), config.tolerance)
     return P, [h + p[1:] for h, p in zip(history, polished)], residual
 
 
@@ -1125,9 +1149,9 @@ def ao_solve(
     A problem's starts are, in this order: ZF; one single-user corner
     per user, the full budget on that user's stream (`_beam_start`: the
     single-user optima, which a start inside the balls reaches only by
-    crawling); the solutions of its `warm_from` problems (below); one
-    random feasible start seeded by `Problem.seed`; and, for RSMA, the
-    four split starts `_split_start` with alpha = _SPLITS. Every start runs
+    crawling); the solutions of its `warm_from` problems (below); and, for
+    RSMA, the four split starts `_split_start` with alpha = _SPLITS. The
+    set is fixed, so a solve is deterministic. Every start runs
     WMMSE AO until its WSR settles or `config.max_iterations`, then the
     projected-Newton polish (`_polish`). The best final WSR wins, the
     earliest start on ties (`Solution.restart_index`). Both stages only
@@ -1189,7 +1213,6 @@ def ao_solve(
         ch, refs = problem.channel, problem.warm_from
         own = [_zf_start(ch, lay, eps)] + [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
         own += [np.zeros_like(own[0])] * len(refs)  # filled from the named problems' winners
-        own.append(_random_start(ch, lay, eps, np.random.default_rng(problem.seed)))
         if problem.scheme == "rsma":
             own += [_split_start(ch, lay, eps, alpha) for alpha in _SPLITS]
         firsts.append(sum(counts))

@@ -218,7 +218,6 @@ class SweepRow:
     common_cap: float
     iterations: int
     converged: bool
-    seed: int
     error: str | None = None
     residual: float | None = None  # the Solution's; None on an error row
 
@@ -237,11 +236,6 @@ class SweepResult:
     @property
     def failures(self) -> tuple:
         return tuple(r for r in self.rows if r.error is not None)
-
-
-def _point_seed(base_seed: int, scheme: str, index: int) -> int:
-    ss = np.random.SeedSequence([int(base_seed), SCHEMES.index(scheme), int(index)])
-    return int(ss.generate_state(1)[0])
 
 
 def _solve_points(problems, priorities, config) -> list:
@@ -278,7 +272,7 @@ def _ao_solve(problems, priorities, config):
     return ao_solve(problems, priorities, config, layout=layout)
 
 
-def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> dict:
+def solve_schemes(channels, priorities, schemes, config, epsilons) -> dict:
     """{scheme: [(layout, Solution or the raised exception) per channel
     that requests the scheme, in channel order]}.
 
@@ -291,8 +285,7 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
     are solved also where only RSMA is requested; one that failed at a
     channel gives no warm start there. Every solve runs under the
     AoConfig `config`; channel j has the amplitude budget `epsilons[j]`
-    in every scheme, and `seed_for(scheme, j)` gives its random-start
-    seed. Every problem of every channel is one batched ao_solve call,
+    in every scheme. Every problem of every channel is one batched ao_solve call,
     NOMA ones of either strong user included: the RSMA problems' warm
     starts run as the call's second wave, from the helpers' polished
     winners. If the call raises, each (scheme, channel) is solved in a
@@ -315,7 +308,7 @@ def solve_schemes(channels, priorities, schemes, config, epsilons, seed_for) -> 
     keys = list(layouts)
     index = {key: p for p, key in enumerate(keys)}
     problems = [
-        Problem(channels[j], scheme, epsilons[j], seed_for(scheme, j),
+        Problem(channels[j], scheme, epsilons[j],
                 tuple(index[h, j] for h in _helpers(channels[j]) if (h, j) in index) if scheme == "rsma" else ())
         for scheme, j in keys
     ]
@@ -330,33 +323,32 @@ def _helpers(channel: ChannelMatrix) -> tuple:
     return ("sdma", "noma") if channel.num_users == 2 else ("sdma",)
 
 
-def _row(spec: ScenarioSpec, scheme: str, value: float, seed: int, sol) -> SweepRow:
+def _row(spec: ScenarioSpec, scheme: str, value: float, sol) -> SweepRow:
     """The sweep row of one point: its Solution, or the exception it raised."""
     if isinstance(sol, Exception):
         return SweepRow(
             scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
             wsr=0.0, rates=(0.0,) * len(spec.users), common_cap=0.0,
-            iterations=0, converged=False, seed=seed,
+            iterations=0, converged=False,
             error=f"{type(sol).__name__}: {sol}",
         )
     return SweepRow(
         scheme=scheme, sweep_name=spec.sweep.name, sweep_value=value,
         wsr=sol.wsr, rates=tuple(float(r) for r in sol.report.overall),
         common_cap=sol.report.common_cap, iterations=sol.iterations,
-        converged=sol.converged, seed=seed, residual=sol.residual,
+        converged=sol.converged, residual=sol.residual,
     )
 
 
-def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -> list:
+def _solve_chunk(spec: ScenarioSpec, points: list, ref: float) -> list:
     """Rows of a chunk of (index, value) sweep points (separate process safe).
 
     Each point's amplitude budget is epsilon_from_snr of its SNR, its
     channel's RMS noise level and the reference gain `ref`. The chunk is
     one `solve_schemes` call, so its SDMA, NOMA and RSMA points are one
     batched solve, each RSMA point's warm starts running in its second
-    wave from its own point's SDMA/NOMA solutions; a point's seed
-    derives from (base_seed, scheme, sweep index). The
-    points of an SNR sweep share one channel; a separation sweep moves
+    wave from its own point's SDMA/NOMA solutions. The points of an SNR
+    sweep share one channel; a separation sweep moves
     the users, so each of its points has a channel of its own. A point
     whose budget cannot be computed (say, 10^(SNR/20) overflows) gets an
     error row in every scheme and is not solved.
@@ -367,31 +359,26 @@ def _solve_chunk(spec: ScenarioSpec, points: list, base_seed: int, ref: float) -
         channel = build_scene_channel(spec)
         scenes = [(channel, value) for _, value in points]
     rows, solvable, channels, epsilons = [], [], [], []
-    for (i, value), (channel, snr) in zip(points, scenes):
+    for (_, value), (channel, snr) in zip(points, scenes):
         try:
             eps = epsilon_from_snr(snr, float(np.sqrt(np.mean(channel.noise))), reference_gain=ref)
         except (ArithmeticError, ValueError) as exc:
-            rows += [_row(spec, s, value, _point_seed(base_seed, s, i), exc) for s in spec.schemes]
+            rows += [_row(spec, s, value, exc) for s in spec.schemes]
             continue
-        solvable.append((i, value))
+        solvable.append(value)
         channels.append(channel)
         epsilons.append(eps)
 
-    def seed_for(scheme, j):
-        return _point_seed(base_seed, scheme, solvable[j][0])
-
-    solved = solve_schemes(channels, spec.priorities, spec.schemes, spec.ao, epsilons, seed_for)
+    solved = solve_schemes(channels, spec.priorities, spec.schemes, spec.ao, epsilons)
     for scheme, results in solved.items():
-        rows += [_row(spec, scheme, value, seed_for(scheme, j), sol)
-                 for j, ((_, value), (_, sol)) in enumerate(zip(solvable, results))]
+        rows += [_row(spec, scheme, value, sol) for value, (_, sol) in zip(solvable, results)]
     return rows
 
 
-def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> SweepResult:
+def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
     """Solve every (scheme, sweep value) of the scenario.
 
-    Per-point seeds derive from (base_seed, scheme, sweep index). With
-    `workers` > 1 the points are dealt round-robin into that many
+    With `workers` > 1 the points are dealt round-robin into that many
     chunks, one per worker process, so the slow points (high SNR) spread
     over the workers; each chunk solves the SDMA, NOMA and RSMA problems
     of its points in one batched ao_solve call, whether the points share
@@ -411,9 +398,9 @@ def run_sweep(spec: ScenarioSpec, base_seed: int = 0, workers: int = 1) -> Sweep
     if n > 1:
         chunks = [points[c::n] for c in range(n)]
         with ProcessPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(_solve_chunk, repeat(spec), chunks, repeat(base_seed), repeat(ref)))
+            results = list(pool.map(_solve_chunk, repeat(spec), chunks, repeat(ref)))
     else:
-        results = [_solve_chunk(spec, points, base_seed, ref)]
+        results = [_solve_chunk(spec, points, ref)]
     rows = [row for chunk in results for row in chunk]
     order = {v: i for i, v in points}
     rows.sort(key=lambda r: (r.scheme, order[r.sweep_value]))

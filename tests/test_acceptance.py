@@ -35,13 +35,13 @@ SCENARIOS = ("scenario1_4led", "scenario2_4led", "scenario3_4led", "scenario1_2l
 @lru_cache(maxsize=None)
 def scenario_sweep(name: str):
     spec = replace(catalog()[name], sweep=Sweep("snr_db", SNR_GRID))
-    return run_sweep(spec, base_seed=0, workers=2)
+    return run_sweep(spec, workers=2)
 
 
 @lru_cache(maxsize=None)
 def separation_sweep(snr_db: float):
     spec = replace(catalog()["separation_sweep_2led"], snr_db=snr_db)
-    return run_sweep(spec, base_seed=0, workers=2)
+    return run_sweep(spec, workers=2)
 
 
 def wsr_at(name: str, scheme: str, snr: float) -> float:
@@ -57,7 +57,7 @@ def test_criterion_1_scenario1_absolute_wsr():
     spec = catalog()["scenario1_4led"]
     channel = build_scene_channel(spec)
     eps = epsilon_from_snr(40.0, float(np.sqrt(np.mean(channel.noise))), reference_gain=reference_gain(spec))
-    _, sol = solve_schemes([channel], (0.5, 0.5), ("rsma",), spec.ao, [eps], lambda *_: 0)["rsma"][0]
+    _, sol = solve_schemes([channel], (0.5, 0.5), ("rsma",), spec.ao, [eps])["rsma"][0]
     elapsed = time.monotonic() - t0
     assert 15.5 * 0.8 <= sol.wsr <= 15.5 * 1.2
     assert elapsed <= 120.0
@@ -206,11 +206,10 @@ def test_criterion_6_property_suite():
         ch = ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2))
         scheme = ("rsma", "sdma", "noma")[i % 3]
         eps = float(rng.uniform(0.5, 40.0))
-        drawn[scheme].append((ch, eps, int(rng.integers(1 << 16))))
+        drawn[scheme].append((ch, eps))
     for scheme, instances in drawn.items():
-        channels, epsilons, seeds = zip(*instances)
-        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), epsilons,
-                               lambda _, j: seeds[j])[scheme]
+        channels, epsilons = zip(*instances)
+        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), epsilons)[scheme]
         for eps, (_, sol) in zip(epsilons, solved):
             assert np.all(np.diff(sol.wsr_history) >= -1e-8)
             assert sol.precoder.max_row_l1() <= eps + 1e-9
@@ -241,14 +240,9 @@ def test_criterion_6_property_suite():
     eps = epsilon_from_snr(15.0, 1.0)
     drawn = {}
     for scheme in ("rsma", "sdma", "noma"):
-        drawn[scheme] = [
-            (ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2)), int(rng.integers(1 << 16)))
-            for _ in range(20)
-        ]
-    for scheme, instances in drawn.items():
-        channels, seeds = zip(*instances)
-        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), [eps] * 20,
-                               lambda _, j: seeds[j])[scheme]
+        drawn[scheme] = [ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2)) for _ in range(20)]
+    for scheme, channels in drawn.items():
+        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), [eps] * 20)[scheme]
         for i, (ch, (lay, sol)) in enumerate(zip(channels, solved)):
             oracle = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)
             assert abs(sol.wsr - oracle) <= 0.05 * oracle, (scheme, i)

@@ -30,6 +30,7 @@ class TestRunCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2  # schemes x sweep points
+        assert all(line.endswith(",3") for line in lines[1:])  # the seed column holds --seed
         assert capsys.readouterr().out.count("rsma,snr_db") == 2
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -339,8 +340,8 @@ class TestValidate:
         for scheme in signal_model.SCHEMES:
             for i in range(3):
                 ch = ChannelMatrix(gains=rng.uniform(0.2, 1.0, size=(2, 2)), noise=np.ones(2))
-                seed = int(rng.integers(1 << 31))
-                solved = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), cfg, [eps], lambda *_: seed)
+                rng.integers(1 << 31)  # validate spends one draw per instance
+                solved = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), cfg, [eps])
                 lay, sol = solved[scheme][0]
                 oracle = optimizer.grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps)
                 deviation = abs(sol.wsr - oracle) / max(oracle, 1e-12)
@@ -426,6 +427,18 @@ class TestConfigPlumbing:
             RunConfig(scenario=None, scenario_file=None)
         with pytest.raises(ConfigError):
             RunConfig(scenario="a", format="xml")
+
+    def test_delta_below_the_polish_stop_converges(self, tmp_path):
+        # the polish stops at the smaller of its own stop (1e-7) and the
+        # tolerance; its own stop leaves this row at a residual of about
+        # 9e-8, above this --delta
+        out = tmp_path / "rows.json"
+        argv = ["run", "--scenario", "scenario3_4led", "--schemes", "sdma", "--snr", "40", "--delta", "1e-8",
+                "--format", "json", "--out", str(out)]
+        assert optimizer._POLISH_GAP > 1e-8
+        assert main(argv) == 0
+        [row] = json.loads(out.read_text())
+        assert row["converged"] and row["residual"] <= 1e-8
 
     def test_ao_overrides_reach_solver(self, tmp_path, monkeypatch):
         seen = []

@@ -152,7 +152,7 @@ class TestRunSweep:
         return replace(spec, sweep=Sweep("snr_db", (5.0, 15.0)), **kw)
 
     def test_row_structure(self):
-        res = run_sweep(self._tiny(schemes=("rsma", "sdma")), base_seed=1)
+        res = run_sweep(self._tiny(schemes=("rsma", "sdma")))
         assert len(res.rows) == 4
         assert [r.scheme for r in res.rows] == ["rsma", "rsma", "sdma", "sdma"]
         assert [r.sweep_value for r in res.rows] == [5.0, 15.0, 5.0, 15.0]
@@ -169,8 +169,8 @@ class TestRunSweep:
         # 10^(SNR/20) overflows a float at 10,000 dB: that point gets an
         # error row in every scheme, the other point its clean row
         spec = replace(self._tiny(schemes=("rsma", "sdma")), sweep=Sweep("snr_db", (5.0, 1e4)))
-        res = run_sweep(spec, base_seed=1)
-        clean = run_sweep(replace(spec, sweep=Sweep("snr_db", (5.0,))), base_seed=1)
+        res = run_sweep(spec)
+        clean = run_sweep(replace(spec, sweep=Sweep("snr_db", (5.0,))))
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("rsma", 1e4), ("sdma", 1e4)]
         assert all(r.error.startswith("OverflowError") and r.wsr == 0.0 for r in res.failures)
         assert tuple(r for r in res.rows if r.sweep_value == 5.0) == clean.rows
@@ -179,7 +179,7 @@ class TestRunSweep:
         # per scheme, and `run` exits 2
         calls = []
         monkeypatch.setattr(scenarios, "ao_solve", lambda *args, **kw: calls.append(args))
-        res = run_sweep(replace(self._tiny(), sweep=Sweep("snr_db", (1e4,))), base_seed=1)
+        res = run_sweep(replace(self._tiny(), sweep=Sweep("snr_db", (1e4,))))
         assert [(r.scheme, r.sweep_value) for r in res.rows] == [(s, 1e4) for s in ("noma", "rsma", "sdma")]
         assert res.failures == res.rows
         assert all(r.error.startswith("OverflowError") for r in res.rows)
@@ -190,21 +190,14 @@ class TestRunSweep:
     def test_deterministic_across_reruns_and_workers(self):
         # the chunks differ with the worker count, the rows must not
         spec = replace(self._tiny(), sweep=Sweep("snr_db", (5.0, 15.0, 25.0)))
-        a = run_sweep(spec, base_seed=7, workers=1)
-        b = run_sweep(spec, base_seed=7, workers=1)
-        c = run_sweep(spec, base_seed=7, workers=2)
+        a = run_sweep(spec, workers=1)
+        b = run_sweep(spec, workers=1)
+        c = run_sweep(spec, workers=2)
         assert len(a.rows) == 9
         assert a == b == c
 
-    def test_seed_changes_solutions_not_structure(self):
-        spec = self._tiny(schemes=("sdma",))
-        a = run_sweep(spec, base_seed=1)
-        b = run_sweep(spec, base_seed=2)
-        assert [r.seed for r in a.rows] != [r.seed for r in b.rows]
-        assert [r.sweep_value for r in a.rows] == [r.sweep_value for r in b.rows]
-
     def test_rsma_rows_dominate_special_cases(self):
-        res = run_sweep(self._tiny(), base_seed=3)
+        res = run_sweep(self._tiny())
         by = {s: dict(res.wsr_series(s)) for s in ("rsma", "sdma", "noma")}
         for snr in (5.0, 15.0):
             assert by["rsma"][snr] >= by["sdma"][snr] - 1e-9
@@ -221,7 +214,7 @@ class TestRunSweep:
             return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", flaky)
-        res = run_sweep(self._tiny(schemes=("sdma", "noma")), base_seed=1)
+        res = run_sweep(self._tiny(schemes=("sdma", "noma")))
         failed = [r for r in res.rows if r.scheme == "sdma"]
         fine = [r for r in res.rows if r.scheme == "noma"]
         assert all(r.error and "synthetic" in r.error for r in failed)
@@ -232,7 +225,7 @@ class TestRunSweep:
         # a failure at one point of a batched call fails that point only
         spec = self._tiny()
         monkeypatch.setattr(scenarios, "ao_solve", real)
-        clean = run_sweep(spec, base_seed=1)
+        clean = run_sweep(spec)
         calls = []
         # the budget of the 15 dB point (the scene has unit noise)
         eps15 = epsilon_from_snr(15.0, 1.0, reference_gain=reference_gain(spec))
@@ -244,7 +237,7 @@ class TestRunSweep:
             return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", point_flaky)
-        res = run_sweep(spec, base_seed=1)
+        res = run_sweep(spec)
         # one batched SDMA + NOMA + RSMA call, listed under its first
         # problem's scheme, falls back to one call per (scheme, point); an
         # RSMA point's call solves its helpers that succeeded again first
@@ -272,7 +265,7 @@ class TestRunSweep:
             return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", helpers_flaky)
-        res = run_sweep(spec, base_seed=1)
+        res = run_sweep(spec)
         assert calls == [
             ("sdma", 6), ("sdma", 1), ("sdma", 1), ("noma", 1), ("noma", 1), ("sdma", 3), ("rsma", 1),
         ]
@@ -288,7 +281,7 @@ class TestRunSweep:
             sweep=Sweep("separation", (3.6,)),
             snr_db=20.0,
         )
-        res = run_sweep(spec, base_seed=0)
+        res = run_sweep(spec)
         assert len(res.rows) == 1
         assert res.rows[0].sweep_value == 3.6
         assert res.rows[0].wsr > 5.0
@@ -302,8 +295,8 @@ class TestRunSweep:
             snr_db=20.0,
             schemes=("rsma", "sdma", "noma"),
         )
-        a = run_sweep(spec, base_seed=4, workers=1)
-        b = run_sweep(spec, base_seed=4, workers=2)
+        a = run_sweep(spec, workers=1)
+        b = run_sweep(spec, workers=2)
         assert [r.sweep_value for r in a.rows] == [2.0, 3.6, 5.0] * 3
         assert a == b
 
@@ -323,7 +316,7 @@ class TestRunSweep:
         channels = [build_scene_channel(spec, v) for v in values]
         assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
         ref = reference_gain(spec)
-        alone = [row for point in enumerate(values) for row in scenarios._solve_chunk(spec, [point], 5, ref)]
+        alone = [row for point in enumerate(values) for row in scenarios._solve_chunk(spec, [point], ref)]
         alone.sort(key=lambda r: (r.scheme, values.index(r.sweep_value)))
         calls = []
         real = scenarios.ao_solve
@@ -333,7 +326,7 @@ class TestRunSweep:
             return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", spy)
-        res = run_sweep(spec, base_seed=5, workers=workers)
+        res = run_sweep(spec, workers=workers)
         assert res.rows == tuple(alone)
         if workers == 1:  # the pool's processes keep their own call lists
             assert calls == [("sdma", 12)]
@@ -363,14 +356,14 @@ class TestTracerContract:
 
         monkeypatch.setattr(scenarios, "ao_solve", traced)
         spec = replace(catalog()["scenario1_2led"], sweep=Sweep("snr_db", (5.0, 15.0)))
-        assert not run_sweep(spec, base_seed=1).failures
+        assert not run_sweep(spec).failures
         separations = replace(
             catalog()["separation_sweep_2led"],
             sweep=Sweep("separation", (1.2, 3.6)),
             snr_db=20.0,
             schemes=("rsma", "sdma", "noma"),
         )
-        assert not run_sweep(separations, base_seed=1).failures
+        assert not run_sweep(separations).failures
         assert main(["validate", "--mc-instances", "1", "--oracle-instances", "2"]) == 0
         assert raised == []
         # each sweep: SDMA, NOMA and RSMA in one call; validate: one call
