@@ -20,12 +20,14 @@ true weighted sum rate (WSR):
   common-rate min enters through its decoders' weights: the binding
   decoder's, or at the min's kink the weighting that makes the point
   most nearly stationary, with the step held on the kink. A step is kept
-  only if the true WSR rises.
+  only if the true WSR rises. It stops at a residual of 1e-7 or
+  `AoConfig.tolerance`, whichever is smaller.
 
-A start's residual is the Frank-Wolfe gap of its final point, the most
-a linear model of the WSR could gain over the balls (b/s/Hz), and a
-solution is `converged` when the winning start's residual is at most
-`AoConfig.tolerance`. The stage amplitudes, received powers and SINRs
+A start's residual is the most the first-order model of its WSR at its
+final point, with the common-rate min taken of the decoders'
+linearizations, could gain over the balls (b/s/Hz; a Frank-Wolfe gap,
+see `_decoder_weights`), and a solution is `converged` when the winning
+start's residual is at most `AoConfig.tolerance`. The stage amplitudes, received powers and SINRs
 behind the equalizers, the surrogate, the polish's derivatives, the true
 rates and the grid oracle all come from signal_model.SicKernel.
 
@@ -198,8 +200,9 @@ class Solution:
     winner's AO iterations plus its polish iterations, and `wsr_history`
     holds its WSR at its start and after each of them (so it has
     `iterations` + 1 entries and never falls). `residual` is the
-    winner's final Frank-Wolfe gap in b/s/Hz (see `_decoder_weights`),
-    and `converged` means it is at most `AoConfig.tolerance`.
+    winner's final residual in b/s/Hz, the most the first-order model of
+    its WSR could gain over the balls (see `_decoder_weights`), and
+    `converged` means it is at most `AoConfig.tolerance`.
     """
 
     precoder: Precoder
