@@ -27,8 +27,8 @@ A start's residual is the most the first-order model of its WSR at its
 final point, with the common-rate min taken of the decoders'
 linearizations, could gain over the balls (b/s/Hz; a Frank-Wolfe gap,
 see `_decoder_weights`), and a solution is `converged` when the winning
-start's residual is at most `AoConfig.tolerance`. The stage amplitudes, received powers and SINRs
-behind the equalizers, the surrogate, the polish's derivatives, the true
+start's residual is at most `AoConfig.tolerance`. The stage amplitudes,
+received powers and SINRs behind the equalizers, the surrogate, the polish's derivatives, the true
 rates and the grid oracle all come from signal_model.SicKernel.
 
 The common-rate shares never enter the subproblem explicitly: for fixed
@@ -156,11 +156,12 @@ class AoConfig:
     """Settings of the solver.
 
     They hold for every problem of an `ao_solve` call; a problem's
-    amplitude budget and warm starts are fields of its `Problem`. `max_iterations` caps each start's AO stage, which also
-    ends once one iteration moves its WSR by at most `tolerance`; the
-    polish then finishes every start. `tolerance` is also the residual
-    (Frank-Wolfe gap, b/s/Hz) at or below which a solution is
-    `converged`. The starts are no setting: see `ao_solve`.
+    amplitude budget and warm starts are fields of its `Problem`.
+    `max_iterations` caps each start's AO stage, which also ends once one
+    iteration moves its WSR by at most `tolerance`; the polish then
+    finishes every start, and stops at a residual of `tolerance` if that
+    is below its own stop. `tolerance` is also the residual (b/s/Hz) at
+    or below which a solution is `converged`. The starts are no setting: see `ao_solve`.
     """
 
     tolerance: float = 1e-4  # b/s/Hz: AO's WSR change, and the residual of a converged solution
@@ -196,10 +197,10 @@ class Solution:
     `restart_index` names the winner among the problem's starts, in the
     order `ao_solve` lists them: 0 is ZF, 1..K the single-user corners,
     then the `warm_from` solutions in order, and last, for RSMA, the four
-    split starts. `iterations` counts the
-    winner's AO iterations plus its polish iterations, and `wsr_history`
-    holds its WSR at its start and after each of them (so it has
-    `iterations` + 1 entries and never falls). `residual` is the
+    split starts. `iterations` counts the winner's AO iterations plus its
+    polish iterations, and `wsr_history` holds its WSR at its start and
+    after each of them (so it has `iterations` + 1 entries and never
+    falls). `residual` is the
     winner's final residual in b/s/Hz, the most the first-order model of
     its WSR could gain over the balls (see `_decoder_weights`), and
     `converged` means it is at most `AoConfig.tolerance`.
@@ -818,9 +819,10 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
     and in t, so min_t gap(t) is the most the WSR's first-order model,
     with the min taken of the decoders' linearizations, gains over the
     balls: the residual. On the common-rate min's kink (r_c0 = r_c1) it
-    is the smallest gap over the weightings; a decoder that binds by
-    delta bits costs the other one's weight w_c delta, so away from the
-    kink the binding decoder alone counts. gap is convex and piecewise
+    is the smallest gap over the weightings; where a decoder binds by
+    delta bits, weight on the other one costs w_c delta, so the farther
+    from the kink, the closer the residual is to the binding decoder's
+    own gap, which bounds it. gap is convex and piecewise
     linear in t, so its minimum lies at 0, 1, or where two of a row's
     lines +-(a + t b) cross; only rows where gap falls as t leaves the
     binding decoder are searched.
@@ -996,10 +998,9 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     The residual is `_decoder_weights`'s. A problem stops when its
     residual is at most _POLISH_GAP or `tolerance`, whichever is smaller,
     when nothing rises at nu above _NU[2], or after _POLISH_MAX_ITER
-    iterations. Returns (P,
-    history, residual): the final precoders, one list per start of its
-    WSR before and after each of its iterations, and the final
-    residuals.
+    iterations. Returns (P, history, residual): the final precoders, one
+    list per start of its WSR before and after each of its iterations,
+    and the final residuals.
     """
     B, L, S = P.shape
     n = L * S

@@ -680,7 +680,8 @@ class TestBatchedSolver:
             epsilons = [epsilon_from_snr(float(rng.uniform(0.0, 40.0)), 1.0) for _ in range(6)]
             w = tuple(rng.uniform(0.2, 1.0, 2))
         problems = [Problem(ch, s, eps) for ch, eps in zip(channels, epsilons) for s in ("sdma", "noma")]
-        problems += [Problem(ch, "rsma", eps, (2 * j, 2 * j + 1)) for j, (ch, eps) in enumerate(zip(channels, epsilons))]
+        problems += [Problem(ch, "rsma", eps, (2 * j, 2 * j + 1))
+                     for j, (ch, eps) in enumerate(zip(channels, epsilons))]
         return problems, w
 
     def test_drawn_batches_equal_each_channel_alone(self):
@@ -934,7 +935,8 @@ class TestPolish:
         rc = r[:, -2:]
         grid = []
         for t in np.linspace(0.0, 1.0, 2001):
-            G = optimizer._stage_sum(np.concatenate((np.full((B, 2), 0.5), w_c * np.array([[t, 1 - t]] * B)), axis=1), dr)
+            weights = np.concatenate((np.full((B, 2), 0.5), w_c * np.array([[t, 1 - t]] * B)), axis=1)
+            G = optimizer._stage_sum(weights, dr)
             G = (G[:, None, :] @ J)[:, 0].reshape(P.shape)
             fw = eps * np.abs(G).max(axis=2).sum(axis=1) - (G * P).sum(axis=(1, 2))
             grid.append(fw + w_c * (t * rc[:, 0] + (1 - t) * rc[:, 1] - rc.min(axis=1)))

@@ -253,7 +253,7 @@ class TestRunSweep:
         assert rsma15[0].error is None and rsma15[0].converged
 
         # when every helper fails at a point, RSMA still solves it, from its
-        # own ZF/corner/random starts alone (no warm start, no helper
+        # own ZF, corner and split starts alone (no warm start, no helper
         # re-solve); at the other point its call re-solves both helpers
         calls, warm = [], []
 
