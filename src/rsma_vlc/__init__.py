@@ -1,10 +1,10 @@
 """Multi-user MISO visible-light downlink simulator and precoder optimizer.
 
 Submodules: channel (LoS gains and receiver noise), signal_model
-(stream layouts, SINRs, rates), optimizer (WMMSE alternating
-optimization under per-fixture L1 budgets, finished by a projected-Newton
-polish), scenarios (experiment
-catalog and sweeps), cli (command-line front end).
+(stream layouts, SINRs, rates), optimizer (weighted-sum-rate maximization
+under per-fixture L1 budgets: projected Newton from a fixed set of
+starts), scenarios (experiment catalog and sweeps), cli (command-line
+front end).
 """
 
 from .channel import (

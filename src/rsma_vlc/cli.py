@@ -3,9 +3,10 @@
 Commands and the options each takes (any other option exits 1):
   run           solve a scene's sweep, print CSV rows, write CSV/JSON rows
                 --scenario NAME or --scenario-file PATH, --schemes, --snr,
-                --noise-mode, --delta, --max-iters, --seed (only written to
-                the seed column: the solver draws no random numbers),
-                --workers (RSMA_VLC_WORKERS when not given), --out, --format
+                --noise-mode, --delta (the residual at which a solution
+                counts as converged), --seed (only written to the seed
+                column: the solver draws no random numbers), --workers
+                (RSMA_VLC_WORKERS when not given), --out, --format
   channel-dump  print the gain matrix and noise vector of a scene
                 --scenario NAME or --scenario-file PATH, --noise-mode
   validate      Monte-Carlo SINR checks and brute-force oracle cross-checks
@@ -81,7 +82,6 @@ class RunConfig:
     format: str = "csv"
     noise_mode: str | None = None
     tolerance: float | None = None
-    max_iters: int | None = None
     workers: int = 1
     mc_instances: int = 20
     mc_symbols: int = 1_000_000
@@ -216,11 +216,9 @@ def _resolve_spec(config: RunConfig) -> ScenarioSpec:
             spec = replace(spec, snr_db=config.snr[0])
         else:
             raise ConfigError("separation sweeps take a single --snr operating point")
-    given = {"tolerance": config.tolerance, "max_iterations": config.max_iters}
-    overrides = {k: v for k, v in given.items() if v is not None}
-    if overrides:
+    if config.tolerance is not None:
         try:
-            spec = replace(spec, ao=replace(spec.ao, **overrides))
+            spec = replace(spec, ao=replace(spec.ao, tolerance=config.tolerance))
         except ValueError as exc:  # AoConfig's own limits
             raise ConfigError(str(exc)) from None
     return spec
@@ -391,8 +389,7 @@ _OPTIONS = {
     "--snr": {"help": "comma list of SNR points in dB"},
     "--noise-mode": {"choices": ("unit", "physical"), "help": "receiver noise model"},
     "--delta": {"dest": "tolerance", "metavar": "DELTA", "type": float,
-                "help": "AO stop and convergence (residual) tolerance in bits/s/Hz"},
-    "--max-iters": {"type": int, "help": "AO iteration cap of each start, before its polish"},
+                "help": "convergence (residual) tolerance in bits/s/Hz"},
     "--seed": {"type": int, "help": "random seed of validate's instances; run writes it to its seed column"},
     "--workers": {"type": int, "help": "parallel sweep workers; RSMA_VLC_WORKERS when not given"},
     "--out": {"help": "output file path"},
@@ -407,7 +404,7 @@ _OPTIONS = {
 _COMMANDS = {
     "run": ("solve a scene's sweep and write one row per scheme and point", (
         "--scenario", "--scenario-file", "--schemes", "--snr", "--noise-mode", "--delta",
-        "--max-iters", "--seed", "--workers", "--out", "--format")),
+        "--seed", "--workers", "--out", "--format")),
     "channel-dump": ("print a scene's gain matrix and noise vector",
                      ("--scenario", "--scenario-file", "--noise-mode")),
     "validate": ("Monte-Carlo SINR checks and brute-force oracle cross-checks", (

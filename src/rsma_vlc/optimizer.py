@@ -1,38 +1,36 @@
 """Weighted-sum-rate precoder optimization under per-fixture L1 budgets.
 
-Every start of a problem runs two stages, and both only ever raise its
-true weighted sum rate (WSR):
+Every start of a problem is projected onto the per-row L1 balls and
+then finished by projected Newton on the face it identifies (`_polish`;
+Bertsekas 1982): each row's support and signs, and the rows on their L1
+balls, with a Levenberg shift. Rates depend on the precoder P only
+through the received amplitudes A = H P, so the gradient and Hessian are
+closed forms in A chained through H: one small (n, n) system per start,
+n = L (K + 1) <= 12, solved for the whole batch at once. The common-rate
+min enters through its decoders' weights: the binding decoder's, or at
+the min's kink the weighting that makes the point most nearly
+stationary, with the step held on the kink. A step is kept only if the
+true weighted sum rate (WSR) rises, so a start's WSR never falls. It
+stops at a residual of 1e-7 or `AoConfig.tolerance`, whichever is
+smaller.
 
-- WMMSE alternating optimization (AO): with the precoder fixed,
-  per-stream MMSE equalizers and inverse-MSE weights have closed forms;
-  with those fixed, the weighted-sum-MSE surrogate is concave quadratic
-  in the precoder and is maximized by accelerated projected gradient
-  (PG) over the per-row L1 balls. The surrogate is a tight lower bound
-  of the true WSR at freshly updated equalizers/weights, so the outer
-  loop is monotonically nondecreasing. AO explores: it stops once its
-  WSR settles (`AoConfig.tolerance`) or after `AoConfig.max_iterations`.
-- The polish (`_polish`): projected Newton on the face the AO point
-  identifies (each row's support and signs, and the rows on their L1
-  balls), with a Levenberg shift. Rates depend on the precoder P only
-  through the received amplitudes A = H P, so the gradient and Hessian
-  are closed forms in A chained through H: one small (n, n) system per
-  start, n = L (K + 1) <= 12, solved for the whole batch at once. The
-  common-rate min enters through its decoders' weights: the binding
-  decoder's, or at the min's kink the weighting that makes the point
-  most nearly stationary, with the step held on the kink. A step is kept
-  only if the true WSR rises. It stops at a residual of 1e-7 or
-  `AoConfig.tolerance`, whichever is smaller.
+The fixed start set (ZF, the single-user corners, RSMA's split starts
+and the warm starts; see `ao_solve`) does the exploring. WMMSE
+alternating optimization (AO; Shi, Razaviyayn, Luo & He 2011) once ran
+up to 20 iterations from each start before the polish; from this start
+set it changed no catalog WSR by more than rounding, so it went. The
+names `ao_solve` and `AoConfig` stay (see each).
 
 A start's residual is the most the first-order model of its WSR at its
 final point, with the common-rate min taken of the decoders'
 linearizations, could gain over the balls (b/s/Hz; a Frank-Wolfe gap,
 see `_decoder_weights`), and a solution is `converged` when the winning
-start's residual is at most `AoConfig.tolerance`. The stage amplitudes,
-received powers and SINRs behind the equalizers, the surrogate, the polish's derivatives, the true
-rates and the grid oracle all come from signal_model.SicKernel.
+start's residual is at most `AoConfig.tolerance`. The SINRs behind the
+true rates and the grid oracle, and the stage powers behind the
+polish's derivatives, all come from signal_model.SicKernel.
 
-The common-rate shares never enter the subproblem explicitly: for fixed
-priorities the optimal split is greedy (everything to the highest
+The common-rate shares never enter the optimization explicitly: for
+fixed priorities the optimal split is greedy (everything to the highest
 priority taker, or to the weak user under NOMA), so the common stream
 contributes through the minimum of the decoders' rates. The exact
 shares are re-materialized from the true rates on exit.
@@ -43,43 +41,38 @@ only through its stream weights: a private weight is the user's
 priority if its layout gives that user a private stream, else 0, and the
 common weight is the priority of the user the greedy split hands the
 common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with a
-zero-weighted stream. That stream starts at 0, gets a zero gradient,
-the L1 projection keeps it at 0 and the polish leaves its column out of
-every face, so it adds exact zeros to every rate, surrogate value and
-step bound. A batch's SIC kernel is built from its one layout, or from
-RSMA's when its layouts differ, so the stages of a stream that no
-problem of the batch weights are left out.
+zero-weighted stream. That stream starts at 0, the L1 projection keeps
+it at 0 and the polish leaves its column out of every face and every
+step, so it adds exact zeros to every rate and derivative. A batch's SIC
+kernel is built from its one layout, or from RSMA's when its layouts
+differ, so the stages of a stream that no problem of the batch weights
+are left out.
 
 Every start is one problem of a lockstep batch. Each problem has its
 own channel (gains stacked as (B, K, L), noise as (B, K); a channel that
 every problem shares is one row that broadcasts), stream weights, (L, K
-+ 1) precoder in a (B, L, K + 1) stack, amplitude budget, FISTA and
-Newton state, iteration counts and WSR history. All active problems
-take each AO iteration, each PG step inside it and each polish
-iteration together; a problem that has finished drops out of the
-batch. Each array operation touches only a problem's own rows, and its
-sums run over that problem's entries alone (no matrix product whose
-blocking could depend on the batch size), so a problem's result does
-not depend on the problems that share its batch. `ao_solve` runs the
-starts of every problem it is given in waves, each wave one batch in
-which each problem keeps its own scheme: a batch that mixes SDMA, NOMA
-and RSMA problems is one RSMA batch in which each problem zero-weights
-the streams its scheme lacks. A problem may name earlier problems of
-the call whose solutions become its warm starts (`Problem.warm_from`),
-the only way a solution seeds another solve; those starts run in a
-later wave, from the named problems' polished winners. Which problems
-seed RSMA, and from what, is `scenarios.solve_schemes`'s choice.
++ 1) precoder in a (B, L, K + 1) stack, amplitude budget, Newton state,
+iteration count and WSR history. All active problems take each polish
+iteration together; a problem that has finished drops out of the batch.
+Each array operation touches only a problem's own rows, and its sums
+run over that problem's entries alone (no matrix product whose blocking
+could depend on the batch size), so a problem's result does not depend
+on the problems that share its batch. `ao_solve` runs the starts of
+every problem it is given in waves, each wave one batch in which each
+problem keeps its own scheme: a batch that mixes SDMA, NOMA and RSMA
+problems is one RSMA batch in which each problem zero-weights the
+streams its scheme lacks. A problem may name earlier problems of the
+call whose solutions become its warm starts (`Problem.warm_from`), the
+only way a solution seeds another solve; those starts run in a later
+wave, from the named problems' polished winners. Which problems seed
+RSMA, and from what, is `scenarios.solve_schemes`'s choice.
 
-The arrays are a few problems of 2 x 4 x 3 entries, so a PG step costs
-its count of numpy calls, not its arithmetic, and the step keeps that
-count low: the stage amplitudes and powers come from one flat gather
-(`SicKernel.stage_arrays`); the gradient is assembled from dense
-per-problem pieces built once per AO iteration, with one gather of the
-binding common decoder's piece (`_SurrogateBatch`); the L1 projection
-sorts and thresholds the whole stack and keeps the rows inside their
-balls with `where` (`project_rows_l1`); and FISTA's momentum weights
-come from a table. A polish iteration is a few dozen calls on (B, n, n)
-stacks, and one `eigvalsh` and one or two `solve`s.
+The arrays are a few problems of 2 x 4 x 3 entries, so a polish
+iteration costs its count of numpy calls, not its arithmetic: a few
+dozen calls on (B, n, n) stacks, one `eigvalsh` and one or two
+`solve`s, and one L1 projection of every candidate step, which sorts
+and thresholds the whole stack and keeps the rows inside their balls
+with `where` (`project_rows_l1`).
 
 A problem (`Problem`) is a channel, a scheme, an amplitude budget
 epsilon and the problems whose solutions are its warm starts; its
@@ -91,7 +84,6 @@ epsilon (`epsilon_from_snr`) is the caller's job.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -122,11 +114,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-_DEN_FLOOR = 1e-300
-# inner projected-gradient loop of every AO iteration: step cap and
-# relative surrogate-gain stop
-_PG_MAX_ITER = 150
-_PG_TOL = 1e-8
 # the polish: iteration cap, stop and step grids (Newton step lengths 2^-k
 # and gradient steps 8^-k, k below each count)
 _POLISH_MAX_ITER = 100
@@ -148,30 +135,30 @@ ORACLE_RESOLUTIONS = range(2, 22)
 
 
 class NumericalFailure(RuntimeError):
-    """Raised when the subproblem solver meets non-finite numbers."""
+    """Raised when a start's WSR or the polish's derivatives are not finite."""
 
 
 @dataclass(frozen=True)
 class AoConfig:
-    """Settings of the solver.
+    """Settings of the solver, for every problem of an `ao_solve` call;
+    a problem's amplitude budget and warm starts are fields of its
+    `Problem`, and the starts are no setting (see `ao_solve`).
 
-    They hold for every problem of an `ao_solve` call; a problem's
-    amplitude budget and warm starts are fields of its `Problem`.
-    `max_iterations` caps each start's AO stage, which also ends once one
-    iteration moves its WSR by at most `tolerance`; the polish then
-    finishes every start, and stops at a residual of `tolerance` if that
-    is below its own stop. `tolerance` is also the residual (b/s/Hz) at
-    or below which a solution is `converged`. The starts are no setting: see `ao_solve`.
+    `tolerance` is the residual (b/s/Hz) at or below which a solution is
+    `converged`; the polish stops there if that is below its own stop.
+
+    The name is that of the alternating-optimization (AO) stage the
+    solver once ran before its polish. It stays because scene files
+    store these settings under `[ao]`: a file's `max_iterations` key, that
+    stage's iteration cap, is ignored as unknown, as `corner_starts` and
+    `restarts` are.
     """
 
-    tolerance: float = 1e-4  # b/s/Hz: AO's WSR change, and the residual of a converged solution
-    max_iterations: int = 20
+    tolerance: float = 1e-4  # b/s/Hz: the residual of a converged solution
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -197,13 +184,13 @@ class Solution:
     `restart_index` names the winner among the problem's starts, in the
     order `ao_solve` lists them: 0 is ZF, 1..K the single-user corners,
     then the `warm_from` solutions in order, and last, for RSMA, the four
-    split starts. `iterations` counts the winner's AO iterations plus its
-    polish iterations, and `wsr_history` holds its WSR at its start and
-    after each of them (so it has `iterations` + 1 entries and never
-    falls). `residual` is the
-    winner's final residual in b/s/Hz, the most the first-order model of
-    its WSR could gain over the balls (see `_decoder_weights`), and
-    `converged` means it is at most `AoConfig.tolerance`.
+    split starts. `iterations` counts the winner's polish iterations, and
+    `wsr_history` holds its WSR at its start, projected onto the balls,
+    and after each of them (so it has `iterations` + 1 entries and never
+    falls). `residual` is the winner's final residual in b/s/Hz, the most
+    the first-order model of its WSR could gain over the balls (see
+    `_decoder_weights`), and `converged` means it is at most
+    `AoConfig.tolerance`.
     """
 
     precoder: Precoder
@@ -260,8 +247,7 @@ class _Compiled(SicKernel):
     `layout` is one StreamLayout or a sequence of them, of any schemes,
     one per problem; `channel` is one ChannelMatrix, shared by every
     problem, or a sequence with one per layout. The gains are held as (1
-    or B, K, L) with `HT` the matching (1 or B, L, K) view, `hnorm2` as
-    (1 or B, K) and the noise as (1 or B, K): a single channel is one
+    or B, K, L) and the noise as (1 or B, K): a single channel is one
     row, whatever the layouts, and broadcasts over any batch. The
     weights are `w_priv` (1 or B, K) and `w_common` (1 or B,), one row
     per layout. Precoders are (B, L, K + 1).
@@ -288,39 +274,7 @@ class _Compiled(SicKernel):
         super().__init__(batch_layout, np.stack([c.noise for c in channels]), on_rsma=True)
         self.w_own = self.w_priv[:, self.owners]
         self.H = np.stack([c.gains for c in channels])
-        # a view: each problem's HT has the strides of its (K, L) gains' .T
-        self.HT = self.H.transpose(0, 2, 1)
-        self.hnorm2 = np.sum(self.H**2, axis=2)
-        self._index_pieces(len(w))
         self._index_powers(len(w))
-
-    def _index_pieces(self, K: int) -> None:
-        """Where `_SurrogateBatch` places its gradient coefficients.
-
-        A problem's pieces are (slices, blocks, K, K + 1): one slice per
-        common decoder (a single one without a common stream), holding
-        the blocks lin, alpha and, with a common stream, cc2. Their
-        coefficients come as one row per problem: the private stages'
-        lin, then their alpha, then each decoder's cc2, then its lin.
-        `piece_at` holds each coefficient's flat position in the pieces
-        and `piece_of` its column in that row.
-        """
-        n, cols, owners = self.n_priv, list(self._cols), self.owners.tolist()
-        decoders, common = self.decoders.tolist(), self.common_col is not None
-        slices = len(decoders) if common else 1
-        entries = []  # (slice, block, user, column, source column) of each coefficient
-        for d in range(slices):
-            for i, (owner, col) in enumerate(zip(owners, cols)):
-                entries.append((d, 0, owner, col, i))
-                entries += [(d, 1, owner, other, n + i) for other in cols]
-            if common:
-                entries += [(d, 2, decoders[d], col, 2 * n + d) for col in cols + [self.common_col]]
-                entries.append((d, 0, decoders[d], self.common_col, 2 * n + slices + d))
-        entries = np.array(entries, dtype=np.intp)
-        self.piece_shape = (slices, 3 if common else 2, K, K + 1)
-        self.piece_size = math.prod(self.piece_shape)
-        self.piece_at = np.ravel_multi_index(tuple(entries[:, :4].T), self.piece_shape)
-        self.piece_of = entries[:, 4]
 
     def _index_powers(self, K: int) -> None:
         """Which flat amplitudes make up each stage's powers, for the polish.
@@ -353,8 +307,7 @@ class _Compiled(SicKernel):
         sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
         sub.active = self.active[keep]
         if len(self.H) > 1:
-            sub.H, sub.hnorm2, sub._sig2 = self.H[keep], self.hnorm2[keep], self._sig2[keep]
-            sub.HT = sub.H.transpose(0, 2, 1)
+            sub.H, sub._sig2 = self.H[keep], self._sig2[keep]
         return sub
 
     def true_rates(self, P: np.ndarray):
@@ -378,16 +331,8 @@ def _amplitude_wsr(kernel: SicKernel, w_own: np.ndarray, w_common: float, A: np.
     return wsr
 
 
-def _mmse_gu(a: np.ndarray, T: np.ndarray):
-    """MMSE equalizer gains and inverse-MSE weights for one stage batch."""
-    g = a / np.maximum(T, _DEN_FLOOR)
-    mse = 1.0 - g * a  # equals 1/(1+SINR) at the MMSE gain
-    u = 1.0 / np.maximum(mse, 1e-15)
-    return g, u
-
-
 # --------------------------------------------------------------------------
-# projection and the surrogate subproblem
+# the L1 projection
 # --------------------------------------------------------------------------
 
 
@@ -402,7 +347,9 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
     every row is projected with the same operations whatever the other
     rows are. The threshold theta is read from the (cumsum - radius) /
     rank array the sort condition is evaluated on, at the last rank
-    where the condition holds.
+    where the condition holds. A projected row whose L1 norm still
+    exceeds its radius is scaled onto the ball, so every row returned
+    is inside it up to the rounding of that scaling.
     """
     r = np.asarray(radius, dtype=float)
     zero = None
@@ -430,200 +377,18 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
         # rank if none does), counted back from each row's end
         last = np.arange(n - 1, q.size, n).reshape(over.shape) - cond[..., ::-1].argmax(axis=-1)
         out = np.sign(P) * np.maximum(absP - q.take(last)[..., None], 0.0)
+        # theta is a difference of sums of the large entries, so a row far
+        # outside its ball can come back a few digits over it: scale it on
+        norm = np.add.reduce(np.abs(out), axis=-1)
+        high = norm > r
+        if np.count_nonzero(high):
+            out *= np.where(high, r / np.where(high, norm, 1.0), 1.0)[..., None]
         if over_rows < over.size:
             out = np.where(over[..., None], out, P)
     else:
         out = np.array(P)
     if zero is not None:
         out[np.broadcast_to(zero, over.shape)] = 0.0
-    return out
-
-
-class _SurrogateBatch:
-    """Weighted-sum surrogates of the WSR for fixed equalizers/weights.
-
-    One surrogate per problem of the batch: value(P) = sum_k w_k *
-    r_p_k(P) + w_common * min_j r_c_j(P) with r = log2(u) + (1 - u *
-    mse(P)) / ln 2 per stream stage; concave in P (quadratic per smooth
-    piece). The gradient uses the binding decoder of the min term. The
-    fixed step is 1 / (Hessian norm bound), which satisfies the descent
-    lemma on every smooth piece. Equalizers and weights have one row per
-    problem: (B, private stages) and (B, common decoders).
-
-    The gradient with respect to the amplitudes A = H P is built from
-    dense (K, K + 1) pieces, one stack per problem and possible binding
-    decoder, set up once per AO iteration: `lin`, the constant term (each
-    private stage's 2 coef g at its owner's own column, and the
-    decoder's common term at its row of the common column); `alpha`,
-    each user's private-stage curvature on every private column of its
-    row; and the decoder's curvature `cc2` on the private and common
-    columns of its row. A step gathers the binding decoder's stack and
-    forms lin - alpha * A - cc2 * A, entry by entry. Per-stage
-    coefficients and per-problem scalars, the common weight included, are
-    columns of one array, so dropping finished problems is two row
-    gathers, plus the channels' when each problem has its own.
-    """
-
-    def __init__(self, comp: _Compiled, g_p, u_p, g_c, u_c):
-        self.c = comp
-        n = comp.n_priv
-        common = comp.common_col is not None
-        g = np.concatenate((g_p, g_c), axis=1) if common else g_p
-        g2 = g**2
-        coef_p = comp.w_own * u_p / LN2
-        two_coef = 2.0 * coef_p
-        alpha = two_coef * g2[:, :n]
-        pieces = [two_coef * g_p, alpha]
-        columns = [g2, 2.0 * g, coef_p, _rowdot(np.log2(u_p) + 1.0 / LN2, comp.w_own)[:, None]]
-        lip = (alpha * comp.hnorm2[:, comp.owners]).sum(axis=1)
-        if common:
-            rate_coef_c = u_c / LN2  # unweighted; the min picks the binding decoder
-            two_coef_c = 2.0 * (comp.w_common[:, None] * rate_coef_c)
-            lip = lip + (two_coef_c * g2[:, n:] * comp.hnorm2[:, comp.decoders]).max(axis=1)
-            pieces += [two_coef_c * g2[:, n:], two_coef_c * g_c]
-            columns += [rate_coef_c, np.log2(u_c) + 1.0 / LN2, np.broadcast_to(comp.w_common, len(g))[:, None]]
-        columns.append((1.0 / np.maximum(lip, 1e-12))[:, None])
-        # g2, two_g (every stage), coef_p, base_p, [rate_coef_c, base_c, w_common], step
-        self._columns = np.concatenate(columns, axis=1)
-        dense = np.zeros((len(g), comp.piece_size))
-        dense[:, comp.piece_at] = np.concatenate(pieces, axis=1)[:, comp.piece_of]
-        self._pieces = dense.reshape((len(g),) + comp.piece_shape)
-        self._views()
-
-    def _views(self):
-        """Name the columns and pieces of the current problems."""
-        c, v = self.c, self._columns
-        n, m = c.n_priv, c.n_priv + len(c.decoders)  # private stages, all stages
-        self.g2, self.two_g, self.coef_p = v[:, :m], v[:, m : 2 * m], v[:, 2 * m : 2 * m + n]
-        self.base_p, self.step = v[:, 2 * m + n], v[:, -1]
-        self.step3 = self.step[:, None, None]
-        if c.common_col is None:
-            self._lin, self._alpha = self._pieces[:, 0, 0], self._pieces[:, 0, 1]
-        else:
-            self.rate_coef_c, self.base_c = v[:, 2 * m + n + 1 : 3 * m + 1], v[:, 3 * m + 1 : -2]
-            self.w_common = v[:, -2]
-            self._by_decoder = self._pieces.reshape((-1,) + self._pieces.shape[2:])
-            self._first = np.arange(0, len(v) * (m - n), m - n)  # each problem's first stack
-
-    def take(self, keep: np.ndarray) -> "_SurrogateBatch":
-        """The surrogates of the problems selected by `keep`. The weights
-        are columns, so a shared channel (one row of gains and noise) is
-        kept as it is and only a batch of per-problem channels is taken."""
-        sub = object.__new__(_SurrogateBatch)
-        sub.c = self.c if len(self.c.H) == 1 else self.c.take(keep)
-        sub._columns, sub._pieces = self._columns[keep], self._pieces[keep]
-        sub._views()
-        return sub
-
-    def _amplitudes_and_mse(self, P: np.ndarray):
-        A = self.c.H @ P
-        a, T = self.c.stage_arrays(A)
-        return A, self.g2 * T - self.two_g * a + 1.0
-
-    def value(self, P: np.ndarray) -> np.ndarray:
-        c = self.c
-        _, mse = self._amplitudes_and_mse(P)
-        n = c.n_priv
-        value = self.base_p - _rowdot(self.coef_p, mse[:, :n])
-        if c.common_col is not None:
-            value = value + self.w_common * (self.base_c - self.rate_coef_c * mse[:, n:]).min(axis=1)
-        return value
-
-    def grad(self, P: np.ndarray) -> np.ndarray:
-        c = self.c
-        if c.common_col is None:
-            return c.HT @ (self._lin - self._alpha * (c.H @ P))
-        A, mse = self._amplitudes_and_mse(P)
-        jb = (self.base_c - self.rate_coef_c * mse[:, c.n_priv :]).argmin(axis=1)
-        lin_alpha_cc2 = self._by_decoder.take(self._first + jb, axis=0)
-        terms = lin_alpha_cc2[:, 1:] * A[:, None]
-        return c.HT @ (lin_alpha_cc2[:, 0] - terms[:, 0] - terms[:, 1])
-
-
-@functools.lru_cache(maxsize=4)
-def _momentum(steps: int) -> np.ndarray:
-    """FISTA's momentum weights (t_n / t_{n+1}, (t_n - 1) / t_{n+1}) for
-    n = 0 .. steps, with t_0 = 1 and t_{n+1} = (1 + sqrt(1 + 4 t_n^2)) / 2;
-    a read-only array shared by every caller. Each weight is computed
-    with the float operations, in the order, of a per-step update."""
-    table = np.empty((steps + 1, 2))
-    t = 1.0
-    for row in table:
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        row[:] = t / t_next, (t - 1.0) / t_next
-        t = t_next
-    table.flags.writeable = False
-    return table
-
-
-def _maximize_batch(sur: _SurrogateBatch, radius: np.ndarray, x: np.ndarray, max_iter: int, tol: float):
-    """Monotone accelerated projected gradient on every surrogate in lockstep.
-
-    FISTA-style momentum with a monotone safeguard: the kept iterate
-    never decreases the surrogate, and momentum is reset whenever the
-    accelerated candidate fails to improve. Each problem keeps its own
-    momentum index, small-step count and flag for "y is the best point
-    x"; it leaves the batch when its step from x itself fails or after
-    two consecutive small gains. `radius` is (B, L) and every row of the
-    (B, L, S) start `x` lies in its ball (the AO loop passes the previous
-    projection's output); returns the (B, L, S) maximizers.
-    """
-    fx = sur.value(x)
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        raise NumericalFailure(f"non-finite surrogate value {fx[bad][0]} at the subproblem start")
-    out = np.empty_like(x)
-    live = np.arange(len(x))  # batch positions of the problems still running
-    y, x_prev = x, x
-    momentum = _momentum(max_iter)
-    steps = np.zeros(len(x), dtype=np.intp)  # improving steps since the momentum restarted
-    small_steps = np.zeros(len(x), dtype=np.intp)
-    y_is_x = np.ones(len(x), dtype=bool)  # None stands for False for every problem
-    # np.count_nonzero tests a mask in one C call; .any() and .all() add a
-    # Python frame each
-    for _ in range(max_iter):
-        grad = sur.grad(y)
-        if np.count_nonzero(np.isfinite(grad)) < grad.size:
-            raise NumericalFailure("non-finite surrogate gradient (check channel and noise scaling)")
-        z = project_rows_l1(y + sur.step3 * grad, radius)
-        fz = sur.value(z)
-        up = fz >= fx
-        weights = momentum.take(steps, axis=0)
-        y_next = z + weights[:, 0, None, None] * (z - x) + weights[:, 1, None, None] * (x - x_prev)
-        small = fz - fx <= tol * np.maximum(1.0, np.abs(fz))
-        # improved: keep z and step on with momentum; otherwise restart
-        # the momentum from x, or stop if the step from x itself failed
-        if np.count_nonzero(up) == len(up):
-            x_prev, x, y, fx = x, z, y_next, fz
-            steps = steps + 1
-            small_steps = np.where(small, small_steps + 1, 0)
-            done = small_steps >= 2
-            y_is_x = None
-        else:
-            down = ~up
-            up3 = up[:, None, None]
-            x_prev, x = x, np.where(up3, z, x)
-            y = np.where(up3, y_next, x_prev)
-            fx = np.where(up, fz, fx)
-            steps = np.where(up, steps + 1, 0)
-            small_steps = np.where(up, np.where(small, small_steps + 1, 0), small_steps)
-            done = small_steps >= 2
-            if y_is_x is not None:
-                done |= down & y_is_x
-            y_is_x = down
-        if np.count_nonzero(done):
-            out[live[done]] = x[done]
-            keep = ~done
-            if not np.count_nonzero(keep):
-                return out
-            live = live[keep]
-            sur = sur.take(keep)
-            radius = radius[keep]
-            x, x_prev, y, fx = x[keep], x_prev[keep], y[keep], fx[keep]
-            steps, small_steps = steps[keep], small_steps[keep]
-            if y_is_x is not None:
-                y_is_x = y_is_x[keep]
-    out[live] = x
     return out
 
 
@@ -689,68 +454,15 @@ def _beam_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, us
     return P
 
 
-def _split_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, alpha: float) -> np.ndarray:
+def _split_start(zf: np.ndarray, channel: ChannelMatrix, layout: StreamLayout, epsilon: float,
+                 alpha: float) -> np.ndarray:
     """A share alpha of the budget on a common stream matched in sign to
-    the summed channel (broadside), the rest on ZF, projected onto the
-    balls: the split between the private and the common streams that
-    ZF and the corners leave out."""
-    P = (1.0 - alpha) * _zf_start(channel, layout, epsilon)
+    the summed channel (broadside), the rest on the problem's ZF start
+    `zf` (`_zf_start`), projected onto the balls: the split between the
+    private and the common streams that ZF and the corners leave out."""
+    P = (1.0 - alpha) * zf
     P[:, layout.common_column] += alpha * epsilon * _broadside(channel)
     return project_rows_l1(P, epsilon)
-
-
-# --------------------------------------------------------------------------
-# the alternating-optimization driver
-# --------------------------------------------------------------------------
-
-
-def _best(final, lo: int, n: int) -> int:
-    """The start of lo .. lo + n - 1 with the best final WSR, the earliest on ties."""
-    best = lo
-    for b in range(lo + 1, lo + n):
-        if final[b] > final[best]:
-            best = b
-    return best
-
-
-def _ao_batch(comp: _Compiled, radii: np.ndarray, P: np.ndarray, config: AoConfig):
-    """AO from every start of the (B, L, K + 1) stack P in lockstep.
-
-    `comp` holds one channel per start or one shared channel, and
-    `radii` the (B, L) row budgets. A start leaves the batch once its WSR
-    changes by at most `config.tolerance` in one iteration, or after
-    `config.max_iterations`. Returns (P, history): the final precoders
-    and one WSR history list per start, its initial WSR first (its
-    length minus one is the start's iteration count).
-    """
-    P = project_rows_l1(P, radii)
-    wsr, _ = comp.true_rates(P)
-    history = np.empty((config.max_iterations + 1, len(P)))
-    history[0] = wsr
-    iterations = np.full(len(P), config.max_iterations)
-    out = np.empty_like(P)
-    live = np.arange(len(P))
-    batch, radius = comp, radii
-    n = comp.n_priv
-    for i in range(1, config.max_iterations + 1):
-        g, u = _mmse_gu(*batch.stage_arrays(batch.H @ P))
-        sur = _SurrogateBatch(batch, g[:, :n], u[:, :n], g[:, n:], u[:, n:])
-        P = _maximize_batch(sur, radius, P, _PG_MAX_ITER, _PG_TOL)
-        new_wsr, _ = batch.true_rates(P)
-        history[i, live] = new_wsr
-        done = np.abs(new_wsr - wsr) <= config.tolerance
-        if i == config.max_iterations:
-            done[:] = True
-        if done.any():
-            out[live[done]] = P[done]
-            iterations[live[done]] = i
-            keep = ~done
-            if not keep.any():
-                break
-            live, P, new_wsr = live[keep], P[keep], new_wsr[keep]
-            batch, radius = comp.take(live), radii[live]
-        wsr = new_wsr
-    return out, [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -998,9 +710,18 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     The residual is `_decoder_weights`'s. A problem stops when its
     residual is at most _POLISH_GAP or `tolerance`, whichever is smaller,
     when nothing rises at nu above _NU[2], or after _POLISH_MAX_ITER
-    iterations. Returns (P, history, residual): the final precoders, one
-    list per start of its WSR before and after each of its iterations,
-    and the final residuals.
+    iterations. A problem that finds nothing rises at nu above _NU[2]
+    while its residual is above `tolerance` starts afresh instead, if its
+    WSR rose since it last did (or since its start): nu goes back to
+    _NU[1] and the kink weight is taken anew. On the common-rate kink a
+    multiplier-corrected weight and a grown nu can stall a problem at a
+    point from which a fresh start climbs on (a NOMA problem with 4
+    fixtures ended at a residual of 0.22 without it, and converges with
+    it).
+
+    Returns (P, history, residual): the final precoders, one list per
+    start of its WSR before and after each of its iterations, and the
+    final residuals.
     """
     B, L, S = P.shape
     n = L * S
@@ -1009,6 +730,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     active = np.broadcast_to(comp.active, (B, S))
     nu = np.full(B, _NU[1])
     kink_t = np.full(B, np.nan)  # the weight of decoder 0 at the kink
+    rose = np.zeros(B, dtype=bool)  # the WSR rose since the start or the last fresh start
     history = np.empty((_POLISH_MAX_ITER + 1, B))
     history[0] = wsr
     iterations = np.full(B, _POLISH_MAX_ITER)
@@ -1023,6 +745,8 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         Q, e, act, R = P[live], eps[live], active[live], radii[live]
         Jl, JTl = (J, JT) if len(J) == 1 else (J[live], JT[live])
         r, dr, d2r = _stage_derivatives(batch, Q)
+        if not (np.isfinite(r).all() and np.isfinite(dr).all() and np.isfinite(d2r).all()):
+            raise NumericalFailure("non-finite rate derivatives in the polish (check channel and noise scaling)")
         res, _ = _decoder_weights(batch, r, dr, Jl, Q, e, act)
         finished = res <= stop
         if it > _POLISH_MAX_ITER:
@@ -1119,7 +843,12 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         full = best % len(steps) == 0
         nu[live] = np.where(newton_rose, np.where(full, np.maximum(nu[live] / 4.0, _NU[0]), nu[live]),
                             np.minimum(nu[live] * 16.0, 16.0 * _NU[2]))
+        rose[live[rise]] = True
         stuck = ~rise & (nu[live] > _NU[2])
+        afresh = stuck & (res > tolerance) & rose[live]
+        if afresh.any():
+            nu[live[afresh]], kink_t[live[afresh]], rose[live[afresh]] = _NU[1], np.nan, False
+            stuck &= ~afresh
         if stuck.any():
             residual[live[stuck]] = res[stuck]
             iterations[live[stuck]] = it
@@ -1131,13 +860,29 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     return P, [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())], residual
 
 
+# --------------------------------------------------------------------------
+# the multi-start driver
+# --------------------------------------------------------------------------
+
+
+def _best(final, lo: int, n: int) -> int:
+    """The start of lo .. lo + n - 1 with the best final WSR, the earliest on ties."""
+    best = lo
+    for b in range(lo + 1, lo + n):
+        if final[b] > final[best]:
+            best = b
+    return best
+
+
 def _solve_starts(comp: _Compiled, radii: np.ndarray, P0: np.ndarray, config: AoConfig):
-    """AO, then the polish, from every start of P0 in lockstep; returns
-    (P, history, residual), each start's history its AO then its polish
-    WSRs."""
-    P, history = _ao_batch(comp, radii, P0, config)
-    P, polished, residual = _polish(comp, radii, P, np.array([h[-1] for h in history]), config.tolerance)
-    return P, [h + p[1:] for h, p in zip(history, polished)], residual
+    """Every start of P0 projected onto its (B, L) balls `radii`, then
+    polished in lockstep; returns `_polish`'s (P, history, residual)."""
+    P = project_rows_l1(P0, radii)
+    wsr, _ = comp.true_rates(P)
+    bad = ~np.isfinite(wsr)
+    if bad.any():
+        raise NumericalFailure(f"non-finite WSR {wsr[bad][0]} at a start (check channel and noise scaling)")
+    return _polish(comp, radii, P, wsr, config.tolerance)
 
 
 def ao_solve(
@@ -1147,19 +892,19 @@ def ao_solve(
     *,
     layout: StreamLayout,
 ) -> tuple[Solution, ...]:
-    """Maximize each problem's weighted sum rate with the multi-start AO
-    solver and its polish; returns one Solution per problem, in order.
+    """Maximize each problem's weighted sum rate from its fixed starts,
+    each finished by the projected-Newton polish; returns one Solution
+    per problem, in order.
 
     A problem's starts are, in this order: ZF; one single-user corner
     per user, the full budget on that user's stream (`_beam_start`: the
     single-user optima, which a start inside the balls reaches only by
     crawling); the solutions of its `warm_from` problems (below); and, for
     RSMA, the four split starts `_split_start` with alpha = _SPLITS. The
-    set is fixed, so a solve is deterministic. Every start runs
-    WMMSE AO until its WSR settles or `config.max_iterations`, then the
-    projected-Newton polish (`_polish`). The best final WSR wins, the
-    earliest start on ties (`Solution.restart_index`). Both stages only
-    ever raise the WSR, so the result is at least as good as every warm
+    set is fixed, so a solve is deterministic. Every start is projected
+    onto the balls and polished (`_polish`). The best final WSR wins, the
+    earliest start on ties (`Solution.restart_index`). The polish only
+    ever raises the WSR, so the result is at least as good as every warm
     start: an RSMA problem warm-started from its channel's SDMA and NOMA
     problems satisfies WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)).
     `scenarios.solve_schemes` seeds RSMA that way; without warm starts
@@ -1178,11 +923,13 @@ def ao_solve(
     (a problem without warm starts finishes in wave 0): each is the
     polished winner of one `warm_from` problem, placed on the RSMA
     streams (`StreamLayout.to_rsma`) and read in this problem's layout,
-    in the order given. Each wave is one lockstep batch, AO then polish.
+    in the order given. Each wave is one lockstep polish.
 
-    `layout` is the first problem's layout, of its scheme: the
-    benchmark's tracer binds it to tag the call by `layout.scheme`. It
-    goes once the tracer tags each problem by its own scheme (ROADMAP
+    The name is that of the alternating-optimization (AO) stage the
+    solver once ran before the polish; it stays, with `layout`, because
+    the benchmark's tracer binds both. `layout` is the first problem's
+    layout, of its scheme: the tracer tags the call by `layout.scheme`.
+    It goes once the tracer tags each problem by its own scheme (ROADMAP
     item 1).
 
     Every problem is solved under `config`. Each start's arithmetic
@@ -1215,10 +962,11 @@ def ao_solve(
     starts, counts, firsts, wave = [], [], [], []
     for problem, lay, eps in zip(problems, layouts, epsilons):
         ch, refs = problem.channel, problem.warm_from
-        own = [_zf_start(ch, lay, eps)] + [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
-        own += [np.zeros_like(own[0])] * len(refs)  # filled from the named problems' winners
+        zf = _zf_start(ch, lay, eps)
+        own = [zf] + [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
+        own += [np.zeros_like(zf)] * len(refs)  # filled from the named problems' winners
         if problem.scheme == "rsma":
-            own += [_split_start(ch, lay, eps, alpha) for alpha in _SPLITS]
+            own += [_split_start(zf, ch, lay, eps, alpha) for alpha in _SPLITS]
         firsts.append(sum(counts))
         counts.append(len(own))
         starts.append(lay.to_rsma(np.stack(own)))

@@ -225,8 +225,9 @@ class SicKernel:
     (`StreamLayout.rsma_columns`, S = K + 1), the placement of the
     optimizer's batches. `noise` holds the K noise variances of one
     channel, shared by every precoder, or a (B, K) array with one row per
-    precoder. `stage_arrays` and `sinrs` read every stage's amplitudes
-    through one flat gather whose indices are computed here.
+    precoder. `sinrs` reads every stage's amplitudes through one flat
+    gather whose indices are computed here; the optimizer's polish reads
+    its stage powers through the same indices.
     """
 
     def __init__(self, layout: StreamLayout, noise: np.ndarray, on_rsma: bool = False):
@@ -265,33 +266,13 @@ class SicKernel:
             stage = self.layout.private_columns.index(stream)
         return [j for j, m in zip(self._cols, self._interferes[:, stage].tolist()) if m]
 
-    def stage_arrays(self, A: np.ndarray):
-        """(a, T): signal amplitude a and received power T (signal,
-        interference and noise) of every stage, (B, stages) each, the
-        private stages first.
-
-        The private powers, own one included, are summed in column order,
-        then added to the noise, and a common stage adds its own power
-        last.
-        """
-        X = A.reshape(len(A), -1).take(self._gather, axis=1)
-        X2 = X * X
-        total = X2[:, 0]
-        for i in range(1, self.n_priv):
-            total = total + X2[:, i]
-        T = self._sig2 + total
-        if self.common_col is not None:
-            n = self.n_priv
-            T[:, n:] += X2[:, -1, n:]
-        return X[:, -1], T
-
     def sinrs(self, A: np.ndarray):
         """(sinr_p, sinr_c): SINR of every private stage (B, private
         columns) and common stage (B, decoders; None without a common
         stream), as transposed views of one stage-major array.
 
-        The squared amplitudes are read through the gather of
-        `stage_arrays`, stage-major, (gather rows, stages, B): each
+        The squared amplitudes are read through the flat gather,
+        stage-major, (gather rows, stages, B): each
         amplitude column is squared into a contiguous row first, so a
         block of many precoders is gathered a row at a time. The
         interference is the masked private powers summed in column order:

@@ -114,7 +114,7 @@ class TestScenarioFiles:
         assert repr(load_scenario(str(path))) == repr(expected)
 
     def test_ao_round_trip(self, tmp_path):
-        ao = AoConfig(tolerance=3e-3, max_iterations=77)
+        ao = AoConfig(tolerance=3e-3)
         spec = replace(catalog()["scenario1_2led"], ao=ao)
         path = tmp_path / "scene.ini"
         save_scenario(spec, str(path))
@@ -124,7 +124,7 @@ class TestScenarioFiles:
         text = path.read_text()
         assert "seed" not in text
         legacy = tmp_path / "legacy.ini"
-        legacy.write_text(text.replace("max_iterations = 77\n", "max_iterations = 77\nseed = 11\n"))
+        legacy.write_text(text.replace("tolerance = 0.003\n", "tolerance = 0.003\nseed = 11\n"))
         assert "seed = 11" in legacy.read_text()
         assert load_scenario(str(legacy)).ao == ao
 
@@ -152,12 +152,12 @@ class TestScenarioFiles:
         save_scenario(load_scenario(str(legacy)), str(resaved))
         assert resaved.read_text() == path.read_text()
 
-    @pytest.mark.parametrize("line", ["corner_starts = false\n", "restarts = 4\n"],
-                             ids=["corner_starts", "restarts"])
+    @pytest.mark.parametrize("line", ["corner_starts = false\n", "restarts = 4\n", "max_iterations = 500\n"],
+                             ids=["corner_starts", "restarts", "max_iterations"])
     def test_legacy_corner_starts_key_ignored(self, line, tmp_path):
-        # files saved while AoConfig had corner_starts or restarts still
-        # load: every solve has the one fixed start set now, so each key
-        # is an unknown one
+        # files saved while AoConfig had corner_starts, restarts or
+        # max_iterations still load: every solve has the one fixed start
+        # set and no AO stage now, so each key is an unknown one
         legacy = LEGACY_SCENE.read_text()
         assert line in legacy
         plain = tmp_path / LEGACY_SCENE.name  # the same basename, so the same default name
@@ -355,7 +355,7 @@ class TestConfigPlumbing:
         "command, options",
         [
             ("run", {"--scenario", "--scenario-file", "--schemes", "--snr", "--noise-mode", "--delta",
-                     "--max-iters", "--seed", "--workers", "--out", "--format"}),
+                     "--seed", "--workers", "--out", "--format"}),
             ("channel-dump", {"--scenario", "--scenario-file", "--noise-mode"}),
             ("validate", {"--seed", "--mc-instances", "--mc-symbols", "--oracle-instances",
                           "--oracle-resolution"}),
@@ -442,20 +442,18 @@ class TestConfigPlumbing:
 
     def test_ao_overrides_reach_solver(self, tmp_path, monkeypatch):
         seen = []
-        real = optimizer._ao_batch
+        real = optimizer._solve_starts
 
-        def ao_batch(comp, radii, P, config):
-            seen.append((config.tolerance, config.max_iterations))
+        def solve_starts(comp, radii, P, config):
+            seen.append(config.tolerance)
             return real(comp, radii, P, config)
 
-        monkeypatch.setattr(optimizer, "_ao_batch", ao_batch)
+        monkeypatch.setattr(optimizer, "_solve_starts", solve_starts)
         out = tmp_path / "rows.csv"
-        code = main(
-            RUN + ["--out", str(out), "--delta", "0.1", "--max-iters", "3"]
-        )
-        assert code in (0, 2)  # loose settings may stop before convergence
+        code = main(RUN + ["--out", str(out), "--delta", "0.1"])
+        assert code in (0, 2)  # a loose tolerance may stop before convergence
         assert out.exists()
-        assert seen and set(seen) == {(0.1, 3)}
-        # a row counts its AO iterations (at most 3) and its polish iterations
+        assert seen and set(seen) == {0.1}
+        # a row counts its polish iterations
         iterations = [int(l.split(",")[7]) for l in out.read_text().splitlines()[1:]]
-        assert all(i <= 3 + optimizer._POLISH_MAX_ITER for i in iterations)
+        assert all(i <= optimizer._POLISH_MAX_ITER for i in iterations)

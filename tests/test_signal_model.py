@@ -333,8 +333,8 @@ KERNEL_CASES = [(s, k, l) for s in SCHEMES for k in (2, 3, 4) for l in (1, 2, 4)
 
 @pytest.mark.parametrize("scheme,users,fixtures", KERNEL_CASES)
 def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
-    # reports, true_rates, the oracle WSR and the stage (a, T) all come from
-    # SicKernel, and agree with each other and with per-column loops
+    # reports, true_rates, the oracle WSR and the polish's stage rates all
+    # come from SicKernel, and agree with each other and with per-column loops
     rng = np.random.default_rng(100 * users + fixtures)
     ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
     lay = build_layout(scheme, users, ch)
@@ -344,9 +344,9 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     A = ch.gains @ P
     kernel = SicKernel(lay, ch.noise)
     sinr_p, sinr_c = kernel.sinrs(A)
-    a, T = kernel.stage_arrays(A)
+    stage_rates = optimizer._stage_derivatives(comp, lay.to_rsma(P))[0]
     n = kernel.n_priv
-    a_p, T_p, a_c, T_c = a[:, :n], T[:, :n], a[:, n:], T[:, n:]
+    r_p, r_c = stage_rates[:, :n], stage_rates[:, n:]
     wsr_true, cap_true = comp.true_rates(lay.to_rsma(P))
     w_priv, w_common = optimizer._stream_weights(lay, w)
     w_own = w_priv[kernel.owners]
@@ -357,15 +357,16 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
         np.testing.assert_allclose(sinr_p[b], ref_p, rtol=1e-12)
         rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=w)
         np.testing.assert_allclose(rep.sinr_private[owners], ref_p, rtol=1e-12)
-        # stage rates from (a, T): log2(T / (T - a^2)) is the rate at the MMSE equalizer
-        wsr_stage = float(w_own @ np.log2(T_p[b] / (T_p[b] - a_p[b] ** 2)))
+        # the stage rates, (ln T - ln I) / ln 2 of each stage's received
+        # power T and interference plus noise I
+        wsr_stage = float(w_own @ r_p[b])
         if lay.common_column is not None:
             np.testing.assert_allclose(sinr_c[b], ref_c, rtol=1e-12)
             decoders = list(lay.common_stream.decoders)
             np.testing.assert_allclose(rep.sinr_common[decoders], ref_c, rtol=1e-12)
-            wsr_stage += w_common * float(np.log2(T_c[b] / (T_c[b] - a_c[b] ** 2)).min())
+            wsr_stage += w_common * float(r_c[b].min())
             assert cap_true[b] == pytest.approx(rep.common_cap, abs=1e-12)
         else:
-            assert a_c.size == 0 and T_c.size == 0 and sinr_c is None
+            assert r_c.size == 0 and sinr_c is None
         for wsr in (wsr_true[b], wsr_oracle[b], wsr_stage):
             assert wsr == pytest.approx(rep.wsr, abs=1e-12)
