@@ -22,6 +22,9 @@ from rsma_vlc.signal_model import (
     SicKernel,
     assemble_report,
     build_layout,
+    rate,
+    sinr_common,
+    sinr_private,
 )
 
 
@@ -74,6 +77,107 @@ class TestEpsilonFromSnr:
             epsilon_from_snr(10.0, 0.0)
 
 
+class TestEqualizerAndWeights:
+    """The WMMSE identities (Shi et al. 2011) of the stage rates the polish
+    differentiates. A stage of received power T, interference plus noise
+    I and own amplitude a has the MMSE equalizer g = a / T, the MSE
+    1 - g a = I / T and the weight u = 1 / MSE, so its rate is log2(u)
+    and its rate's derivative in a is 2 g / ln 2: g and u are read here
+    from `_stage_derivatives`."""
+
+    @staticmethod
+    def stages(channels, layouts, P, w=(0.5, 0.5)):
+        """(comp, Q, r, g, u) of the (B, L, streams) precoders P of one
+        layout, or of one per problem: the compiled batch, P on the RSMA
+        columns, and each stage's rate, equalizer and weight (B, stages)."""
+        if isinstance(layouts, list):
+            Q = np.stack([lay.to_rsma(p) for lay, p in zip(layouts, P)])
+        else:
+            Q = layouts.to_rsma(P)
+        comp = optimizer._Compiled(channels, layouts, np.array(w, dtype=float))
+        r, dr, _ = optimizer._stage_derivatives(comp, Q)
+        stage, own = np.arange(r.shape[1]), comp._gather[-1]
+        g = dr[:, stage, own] * optimizer.LN2 / 2.0
+        a = (comp.H @ Q).reshape(len(Q), -1)[:, own]
+        return comp, Q, r, g, 1.0 / (1.0 - g * a)
+
+    def test_zero_column_gives_zero_gain(self):
+        ch = channel([[1.0, 0.0], [0.0, 1.0]])
+        _, _, r, g, u = self.stages(ch, build_layout("sdma", 2, ch), np.zeros((1, 2, 2)))
+        assert np.all(g == 0.0) and np.all(u == 1.0) and np.all(r == 0.0)
+        # a NOMA batch of both strong users keeps every private stage; each
+        # problem's weak user has a zero amplitude under interference
+        channels = [channel([[1.0, 0.2], [0.2, 0.5]]), channel([[0.5, 0.2], [0.2, 1.0]])]
+        layouts = [build_layout("noma", 2, c) for c in channels]
+        comp, _, _, g, u = self.stages(channels, layouts, np.ones((2, 2, 2)))
+        assert comp.n_priv == 2
+        for b, lay in enumerate(layouts):
+            weak = lay.common_stream.carries[0]
+            assert g[b, weak] == 0.0 and u[b, weak] == 1.0 and g[b, 1 - weak] != 0.0
+
+    def test_single_stream_half_gain(self):
+        ch = channel([[1.0, 0.0]])
+        _, _, _, g, _ = self.stages(ch, build_layout("sdma", 1, ch), np.array([[[1.0], [0.0]]]), (1.0,))
+        assert g[0, 0] == pytest.approx(0.5, rel=1e-14)
+
+    def test_unit_sinr_gives_half_mse(self):
+        ch = channel([[1.0, 0.0]])
+        _, _, r, _, u = self.stages(ch, build_layout("sdma", 1, ch), np.array([[[1.0], [0.0]]]), (1.0,))
+        assert 1.0 / u[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert u[0, 0] == pytest.approx(2.0, rel=1e-12)
+        assert r[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_equalizer_is_stage_mse_minimizer(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            ch = random_channel(rng)
+            lay = build_layout("rsma", 2, ch)
+            P = rng.normal(size=(2, 3))
+            _, _, _, g, _ = self.stages(ch, lay, P[None])
+            for user, stream, gain in ((0, 0, g[0, 0]), (1, 1, g[0, 1]), (0, 2, g[0, 2]), (1, 2, g[0, 3])):
+                amps = ch.gains[user] @ P
+                if stream == 2:
+                    total = ch.noise[user] + amps[2] ** 2 + amps[0] ** 2 + amps[1] ** 2
+                else:
+                    total = ch.noise[user] + amps[0] ** 2 + amps[1] ** 2
+                mse = lambda gg: gg * gg * total - 2 * gg * amps[stream] + 1.0  # noqa: E731
+                assert mse(gain) <= mse(gain + 1e-3) + 1e-15
+                assert mse(gain) <= mse(gain - 1e-3) + 1e-15
+
+    def test_neg_log_mse_equals_rate(self):
+        # the weight u is 1 / mse, so log2(u) = -log2(mse)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            ch = random_channel(rng)
+            lay = build_layout("rsma", 2, ch)
+            p = Precoder(matrix=rng.normal(size=(2, 3)))
+            _, _, r, _, u = self.stages(ch, lay, p.matrix[None])
+            for user in (0, 1):
+                assert np.log2(u[0, user]) == pytest.approx(rate(sinr_private(ch, p, lay, user)), abs=1e-9)
+                assert np.log2(u[0, 2 + user]) == pytest.approx(rate(sinr_common(ch, p, lay, user)), abs=1e-9)
+                assert r[0, user] == pytest.approx(np.log2(u[0, user]), abs=1e-12)
+
+    def test_state_rate_identity(self):
+        # the stage rates, weighted under the greedy common-rate split, are
+        # the WSR of true_rates and of the report, for every scheme on the
+        # RSMA streams
+        rng = np.random.default_rng(4)
+        for scheme in SCHEMES:
+            for w in ((0.5, 0.5), (0.3, 0.7), (0.8, 0.2)):
+                ch = random_channel(rng)
+                lay = build_layout(scheme, 2, ch)
+                P = rng.normal(size=(10, 2, lay.num_streams))
+                comp, Q, r, _, _ = self.stages(ch, lay, P, w)
+                value = r[:, : comp.n_priv] @ comp.w_own[0]
+                if comp.common_col is not None:
+                    value = value + comp.w_common * r[:, comp.n_priv :].min(axis=1)
+                wsr, _ = comp.true_rates(Q)
+                np.testing.assert_allclose(value, wsr, rtol=0.0, atol=1e-9)
+                for b in range(len(P)):
+                    rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=np.array(w))
+                    assert value[b] == pytest.approx(rep.wsr, abs=1e-9)
+
+
 class TestProjection:
     def test_rows_inside_ball_untouched(self):
         P = np.array([[0.5, -0.3], [0.1, 0.0]])
@@ -123,6 +227,95 @@ class TestProjection:
         assert np.all((out == 0.0) | (np.sign(out) == np.sign(P)))
 
 
+class TestSubproblem:
+    """_polish on one start's subproblem: the WSR over the balls."""
+
+    @staticmethod
+    def _polish(comp, eps, start, tolerance=AoConfig().tolerance):
+        # the solver polishes each start from a feasible point, as ao_solve does
+        radius = np.full(start.shape[:2], float(eps))
+        P0 = project_rows_l1(start, radius)
+        return optimizer._polish(comp, radius, P0, comp.true_rates(P0)[0], tolerance)
+
+    def test_zero_budget_returns_origin(self):
+        ch = channel([[1.0, 0.2], [0.2, 1.0]])
+        comp = optimizer._Compiled(ch, build_layout("rsma", 2, ch), np.array([0.5, 0.5]))
+        P, history, residual = self._polish(comp, 0.0, np.ones((1, 2, 3)))
+        assert np.all(P == 0.0)
+        wsr, cap = comp.true_rates(P)
+        assert wsr[0] == 0.0 and cap[0] == 0.0
+        assert history[0] == [0.0] and residual[0] == 0.0
+
+    def test_scalar_closed_form(self):
+        # one fixture, one user, one stream: the WSR log2(1 + (h p)^2) rises
+        # with |p|, so the optimum is the budget's edge, p = eps
+        ch = channel([[0.8]])
+        lay = build_layout("sdma", 1, ch)
+        comp = optimizer._Compiled(ch, lay, np.array([1.0]))
+        for p_prev, eps in ((0.4, 10.0), (0.9, 0.5)):
+            P, history, residual = self._polish(comp, eps, lay.to_rsma(np.array([[[p_prev]]])))
+            assert P[0, 0, 0] == pytest.approx(eps, rel=1e-12)
+            assert P[0, 0, 1] == 0.0  # the unweighted common column
+            assert history[0][-1] == pytest.approx(np.log2(1.0 + (0.8 * eps) ** 2), rel=1e-12)
+            assert residual[0] <= AoConfig().tolerance
+
+    def test_result_always_feasible(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            ch = random_channel(rng)
+            comp = optimizer._Compiled(ch, build_layout("rsma", 2, ch), np.array([0.5, 0.5]))
+            eps = rng.uniform(0.5, 20.0)
+            start = project_rows_l1(rng.normal(size=(1, 2, 3)), np.full((1, 2), eps))
+            P, history, _ = self._polish(comp, eps, start)
+            assert np.abs(P).sum(axis=2).max() <= eps + 1e-9
+            assert comp.true_rates(P)[0][0] == history[0][-1] >= comp.true_rates(start)[0][0]
+
+    @pytest.mark.parametrize("w", [(0.3, 0.7), (0.7, 0.3)], ids=["w0.3,0.7", "w0.7,0.3"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_grad_matches_central_difference(self, scheme, w):
+        # the gradient the polish takes, with the binding common decoder
+        # weighted, chained through H; away from the common-rate kink it
+        # is the gradient of the true WSR
+        rng = np.random.default_rng(10)
+        ch = random_channel(rng, l=3)
+        lay = build_layout(scheme, 2, ch)
+        comp = optimizer._Compiled(ch, lay, np.array(w))
+        Q = lay.to_rsma(rng.normal(size=(40, 3, lay.num_streams)))
+        r, dr, d2r = optimizer._stage_derivatives(comp, Q)
+        binding = np.zeros((len(Q), len(comp.decoders)))
+        if comp.common_col is not None:
+            # keep the states whose two decoders' rates differ by far more
+            # than a step of h can move them
+            rc = r[:, comp.n_priv :]
+            clear = np.abs(rc[:, 0] - rc[:, 1]) > 1e-2
+            assert clear.sum() >= 20
+            binding[np.arange(len(Q)), rc.argmin(axis=1)] = 1.0
+            Q, dr, d2r, binding = Q[clear], dr[clear], d2r[clear], binding[clear]
+            comp = comp.take(np.flatnonzero(clear))
+        grad_a, _ = optimizer._objective(comp, dr, d2r, binding)
+        J = np.kron(ch.gains, np.eye(3))[None]
+        grad = (grad_a[:, None, :] @ J)[:, 0].reshape(Q.shape)
+        h = 1e-6
+        central = np.empty_like(Q)
+        for entry in np.ndindex(Q.shape[1:]):
+            step = np.zeros_like(Q)
+            step[(slice(None),) + entry] = h
+            central[(slice(None),) + entry] = (comp.true_rates(Q + step)[0] - comp.true_rates(Q - step)[0]) / (2.0 * h)
+        np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-8 * np.abs(grad).max())
+        assert np.abs(grad).max() > 1e-3
+
+    def test_non_finite_state_raises(self):
+        # amplitudes of about 1e250 square to inf: the polish checks its
+        # derivatives at such a point
+        ch = channel([[1e150, 2e150], [3e150, 1e150]])
+        lay = build_layout("sdma", 2, ch)
+        comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
+        P = lay.to_rsma(np.full((1, 2, 2), 0.5e100))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="derivatives"):
+                optimizer._polish(comp, np.full((1, 2), 1e100), P, np.zeros(1), AoConfig().tolerance)
+
+
 class TestZfPrecoder:
     def test_diagonal_channel_gives_diagonal_precoder(self):
         ch = channel([[1.0, 0.0], [0.0, 0.5]])
@@ -168,16 +361,12 @@ class TestAoSolve:
 
     def test_non_finite_state_raises(self):
         # amplitudes of about 1e250 square to inf, so the starts' WSRs are
-        # nan; the polish checks its derivatives at such a point as well
+        # nan (TestSubproblem checks the polish's derivatives at such a point)
         ch = channel([[1e150, 2e150], [3e150, 1e150]])
         lay = build_layout("sdma", 2, ch)
-        comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
-        P = lay.to_rsma(np.full((1, 2, 2), 0.5e100))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure, match="WSR"):
                 solve(ch, lay, (0.5, 0.5), 1e100)
-            with pytest.raises(NumericalFailure, match="derivatives"):
-                optimizer._polish(comp, np.full((1, 2), 1e100), P, np.zeros(1), AoConfig().tolerance)
 
     def test_negative_budget_rejected(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
