@@ -32,8 +32,8 @@ polish's derivatives, all come from signal_model.SicKernel.
 The common-rate shares never enter the optimization explicitly: for
 fixed priorities the optimal split is greedy (everything to the highest
 priority taker, or to the weak user under NOMA), so the common stream
-contributes through the minimum of the decoders' rates. The exact
-shares are re-materialized from the true rates on exit.
+contributes through the minimum of the decoders' rates. On exit each
+winner's report makes that split (`assemble_report`).
 
 Every problem is solved on the RSMA streams of its K users: the
 private columns in user order, then the common one. Its scheme enters
@@ -43,10 +43,12 @@ common weight is the priority of the user the greedy split hands the
 common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with a
 zero-weighted stream. That stream starts at 0, the L1 projection keeps
 it at 0 and the polish leaves its column out of every face and every
-step, so it adds exact zeros to every rate and derivative. A batch's SIC
-kernel is built from its one layout, or from RSMA's when its layouts
-differ, so the stages of a stream that no problem of the batch weights
-are left out.
+step, so it adds exact zeros to every rate and derivative. Every batch,
+whatever its schemes, is compiled on the SIC kernel of the RSMA layout
+of K users: K private stages, then K common decoders. Every weighted
+sum of stage rates or their derivatives, the WSR of the true rates and
+of the grid oracle included, is added stage by stage in that order
+(`_stage_sum`).
 
 Every start is one problem of a lockstep batch. Each problem has its
 own channel (gains stacked as (B, K, L), noise as (B, K); a channel that
@@ -90,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, _rowdot
+from .channel import ChannelMatrix
 from .signal_model import (
     Precoder,
     RateReport,
@@ -252,13 +254,11 @@ class _Compiled(SicKernel):
     weights are `w_priv` (1 or B, K) and `w_common` (1 or B,), one row
     per layout. Precoders are (B, L, K + 1).
 
-    The kernel is built once, placed on the K + 1 RSMA columns, from the
-    batch's one layout, or from RSMA's when its layouts differ. With
-    positive priorities its stages are exactly those of the streams some
-    problem weights: a stream no problem weights stays 0 and adds exact
-    zeros, so SDMA's common stream (`common_col` is None) and the weak
-    user's private stream of a NOMA batch with one strong user are left
-    out. `w_own` holds the weights of the private stages kept.
+    The kernel is that of the RSMA layout of K users, whatever the
+    layouts: K private stages, then K common decoders, on the K + 1 RSMA
+    columns. A stream a problem does not weight (SDMA's common stream,
+    NOMA's weak user's private stream) stays 0, and its stages add exact
+    zeros to that problem's sums.
     """
 
     def __init__(self, channel, layout, priorities: np.ndarray):
@@ -270,9 +270,7 @@ class _Compiled(SicKernel):
         weights = [_stream_weights(lay, w) for lay in layouts]
         self.w_priv = np.array([private for private, _ in weights])
         self.w_common = np.array([common for _, common in weights])
-        batch_layout = layouts[0] if len(set(layouts)) == 1 else build_layout("rsma", len(w), channels[0])
-        super().__init__(batch_layout, np.stack([c.noise for c in channels]), on_rsma=True)
-        self.w_own = self.w_priv[:, self.owners]
+        super().__init__(build_layout("rsma", len(w), channels[0]), np.stack([c.noise for c in channels]))
         self.H = np.stack([c.gains for c in channels])
         self._index_powers(len(w))
 
@@ -304,7 +302,7 @@ class _Compiled(SicKernel):
             return self
         sub = object.__new__(_Compiled)
         sub.__dict__.update(self.__dict__)
-        sub.w_priv, sub.w_own, sub.w_common = self.w_priv[keep], self.w_own[keep], self.w_common[keep]
+        sub.w_priv, sub.w_common = self.w_priv[keep], self.w_common[keep]
         sub.active = self.active[keep]
         if len(self.H) > 1:
             sub.H, sub._sig2 = self.H[keep], self._sig2[keep]
@@ -312,23 +310,19 @@ class _Compiled(SicKernel):
 
     def true_rates(self, P: np.ndarray):
         """(wsr, cap) of the (B, L, K + 1) precoders under the greedy common-rate split."""
-        sinr_p, sinr_c = self.sinrs(self.H @ P)
-        priv_rates = np.zeros((len(P), self.H.shape[1]))
-        priv_rates[:, self.owners] = np.log2(1.0 + sinr_p)
-        cap = np.zeros(len(P)) if sinr_c is None else np.log2(1.0 + sinr_c).min(axis=1)
-        return _rowdot(priv_rates, self.w_priv) + self.w_common * cap, cap
+        return _amplitude_wsr(self, self.w_priv, self.w_common, self.H @ P)
 
 
-def _amplitude_wsr(kernel: SicKernel, w_own: np.ndarray, w_common: float, A: np.ndarray) -> np.ndarray:
-    """WSR of (N, K, S) received amplitudes of one layout's `kernel` under
-    the greedy common-rate split, with `w_own` the weight of each private
-    column; unlike true_rates, sums rates by one matrix-vector product."""
+def _amplitude_wsr(kernel: SicKernel, w_own: np.ndarray, w_common, A: np.ndarray):
+    """(wsr, cap) of (N, K, S) received amplitudes of `kernel`'s layout
+    under the greedy common-rate split: the common-rate cap (0 without a
+    common stream) and the WSR, the private stages' rates weighted by the
+    (1 or N, private columns) `w_own` and added stage by stage
+    (`_stage_sum`), then `w_common` (a scalar or one per row) times the
+    cap."""
     sinr_p, sinr_c = kernel.sinrs(A)
-    # .T: the stage-major (private columns, N) array, a BLAS-friendly operand
-    wsr = w_own @ np.log2(1.0 + sinr_p).T
-    if sinr_c is not None:
-        wsr += w_common * np.log2(1.0 + sinr_c).min(axis=1)
-    return wsr
+    cap = np.zeros(len(A)) if sinr_c is None else np.log2(1.0 + sinr_c).min(axis=1)
+    return _stage_sum(w_own, np.log2(1.0 + sinr_p)) + w_common * cap, cap
 
 
 # --------------------------------------------------------------------------
@@ -498,17 +492,15 @@ def _objective(comp: _Compiled, dr, d2r, lam: np.ndarray):
     """Gradient (B, W) and Hessian (B, W, W) in the flat amplitudes of
     sum_k w_k r_k + w_c sum_j lam_j r_cj, the common decoders weighted by
     the (B, decoders) `lam`."""
-    B, n = len(dr), comp.n_priv
-    weights = np.broadcast_to(comp.w_own, (B, n))
-    if comp.common_col is not None:
-        weights = np.concatenate((weights, comp.w_common[:, None] * lam), axis=1)
+    private = np.broadcast_to(comp.w_priv, (len(dr), comp.n_priv))
+    weights = np.concatenate((private, comp.w_common[:, None] * lam), axis=1)
     return _stage_sum(weights, dr), _stage_sum(weights, d2r)
 
 
 def _stage_sum(weights: np.ndarray, per_stage: np.ndarray) -> np.ndarray:
     """sum_s weights[:, s] per_stage[:, s], added stage by stage in order.
-    A stage no problem weights adds exact zeros, so a problem's sum does
-    not depend on which other stages its batch's kernel holds."""
+    A stage a problem does not weight adds exact zeros to its sum: this
+    is the one reducer of weighted stage rates and their derivatives."""
     total = weights[:, 0, None] * per_stage[:, 0].reshape(len(per_stage), -1)
     for s in range(1, weights.shape[1]):
         total = total + weights[:, s, None] * per_stage[:, s].reshape(len(per_stage), -1)
@@ -542,32 +534,30 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
     With `near` (bits), the second term is left out and t runs over [0,
     1] only where the decoders are within `near` of each other: the
     weighting that makes the point most nearly stationary on the kink,
-    for the polish's kink step. Without a common stream the gap is the
-    private rates' alone; with more than two decoders the binding one
-    alone is weighted (the catalog's problems have two).
+    for the polish's kink step. A problem that does not weight the
+    common stream (SDMA) has w_c = 0, so its gap is the private rates'
+    alone; with more than two decoders the binding one alone is weighted
+    (the catalog's problems have two).
     """
     B, n = len(r), comp.n_priv
-    a = _stage_sum(np.broadcast_to(comp.w_own, (B, n)), dr[:, :n])[:, None, :]  # (B, 1, W)
+    a = _stage_sum(np.broadcast_to(comp.w_priv, (B, n)), dr[:, :n])[:, None, :]  # (B, 1, W)
     b = np.zeros_like(a)
     t = np.zeros(B)
     cost = np.zeros((B, 2))  # what weight 1 on decoder 0, 1 gives away on the min
     search = np.zeros(B, dtype=bool)
-    lam = np.zeros((B, 0))
-    if comp.common_col is not None:
-        rc = r[:, n:]
-        binding = rc.argmin(axis=1)
-        drc = dr[:, n:] * comp.w_common[:, None, None]
-        lam = np.zeros_like(rc)
-        lam[np.arange(B), binding] = 1.0
-        if rc.shape[1] == 2:
-            a, b = a + drc[:, 1:], drc[:, :1] - drc[:, 1:]
-            t = lam[:, 0].copy()
-            if near is None:
-                cost = comp.w_common[:, None] * (rc - rc.min(axis=1, keepdims=True))
-            else:
-                search = np.abs(rc[:, 0] - rc[:, 1]) <= near
+    rc = r[:, n:]
+    drc = dr[:, n:] * comp.w_common[:, None, None]
+    lam = np.zeros_like(rc)
+    lam[np.arange(B), rc.argmin(axis=1)] = 1.0
+    if rc.shape[1] == 2:
+        a, b = a + drc[:, 1:], drc[:, :1] - drc[:, 1:]
+        t = lam[:, 0].copy()
+        if near is None:
+            cost = comp.w_common[:, None] * (rc - rc.min(axis=1, keepdims=True))
         else:
-            a = a + _stage_sum(lam, drc)[:, None, :]
+            search = np.abs(rc[:, 0] - rc[:, 1]) <= near
+    else:
+        a = a + _stage_sum(lam, drc)[:, None, :]
     mask = active[:, None, :]
     a = (a @ J)[:, 0].reshape(P.shape) * mask
     b = (b @ J)[:, 0].reshape(P.shape) * mask
@@ -789,8 +779,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         # first the weighting that makes the point most nearly stationary,
         # then t corrected by the kink row's multiplier of each step
         binding = np.zeros((m, nd))
-        if nd:
-            binding[np.arange(m), r[:, n_priv:].argmin(axis=1)] = 1.0
+        binding[np.arange(m), r[:, n_priv:].argmin(axis=1)] = 1.0
         d, _, _, G = face_step(binding, np.zeros(m, dtype=bool))
         directions = [d]
         kink_t[live[~near]] = np.nan
@@ -865,15 +854,6 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
 # --------------------------------------------------------------------------
 
 
-def _best(final, lo: int, n: int) -> int:
-    """The start of lo .. lo + n - 1 with the best final WSR, the earliest on ties."""
-    best = lo
-    for b in range(lo + 1, lo + n):
-        if final[b] > final[best]:
-            best = b
-    return best
-
-
 def _solve_starts(comp: _Compiled, radii: np.ndarray, P0: np.ndarray, config: AoConfig):
     """Every start of P0 projected onto its (B, L) balls `radii`, then
     polished in lockstep; returns `_polish`'s (P, history, residual)."""
@@ -921,9 +901,9 @@ def ao_solve(
     ones. The warm starts of a problem run in wave d,
     one more than the deepest wave its `warm_from` problems finished in
     (a problem without warm starts finishes in wave 0): each is the
-    polished winner of one `warm_from` problem, placed on the RSMA
-    streams (`StreamLayout.to_rsma`) and read in this problem's layout,
-    in the order given. Each wave is one lockstep polish.
+    polished winner of one `warm_from` problem, on the RSMA streams,
+    with the columns this problem's layout lacks set to 0, in the order
+    given. Each wave is one lockstep polish.
 
     The name is that of the alternating-optimization (AO) stage the
     solver once ran before the polish; it stays, with `layout`, because
@@ -978,9 +958,10 @@ def ao_solve(
     rank = np.concatenate([np.arange(n) for n in counts])  # each start's place among its problem's
     warm = (rank > K) & (rank <= K + np.array([len(problems[q].warm_from) for q in owner]))
     histories, residual, final = [None] * len(P), np.empty(len(P)), np.empty(len(P))
+    active = np.broadcast_to(comp.active, (len(problems), K + 1))  # each problem's weighted columns
 
-    def winner(q):
-        return _best(final, firsts[q], counts[q])
+    def winner(q):  # the start of the best final WSR, the earliest on ties
+        return firsts[q] + int(final[firsts[q] : firsts[q] + counts[q]].argmax())
 
     for d in range(max(wave) + 1):
         rows = np.flatnonzero(np.where(warm, np.array(wave)[owner] == d, d == 0))
@@ -988,20 +969,16 @@ def ao_solve(
             continue
         for b in rows[warm[rows]]:
             p, q = owner[b], problems[owner[b]].warm_from[rank[b] - K - 1]
-            sub, lay = layouts[q], layouts[p]
-            matrix = P[winner(q)][:, sub.rsma_columns]  # its Solution's
-            P[b] = lay.to_rsma(sub.to_rsma(matrix)[:, lay.rsma_columns])
+            P[b] = np.where(active[p], P[winner(q)], 0.0)
         P[rows], hist, residual[rows] = _solve_starts(comp.take(owner[rows]), radii[rows], P[rows], config)
         for b, h in zip(rows, hist):
             histories[b], final[b] = h, h[-1]
 
-    _, caps = comp.take(owner).true_rates(P)
     solutions = []
     for p, (ch, lay) in enumerate(zip(channels, layouts)):
         best = winner(p)
-        shares = default_shares(lay, float(caps[best]), w)
         precoder = Precoder(matrix=P[best][:, lay.rsma_columns])
-        report = assemble_report(ch, precoder, lay, shares=shares, weights=w)
+        report = assemble_report(ch, precoder, lay, weights=w)
         solutions.append(
             Solution(
                 precoder=precoder,
@@ -1043,7 +1020,7 @@ def grid_oracle(
     """
     kernel = SicKernel(layout, channel.noise)
     private, common = _stream_weights(layout, np.asarray(priorities, dtype=float))
-    w_own = private[kernel.owners]
+    w_own = private[None, kernel.owners]
     L, S = channel.num_fixtures, layout.num_streams
     if L > 2 or S > 3 or resolution not in ORACLE_RESOLUTIONS:
         raise ValueError(f"grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in {ORACLE_RESOLUTIONS}")
@@ -1053,7 +1030,7 @@ def grid_oracle(
     first = rows[(rows >= 0.0).all(axis=1)]
     H = channel.gains
     if L == 1:
-        return float(_amplitude_wsr(kernel, w_own, common, first[:, None, :] * H[None, :, 0:1]).max())
+        return float(_amplitude_wsr(kernel, w_own, common, first[:, None, :] * H[None, :, 0:1])[0].max())
     best = -np.inf
     # blocks of about 4e4 amplitude entries keep the temporaries in cache
     chunk = max(1, int(4e4 / (rows.shape[0] * S)))
@@ -1064,7 +1041,7 @@ def grid_oracle(
             H[None, None, :, 0:1] * r1[:, None, None, :]
             + H[None, None, :, 1:2] * rows[None, :, None, :]
         ).reshape(-1, channel.num_users, S)
-        best = max(best, float(_amplitude_wsr(kernel, w_own, common, A).max()))
+        best = max(best, float(_amplitude_wsr(kernel, w_own, common, A)[0].max()))
     return best
 
 

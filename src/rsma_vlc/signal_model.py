@@ -17,15 +17,14 @@ cancels it, then decodes its own private stream with the other private
 streams as interference. `SicKernel` is that rule's one home, coded
 once as a 0/1 mask of the private columns that interfere at each stage:
 every analytic SINR, rate and equalizer in the package, and the
-Monte-Carlo estimator's interferer set, come from it. A kernel is placed
-at construction on the layout's own columns or, for the optimizer's
-batches, on the RSMA columns of as many users.
+Monte-Carlo estimator's interferer set, come from it.
 
 SDMA and NOMA are RSMA with a stream left at zero and given zero
 weight: SDMA is RSMA without the common stream, and NOMA is RSMA
 without the weak user's private stream, its message riding the common
 one. `StreamLayout.rsma_columns` maps each stream of a layout onto the
-RSMA streams of as many users, which is all the optimizer compiles.
+RSMA streams of as many users, so the optimizer solves every batch on
+the RSMA layout's kernel.
 
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
@@ -220,26 +219,24 @@ class SicKernel:
     summed in column order. The mask drops only a private stage's own
     column, so a common stage sees all private power.
 
-    The streams sit on the layout's own columns (S = its stream count),
-    or with `on_rsma` on the RSMA columns of as many users
-    (`StreamLayout.rsma_columns`, S = K + 1), the placement of the
-    optimizer's batches. `noise` holds the K noise variances of one
+    The streams sit on the layout's own columns (S = its stream count);
+    the optimizer's batches use the RSMA layout's kernel, whose columns
+    are the RSMA columns. `noise` holds the K noise variances of one
     channel, shared by every precoder, or a (B, K) array with one row per
     precoder. `sinrs` reads every stage's amplitudes through one flat
     gather whose indices are computed here; the optimizer's polish reads
     its stage powers through the same indices.
     """
 
-    def __init__(self, layout: StreamLayout, noise: np.ndarray, on_rsma: bool = False):
+    def __init__(self, layout: StreamLayout, noise: np.ndarray):
         self.layout = layout
-        place = layout.rsma_columns if on_rsma else tuple(range(layout.num_streams))
-        width = layout.num_users + 1 if on_rsma else layout.num_streams
-        self._cols = tuple(place[j] for j in layout.private_columns)  # python ints index faster than numpy ones
-        self.owners = np.array([layout.streams[j].owner for j in layout.private_columns], dtype=np.intp)
+        self._cols = layout.private_columns  # python ints index faster than numpy ones
+        self.owners = np.array([layout.streams[j].owner for j in self._cols], dtype=np.intp)
         self.n_priv = len(self._cols)
         stream = layout.common_stream
-        self.common_col = None if stream is None else place[layout.common_column]
+        self.common_col = layout.common_column
         self.decoders = np.array(() if stream is None else stream.decoders, dtype=np.intp)
+        width = layout.num_streams
         # Amplitudes (B, K, width) are read as (B, K * width). Each stage
         # (the private ones, then the common ones) is a column of
         # `_gather`; its rows are every private column at the stage's

@@ -121,16 +121,33 @@ def test_rows_reach_single_user_floor():
 
 def test_rows_reach_recorded_floor():
     # tests/data/wsr_floor.json holds a WSR floor for every row of the five
-    # SNR sweeps (and the best-known value at 20-40 dB); rows may only rise
+    # SNR sweeps (and the best-known value at 20-40 dB); rows may only rise,
+    # and no row may fall more than 1e-3 short of the best known
     table = json.loads((Path(__file__).parent / "data" / "wsr_floor.json").read_text())["rows"]
     assert len(table) == len(SCENARIOS) * 3 * len(SNR_GRID)
     below = [(r["scenario"], r["scheme"], r["snr_db"], wsr_at(r["scenario"], r["scheme"], r["snr_db"]), r["floor"])
              for r in table if wsr_at(r["scenario"], r["scheme"], r["snr_db"]) < r["floor"] - 1e-6]
     assert below == []
-    short = sum(1 for r in table if r["best_known"] is not None
-                and wsr_at(r["scenario"], r["scheme"], r["snr_db"]) < r["best_known"] - 1e-3)
+    known = [r for r in table if r["best_known"] is not None]
+    short = [(r["scenario"], r["scheme"], r["snr_db"], wsr_at(r["scenario"], r["scheme"], r["snr_db"]), r["best_known"])
+             for r in known if wsr_at(r["scenario"], r["scheme"], r["snr_db"]) < r["best_known"] - 1e-3]
+    assert short == []
     _report(f"WSR FLOOR: PASS  all {len(table)} rows at or above their recorded floor; "
-            f"{short} of 75 rows at 20-40 dB more than 1e-3 below the best known")
+            f"all {len(known)} rows at 20-40 dB within 1e-3 of the best known")
+
+
+def test_wsr_never_falls_as_snr_rises():
+    # the L1 balls only grow with the SNR, so no scheme's optimum falls
+    breaks = []
+    for name in SCENARIOS:
+        for scheme in ("rsma", "sdma", "noma"):
+            series = scenario_sweep(name).wsr_series(scheme)
+            assert [snr for snr, _ in series] == list(SNR_GRID)
+            breaks += [(name, scheme, lo, hi) for (lo, w_lo), (hi, w_hi) in zip(series, series[1:])
+                       if w_hi < w_lo - 1e-9]
+    assert breaks == []
+    _report(f"SNR MONOTONE: PASS  no scheme's WSR falls between neighbouring SNRs on the "
+            f"{len(SCENARIOS)} SNR sweeps")
 
 
 def test_rows_converged_with_residual():

@@ -168,9 +168,8 @@ class TestEqualizerAndWeights:
                 lay = build_layout(scheme, 2, ch)
                 P = rng.normal(size=(10, 2, lay.num_streams))
                 comp, Q, r, _, _ = self.stages(ch, lay, P, w)
-                value = r[:, : comp.n_priv] @ comp.w_own[0]
-                if comp.common_col is not None:
-                    value = value + comp.w_common * r[:, comp.n_priv :].min(axis=1)
+                # SDMA's common decoders have rate 0 and weight 0
+                value = r[:, : comp.n_priv] @ comp.w_priv[0] + comp.w_common * r[:, comp.n_priv :].min(axis=1)
                 wsr, _ = comp.true_rates(Q)
                 np.testing.assert_allclose(value, wsr, rtol=0.0, atol=1e-9)
                 for b in range(len(P)):
@@ -282,16 +281,18 @@ class TestSubproblem:
         comp = optimizer._Compiled(ch, lay, np.array(w))
         Q = lay.to_rsma(rng.normal(size=(40, 3, lay.num_streams)))
         r, dr, d2r = optimizer._stage_derivatives(comp, Q)
-        binding = np.zeros((len(Q), len(comp.decoders)))
-        if comp.common_col is not None:
+        rc = r[:, comp.n_priv :]
+        binding = np.zeros_like(rc)
+        binding[np.arange(len(Q)), rc.argmin(axis=1)] = 1.0
+        if comp.w_common[0] > 0.0:
             # keep the states whose two decoders' rates differ by far more
             # than a step of h can move them
-            rc = r[:, comp.n_priv :]
             clear = np.abs(rc[:, 0] - rc[:, 1]) > 1e-2
             assert clear.sum() >= 20
-            binding[np.arange(len(Q)), rc.argmin(axis=1)] = 1.0
             Q, dr, d2r, binding = Q[clear], dr[clear], d2r[clear], binding[clear]
             comp = comp.take(np.flatnonzero(clear))
+        else:  # SDMA's common decoders: rate 0 at every point
+            assert np.all(rc == 0.0)
         grad_a, _ = optimizer._objective(comp, dr, d2r, binding)
         J = np.kron(ch.gains, np.eye(3))[None]
         grad = (grad_a[:, None, :] @ J)[:, 0].reshape(Q.shape)
@@ -788,11 +789,11 @@ class TestBatchedSolver:
         keep = np.array([2, 0, 2, 1])
         sub = comp.take(keep)
         assert sub.H is comp.H and sub._sig2 is comp._sig2
-        for name in ("w_priv", "w_own", "w_common"):
+        for name in ("w_priv", "w_common", "active"):
             assert np.array_equal(getattr(sub, name), getattr(comp, name)[keep])
 
     # channels a and c have user 0 as NOMA's strong user, b has user 1
-    KEPT_BATCHES = {
+    BATCHES = {
         "sdma": ("sdma@a", "sdma@b"),
         "noma-one-strong-user": ("noma@a", "noma@c"),
         "noma-both-strong-users": ("noma@a", "noma@b"),
@@ -804,27 +805,22 @@ class TestBatchedSolver:
     }
 
     @pytest.mark.parametrize("w", [(0.5, 0.5), (0.8, 0.2)], ids=["w0.5,0.5", "w0.8,0.2"])
-    @pytest.mark.parametrize("kind", KEPT_BATCHES)
-    def test_kept_stages_are_the_streams_some_problem_weights(self, kind, w):
+    @pytest.mark.parametrize("kind", BATCHES)
+    def test_every_batch_has_the_rsma_stages(self, kind, w):
+        # whatever its schemes, a batch is compiled on the RSMA layout's
+        # kernel: K private stages, then K common decoders, on the K + 1
+        # RSMA columns; each problem weights only its layout's streams
         channels = {"a": channel([[0.9, 0.4], [0.3, 0.8]]), "b": channel([[0.3, 0.2], [0.5, 0.9]]),
                     "c": channel([[0.8, 0.5], [0.2, 0.3]])}
-        problems = [entry.split("@") for entry in self.KEPT_BATCHES[kind]]
+        problems = [entry.split("@") for entry in self.BATCHES[kind]]
         chans = [channels[name] for _, name in problems]
         layouts = [build_layout(scheme, 2, ch) for (scheme, _), ch in zip(problems, chans)]
         comp = optimizer._Compiled(chans, layouts, np.array(w))
-        # a private column is kept if some problem weights it, the common one likewise
-        weighted = comp.w_priv.any(axis=0)
-        kept = np.flatnonzero(weighted)
-        assert comp._cols == tuple(kept.tolist())
-        assert np.array_equal(comp.owners, kept)
-        assert np.array_equal(comp.w_own, comp.w_priv[:, weighted])
-        if comp.w_common.any():
-            assert comp.common_col == 2 and comp.decoders.tolist() == [0, 1]
-        else:
-            assert comp.common_col is None and len(comp.decoders) == 0
-        assert kind != "noma-one-strong-user" or comp._cols == (0,)
-        # every kept stage reads the (B, K, K + 1) amplitudes of the RSMA columns
-        assert comp._gather.max() < 2 * 3
+        assert comp.n_priv == 2 and comp._cols == (0, 1) and comp.owners.tolist() == [0, 1]
+        assert comp.common_col == 2 and comp.decoders.tolist() == [0, 1]
+        assert comp._gather.shape[1] == 4 and comp._gather.max() < 2 * 3
+        for row, lay in zip(comp.active, layouts):
+            assert np.flatnonzero(row).tolist() == sorted(lay.rsma_columns)
 
     def test_channels_need_one_shape(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
@@ -1094,6 +1090,7 @@ class TestGridOracle:
                 eps = float(10.0 ** rng.uniform(-0.5, 1.5))
                 kernel = SicKernel(lay, ch.noise)
                 private, common = optimizer._stream_weights(lay, w)
+                w_own = private[None, kernel.owners]
                 rows = optimizer._grid_rows(eps, resolution, lay.num_streams)
                 assert set(map(tuple, -rows)) == set(map(tuple, rows))  # the negation of every row
                 H = ch.gains
@@ -1101,7 +1098,7 @@ class TestGridOracle:
                 for lo in range(0, len(rows), 100):  # every (row 1, row 2) pair
                     A = (H[None, None, :, 0:1] * rows[lo : lo + 100, None, None, :]
                          + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.num_streams)
-                    best = max(best, float(optimizer._amplitude_wsr(kernel, private[kernel.owners], common, A).max()))
+                    best = max(best, float(optimizer._amplitude_wsr(kernel, w_own, common, A)[0].max()))
                 assert grid_oracle(ch, lay, w, eps, resolution) == best
 
     def test_ao_close_to_oracle(self):

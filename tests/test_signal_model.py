@@ -344,29 +344,35 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     A = ch.gains @ P
     kernel = SicKernel(lay, ch.noise)
     sinr_p, sinr_c = kernel.sinrs(A)
+    # the polish's stages are the RSMA layout's whatever the scheme: K
+    # private stages in user order, then the K common decoders
     stage_rates = optimizer._stage_derivatives(comp, lay.to_rsma(P))[0]
-    n = kernel.n_priv
-    r_p, r_c = stage_rates[:, :n], stage_rates[:, n:]
+    assert comp.n_priv == users and stage_rates.shape == (len(P), 2 * users)
+    r_p, r_c = stage_rates[:, :users], stage_rates[:, users:]
     wsr_true, cap_true = comp.true_rates(lay.to_rsma(P))
     w_priv, w_common = optimizer._stream_weights(lay, w)
-    w_own = w_priv[kernel.owners]
-    wsr_oracle = optimizer._amplitude_wsr(kernel, w_own, w_common, A)
+    wsr_oracle, cap_oracle = optimizer._amplitude_wsr(kernel, w_priv[None, kernel.owners], w_common, A)
     owners = [lay.streams[c].owner for c in lay.private_columns]
+    unserved = [k for k in range(users) if k not in owners]
     for b in range(len(P)):
         ref_p, ref_c = loop_sinrs(ch.gains, ch.noise, P[b], lay)
         np.testing.assert_allclose(sinr_p[b], ref_p, rtol=1e-12)
         rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=w)
         np.testing.assert_allclose(rep.sinr_private[owners], ref_p, rtol=1e-12)
         # the stage rates, (ln T - ln I) / ln 2 of each stage's received
-        # power T and interference plus noise I
-        wsr_stage = float(w_own @ r_p[b])
+        # power T and interference plus noise I; a stream the layout lacks
+        # is 0, so its stages' rates are 0
+        np.testing.assert_allclose(r_p[b, owners], np.log2(1.0 + ref_p), rtol=0.0, atol=1e-12)
+        assert np.all(r_p[b, unserved] == 0.0)
         if lay.common_column is not None:
             np.testing.assert_allclose(sinr_c[b], ref_c, rtol=1e-12)
             decoders = list(lay.common_stream.decoders)
             np.testing.assert_allclose(rep.sinr_common[decoders], ref_c, rtol=1e-12)
-            wsr_stage += w_common * float(r_c[b].min())
-            assert cap_true[b] == pytest.approx(rep.common_cap, abs=1e-12)
+            np.testing.assert_allclose(r_c[b], np.log2(1.0 + ref_c), rtol=0.0, atol=1e-12)
         else:
-            assert r_c.size == 0 and sinr_c is None
+            assert sinr_c is None and np.all(r_c[b] == 0.0) and w_common == 0.0
+        wsr_stage = float(w_priv @ r_p[b]) + w_common * float(r_c[b].min())
+        for cap in (cap_true[b], cap_oracle[b]):
+            assert cap == pytest.approx(rep.common_cap, abs=1e-12)
         for wsr in (wsr_true[b], wsr_oracle[b], wsr_stage):
             assert wsr == pytest.approx(rep.wsr, abs=1e-12)
