@@ -28,15 +28,24 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "golden_outputs.json"
 
 
-def _run(scenario: str, snr: str) -> list:
-    return ["run", "--scenario", scenario, "--snr", snr, "--seed", "0", "--workers", "1", "--format", "json"]
+def _run(scenario: str, snr: str, *extra: str) -> list:
+    return ["run", "--scenario", scenario, "--snr", snr, *extra, "--seed", "0", "--workers", "1", "--format", "json"]
 
 
-# the rows of the paper's main figure (the benchmark's snr_sweep) and the
-# validate pass the benchmark runs
+FULL = "0,5,10,15,20,25,30,35,40"
+
+# the rows of the paper's main figure (the benchmark's snr_sweep), the
+# other catalog SNR sweeps, NOMA under unequal per-user noise (physical
+# noise on scenario3_4led), a separation sweep whose problems each have
+# their own channel, and the validate pass the benchmark runs
 COMMANDS = {
-    "scenario2_2led": _run("scenario2_2led", "0,5,10,15,20,25,30,35,40"),
-    "scenario1_4led": _run("scenario1_4led", "0,5,10,15,20,25"),
+    "scenario2_2led": _run("scenario2_2led", FULL),
+    "scenario1_4led": _run("scenario1_4led", FULL),
+    "scenario2_4led": _run("scenario2_4led", FULL),
+    "scenario3_4led": _run("scenario3_4led", FULL),
+    "scenario1_2led": _run("scenario1_2led", FULL),
+    "scenario3_4led_physical": _run("scenario3_4led", FULL, "--noise-mode", "physical"),
+    "separation_sweep_2led": _run("separation_sweep_2led", "20", "--schemes", "rsma,sdma,noma"),
     "validate": ["validate", "--seed", "0", "--mc-instances", "20", "--oracle-instances", "18"],
 }
 
