@@ -311,7 +311,7 @@ def _random_instance(rng, epsilon: float):
     """Seeded 2x2 channel and a feasible RSMA precoder for validation."""
     gains = rng.uniform(0.2, 1.0, size=(2, 2))
     channel = ChannelMatrix(gains=gains, noise=np.ones(2))
-    layout = signal_model.build_layout("rsma", 2, channel)
+    layout = signal_model.build_layout("rsma", channel)
     P = rng.uniform(-1.0, 1.0, size=(2, layout.num_streams))
     P *= epsilon / np.abs(P).sum(axis=1, keepdims=True)
     return channel, layout, signal_model.Precoder(matrix=P)

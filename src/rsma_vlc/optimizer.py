@@ -25,9 +25,7 @@ A start's residual is the most the first-order model of its WSR at its
 final point, with the common-rate min taken of the decoders'
 linearizations, could gain over the balls (b/s/Hz; a Frank-Wolfe gap,
 see `_decoder_weights`), and a solution is `converged` when the winning
-start's residual is at most `AoConfig.tolerance`. The SINRs behind the
-true rates and the grid oracle, and the stage powers behind the
-polish's derivatives, all come from signal_model.SicKernel.
+start's residual is at most `AoConfig.tolerance`.
 
 The common-rate shares never enter the optimization explicitly: for
 fixed priorities the optimal split is greedy (everything to the highest
@@ -35,20 +33,22 @@ priority taker, or to the weak user under NOMA), so the common stream
 contributes through the minimum of the decoders' rates. On exit each
 winner's report makes that split (`assemble_report`).
 
-Every problem is solved on the RSMA streams of its K users: the
-private columns in user order, then the common one. Its scheme enters
-only through its stream weights: a private weight is the user's
-priority if its layout gives that user a private stream, else 0, and the
-common weight is the priority of the user the greedy split hands the
-common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with a
-zero-weighted stream. That stream starts at 0, the L1 projection keeps
-it at 0 and the polish leaves its column out of every face and every
-step, so it adds exact zeros to every rate and derivative. Every batch,
-whatever its schemes, is compiled on the SIC kernel of the RSMA layout
-of K users: K private stages, then K common decoders. Every weighted
-sum of stage rates or their derivatives, the WSR of the true rates and
-of the grid oracle included, is added stage by stage in that order
-(`_stage_sum`).
+Every problem is solved on the RSMA streams of its K users (the
+private columns in user order, then the common one), and every SINR and
+stage power, the grid oracle's included, comes from the one SIC kernel
+of K users (`signal_model.SicKernel`: K private stages, then K common
+decoders). A
+scheme enters only through its stream weights: a private weight is the
+user's priority if its layout gives that user a private stream, else 0,
+and the common weight is the priority of the user the greedy split
+hands the common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with
+a zero-weighted stream. The starts (`_zf_start`, `_beam_start`,
+`_split_start`) leave it at 0 (`_Compiled.active`), the L1 projection
+keeps it at 0 and the polish leaves its column out of every face and
+step, so its stages add exact zeros to every rate and derivative. Every
+weighted sum of stage rates or their derivatives, the WSR of the true
+rates and of the grid oracle included, is added stage by stage in the
+kernel's order (`_stage_sum`).
 
 Every start is one problem of a lockstep batch. Each problem has its
 own channel (gains stacked as (B, K, L), noise as (B, K); a channel that
@@ -234,8 +234,8 @@ def _stream_weights(layout: StreamLayout, w: np.ndarray) -> tuple[np.ndarray, fl
     0; common is the priority of the user the greedy split hands the
     common rate to, 0 without a common stream.
     """
-    if w.shape != (layout.num_users,) or np.any(w <= 0):
-        raise ValueError("priorities must be positive, one per user")
+    if w.shape != (layout.num_users,) or not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError("priorities must be finite and positive, one per user")
     private = np.zeros(layout.num_users)
     owners = [layout.streams[j].owner for j in layout.private_columns]
     private[owners] = w[owners]
@@ -254,11 +254,11 @@ class _Compiled(SicKernel):
     weights are `w_priv` (1 or B, K) and `w_common` (1 or B,), one row
     per layout. Precoders are (B, L, K + 1).
 
-    The kernel is that of the RSMA layout of K users, whatever the
-    layouts: K private stages, then K common decoders, on the K + 1 RSMA
-    columns. A stream a problem does not weight (SDMA's common stream,
-    NOMA's weak user's private stream) stays 0, and its stages add exact
-    zeros to that problem's sums.
+    The kernel is the SIC kernel of K users, whatever the layouts: K
+    private stages, then K common decoders, on the K + 1 RSMA columns. A
+    stream a problem does not weight (SDMA's common stream, NOMA's weak
+    user's private stream) stays 0, and its stages add exact zeros to
+    that problem's sums.
     """
 
     def __init__(self, channel, layout, priorities: np.ndarray):
@@ -270,7 +270,7 @@ class _Compiled(SicKernel):
         weights = [_stream_weights(lay, w) for lay in layouts]
         self.w_priv = np.array([private for private, _ in weights])
         self.w_common = np.array([common for _, common in weights])
-        super().__init__(build_layout("rsma", len(w), channels[0]), np.stack([c.noise for c in channels]))
+        super().__init__(len(w), np.stack([c.noise for c in channels]))
         self.H = np.stack([c.gains for c in channels])
         self._index_powers(len(w))
 
@@ -313,16 +313,16 @@ class _Compiled(SicKernel):
         return _amplitude_wsr(self, self.w_priv, self.w_common, self.H @ P)
 
 
-def _amplitude_wsr(kernel: SicKernel, w_own: np.ndarray, w_common, A: np.ndarray):
-    """(wsr, cap) of (N, K, S) received amplitudes of `kernel`'s layout
-    under the greedy common-rate split: the common-rate cap (0 without a
-    common stream) and the WSR, the private stages' rates weighted by the
-    (1 or N, private columns) `w_own` and added stage by stage
+def _amplitude_wsr(kernel: SicKernel, w_priv: np.ndarray, w_common, A: np.ndarray):
+    """(wsr, cap) of (N, K, K + 1) received amplitudes on the RSMA
+    columns under the greedy common-rate split: the common-rate cap (0
+    with a zero common column) and the WSR, the private stages' rates
+    weighted by the (1 or N, K) `w_priv` and added stage by stage
     (`_stage_sum`), then `w_common` (a scalar or one per row) times the
     cap."""
     sinr_p, sinr_c = kernel.sinrs(A)
-    cap = np.zeros(len(A)) if sinr_c is None else np.log2(1.0 + sinr_c).min(axis=1)
-    return _stage_sum(w_own, np.log2(1.0 + sinr_p)) + w_common * cap, cap
+    cap = np.log2(1.0 + sinr_c).min(axis=1)
+    return _stage_sum(w_priv, np.log2(1.0 + sinr_p)) + w_common * cap, cap
 
 
 # --------------------------------------------------------------------------
@@ -347,9 +347,10 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
     """
     r = np.asarray(radius, dtype=float)
     zero = None
-    if np.count_nonzero(r <= 0.0):
-        if np.count_nonzero(r < 0.0):
-            raise ValueError("radius must be nonnegative")
+    # a NaN radius fails both comparisons: it is neither above 0 nor at least 0
+    if np.count_nonzero(r > 0.0) < r.size:
+        if np.count_nonzero(~(r >= 0.0)):
+            raise ValueError("radius must be nonnegative, not NaN")
         zero = r == 0.0
     P = np.asarray(matrix, dtype=float)
     if r.ndim and r.shape != P.shape[:-1]:
@@ -413,16 +414,15 @@ def zf_precoder(channel: ChannelMatrix, epsilon: float) -> Precoder:
     return Precoder(matrix=W * (epsilon / max(row_l1, 1e-30)))
 
 
-def _zf_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float) -> np.ndarray:
-    """ZF private columns; any common column takes the leftover row budget."""
-    P = np.zeros((channel.num_fixtures, layout.num_streams))
-    zf = zf_precoder(channel, epsilon).matrix
-    common = layout.common_column
-    frac = 1.0 if common is None else 1.0 - 1e-3
-    for col in layout.private_columns:
-        P[:, col] = zf[:, layout.streams[col].owner] * frac
-    if common is not None:
-        P[:, common] = np.maximum(epsilon - np.abs(P).sum(axis=1), 0.0) * _broadside(channel)
+def _zf_start(channel: ChannelMatrix, active: np.ndarray, epsilon: float) -> np.ndarray:
+    """ZF on the private RSMA columns `active` (K + 1 flags) marks; an
+    active common column takes the leftover row budget. (L, K + 1)."""
+    K = channel.num_users
+    P = np.zeros((channel.num_fixtures, K + 1))
+    users = np.flatnonzero(active[:K])
+    P[:, users] = zf_precoder(channel, epsilon).matrix[:, users] * (1.0 - 1e-3 if active[K] else 1.0)
+    if active[K]:
+        P[:, K] = np.maximum(epsilon - np.abs(P).sum(axis=1), 0.0) * _broadside(channel)
     return P
 
 
@@ -434,28 +434,29 @@ def _broadside(channel: ChannelMatrix) -> np.ndarray:
     return signs
 
 
-def _beam_start(channel: ChannelMatrix, layout: StreamLayout, epsilon: float, user: int) -> np.ndarray:
-    """Full budget to one user's stream: covers single-user corner optima.
+def _beam_start(channel: ChannelMatrix, active: np.ndarray, epsilon: float, user: int) -> np.ndarray:
+    """Full budget to one user's stream, on the RSMA columns: covers
+    single-user corner optima.
 
-    Users without a private stream (NOMA weak user) get the common
-    column instead, matched in sign to their channel row.
+    A user whose private column `active` leaves out (NOMA weak user)
+    gets the common column instead, matched in sign to their channel row.
     """
-    P = np.zeros((channel.num_fixtures, layout.num_streams))
-    col = layout.private_column_of(user)
+    K = channel.num_users
+    P = np.zeros((channel.num_fixtures, K + 1))
     signs = np.sign(channel.gains[user])
     signs[signs == 0] = 1.0
-    P[:, layout.common_column if col is None else col] = epsilon * signs
+    P[:, user if active[user] else K] = epsilon * signs
     return P
 
 
-def _split_start(zf: np.ndarray, channel: ChannelMatrix, layout: StreamLayout, epsilon: float,
-                 alpha: float) -> np.ndarray:
-    """A share alpha of the budget on a common stream matched in sign to
-    the summed channel (broadside), the rest on the problem's ZF start
-    `zf` (`_zf_start`), projected onto the balls: the split between the
-    private and the common streams that ZF and the corners leave out."""
+def _split_start(zf: np.ndarray, channel: ChannelMatrix, epsilon: float, alpha: float) -> np.ndarray:
+    """A share alpha of the budget on the common column (the last RSMA
+    column) matched in sign to the summed channel (broadside), the rest
+    on the problem's ZF start `zf` (`_zf_start`), projected onto the
+    balls: the split between the private and the common streams that ZF
+    and the corners leave out."""
     P = (1.0 - alpha) * zf
-    P[:, layout.common_column] += alpha * epsilon * _broadside(channel)
+    P[:, -1] += alpha * epsilon * _broadside(channel)
     return project_rows_l1(P, epsilon)
 
 
@@ -729,7 +730,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     H = comp.H
     J = (H[:, :, None, :, None] * np.eye(S)[None, None, :, None, :]).reshape(len(H), -1, n)
     JT = J.transpose(0, 2, 1)
-    live, batch, nd, n_priv = np.arange(B), comp, len(comp.decoders), comp.n_priv
+    live, batch, nd = np.arange(B), comp, comp.n_priv  # nd: the K common decoders
     stop = min(_POLISH_GAP, tolerance)
     for it in range(1, _POLISH_MAX_ITER + 2):
         Q, e, act, R = P[live], eps[live], active[live], radii[live]
@@ -779,7 +780,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         # first the weighting that makes the point most nearly stationary,
         # then t corrected by the kink row's multiplier of each step
         binding = np.zeros((m, nd))
-        binding[np.arange(m), r[:, n_priv:].argmin(axis=1)] = 1.0
+        binding[np.arange(m), r[:, nd:].argmin(axis=1)] = 1.0
         d, _, _, G = face_step(binding, np.zeros(m, dtype=bool))
         directions = [d]
         kink_t[live[~near]] = np.nan
@@ -890,12 +891,13 @@ def ao_solve(
     `scenarios.solve_schemes` seeds RSMA that way; without warm starts
     that bound is not assured.
 
-    Each problem is solved under `build_layout(scheme, K, channel)` of
-    its own scheme and channel, so one call takes, say, the SDMA, NOMA
-    (of either strong user) and RSMA problems of a sweep; the channels
-    must all have one shape. Every start is a matrix of that layout; the
-    solver places it on the RSMA streams (see the module docstring), and
-    each Solution's precoder and report are read back in that layout.
+    Each problem is solved under `build_layout(scheme, channel)` of its
+    own scheme and channel, so one call takes, say, the SDMA, NOMA (of
+    either strong user) and RSMA problems of a sweep; the channels must
+    all have one shape. Every start is built on the RSMA streams, with
+    the columns the problem does not weight at 0 (see the module
+    docstring), and each Solution's precoder and report are read back in
+    the problem's layout.
 
     The starts run in waves. Wave 0 holds every start but the warm
     ones. The warm starts of a problem run in wave d,
@@ -925,40 +927,40 @@ def ao_solve(
     if any(not 0 <= q < p for p, problem in enumerate(problems) for q in problem.warm_from):
         raise ValueError("warm_from may name only earlier problems of the call")
     epsilons = [float(problem.epsilon) for problem in problems]
-    if min(epsilons) < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not all(math.isfinite(eps) and eps >= 0 for eps in epsilons):
+        raise ValueError("epsilon must be finite and nonnegative")
     w = np.asarray(priorities, dtype=float)
     channels = [problem.channel for problem in problems]
     built = {}  # one layout per distinct (scheme, channel)
     for problem, ch in zip(problems, channels):
         if (problem.scheme, id(ch)) not in built:
-            built[problem.scheme, id(ch)] = build_layout(problem.scheme, ch.num_users, ch)
+            built[problem.scheme, id(ch)] = build_layout(problem.scheme, ch)
     layouts = [built[problem.scheme, id(ch)] for problem, ch in zip(problems, channels)]
     # a channel every problem shares is compiled once and broadcasts over
     # the batch, so dropping finished problems never copies its gains
     shared = len({id(ch) for ch in channels}) == 1
     comp = _Compiled(channels[0] if shared else channels, layouts[0] if len(built) == 1 else layouts, w)
+    K = channels[0].num_users
+    active = np.broadcast_to(comp.active, (len(problems), K + 1))  # each problem's weighted columns
 
     starts, counts, firsts, wave = [], [], [], []
-    for problem, lay, eps in zip(problems, layouts, epsilons):
+    for problem, act, eps in zip(problems, active, epsilons):
         ch, refs = problem.channel, problem.warm_from
-        zf = _zf_start(ch, lay, eps)
-        own = [zf] + [_beam_start(ch, lay, eps, k) for k in range(ch.num_users)]
+        zf = _zf_start(ch, act, eps)
+        own = [zf] + [_beam_start(ch, act, eps, k) for k in range(K)]
         own += [np.zeros_like(zf)] * len(refs)  # filled from the named problems' winners
         if problem.scheme == "rsma":
-            own += [_split_start(zf, ch, lay, eps, alpha) for alpha in _SPLITS]
+            own += [_split_start(zf, ch, eps, alpha) for alpha in _SPLITS]
         firsts.append(sum(counts))
         counts.append(len(own))
-        starts.append(lay.to_rsma(np.stack(own)))
+        starts.append(np.stack(own))
         wave.append(1 + max(wave[q] for q in refs) if refs else 0)
-    K = channels[0].num_users
     owner = np.repeat(np.arange(len(problems)), counts)
     P = np.concatenate(starts)
     radii = np.repeat(np.repeat(epsilons, counts)[:, None], P.shape[1], axis=1)
     rank = np.concatenate([np.arange(n) for n in counts])  # each start's place among its problem's
     warm = (rank > K) & (rank <= K + np.array([len(problems[q].warm_from) for q in owner]))
     histories, residual, final = [None] * len(P), np.empty(len(P)), np.empty(len(P))
-    active = np.broadcast_to(comp.active, (len(problems), K + 1))  # each problem's weighted columns
 
     def winner(q):  # the start of the best final WSR, the earliest on ties
         return firsts[q] + int(final[firsts[q] : firsts[q] + counts[q]].argmax())
@@ -1011,37 +1013,37 @@ def grid_oracle(
     streams or a resolution outside ORACLE_RESOLUTIONS (combinatorial
     blow-up).
 
-    The grid is `_grid_rows`, which holds the negation of each of its
-    rows. Negating column s of every precoder row negates column s of the
+    The grid, over the layout's own columns, is placed on the RSMA
+    columns (`StreamLayout.to_rsma`). It is `_grid_rows`, which holds the
+    negation of each of its rows. Negating column s of every precoder row negates column s of the
     received amplitudes exactly, and every rate depends only on their
     squares, so the search fixes the sign of each column: the first row
     runs only over the grid rows whose entries are all >= 0, and the
     maximum is the one over the full grid, bit for bit.
     """
-    kernel = SicKernel(layout, channel.noise)
+    kernel = SicKernel(layout.num_users, channel.noise)
     private, common = _stream_weights(layout, np.asarray(priorities, dtype=float))
-    w_own = private[None, kernel.owners]
     L, S = channel.num_fixtures, layout.num_streams
     if L > 2 or S > 3 or resolution not in ORACLE_RESOLUTIONS:
         raise ValueError(f"grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in {ORACLE_RESOLUTIONS}")
     if epsilon == 0.0:
         return 0.0
-    rows = _grid_rows(epsilon, resolution, S)
+    rows = layout.to_rsma(_grid_rows(epsilon, resolution, S))  # a lacking column is +0
     first = rows[(rows >= 0.0).all(axis=1)]
     H = channel.gains
     if L == 1:
-        return float(_amplitude_wsr(kernel, w_own, common, first[:, None, :] * H[None, :, 0:1])[0].max())
+        return float(_amplitude_wsr(kernel, private[None], common, first[:, None, :] * H[None, :, 0:1])[0].max())
     best = -np.inf
     # blocks of about 4e4 amplitude entries keep the temporaries in cache
-    chunk = max(1, int(4e4 / (rows.shape[0] * S)))
+    chunk = max(1, int(4e4 / rows.size))
     for lo in range(0, first.shape[0], chunk):
         r1 = first[lo : lo + chunk]
         # amplitudes for every (row1, row2) pair: A[k] = h_k0 r1 + h_k1 r2
         A = (
             H[None, None, :, 0:1] * r1[:, None, None, :]
             + H[None, None, :, 1:2] * rows[None, :, None, :]
-        ).reshape(-1, channel.num_users, S)
-        best = max(best, float(_amplitude_wsr(kernel, w_own, common, A)[0].max()))
+        ).reshape(-1, channel.num_users, rows.shape[1])
+        best = max(best, float(_amplitude_wsr(kernel, private[None], common, A)[0].max()))
     return best
 
 

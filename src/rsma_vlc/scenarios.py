@@ -268,7 +268,7 @@ def _solve_points(problems, priorities, config) -> list:
 def _ao_solve(problems, priorities, config):
     """ao_solve, given the first problem's layout as its `layout`."""
     first = problems[0]
-    layout = build_layout(first.scheme, first.channel.num_users, first.channel)
+    layout = build_layout(first.scheme, first.channel)
     return ao_solve(problems, priorities, config, layout=layout)
 
 
@@ -302,7 +302,7 @@ def solve_schemes(channels, priorities, schemes, config, epsilons) -> dict:
         for j, ch in enumerate(channels):
             if scheme in wanted[j] or ("rsma" in wanted[j] and scheme in _helpers(ch)):
                 try:
-                    layouts[scheme, j] = build_layout(scheme, ch.num_users, ch)
+                    layouts[scheme, j] = build_layout(scheme, ch)
                 except ValueError as exc:
                     solved[scheme, j] = (None, exc)
     keys = list(layouts)

@@ -11,20 +11,23 @@ model x = P s + d_dc:
   weaker user's message rides the common stream, which both users
   decode first.
 
-All three share one successive-interference-cancellation rule: a user
-decodes the common stream with every private stream as interference,
-cancels it, then decodes its own private stream with the other private
-streams as interference. `SicKernel` is that rule's one home, coded
-once as a 0/1 mask of the private columns that interfere at each stage:
-every analytic SINR, rate and equalizer in the package, and the
-Monte-Carlo estimator's interferer set, come from it.
+SDMA and NOMA are RSMA with a stream left at zero: SDMA is RSMA
+without the common stream, and NOMA is RSMA without the weak user's
+private stream, its message riding the common one. Every layout's
+streams sit on the RSMA streams of its K users: user k's private stream
+is column k and the common stream column K (`StreamLayout.rsma_columns`,
+`StreamLayout.to_rsma`), and a stream a layout lacks is a zero column.
 
-SDMA and NOMA are RSMA with a stream left at zero and given zero
-weight: SDMA is RSMA without the common stream, and NOMA is RSMA
-without the weak user's private stream, its message riding the common
-one. `StreamLayout.rsma_columns` maps each stream of a layout onto the
-RSMA streams of as many users, so the optimizer solves every batch on
-the RSMA layout's kernel.
+One successive-interference-cancellation rule holds on those columns:
+every user decodes the common stream with every private stream as
+interference, cancels it, then decodes its own private stream with the
+other private streams as interference. `SicKernel` is that rule's one
+home, for K users: K private stages, then K common stages, coded once
+as a 0/1 mask of the private columns that interfere at each stage. Every
+analytic SINR, rate and equalizer in the package, and the Monte-Carlo
+estimator's interferer set, come from it, whatever the scheme; a zero
+column's SINR and rate are exactly 0, so a scheme differs from RSMA
+only in the columns its layout fills.
 
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
@@ -66,13 +69,13 @@ MC_MIN_SYMBOLS = 100_000
 
 @dataclass(frozen=True)
 class StreamDesc:
-    """One transmit stream: who owns it and who decodes it; a common stream
-    is decoded before the private ones (SIC)."""
+    """One transmit stream: its owner and the users whose messages it
+    carries. A private stream is decoded by its owner alone; a common
+    stream by every user, before the private ones (SIC)."""
 
     kind: str  # "private" | "common"
     owner: int | None  # private stream owner, None for common
     carries: tuple[int, ...]  # users whose messages ride this stream
-    decoders: tuple[int, ...]  # users that decode this stream
 
 
 @dataclass(frozen=True)
@@ -180,93 +183,80 @@ class RateReport:
             raise ValueError("common shares exceed the common-rate cap")
 
 
-def build_layout(scheme: str, num_users: int, channel: ChannelMatrix) -> StreamLayout:
-    """Stream layout for a scheme; NOMA picks the strong user by row norm."""
+def build_layout(scheme: str, channel: ChannelMatrix) -> StreamLayout:
+    """Stream layout for a scheme on the channel's users; NOMA picks the
+    strong user by row norm."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    num_users = channel.num_users
     if num_users < 1:
         raise ValueError("need at least one user")
     every = tuple(range(num_users))
+    streams = tuple(StreamDesc("private", k, (k,)) for k in every)
     if scheme == "sdma":
-        streams = tuple(StreamDesc("private", k, (k,), (k,)) for k in every)
         return StreamLayout(scheme, num_users, streams)
     if scheme == "rsma":
-        streams = tuple(StreamDesc("private", k, (k,), (k,)) for k in every)
-        streams += (StreamDesc("common", None, every, every),)
-        return StreamLayout(scheme, num_users, streams)
+        return StreamLayout(scheme, num_users, streams + (StreamDesc("common", None, every),))
     # noma: two-user formulation only
     if num_users != 2:
         raise ValueError("noma layout supports exactly two users")
     norms = np.linalg.norm(channel.gains, axis=1)
     strong = 0 if norms[0] >= norms[1] else 1  # ties break to the lower index
     weak = 1 - strong
-    streams = (
-        StreamDesc("private", strong, (strong,), (strong,)),
-        StreamDesc("common", None, (weak,), (0, 1)),
-    )
-    return StreamLayout(scheme, num_users, streams)
+    return StreamLayout(scheme, num_users, (streams[strong], StreamDesc("common", None, (weak,))))
 
 
 class SicKernel:
-    """The SIC decoding rule of one layout, on received amplitudes.
+    """The SIC decoding rule of the RSMA streams of K users, on received
+    amplitudes.
 
-    Amplitudes A = H @ P have shape (B, K, S): [b, k, s] is stream s's
-    amplitude at user k under precoder b. A stage is one user decoding
-    one stream: a private column at its owner (stages in column order)
-    or the common stream at a decoder (in decoder order). The rule is
+    Amplitudes A = H @ P have shape (B, K, K + 1): [b, k, s] is RSMA
+    column s's amplitude at user k under precoder b, the private columns
+    0..K-1 (user k's is column k) and then the common column K. A stage
+    is one user decoding one stream: K private stages, user k decoding
+    column k, then K common stages, user k decoding column K. The rule is
     coded once, as a 0/1 mask over (private columns, stages): a stage's
     interference is the power of the private columns the mask keeps,
     summed in column order. The mask drops only a private stage's own
     column, so a common stage sees all private power.
 
-    The streams sit on the layout's own columns (S = its stream count);
-    the optimizer's batches use the RSMA layout's kernel, whose columns
-    are the RSMA columns. `noise` holds the K noise variances of one
-    channel, shared by every precoder, or a (B, K) array with one row per
-    precoder. `sinrs` reads every stage's amplitudes through one flat
-    gather whose indices are computed here; the optimizer's polish reads
-    its stage powers through the same indices.
+    A layout's precoders are read on these columns (`StreamLayout.to_rsma`):
+    a stream the layout lacks is a zero column, whose stages have SINR
+    exactly 0 and which adds +0 to every interference sum. `noise` holds
+    the K noise variances of one channel, shared by every precoder, or a
+    (B, K) array with one row per precoder. `sinrs` reads every stage's
+    amplitudes through one flat gather whose indices are computed here;
+    the optimizer's polish reads its stage powers through the same
+    indices.
     """
 
-    def __init__(self, layout: StreamLayout, noise: np.ndarray):
-        self.layout = layout
-        self._cols = layout.private_columns  # python ints index faster than numpy ones
-        self.owners = np.array([layout.streams[j].owner for j in self._cols], dtype=np.intp)
-        self.n_priv = len(self._cols)
-        stream = layout.common_stream
-        self.common_col = layout.common_column
-        self.decoders = np.array(() if stream is None else stream.decoders, dtype=np.intp)
-        width = layout.num_streams
-        # Amplitudes (B, K, width) are read as (B, K * width). Each stage
+    def __init__(self, num_users: int, noise: np.ndarray):
+        K = self.n_priv = num_users
+        # Amplitudes (B, K, K + 1) are read as (B, K (K + 1)). Each stage
         # (the private ones, then the common ones) is a column of
         # `_gather`; its rows are every private column at the stage's
         # user, in column order, then the stage's own amplitude
-        users = np.concatenate((self.owners, self.decoders))
-        own = np.array(self._cols + (self.common_col,) * len(self.decoders), dtype=np.intp)
-        self._gather = np.array([users * width + j for j in (*self._cols, own)], dtype=np.intp)
+        users = np.concatenate((np.arange(K), np.arange(K)))
+        own = np.concatenate((np.arange(K), np.full(K, K)))
+        self._gather = np.array([users * (K + 1) + j for j in (*range(K), own)], dtype=np.intp)
         # the stage noise, floored at _DEN_FLOOR so every denominator is
         # positive; (1 or B, stages): a single row broadcasts over any batch
         self._sig2 = np.atleast_2d(np.maximum(noise, _DEN_FLOOR))[:, users]
         # 0 where a private column is its stage's own signal, else 1
-        self._interferes = 1.0 - np.eye(self.n_priv, len(users))
+        self._interferes = 1.0 - np.eye(K, 2 * K)
 
-    def interferers(self, user: int, stream: int) -> list[int]:
-        """Columns whose power is interference when `user` decodes `stream`."""
-        desc = self.layout.streams[stream]
-        if desc.kind == "common":
-            if user not in desc.decoders:
-                raise ValueError(f"user {user} does not decode stream {stream}")
-            stage = self.n_priv + desc.decoders.index(user)
-        elif desc.owner != user:
-            raise ValueError(f"stream {stream} is not user {user}'s private stream")
-        else:
-            stage = self.layout.private_columns.index(stream)
-        return [j for j, m in zip(self._cols, self._interferes[:, stage].tolist()) if m]
+    def interferers(self, user: int, column: int) -> list[int]:
+        """RSMA columns whose power is interference when `user` decodes
+        `column`: its own private column or the common column K."""
+        K = self.n_priv
+        if not (0 <= user < K and column in (user, K)):
+            raise ValueError(f"column {column} is not user {user}'s private stream or the common column {K}")
+        stage = K + user if column == K else user
+        return [j for j, m in enumerate(self._interferes[:, stage].tolist()) if m]
 
     def sinrs(self, A: np.ndarray):
-        """(sinr_p, sinr_c): SINR of every private stage (B, private
-        columns) and common stage (B, decoders; None without a common
-        stream), as transposed views of one stage-major array.
+        """(sinr_p, sinr_c): SINR of every private stage (B, K) and common
+        stage (B, K), as transposed views of one stage-major array.
 
         The squared amplitudes are read through the flat gather,
         stage-major, (gather rows, stages, B): each
@@ -286,7 +276,7 @@ class SicKernel:
             sinr += X2[i]
         sinr += self._sig2.T
         np.divide(X2[-1], sinr, out=sinr)
-        return sinr[:n].T, (None if self.common_col is None else sinr[n:].T)
+        return sinr[:n].T, sinr[n:].T
 
 
 def sinr_common(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int) -> float:
@@ -350,18 +340,13 @@ def assemble_report(
     """
     K = channel.num_users
     w = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (K,) or np.any(w <= 0):
-        raise ValueError("weights must be positive, one per user")
+    if w.shape != (K,) or not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError("weights must be finite and positive, one per user")
 
-    kernel = SicKernel(layout, channel.noise)
-    sinr_p, sinr_c = kernel.sinrs(channel.gains @ precoder.matrix[None])
-    s_private, s_common = np.zeros(K), np.zeros(K)
-    s_private[kernel.owners] = sinr_p[0]
-    p_rates = np.log2(1.0 + s_private)  # 0 for a user without a private stream
-    cap = 0.0
-    if sinr_c is not None:
-        s_common[kernel.decoders] = sinr_c[0]
-        cap = float(np.log2(1.0 + sinr_c[0]).min())
+    sinr_p, sinr_c = SicKernel(K, channel.noise).sinrs(channel.gains @ layout.to_rsma(precoder.matrix)[None])
+    s_private, s_common = sinr_p[0], sinr_c[0]  # 0 for a stream the layout lacks
+    p_rates = np.log2(1.0 + s_private)
+    cap = float(np.log2(1.0 + s_common).min())
 
     if shares is None:
         shares = default_shares(layout, cap, w)
@@ -417,7 +402,10 @@ def monte_carlo_sinr(
     """
     if num_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
-    interferers = SicKernel(layout, channel.noise).interferers(user, stream)
+    # the interferers on the layout's own columns: one it lacks is zero
+    own = {j: i for i, j in enumerate(layout.rsma_columns)}
+    rsma = SicKernel(layout.num_users, channel.noise).interferers(user, layout.rsma_columns[stream])
+    interferers = [own[j] for j in rsma if j in own]
 
     rng = np.random.default_rng(seed)
     amps = channel.gains[user] @ precoder.matrix

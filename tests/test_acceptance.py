@@ -104,7 +104,7 @@ def test_rows_reach_single_user_floor():
         channel = build_scene_channel(spec)
         sigma, ref = float(np.sqrt(np.mean(channel.noise))), reference_gain(spec)
         for scheme in ("rsma", "sdma", "noma"):
-            layout = build_layout(scheme, channel.num_users, channel)
+            layout = build_layout(scheme, channel)
             served = [k for k in range(channel.num_users) if layout.private_column_of(k) is not None]
             for snr, wsr in scenario_sweep(name).wsr_series(scheme):
                 eps = epsilon_from_snr(snr, sigma, reference_gain=ref)
@@ -237,7 +237,7 @@ def test_criterion_6_property_suite():
     rng = np.random.default_rng(707)
     for i in range(20):
         ch = ChannelMatrix(gains=rng.uniform(0.2, 1.0, size=(2, 2)), noise=np.ones(2))
-        lay = build_layout("rsma", 2, ch)
+        lay = build_layout("rsma", ch)
         P = rng.uniform(-1.0, 1.0, size=(2, 3))
         P *= 3.0 / np.abs(P).sum(axis=1, keepdims=True)
         pre = Precoder(matrix=P)

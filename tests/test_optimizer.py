@@ -60,7 +60,7 @@ def random_start(ch, lay, eps, rng):
 def solve_all(problems, w, config=AoConfig()):
     """ao_solve on `problems`, given the first problem's layout."""
     first = problems[0]
-    return ao_solve(problems, w, config, layout=build_layout(first.scheme, first.channel.num_users, first.channel))
+    return ao_solve(problems, w, config, layout=build_layout(first.scheme, first.channel))
 
 
 class TestEpsilonFromSnr:
@@ -103,12 +103,12 @@ class TestEqualizerAndWeights:
 
     def test_zero_column_gives_zero_gain(self):
         ch = channel([[1.0, 0.0], [0.0, 1.0]])
-        _, _, r, g, u = self.stages(ch, build_layout("sdma", 2, ch), np.zeros((1, 2, 2)))
+        _, _, r, g, u = self.stages(ch, build_layout("sdma", ch), np.zeros((1, 2, 2)))
         assert np.all(g == 0.0) and np.all(u == 1.0) and np.all(r == 0.0)
         # a NOMA batch of both strong users keeps every private stage; each
         # problem's weak user has a zero amplitude under interference
         channels = [channel([[1.0, 0.2], [0.2, 0.5]]), channel([[0.5, 0.2], [0.2, 1.0]])]
-        layouts = [build_layout("noma", 2, c) for c in channels]
+        layouts = [build_layout("noma", c) for c in channels]
         comp, _, _, g, u = self.stages(channels, layouts, np.ones((2, 2, 2)))
         assert comp.n_priv == 2
         for b, lay in enumerate(layouts):
@@ -117,12 +117,12 @@ class TestEqualizerAndWeights:
 
     def test_single_stream_half_gain(self):
         ch = channel([[1.0, 0.0]])
-        _, _, _, g, _ = self.stages(ch, build_layout("sdma", 1, ch), np.array([[[1.0], [0.0]]]), (1.0,))
+        _, _, _, g, _ = self.stages(ch, build_layout("sdma", ch), np.array([[[1.0], [0.0]]]), (1.0,))
         assert g[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_unit_sinr_gives_half_mse(self):
         ch = channel([[1.0, 0.0]])
-        _, _, r, _, u = self.stages(ch, build_layout("sdma", 1, ch), np.array([[[1.0], [0.0]]]), (1.0,))
+        _, _, r, _, u = self.stages(ch, build_layout("sdma", ch), np.array([[[1.0], [0.0]]]), (1.0,))
         assert 1.0 / u[0, 0] == pytest.approx(0.5, rel=1e-12)
         assert u[0, 0] == pytest.approx(2.0, rel=1e-12)
         assert r[0, 0] == pytest.approx(1.0, rel=1e-12)
@@ -131,7 +131,7 @@ class TestEqualizerAndWeights:
         rng = np.random.default_rng(2)
         for _ in range(20):
             ch = random_channel(rng)
-            lay = build_layout("rsma", 2, ch)
+            lay = build_layout("rsma", ch)
             P = rng.normal(size=(2, 3))
             _, _, _, g, _ = self.stages(ch, lay, P[None])
             for user, stream, gain in ((0, 0, g[0, 0]), (1, 1, g[0, 1]), (0, 2, g[0, 2]), (1, 2, g[0, 3])):
@@ -149,7 +149,7 @@ class TestEqualizerAndWeights:
         rng = np.random.default_rng(3)
         for _ in range(20):
             ch = random_channel(rng)
-            lay = build_layout("rsma", 2, ch)
+            lay = build_layout("rsma", ch)
             p = Precoder(matrix=rng.normal(size=(2, 3)))
             _, _, r, _, u = self.stages(ch, lay, p.matrix[None])
             for user in (0, 1):
@@ -165,7 +165,7 @@ class TestEqualizerAndWeights:
         for scheme in SCHEMES:
             for w in ((0.5, 0.5), (0.3, 0.7), (0.8, 0.2)):
                 ch = random_channel(rng)
-                lay = build_layout(scheme, 2, ch)
+                lay = build_layout(scheme, ch)
                 P = rng.normal(size=(10, 2, lay.num_streams))
                 comp, Q, r, _, _ = self.stages(ch, lay, P, w)
                 # SDMA's common decoders have rate 0 and weight 0
@@ -192,6 +192,12 @@ class TestProjection:
     def test_signs_preserved(self):
         out = project_rows_l1(np.array([[-3.0, 1.0]]), 2.0)
         assert np.allclose(out, [[-2.0, 0.0]])
+
+    def test_nan_radius_rejected(self):
+        P = np.array([[3.0, 1.0], [0.1, 0.0]])
+        for radius in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="radius"):
+                project_rows_l1(P, radius)
 
     def test_feasibility_random(self):
         rng = np.random.default_rng(5)
@@ -238,7 +244,7 @@ class TestSubproblem:
 
     def test_zero_budget_returns_origin(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
-        comp = optimizer._Compiled(ch, build_layout("rsma", 2, ch), np.array([0.5, 0.5]))
+        comp = optimizer._Compiled(ch, build_layout("rsma", ch), np.array([0.5, 0.5]))
         P, history, residual = self._polish(comp, 0.0, np.ones((1, 2, 3)))
         assert np.all(P == 0.0)
         wsr, cap = comp.true_rates(P)
@@ -249,7 +255,7 @@ class TestSubproblem:
         # one fixture, one user, one stream: the WSR log2(1 + (h p)^2) rises
         # with |p|, so the optimum is the budget's edge, p = eps
         ch = channel([[0.8]])
-        lay = build_layout("sdma", 1, ch)
+        lay = build_layout("sdma", ch)
         comp = optimizer._Compiled(ch, lay, np.array([1.0]))
         for p_prev, eps in ((0.4, 10.0), (0.9, 0.5)):
             P, history, residual = self._polish(comp, eps, lay.to_rsma(np.array([[[p_prev]]])))
@@ -262,7 +268,7 @@ class TestSubproblem:
         rng = np.random.default_rng(8)
         for _ in range(20):
             ch = random_channel(rng)
-            comp = optimizer._Compiled(ch, build_layout("rsma", 2, ch), np.array([0.5, 0.5]))
+            comp = optimizer._Compiled(ch, build_layout("rsma", ch), np.array([0.5, 0.5]))
             eps = rng.uniform(0.5, 20.0)
             start = project_rows_l1(rng.normal(size=(1, 2, 3)), np.full((1, 2), eps))
             P, history, _ = self._polish(comp, eps, start)
@@ -277,7 +283,7 @@ class TestSubproblem:
         # is the gradient of the true WSR
         rng = np.random.default_rng(10)
         ch = random_channel(rng, l=3)
-        lay = build_layout(scheme, 2, ch)
+        lay = build_layout(scheme, ch)
         comp = optimizer._Compiled(ch, lay, np.array(w))
         Q = lay.to_rsma(rng.normal(size=(40, 3, lay.num_streams)))
         r, dr, d2r = optimizer._stage_derivatives(comp, Q)
@@ -309,7 +315,7 @@ class TestSubproblem:
         # amplitudes of about 1e250 square to inf: the polish checks its
         # derivatives at such a point
         ch = channel([[1e150, 2e150], [3e150, 1e150]])
-        lay = build_layout("sdma", 2, ch)
+        lay = build_layout("sdma", ch)
         comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         P = lay.to_rsma(np.full((1, 2, 2), 0.5e100))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -354,7 +360,7 @@ class TestZfPrecoder:
 class TestAoSolve:
     def test_zero_budget(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
-        lay = build_layout("rsma", 2, ch)
+        lay = build_layout("rsma", ch)
         sol = solve(ch, lay, (0.5, 0.5), 0.0)
         assert sol.wsr == 0.0
         assert sol.converged
@@ -364,25 +370,39 @@ class TestAoSolve:
         # amplitudes of about 1e250 square to inf, so the starts' WSRs are
         # nan (TestSubproblem checks the polish's derivatives at such a point)
         ch = channel([[1e150, 2e150], [3e150, 1e150]])
-        lay = build_layout("sdma", 2, ch)
+        lay = build_layout("sdma", ch)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure, match="WSR"):
                 solve(ch, lay, (0.5, 0.5), 1e100)
 
     def test_negative_budget_rejected(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
-        lay = build_layout("sdma", 2, ch)
+        lay = build_layout("sdma", ch)
         with pytest.raises(ValueError, match="epsilon"):
             solve(ch, lay, (0.5, 0.5), -1.0)
         with pytest.raises(ValueError, match="epsilon"):
             ao_solve([Problem(ch, "sdma", 2.0), Problem(ch, "sdma", -1e-9)], (0.5, 0.5), layout=lay)
+
+    def test_non_finite_budget_rejected(self):
+        ch = channel([[1.0, 0.2], [0.2, 1.0]])
+        lay = build_layout("rsma", ch)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                solve(ch, lay, (0.5, 0.5), eps)
+
+    def test_non_finite_priority_rejected(self):
+        ch = channel([[1.0, 0.2], [0.2, 1.0]])
+        for scheme in SCHEMES:
+            for w in ((np.nan, 0.5), (np.inf, 0.5)):
+                with pytest.raises(ValueError, match="priorities must be finite"):
+                    solve(ch, build_layout(scheme, ch), w, 2.0)
 
     def test_monotone_and_feasible(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             ch = random_channel(rng)
             scheme = ("rsma", "sdma", "noma")[int(rng.integers(3))]
-            lay = build_layout(scheme, 2, ch)
+            lay = build_layout(scheme, ch)
             eps = float(rng.uniform(1.0, 30.0))
             sol = solve(ch, lay, (0.5, 0.5), eps)
             hist = np.array(sol.wsr_history)
@@ -393,7 +413,7 @@ class TestAoSolve:
 
     def test_determinism(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
-        lay = build_layout("rsma", 2, ch)
+        lay = build_layout("rsma", ch)
         a = solve(ch, lay, (0.5, 0.5), 5.0)
         b = solve(ch, lay, (0.5, 0.5), 5.0)
         assert np.array_equal(a.precoder.matrix, b.precoder.matrix)
@@ -424,12 +444,14 @@ class TestAoSolve:
         assert [len(P) for P in batches] == [sum(1 + k + n for n in splits)] + ([warm] if warm else [])
         # wave 0 holds each problem's ZF start, its corners, then its split starts
         first = 0
+        # on the RSMA columns, with the columns the problem's layout lacks at 0
         for problem, n in zip(problems, splits):
-            lay = build_layout(problem.scheme, k, ch)
-            zf = optimizer._zf_start(ch, lay, problem.epsilon)
-            own = [zf] + [optimizer._beam_start(ch, lay, problem.epsilon, user) for user in range(k)]
-            own += [optimizer._split_start(zf, ch, lay, problem.epsilon, alpha) for alpha in optimizer._SPLITS[:n]]
-            assert np.array_equal(batches[0][first : first + len(own)], lay.to_rsma(np.stack(own)))
+            active = np.isin(np.arange(k + 1), build_layout(problem.scheme, ch).rsma_columns)
+            zf = optimizer._zf_start(ch, active, problem.epsilon)
+            own = [zf] + [optimizer._beam_start(ch, active, problem.epsilon, user) for user in range(k)]
+            own += [optimizer._split_start(zf, ch, problem.epsilon, alpha) for alpha in optimizer._SPLITS[:n]]
+            assert np.array_equal(batches[0][first : first + len(own)], np.stack(own))
+            assert np.all(np.stack(own)[..., ~active] == 0.0)
             first += len(own)
         for problem, sol, n in zip(problems, sols, splits):
             assert 0 <= sol.restart_index < 1 + k + len(problem.warm_from) + n
@@ -446,14 +468,14 @@ class TestAoSolve:
 
     def test_report_matches_stored_wsr(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
-        lay = build_layout("noma", 2, ch)
+        lay = build_layout("noma", ch)
         sol = solve(ch, lay, (0.5, 0.5), 8.0)
         assert sol.report.wsr == pytest.approx(sol.wsr_history[-1], abs=1e-9)
 
     def test_unequal_priorities_respected(self):
         # correlated channel: rates trade off, so the heavy user must win
         ch = channel([[1.0, 0.8], [0.8, 1.0]])
-        lay = build_layout("sdma", 2, ch)
+        lay = build_layout("sdma", ch)
         lop = solve(ch, lay, (0.9, 0.1), 10.0)
         assert lop.report.overall[0] > lop.report.overall[1]
         even = solve(ch, lay, (0.5, 0.5), 10.0)
@@ -494,24 +516,24 @@ class TestBatchedSolver:
         # short of
         rng = np.random.default_rng(40 + fixtures)
         ch = random_channel(rng, l=fixtures)
-        lay = build_layout(scheme, 2, ch)
+        lay = build_layout(scheme, ch)
         w = np.array(w)
         comp = optimizer._Compiled(ch, lay, w)
         eps, starts = [], []
         for snr in (5.0, 15.0, 30.0):
             e = epsilon_from_snr(snr, 1.0)
-            starts.append(optimizer._zf_start(ch, lay, e))
-            starts += [optimizer._beam_start(ch, lay, e, k) for k in range(2)]
-            starts += [random_start(ch, lay, e, rng) for _ in range(2)]
+            starts.append(optimizer._zf_start(ch, comp.active[0], e))
+            starts += [optimizer._beam_start(ch, comp.active[0], e, k) for k in range(2)]
+            starts += [lay.to_rsma(random_start(ch, lay, e, rng)) for _ in range(2)]
             eps += [e] * 5
         radii = np.repeat(np.array(eps)[:, None], fixtures, axis=1)
         # SDMA's common column, NOMA's weak user's private column
         unused = [c for c in range(3) if c not in lay.rsma_columns]
         for cfg in (AoConfig(), AoConfig(tolerance=TIGHT)):
-            P, hist, res = optimizer._solve_starts(comp, radii, lay.to_rsma(np.stack(starts)), cfg)
+            P, hist, res = optimizer._solve_starts(comp, radii, np.stack(starts), cfg)
             polished, outcomes = 0, set()
             for b in range(len(starts)):
-                P1, hist1, res1 = optimizer._solve_starts(comp, radii[b : b + 1], lay.to_rsma(starts[b][None]), cfg)
+                P1, hist1, res1 = optimizer._solve_starts(comp, radii[b : b + 1], starts[b][None], cfg)
                 assert np.array_equal(P[b], P1[0]) and hist[b] == hist1[0] and res[b] == res1[0]
                 assert np.all(P[b][:, unused] == 0.0)
                 assert np.all(np.diff(hist[b]) >= 0.0)
@@ -528,7 +550,7 @@ class TestBatchedSolver:
         # earlier problems, found under other budgets, in waves 1 and 2
         rng = np.random.default_rng(45)
         ch = random_channel(rng, l=4)
-        lay = build_layout("rsma", 2, ch)
+        lay = build_layout("rsma", ch)
         epsilons = [2.0, epsilon_from_snr(12.0, 1.0), 30.0]
         warm_from = [(), (0,), (0, 1)]
         problems = [Problem(ch, "rsma", eps, refs) for eps, refs in zip(epsilons, warm_from)]
@@ -545,7 +567,7 @@ class TestBatchedSolver:
         rng = np.random.default_rng(46)
         ch = random_channel(rng, l=2)
         for scheme in ("rsma", "sdma", "noma"):
-            lay = build_layout(scheme, 2, ch)
+            lay = build_layout(scheme, ch)
             epsilons = [epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0)]
             many = ao_solve([Problem(ch, scheme, eps) for eps in epsilons], (0.5, 0.5), layout=lay)
             for eps, sol in zip(epsilons, many):
@@ -576,7 +598,7 @@ class TestBatchedSolver:
             sigma = float(np.sqrt(np.mean(channels[-1].noise)))
             epsilons.append(epsilon_from_snr(5.0 + 6.0 * i, sigma))
         epsilons[3] = 4.0
-        assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
+        assert len({build_layout("noma", ch) for ch in channels}) == 2
         return channels, epsilons
 
     @pytest.mark.parametrize("scheme,w", [
@@ -593,7 +615,7 @@ class TestBatchedSolver:
             assert isinstance(batched, tuple) and len(batched) == len(channels)
             outcomes = set()
             for ch, eps, sol in zip(channels, epsilons, batched):
-                lay = build_layout(scheme, 2, ch)
+                lay = build_layout(scheme, ch)
                 alone = solve(ch, lay, w, eps, config)
                 assert self._same(sol, alone)
                 assert np.array_equal(sol.report.common_shares, alone.report.common_shares) and sol.wsr == alone.wsr
@@ -616,7 +638,7 @@ class TestBatchedSolver:
             outcomes = set()
             for problem, sol in zip(problems, batched):
                 ch, scheme, eps = problem.channel, problem.scheme, problem.epsilon
-                lay = build_layout(scheme, 2, ch)
+                lay = build_layout(scheme, ch)
                 alone = solve(ch, lay, w, eps, config)
                 assert self._same(sol, alone)
                 assert np.array_equal(sol.report.common_shares, alone.report.common_shares) and sol.wsr == alone.wsr
@@ -633,11 +655,11 @@ class TestBatchedSolver:
         schemes = ["noma", "sdma", "sdma"]
         shared = solve_all([Problem(ch, scheme, eps) for scheme, eps in zip(schemes, [2.0, 2.0, 9.0])], w)
         for scheme, eps, sol in zip(schemes, [2.0, 2.0, 9.0], shared):
-            assert self._same(sol, solve(ch, build_layout(scheme, 2, ch), w, eps))
+            assert self._same(sol, solve(ch, build_layout(scheme, ch), w, eps))
 
     def test_layout_is_the_first_problems_scheme(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
-        sdma, noma = build_layout("sdma", 2, a), build_layout("noma", 2, a)
+        sdma, noma = build_layout("sdma", a), build_layout("noma", a)
         with pytest.raises(ValueError):
             ao_solve([Problem(a, "sdma", 1.0), Problem(a, "noma", 1.0)], (0.5, 0.5), layout=noma)
         with pytest.raises(ValueError):
@@ -686,7 +708,7 @@ class TestBatchedSolver:
         warm_from = [()] * (2 * n) + [(j, n + j) for j in range(n)]
         batched = solve_all([Problem(*p) for p in zip(channels * 3, schemes, epsilons * 3, warm_from)], w)
         for j, (ch, eps) in enumerate(zip(channels, epsilons)):
-            layouts = [build_layout(s, 2, ch) for s in ("sdma", "noma", "rsma")]
+            layouts = [build_layout(s, ch) for s in ("sdma", "noma", "rsma")]
             helpers = [solve(ch, lay, w, eps) for lay in layouts[:2]]
             alone = solve_all([Problem(ch, "sdma", eps), Problem(ch, "noma", eps), Problem(ch, "rsma", eps, (0, 1))],
                               w)
@@ -766,7 +788,7 @@ class TestBatchedSolver:
         sols = solve_all(problems, (0.5, 0.5))
         own = [1 + 2, 1 + 2, 1 + 2 + len(optimizer._SPLITS)]
         assert [len(P0) for P0 in waves] == [sum(own), 1, 2]
-        sdma, noma = build_layout("sdma", 2, ch), build_layout("noma", 2, ch)
+        sdma, noma = build_layout("sdma", ch), build_layout("noma", ch)
         assert np.array_equal(waves[1][0], noma.to_rsma(sdma.to_rsma(sols[0].precoder.matrix)[:, noma.rsma_columns]))
         assert np.array_equal(waves[2][0], sdma.to_rsma(sols[0].precoder.matrix))
         assert np.array_equal(waves[2][1], noma.to_rsma(sols[1].precoder.matrix))
@@ -774,7 +796,7 @@ class TestBatchedSolver:
 
     def test_warm_from_names_earlier_problems_only(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
-        sdma = build_layout("sdma", 2, a)
+        sdma = build_layout("sdma", a)
         for warm_from in ([(0,), ()], [(), (1,)], [(), (2,)], [(), (-1,)]):
             with pytest.raises(ValueError):
                 ao_solve([Problem(a, "sdma", 1.0, refs) for refs in warm_from], (0.5, 0.5), layout=sdma)
@@ -783,7 +805,7 @@ class TestBatchedSolver:
 
     def test_shared_channel_stays_one_row_in_a_mixed_batch(self):
         ch = channel([[0.9, 0.4], [0.3, 0.8]])
-        layouts = [build_layout(s, 2, ch) for s in ("sdma", "noma", "rsma")]
+        layouts = [build_layout(s, ch) for s in ("sdma", "noma", "rsma")]
         comp = optimizer._Compiled(ch, layouts, np.array([0.4, 0.6]))
         assert (len(comp.H), len(comp._sig2), len(comp.w_priv)) == (1, 1, 3)
         keep = np.array([2, 0, 2, 1])
@@ -807,24 +829,27 @@ class TestBatchedSolver:
     @pytest.mark.parametrize("w", [(0.5, 0.5), (0.8, 0.2)], ids=["w0.5,0.5", "w0.8,0.2"])
     @pytest.mark.parametrize("kind", BATCHES)
     def test_every_batch_has_the_rsma_stages(self, kind, w):
-        # whatever its schemes, a batch is compiled on the RSMA layout's
-        # kernel: K private stages, then K common decoders, on the K + 1
+        # whatever its schemes, a batch is compiled on the one SIC kernel of
+        # K users: K private stages, then K common decoders, on the K + 1
         # RSMA columns; each problem weights only its layout's streams
         channels = {"a": channel([[0.9, 0.4], [0.3, 0.8]]), "b": channel([[0.3, 0.2], [0.5, 0.9]]),
                     "c": channel([[0.8, 0.5], [0.2, 0.3]])}
         problems = [entry.split("@") for entry in self.BATCHES[kind]]
         chans = [channels[name] for _, name in problems]
-        layouts = [build_layout(scheme, 2, ch) for (scheme, _), ch in zip(problems, chans)]
+        layouts = [build_layout(scheme, ch) for (scheme, _), ch in zip(problems, chans)]
         comp = optimizer._Compiled(chans, layouts, np.array(w))
-        assert comp.n_priv == 2 and comp._cols == (0, 1) and comp.owners.tolist() == [0, 1]
-        assert comp.common_col == 2 and comp.decoders.tolist() == [0, 1]
+        assert comp.n_priv == 2 and np.array_equal(comp._gather, SicKernel(2, np.ones(2))._gather)
         assert comp._gather.shape[1] == 4 and comp._gather.max() < 2 * 3
+        # user k decodes private column k past the other one, and every
+        # user decodes the common column 2 past both
+        assert [comp.interferers(k, k) for k in (0, 1)] == [[1], [0]]
+        assert [comp.interferers(k, 2) for k in (0, 1)] == [[0, 1], [0, 1]]
         for row, lay in zip(comp.active, layouts):
             assert np.flatnonzero(row).tolist() == sorted(lay.rsma_columns)
 
     def test_channels_need_one_shape(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
-        lay = build_layout("sdma", 2, a)
+        lay = build_layout("sdma", a)
         with pytest.raises(ValueError):
             ao_solve([Problem(a, "sdma", 1.0), Problem(channel(np.ones((2, 3))), "sdma", 1.0)], (0.5, 0.5),
                      layout=lay)
@@ -832,7 +857,7 @@ class TestBatchedSolver:
     def test_empty_problem_list_rejected(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
         with pytest.raises(ValueError):
-            ao_solve([], (0.5, 0.5), layout=build_layout("sdma", 2, a))
+            ao_solve([], (0.5, 0.5), layout=build_layout("sdma", a))
 
     def test_projection_radius_per_row(self):
         rng = np.random.default_rng(47)
@@ -879,15 +904,14 @@ class TestPolish:
         # chained through H, against central differences of the true WSR
         rng = np.random.default_rng(60)
         ch = channel(rng.uniform(0.1, 1.0, size=(2, 4)), [1.0, 0.7])
-        lay = build_layout(scheme, 2, ch)
+        lay = build_layout(scheme, ch)
         comp = optimizer._Compiled(ch, lay, np.array([0.4, 0.6]))
         P = lay.to_rsma(rng.normal(size=(3, 4, lay.num_streams)))
         J = np.kron(ch.gains, np.eye(3))[None]
         r, dr, d2r = optimizer._stage_derivatives(comp, P)
-        nd = len(comp.decoders)
-        binding = np.zeros((3, nd))
-        if nd:
-            binding[np.arange(3), r[:, comp.n_priv :].argmin(axis=1)] = 1.0
+        # the K common decoders, of every scheme; SDMA's have rate 0 and weight 0
+        binding = np.zeros((3, comp.n_priv))
+        binding[np.arange(3), r[:, comp.n_priv :].argmin(axis=1)] = 1.0
         grad_a, hess_a = optimizer._objective(comp, dr, d2r, binding)
         grad, hess = (grad_a[:, None, :] @ J)[:, 0], J.transpose(0, 2, 1) @ hess_a @ J
         h, fd_grad, fd_hess = 1e-6, np.empty_like(grad), np.empty_like(hess)
@@ -908,7 +932,7 @@ class TestPolish:
         # no smaller gap
         rng = np.random.default_rng(61)
         ch = random_channel(rng, l=4)
-        lay = build_layout("rsma", 2, ch)
+        lay = build_layout("rsma", ch)
         comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         P = project_rows_l1(lay.to_rsma(rng.normal(size=(20, 4, 3))), np.full((20, 4), 2.0))
         J = np.kron(ch.gains, np.eye(3))[None]
@@ -935,7 +959,7 @@ class TestPolish:
         # w_c delta, and it never exceeds the binding decoder's gap
         rng = np.random.default_rng(61)
         ch = random_channel(rng, l=4)
-        lay = build_layout("rsma", 2, ch)
+        lay = build_layout("rsma", ch)
         comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         J = np.kron(ch.gains, np.eye(3))[None]
         w_c, eps = comp.w_common[0], 2.0
@@ -999,7 +1023,7 @@ class TestPolish:
         # whole budget on its own user's stream; the polish finds it from a
         # point inside the balls, with a zero residual, in a few iterations
         ch = channel([[1.0, 0.0], [0.0, 0.5]])
-        lay = build_layout("sdma", 2, ch)
+        lay = build_layout("sdma", ch)
         comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         eps = 2.0
         P0 = lay.to_rsma(np.array([[[0.7, 0.2], [-0.1, 0.9]]]))
@@ -1017,7 +1041,7 @@ class TestPolish:
         # keeps the WSR and the balls, and every start ends converged
         rng = np.random.default_rng(62)
         ch = random_channel(rng, l=4)
-        lay = build_layout(scheme, 2, ch)
+        lay = build_layout(scheme, ch)
         comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         eps = np.repeat([epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0, 40.0)], 4)
         P0 = np.stack([lay.to_rsma(random_start(ch, lay, e, rng)) for e in eps])
@@ -1034,22 +1058,22 @@ class TestPolish:
 class TestGridOracle:
     def test_zero_budget(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
-        lay = build_layout("rsma", 2, ch)
+        lay = build_layout("rsma", ch)
         assert grid_oracle(ch, lay, (0.5, 0.5), epsilon=0.0) == 0.0
 
     def test_dimension_caps(self):
         ch3 = ChannelMatrix(gains=np.full((2, 3), 0.5), noise=np.ones(2))
-        lay = build_layout("sdma", 2, ch3)
+        lay = build_layout("sdma", ch3)
         with pytest.raises(ValueError):
             grid_oracle(ch3, lay, (0.5, 0.5), epsilon=1.0)
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(ValueError):
-            grid_oracle(ch, build_layout("rsma", 2, ch), (0.5, 0.5), epsilon=1.0, resolution=25)
+            grid_oracle(ch, build_layout("rsma", ch), (0.5, 0.5), epsilon=1.0, resolution=25)
 
     def test_sdma_diagonal_hand_optimum(self):
         # decoupled rows: all budget on the own-user entry, rates add up
         ch = channel([[1.0, 0.0], [0.0, 0.5]])
-        lay = build_layout("sdma", 2, ch)
+        lay = build_layout("sdma", ch)
         eps = 2.0
         expected = 0.5 * np.log2(1 + (1.0 * eps) ** 2) + 0.5 * np.log2(1 + (0.5 * eps) ** 2)
         got = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)
@@ -1063,7 +1087,7 @@ class TestGridOracle:
         eps, res = 1.5, 5
         for scheme in ("rsma", "sdma", "noma"):
             ch = random_channel(rng)
-            lay = build_layout(scheme, 2, ch)
+            lay = build_layout(scheme, ch)
             S = lay.num_streams
             axis = np.linspace(-eps, eps, res)
             mesh = np.stack(np.meshgrid(*([axis] * S), indexing="ij"), axis=-1).reshape(-1, S)
@@ -1085,12 +1109,11 @@ class TestGridOracle:
         for scheme in SCHEMES:
             for _ in range(10):
                 ch = channel(rng.uniform(0.1, 1.0, size=(2, 2)), rng.uniform(0.3, 3.0, size=2))
-                lay = build_layout(scheme, 2, ch)
+                lay = build_layout(scheme, ch)
                 w = rng.uniform(0.2, 1.0, size=2)
                 eps = float(10.0 ** rng.uniform(-0.5, 1.5))
-                kernel = SicKernel(lay, ch.noise)
+                kernel = SicKernel(2, ch.noise)
                 private, common = optimizer._stream_weights(lay, w)
-                w_own = private[None, kernel.owners]
                 rows = optimizer._grid_rows(eps, resolution, lay.num_streams)
                 assert set(map(tuple, -rows)) == set(map(tuple, rows))  # the negation of every row
                 H = ch.gains
@@ -1098,7 +1121,8 @@ class TestGridOracle:
                 for lo in range(0, len(rows), 100):  # every (row 1, row 2) pair
                     A = (H[None, None, :, 0:1] * rows[lo : lo + 100, None, None, :]
                          + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.num_streams)
-                    best = max(best, float(optimizer._amplitude_wsr(kernel, w_own, common, A)[0].max()))
+                    wsr = optimizer._amplitude_wsr(kernel, private[None], common, lay.to_rsma(A))[0]
+                    best = max(best, float(wsr.max()))
                 assert grid_oracle(ch, lay, w, eps, resolution) == best
 
     def test_ao_close_to_oracle(self):

@@ -314,7 +314,7 @@ class TestRunSweep:
         )
         values = spec.sweep.values
         channels = [build_scene_channel(spec, v) for v in values]
-        assert len({build_layout("noma", 2, ch) for ch in channels}) == 2
+        assert len({build_layout("noma", ch) for ch in channels}) == 2
         ref = reference_gain(spec)
         alone = [row for point in enumerate(values) for row in scenarios._solve_chunk(spec, [point], ref)]
         alone.sort(key=lambda r: (r.scheme, values.index(r.sweep_value)))
