@@ -301,7 +301,7 @@ def rate(sinr: float) -> float:
 
 
 def common_cap(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout) -> float:
-    """Decodable common rate: the minimum common-stream rate over its decoders."""
+    """Decodable common rate: the minimum common-stream rate over the users, which all decode it."""
     if layout.common_column is None:
         raise ValueError("layout has no common stream")
     return assemble_report(channel, precoder, layout).common_cap
