@@ -121,10 +121,19 @@ def test_rows_reach_single_user_floor():
 
 def test_rows_reach_recorded_floor():
     # tests/data/wsr_floor.json holds a WSR floor for every row of the five
-    # SNR sweeps (and the best-known value at 20-40 dB); rows may only rise,
+    # SNR sweeps (and the best-known value at 20-40 dB) and for every RSMA
+    # row of the separation sweep at 20, 30 and 40 dB; rows may only rise,
     # and no row may fall more than 1e-3 short of the best known
-    table = json.loads((Path(__file__).parent / "data" / "wsr_floor.json").read_text())["rows"]
+    recorded = json.loads((Path(__file__).parent / "data" / "wsr_floor.json").read_text())
+    table, separations = recorded["rows"], recorded["separation_rows"]
     assert len(table) == len(SCENARIOS) * 3 * len(SNR_GRID)
+    assert len(separations) == 3 * 25
+    fell = []
+    for r in separations:
+        wsr = dict(separation_sweep(r["snr_db"]).wsr_series(r["scheme"]))[r["separation"]]
+        if wsr < r["floor"] - 1e-6:
+            fell.append((r["snr_db"], r["separation"], wsr, r["floor"]))
+    assert fell == []
     below = [(r["scenario"], r["scheme"], r["snr_db"], wsr_at(r["scenario"], r["scheme"], r["snr_db"]), r["floor"])
              for r in table if wsr_at(r["scenario"], r["scheme"], r["snr_db"]) < r["floor"] - 1e-6]
     assert below == []
@@ -132,8 +141,8 @@ def test_rows_reach_recorded_floor():
     short = [(r["scenario"], r["scheme"], r["snr_db"], wsr_at(r["scenario"], r["scheme"], r["snr_db"]), r["best_known"])
              for r in known if wsr_at(r["scenario"], r["scheme"], r["snr_db"]) < r["best_known"] - 1e-3]
     assert short == []
-    _report(f"WSR FLOOR: PASS  all {len(table)} rows at or above their recorded floor; "
-            f"all {len(known)} rows at 20-40 dB within 1e-3 of the best known")
+    _report(f"WSR FLOOR: PASS  all {len(table)} SNR-sweep rows and {len(separations)} separation-sweep "
+            f"rows at or above their recorded floor; all {len(known)} rows at 20-40 dB within 1e-3 of the best known")
 
 
 def test_wsr_never_falls_as_snr_rises():
