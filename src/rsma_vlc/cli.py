@@ -5,8 +5,8 @@ Commands and the options each takes (any other option exits 1):
                 --scenario NAME or --scenario-file PATH, --schemes, --snr,
                 --noise-mode, --delta (the residual at which a solution
                 counts as converged), --seed (only written to the seed
-                column: the solver draws no random numbers), --workers
-                (RSMA_VLC_WORKERS when not given), --out, --format
+                column: the solver draws no random numbers), --workers,
+                --out, --format
   channel-dump  print the gain matrix and noise vector of a scene
                 --scenario NAME or --scenario-file PATH, --noise-mode
   validate      Monte-Carlo SINR checks and brute-force oracle cross-checks
@@ -326,11 +326,10 @@ def cmd_validate(config: RunConfig) -> int:
     for i in range(config.mc_instances):
         channel, layout, precoder = _random_instance(rng, epsilon=3.0)
         user = i % 2
-        stream = layout.private_column_of(user) if i % 3 else layout.common_column
-        if stream == layout.common_column:
-            analytic = signal_model.sinr_common(channel, precoder, layout, user)
-        else:
-            analytic = signal_model.sinr_private(channel, precoder, layout, user)
+        # RSMA's own columns: user k's private stream is column k, the common one column K
+        stream = user if i % 3 else layout.num_users
+        report = signal_model.assemble_report(channel, precoder, layout)
+        analytic = float(report.sinr_private[user] if i % 3 else report.sinr_common[user])
         empirical = signal_model.monte_carlo_sinr(
             channel, precoder, layout, user, stream, num_symbols=config.mc_symbols, seed=1000 + i
         )
@@ -391,7 +390,7 @@ _OPTIONS = {
     "--delta": {"dest": "tolerance", "metavar": "DELTA", "type": float,
                 "help": "convergence (residual) tolerance in bits/s/Hz"},
     "--seed": {"type": int, "help": "random seed of validate's instances; run writes it to its seed column"},
-    "--workers": {"type": int, "help": "parallel sweep workers; RSMA_VLC_WORKERS when not given"},
+    "--workers": {"type": int, "help": "parallel sweep workers"},
     "--out": {"help": "output file path"},
     "--format": {"choices": ("csv", "json"), "help": "format of the --out file"},
     "--mc-instances": {"type": int, "help": "Monte-Carlo SINR checks"},
@@ -457,12 +456,6 @@ def _config_from_args(args) -> RunConfig:
         given["schemes"] = tuple(given["schemes"].split(","))
     if "snr" in given:
         given["snr"] = _snr_points(given["snr"])
-    if args.command == "run" and "workers" not in given and "RSMA_VLC_WORKERS" in os.environ:
-        text = os.environ["RSMA_VLC_WORKERS"]
-        try:
-            given["workers"] = int(text)
-        except ValueError:
-            raise ConfigError(f"RSMA_VLC_WORKERS must be an integer, got {text!r}") from None
     if args.command == "validate":
         given["scenario"] = "scenario1_4led"  # validate needs no scenario; satisfy the invariant
     return RunConfig(**given)

@@ -308,21 +308,20 @@ class _Compiled(SicKernel):
             sub.H, sub._sig2 = self.H[keep], self._sig2[keep]
         return sub
 
-    def true_rates(self, P: np.ndarray):
-        """(wsr, cap) of the (B, L, K + 1) precoders under the greedy common-rate split."""
+    def true_rates(self, P: np.ndarray) -> np.ndarray:
+        """WSR of the (B, L, K + 1) precoders under the greedy common-rate split."""
         return _amplitude_wsr(self, self.w_priv, self.w_common, self.H @ P)
 
 
-def _amplitude_wsr(kernel: SicKernel, w_priv: np.ndarray, w_common, A: np.ndarray):
-    """(wsr, cap) of (N, K, K + 1) received amplitudes on the RSMA
-    columns under the greedy common-rate split: the common-rate cap (0
-    with a zero common column) and the WSR, the private stages' rates
-    weighted by the (1 or N, K) `w_priv` and added stage by stage
-    (`_stage_sum`), then `w_common` (a scalar or one per row) times the
-    cap."""
+def _amplitude_wsr(kernel: SicKernel, w_priv: np.ndarray, w_common, A: np.ndarray) -> np.ndarray:
+    """WSR of (N, K, K + 1) received amplitudes on the RSMA columns under
+    the greedy common-rate split: the private stages' rates weighted by
+    the (1 or N, K) `w_priv` and added stage by stage (`_stage_sum`), then
+    `w_common` (a scalar or one per row) times the common-rate cap (0
+    with a zero common column). A solution's cap is read from its
+    report."""
     sinr_p, sinr_c = kernel.sinrs(A)
-    cap = np.log2(1.0 + sinr_c).min(axis=1)
-    return _stage_sum(w_priv, np.log2(1.0 + sinr_p)) + w_common * cap, cap
+    return _stage_sum(w_priv, np.log2(1.0 + sinr_p)) + w_common * np.log2(1.0 + sinr_c).min(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -820,8 +819,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         cand = np.concatenate(newton_cands + [Q[:, None] + (t0[:, None] * tsteps)[..., None, None] * G[:, None]],
                               axis=1)
         cand = project_rows_l1(cand.reshape(m * C, L, S), np.repeat(R, C, axis=0))
-        cwsr, _ = batch.take(np.repeat(np.arange(m), C)).true_rates(cand)
-        cwsr = cwsr.reshape(m, C)
+        cwsr = batch.take(np.repeat(np.arange(m), C)).true_rates(cand).reshape(m, C)
         # the best Newton candidate if one rises, else the best gradient one
         newton_rose = cwsr[:, :N].max(axis=1) > wsr[live]
         best = np.where(newton_rose, cwsr[:, :N].argmax(axis=1), N + cwsr[:, N:].argmax(axis=1))
@@ -859,7 +857,7 @@ def _solve_starts(comp: _Compiled, radii: np.ndarray, P0: np.ndarray, config: Ao
     """Every start of P0 projected onto its (B, L) balls `radii`, then
     polished in lockstep; returns `_polish`'s (P, history, residual)."""
     P = project_rows_l1(P0, radii)
-    wsr, _ = comp.true_rates(P)
+    wsr = comp.true_rates(P)
     bad = ~np.isfinite(wsr)
     if bad.any():
         raise NumericalFailure(f"non-finite WSR {wsr[bad][0]} at a start (check channel and noise scaling)")
@@ -1032,7 +1030,7 @@ def grid_oracle(
     first = rows[(rows >= 0.0).all(axis=1)]
     H = channel.gains
     if L == 1:
-        return float(_amplitude_wsr(kernel, private[None], common, first[:, None, :] * H[None, :, 0:1])[0].max())
+        return float(_amplitude_wsr(kernel, private[None], common, first[:, None, :] * H[None, :, 0:1]).max())
     best = -np.inf
     # blocks of about 4e4 amplitude entries keep the temporaries in cache
     chunk = max(1, int(4e4 / rows.size))
@@ -1043,7 +1041,7 @@ def grid_oracle(
             H[None, None, :, 0:1] * r1[:, None, None, :]
             + H[None, None, :, 1:2] * rows[None, :, None, :]
         ).reshape(-1, channel.num_users, rows.shape[1])
-        best = max(best, float(_amplitude_wsr(kernel, private[None], common, A)[0].max()))
+        best = max(best, float(_amplitude_wsr(kernel, private[None], common, A).max()))
     return best
 
 

@@ -29,6 +29,11 @@ estimator's interferer set, come from it, whatever the scheme; a zero
 column's SINR and rate are exactly 0, so a scheme differs from RSMA
 only in the columns its layout fills.
 
+`assemble_report` is the one reader of a precoder's SINRs, rates,
+common-rate cap and weighted sum rate: its `RateReport` holds every
+user's private and common SINR on the RSMA streams, and a stream the
+layout lacks reads 0 there.
+
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
 """
@@ -49,10 +54,6 @@ __all__ = [
     "Precoder",
     "RateReport",
     "build_layout",
-    "sinr_common",
-    "sinr_private",
-    "rate",
-    "common_cap",
     "default_shares",
     "assemble_report",
     "monte_carlo_sinr",
@@ -80,6 +81,10 @@ class StreamDesc:
 
 @dataclass(frozen=True)
 class StreamLayout:
+    """A scheme's streams on K users. A layout only says which RSMA
+    streams a scheme fills (`rsma_columns`); its SINRs and rates are read
+    from `assemble_report`, where a stream it lacks reads 0."""
+
     scheme: str
     num_users: int
     streams: tuple[StreamDesc, ...]
@@ -100,24 +105,6 @@ class StreamLayout:
     @property
     def private_columns(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.streams) if s.kind == "private")
-
-    @property
-    def common_column(self) -> int | None:
-        for i, s in enumerate(self.streams):
-            if s.kind == "common":
-                return i
-        return None
-
-    def private_column_of(self, user: int) -> int | None:
-        for i, s in enumerate(self.streams):
-            if s.kind == "private" and s.owner == user:
-                return i
-        return None
-
-    @property
-    def common_stream(self) -> StreamDesc | None:
-        c = self.common_column
-        return self.streams[c] if c is not None else None
 
     @property
     def rsma_columns(self) -> tuple[int, ...]:
@@ -279,34 +266,6 @@ class SicKernel:
         return sinr[:n].T, sinr[n:].T
 
 
-def sinr_common(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int) -> float:
-    """SINR of the common stream at `user`: every private stream interferes."""
-    if layout.common_column is None:
-        raise ValueError("layout has no common stream")
-    return float(assemble_report(channel, precoder, layout).sinr_common[user])
-
-
-def sinr_private(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout, user: int) -> float:
-    """SINR of `user`'s private stream after the common stream is cancelled."""
-    if layout.private_column_of(user) is None:
-        raise ValueError(f"user {user} has no private stream in this layout")
-    return float(assemble_report(channel, precoder, layout).sinr_private[user])
-
-
-def rate(sinr: float) -> float:
-    """Achievable rate log2(1 + SINR) in bits/s/Hz."""
-    if sinr < 0:
-        raise ValueError("SINR must be nonnegative")
-    return float(np.log2(1.0 + sinr))
-
-
-def common_cap(channel: ChannelMatrix, precoder: Precoder, layout: StreamLayout) -> float:
-    """Decodable common rate: the minimum common-stream rate over the users, which all decode it."""
-    if layout.common_column is None:
-        raise ValueError("layout has no common stream")
-    return assemble_report(channel, precoder, layout).common_cap
-
-
 def default_shares(layout: StreamLayout, cap: float, weights: np.ndarray) -> np.ndarray:
     """Greedy common-rate split: all of it to the highest-priority taker.
 
@@ -315,7 +274,7 @@ def default_shares(layout: StreamLayout, cap: float, weights: np.ndarray) -> np.
     user index.
     """
     shares = np.zeros(layout.num_users)
-    stream = layout.common_stream
+    stream = next((s for s in layout.streams if s.kind == "common"), None)
     if stream is None or cap <= 0.0:
         return shares
     if len(stream.carries) == 1:
@@ -329,14 +288,16 @@ def assemble_report(
     channel: ChannelMatrix,
     precoder: Precoder,
     layout: StreamLayout,
-    shares: np.ndarray | None = None,
     weights: np.ndarray | None = None,
 ) -> RateReport:
-    """Full rate report for a precoder under a layout.
+    """Full rate report for a precoder under a layout: the package's one
+    reader of a precoder's SINRs, rates, common-rate cap and WSR.
 
-    `shares` splits the common-rate cap between users (validated); by
-    default the greedy split of `default_shares` is used. `weights` are
-    the user priorities of the weighted sum rate (uniform by default).
+    Every SINR and rate is indexed by user on the RSMA streams, whatever
+    the layout: a stream the layout lacks reads exactly 0 (SDMA's common
+    SINRs and cap, NOMA's weak user's private SINR and rate). The cap is
+    split by `default_shares`. `weights` are the user priorities of the
+    weighted sum rate (uniform by default).
     """
     K = channel.num_users
     w = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
@@ -348,14 +309,7 @@ def assemble_report(
     p_rates = np.log2(1.0 + s_private)
     cap = float(np.log2(1.0 + s_common).min())
 
-    if shares is None:
-        shares = default_shares(layout, cap, w)
-    else:
-        shares = np.asarray(shares, dtype=float)
-        if shares.shape != (K,):
-            raise ValueError("shares must have one entry per user")
-        if np.any(shares < 0) or shares.sum() > cap + 1e-9:
-            raise ValueError("infeasible common-rate shares")
+    shares = default_shares(layout, cap, w)
     overall = shares + p_rates
     return RateReport(
         sinr_common=s_common,
@@ -402,6 +356,8 @@ def monte_carlo_sinr(
     """
     if num_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
+    if not 0 <= stream < layout.num_streams:
+        raise ValueError(f"stream {stream} is not one of the layout's {layout.num_streams} streams")
     # the interferers on the layout's own columns: one it lacks is zero
     own = {j: i for i, j in enumerate(layout.rsma_columns)}
     rsma = SicKernel(layout.num_users, channel.noise).interferers(user, layout.rsma_columns[stream])

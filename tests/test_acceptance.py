@@ -20,13 +20,7 @@ from rsma_vlc.channel import concentrator_gain
 from rsma_vlc.cli import main
 from rsma_vlc.optimizer import AoConfig, epsilon_from_snr, grid_oracle
 from rsma_vlc.scenarios import Sweep, build_scene_channel, catalog, reference_gain, run_sweep, solve_schemes
-from rsma_vlc.signal_model import (
-    Precoder,
-    build_layout,
-    monte_carlo_sinr,
-    sinr_common,
-    sinr_private,
-)
+from rsma_vlc.signal_model import Precoder, assemble_report, build_layout, monte_carlo_sinr
 
 SNR_GRID = tuple(float(s) for s in range(0, 41, 5))
 SCENARIOS = ("scenario1_4led", "scenario2_4led", "scenario3_4led", "scenario1_2led", "scenario2_2led")
@@ -105,7 +99,7 @@ def test_rows_reach_single_user_floor():
         sigma, ref = float(np.sqrt(np.mean(channel.noise))), reference_gain(spec)
         for scheme in ("rsma", "sdma", "noma"):
             layout = build_layout(scheme, channel)
-            served = [k for k in range(channel.num_users) if layout.private_column_of(k) is not None]
+            served = [s.owner for s in layout.streams if s.kind == "private"]
             for snr, wsr in scenario_sweep(name).wsr_series(scheme):
                 eps = epsilon_from_snr(snr, sigma, reference_gain=ref)
                 floor = max(spec.priorities[k] * math.log2(1.0 + (eps * np.abs(channel.gains[k]).sum()) ** 2
@@ -251,12 +245,10 @@ def test_criterion_6_property_suite():
         P *= 3.0 / np.abs(P).sum(axis=1, keepdims=True)
         pre = Precoder(matrix=P)
         user = i % 2
-        stream = lay.private_column_of(user) if i % 3 else lay.common_column
-        analytic = (
-            sinr_common(ch, pre, lay, user)
-            if stream == lay.common_column
-            else sinr_private(ch, pre, lay, user)
-        )
+        # RSMA's own columns: user k's private stream is column k, the common one column 2
+        stream = user if i % 3 else 2
+        rep = assemble_report(ch, pre, lay)
+        analytic = rep.sinr_private[user] if i % 3 else rep.sinr_common[user]
         empirical = monte_carlo_sinr(ch, pre, lay, user, stream, num_symbols=1_000_000, seed=i)
         assert abs(empirical - analytic) <= 0.02 * analytic, i
 

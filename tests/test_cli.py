@@ -252,12 +252,13 @@ class TestValidate:
             assert main(self.ARGS + ["--seed", str(seed)]) == 0
 
     def test_corrupted_sinr_formula_fails_suite(self, capsys, monkeypatch):
-        real = signal_model.sinr_private
+        real = signal_model.assemble_report
 
-        def corrupted(channel, precoder, layout, user):
-            return 1.1 * real(channel, precoder, layout, user)  # 10% bias
+        def corrupted(channel, precoder, layout, **kwargs):
+            report = real(channel, precoder, layout, **kwargs)
+            return replace(report, sinr_private=1.1 * report.sinr_private)  # 10% bias
 
-        monkeypatch.setattr(signal_model, "sinr_private", corrupted)
+        monkeypatch.setattr(signal_model, "assemble_report", corrupted)
         assert main(self.ARGS) == 2
         assert "FAIL" in capsys.readouterr().out
 
@@ -367,22 +368,20 @@ class TestConfigPlumbing:
         assert exc.value.code == 0
         assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == options | {"--help"}
 
-    def test_workers_env_fallback(self, monkeypatch):
+    def test_workers_env_not_read(self, monkeypatch):
+        # only --workers sets the pool size; RSMA_VLC_WORKERS is no setting
         monkeypatch.setenv("RSMA_VLC_WORKERS", "3")
         args = cli.build_parser().parse_args(["run", "--scenario", "scenario1_2led"])
-        assert cli._config_from_args(args).workers == 3
-        monkeypatch.delenv("RSMA_VLC_WORKERS")
+        assert cli._config_from_args(args).workers == 1
         args = cli.build_parser().parse_args(["run", "--scenario", "scenario1_2led", "--workers", "2"])
         assert cli._config_from_args(args).workers == 2
+        monkeypatch.setenv("RSMA_VLC_WORKERS", "two")
+        assert main(["run", "--scenario", "scenario1_2led", "--schemes", "sdma", "--snr", "10"]) == 0
 
-    def test_bad_worker_counts_exit_1(self, monkeypatch, capsys):
+    def test_bad_worker_counts_exit_1(self, capsys):
         assert main(["run", "--scenario", "scenario1_2led", "--workers", "-3"]) == 1
         assert "error: workers must be >= 1" in capsys.readouterr().err
         assert main(["run", "--scenario", "scenario1_2led", "--workers", "0"]) == 1
-        monkeypatch.setenv("RSMA_VLC_WORKERS", "two")
-        assert main(["run", "--scenario", "scenario1_2led"]) == 1
-        assert "error: RSMA_VLC_WORKERS must be an integer" in capsys.readouterr().err
-        assert main(["channel-dump", "--scenario", "scenario1_2led"]) == 0  # only run reads it
 
     @pytest.mark.parametrize(
         "argv",

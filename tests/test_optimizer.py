@@ -22,9 +22,6 @@ from rsma_vlc.signal_model import (
     SicKernel,
     assemble_report,
     build_layout,
-    rate,
-    sinr_common,
-    sinr_private,
 )
 
 
@@ -112,7 +109,7 @@ class TestEqualizerAndWeights:
         comp, _, _, g, u = self.stages(channels, layouts, np.ones((2, 2, 2)))
         assert comp.n_priv == 2
         for b, lay in enumerate(layouts):
-            weak = lay.common_stream.carries[0]
+            weak = lay.streams[-1].carries[0]  # the common stream carries the weak user
             assert g[b, weak] == 0.0 and u[b, weak] == 1.0 and g[b, 1 - weak] != 0.0
 
     def test_single_stream_half_gain(self):
@@ -152,9 +149,10 @@ class TestEqualizerAndWeights:
             lay = build_layout("rsma", ch)
             p = Precoder(matrix=rng.normal(size=(2, 3)))
             _, _, r, _, u = self.stages(ch, lay, p.matrix[None])
+            rep = assemble_report(ch, p, lay)
             for user in (0, 1):
-                assert np.log2(u[0, user]) == pytest.approx(rate(sinr_private(ch, p, lay, user)), abs=1e-9)
-                assert np.log2(u[0, 2 + user]) == pytest.approx(rate(sinr_common(ch, p, lay, user)), abs=1e-9)
+                assert np.log2(u[0, user]) == pytest.approx(np.log2(1.0 + rep.sinr_private[user]), abs=1e-9)
+                assert np.log2(u[0, 2 + user]) == pytest.approx(np.log2(1.0 + rep.sinr_common[user]), abs=1e-9)
                 assert r[0, user] == pytest.approx(np.log2(u[0, user]), abs=1e-12)
 
     def test_state_rate_identity(self):
@@ -170,7 +168,7 @@ class TestEqualizerAndWeights:
                 comp, Q, r, _, _ = self.stages(ch, lay, P, w)
                 # SDMA's common decoders have rate 0 and weight 0
                 value = r[:, : comp.n_priv] @ comp.w_priv[0] + comp.w_common * r[:, comp.n_priv :].min(axis=1)
-                wsr, _ = comp.true_rates(Q)
+                wsr = comp.true_rates(Q)
                 np.testing.assert_allclose(value, wsr, rtol=0.0, atol=1e-9)
                 for b in range(len(P)):
                     rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=np.array(w))
@@ -240,15 +238,15 @@ class TestSubproblem:
         # the solver polishes each start from a feasible point, as ao_solve does
         radius = np.full(start.shape[:2], float(eps))
         P0 = project_rows_l1(start, radius)
-        return optimizer._polish(comp, radius, P0, comp.true_rates(P0)[0], tolerance)
+        return optimizer._polish(comp, radius, P0, comp.true_rates(P0), tolerance)
 
     def test_zero_budget_returns_origin(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         comp = optimizer._Compiled(ch, build_layout("rsma", ch), np.array([0.5, 0.5]))
         P, history, residual = self._polish(comp, 0.0, np.ones((1, 2, 3)))
         assert np.all(P == 0.0)
-        wsr, cap = comp.true_rates(P)
-        assert wsr[0] == 0.0 and cap[0] == 0.0
+        assert comp.true_rates(P)[0] == 0.0
+        assert assemble_report(ch, Precoder(matrix=P[0]), build_layout("rsma", ch)).common_cap == 0.0
         assert history[0] == [0.0] and residual[0] == 0.0
 
     def test_scalar_closed_form(self):
@@ -273,7 +271,7 @@ class TestSubproblem:
             start = project_rows_l1(rng.normal(size=(1, 2, 3)), np.full((1, 2), eps))
             P, history, _ = self._polish(comp, eps, start)
             assert np.abs(P).sum(axis=2).max() <= eps + 1e-9
-            assert comp.true_rates(P)[0][0] == history[0][-1] >= comp.true_rates(start)[0][0]
+            assert comp.true_rates(P)[0] == history[0][-1] >= comp.true_rates(start)[0]
 
     @pytest.mark.parametrize("w", [(0.3, 0.7), (0.7, 0.3)], ids=["w0.3,0.7", "w0.7,0.3"])
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -307,7 +305,7 @@ class TestSubproblem:
         for entry in np.ndindex(Q.shape[1:]):
             step = np.zeros_like(Q)
             step[(slice(None),) + entry] = h
-            central[(slice(None),) + entry] = (comp.true_rates(Q + step)[0] - comp.true_rates(Q - step)[0]) / (2.0 * h)
+            central[(slice(None),) + entry] = (comp.true_rates(Q + step) - comp.true_rates(Q - step)) / (2.0 * h)
         np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-8 * np.abs(grad).max())
         assert np.abs(grad).max() > 1e-3
 
@@ -919,7 +917,7 @@ class TestPolish:
             step = np.zeros(12)
             step[i] = h
             up, down = P + step.reshape(4, 3), P - step.reshape(4, 3)
-            fd_grad[:, i] = (comp.true_rates(up)[0] - comp.true_rates(down)[0]) / (2 * h)
+            fd_grad[:, i] = (comp.true_rates(up) - comp.true_rates(down)) / (2 * h)
             g_up = optimizer._objective(comp, *optimizer._stage_derivatives(comp, up)[1:], binding)[0]
             g_down = optimizer._objective(comp, *optimizer._stage_derivatives(comp, down)[1:], binding)[0]
             fd_hess[:, :, i] = ((g_up - g_down)[:, None, :] @ J)[:, 0] / (2 * h)
@@ -1027,7 +1025,7 @@ class TestPolish:
         comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         eps = 2.0
         P0 = lay.to_rsma(np.array([[[0.7, 0.2], [-0.1, 0.9]]]))
-        wsr0, _ = comp.true_rates(P0)
+        wsr0 = comp.true_rates(P0)
         P, history, residual = optimizer._polish(comp, np.full((1, 2), eps), P0, wsr0, AoConfig().tolerance)
         expected = 0.5 * np.log2(1 + (1.0 * eps) ** 2) + 0.5 * np.log2(1 + (0.5 * eps) ** 2)
         assert history[0][-1] == pytest.approx(expected, rel=1e-12)
@@ -1046,12 +1044,12 @@ class TestPolish:
         eps = np.repeat([epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0, 40.0)], 4)
         P0 = np.stack([lay.to_rsma(random_start(ch, lay, e, rng)) for e in eps])
         radii = np.repeat(eps[:, None], 4, axis=1)
-        wsr0, _ = comp.true_rates(P0)
+        wsr0 = comp.true_rates(P0)
         P, history, residual = optimizer._polish(comp, radii, P0, wsr0, AoConfig().tolerance)
         for b in range(len(P0)):
             assert history[b][0] == wsr0[b] and np.all(np.diff(history[b]) >= 0.0)
             assert np.abs(P[b]).sum(axis=1).max() <= eps[b] * (1.0 + 1e-12)
-            assert comp.true_rates(P[b : b + 1])[0][0] == history[b][-1]
+            assert comp.true_rates(P[b : b + 1])[0] == history[b][-1]
         assert np.all(residual <= AoConfig().tolerance)
 
 
@@ -1121,7 +1119,7 @@ class TestGridOracle:
                 for lo in range(0, len(rows), 100):  # every (row 1, row 2) pair
                     A = (H[None, None, :, 0:1] * rows[lo : lo + 100, None, None, :]
                          + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.num_streams)
-                    wsr = optimizer._amplitude_wsr(kernel, private[None], common, lay.to_rsma(A))[0]
+                    wsr = optimizer._amplitude_wsr(kernel, private[None], common, lay.to_rsma(A))
                     best = max(best, float(wsr.max()))
                 assert grid_oracle(ch, lay, w, eps, resolution) == best
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,8 @@ from rsma_vlc.signal_model import (
     SicKernel,
     build_layout,
     assemble_report,
-    common_cap,
     default_shares,
     monte_carlo_sinr,
-    rate,
-    sinr_common,
-    sinr_private,
 )
 
 
@@ -28,20 +26,23 @@ HAND = Precoder(matrix=np.array([[0.5, -0.2, 1.0], [-0.5, 0.4, 1.0]]))
 # (h1.p12)^2=1.44, (h1.p1)^2=0.09, (h1.p2)^2=0.0036
 HAND_COMMON_U1 = 1.44 / (0.09 + 0.0036 + 1.0)
 HAND_PRIVATE_U1 = 0.09 / (0.0036 + 1.0)
+# (h2.p12)^2=1.44, (h2.p1)^2=0.09, (h2.p2)^2=0.09
+HAND_COMMON_U2 = 1.44 / (0.09 + 0.09 + 1.0)
 
 
 class TestLayouts:
     def test_sdma_private_only(self):
         lay = build_layout("sdma", channel_2x2())
         assert lay.num_streams == 2
-        assert lay.common_column is None
+        assert [s.kind for s in lay.streams] == ["private", "private"]
         assert [s.owner for s in lay.streams] == [0, 1]
+        assert lay.rsma_columns == (0, 1)
 
     def test_rsma_adds_common(self):
         lay = build_layout("rsma", channel_2x2())
         assert lay.num_streams == 3
-        assert lay.common_column == 2
-        assert lay.common_stream.carries == (0, 1)
+        assert lay.rsma_columns == (0, 1, 2)
+        assert lay.streams[2].kind == "common" and lay.streams[2].carries == (0, 1)
         # every user decodes the common stream, with every private stream
         # as interference
         kernel = SicKernel(2, channel_2x2().noise)
@@ -52,7 +53,7 @@ class TestLayouts:
         lay = build_layout("noma", ch)
         assert [s.kind for s in lay.streams] == ["private", "common"]
         assert lay.streams[0].owner == 0  # larger row norm
-        assert lay.common_stream.carries == (1,)
+        assert lay.streams[1].carries == (1,)
         assert lay.rsma_columns == (0, 2)
         # both users decode the common stream: each has a common SINR
         rep = assemble_report(ch, Precoder(matrix=np.array([[0.5, 1.0], [0.5, 1.0]])), lay)
@@ -73,35 +74,41 @@ class TestLayouts:
 
 
 class TestSinr:
+    """Every SINR is read from the report, indexed by user on the RSMA
+    streams; a stream the layout lacks or a zero column reads 0."""
+
     def test_zero_common_column(self):
         p = Precoder(matrix=np.array([[0.5, -0.2, 0.0], [-0.5, 0.4, 0.0]]))
         lay = build_layout("rsma", channel_2x2())
-        assert sinr_common(channel_2x2(), p, lay, 0) == 0.0
+        assert np.all(assemble_report(channel_2x2(), p, lay).sinr_common == 0.0)
 
     def test_interference_free_common(self):
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
         p = Precoder(matrix=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
         lay = build_layout("rsma", ch)
-        assert sinr_common(ch, p, lay, 0) == pytest.approx(4.0, rel=1e-14)
+        assert assemble_report(ch, p, lay).sinr_common[0] == pytest.approx(4.0, rel=1e-14)
 
     def test_common_hand_instance(self):
         lay = build_layout("rsma", channel_2x2())
-        assert sinr_common(channel_2x2(), HAND, lay, 0) == pytest.approx(HAND_COMMON_U1, rel=1e-12)
+        rep = assemble_report(channel_2x2(), HAND, lay)
+        assert rep.sinr_common[0] == pytest.approx(HAND_COMMON_U1, rel=1e-12)
+        assert rep.sinr_common[1] == pytest.approx(HAND_COMMON_U2, rel=1e-12)
 
     def test_zero_private_column(self):
         p = Precoder(matrix=np.zeros((2, 2)))
         lay = build_layout("sdma", channel_2x2())
-        assert sinr_private(channel_2x2(), p, lay, 0) == 0.0
+        rep = assemble_report(channel_2x2(), p, lay)
+        assert np.all(rep.sinr_private == 0.0) and np.all(rep.private_rates == 0.0)
 
     def test_orthogonal_users(self):
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
         p = Precoder(matrix=np.array([[0.7, 0.0], [0.0, 0.4]]))
         lay = build_layout("sdma", ch)
-        assert sinr_private(ch, p, lay, 0) == pytest.approx(0.49, rel=1e-14)
+        assert assemble_report(ch, p, lay).sinr_private[0] == pytest.approx(0.49, rel=1e-14)
 
     def test_private_hand_instance(self):
         lay = build_layout("rsma", channel_2x2())
-        assert sinr_private(channel_2x2(), HAND, lay, 0) == pytest.approx(HAND_PRIVATE_U1, rel=1e-12)
+        assert assemble_report(channel_2x2(), HAND, lay).sinr_private[0] == pytest.approx(HAND_PRIVATE_U1, rel=1e-12)
 
     def test_three_user_private_hand_instance(self):
         # h1=(1,0), h2=(0,1), h3=(1,1); columns p1=(1,0), p2=(0,2), p3=(0.5,0.5), common=(1,1)
@@ -109,10 +116,11 @@ class TestSinr:
         lay = build_layout("rsma", ch)
         P = Precoder(matrix=np.array([[1.0, 0.0, 0.5, 1.0], [0.0, 2.0, 0.5, 1.0]]))
         # user amplitudes (p1, p2, p3, common): (1, 0, .5, 1), (0, 2, .5, 1), (1, 2, 1, 2)
-        assert sinr_private(ch, P, lay, 0) == pytest.approx(1.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
-        assert sinr_private(ch, P, lay, 1) == pytest.approx(4.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
-        assert sinr_private(ch, P, lay, 2) == pytest.approx(1.0 / (1.0 + 4.0 + 1.0), rel=1e-14)
-        assert sinr_common(ch, P, lay, 2) == pytest.approx(4.0 / (1.0 + 4.0 + 1.0 + 1.0), rel=1e-14)
+        rep = assemble_report(ch, P, lay)
+        assert rep.sinr_private[0] == pytest.approx(1.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
+        assert rep.sinr_private[1] == pytest.approx(4.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
+        assert rep.sinr_private[2] == pytest.approx(1.0 / (1.0 + 4.0 + 1.0), rel=1e-14)
+        assert rep.sinr_common[2] == pytest.approx(4.0 / (1.0 + 4.0 + 1.0 + 1.0), rel=1e-14)
         kernel = SicKernel(3, ch.noise)
         assert kernel.interferers(0, 0) == [1, 2]
         assert kernel.interferers(2, 3) == [0, 1, 2]
@@ -125,41 +133,46 @@ class TestSinr:
         # adding power to the common column must not change any private SINR
         lay = build_layout("rsma", channel_2x2())
         boosted = Precoder(matrix=HAND.matrix * np.array([1.0, 1.0, 7.0]))
-        for k in (0, 1):
-            assert sinr_private(channel_2x2(), boosted, lay, k) == sinr_private(
-                channel_2x2(), HAND, lay, k
-            )
+        rep_boosted, rep = assemble_report(channel_2x2(), boosted, lay), assemble_report(channel_2x2(), HAND, lay)
+        assert np.array_equal(rep_boosted.sinr_private, rep.sinr_private)
 
     def test_common_stage_includes_all_privates(self):
         lay = build_layout("rsma", channel_2x2())
         boosted = Precoder(matrix=HAND.matrix * np.array([2.0, 1.0, 1.0]))
-        assert sinr_common(channel_2x2(), boosted, lay, 0) < sinr_common(channel_2x2(), HAND, lay, 0)
+        rep_boosted, rep = assemble_report(channel_2x2(), boosted, lay), assemble_report(channel_2x2(), HAND, lay)
+        assert rep_boosted.sinr_common[0] < rep.sinr_common[0]
 
 
 class TestRates:
     def test_rate_values(self):
-        assert rate(0.0) == 0.0
-        assert rate(1.0) == pytest.approx(1.0, rel=1e-15)
-        assert rate(3.0) == pytest.approx(2.0, rel=1e-15)
+        # orthogonal users at SINR 0, 1 and 3: rates log2(1 + SINR) = 0, 1 and 2
+        ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
+        lay = build_layout("sdma", ch)
+        assert np.all(assemble_report(ch, Precoder(matrix=np.zeros((2, 2))), lay).private_rates == 0.0)
+        rep = assemble_report(ch, Precoder(matrix=np.diag([1.0, np.sqrt(3.0)])), lay)
+        assert rep.private_rates[0] == pytest.approx(1.0, rel=1e-15)
+        assert rep.private_rates[1] == pytest.approx(2.0, rel=1e-15)
 
     def test_common_cap_symmetric(self):
         ch = channel_2x2()
         lay = build_layout("rsma", ch)
         p = Precoder(matrix=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
-        assert common_cap(ch, p, lay) == rate(sinr_common(ch, p, lay, 0))
+        rep = assemble_report(ch, p, lay)
+        assert rep.sinr_common[0] == rep.sinr_common[1]
+        assert rep.common_cap == np.log2(1.0 + rep.sinr_common[0])
 
     def test_common_cap_zero_user(self):
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
         lay = build_layout("rsma", ch)
         p = Precoder(matrix=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))  # user 2 hears nothing
-        assert common_cap(ch, p, lay) == 0.0
+        assert assemble_report(ch, p, lay).common_cap == 0.0
 
     def test_common_cap_hand_instance(self):
         ch = channel_2x2()
         lay = build_layout("rsma", ch)
-        r0 = rate(sinr_common(ch, HAND, lay, 0))
-        r1 = rate(sinr_common(ch, HAND, lay, 1))
-        assert common_cap(ch, HAND, lay) == min(r0, r1)
+        rep = assemble_report(ch, HAND, lay)
+        assert rep.common_cap == min(np.log2(1.0 + rep.sinr_common[0]), np.log2(1.0 + rep.sinr_common[1]))
+        assert rep.common_cap == pytest.approx(np.log2(1.0 + min(HAND_COMMON_U1, HAND_COMMON_U2)), rel=1e-12)
 
 
 class TestAssembleReport:
@@ -195,13 +208,13 @@ class TestAssembleReport:
         assert rep.overall[0] == pytest.approx(np.log2(1 + g1), rel=1e-12)
 
     def test_share_validation(self):
+        # a RateReport refuses shares above the common-rate cap or below 0
         ch = channel_2x2()
-        lay = build_layout("rsma", ch)
-        cap = common_cap(ch, HAND, lay)
-        with pytest.raises(ValueError):
-            assemble_report(ch, HAND, lay, shares=np.array([cap, cap]))
-        with pytest.raises(ValueError):
-            assemble_report(ch, HAND, lay, shares=np.array([-0.1, 0.0]))
+        rep = assemble_report(ch, HAND, build_layout("rsma", ch))
+        with pytest.raises(ValueError, match="exceed the common-rate cap"):
+            replace(rep, common_shares=np.array([rep.common_cap, rep.common_cap]))
+        with pytest.raises(ValueError, match="common_shares must be nonnegative"):
+            replace(rep, common_shares=np.array([-0.1, 0.0]))
 
     def test_non_finite_weights_rejected(self):
         ch = channel_2x2()
@@ -251,9 +264,9 @@ class TestAssembleReport:
             P = Precoder(matrix=rng.normal(size=(2, 3)))
             alpha = rng.uniform(1.1, 3.0)
             Pa = Precoder(matrix=alpha * P.matrix)
-            for k in (0, 1):
-                assert sinr_private(ch, Pa, lay, k) >= sinr_private(ch, P, lay, k) - 1e-15
-                assert sinr_common(ch, Pa, lay, k) >= sinr_common(ch, P, lay, k) - 1e-15
+            rep_a, rep = assemble_report(ch, Pa, lay), assemble_report(ch, P, lay)
+            assert np.all(rep_a.sinr_private >= rep.sinr_private - 1e-15)
+            assert np.all(rep_a.sinr_common >= rep.sinr_common - 1e-15)
 
 
 class TestMonteCarlo:
@@ -261,7 +274,7 @@ class TestMonteCarlo:
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
         lay = build_layout("rsma", ch)
         p = Precoder(matrix=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
-        est = monte_carlo_sinr(ch, p, lay, 0, lay.common_column, num_symbols=1_000_000, seed=42)
+        est = monte_carlo_sinr(ch, p, lay, 0, 2, num_symbols=1_000_000, seed=42)  # the common stream
         assert est == pytest.approx(4.0, rel=0.02)
 
     def test_hand_instance_agreement(self):
@@ -281,7 +294,7 @@ class TestMonteCarlo:
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)), noise=(1e-300, 1e-300))
         lay = build_layout("rsma", ch)
         p = Precoder(matrix=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
-        est = monte_carlo_sinr(ch, p, lay, 0, lay.common_column, num_symbols=MC_MIN_SYMBOLS, seed=1)
+        est = monte_carlo_sinr(ch, p, lay, 0, 2, num_symbols=MC_MIN_SYMBOLS, seed=1)  # the common stream
         assert est > 1e12
 
     @pytest.mark.parametrize("scheme", ["rsma", "noma"])
@@ -321,6 +334,11 @@ class TestMonteCarlo:
         lay = build_layout("rsma", ch)
         with pytest.raises(ValueError, match="not user 0's private stream"):
             monte_carlo_sinr(ch, HAND, lay, 0, 1, num_symbols=MC_MIN_SYMBOLS, seed=1)
+        # a stream index outside the layout's streams, negative ones included
+        for layout, stream in ((lay, -1), (lay, 3), (build_layout("sdma", ch), 2)):
+            P = Precoder(matrix=HAND.matrix[:, : layout.num_streams])
+            with pytest.raises(ValueError, match=f"stream {stream} is not one of the layout's"):
+                monte_carlo_sinr(ch, P, layout, 0, stream, num_symbols=MC_MIN_SYMBOLS, seed=1)
 
 
 def loop_sinrs(H, noise, P, layout):
@@ -337,12 +355,12 @@ def loop_sinrs(H, noise, P, layout):
                 interference += A[k, j] ** 2
         sinr_p.append(A[k, c] ** 2 / (interference + noise[k]))
     sinr_c = []
-    if layout.common_column is not None:
+    for c in [i for i, s in enumerate(layout.streams) if s.kind == "common"]:
         for k in range(len(H)):
             interference = 0.0
             for j in priv:
                 interference += A[k, j] ** 2
-            sinr_c.append(A[k, layout.common_column] ** 2 / (interference + noise[k]))
+            sinr_c.append(A[k, c] ** 2 / (interference + noise[k]))
     return np.array(sinr_p), np.array(sinr_c)
 
 
@@ -370,9 +388,9 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     assert comp.n_priv == users and stage_rates.shape == (len(P), 2 * users)
     assert sinr_p.shape == sinr_c.shape == (len(P), users)
     r_p, r_c = stage_rates[:, :users], stage_rates[:, users:]
-    wsr_true, cap_true = comp.true_rates(Q)
+    wsr_true = comp.true_rates(Q)
     w_priv, w_common = optimizer._stream_weights(lay, w)
-    wsr_oracle, cap_oracle = optimizer._amplitude_wsr(kernel, w_priv[None], w_common, A)
+    wsr_oracle = optimizer._amplitude_wsr(kernel, w_priv[None], w_common, A)
     owners = [lay.streams[c].owner for c in lay.private_columns]
     unserved = [k for k in range(users) if k not in owners]
     for b in range(len(P)):
@@ -386,7 +404,7 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
         np.testing.assert_allclose(r_p[b, owners], np.log2(1.0 + ref_p), rtol=0.0, atol=1e-12)
         assert np.all(sinr_p[b, unserved] == 0.0) and np.all(rep.sinr_private[unserved] == 0.0)
         assert np.all(r_p[b, unserved] == 0.0)
-        if lay.common_column is not None:
+        if lay.scheme != "sdma":
             np.testing.assert_allclose(sinr_c[b], ref_c, rtol=1e-12)
             np.testing.assert_allclose(rep.sinr_common, ref_c, rtol=1e-12)
             np.testing.assert_allclose(r_c[b], np.log2(1.0 + ref_c), rtol=0.0, atol=1e-12)
@@ -394,7 +412,6 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
             assert np.all(sinr_c[b] == 0.0) and np.all(rep.sinr_common == 0.0)
             assert np.all(r_c[b] == 0.0) and w_common == 0.0
         wsr_stage = float(w_priv @ r_p[b]) + w_common * float(r_c[b].min())
-        for cap in (cap_true[b], cap_oracle[b]):
-            assert cap == pytest.approx(rep.common_cap, abs=1e-12)
+        assert float(r_c[b].min()) == pytest.approx(rep.common_cap, abs=1e-12)
         for wsr in (wsr_true[b], wsr_oracle[b], wsr_stage):
             assert wsr == pytest.approx(rep.wsr, abs=1e-12)
