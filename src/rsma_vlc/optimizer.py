@@ -50,24 +50,24 @@ weighted sum of stage rates or their derivatives, the WSR of the true
 rates and of the grid oracle included, is added stage by stage in the
 kernel's order (`_stage_sum`).
 
-Every start is one problem of a lockstep batch. Each problem has its
-own channel (gains stacked as (B, K, L), noise as (B, K); a channel that
-every problem shares is one row that broadcasts), stream weights, (L, K
-+ 1) precoder in a (B, L, K + 1) stack, amplitude budget, Newton state,
-iteration count and WSR history. All active problems take each polish
-iteration together; a problem that has finished drops out of the batch.
-Each array operation touches only a problem's own rows, and its sums
-run over that problem's entries alone (no matrix product whose blocking
-could depend on the batch size), so a problem's result does not depend
-on the problems that share its batch. `ao_solve` runs the starts of
-every problem it is given in waves, each wave one batch in which each
-problem keeps its own scheme: a batch that mixes SDMA, NOMA and RSMA
-problems is one RSMA batch in which each problem zero-weights the
-streams its scheme lacks. A problem may name earlier problems of the
-call whose solutions become its warm starts (`Problem.warm_from`), the
-only way a solution seeds another solve; those starts run in a later
-wave, from the named problems' polished winners. Which problems seed
-RSMA, and from what, is `scenarios.solve_schemes`'s choice.
+Every start is one problem of a lockstep batch. Each problem has its own
+row of every batched array: channel (gains stacked as (B, K, L), noise
+as (B, K)), stream weights, (L, K + 1) precoder in a (B, L, K + 1)
+stack, amplitude budget, Newton state, iteration count and WSR history.
+All active problems take each polish iteration together; a problem that
+has finished drops out of the batch. Each array operation touches only a
+problem's own rows, and its sums run over that problem's entries alone
+(no matrix product whose blocking could depend on the batch size), so a
+problem's result does not depend on the problems that share its batch.
+`ao_solve` runs the starts of every problem it is given in waves, each
+wave one batch in which each problem keeps its own scheme: a batch that
+mixes SDMA, NOMA and RSMA problems is one RSMA batch in which each
+problem zero-weights the streams its scheme lacks. A problem may name
+earlier problems of the call whose solutions become its warm starts
+(`Problem.warm_from`), the only way a solution seeds another solve;
+those starts run in a later wave, from the named problems' polished
+winners. Which problems seed RSMA, and from what, is
+`scenarios.solve_schemes`'s choice.
 
 The arrays are a few problems of 2 x 4 x 3 entries, so a polish
 iteration costs its count of numpy calls, not its arithmetic: a few
@@ -246,13 +246,12 @@ class _Compiled(SicKernel):
     """The SIC kernel of a batch on the RSMA streams, plus the channel
     gains and stream weights.
 
-    `layout` is one StreamLayout or a sequence of them, of any schemes,
-    one per problem; `channel` is one ChannelMatrix, shared by every
-    problem, or a sequence with one per layout. The gains are held as (1
-    or B, K, L) and the noise as (1 or B, K): a single channel is one
-    row, whatever the layouts, and broadcasts over any batch. The
-    weights are `w_priv` (1 or B, K) and `w_common` (1 or B,), one row
-    per layout. Precoders are (B, L, K + 1).
+    `channels` and `layouts` hold one ChannelMatrix and one StreamLayout,
+    of any scheme, per problem: B >= 1 of each, the channels all of one
+    shape. Every per-problem array has one row per problem: the gains
+    `H` (B, K, L), the stage noise (B, stages), the weights `w_priv` (B,
+    K) and `w_common` (B,), and `active` (B, K + 1). Precoders are (B, L,
+    K + 1).
 
     The kernel is the SIC kernel of K users, whatever the layouts: K
     private stages, then K common decoders, on the K + 1 RSMA columns. A
@@ -261,11 +260,10 @@ class _Compiled(SicKernel):
     that problem's sums.
     """
 
-    def __init__(self, channel, layout, priorities: np.ndarray):
-        channels = (channel,) if isinstance(channel, ChannelMatrix) else tuple(channel)
-        layouts = (layout,) if isinstance(layout, StreamLayout) else tuple(layout)
-        if not channels or len({c.gains.shape for c in channels}) != 1 or len(channels) not in (1, len(layouts)):
-            raise ValueError("a batch needs at least one channel, all of one shape: one shared or one per layout")
+    def __init__(self, channels: Sequence[ChannelMatrix], layouts: Sequence[StreamLayout], priorities: np.ndarray):
+        if not (isinstance(channels, Sequence) and isinstance(layouts, Sequence)) or not channels \
+                or len(channels) != len(layouts) or len({c.gains.shape for c in channels}) != 1:
+            raise ValueError("a batch needs sequences of one channel per layout, at least one, all of one shape")
         w = np.asarray(priorities, dtype=float)
         weights = [_stream_weights(lay, w) for lay in layouts]
         self.w_priv = np.array([private for private, _ in weights])
@@ -282,7 +280,7 @@ class _Compiled(SicKernel):
         entries of x (the private columns at its user, and for a common
         stage its own amplitude), and its interference plus noise I the
         same without its own amplitude (`interference_mask`). `active`
-        marks the columns some stage weights, (1 or B, K + 1).
+        marks the columns some stage weights, (B, K + 1).
         """
         width = K * (K + 1)
         stages = self._gather.shape[1]
@@ -295,17 +293,11 @@ class _Compiled(SicKernel):
 
     def take(self, keep: np.ndarray) -> "_Compiled":
         """The compiled batch of the precoders selected by `keep` (a boolean
-        mask or indices). A single channel stays one row, so only the
-        weights are gathered; a batch of one layout on one channel is
-        returned as it is."""
-        if len(self.w_priv) == 1:
-            return self
+        mask or indices): every per-problem array's rows of `keep`."""
         sub = object.__new__(_Compiled)
         sub.__dict__.update(self.__dict__)
-        sub.w_priv, sub.w_common = self.w_priv[keep], self.w_common[keep]
-        sub.active = self.active[keep]
-        if len(self.H) > 1:
-            sub.H, sub._sig2 = self.H[keep], self._sig2[keep]
+        sub.w_priv, sub.w_common, sub.active = self.w_priv[keep], self.w_common[keep], self.active[keep]
+        sub.H, sub._sig2 = self.H[keep], self._sig2[keep]
         return sub
 
     def true_rates(self, P: np.ndarray) -> np.ndarray:
@@ -492,8 +484,7 @@ def _objective(comp: _Compiled, dr, d2r, lam: np.ndarray):
     """Gradient (B, W) and Hessian (B, W, W) in the flat amplitudes of
     sum_k w_k r_k + w_c sum_j lam_j r_cj, the common decoders weighted by
     the (B, decoders) `lam`."""
-    private = np.broadcast_to(comp.w_priv, (len(dr), comp.n_priv))
-    weights = np.concatenate((private, comp.w_common[:, None] * lam), axis=1)
+    weights = np.concatenate((comp.w_priv, comp.w_common[:, None] * lam), axis=1)
     return _stage_sum(weights, dr), _stage_sum(weights, d2r)
 
 
@@ -540,7 +531,7 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
     (the catalog's problems have two).
     """
     B, n = len(r), comp.n_priv
-    a = _stage_sum(np.broadcast_to(comp.w_priv, (B, n)), dr[:, :n])[:, None, :]  # (B, 1, W)
+    a = _stage_sum(comp.w_priv, dr[:, :n])[:, None, :]  # (B, 1, W)
     b = np.zeros_like(a)
     t = np.zeros(B)
     cost = np.zeros((B, 2))  # what weight 1 on decoder 0, 1 gives away on the min
@@ -717,7 +708,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     n = L * S
     P, wsr = P.copy(), np.array(wsr, dtype=float)
     eps = radii.max(axis=1)
-    active = np.broadcast_to(comp.active, (B, S))
+    active = comp.active
     nu = np.full(B, _NU[1])
     kink_t = np.full(B, np.nan)  # the weight of decoder 0 at the kink
     rose = np.zeros(B, dtype=bool)  # the WSR rose since the start or the last fresh start
@@ -727,13 +718,13 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     residual = np.empty(B)
     steps, tsteps = 0.5 ** np.arange(_NEWTON_STEPS), 0.125 ** np.arange(_GRADIENT_STEPS)
     H = comp.H
-    J = (H[:, :, None, :, None] * np.eye(S)[None, None, :, None, :]).reshape(len(H), -1, n)
+    J = (H[:, :, None, :, None] * np.eye(S)[None, None, :, None, :]).reshape(B, -1, n)
     JT = J.transpose(0, 2, 1)
     live, batch, nd = np.arange(B), comp, comp.n_priv  # nd: the K common decoders
     stop = min(_POLISH_GAP, tolerance)
     for it in range(1, _POLISH_MAX_ITER + 2):
         Q, e, act, R = P[live], eps[live], active[live], radii[live]
-        Jl, JTl = (J, JT) if len(J) == 1 else (J[live], JT[live])
+        Jl, JTl = J[live], JT[live]
         r, dr, d2r = _stage_derivatives(batch, Q)
         if not (np.isfinite(r).all() and np.isfinite(dr).all() and np.isfinite(d2r).all()):
             raise NumericalFailure("non-finite rate derivatives in the polish (check channel and noise scaling)")
@@ -750,7 +741,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
             live, Q, e, act, R, res = live[keep], Q[keep], e[keep], act[keep], R[keep], res[keep]
             r, dr, d2r = r[keep], dr[keep], d2r[keep]
             batch = comp.take(live)
-            Jl, JTl = (J, JT) if len(J) == 1 else (J[live], JT[live])
+            Jl, JTl = J[live], JT[live]
         m = len(live)
         if nd == 2:
             gap_c = r[:, -2] - r[:, -1]
@@ -793,8 +784,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
             # away from the kink these candidates repeat the free ones, so
             # a problem's pick does not depend on the others
             directions.append(np.where(near[:, None, None], d, directions[0]))
-            w_c = np.broadcast_to(batch.w_common, (m,))
-            kink_t[live[near]] = np.clip(t - v / np.where(near, w_c, 1.0), 0.0, 1.0)[near]
+            kink_t[live[near]] = np.clip(t - v / np.where(near, batch.w_common, 1.0), 0.0, 1.0)[near]
         # a step longer than a ball's diameter is cut to it: projecting a
         # far point loses the step's direction, and its digits
         longest = [np.maximum(np.abs(d).sum(axis=2).max(axis=1), 1e-300) for d in directions]
@@ -929,17 +919,10 @@ def ao_solve(
         raise ValueError("epsilon must be finite and nonnegative")
     w = np.asarray(priorities, dtype=float)
     channels = [problem.channel for problem in problems]
-    built = {}  # one layout per distinct (scheme, channel)
-    for problem, ch in zip(problems, channels):
-        if (problem.scheme, id(ch)) not in built:
-            built[problem.scheme, id(ch)] = build_layout(problem.scheme, ch)
-    layouts = [built[problem.scheme, id(ch)] for problem, ch in zip(problems, channels)]
-    # a channel every problem shares is compiled once and broadcasts over
-    # the batch, so dropping finished problems never copies its gains
-    shared = len({id(ch) for ch in channels}) == 1
-    comp = _Compiled(channels[0] if shared else channels, layouts[0] if len(built) == 1 else layouts, w)
+    layouts = [build_layout(problem.scheme, problem.channel) for problem in problems]
+    comp = _Compiled(channels, layouts, w)
     K = channels[0].num_users
-    active = np.broadcast_to(comp.active, (len(problems), K + 1))  # each problem's weighted columns
+    active = comp.active  # each problem's weighted columns
 
     starts, counts, firsts, wave = [], [], [], []
     for problem, act, eps in zip(problems, active, epsilons):
@@ -1009,7 +992,7 @@ def grid_oracle(
 
     Desk-scale verification only: refuses more than 2 fixtures, 3
     streams or a resolution outside ORACLE_RESOLUTIONS (combinatorial
-    blow-up).
+    blow-up), and an epsilon that is negative or not finite.
 
     The grid, over the layout's own columns, is placed on the RSMA
     columns (`StreamLayout.to_rsma`). It is `_grid_rows`, which holds the
@@ -1024,6 +1007,8 @@ def grid_oracle(
     L, S = channel.num_fixtures, layout.num_streams
     if L > 2 or S > 3 or resolution not in ORACLE_RESOLUTIONS:
         raise ValueError(f"grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in {ORACLE_RESOLUTIONS}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError("epsilon must be finite and nonnegative")
     if epsilon == 0.0:
         return 0.0
     rows = layout.to_rsma(_grid_rows(epsilon, resolution, S))  # a lacking column is +0

@@ -114,8 +114,11 @@ class StreamLayout:
 
     def to_rsma(self, matrix: np.ndarray) -> np.ndarray:
         """(..., fixtures, streams) precoders of this layout placed on the
-        RSMA columns; the columns this layout lacks are zero."""
+        RSMA columns; the columns this layout lacks are zero. A matrix
+        whose last axis is not this layout's streams is a ValueError."""
         m = np.asarray(matrix, dtype=float)
+        if m.shape[-1:] != (self.num_streams,):
+            raise ValueError(f"precoders of shape {m.shape} do not have this layout's {self.num_streams} streams")
         out = np.zeros(m.shape[:-1] + (self.num_users + 1,))
         out[..., self.rsma_columns] = m
         return out
@@ -358,6 +361,8 @@ def monte_carlo_sinr(
         raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
     if not 0 <= stream < layout.num_streams:
         raise ValueError(f"stream {stream} is not one of the layout's {layout.num_streams} streams")
+    if precoder.num_streams != layout.num_streams:
+        raise ValueError(f"the precoder has {precoder.num_streams} streams, the layout {layout.num_streams}")
     # the interferers on the layout's own columns: one it lacks is zero
     own = {j: i for i, j in enumerate(layout.rsma_columns)}
     rsma = SicKernel(layout.num_users, channel.noise).interferers(user, layout.rsma_columns[stream])

@@ -35,6 +35,12 @@ def random_channel(rng, k=2, l=2):
     return channel(rng.uniform(0.1, 1.0, size=(k, l)))
 
 
+def compiled(ch, lay, w, rows=1):
+    """The compiled batch of `rows` problems of one channel and layout: one
+    row of every per-problem array per precoder."""
+    return optimizer._Compiled([ch] * rows, [lay] * rows, np.array(w, dtype=float))
+
+
 def solve(ch, lay, w, eps, config=AoConfig()):
     """The Solution of one problem of `lay`'s scheme, solved alone."""
     [sol] = ao_solve([Problem(ch, lay.scheme, eps)], w, config, layout=lay)
@@ -89,9 +95,10 @@ class TestEqualizerAndWeights:
         columns, and each stage's rate, equalizer and weight (B, stages)."""
         if isinstance(layouts, list):
             Q = np.stack([lay.to_rsma(p) for lay, p in zip(layouts, P)])
+            comp = optimizer._Compiled(channels, layouts, np.array(w, dtype=float))
         else:
             Q = layouts.to_rsma(P)
-        comp = optimizer._Compiled(channels, layouts, np.array(w, dtype=float))
+            comp = compiled(channels, layouts, w, len(P))
         r, dr, _ = optimizer._stage_derivatives(comp, Q)
         stage, own = np.arange(r.shape[1]), comp._gather[-1]
         g = dr[:, stage, own] * optimizer.LN2 / 2.0
@@ -242,7 +249,7 @@ class TestSubproblem:
 
     def test_zero_budget_returns_origin(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
-        comp = optimizer._Compiled(ch, build_layout("rsma", ch), np.array([0.5, 0.5]))
+        comp = compiled(ch, build_layout("rsma", ch), [0.5, 0.5])
         P, history, residual = self._polish(comp, 0.0, np.ones((1, 2, 3)))
         assert np.all(P == 0.0)
         assert comp.true_rates(P)[0] == 0.0
@@ -254,7 +261,7 @@ class TestSubproblem:
         # with |p|, so the optimum is the budget's edge, p = eps
         ch = channel([[0.8]])
         lay = build_layout("sdma", ch)
-        comp = optimizer._Compiled(ch, lay, np.array([1.0]))
+        comp = compiled(ch, lay, [1.0])
         for p_prev, eps in ((0.4, 10.0), (0.9, 0.5)):
             P, history, residual = self._polish(comp, eps, lay.to_rsma(np.array([[[p_prev]]])))
             assert P[0, 0, 0] == pytest.approx(eps, rel=1e-12)
@@ -266,7 +273,7 @@ class TestSubproblem:
         rng = np.random.default_rng(8)
         for _ in range(20):
             ch = random_channel(rng)
-            comp = optimizer._Compiled(ch, build_layout("rsma", ch), np.array([0.5, 0.5]))
+            comp = compiled(ch, build_layout("rsma", ch), [0.5, 0.5])
             eps = rng.uniform(0.5, 20.0)
             start = project_rows_l1(rng.normal(size=(1, 2, 3)), np.full((1, 2), eps))
             P, history, _ = self._polish(comp, eps, start)
@@ -282,8 +289,8 @@ class TestSubproblem:
         rng = np.random.default_rng(10)
         ch = random_channel(rng, l=3)
         lay = build_layout(scheme, ch)
-        comp = optimizer._Compiled(ch, lay, np.array(w))
         Q = lay.to_rsma(rng.normal(size=(40, 3, lay.num_streams)))
+        comp = compiled(ch, lay, w, len(Q))
         r, dr, d2r = optimizer._stage_derivatives(comp, Q)
         rc = r[:, comp.n_priv :]
         binding = np.zeros_like(rc)
@@ -314,7 +321,7 @@ class TestSubproblem:
         # derivatives at such a point
         ch = channel([[1e150, 2e150], [3e150, 1e150]])
         lay = build_layout("sdma", ch)
-        comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
+        comp = compiled(ch, lay, [0.5, 0.5])
         P = lay.to_rsma(np.full((1, 2, 2), 0.5e100))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure, match="derivatives"):
@@ -515,23 +522,23 @@ class TestBatchedSolver:
         rng = np.random.default_rng(40 + fixtures)
         ch = random_channel(rng, l=fixtures)
         lay = build_layout(scheme, ch)
-        w = np.array(w)
-        comp = optimizer._Compiled(ch, lay, w)
+        one = compiled(ch, lay, w)
         eps, starts = [], []
         for snr in (5.0, 15.0, 30.0):
             e = epsilon_from_snr(snr, 1.0)
-            starts.append(optimizer._zf_start(ch, comp.active[0], e))
-            starts += [optimizer._beam_start(ch, comp.active[0], e, k) for k in range(2)]
+            starts.append(optimizer._zf_start(ch, one.active[0], e))
+            starts += [optimizer._beam_start(ch, one.active[0], e, k) for k in range(2)]
             starts += [lay.to_rsma(random_start(ch, lay, e, rng)) for _ in range(2)]
             eps += [e] * 5
         radii = np.repeat(np.array(eps)[:, None], fixtures, axis=1)
         # SDMA's common column, NOMA's weak user's private column
         unused = [c for c in range(3) if c not in lay.rsma_columns]
+        comp = compiled(ch, lay, w, len(starts))
         for cfg in (AoConfig(), AoConfig(tolerance=TIGHT)):
             P, hist, res = optimizer._solve_starts(comp, radii, np.stack(starts), cfg)
             polished, outcomes = 0, set()
             for b in range(len(starts)):
-                P1, hist1, res1 = optimizer._solve_starts(comp, radii[b : b + 1], starts[b][None], cfg)
+                P1, hist1, res1 = optimizer._solve_starts(one, radii[b : b + 1], starts[b][None], cfg)
                 assert np.array_equal(P[b], P1[0]) and hist[b] == hist1[0] and res[b] == res1[0]
                 assert np.all(P[b][:, unused] == 0.0)
                 assert np.all(np.diff(hist[b]) >= 0.0)
@@ -801,16 +808,22 @@ class TestBatchedSolver:
         with pytest.raises(ValueError):  # a single problem has no earlier one
             ao_solve([Problem(a, "sdma", 1.0, (0,))], (0.5, 0.5), layout=sdma)
 
-    def test_shared_channel_stays_one_row_in_a_mixed_batch(self):
-        ch = channel([[0.9, 0.4], [0.3, 0.8]])
+    def test_batch_holds_one_row_per_problem(self):
+        # a mixed batch on one channel: every per-problem array has a row per
+        # problem, and take gathers keep's rows of each
+        ch = channel([[0.9, 0.4], [0.3, 0.8]], [1.0, 0.7])
         layouts = [build_layout(s, ch) for s in ("sdma", "noma", "rsma")]
-        comp = optimizer._Compiled(ch, layouts, np.array([0.4, 0.6]))
-        assert (len(comp.H), len(comp._sig2), len(comp.w_priv)) == (1, 1, 3)
+        comp = optimizer._Compiled([ch] * 3, layouts, np.array([0.4, 0.6]))
+        names = ("H", "_sig2", "w_priv", "w_common", "active")
+        assert [getattr(comp, name).shape for name in names] == [(3, 2, 2), (3, 4), (3, 2), (3,), (3, 3)]
         keep = np.array([2, 0, 2, 1])
         sub = comp.take(keep)
-        assert sub.H is comp.H and sub._sig2 is comp._sig2
-        for name in ("w_priv", "w_common", "active"):
+        for name in names:
             assert np.array_equal(getattr(sub, name), getattr(comp, name)[keep])
+        # one channel per layout, as sequences
+        for channels, lays in (([ch] * 2, layouts), ([ch] * 4, layouts), ([], []), (ch, layouts[0]), ([ch], layouts[0])):
+            with pytest.raises(ValueError, match="one channel per layout"):
+                optimizer._Compiled(channels, lays, np.array([0.4, 0.6]))
 
     # channels a and c have user 0 as NOMA's strong user, b has user 1
     BATCHES = {
@@ -903,8 +916,8 @@ class TestPolish:
         rng = np.random.default_rng(60)
         ch = channel(rng.uniform(0.1, 1.0, size=(2, 4)), [1.0, 0.7])
         lay = build_layout(scheme, ch)
-        comp = optimizer._Compiled(ch, lay, np.array([0.4, 0.6]))
         P = lay.to_rsma(rng.normal(size=(3, 4, lay.num_streams)))
+        comp = compiled(ch, lay, [0.4, 0.6], len(P))
         J = np.kron(ch.gains, np.eye(3))[None]
         r, dr, d2r = optimizer._stage_derivatives(comp, P)
         # the K common decoders, of every scheme; SDMA's have rate 0 and weight 0
@@ -931,8 +944,8 @@ class TestPolish:
         rng = np.random.default_rng(61)
         ch = random_channel(rng, l=4)
         lay = build_layout("rsma", ch)
-        comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         P = project_rows_l1(lay.to_rsma(rng.normal(size=(20, 4, 3))), np.full((20, 4), 2.0))
+        comp = compiled(ch, lay, [0.5, 0.5], len(P))
         J = np.kron(ch.gains, np.eye(3))[None]
         r, dr, _ = optimizer._stage_derivatives(comp, P)
         eps, act = np.full(20, 2.0), np.ones((20, 3), dtype=bool)
@@ -958,12 +971,11 @@ class TestPolish:
         rng = np.random.default_rng(61)
         ch = random_channel(rng, l=4)
         lay = build_layout("rsma", ch)
-        comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         J = np.kron(ch.gains, np.eye(3))[None]
-        w_c, eps = comp.w_common[0], 2.0
+        w_c, eps = compiled(ch, lay, [0.5, 0.5]).w_common[0], 2.0
 
         def difference(P):  # r_c0 - r_c1, bits
-            r = optimizer._stage_derivatives(comp, P)[0]
+            r = optimizer._stage_derivatives(compiled(ch, lay, [0.5, 0.5], len(P)), P)[0]
             return r[:, -2] - r[:, -1]
 
         # a point whose decoders cross as user 0's private column scales by s
@@ -988,6 +1000,7 @@ class TestPolish:
         P = np.concatenate([at(d) for d in deltas] + [project_rows_l1(
             lay.to_rsma(rng.normal(size=(20, 4, 3))), np.full((20, 4), eps))])
         B = len(P)
+        comp = compiled(ch, lay, [0.5, 0.5], B)
         r, dr, _ = optimizer._stage_derivatives(comp, P)
         e, act = np.full(B, eps), np.ones((B, 3), dtype=bool)
         residual, lam = optimizer._decoder_weights(comp, r, dr, J, P, e, act)
@@ -1022,7 +1035,7 @@ class TestPolish:
         # point inside the balls, with a zero residual, in a few iterations
         ch = channel([[1.0, 0.0], [0.0, 0.5]])
         lay = build_layout("sdma", ch)
-        comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
+        comp = compiled(ch, lay, [0.5, 0.5])
         eps = 2.0
         P0 = lay.to_rsma(np.array([[[0.7, 0.2], [-0.1, 0.9]]]))
         wsr0 = comp.true_rates(P0)
@@ -1040,8 +1053,8 @@ class TestPolish:
         rng = np.random.default_rng(62)
         ch = random_channel(rng, l=4)
         lay = build_layout(scheme, ch)
-        comp = optimizer._Compiled(ch, lay, np.array([0.5, 0.5]))
         eps = np.repeat([epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0, 40.0)], 4)
+        comp = compiled(ch, lay, [0.5, 0.5], len(eps))
         P0 = np.stack([lay.to_rsma(random_start(ch, lay, e, rng)) for e in eps])
         radii = np.repeat(eps[:, None], 4, axis=1)
         wsr0 = comp.true_rates(P0)
@@ -1049,7 +1062,7 @@ class TestPolish:
         for b in range(len(P0)):
             assert history[b][0] == wsr0[b] and np.all(np.diff(history[b]) >= 0.0)
             assert np.abs(P[b]).sum(axis=1).max() <= eps[b] * (1.0 + 1e-12)
-            assert comp.true_rates(P[b : b + 1])[0] == history[b][-1]
+            assert comp.take([b]).true_rates(P[b : b + 1])[0] == history[b][-1]
         assert np.all(residual <= AoConfig().tolerance)
 
 
@@ -1067,6 +1080,12 @@ class TestGridOracle:
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(ValueError):
             grid_oracle(ch, build_layout("rsma", ch), (0.5, 0.5), epsilon=1.0, resolution=25)
+
+    def test_epsilon_must_be_finite_and_nonnegative(self):
+        ch = channel([[1.0, 0.2], [0.2, 1.0]])
+        for eps in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+                grid_oracle(ch, build_layout("sdma", ch), (0.5, 0.5), epsilon=eps)
 
     def test_sdma_diagonal_hand_optimum(self):
         # decoupled rows: all budget on the own-user entry, rates add up

@@ -223,6 +223,12 @@ class TestAssembleReport:
             with pytest.raises(ValueError, match="weights must be finite"):
                 assemble_report(ch, HAND, lay, weights=w)
 
+    def test_wrong_stream_count_rejected(self):
+        # a 1-column precoder on SDMA's 2 streams is not broadcast to both
+        ch = channel_2x2(gains=((0.9, 0.4), (0.3, 0.8)))
+        with pytest.raises(ValueError, match="do not have this layout's 2 streams"):
+            assemble_report(ch, Precoder(matrix=np.ones((2, 1))), build_layout("sdma", ch))
+
     def test_overall_identity(self):
         ch = channel_2x2()
         lay = build_layout("rsma", ch)
@@ -323,6 +329,14 @@ class TestMonteCarlo:
             got = monte_carlo_sinr(ch, Precoder(matrix=P), lay, user, stream, num_symbols=num_symbols, seed=seed)
             assert got == expected, (user, stream)
 
+    @pytest.mark.parametrize("scheme,streams", [("rsma", 2), ("sdma", 3)])
+    def test_wrong_stream_count_rejected(self, scheme, streams):
+        # a precoder with fewer or more columns than the layout's streams
+        ch = channel_2x2(gains=((0.9, 0.4), (0.3, 0.8)))
+        lay = build_layout(scheme, ch)
+        with pytest.raises(ValueError, match=f"the precoder has {streams} streams, the layout {lay.num_streams}"):
+            monte_carlo_sinr(ch, Precoder(matrix=np.ones((2, streams))), lay, 0, 0, num_symbols=MC_MIN_SYMBOLS, seed=1)
+
     def test_symbol_count_floor(self):
         ch = channel_2x2()
         lay = build_layout("rsma", ch)
@@ -375,8 +389,8 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
     lay = build_layout(scheme, ch)
     w = rng.uniform(0.2, 1.0, size=users)
-    comp = optimizer._Compiled(ch, lay, w)
     P = rng.normal(size=(16, fixtures, lay.num_streams))
+    comp = optimizer._Compiled([ch] * len(P), [lay] * len(P), w)
     # every caller reads the layout's precoders on the RSMA columns
     Q = lay.to_rsma(P)
     A = ch.gains @ Q
