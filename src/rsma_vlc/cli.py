@@ -23,15 +23,17 @@ and values) are required; name defaults to the file's basename. Vectors
 and lists are space-separated.
 
 Exit codes: 0 full success (and -h), 1 configuration errors (an unknown
-option, a malformed value, an unusable setting), 2 partial solver or
-validation failures. Output files are written atomically (temp file
-then rename), so a file exists only for completed runs.
+option, a malformed value, an unusable setting, an --out that cannot be
+written), 2 partial solver or validation failures. Output files are
+written atomically (temp file then rename, the temp file removed if
+either fails), so a file exists only for completed runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import io
@@ -247,10 +249,18 @@ def _row_record(row, seed: int) -> dict:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it to
+    `path`; if the write or the rename fails, the temp file goes too."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _render(records: list, fmt: str) -> str:
@@ -286,7 +296,10 @@ def cmd_run(config: RunConfig) -> int:
     result = run_sweep(spec, workers=config.workers)
     records = [_row_record(r, config.seed) for r in result.rows]
     if config.out:
-        _write_atomic(config.out, _render(records, config.format))
+        try:
+            _write_atomic(config.out, _render(records, config.format))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {config.out}: {exc.strerror or exc}") from None
     print(f"# scenario {spec.name}: {len(records)} rows")
     print(_render(records, "csv"), end="")
     failures = result.failures

@@ -159,8 +159,8 @@ class AoConfig:
     tolerance: float = 1e-4  # b/s/Hz: the residual of a converged solution
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -690,11 +690,15 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
 
     The residual is `_decoder_weights`'s. A problem stops when its
     residual is at most _POLISH_GAP or `tolerance`, whichever is smaller,
-    when nothing rises at nu above _NU[2], or after _POLISH_MAX_ITER
-    iterations. A problem that finds nothing rises at nu above _NU[2]
-    while its residual is above `tolerance` starts afresh instead, if its
-    WSR rose since it last did (or since its start): nu goes back to
-    _NU[1] and the kink weight is taken anew. On the common-rate kink a
+    when nothing rises at nu above _NU[2] (it is stuck), or after
+    _POLISH_MAX_ITER iterations. It leaves the batch at the residual
+    check that opens each iteration, the one exit: a stuck problem
+    leaves at the next check, where its precoder has not moved, so its
+    residual and count are those of the iteration it got stuck in. A
+    problem that finds nothing rises at nu above _NU[2] while its
+    residual is above `tolerance` starts afresh instead, if its WSR rose
+    since it last did (or since its start): nu goes back to _NU[1] and
+    the kink weight is taken anew. On the common-rate kink a
     multiplier-corrected weight and a grown nu can stall a problem at a
     point from which a fresh start climbs on (a NOMA problem with 4
     fixtures ended at a residual of 0.22 without it, and converges with
@@ -712,9 +716,10 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     nu = np.full(B, _NU[1])
     kink_t = np.full(B, np.nan)  # the weight of decoder 0 at the kink
     rose = np.zeros(B, dtype=bool)  # the WSR rose since the start or the last fresh start
+    stuck = np.zeros(B, dtype=bool)  # nothing rose at nu above _NU[2], and no fresh start
     history = np.empty((_POLISH_MAX_ITER + 1, B))
     history[0] = wsr
-    iterations = np.full(B, _POLISH_MAX_ITER)
+    iterations = np.empty(B, dtype=int)
     residual = np.empty(B)
     steps, tsteps = 0.5 ** np.arange(_NEWTON_STEPS), 0.125 ** np.arange(_GRADIENT_STEPS)
     H = comp.H
@@ -729,9 +734,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         if not (np.isfinite(r).all() and np.isfinite(dr).all() and np.isfinite(d2r).all()):
             raise NumericalFailure("non-finite rate derivatives in the polish (check channel and noise scaling)")
         res, _ = _decoder_weights(batch, r, dr, Jl, Q, e, act)
-        finished = res <= stop
-        if it > _POLISH_MAX_ITER:
-            finished[:] = True
+        finished = (res <= stop) | stuck[live] | (it > _POLISH_MAX_ITER)
         if finished.any():
             residual[live[finished]] = res[finished]
             iterations[live[finished]] = it - 1
@@ -822,19 +825,11 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         nu[live] = np.where(newton_rose, np.where(full, np.maximum(nu[live] / 4.0, _NU[0]), nu[live]),
                             np.minimum(nu[live] * 16.0, 16.0 * _NU[2]))
         rose[live[rise]] = True
-        stuck = ~rise & (nu[live] > _NU[2])
-        afresh = stuck & (res > tolerance) & rose[live]
+        stuck[live] = ~rise & (nu[live] > _NU[2])
+        afresh = stuck[live] & (res > tolerance) & rose[live]
         if afresh.any():
-            nu[live[afresh]], kink_t[live[afresh]], rose[live[afresh]] = _NU[1], np.nan, False
-            stuck &= ~afresh
-        if stuck.any():
-            residual[live[stuck]] = res[stuck]
-            iterations[live[stuck]] = it
-            keep = ~stuck
-            if not keep.any():
-                break
-            live = live[keep]
-            batch = comp.take(live)
+            again = live[afresh]
+            nu[again], kink_t[again], rose[again], stuck[again] = _NU[1], np.nan, False, False
     return P, [history[: k + 1, b].tolist() for b, k in enumerate(iterations.tolist())], residual
 
 
@@ -887,13 +882,15 @@ def ao_solve(
     docstring), and each Solution's precoder and report are read back in
     the problem's layout.
 
-    The starts run in waves. Wave 0 holds every start but the warm
-    ones. The warm starts of a problem run in wave d,
-    one more than the deepest wave its `warm_from` problems finished in
-    (a problem without warm starts finishes in wave 0): each is the
-    polished winner of one `warm_from` problem, on the RSMA streams,
-    with the columns this problem's layout lacks set to 0, in the order
-    given. Each wave is one lockstep polish.
+    The starts are one table, a row per start in the order above,
+    problem after problem: its problem (`owner`) and, for a warm start,
+    the `warm_from` problem whose polished winner it is (`source`, -1
+    for every other start). The starts run in waves, each one lockstep
+    polish of its rows in table order: wave 0 holds every start without
+    a source, and a warm start runs in its problem's depth, one more
+    than the deepest depth of its `warm_from` problems (0 without warm
+    starts). It is filled then from its source's winner, on the RSMA
+    streams, with the columns its problem's layout lacks set to 0.
 
     The name is that of the alternating-optimization (AO) stage the
     solver once ran before the polish; it stays, with `layout`, because
@@ -924,35 +921,30 @@ def ao_solve(
     K = channels[0].num_users
     active = comp.active  # each problem's weighted columns
 
-    starts, counts, firsts, wave = [], [], [], []
-    for problem, act, eps in zip(problems, active, epsilons):
-        ch, refs = problem.channel, problem.warm_from
+    starts, owner, source, depth = [], [], [], []  # the start table, and each problem's depth
+    for p, (problem, act, eps) in enumerate(zip(problems, active, epsilons)):
+        ch, refs = problem.channel, list(problem.warm_from)
         zf = _zf_start(ch, act, eps)
-        own = [zf] + [_beam_start(ch, act, eps, k) for k in range(K)]
-        own += [np.zeros_like(zf)] * len(refs)  # filled from the named problems' winners
-        if problem.scheme == "rsma":
-            own += [_split_start(zf, ch, eps, alpha) for alpha in _SPLITS]
-        firsts.append(sum(counts))
-        counts.append(len(own))
-        starts.append(np.stack(own))
-        wave.append(1 + max(wave[q] for q in refs) if refs else 0)
-    owner = np.repeat(np.arange(len(problems)), counts)
-    P = np.concatenate(starts)
-    radii = np.repeat(np.repeat(epsilons, counts)[:, None], P.shape[1], axis=1)
-    rank = np.concatenate([np.arange(n) for n in counts])  # each start's place among its problem's
-    warm = (rank > K) & (rank <= K + np.array([len(problems[q].warm_from) for q in owner]))
+        splits = [_split_start(zf, ch, eps, alpha) for alpha in _SPLITS] if problem.scheme == "rsma" else []
+        own = [zf] + [_beam_start(ch, act, eps, k) for k in range(K)] + [np.zeros_like(zf)] * len(refs) + splits
+        starts += own
+        owner += [p] * len(own)
+        source += [-1] * (K + 1) + refs + [-1] * len(splits)
+        depth.append(1 + max(depth[q] for q in refs) if refs else 0)
+    owner, source = np.array(owner), np.array(source)
+    P = np.stack(starts)
+    radii = np.repeat(np.array(epsilons)[owner, None], P.shape[1], axis=1)
+    firsts = np.searchsorted(owner, np.arange(len(problems) + 1)).tolist()
+    wave = np.where(source >= 0, np.array(depth)[owner], 0)
     histories, residual, final = [None] * len(P), np.empty(len(P)), np.empty(len(P))
 
     def winner(q):  # the start of the best final WSR, the earliest on ties
-        return firsts[q] + int(final[firsts[q] : firsts[q] + counts[q]].argmax())
+        return firsts[q] + int(final[firsts[q] : firsts[q + 1]].argmax())
 
-    for d in range(max(wave) + 1):
-        rows = np.flatnonzero(np.where(warm, np.array(wave)[owner] == d, d == 0))
-        if not len(rows):
-            continue
-        for b in rows[warm[rows]]:
-            p, q = owner[b], problems[owner[b]].warm_from[rank[b] - K - 1]
-            P[b] = np.where(active[p], P[winner(q)], 0.0)
+    for d in range(wave.max() + 1):
+        rows = np.flatnonzero(wave == d)
+        for b in rows[source[rows] >= 0]:
+            P[b] = np.where(active[owner[b]], P[winner(source[b])], 0.0)
         P[rows], hist, residual[rows] = _solve_starts(comp.take(owner[rows]), radii[rows], P[rows], config)
         for b, h in zip(rows, hist):
             histories[b], final[b] = h, h[-1]

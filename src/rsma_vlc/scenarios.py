@@ -115,6 +115,9 @@ class ScenarioSpec:
             raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
         if self.gain_reference not in ("area_mean", "none"):
             raise ValueError(f"unknown gain_reference {self.gain_reference!r}")
+        # a NaN size would pass every comparison with the users below
+        if len(self.room) != 3 or not all(0 < v < math.inf for v in self.room):
+            raise ValueError(f"room must be three finite positive sizes, got {self.room}")
         hx, hy, hz = self.room[0] / 2.0, self.room[1] / 2.0, self.room[2]
         for rx in self.users:
             x, y, z = rx.position

@@ -59,6 +59,20 @@ class TestRunCommand:
         for rec, line in zip(rows, lines):
             assert float(line.split(",")[3]) == rec["wsr_bps_hz"]
 
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_out_exits_1_without_rows(self, target, tmp_path, capsys):
+        # a missing parent directory fails at the temp file, a directory at
+        # the rename; either way no temp file is left behind
+        out = tmp_path / "missing" / "rows.csv" if target == "missing" else tmp_path / "outdir"
+        if target == "directory":
+            out.mkdir()
+        assert main(["run", "--scenario", "scenario1_2led", "--schemes", "sdma", "--snr", "10",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_unknown_scenario_exits_1(self, capsys):
         assert main(["run", "--scenario", "warehouse"]) == 1
         err = capsys.readouterr().err
@@ -196,6 +210,10 @@ class TestScenarioFiles:
         ("scenario", "snr_db", "inf"),
         ("scenario", "priorities", "0.5 nan"),
         ("scenario", "priorities", "inf 0.5"),
+        ("scenario", "room", "nan 5 4"),
+        ("scenario", "room", "5 inf 4"),
+        ("ao", "tolerance", "nan"),
+        ("ao", "tolerance", "inf"),
     ])
     def test_non_finite_number_exits_1_without_output(self, section, key, value, tmp_path, capsys):
         path = tmp_path / "scene.ini"
@@ -404,6 +422,8 @@ class TestConfigPlumbing:
             ["run", "--scenario", "scenario1_2led", "--format", "xml"],
             ["run", "--scenario", "scenario1_2led", "--max-iters", "1.5"],
             ["run", "--scenario", "scenario1_2led", "--noise-mode", "loud"],
+            # argparse takes nan as a float; AoConfig rejects it
+            ["run", "--scenario", "scenario1_2led", "--delta", "nan"],
         ],
     )
     def test_bad_inputs_exit_1_before_output(self, argv, tmp_path, capsys):

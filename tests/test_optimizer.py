@@ -540,6 +540,12 @@ class TestBatchedSolver:
             for b in range(len(starts)):
                 P1, hist1, res1 = optimizer._solve_starts(one, radii[b : b + 1], starts[b][None], cfg)
                 assert np.array_equal(P[b], P1[0]) and hist[b] == hist1[0] and res[b] == res1[0]
+                # the reported residual is the one at the returned precoder,
+                # whichever exit the start took (tolerance, stuck or cap)
+                r, dr, _ = optimizer._stage_derivatives(one, P1)
+                J = np.kron(ch.gains, np.eye(3))[None]
+                gap, _ = optimizer._decoder_weights(one, r, dr, J, P1, radii[b : b + 1, 0], one.active)
+                assert gap[0] == res1[0]
                 assert np.all(P[b][:, unused] == 0.0)
                 assert np.all(np.diff(hist[b]) >= 0.0)
                 polished += hist[b][-1] > hist[b][0]
