@@ -35,6 +35,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import errno
 import functools
 import io
 import json
@@ -263,6 +264,16 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _check_out(path: str) -> None:
+    """ConfigError for an --out that cannot be written, before any work:
+    a directory, or a file in a directory that does not exist. The
+    message is the one the failed write would give."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+
+
 def _render(records: list, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(records, indent=2, sort_keys=True) + "\n"
@@ -293,6 +304,8 @@ def cmd_run(config: RunConfig) -> int:
     spec = _resolve_spec(config)
     if len(spec.users) != 2:
         raise ConfigError("the tabular output format carries exactly two user rate columns")
+    if config.out:
+        _check_out(config.out)
     result = run_sweep(spec, workers=config.workers)
     records = [_row_record(r, config.seed) for r in result.rows]
     if config.out:

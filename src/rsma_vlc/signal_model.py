@@ -24,15 +24,19 @@ interference, cancels it, then decodes its own private stream with the
 other private streams as interference. `SicKernel` is that rule's one
 home, for K users: K private stages, then K common stages, coded once
 as a 0/1 mask of the private columns that interfere at each stage. Every
-analytic SINR, rate and equalizer in the package, and the Monte-Carlo
-estimator's interferer set, come from it, whatever the scheme; a zero
-column's SINR and rate are exactly 0, so a scheme differs from RSMA
-only in the columns its layout fills.
+analytic SINR, rate and equalizer in the package comes from it, whatever
+the scheme; a zero column's SINR and rate are exactly 0, so a scheme
+differs from RSMA only in the columns its layout fills.
 
 `assemble_report` is the one reader of a precoder's SINRs, rates,
 common-rate cap and weighted sum rate: its `RateReport` holds every
 user's private and common SINR on the RSMA streams, and a stream the
 layout lacks reads 0 there.
+
+`monte_carlo_sinr` checks those SINRs by 4-PAM symbol simulation. It
+takes a stage's interferers from the layout's decoding order, not from
+the kernel it checks, and draws the symbols of one numpy `integers` call
+from the generator's raw words, chunk by chunk, in bounded memory.
 
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
@@ -64,7 +68,9 @@ SCHEMES = ("rsma", "sdma", "noma")
 # guards divisions in deliberately noiseless validation runs
 _DEN_FLOOR = 1e-300
 # fewest symbols monte_carlo_sinr accepts: at 10k the estimator's spread
-# is about validate's 2% tolerance, so correct formulas could fail it
+# is about validate's 2% tolerance, so correct formulas could fail it. A
+# call's time and memory grow with the symbols: a million take about 25 ms
+# and 11 MB (one float64 per symbol) on a 2-vCPU x86-64 host
 MC_MIN_SYMBOLS = 100_000
 
 
@@ -327,11 +333,46 @@ def assemble_report(
 
 # 4-PAM, zero mean, unit variance: levels {-3,-1,1,3}/sqrt(5)
 _PAM4 = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(5.0)
-# symbol rows monte_carlo_sinr draws per call of the generator. Each
-# index takes the next 32 bits of the generator's stream, whose spare
-# half-word carries over from one call to the next, so the chunks draw
-# the indices one call for all rows would, whatever their size
-_MC_CHUNK_ROWS = 1 << 14
+# symbols per chunk of monte_carlo_sinr's draws; even, so that a chunk of
+# any number of streams takes whole 64-bit words of the generator
+_MC_CHUNK = 1 << 15
+
+
+def _pam4_indices(rng: np.random.Generator, num_symbols: int, num_streams: int):
+    """Yield (first row, uint8 (rows, num_streams) indices), `_MC_CHUNK`
+    rows at a time: the 4-PAM indices that `rng.integers(0, 4,
+    size=(num_symbols, num_streams))` draws, from the same words.
+
+    For a range of 4, numpy's bounded integers (Lemire's method on 32-bit
+    draws) never reject a draw, so each index is the top two bits of the
+    next 32-bit draw, and the 32-bit draws take each 64-bit word of the
+    generator low half first. The indices are read from the raw words by
+    arithmetic, whatever the byte order. A chunk of `_MC_CHUNK` rows takes
+    whole words; the last takes one more word than it needs when its
+    count of indices is odd, and leaves the generator where `integers`
+    leaves it for 64-bit draws such as the normal ones.
+    """
+    for lo in range(0, num_symbols, _MC_CHUNK):
+        rows = min(_MC_CHUNK, num_symbols - lo)
+        words = rng.bit_generator.random_raw((rows * num_streams + 1) // 2)
+        index = np.empty(2 * len(words), dtype=np.uint8)
+        index[0::2] = (words >> np.uint64(30)) & np.uint64(3)
+        index[1::2] = words >> np.uint64(62)
+        yield lo, index[: rows * num_streams].reshape(rows, num_streams)
+
+
+def _decoding_interferers(layout: StreamLayout, user: int, stream: int) -> list[int]:
+    """The layout's streams that are interference when `user` decodes
+    `stream`, from the decoding order alone: every user decodes the common
+    stream first, with every private stream as interference, then cancels
+    it and decodes its own private stream with the other private streams
+    as interference. A stream that is neither the user's private stream
+    nor the common one is a ValueError."""
+    K = layout.num_users
+    column = layout.rsma_columns[stream]
+    if not (0 <= user < K and column in (user, K)):
+        raise ValueError(f"column {column} is not user {user}'s private stream or the common column {K}")
+    return [j for j in layout.private_columns if j != stream]
 
 
 def monte_carlo_sinr(
@@ -349,13 +390,35 @@ def monte_carlo_sinr(
     receiver noise and measures signal power over interference-plus-
     noise power at the stream's SIC stage (common stage sees all
     private streams; private stage has the common stream cancelled).
-    Converges to the analytic SINR; the estimate is deterministic for a
-    fixed seed.
+    The interferers come from the layout's decoding order
+    (`_decoding_interferers`), not from `SicKernel`, whose SINRs this
+    checks. Converges to the analytic SINR; the estimate is
+    deterministic for a fixed seed.
 
-    The symbol indices of every stream are drawn in chunks of rows, then
-    the noise; only the stream's and its interferers' symbols are kept.
-    The estimate is the one of drawing every symbol in one call, bit for
-    bit.
+    The estimate is the one of drawing every symbol index with one
+    `rng.integers(0, 4, size=(num_symbols, streams))` call, then the
+    noise with one `rng.normal(0, sigma, num_symbols)` call, bit for bit:
+
+    * the indices come from the generator's raw words (`_pam4_indices`),
+      `_MC_CHUNK` rows at a time; each chunk keeps the stream's indices
+      as uint8 and puts each symbol's interference into one float array
+      of N values, read by a base-4 code of the I interferers' indices
+      from a table of their 4^I interference amplitudes (16 for two
+      users; the table grows as 4^I, which suits the few users of
+      `validate`). The table is the matmul `others @ amps[interferers]`
+      over every combination of interferer symbols, so each value is the
+      one that product gives for the symbol's row, as the tests pin
+      against one matmul over every row;
+    * the noise is added in chunks as sigma * `standard_normal`, which
+      is `normal(0, sigma)` value for value;
+    * the disturbance is squared in place and averaged, then the same
+      array holds the squared signal amplitudes, gathered from the 4
+      squared levels, and is averaged. Each mean is numpy's pairwise sum
+      of the same N values in the same order.
+
+    No index or gather array is longer than a chunk, so the peak memory
+    is one float array of N values, the N uint8 stream indices and a few
+    chunks: about 11 MB for a million symbols.
     """
     if num_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
@@ -363,23 +426,35 @@ def monte_carlo_sinr(
         raise ValueError(f"stream {stream} is not one of the layout's {layout.num_streams} streams")
     if precoder.num_streams != layout.num_streams:
         raise ValueError(f"the precoder has {precoder.num_streams} streams, the layout {layout.num_streams}")
-    # the interferers on the layout's own columns: one it lacks is zero
-    own = {j: i for i, j in enumerate(layout.rsma_columns)}
-    rsma = SicKernel(layout.num_users, channel.noise).interferers(user, layout.rsma_columns[stream])
-    interferers = [own[j] for j in rsma if j in own]
+    interferers = _decoding_interferers(layout, user, stream)
 
     rng = np.random.default_rng(seed)
     amps = channel.gains[user] @ precoder.matrix
-    signal = np.empty(num_symbols)
-    others = np.empty((num_symbols, len(interferers)))
-    for lo in range(0, num_symbols, _MC_CHUNK_ROWS):
-        index = rng.integers(0, 4, size=(min(_MC_CHUNK_ROWS, num_symbols - lo), precoder.num_streams))
-        _PAM4.take(index[:, stream], out=signal[lo : lo + len(index)])
-        _PAM4.take(index[:, interferers], out=others[lo : lo + len(index)])
-    noise = rng.normal(0.0, np.sqrt(channel.noise[user]), size=num_symbols)
-    signal *= amps[stream]
-    disturbance = others @ amps[interferers]
-    disturbance += noise
-    # squared in place: no array of N symbols is allocated past this point
-    power = np.mean(np.square(signal, out=signal))
-    return float(power / max(np.mean(np.square(disturbance, out=disturbance)), _DEN_FLOOR))
+    # row c: the interferers' levels at the base-4 digits of c, first
+    # interferer most significant
+    digits = np.arange(4 ** len(interferers))[:, None] // 4 ** np.arange(len(interferers) - 1, -1, -1) % 4
+    table = _PAM4[digits] @ amps[interferers]
+    own_index = np.empty(num_symbols, dtype=np.uint8)
+    disturbance = np.empty(num_symbols)
+    for lo, index in _pam4_indices(rng, num_symbols, precoder.num_streams):
+        hi = lo + len(index)
+        own_index[lo:hi] = index[:, stream]
+        code = np.zeros(len(index), dtype=np.intp)
+        for j in interferers:
+            code *= 4
+            code += index[:, j]
+        table.take(code, out=disturbance[lo:hi])
+    sigma = np.sqrt(channel.noise[user])
+    noise = np.empty(min(_MC_CHUNK, num_symbols))
+    for lo in range(0, num_symbols, _MC_CHUNK):
+        part = noise[: min(_MC_CHUNK, num_symbols - lo)]
+        rng.standard_normal(out=part)
+        part *= sigma
+        disturbance[lo : lo + len(part)] += part
+    disturbance_power = np.mean(np.square(disturbance, out=disturbance))
+    # the same array now holds the squared signal amplitudes
+    signal = disturbance
+    squares = np.square(_PAM4 * amps[stream])
+    for lo in range(0, num_symbols, _MC_CHUNK):
+        squares.take(own_index[lo : lo + _MC_CHUNK], out=signal[lo : lo + _MC_CHUNK])
+    return float(np.mean(signal) / max(disturbance_power, _DEN_FLOOR))

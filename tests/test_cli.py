@@ -60,9 +60,13 @@ class TestRunCommand:
             assert float(line.split(",")[3]) == rec["wsr_bps_hz"]
 
     @pytest.mark.parametrize("target", ["missing", "directory"])
-    def test_unwritable_out_exits_1_without_rows(self, target, tmp_path, capsys):
-        # a missing parent directory fails at the temp file, a directory at
-        # the rename; either way no temp file is left behind
+    def test_unwritable_out_exits_1_without_rows(self, target, tmp_path, capsys, monkeypatch):
+        # a missing parent directory or a directory is an error before the
+        # sweep runs, and no temp file is left behind
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran for an --out that cannot be written")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
         out = tmp_path / "missing" / "rows.csv" if target == "missing" else tmp_path / "outdir"
         if target == "directory":
             out.mkdir()
@@ -71,6 +75,14 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path):
+        # the rename onto a directory fails after the temp file is written
+        target = tmp_path / "outdir"
+        target.mkdir()
+        with pytest.raises(OSError):
+            cli._write_atomic(str(target), "rows\n")
         assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_unknown_scenario_exits_1(self, capsys):
@@ -279,6 +291,22 @@ class TestValidate:
         monkeypatch.setattr(signal_model, "assemble_report", corrupted)
         assert main(self.ARGS) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_zeroed_private_mask_fails_monte_carlo(self, capsys, monkeypatch):
+        # the Monte-Carlo interferers do not come from SicKernel, so a kernel
+        # whose private stages see no other private stream fails them
+        real = signal_model.SicKernel.__init__
+
+        def corrupted(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            self._interferes = np.zeros_like(self._interferes)
+
+        monkeypatch.setattr(signal_model.SicKernel, "__init__", corrupted)
+        argv = ["validate", "--seed", "0", "--mc-instances", "6", "--mc-symbols", "100000", "--oracle-instances", "0"]
+        assert main(argv) == 2
+        verdicts = re.findall(r"^mc\[\d+\] user (\d) stream (\d): .* (PASS|FAIL)$", capsys.readouterr().out, re.M)
+        assert len(verdicts) == 6
+        assert any(stream == user and verdict == "FAIL" for user, stream, verdict in verdicts)
 
     def test_symbol_floor_passes_on_correct_formulas(self, capsys):
         argv = ["validate", "--seed", "0", "--mc-instances", "20", "--oracle-instances", "0"]

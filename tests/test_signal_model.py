@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rsma_vlc.optimizer as optimizer
+import rsma_vlc.signal_model as signal_model
 from rsma_vlc.channel import ChannelMatrix
 from rsma_vlc.signal_model import (
     MC_MIN_SYMBOLS,
@@ -303,20 +305,22 @@ class TestMonteCarlo:
         est = monte_carlo_sinr(ch, p, lay, 0, 2, num_symbols=MC_MIN_SYMBOLS, seed=1)  # the common stream
         assert est > 1e12
 
-    @pytest.mark.parametrize("scheme", ["rsma", "noma"])
+    @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
     def test_streamed_draws_equal_one_draw(self, scheme):
-        # an odd symbol count ends on a partial chunk with an odd number of
-        # indices; NOMA's private stage has no interferer at all
+        # an odd symbol count ends on a partial chunk, with an odd number of
+        # indices for RSMA; the other count ends one row past a chunk
+        # boundary; NOMA's private stage has no interferer at all
         ch = channel_2x2(noise=(1.3, 0.7))
         lay = build_layout(scheme, ch)
         P = np.array([[0.5, -0.2, 1.0], [-0.5, 0.4, 1.0]])[:, : lay.num_streams]
-        num_symbols = MC_MIN_SYMBOLS + 1
         # the SIC rule, stated here: every user decodes the common stream
         # with every private stream as interference, and the owner of a
         # private stream decodes it with the other private streams
         stages = [(user, stream) for stream, desc in enumerate(lay.streams)
                   for user in (range(lay.num_users) if desc.kind == "common" else (desc.owner,))]
-        for seed, (user, stream) in enumerate(stages):
+        draws = [(num_symbols, user, stream) for num_symbols in (MC_MIN_SYMBOLS + 1, 4 * signal_model._MC_CHUNK + 1)
+                 for user, stream in stages]
+        for seed, (num_symbols, user, stream) in enumerate(draws):
             rng = np.random.default_rng(seed)
             amps = ch.gains[user] @ P
             pam4 = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(5.0)
@@ -327,7 +331,51 @@ class TestMonteCarlo:
             disturbance = symbols[:, others] @ amps[others] + noise
             expected = float(np.mean(signal**2) / np.mean(disturbance**2))
             got = monte_carlo_sinr(ch, Precoder(matrix=P), lay, user, stream, num_symbols=num_symbols, seed=seed)
-            assert got == expected, (user, stream)
+            assert got == expected, (num_symbols, user, stream)
+
+    @pytest.mark.parametrize("streams", [2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_indices_equal_numpy_integers(self, streams, offset):
+        # one row below, at and one above a chunk boundary; with 3 streams
+        # the counts one off the boundary hold an odd number of indices
+        num_symbols = signal_model._MC_CHUNK + offset
+        for seed in (0, 1):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            chunks = list(signal_model._pam4_indices(rng, num_symbols, streams))
+            assert [lo for lo, _ in chunks] == list(range(0, num_symbols, signal_model._MC_CHUNK))
+            assert all(index.dtype == np.uint8 for _, index in chunks)
+            got = np.concatenate([index for _, index in chunks])
+            np.testing.assert_array_equal(got, reference.integers(0, 4, size=(num_symbols, streams)))
+            # the noise drawn after the indices is the same too
+            np.testing.assert_array_equal(rng.normal(0.0, 1.3, 1000), reference.normal(0.0, 1.3, 1000))
+
+    @pytest.mark.parametrize("num_users", [2, 3])
+    def test_interferers_agree_with_the_kernel(self, num_users):
+        # the Monte-Carlo interferers come from the decoding order, not from
+        # SicKernel's mask; both must name the same streams at every stage
+        gains = np.random.default_rng(4).uniform(0.2, 1.0, size=(num_users, num_users))
+        ch = ChannelMatrix(gains=gains, noise=np.ones(num_users))
+        kernel = SicKernel(num_users, ch.noise)
+        for scheme in SCHEMES if num_users == 2 else ("rsma", "sdma"):
+            lay = build_layout(scheme, ch)
+            own = {j: i for i, j in enumerate(lay.rsma_columns)}
+            for stream, desc in enumerate(lay.streams):
+                for user in range(num_users) if desc.kind == "common" else (desc.owner,):
+                    expected = [own[j] for j in kernel.interferers(user, lay.rsma_columns[stream]) if j in own]
+                    assert signal_model._decoding_interferers(lay, user, stream) == expected, (scheme, user, stream)
+
+    def test_peak_memory_of_a_million_symbols(self):
+        # the common stage of RSMA, which has the most interferers; numpy's
+        # buffers are traced
+        ch = channel_2x2(noise=(1.3, 0.7))
+        lay = build_layout("rsma", ch)
+        tracemalloc.start()
+        try:
+            monte_carlo_sinr(ch, HAND, lay, 0, 2, num_symbols=1_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     @pytest.mark.parametrize("scheme,streams", [("rsma", 2), ("sdma", 3)])
     def test_wrong_stream_count_rejected(self, scheme, streams):
