@@ -9,7 +9,9 @@ Commands and the options each takes (any other option exits 1):
                 --out, --format
   channel-dump  print the gain matrix and noise vector of a scene
                 --scenario NAME or --scenario-file PATH, --noise-mode
-  validate      Monte-Carlo SINR checks and brute-force oracle cross-checks
+  validate      Monte-Carlo SINR checks and brute-force oracle cross-checks,
+                run on a thread pool sized by the usable CPUs; the output
+                does not depend on that size
                 --seed, --mc-instances, --mc-symbols, --oracle-instances,
                 --oracle-resolution
 An option not given takes its RunConfig default, or the scene's own value.
@@ -41,6 +43,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -343,57 +346,90 @@ def _random_instance(rng, epsilon: float):
     return channel, layout, signal_model.Precoder(matrix=P)
 
 
+@contextlib.contextmanager
+def _check_pool():
+    """A thread pool with one worker per usable CPU. On the way out it
+    cancels the checks not yet started and waits for the running ones,
+    so an exception leaves no work or thread behind."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool = ThreadPoolExecutor(cpus)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_validate(config: RunConfig) -> int:
-    """Monte-Carlo SINR agreement and AO-vs-oracle cross-checks."""
+    """Monte-Carlo SINR agreement and AO-vs-oracle cross-checks.
+
+    The Monte-Carlo and grid-oracle checks are independent (each
+    Monte-Carlo check has its own seed, each oracle call is pure), and
+    their time is spent in numpy calls that release the GIL, so they run
+    on a thread pool sized by the usable CPUs. The instances are drawn
+    and every line is printed in the order of a one-at-a-time pass, so the
+    output does not depend on the pool's size; a check that raises leaves
+    after the lines of the checks before it, as it would one at a time.
+    The one batched solve runs on this thread, between the two phases.
+    """
     rng = np.random.default_rng(config.seed)
     failures = 0
 
-    print("== Monte-Carlo SINR agreement (tolerance 2%) ==")
-    for i in range(config.mc_instances):
-        channel, layout, precoder = _random_instance(rng, epsilon=3.0)
-        user = i % 2
-        # RSMA's own columns: user k's private stream is column k, the common one column K
-        stream = user if i % 3 else layout.num_users
-        report = signal_model.assemble_report(channel, precoder, layout)
-        analytic = float(report.sinr_private[user] if i % 3 else report.sinr_common[user])
-        empirical = signal_model.monte_carlo_sinr(
-            channel, precoder, layout, user, stream, num_symbols=config.mc_symbols, seed=1000 + i
-        )
-        deviation = abs(empirical - analytic) / max(analytic, 1e-12)
-        ok = deviation <= 0.02
-        failures += not ok
-        print(f"mc[{i:02d}] user {user} stream {stream}: deviation {deviation:.4%} "
-              f"{'PASS' if ok else 'FAIL'}")
+    with _check_pool() as pool:
+        print("== Monte-Carlo SINR agreement (tolerance 2%) ==")
+        checks = []  # (user, stream, channel, layout, precoder, empirical future)
+        for i in range(config.mc_instances):
+            channel, layout, precoder = _random_instance(rng, epsilon=3.0)
+            user = i % 2
+            # RSMA's own columns: user k's private stream is column k, the common one column K
+            stream = user if i % 3 else layout.num_users
+            empirical = pool.submit(
+                signal_model.monte_carlo_sinr,
+                channel, precoder, layout, user, stream, num_symbols=config.mc_symbols, seed=1000 + i,
+            )
+            checks.append((user, stream, channel, layout, precoder, empirical))
+        for i, (user, stream, channel, layout, precoder, empirical) in enumerate(checks):
+            report = signal_model.assemble_report(channel, precoder, layout)
+            analytic = float(report.sinr_private[user] if i % 3 else report.sinr_common[user])
+            deviation = abs(empirical.result() - analytic) / max(analytic, 1e-12)
+            ok = deviation <= 0.02
+            failures += not ok
+            print(f"mc[{i:02d}] user {user} stream {stream}: deviation {deviation:.4%} "
+                  f"{'PASS' if ok else 'FAIL'}")
 
-    print("== AO vs grid oracle (tolerance 5%) ==")
-    # every instance is drawn first, in the order the checks print; the
-    # channels have unit noise, so 15 dB is this budget for AO and oracle alike
-    epsilon = optimizer.epsilon_from_snr(15.0, 1.0)
-    instances = []  # (scheme, channel)
-    for scheme in signal_model.SCHEMES:
-        for _ in range(config.oracle_instances):
-            gains = rng.uniform(0.2, 1.0, size=(2, 2))
-            rng.integers(1 << 31)  # spent, so that a seed draws the instances it always has
-            instances.append((scheme, ChannelMatrix(gains=gains, noise=np.ones(2))))
-    # one solve for every instance
-    solved = scenarios.solve_schemes(
-        [channel for _, channel in instances], (0.5, 0.5), [(scheme,) for scheme, _ in instances],
-        AoConfig(), [epsilon] * len(instances),
-    )
-    for scheme in signal_model.SCHEMES:
-        checked = [channel for s, channel in instances if s == scheme]
-        for i, (channel, (layout, sol)) in enumerate(zip(checked, solved.get(scheme, ()))):
-            if isinstance(sol, Exception):  # a failed solve is one failed check
+        print("== AO vs grid oracle (tolerance 5%) ==")
+        # every instance is drawn first, in the order the checks print; the
+        # channels have unit noise, so 15 dB is this budget for AO and oracle alike
+        epsilon = optimizer.epsilon_from_snr(15.0, 1.0)
+        instances = []  # (scheme, channel)
+        for scheme in signal_model.SCHEMES:
+            for _ in range(config.oracle_instances):
+                gains = rng.uniform(0.2, 1.0, size=(2, 2))
+                rng.integers(1 << 31)  # spent, so that a seed draws the instances it always has
+                instances.append((scheme, ChannelMatrix(gains=gains, noise=np.ones(2))))
+        # one solve for every instance
+        solved = scenarios.solve_schemes(
+            [channel for _, channel in instances], (0.5, 0.5), [(scheme,) for scheme, _ in instances],
+            AoConfig(), [epsilon] * len(instances),
+        )
+        checks = []  # (scheme, index, solution, oracle future); a failed solve has no oracle
+        for scheme in signal_model.SCHEMES:
+            checked = [channel for s, channel in instances if s == scheme]
+            for i, (channel, (layout, sol)) in enumerate(zip(checked, solved.get(scheme, ()))):
+                oracle = None if isinstance(sol, Exception) else pool.submit(
+                    optimizer.grid_oracle,
+                    channel, layout, (0.5, 0.5), epsilon=epsilon, resolution=config.oracle_resolution,
+                )
+                checks.append((scheme, i, sol, oracle))
+        for scheme, i, sol, oracle in checks:
+            if oracle is None:  # a failed solve is one failed check
                 failures += 1
                 print(f"oracle[{scheme}:{i:02d}] solve failed: {type(sol).__name__}: {sol} FAIL")
                 continue
-            oracle = optimizer.grid_oracle(
-                channel, layout, (0.5, 0.5), epsilon=epsilon, resolution=config.oracle_resolution,
-            )
-            deviation = abs(sol.wsr - oracle) / max(oracle, 1e-12)
+            grid = oracle.result()
+            deviation = abs(sol.wsr - grid) / max(grid, 1e-12)
             ok = deviation <= 0.05
             failures += not ok
-            print(f"oracle[{scheme}:{i:02d}] ao {sol.wsr:.4f} grid {oracle:.4f} "
+            print(f"oracle[{scheme}:{i:02d}] ao {sol.wsr:.4f} grid {grid:.4f} "
                   f"deviation {deviation:.3%} {'PASS' if ok else 'FAIL'}")
 
     print(f"validation {'PASSED' if failures == 0 else f'FAILED ({failures} checks)'}")

@@ -35,8 +35,12 @@ layout lacks reads 0 there.
 
 `monte_carlo_sinr` checks those SINRs by 4-PAM symbol simulation. It
 takes a stage's interferers from the layout's decoding order, not from
-the kernel it checks, and draws the symbols of one numpy `integers` call
-from the generator's raw words, chunk by chunk, in bounded memory.
+the kernel it checks. It draws the symbol indices of one numpy
+`integers` call from one generator's raw words and the noise that
+follows them from a second generator of the same seed, advanced past
+those words, and sums both over numpy's own pairwise-summation tree,
+leaf by leaf, so that its estimate is the one-call estimate bit for bit
+in memory that does not grow with the number of symbols.
 
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
@@ -44,6 +48,7 @@ seeded generator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +74,8 @@ SCHEMES = ("rsma", "sdma", "noma")
 _DEN_FLOOR = 1e-300
 # fewest symbols monte_carlo_sinr accepts: at 10k the estimator's spread
 # is about validate's 2% tolerance, so correct formulas could fail it. A
-# call's time and memory grow with the symbols: a million take about 25 ms
-# and 11 MB (one float64 per symbol) on a 2-vCPU x86-64 host
+# call's time grows with the symbols, its memory does not: a million take
+# about 25 ms and 0.35 MB on a 2-vCPU x86-64 host
 MC_MIN_SYMBOLS = 100_000
 
 
@@ -333,32 +338,58 @@ def assemble_report(
 
 # 4-PAM, zero mean, unit variance: levels {-3,-1,1,3}/sqrt(5)
 _PAM4 = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(5.0)
-# symbols per chunk of monte_carlo_sinr's draws; even, so that a chunk of
-# any number of streams takes whole 64-bit words of the generator
-_MC_CHUNK = 1 << 15
+# most rows in a leaf of monte_carlo_sinr's sums (64 KB of float64 each):
+# larger blocks split as numpy's pairwise summation splits them
+_MC_CHUNK = 1 << 13
 
 
-def _pam4_indices(rng: np.random.Generator, num_symbols: int, num_streams: int):
-    """Yield (first row, uint8 (rows, num_streams) indices), `_MC_CHUNK`
-    rows at a time: the 4-PAM indices that `rng.integers(0, 4,
-    size=(num_symbols, num_streams))` draws, from the same words.
+def _pairwise_sum(num_values: int, leaf_sum):
+    """numpy's pairwise sum of `num_values` values (`np.add.reduce` of a
+    contiguous float64 array), from the sums of its leaves.
+
+    numpy splits a block of n values larger than its 128-value base case
+    at n2 = n // 2 - (n // 2) % 8 and adds the two halves' sums, so a block
+    of at most `_MC_CHUNK` values is summed by one `np.add.reduce` of it
+    alone, and the blocks above that are split here the same way.
+    `leaf_sum(rows)` returns the `np.add.reduce` of the next `rows` values
+    (a float64 or an array of them); the leaves come left to right, and
+    every leaf but the last has a multiple of 8 rows.
+    """
+    if num_values <= _MC_CHUNK:
+        return leaf_sum(num_values)
+    half = num_values // 2 - num_values // 2 % 8
+    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(num_values - half, leaf_sum)
+
+
+def _mc_generators(seed: int, num_symbols: int, num_streams: int):
+    """(bit generator of the symbol indices, generator of the noise) of
+    `monte_carlo_sinr`. Both start as `np.random.default_rng(seed)`; the
+    noise generator is advanced past the (num_symbols * num_streams + 1)
+    // 2 words that `rng.integers(0, 4, size=(num_symbols, num_streams))`
+    takes, so it draws the normals that follow that call."""
+    noise = np.random.default_rng(seed)
+    noise.bit_generator.advance((num_symbols * num_streams + 1) // 2)
+    return np.random.default_rng(seed).bit_generator, noise
+
+
+def _pam4_indices(bits: np.random.BitGenerator, rows: int, num_streams: int) -> np.ndarray:
+    """uint8 (rows, num_streams): the next `rows` rows of the 4-PAM
+    indices that `rng.integers(0, 4, size=(..., num_streams))` draws, from
+    the next (rows * num_streams + 1) // 2 raw words of `bits`.
 
     For a range of 4, numpy's bounded integers (Lemire's method on 32-bit
     draws) never reject a draw, so each index is the top two bits of the
     next 32-bit draw, and the 32-bit draws take each 64-bit word of the
     generator low half first. The indices are read from the raw words by
-    arithmetic, whatever the byte order. A chunk of `_MC_CHUNK` rows takes
-    whole words; the last takes one more word than it needs when its
-    count of indices is odd, and leaves the generator where `integers`
-    leaves it for 64-bit draws such as the normal ones.
+    arithmetic, whatever the byte order. An even count of indices takes
+    whole words, so rows drawn a block at a time are the rows of one call
+    as long as every block but the last holds an even count.
     """
-    for lo in range(0, num_symbols, _MC_CHUNK):
-        rows = min(_MC_CHUNK, num_symbols - lo)
-        words = rng.bit_generator.random_raw((rows * num_streams + 1) // 2)
-        index = np.empty(2 * len(words), dtype=np.uint8)
-        index[0::2] = (words >> np.uint64(30)) & np.uint64(3)
-        index[1::2] = words >> np.uint64(62)
-        yield lo, index[: rows * num_streams].reshape(rows, num_streams)
+    words = bits.random_raw((rows * num_streams + 1) // 2)
+    index = np.empty(2 * len(words), dtype=np.uint8)
+    index[0::2] = (words >> np.uint64(30)) & np.uint64(3)
+    index[1::2] = words >> np.uint64(62)
+    return index[: rows * num_streams].reshape(rows, num_streams)
 
 
 def _decoding_interferers(layout: StreamLayout, user: int, stream: int) -> list[int]:
@@ -397,29 +428,35 @@ def monte_carlo_sinr(
 
     The estimate is the one of drawing every symbol index with one
     `rng.integers(0, 4, size=(num_symbols, streams))` call, then the
-    noise with one `rng.normal(0, sigma, num_symbols)` call, bit for bit:
+    noise with one `rng.normal(0, sigma, num_symbols)` call, and taking
+    `np.mean` of the squared signal and disturbance arrays, bit for bit,
+    while no array holds more than `_MC_CHUNK` symbols:
 
-    * the indices come from the generator's raw words (`_pam4_indices`),
-      `_MC_CHUNK` rows at a time; each chunk keeps the stream's indices
-      as uint8 and puts each symbol's interference into one float array
-      of N values, read by a base-4 code of the I interferers' indices
-      from a table of their 4^I interference amplitudes (16 for two
-      users; the table grows as 4^I, which suits the few users of
-      `validate`). The table is the matmul `others @ amps[interferers]`
-      over every combination of interferer symbols, so each value is the
-      one that product gives for the symbol's row, as the tests pin
-      against one matmul over every row;
-    * the noise is added in chunks as sigma * `standard_normal`, which
-      is `normal(0, sigma)` value for value;
-    * the disturbance is squared in place and averaged, then the same
-      array holds the squared signal amplitudes, gathered from the 4
-      squared levels, and is averaged. Each mean is numpy's pairwise sum
-      of the same N values in the same order.
+    * two generators of the seed (`_mc_generators`): the indices come
+      from the first one's raw words (`_pam4_indices`), and the noise from
+      the second, advanced past the words the indices take, as
+      sigma * `standard_normal`, which is `normal(0, sigma)` value for
+      value;
+    * each mean is numpy's pairwise sum over the symbols divided by their
+      count; the sum is taken over numpy's own split tree
+      (`_pairwise_sum`), leaf by leaf, left to right, and each leaf draws
+      its own rows of indices and noise. Every leaf but the last has a
+      multiple of 8 rows, so it takes whole words;
+    * a leaf's interference is read by a base-4 code of the I
+      interferers' indices from a table of their 4^I interference
+      amplitudes (16 for two users; the table grows as 4^I, which suits
+      the few users of `validate`). The table is the matmul
+      `others @ amps[interferers]` over every combination of interferer
+      symbols, so each value is the one that product gives for the
+      symbol's row, as the tests pin against one matmul over every row.
 
-    No index or gather array is longer than a chunk, so the peak memory
-    is one float array of N values, the N uint8 stream indices and a few
-    chunks: about 11 MB for a million symbols.
+    The peak memory is a few leaf-sized arrays, under 0.5 MB whatever the
+    number of symbols.
     """
+    try:
+        num_symbols = operator.index(num_symbols)
+    except TypeError:
+        raise ValueError(f"num_symbols must be an integer, got {num_symbols!r}") from None
     if num_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
     if not 0 <= stream < layout.num_streams:
@@ -428,33 +465,27 @@ def monte_carlo_sinr(
         raise ValueError(f"the precoder has {precoder.num_streams} streams, the layout {layout.num_streams}")
     interferers = _decoding_interferers(layout, user, stream)
 
-    rng = np.random.default_rng(seed)
+    bits, noise = _mc_generators(seed, num_symbols, precoder.num_streams)
     amps = channel.gains[user] @ precoder.matrix
+    squares = np.square(_PAM4 * amps[stream])
     # row c: the interferers' levels at the base-4 digits of c, first
     # interferer most significant
     digits = np.arange(4 ** len(interferers))[:, None] // 4 ** np.arange(len(interferers) - 1, -1, -1) % 4
     table = _PAM4[digits] @ amps[interferers]
-    own_index = np.empty(num_symbols, dtype=np.uint8)
-    disturbance = np.empty(num_symbols)
-    for lo, index in _pam4_indices(rng, num_symbols, precoder.num_streams):
-        hi = lo + len(index)
-        own_index[lo:hi] = index[:, stream]
-        code = np.zeros(len(index), dtype=np.intp)
+    sigma = np.sqrt(channel.noise[user])
+
+    def leaf_sums(rows):
+        index = _pam4_indices(bits, rows, precoder.num_streams)
+        code = np.zeros(rows, dtype=np.intp)
         for j in interferers:
             code *= 4
             code += index[:, j]
-        table.take(code, out=disturbance[lo:hi])
-    sigma = np.sqrt(channel.noise[user])
-    noise = np.empty(min(_MC_CHUNK, num_symbols))
-    for lo in range(0, num_symbols, _MC_CHUNK):
-        part = noise[: min(_MC_CHUNK, num_symbols - lo)]
-        rng.standard_normal(out=part)
+        disturbance = table.take(code)
+        part = noise.standard_normal(rows)
         part *= sigma
-        disturbance[lo : lo + len(part)] += part
-    disturbance_power = np.mean(np.square(disturbance, out=disturbance))
-    # the same array now holds the squared signal amplitudes
-    signal = disturbance
-    squares = np.square(_PAM4 * amps[stream])
-    for lo in range(0, num_symbols, _MC_CHUNK):
-        squares.take(own_index[lo : lo + _MC_CHUNK], out=signal[lo : lo + _MC_CHUNK])
-    return float(np.mean(signal) / max(disturbance_power, _DEN_FLOOR))
+        disturbance += part
+        signal = squares.take(index[:, stream])
+        return np.array((np.add.reduce(signal), np.add.reduce(np.square(disturbance, out=disturbance))))
+
+    signal_sum, disturbance_sum = _pairwise_sum(num_symbols, leaf_sums)
+    return float(signal_sum / num_symbols / max(disturbance_sum / num_symbols, _DEN_FLOOR))

@@ -2,6 +2,7 @@ import configparser
 import json
 import os
 import re
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -395,6 +396,49 @@ class TestValidate:
                 expected.append(f"oracle[{scheme}:{i:02d}] ao {sol.wsr:.4f} grid {oracle:.4f} "
                                 f"deviation {deviation:.3%} {'PASS' if deviation <= 0.05 else 'FAIL'}")
         assert printed == expected
+
+    def test_output_does_not_depend_on_the_pool_size(self, capsys, monkeypatch):
+        argv = ["validate", "--seed", "2", "--mc-instances", "5", "--mc-symbols", "100001", "--oracle-instances", "3"]
+        code = main(argv)
+        default = capsys.readouterr().out
+        sizes = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: sizes.append(cpus) or set(range(cpus)))
+            assert main(argv) == code
+            assert capsys.readouterr().out == default
+        assert sizes == [1, 4]
+
+    def test_worker_exception_leaves_after_the_same_lines(self, capsys, monkeypatch):
+        argv = ["validate", "--seed", "0", "--mc-instances", "2", "--oracle-instances", "2"]
+        threads = threading.active_count()
+        main(argv)
+        clean = capsys.readouterr().out.splitlines()
+        # the 5th call of a one-at-a-time pass is the one on the 5th oracle
+        # instance (noma:00); under the pool the calls may start in any order
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            cli._random_instance(rng, epsilon=3.0)
+        for _ in range(5):
+            fifth = rng.uniform(0.2, 1.0, size=(2, 2))
+            rng.integers(1 << 31)
+        real = optimizer.grid_oracle
+
+        def grid_oracle(channel, *args, **kwargs):
+            if np.array_equal(channel.gains, fifth):
+                raise RuntimeError("oracle broke")
+            return real(channel, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "grid_oracle", grid_oracle)
+        with pytest.raises(RuntimeError, match="oracle broke"):
+            main(argv)
+        assert capsys.readouterr().out.splitlines() == clean[: clean.index(next(
+            line for line in clean if line.startswith("oracle[noma:00]")))]
+        assert threading.active_count() == threads
+
+    def test_pool_threads_end_with_main(self):
+        threads = threading.active_count()
+        assert main(self.ARGS) == 0
+        assert threading.active_count() == threads
 
 
 class TestConfigPlumbing:

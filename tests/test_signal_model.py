@@ -307,9 +307,9 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
     def test_streamed_draws_equal_one_draw(self, scheme):
-        # an odd symbol count ends on a partial chunk, with an odd number of
-        # indices for RSMA; the other count ends one row past a chunk
-        # boundary; NOMA's private stage has no interferer at all
+        # odd symbol counts end on an odd last leaf, with an odd number of
+        # indices for RSMA; 16 * _MC_CHUNK + 1 ends one row past the last
+        # full leaf of 16; NOMA's private stage has no interferer at all
         ch = channel_2x2(noise=(1.3, 0.7))
         lay = build_layout(scheme, ch)
         P = np.array([[0.5, -0.2, 1.0], [-0.5, 0.4, 1.0]])[:, : lay.num_streams]
@@ -318,7 +318,7 @@ class TestMonteCarlo:
         # private stream decodes it with the other private streams
         stages = [(user, stream) for stream, desc in enumerate(lay.streams)
                   for user in (range(lay.num_users) if desc.kind == "common" else (desc.owner,))]
-        draws = [(num_symbols, user, stream) for num_symbols in (MC_MIN_SYMBOLS + 1, 4 * signal_model._MC_CHUNK + 1)
+        draws = [(num_symbols, user, stream) for num_symbols in (MC_MIN_SYMBOLS + 1, 16 * signal_model._MC_CHUNK + 1)
                  for user, stream in stages]
         for seed, (num_symbols, user, stream) in enumerate(draws):
             rng = np.random.default_rng(seed)
@@ -333,21 +333,48 @@ class TestMonteCarlo:
             got = monte_carlo_sinr(ch, Precoder(matrix=P), lay, user, stream, num_symbols=num_symbols, seed=seed)
             assert got == expected, (num_symbols, user, stream)
 
+    @pytest.mark.parametrize("num_values", [8191, 8192, 8193, 100_001, 131_073, 999_983, 1_000_000])
+    def test_leaf_sums_equal_numpy_sum(self, num_values):
+        # the estimator's means are its leaf sums added over numpy's own
+        # split tree; a numpy that sums in another order fails here
+        values = np.random.default_rng(num_values).normal(size=num_values)
+        leaves = []
+
+        def leaf_sum(rows):
+            lo = sum(leaves)
+            leaves.append(rows)
+            return np.add.reduce(values[lo : lo + rows])
+
+        total = signal_model._pairwise_sum(num_values, leaf_sum)
+        assert sum(leaves) == num_values and max(leaves) <= signal_model._MC_CHUNK
+        assert all(rows % 8 == 0 for rows in leaves[:-1])
+        assert total == np.add.reduce(values)
+        assert total / num_values == np.mean(values)
+
     @pytest.mark.parametrize("streams", [2, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_indices_equal_numpy_integers(self, streams, offset):
-        # one row below, at and one above a chunk boundary; with 3 streams
-        # the counts one off the boundary hold an odd number of indices
-        num_symbols = signal_model._MC_CHUNK + offset
+        # one row below, at and one above the last of 16 full leaves; with 3
+        # streams the counts one off it hold an odd number of indices
+        num_symbols = 16 * signal_model._MC_CHUNK + offset
         for seed in (0, 1):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            chunks = list(signal_model._pam4_indices(rng, num_symbols, streams))
-            assert [lo for lo, _ in chunks] == list(range(0, num_symbols, signal_model._MC_CHUNK))
-            assert all(index.dtype == np.uint8 for _, index in chunks)
-            got = np.concatenate([index for _, index in chunks])
-            np.testing.assert_array_equal(got, reference.integers(0, 4, size=(num_symbols, streams)))
-            # the noise drawn after the indices is the same too
-            np.testing.assert_array_equal(rng.normal(0.0, 1.3, 1000), reference.normal(0.0, 1.3, 1000))
+            bits, _ = signal_model._mc_generators(seed, num_symbols, streams)
+            chunks = []
+            signal_model._pairwise_sum(num_symbols, lambda rows: chunks.append(
+                signal_model._pam4_indices(bits, rows, streams)) or 0.0)
+            assert all(index.dtype == np.uint8 for index in chunks)
+            got = np.concatenate(chunks)
+            np.testing.assert_array_equal(got, np.random.default_rng(seed).integers(0, 4, size=(num_symbols, streams)))
+
+    @pytest.mark.parametrize("streams,num_symbols", [(2, 100_001), (3, 100_001), (3, 100_000)])
+    def test_noise_generator_follows_the_indices(self, streams, num_symbols):
+        # the advanced generator draws the normals that one integers call
+        # leaves for the noise, an odd count of indices included
+        for seed in (0, 1):
+            _, noise = signal_model._mc_generators(seed, num_symbols, streams)
+            reference = np.random.default_rng(seed)
+            reference.integers(0, 4, size=(num_symbols, streams))
+            np.testing.assert_array_equal(1.3 * noise.standard_normal(1000), reference.normal(0.0, 1.3, 1000))
 
     @pytest.mark.parametrize("num_users", [2, 3])
     def test_interferers_agree_with_the_kernel(self, num_users):
@@ -369,13 +396,18 @@ class TestMonteCarlo:
         # buffers are traced
         ch = channel_2x2(noise=(1.3, 0.7))
         lay = build_layout("rsma", ch)
-        tracemalloc.start()
-        try:
-            monte_carlo_sinr(ch, HAND, lay, 0, 2, num_symbols=1_000_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16e6
+        peaks = []
+        for num_symbols in (1_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                monte_carlo_sinr(ch, HAND, lay, 0, 2, num_symbols=num_symbols, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a few leaves' arrays, whatever the number of symbols: 4e6 symbols
+        # peak within the bound of 1e6 (the tree's two more levels add a
+        # few hundred bytes of frames)
+        assert peaks[0] <= 1e6 and peaks[1] <= 1e6
 
     @pytest.mark.parametrize("scheme,streams", [("rsma", 2), ("sdma", 3)])
     def test_wrong_stream_count_rejected(self, scheme, streams):
@@ -390,6 +422,18 @@ class TestMonteCarlo:
         lay = build_layout("rsma", ch)
         with pytest.raises(ValueError):
             monte_carlo_sinr(ch, HAND, lay, 0, 0, num_symbols=100, seed=1)
+
+    @pytest.mark.parametrize("num_symbols", [1e6, 100_000.5, "1000000", None])
+    def test_non_integer_symbol_count_rejected_before_any_draw(self, num_symbols, monkeypatch):
+        ch = channel_2x2()
+        lay = build_layout("rsma", ch)
+
+        def no_draws(*args):
+            raise AssertionError("drew before checking the symbol count")
+
+        monkeypatch.setattr(signal_model, "_mc_generators", no_draws)
+        with pytest.raises(ValueError, match="num_symbols must be an integer"):
+            monte_carlo_sinr(ch, HAND, lay, 0, 0, num_symbols=num_symbols, seed=1)
 
     def test_wrong_stream_pairing_rejected(self):
         ch = channel_2x2()
