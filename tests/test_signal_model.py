@@ -396,6 +396,8 @@ class TestMonteCarlo:
         # buffers are traced
         ch = channel_2x2(noise=(1.3, 0.7))
         lay = build_layout("rsma", ch)
+        # a first call imports numpy.random's modules, once per process
+        monte_carlo_sinr(ch, HAND, lay, 0, 2, num_symbols=MC_MIN_SYMBOLS, seed=3)
         peaks = []
         for num_symbols in (1_000_000, 4_000_000):
             tracemalloc.start()
