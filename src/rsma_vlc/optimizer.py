@@ -244,13 +244,14 @@ def _stream_weights(layout: StreamLayout, w: np.ndarray) -> tuple[np.ndarray, fl
 
 class _Compiled(SicKernel):
     """The SIC kernel of a batch on the RSMA streams, plus the channel
-    gains and stream weights.
+    gains, stream weights and amplitude budgets.
 
-    `channels` and `layouts` hold one ChannelMatrix and one StreamLayout,
-    of any scheme, per problem: B >= 1 of each, the channels all of one
-    shape. Every per-problem array has one row per problem: the gains
-    `H` (B, K, L), the stage noise (B, stages), the weights `w_priv` (B,
-    K) and `w_common` (B,), and `active` (B, K + 1). Precoders are (B, L,
+    `channels`, `layouts` and `epsilons` hold one ChannelMatrix, one
+    StreamLayout, of any scheme, and one amplitude budget per problem:
+    B >= 1 of each, the channels all of one shape. Every per-problem
+    array has one row per problem: the gains `H` (B, K, L), the stage
+    noise (B, stages), the weights `w_priv` (B, K) and `w_common` (B,),
+    `active` (B, K + 1) and the budgets `eps` (B,). Precoders are (B, L,
     K + 1).
 
     The kernel is the SIC kernel of K users, whatever the layouts: K
@@ -260,10 +261,14 @@ class _Compiled(SicKernel):
     that problem's sums.
     """
 
-    def __init__(self, channels: Sequence[ChannelMatrix], layouts: Sequence[StreamLayout], priorities: np.ndarray):
+    def __init__(self, channels: Sequence[ChannelMatrix], layouts: Sequence[StreamLayout], priorities: np.ndarray,
+                 epsilons: Sequence[float]):
         if not (isinstance(channels, Sequence) and isinstance(layouts, Sequence)) or not channels \
                 or len(channels) != len(layouts) or len({c.gains.shape for c in channels}) != 1:
             raise ValueError("a batch needs sequences of one channel per layout, at least one, all of one shape")
+        self.eps = np.array(epsilons, dtype=float)
+        if self.eps.shape != (len(channels),) or not (np.isfinite(self.eps).all() and (self.eps >= 0.0).all()):
+            raise ValueError("epsilon must be finite and nonnegative, one per problem")
         w = np.asarray(priorities, dtype=float)
         weights = [_stream_weights(lay, w) for lay in layouts]
         self.w_priv = np.array([private for private, _ in weights])
@@ -276,19 +281,16 @@ class _Compiled(SicKernel):
         """Which flat amplitudes make up each stage's powers, for the polish.
 
         Amplitudes (B, K, K + 1) are read as x (B, K (K + 1)). A stage's
-        received power T is its noise plus the squares of `power_mask`'s
-        entries of x (the private columns at its user, and for a common
-        stage its own amplitude), and its interference plus noise I the
-        same without its own amplitude (`interference_mask`). `active`
-        marks the columns some stage weights, (B, K + 1).
+        interference plus noise I is its noise plus the squares of x over
+        `interference_mask`: its user's private columns that `_interferes`
+        keeps. Its received power T adds its own amplitude (`power_mask`).
+        `active` marks the columns some stage weights, (B, K + 1).
         """
-        width = K * (K + 1)
         stages = self._gather.shape[1]
-        self.power_mask = np.zeros((stages, width))
-        for s in range(stages):
-            self.power_mask[s, self._gather[:, s]] = 1.0
-        self.interference_mask = self.power_mask.copy()
-        self.interference_mask[np.arange(stages), self._gather[-1]] = 0.0
+        self.interference_mask = np.zeros((stages, K * (K + 1)))
+        self.interference_mask[np.arange(stages)[:, None], self._gather[:K].T] = self._interferes.T
+        self.power_mask = self.interference_mask.copy()
+        self.power_mask[np.arange(stages), self._gather[-1]] = 1.0
         self.active = np.concatenate((self.w_priv > 0.0, (self.w_common > 0.0)[:, None]), axis=1)
 
     def take(self, keep: np.ndarray) -> "_Compiled":
@@ -297,7 +299,7 @@ class _Compiled(SicKernel):
         sub = object.__new__(_Compiled)
         sub.__dict__.update(self.__dict__)
         sub.w_priv, sub.w_common, sub.active = self.w_priv[keep], self.w_common[keep], self.active[keep]
-        sub.H, sub._sig2 = self.H[keep], self._sig2[keep]
+        sub.H, sub._sig2, sub.eps = self.H[keep], self._sig2[keep], self.eps[keep]
         return sub
 
     def true_rates(self, P: np.ndarray) -> np.ndarray:
@@ -325,7 +327,9 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
     """Euclidean projection of every row onto the L1 ball of `radius`.
 
     Rows run along the last axis. `radius` is one budget for all rows
-    or an array of shape matrix.shape[:-1] with one budget per row.
+    or an array that broadcasts against matrix.shape[:-1], one budget per
+    row: (B, 1) gives each (L, n) stack of a (B, L, n) matrix its own, bit
+    for bit as the (B, L) radius that repeats it.
     Sort-based exact projection, gather-free: every row of the stack is
     sorted and thresholded, none is picked out by a mask, and `where`
     keeps the rows already inside their ball unchanged (bitwise), so
@@ -344,8 +348,8 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
             raise ValueError("radius must be nonnegative, not NaN")
         zero = r == 0.0
     P = np.asarray(matrix, dtype=float)
-    if r.ndim and r.shape != P.shape[:-1]:
-        raise ValueError("radius must be a scalar or of shape matrix.shape[:-1]")
+    if r.ndim and np.broadcast_shapes(r.shape, P.shape[:-1]) != P.shape[:-1]:
+        raise ValueError("radius must be a scalar or broadcast against matrix.shape[:-1]")
     absP = np.abs(P)
     over = np.add.reduce(absP, axis=-1) > r
     if zero is not None:
@@ -498,15 +502,15 @@ def _stage_sum(weights: np.ndarray, per_stage: np.ndarray) -> np.ndarray:
     return total.reshape(per_stage.shape[:1] + per_stage.shape[2:])
 
 
-def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, active: np.ndarray, near=None):
-    """(gap, lam): the residual of the (B, L, S) precoders P in b/s/Hz,
-    and the (B, decoders) common-decoder weights lam that attain it.
+def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
+    """(gap, lam): the residual of the (B, L, S) precoders P of `comp` in
+    b/s/Hz, and the (B, decoders) common-decoder weights lam that attain it.
 
     With two common decoders, t in [0, 1] weights decoder 0 and 1 - t
     decoder 1. G(t), the gradient in P (chained through J) of sum_k w_k
     r_k + w_c (t r_c0 + (1 - t) r_c1), is affine in t, and
 
-        gap(t) = sum_l eps ||G_l(t)||_inf - <G(t), P>
+        gap(t) = sum_l eps ||G_l(t)||_inf - <G(t), P>    (eps = comp.eps)
                  + w_c (t r_c0 + (1 - t) r_c1 - min_j r_cj)
 
     is the Frank-Wolfe gap max_Q <G(t), Q - P> over the balls plus what
@@ -549,7 +553,7 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
             search = np.abs(rc[:, 0] - rc[:, 1]) <= near
     else:
         a = a + _stage_sum(lam, drc)[:, None, :]
-    mask = active[:, None, :]
+    eps, mask = comp.eps, comp.active[:, None, :]
     a = (a @ J)[:, 0].reshape(P.shape) * mask
     b = (b @ J)[:, 0].reshape(P.shape) * mask
 
@@ -589,12 +593,12 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, eps: np.ndarray, 
     return gap, lam
 
 
-def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, radii: np.ndarray, active: np.ndarray,
+def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndarray, active: np.ndarray,
                  held: np.ndarray, nu: np.ndarray, kink: np.ndarray, c: np.ndarray, gap_c: np.ndarray) -> np.ndarray:
     """The (B, L, S) Levenberg-shifted Newton step at P on the face that
-    holds the rows of `held` (B, L) on their L1 balls and, where `kink`,
-    moves the two common decoders' rate difference gap_c (B,), of
-    gradient c (B, n), to 0 to first order.
+    holds the rows of `held` (B, L) on their L1 balls (of radius `eps`, B)
+    and, where `kink`, moves the two common decoders' rate difference
+    gap_c (B,), of gradient c (B, n), to 0 to first order.
 
     A held row keeps its support and signs s, and its L1 norm moves to
     its radius. Its support is its entries above _FACE_BAND of the
@@ -627,7 +631,7 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, radii: np.nd
     # the band (its largest one if none is); an entry below the band stays
     # in (or enters) the support, with its sign or, at 0, its gradient's,
     # only if that beats the multiplier
-    big = (absP > _FACE_BAND * radii[..., None]) | (absP == absP.max(axis=2, keepdims=True))
+    big = (absP > _FACE_BAND * eps[:, None, None]) | (absP == absP.max(axis=2, keepdims=True))
     big &= active[:, None, :] & (absP > 0.0)
     sign = np.where(absP > 0.0, np.sign(P), np.sign(G))
     multiplier = (sign * G * big).sum(axis=2) / np.maximum(big.sum(axis=2), 1)
@@ -636,7 +640,7 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, radii: np.nd
     s = np.where(held[..., None] & free, sign, 0.0)
     count = np.maximum(free.sum(axis=2), 1)
     dropped = held[..., None] & ~free
-    d0 = -P * dropped + s * ((radii - (absP * ~dropped).sum(axis=2)) / count)[..., None]
+    d0 = -P * dropped + s * ((eps[:, None] - (absP * ~dropped).sum(axis=2)) / count)[..., None]
     d0 = d0.reshape(B, n, 1)
     rows = free[..., None] * np.eye(S) - s[..., :, None] * s[..., None, :] / count[..., None, None]
     Z = np.einsum("blst,lm->blsmt", rows, np.eye(L)).reshape(B, n, n)
@@ -661,10 +665,10 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, radii: np.nd
     return (d0 + Z @ y[:, :n]).reshape(P.shape), scaled * y[:, n, 0], Zc * kink[:, None]
 
 
-def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, tolerance: float):
+def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     """Projected Newton on the identified face, from every (B, L, K + 1)
-    start of P in lockstep; `radii` holds the (B, L) row budgets and
-    `wsr` the starts' WSRs.
+    start of P in lockstep, each within its problem's budget `comp.eps`;
+    `wsr` holds the starts' WSRs.
 
     Each iteration differentiates sum_k w_k r_k + w_c sum_j lam_j r_cj in
     A = H P and chains it through H: a (B, n) gradient and (B, n, n)
@@ -711,8 +715,6 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     B, L, S = P.shape
     n = L * S
     P, wsr = P.copy(), np.array(wsr, dtype=float)
-    eps = radii.max(axis=1)
-    active = comp.active
     nu = np.full(B, _NU[1])
     kink_t = np.full(B, np.nan)  # the weight of decoder 0 at the kink
     rose = np.zeros(B, dtype=bool)  # the WSR rose since the start or the last fresh start
@@ -728,12 +730,11 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
     live, batch, nd = np.arange(B), comp, comp.n_priv  # nd: the K common decoders
     stop = min(_POLISH_GAP, tolerance)
     for it in range(1, _POLISH_MAX_ITER + 2):
-        Q, e, act, R = P[live], eps[live], active[live], radii[live]
-        Jl, JTl = J[live], JT[live]
+        Q, Jl, JTl = P[live], J[live], JT[live]
         r, dr, d2r = _stage_derivatives(batch, Q)
         if not (np.isfinite(r).all() and np.isfinite(dr).all() and np.isfinite(d2r).all()):
             raise NumericalFailure("non-finite rate derivatives in the polish (check channel and noise scaling)")
-        res, _ = _decoder_weights(batch, r, dr, Jl, Q, e, act)
+        res, _ = _decoder_weights(batch, r, dr, Jl, Q)
         finished = (res <= stop) | stuck[live] | (it > _POLISH_MAX_ITER)
         if finished.any():
             residual[live[finished]] = res[finished]
@@ -741,11 +742,11 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
             keep = ~finished
             if not keep.any():
                 break
-            live, Q, e, act, R, res = live[keep], Q[keep], e[keep], act[keep], R[keep], res[keep]
+            live, Q, res = live[keep], Q[keep], res[keep]
             r, dr, d2r = r[keep], dr[keep], d2r[keep]
             batch = comp.take(live)
             Jl, JTl = J[live], JT[live]
-        m = len(live)
+        m, e, act = len(live), batch.eps, batch.active
         if nd == 2:
             gap_c = r[:, -2] - r[:, -1]
             c = ((dr[:, -2] - dr[:, -1])[:, None, :] @ Jl)[:, 0]
@@ -761,11 +762,11 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
             G = grad.reshape(Q.shape) * act[:, None, :]
             absQ = np.abs(Q)
             outward = np.where(absQ > 0.0, np.sign(Q) * G, np.abs(G)).sum(axis=2) > 0.0
-            held = (absQ.sum(axis=2) >= R * (1.0 - _FACE_BAND)) & outward
-            d, v, zc = _newton_step(Q, grad, hess, R, act, held, nu[live], kink, c, gap_c)
-            leaving = np.abs(Q + d).sum(axis=2) > R
+            held = (absQ.sum(axis=2) >= e[:, None] * (1.0 - _FACE_BAND)) & outward
+            d, v, zc = _newton_step(Q, grad, hess, e, act, held, nu[live], kink, c, gap_c)
+            leaving = np.abs(Q + d).sum(axis=2) > e[:, None]
             if (leaving & ~held).any():
-                d, v, zc = _newton_step(Q, grad, hess, R, act, held | leaving, nu[live], kink, c, gap_c)
+                d, v, zc = _newton_step(Q, grad, hess, e, act, held | leaving, nu[live], kink, c, gap_c)
             return d, v, zc, G
 
         # the step on the binding decoder's smooth piece, and, near the
@@ -781,7 +782,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
             t = kink_t[live]
             fresh = near & np.isnan(t)
             if fresh.any():
-                t = np.where(fresh, _decoder_weights(batch, r, dr, Jl, Q, e, act, _KINK)[1][:, 0], t)
+                t = np.where(fresh, _decoder_weights(batch, r, dr, Jl, Q, _KINK)[1][:, 0], t)
             t = np.where(near, t, 0.0)
             d, v, zc, _ = face_step(np.stack((t, 1.0 - t), axis=1), near)
             # away from the kink these candidates repeat the free ones, so
@@ -797,7 +798,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
             # a second-order correction: each kink candidate moves along Z c
             # until the decoders' rate difference is 0 to first order again
             k = len(steps)
-            kc = project_rows_l1(newton_cands[1].reshape(m * k, L, S), np.repeat(R, k, axis=0))
+            kc = project_rows_l1(newton_cands[1].reshape(m * k, L, S), np.repeat(e, k)[:, None])
             rep = batch.take(np.repeat(np.arange(m), k))
             rates_c = np.log2(1.0 + rep.sinrs(rep.H @ kc)[1])
             czc = (c * zc).sum(axis=1)
@@ -811,7 +812,7 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
         t0 = e / np.where(gmax > 0.0, gmax, np.inf)
         cand = np.concatenate(newton_cands + [Q[:, None] + (t0[:, None] * tsteps)[..., None, None] * G[:, None]],
                               axis=1)
-        cand = project_rows_l1(cand.reshape(m * C, L, S), np.repeat(R, C, axis=0))
+        cand = project_rows_l1(cand.reshape(m * C, L, S), np.repeat(e, C)[:, None])
         cwsr = batch.take(np.repeat(np.arange(m), C)).true_rates(cand).reshape(m, C)
         # the best Newton candidate if one rises, else the best gradient one
         newton_rose = cwsr[:, :N].max(axis=1) > wsr[live]
@@ -838,15 +839,15 @@ def _polish(comp: _Compiled, radii: np.ndarray, P: np.ndarray, wsr: np.ndarray, 
 # --------------------------------------------------------------------------
 
 
-def _solve_starts(comp: _Compiled, radii: np.ndarray, P0: np.ndarray, config: AoConfig):
-    """Every start of P0 projected onto its (B, L) balls `radii`, then
-    polished in lockstep; returns `_polish`'s (P, history, residual)."""
-    P = project_rows_l1(P0, radii)
+def _solve_starts(comp: _Compiled, P0: np.ndarray, config: AoConfig):
+    """Every start of P0 projected onto its problem's balls (`comp.eps`),
+    then polished in lockstep; returns `_polish`'s (P, history, residual)."""
+    P = project_rows_l1(P0, comp.eps[:, None])
     wsr = comp.true_rates(P)
     bad = ~np.isfinite(wsr)
     if bad.any():
         raise NumericalFailure(f"non-finite WSR {wsr[bad][0]} at a start (check channel and noise scaling)")
-    return _polish(comp, radii, P, wsr, config.tolerance)
+    return _polish(comp, P, wsr, config.tolerance)
 
 
 def ao_solve(
@@ -911,18 +912,14 @@ def ao_solve(
         raise ValueError("layout must be of the first problem's scheme")
     if any(not 0 <= q < p for p, problem in enumerate(problems) for q in problem.warm_from):
         raise ValueError("warm_from may name only earlier problems of the call")
-    epsilons = [float(problem.epsilon) for problem in problems]
-    if not all(math.isfinite(eps) and eps >= 0 for eps in epsilons):
-        raise ValueError("epsilon must be finite and nonnegative")
     w = np.asarray(priorities, dtype=float)
     channels = [problem.channel for problem in problems]
     layouts = [build_layout(problem.scheme, problem.channel) for problem in problems]
-    comp = _Compiled(channels, layouts, w)
+    comp = _Compiled(channels, layouts, w, [problem.epsilon for problem in problems])
     K = channels[0].num_users
-    active = comp.active  # each problem's weighted columns
 
     starts, owner, source, depth = [], [], [], []  # the start table, and each problem's depth
-    for p, (problem, act, eps) in enumerate(zip(problems, active, epsilons)):
+    for p, (problem, act, eps) in enumerate(zip(problems, comp.active, comp.eps.tolist())):
         ch, refs = problem.channel, list(problem.warm_from)
         zf = _zf_start(ch, act, eps)
         splits = [_split_start(zf, ch, eps, alpha) for alpha in _SPLITS] if problem.scheme == "rsma" else []
@@ -933,7 +930,6 @@ def ao_solve(
         depth.append(1 + max(depth[q] for q in refs) if refs else 0)
     owner, source = np.array(owner), np.array(source)
     P = np.stack(starts)
-    radii = np.repeat(np.array(epsilons)[owner, None], P.shape[1], axis=1)
     firsts = np.searchsorted(owner, np.arange(len(problems) + 1)).tolist()
     wave = np.where(source >= 0, np.array(depth)[owner], 0)
     histories, residual, final = [None] * len(P), np.empty(len(P)), np.empty(len(P))
@@ -944,8 +940,8 @@ def ao_solve(
     for d in range(wave.max() + 1):
         rows = np.flatnonzero(wave == d)
         for b in rows[source[rows] >= 0]:
-            P[b] = np.where(active[owner[b]], P[winner(source[b])], 0.0)
-        P[rows], hist, residual[rows] = _solve_starts(comp.take(owner[rows]), radii[rows], P[rows], config)
+            P[b] = np.where(comp.active[owner[b]], P[winner(source[b])], 0.0)
+        P[rows], hist, residual[rows] = _solve_starts(comp.take(owner[rows]), P[rows], config)
         for b, h in zip(rows, hist):
             histories[b], final[b] = h, h[-1]
 

@@ -81,7 +81,10 @@ class Sweep:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative description of one experiment."""
+    """Declarative description of one experiment. Every user lies in
+    the room; a separation sweep has exactly two, and no value v that
+    mirrors them out of it (to x = +-v/2, `users_for_separation`).
+    """
 
     name: str
     fixtures: tuple
@@ -123,6 +126,12 @@ class ScenarioSpec:
             x, y, z = rx.position
             if abs(x) > hx or abs(y) > hy or not 0.0 <= z <= hz:
                 raise ValueError(f"user at {rx.position} lies outside the room")
+        if self.sweep.name == "separation":
+            if len(self.users) != 2:
+                raise ValueError(f"a separation sweep mirrors exactly two users, got {len(self.users)}")
+            for v in self.sweep.values:
+                if abs(v) / 2.0 > hx:
+                    raise ValueError(f"separation {v} puts the users outside the room")
 
 
 def _fixture(x: float, y: float) -> Fixture:

@@ -23,10 +23,11 @@ every user decodes the common stream with every private stream as
 interference, cancels it, then decodes its own private stream with the
 other private streams as interference. `SicKernel` is that rule's one
 home, for K users: K private stages, then K common stages, coded once
-as a 0/1 mask of the private columns that interfere at each stage. Every
-analytic SINR, rate and equalizer in the package comes from it, whatever
-the scheme; a zero column's SINR and rate are exactly 0, so a scheme
-differs from RSMA only in the columns its layout fills.
+as a 0/1 mask of the private columns that interfere at each stage, which
+the SINRs and the optimizer's stage powers both read (no `interferers`
+list beside it). Every analytic SINR, rate and equalizer in the package
+comes from it, whatever the scheme; a zero column's SINR and rate are
+exactly 0, so a scheme differs from RSMA only in the columns it fills.
 
 `assemble_report` is the one reader of a precoder's SINRs, rates,
 common-rate cap and weighted sum rate: its `RateReport` holds every
@@ -216,10 +217,11 @@ class SicKernel:
     0..K-1 (user k's is column k) and then the common column K. A stage
     is one user decoding one stream: K private stages, user k decoding
     column k, then K common stages, user k decoding column K. The rule is
-    coded once, as a 0/1 mask over (private columns, stages): a stage's
-    interference is the power of the private columns the mask keeps,
-    summed in column order. The mask drops only a private stage's own
-    column, so a common stage sees all private power.
+    coded once, as the 0/1 mask `_interferes` over (private columns,
+    stages): a stage's interference is the power of the private columns
+    the mask keeps, summed in column order. The mask drops only a private
+    stage's own column, so a common stage sees all private power. `sinrs`
+    and the polish's stage powers (`_Compiled._index_powers`) read it.
 
     A layout's precoders are read on these columns (`StreamLayout.to_rsma`):
     a stream the layout lacks is a zero column, whose stages have SINR
@@ -246,15 +248,6 @@ class SicKernel:
         # 0 where a private column is its stage's own signal, else 1
         self._interferes = 1.0 - np.eye(K, 2 * K)
 
-    def interferers(self, user: int, column: int) -> list[int]:
-        """RSMA columns whose power is interference when `user` decodes
-        `column`: its own private column or the common column K."""
-        K = self.n_priv
-        if not (0 <= user < K and column in (user, K)):
-            raise ValueError(f"column {column} is not user {user}'s private stream or the common column {K}")
-        stage = K + user if column == K else user
-        return [j for j, m in enumerate(self._interferes[:, stage].tolist()) if m]
-
     def sinrs(self, A: np.ndarray):
         """(sinr_p, sinr_c): SINR of every private stage (B, K) and common
         stage (B, K), as transposed views of one stage-major array.
@@ -269,9 +262,8 @@ class SicKernel:
         """
         X2 = np.square(A.reshape(len(A), -1).T, order="C").take(self._gather, axis=0)
         n = self.n_priv
-        # in place, so that a block of many precoders allocates few large
-        # arrays; the common stages' mask is all 1
-        X2[:n, :n] *= self._interferes[:, :n, None]
+        # in place, so that a block of many precoders allocates few large arrays
+        X2[:n] *= self._interferes[..., None]
         sinr = X2[0]
         for i in range(1, n):
             sinr += X2[i]

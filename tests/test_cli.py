@@ -243,6 +243,32 @@ class TestScenarioFiles:
         assert captured.err.startswith(f"error: malformed scenario file {str(path)!r}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "channel-dump"])
+    @pytest.mark.parametrize("edit", ["third-user", "values-9"])
+    def test_bad_separation_scene_exits_1_without_output(self, command, edit, tmp_path, capsys):
+        # a separation sweep with a third user, or a separation that puts
+        # the mirrored users outside the room, is a malformed scene file
+        path = tmp_path / "scene.ini"
+        save_scenario(catalog()["separation_sweep_2led"], str(path))
+        cp = configparser.ConfigParser()
+        cp.read(path)
+        if edit == "third-user":
+            cp["scenario"]["priorities"] = "0.3 0.3 0.4"
+            cp["user 3"] = dict(cp["user 2"], position="0.5 1.0 0.8")
+            message = "a separation sweep mirrors exactly two users, got 3"
+        else:
+            cp["sweep"]["values"] = "9"
+            message = "separation 9.0 puts the users outside the room"
+        with open(path, "w") as fh:
+            cp.write(fh)
+        argv = [command, "--scenario-file", str(path)]
+        if command == "run":
+            argv += ["--schemes", "rsma", "--snr", "20"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed scenario file {str(path)!r}: {message}\n"
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["run", "--scenario-file", str(tmp_path / "nope.ini")]) == 1
 
@@ -535,9 +561,9 @@ class TestConfigPlumbing:
         seen = []
         real = optimizer._solve_starts
 
-        def solve_starts(comp, radii, P, config):
+        def solve_starts(comp, P, config):
             seen.append(config.tolerance)
-            return real(comp, radii, P, config)
+            return real(comp, P, config)
 
         monkeypatch.setattr(optimizer, "_solve_starts", solve_starts)
         out = tmp_path / "rows.csv"

@@ -35,10 +35,11 @@ def random_channel(rng, k=2, l=2):
     return channel(rng.uniform(0.1, 1.0, size=(k, l)))
 
 
-def compiled(ch, lay, w, rows=1):
+def compiled(ch, lay, w, rows=1, eps=1.0):
     """The compiled batch of `rows` problems of one channel and layout: one
-    row of every per-problem array per precoder."""
-    return optimizer._Compiled([ch] * rows, [lay] * rows, np.array(w, dtype=float))
+    row of every per-problem array per precoder. `eps` is every problem's
+    budget, or one per problem."""
+    return optimizer._Compiled([ch] * rows, [lay] * rows, np.array(w, dtype=float), np.broadcast_to(eps, rows))
 
 
 def solve(ch, lay, w, eps, config=AoConfig()):
@@ -95,7 +96,7 @@ class TestEqualizerAndWeights:
         columns, and each stage's rate, equalizer and weight (B, stages)."""
         if isinstance(layouts, list):
             Q = np.stack([lay.to_rsma(p) for lay, p in zip(layouts, P)])
-            comp = optimizer._Compiled(channels, layouts, np.array(w, dtype=float))
+            comp = optimizer._Compiled(channels, layouts, np.array(w, dtype=float), np.ones(len(layouts)))
         else:
             Q = layouts.to_rsma(P)
             comp = compiled(channels, layouts, w, len(P))
@@ -241,16 +242,15 @@ class TestSubproblem:
     """_polish on one start's subproblem: the WSR over the balls."""
 
     @staticmethod
-    def _polish(comp, eps, start, tolerance=AoConfig().tolerance):
+    def _polish(comp, start, tolerance=AoConfig().tolerance):
         # the solver polishes each start from a feasible point, as ao_solve does
-        radius = np.full(start.shape[:2], float(eps))
-        P0 = project_rows_l1(start, radius)
-        return optimizer._polish(comp, radius, P0, comp.true_rates(P0), tolerance)
+        P0 = project_rows_l1(start, comp.eps[:, None])
+        return optimizer._polish(comp, P0, comp.true_rates(P0), tolerance)
 
     def test_zero_budget_returns_origin(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
-        comp = compiled(ch, build_layout("rsma", ch), [0.5, 0.5])
-        P, history, residual = self._polish(comp, 0.0, np.ones((1, 2, 3)))
+        comp = compiled(ch, build_layout("rsma", ch), [0.5, 0.5], eps=0.0)
+        P, history, residual = self._polish(comp, np.ones((1, 2, 3)))
         assert np.all(P == 0.0)
         assert comp.true_rates(P)[0] == 0.0
         assert assemble_report(ch, Precoder(matrix=P[0]), build_layout("rsma", ch)).common_cap == 0.0
@@ -261,9 +261,9 @@ class TestSubproblem:
         # with |p|, so the optimum is the budget's edge, p = eps
         ch = channel([[0.8]])
         lay = build_layout("sdma", ch)
-        comp = compiled(ch, lay, [1.0])
         for p_prev, eps in ((0.4, 10.0), (0.9, 0.5)):
-            P, history, residual = self._polish(comp, eps, lay.to_rsma(np.array([[[p_prev]]])))
+            comp = compiled(ch, lay, [1.0], eps=eps)
+            P, history, residual = self._polish(comp, lay.to_rsma(np.array([[[p_prev]]])))
             assert P[0, 0, 0] == pytest.approx(eps, rel=1e-12)
             assert P[0, 0, 1] == 0.0  # the unweighted common column
             assert history[0][-1] == pytest.approx(np.log2(1.0 + (0.8 * eps) ** 2), rel=1e-12)
@@ -273,10 +273,10 @@ class TestSubproblem:
         rng = np.random.default_rng(8)
         for _ in range(20):
             ch = random_channel(rng)
-            comp = compiled(ch, build_layout("rsma", ch), [0.5, 0.5])
             eps = rng.uniform(0.5, 20.0)
+            comp = compiled(ch, build_layout("rsma", ch), [0.5, 0.5], eps=eps)
             start = project_rows_l1(rng.normal(size=(1, 2, 3)), np.full((1, 2), eps))
-            P, history, _ = self._polish(comp, eps, start)
+            P, history, _ = self._polish(comp, start)
             assert np.abs(P).sum(axis=2).max() <= eps + 1e-9
             assert comp.true_rates(P)[0] == history[0][-1] >= comp.true_rates(start)[0]
 
@@ -321,11 +321,11 @@ class TestSubproblem:
         # derivatives at such a point
         ch = channel([[1e150, 2e150], [3e150, 1e150]])
         lay = build_layout("sdma", ch)
-        comp = compiled(ch, lay, [0.5, 0.5])
+        comp = compiled(ch, lay, [0.5, 0.5], eps=1e100)
         P = lay.to_rsma(np.full((1, 2, 2), 0.5e100))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure, match="derivatives"):
-                optimizer._polish(comp, np.full((1, 2), 1e100), P, np.zeros(1), AoConfig().tolerance)
+                optimizer._polish(comp, P, np.zeros(1), AoConfig().tolerance)
 
 
 class TestZfPrecoder:
@@ -438,9 +438,9 @@ class TestAoSolve:
         batches = []
         real_solve = optimizer._solve_starts
 
-        def solve_starts(comp, radii, P, config):
+        def solve_starts(comp, P, config):
             batches.append(P.copy())
-            return real_solve(comp, radii, P, config)
+            return real_solve(comp, P, config)
 
         monkeypatch.setattr(optimizer, "_solve_starts", solve_starts)
         sols = solve_all(problems, np.full(k, 1.0 / k))
@@ -522,29 +522,29 @@ class TestBatchedSolver:
         rng = np.random.default_rng(40 + fixtures)
         ch = random_channel(rng, l=fixtures)
         lay = build_layout(scheme, ch)
-        one = compiled(ch, lay, w)
+        active = compiled(ch, lay, w).active[0]
         eps, starts = [], []
         for snr in (5.0, 15.0, 30.0):
             e = epsilon_from_snr(snr, 1.0)
-            starts.append(optimizer._zf_start(ch, one.active[0], e))
-            starts += [optimizer._beam_start(ch, one.active[0], e, k) for k in range(2)]
+            starts.append(optimizer._zf_start(ch, active, e))
+            starts += [optimizer._beam_start(ch, active, e, k) for k in range(2)]
             starts += [lay.to_rsma(random_start(ch, lay, e, rng)) for _ in range(2)]
             eps += [e] * 5
-        radii = np.repeat(np.array(eps)[:, None], fixtures, axis=1)
         # SDMA's common column, NOMA's weak user's private column
         unused = [c for c in range(3) if c not in lay.rsma_columns]
-        comp = compiled(ch, lay, w, len(starts))
+        comp = compiled(ch, lay, w, len(starts), eps)
         for cfg in (AoConfig(), AoConfig(tolerance=TIGHT)):
-            P, hist, res = optimizer._solve_starts(comp, radii, np.stack(starts), cfg)
+            P, hist, res = optimizer._solve_starts(comp, np.stack(starts), cfg)
             polished, outcomes = 0, set()
             for b in range(len(starts)):
-                P1, hist1, res1 = optimizer._solve_starts(one, radii[b : b + 1], starts[b][None], cfg)
+                one = compiled(ch, lay, w, eps=eps[b])
+                P1, hist1, res1 = optimizer._solve_starts(one, starts[b][None], cfg)
                 assert np.array_equal(P[b], P1[0]) and hist[b] == hist1[0] and res[b] == res1[0]
                 # the reported residual is the one at the returned precoder,
                 # whichever exit the start took (tolerance, stuck or cap)
                 r, dr, _ = optimizer._stage_derivatives(one, P1)
                 J = np.kron(ch.gains, np.eye(3))[None]
-                gap, _ = optimizer._decoder_weights(one, r, dr, J, P1, radii[b : b + 1, 0], one.active)
+                gap, _ = optimizer._decoder_weights(one, r, dr, J, P1)
                 assert gap[0] == res1[0]
                 assert np.all(P[b][:, unused] == 0.0)
                 assert np.all(np.diff(hist[b]) >= 0.0)
@@ -791,9 +791,9 @@ class TestBatchedSolver:
         waves = []
         real = optimizer._solve_starts
 
-        def solve_starts(comp, radii, P0, config):
+        def solve_starts(comp, P0, config):
             waves.append(P0.copy())
-            return real(comp, radii, P0, config)
+            return real(comp, P0, config)
 
         monkeypatch.setattr(optimizer, "_solve_starts", solve_starts)
         sols = solve_all(problems, (0.5, 0.5))
@@ -819,9 +819,10 @@ class TestBatchedSolver:
         # problem, and take gathers keep's rows of each
         ch = channel([[0.9, 0.4], [0.3, 0.8]], [1.0, 0.7])
         layouts = [build_layout(s, ch) for s in ("sdma", "noma", "rsma")]
-        comp = optimizer._Compiled([ch] * 3, layouts, np.array([0.4, 0.6]))
-        names = ("H", "_sig2", "w_priv", "w_common", "active")
-        assert [getattr(comp, name).shape for name in names] == [(3, 2, 2), (3, 4), (3, 2), (3,), (3, 3)]
+        comp = optimizer._Compiled([ch] * 3, layouts, np.array([0.4, 0.6]), [1.0, 2.5, 0.0])
+        names = ("H", "_sig2", "w_priv", "w_common", "active", "eps")
+        assert [getattr(comp, name).shape for name in names] == [(3, 2, 2), (3, 4), (3, 2), (3,), (3, 3), (3,)]
+        assert comp.eps.tolist() == [1.0, 2.5, 0.0]
         keep = np.array([2, 0, 2, 1])
         sub = comp.take(keep)
         for name in names:
@@ -829,7 +830,11 @@ class TestBatchedSolver:
         # one channel per layout, as sequences
         for channels, lays in (([ch] * 2, layouts), ([ch] * 4, layouts), ([], []), (ch, layouts[0]), ([ch], layouts[0])):
             with pytest.raises(ValueError, match="one channel per layout"):
-                optimizer._Compiled(channels, lays, np.array([0.4, 0.6]))
+                optimizer._Compiled(channels, lays, np.array([0.4, 0.6]), [1.0] * 3)
+        # one finite nonnegative budget per problem
+        for eps in ([1.0, 2.0], [1.0] * 4, [1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [np.inf] * 3, 1.0):
+            with pytest.raises(ValueError, match="epsilon must be finite and nonnegative, one per problem"):
+                optimizer._Compiled([ch] * 3, layouts, np.array([0.4, 0.6]), eps)
 
     # channels a and c have user 0 as NOMA's strong user, b has user 1
     BATCHES = {
@@ -854,13 +859,13 @@ class TestBatchedSolver:
         problems = [entry.split("@") for entry in self.BATCHES[kind]]
         chans = [channels[name] for _, name in problems]
         layouts = [build_layout(scheme, ch) for (scheme, _), ch in zip(problems, chans)]
-        comp = optimizer._Compiled(chans, layouts, np.array(w))
+        comp = optimizer._Compiled(chans, layouts, np.array(w), np.ones(len(chans)))
         assert comp.n_priv == 2 and np.array_equal(comp._gather, SicKernel(2, np.ones(2))._gather)
         assert comp._gather.shape[1] == 4 and comp._gather.max() < 2 * 3
         # user k decodes private column k past the other one, and every
         # user decodes the common column 2 past both
-        assert [comp.interferers(k, k) for k in (0, 1)] == [[1], [0]]
-        assert [comp.interferers(k, 2) for k in (0, 1)] == [[0, 1], [0, 1]]
+        assert [np.flatnonzero(comp._interferes[:, k]).tolist() for k in (0, 1)] == [[1], [0]]
+        assert [np.flatnonzero(comp._interferes[:, 2 + k]).tolist() for k in (0, 1)] == [[0, 1], [0, 1]]
         for row, lay in zip(comp.active, layouts):
             assert np.flatnonzero(row).tolist() == sorted(lay.rsma_columns)
 
@@ -908,8 +913,13 @@ class TestBatchedSolver:
             expected = np.stack([[project_rows_l1(r[None], radius)[0] for r in m] for m in rows])
             assert project_rows_l1(rows, np.full(rows.shape[:2], radius)).tobytes() == expected.tobytes()
             assert project_rows_l1(rows, radius).tobytes() == expected.tobytes()
-        with pytest.raises(ValueError):
-            project_rows_l1(M, budget[:, None])
+        # a (B, 1) radius broadcasts over each problem's rows, bit for bit as
+        # the repeated one, the zero-radius problems included; a radius that
+        # does not broadcast against the rows is refused
+        assert project_rows_l1(M, budget[:, None]).tobytes() == batch.tobytes()
+        for radius in (budget, budget[None], budget[:, None, None], np.ones((len(M), 2))):
+            with pytest.raises(ValueError):
+                project_rows_l1(M, radius)
 
 
 class TestPolish:
@@ -951,11 +961,10 @@ class TestPolish:
         ch = random_channel(rng, l=4)
         lay = build_layout("rsma", ch)
         P = project_rows_l1(lay.to_rsma(rng.normal(size=(20, 4, 3))), np.full((20, 4), 2.0))
-        comp = compiled(ch, lay, [0.5, 0.5], len(P))
+        comp = compiled(ch, lay, [0.5, 0.5], len(P), eps=2.0)
         J = np.kron(ch.gains, np.eye(3))[None]
         r, dr, _ = optimizer._stage_derivatives(comp, P)
-        eps, act = np.full(20, 2.0), np.ones((20, 3), dtype=bool)
-        gap, lam = optimizer._decoder_weights(comp, r, dr, J, P, eps, act, np.inf)
+        gap, lam = optimizer._decoder_weights(comp, r, dr, J, P, np.inf)
         for t in np.linspace(0.0, 1.0, 201):
             G = optimizer._stage_sum(np.concatenate((np.full((20, 2), 0.5), 0.5 * np.array([[t, 1 - t]] * 20)), axis=1),
                                      dr)
@@ -964,7 +973,7 @@ class TestPolish:
             assert np.all(gap <= fw + 1e-12)
         assert np.all(lam >= 0.0) and np.all(np.abs(lam.sum(axis=1) - 1.0) < 1e-12)
         # away from the kink only the binding decoder is weighted
-        far, lam_far = optimizer._decoder_weights(comp, r, dr, J, P, eps, act, 0.0)
+        far, lam_far = optimizer._decoder_weights(comp, r, dr, J, P, 0.0)
         assert np.all(far >= gap - 1e-12) and set(lam_far.ravel().tolist()) <= {0.0, 1.0}
 
     def test_residual_counts_the_distance_to_the_kink(self):
@@ -1006,12 +1015,11 @@ class TestPolish:
         P = np.concatenate([at(d) for d in deltas] + [project_rows_l1(
             lay.to_rsma(rng.normal(size=(20, 4, 3))), np.full((20, 4), eps))])
         B = len(P)
-        comp = compiled(ch, lay, [0.5, 0.5], B)
+        comp = compiled(ch, lay, [0.5, 0.5], B, eps)
         r, dr, _ = optimizer._stage_derivatives(comp, P)
-        e, act = np.full(B, eps), np.ones((B, 3), dtype=bool)
-        residual, lam = optimizer._decoder_weights(comp, r, dr, J, P, e, act)
-        smallest, _ = optimizer._decoder_weights(comp, r, dr, J, P, e, act, np.inf)
-        binding, _ = optimizer._decoder_weights(comp, r, dr, J, P, e, act, 0.0)
+        residual, lam = optimizer._decoder_weights(comp, r, dr, J, P)
+        smallest, _ = optimizer._decoder_weights(comp, r, dr, J, P, np.inf)
+        binding, _ = optimizer._decoder_weights(comp, r, dr, J, P, 0.0)
         rc = r[:, -2:]
         grid = []
         for t in np.linspace(0.0, 1.0, 2001):
@@ -1041,11 +1049,11 @@ class TestPolish:
         # point inside the balls, with a zero residual, in a few iterations
         ch = channel([[1.0, 0.0], [0.0, 0.5]])
         lay = build_layout("sdma", ch)
-        comp = compiled(ch, lay, [0.5, 0.5])
         eps = 2.0
+        comp = compiled(ch, lay, [0.5, 0.5], eps=eps)
         P0 = lay.to_rsma(np.array([[[0.7, 0.2], [-0.1, 0.9]]]))
         wsr0 = comp.true_rates(P0)
-        P, history, residual = optimizer._polish(comp, np.full((1, 2), eps), P0, wsr0, AoConfig().tolerance)
+        P, history, residual = optimizer._polish(comp, P0, wsr0, AoConfig().tolerance)
         expected = 0.5 * np.log2(1 + (1.0 * eps) ** 2) + 0.5 * np.log2(1 + (0.5 * eps) ** 2)
         assert history[0][-1] == pytest.approx(expected, rel=1e-12)
         assert np.allclose(np.abs(P[0][:, :2]), np.diag([eps, eps]), atol=1e-9)
@@ -1060,11 +1068,10 @@ class TestPolish:
         ch = random_channel(rng, l=4)
         lay = build_layout(scheme, ch)
         eps = np.repeat([epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0, 40.0)], 4)
-        comp = compiled(ch, lay, [0.5, 0.5], len(eps))
+        comp = compiled(ch, lay, [0.5, 0.5], len(eps), eps)
         P0 = np.stack([lay.to_rsma(random_start(ch, lay, e, rng)) for e in eps])
-        radii = np.repeat(eps[:, None], 4, axis=1)
         wsr0 = comp.true_rates(P0)
-        P, history, residual = optimizer._polish(comp, radii, P0, wsr0, AoConfig().tolerance)
+        P, history, residual = optimizer._polish(comp, P0, wsr0, AoConfig().tolerance)
         for b in range(len(P0)):
             assert history[b][0] == wsr0[b] and np.all(np.diff(history[b]) >= 0.0)
             assert np.abs(P[b]).sum(axis=1).max() <= eps[b] * (1.0 + 1e-12)

@@ -107,6 +107,30 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             replace(base, users=outside)
 
+    def test_separation_sweep_needs_two_users(self):
+        # the sweep mirrors users 0 and 1 only: a third user would be dropped
+        base = catalog()["separation_sweep_2led"]
+        third = Receiver(position=(0.5, 1.0, 0.8))
+        with pytest.raises(ValueError, match="exactly two users"):
+            replace(base, users=base.users + (third,), priorities=(0.3, 0.3, 0.4))
+        with pytest.raises(ValueError, match="exactly two users"):
+            replace(base, users=base.users[:1], priorities=(1.0,))
+        # an SNR sweep keeps any number of users
+        snr = catalog()["scenario1_2led"]
+        assert len(replace(snr, users=snr.users + (third,), priorities=(0.3, 0.3, 0.4)).users) == 3
+
+    def test_separation_must_keep_users_in_room(self):
+        # the mirrored users sit at x = +-v/2: 9 m puts them 4.5 m off center
+        # in a 5 m room; the catalog's 5 m puts them on the walls
+        base = catalog()["separation_sweep_2led"]
+        assert max(base.sweep.values) == 5.0
+        for values in ((9.0,), (1.0, 5.2), (-6.0,)):
+            with pytest.raises(ValueError, match=f"separation {values[-1]} puts the users outside the room"):
+                replace(base, sweep=Sweep("separation", values))
+        assert replace(base, sweep=Sweep("separation", (5.0, -5.0))).sweep.values == (5.0, -5.0)
+        # a wider room takes wider separations
+        assert replace(base, room=(10.0, 5.0, 4.0), sweep=Sweep("separation", (9.0,))).sweep.values == (9.0,)
+
     def test_priority_count_must_match(self):
         base = catalog()["scenario1_2led"]
         with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ class TestLayouts:
         # every user decodes the common stream, with every private stream
         # as interference
         kernel = SicKernel(2, channel_2x2().noise)
-        assert [kernel.interferers(k, 2) for k in (0, 1)] == [[0, 1], [0, 1]]
+        assert [np.flatnonzero(kernel._interferes[:, 2 + k]).tolist() for k in (0, 1)] == [[0, 1], [0, 1]]
 
     def test_noma_strong_user_selection(self):
         ch = channel_2x2(gains=((1.0, 0.2), (0.3, 0.25)))
@@ -123,13 +123,11 @@ class TestSinr:
         assert rep.sinr_private[1] == pytest.approx(4.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
         assert rep.sinr_private[2] == pytest.approx(1.0 / (1.0 + 4.0 + 1.0), rel=1e-14)
         assert rep.sinr_common[2] == pytest.approx(4.0 / (1.0 + 4.0 + 1.0 + 1.0), rel=1e-14)
+        # the kernel's mask: user 0's private stage (stage 0) and user 2's
+        # common stage (stage 3 + 2)
         kernel = SicKernel(3, ch.noise)
-        assert kernel.interferers(0, 0) == [1, 2]
-        assert kernel.interferers(2, 3) == [0, 1, 2]
-        with pytest.raises(ValueError):
-            kernel.interferers(0, 1)
-        with pytest.raises(ValueError):
-            kernel.interferers(3, 3)
+        assert np.flatnonzero(kernel._interferes[:, 0]).tolist() == [1, 2]
+        assert np.flatnonzero(kernel._interferes[:, 5]).tolist() == [0, 1, 2]
 
     def test_private_stage_excludes_common_stream(self):
         # adding power to the common column must not change any private SINR
@@ -388,7 +386,8 @@ class TestMonteCarlo:
             own = {j: i for i, j in enumerate(lay.rsma_columns)}
             for stream, desc in enumerate(lay.streams):
                 for user in range(num_users) if desc.kind == "common" else (desc.owner,):
-                    expected = [own[j] for j in kernel.interferers(user, lay.rsma_columns[stream]) if j in own]
+                    stage = num_users + user if desc.kind == "common" else user
+                    expected = [own[j] for j in np.flatnonzero(kernel._interferes[:, stage]).tolist() if j in own]
                     assert signal_model._decoding_interferers(lay, user, stream) == expected, (scheme, user, stream)
 
     def test_peak_memory_of_a_million_symbols(self):
@@ -484,7 +483,7 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     lay = build_layout(scheme, ch)
     w = rng.uniform(0.2, 1.0, size=users)
     P = rng.normal(size=(16, fixtures, lay.num_streams))
-    comp = optimizer._Compiled([ch] * len(P), [lay] * len(P), w)
+    comp = optimizer._Compiled([ch] * len(P), [lay] * len(P), w, np.ones(len(P)))
     # every caller reads the layout's precoders on the RSMA columns
     Q = lay.to_rsma(P)
     A = ch.gains @ Q
@@ -523,3 +522,35 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
         assert float(r_c[b].min()) == pytest.approx(rep.common_cap, abs=1e-12)
         for wsr in (wsr_true[b], wsr_oracle[b], wsr_stage):
             assert wsr == pytest.approx(rep.wsr, abs=1e-12)
+
+
+@pytest.mark.parametrize("mask", ["zeros", "random"])
+@pytest.mark.parametrize("scheme,users,fixtures", [("rsma", 2, 2), ("noma", 2, 4), ("rsma", 3, 4)])
+def test_polish_stages_read_the_kernels_mask(scheme, users, fixtures, mask, monkeypatch):
+    # the SIC rule is coded once, in SicKernel's 0/1 mask: built with
+    # another mask (each private stage's own column still 0), the kernel's
+    # SINRs and the polish's stage rates both follow it
+    rng = np.random.default_rng(7 * users + fixtures)
+    real = SicKernel.__init__
+
+    def other_mask(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        K = self.n_priv
+        m = np.zeros((K, 2 * K)) if mask == "zeros" else rng.integers(0, 2, size=(K, 2 * K)).astype(float)
+        m[np.arange(K), np.arange(K)] = 0.0
+        self._interferes = m
+
+    ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
+    lay = build_layout(scheme, ch)
+    Q = lay.to_rsma(rng.normal(size=(16, fixtures, lay.num_streams)))
+    monkeypatch.setattr(SicKernel, "__init__", other_mask)
+    comp = optimizer._Compiled([ch] * len(Q), [lay] * len(Q), np.full(users, 1.0 / users), np.ones(len(Q)))
+    assert not np.array_equal(comp._interferes, 1.0 - np.eye(users, 2 * users))
+    sinr_p, sinr_c = comp.sinrs(comp.H @ Q)
+    rates = np.log2(1.0 + np.concatenate((sinr_p, sinr_c), axis=1))
+    np.testing.assert_allclose(optimizer._stage_derivatives(comp, Q)[0], rates, rtol=0.0, atol=1e-12)
+    # the zero mask moves the SINRs off the true rule's (a random one may
+    # drop only a column the layout leaves at 0)
+    monkeypatch.undo()
+    assert mask != "zeros" or not np.allclose(np.concatenate(SicKernel(users, ch.noise).sinrs(ch.gains @ Q), axis=1),
+                           np.concatenate((sinr_p, sinr_c), axis=1))
