@@ -203,13 +203,10 @@ def reference_gain(spec: ScenarioSpec) -> float:
 
 
 def users_for_separation(spec: ScenarioSpec, separation: float) -> tuple:
-    """Users mirrored through the room center, `separation` apart along x."""
+    """Users mirrored through the room center, `separation` apart along x,
+    each at its own height."""
     half = separation / 2.0
-    height = spec.users[0].position[2]
-    return (
-        replace(spec.users[0], position=(-half, 0.0, height)),
-        replace(spec.users[1], position=(half, 0.0, height)),
-    )
+    return tuple(replace(u, position=(x, 0.0, u.position[2])) for u, x in zip(spec.users, (-half, half)))
 
 
 def build_scene_channel(spec: ScenarioSpec, sweep_value: float | None = None) -> ChannelMatrix:

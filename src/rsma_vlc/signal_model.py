@@ -36,12 +36,9 @@ layout lacks reads 0 there.
 
 `monte_carlo_sinr` checks those SINRs by 4-PAM symbol simulation. It
 takes a stage's interferers from the layout's decoding order, not from
-the kernel it checks. It draws the symbol indices of one numpy
-`integers` call from one generator's raw words and the noise that
-follows them from a second generator of the same seed, advanced past
-those words, and sums both over numpy's own pairwise-summation tree,
-leaf by leaf, so that its estimate is the one-call estimate bit for bit
-in memory that does not grow with the number of symbols.
+the kernel it checks, and draws its symbols and noise chunk by chunk
+from one seeded generator, in memory that does not grow with the number
+of symbols.
 
 All evaluation functions are pure; the Monte-Carlo estimator owns its
 seeded generator.
@@ -76,7 +73,7 @@ _DEN_FLOOR = 1e-300
 # fewest symbols monte_carlo_sinr accepts: at 10k the estimator's spread
 # is about validate's 2% tolerance, so correct formulas could fail it. A
 # call's time grows with the symbols, its memory does not: a million take
-# about 25 ms and 0.35 MB on a 2-vCPU x86-64 host
+# about 26 ms and 0.36 MB on a 2-vCPU x86-64 host
 MC_MIN_SYMBOLS = 100_000
 
 
@@ -330,58 +327,8 @@ def assemble_report(
 
 # 4-PAM, zero mean, unit variance: levels {-3,-1,1,3}/sqrt(5)
 _PAM4 = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(5.0)
-# most rows in a leaf of monte_carlo_sinr's sums (64 KB of float64 each):
-# larger blocks split as numpy's pairwise summation splits them
+# most rows in a chunk of monte_carlo_sinr's draws (64 KB of float64 each)
 _MC_CHUNK = 1 << 13
-
-
-def _pairwise_sum(num_values: int, leaf_sum):
-    """numpy's pairwise sum of `num_values` values (`np.add.reduce` of a
-    contiguous float64 array), from the sums of its leaves.
-
-    numpy splits a block of n values larger than its 128-value base case
-    at n2 = n // 2 - (n // 2) % 8 and adds the two halves' sums, so a block
-    of at most `_MC_CHUNK` values is summed by one `np.add.reduce` of it
-    alone, and the blocks above that are split here the same way.
-    `leaf_sum(rows)` returns the `np.add.reduce` of the next `rows` values
-    (a float64 or an array of them); the leaves come left to right, and
-    every leaf but the last has a multiple of 8 rows.
-    """
-    if num_values <= _MC_CHUNK:
-        return leaf_sum(num_values)
-    half = num_values // 2 - num_values // 2 % 8
-    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(num_values - half, leaf_sum)
-
-
-def _mc_generators(seed: int, num_symbols: int, num_streams: int):
-    """(bit generator of the symbol indices, generator of the noise) of
-    `monte_carlo_sinr`. Both start as `np.random.default_rng(seed)`; the
-    noise generator is advanced past the (num_symbols * num_streams + 1)
-    // 2 words that `rng.integers(0, 4, size=(num_symbols, num_streams))`
-    takes, so it draws the normals that follow that call."""
-    noise = np.random.default_rng(seed)
-    noise.bit_generator.advance((num_symbols * num_streams + 1) // 2)
-    return np.random.default_rng(seed).bit_generator, noise
-
-
-def _pam4_indices(bits: np.random.BitGenerator, rows: int, num_streams: int) -> np.ndarray:
-    """uint8 (rows, num_streams): the next `rows` rows of the 4-PAM
-    indices that `rng.integers(0, 4, size=(..., num_streams))` draws, from
-    the next (rows * num_streams + 1) // 2 raw words of `bits`.
-
-    For a range of 4, numpy's bounded integers (Lemire's method on 32-bit
-    draws) never reject a draw, so each index is the top two bits of the
-    next 32-bit draw, and the 32-bit draws take each 64-bit word of the
-    generator low half first. The indices are read from the raw words by
-    arithmetic, whatever the byte order. An even count of indices takes
-    whole words, so rows drawn a block at a time are the rows of one call
-    as long as every block but the last holds an even count.
-    """
-    words = bits.random_raw((rows * num_streams + 1) // 2)
-    index = np.empty(2 * len(words), dtype=np.uint8)
-    index[0::2] = (words >> np.uint64(30)) & np.uint64(3)
-    index[1::2] = words >> np.uint64(62)
-    return index[: rows * num_streams].reshape(rows, num_streams)
 
 
 def _decoding_interferers(layout: StreamLayout, user: int, stream: int) -> list[int]:
@@ -418,32 +365,14 @@ def monte_carlo_sinr(
     checks. Converges to the analytic SINR; the estimate is
     deterministic for a fixed seed.
 
-    The estimate is the one of drawing every symbol index with one
-    `rng.integers(0, 4, size=(num_symbols, streams))` call, then the
-    noise with one `rng.normal(0, sigma, num_symbols)` call, and taking
-    `np.mean` of the squared signal and disturbance arrays, bit for bit,
-    while no array holds more than `_MC_CHUNK` symbols:
-
-    * two generators of the seed (`_mc_generators`): the indices come
-      from the first one's raw words (`_pam4_indices`), and the noise from
-      the second, advanced past the words the indices take, as
-      sigma * `standard_normal`, which is `normal(0, sigma)` value for
-      value;
-    * each mean is numpy's pairwise sum over the symbols divided by their
-      count; the sum is taken over numpy's own split tree
-      (`_pairwise_sum`), leaf by leaf, left to right, and each leaf draws
-      its own rows of indices and noise. Every leaf but the last has a
-      multiple of 8 rows, so it takes whole words;
-    * a leaf's interference is read by a base-4 code of the I
-      interferers' indices from a table of their 4^I interference
-      amplitudes (16 for two users; the table grows as 4^I, which suits
-      the few users of `validate`). The table is the matmul
-      `others @ amps[interferers]` over every combination of interferer
-      symbols, so each value is the one that product gives for the
-      symbol's row, as the tests pin against one matmul over every row.
-
-    The peak memory is a few leaf-sized arrays, under 0.5 MB whatever the
-    number of symbols.
+    Each chunk of at most `_MC_CHUNK` rows draws its 4-PAM indices with
+    `rng.integers(0, 4, size=(rows, streams), dtype=np.uint8)`, then its
+    noise with `rng.standard_normal(rows)`, from one
+    `np.random.default_rng(seed)`, and adds its `np.add.reduce` sums to
+    two running totals. A chunk's interference is read by a base-4 code of
+    the I interferers' indices from a table of their 4^I amplitudes (16
+    for two users), so the peak memory is a few chunk-sized arrays, under
+    0.5 MB whatever the number of symbols.
     """
     try:
         num_symbols = operator.index(num_symbols)
@@ -457,7 +386,7 @@ def monte_carlo_sinr(
         raise ValueError(f"the precoder has {precoder.num_streams} streams, the layout {layout.num_streams}")
     interferers = _decoding_interferers(layout, user, stream)
 
-    bits, noise = _mc_generators(seed, num_symbols, precoder.num_streams)
+    rng = np.random.default_rng(seed)
     amps = channel.gains[user] @ precoder.matrix
     squares = np.square(_PAM4 * amps[stream])
     # row c: the interferers' levels at the base-4 digits of c, first
@@ -466,18 +395,18 @@ def monte_carlo_sinr(
     table = _PAM4[digits] @ amps[interferers]
     sigma = np.sqrt(channel.noise[user])
 
-    def leaf_sums(rows):
-        index = _pam4_indices(bits, rows, precoder.num_streams)
+    signal_sum = disturbance_sum = 0.0
+    for start in range(0, num_symbols, _MC_CHUNK):
+        rows = min(_MC_CHUNK, num_symbols - start)
+        index = rng.integers(0, 4, size=(rows, precoder.num_streams), dtype=np.uint8)
         code = np.zeros(rows, dtype=np.intp)
         for j in interferers:
             code *= 4
             code += index[:, j]
         disturbance = table.take(code)
-        part = noise.standard_normal(rows)
+        part = rng.standard_normal(rows)
         part *= sigma
         disturbance += part
-        signal = squares.take(index[:, stream])
-        return np.array((np.add.reduce(signal), np.add.reduce(np.square(disturbance, out=disturbance))))
-
-    signal_sum, disturbance_sum = _pairwise_sum(num_symbols, leaf_sums)
+        signal_sum += np.add.reduce(squares.take(index[:, stream]))
+        disturbance_sum += np.add.reduce(np.square(disturbance, out=disturbance))
     return float(signal_sum / num_symbols / max(disturbance_sum / num_symbols, _DEN_FLOOR))

@@ -274,6 +274,22 @@ class TestScenarioFiles:
 
 
 class TestChannelDump:
+    def test_separation_scene_reads_each_users_height(self, tmp_path, capsys):
+        # user 2 raised from the catalog's 0.8 m to 1.5 m changes its gains
+        dumps = []
+        for height in (0.8, 1.5):
+            path = tmp_path / f"scene-{height}.ini"
+            save_scenario(catalog()["separation_sweep_2led"], str(path))
+            cp = configparser.ConfigParser()
+            cp.read(path)
+            cp["user 2"]["position"] = f"0.1 0.0 {height}"
+            with open(path, "w") as fh:
+                cp.write(fh)
+            assert main(["channel-dump", "--scenario-file", str(path)]) == 0
+            dumps.append(capsys.readouterr().out.splitlines())
+        assert dumps[0][0] == dumps[1][0]
+        assert dumps[0][2:] != dumps[1][2:]
+
     def test_symmetric_matrix_and_unit_noise(self, capsys):
         assert main(["channel-dump", "--scenario", "scenario1_2led"]) == 0
         out = capsys.readouterr().out

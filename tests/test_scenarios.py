@@ -69,6 +69,13 @@ class TestCatalog:
         assert np.allclose(at_36[0].position, (-1.8, 0.0, 0.8))
         assert np.allclose(at_36[1].position, (1.8, 0.0, 0.8))
 
+    def test_separation_keeps_each_users_height(self):
+        spec = catalog()["separation_sweep_2led"]
+        raised = replace(spec, users=(spec.users[0], replace(spec.users[1], position=(0.1, 0.0, 1.5))))
+        users = users_for_separation(raised, 3.0)
+        assert np.allclose(users[0].position, (-1.5, 0.0, 0.8))
+        assert np.allclose(users[1].position, (1.5, 0.0, 1.5))
+
     def test_every_user_inside_room_and_fov(self):
         for spec in catalog().values():
             hx, hy, hz = spec.room[0] / 2, spec.room[1] / 2, spec.room[2]

@@ -305,9 +305,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("scheme", ["rsma", "sdma", "noma"])
     def test_streamed_draws_equal_one_draw(self, scheme):
-        # odd symbol counts end on an odd last leaf, with an odd number of
-        # indices for RSMA; 16 * _MC_CHUNK + 1 ends one row past the last
-        # full leaf of 16; NOMA's private stage has no interferer at all
+        # the chunks' draws, concatenated, against one matmul and np.mean
+        # over every row; the sums differ only in their order. An odd count
+        # ends on a short last chunk, and 16 * _MC_CHUNK + 1 on a chunk of
+        # one row; NOMA's private stage has no interferer at all
         ch = channel_2x2(noise=(1.3, 0.7))
         lay = build_layout(scheme, ch)
         P = np.array([[0.5, -0.2, 1.0], [-0.5, 0.4, 1.0]])[:, : lay.num_streams]
@@ -316,63 +317,26 @@ class TestMonteCarlo:
         # private stream decodes it with the other private streams
         stages = [(user, stream) for stream, desc in enumerate(lay.streams)
                   for user in (range(lay.num_users) if desc.kind == "common" else (desc.owner,))]
-        draws = [(num_symbols, user, stream) for num_symbols in (MC_MIN_SYMBOLS + 1, 16 * signal_model._MC_CHUNK + 1)
+        chunk = signal_model._MC_CHUNK
+        draws = [(num_symbols, user, stream) for num_symbols in (MC_MIN_SYMBOLS + 1, 16 * chunk + 1)
                  for user, stream in stages]
         for seed, (num_symbols, user, stream) in enumerate(draws):
             rng = np.random.default_rng(seed)
+            indices, normals = [], []
+            for start in range(0, num_symbols, chunk):
+                rows = min(chunk, num_symbols - start)
+                indices.append(rng.integers(0, 4, size=(rows, lay.num_streams), dtype=np.uint8))
+                normals.append(rng.standard_normal(rows))
             amps = ch.gains[user] @ P
             pam4 = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(5.0)
-            symbols = pam4[rng.integers(0, 4, size=(num_symbols, lay.num_streams))]
-            noise = rng.normal(0.0, np.sqrt(ch.noise[user]), size=num_symbols)
+            symbols = pam4[np.concatenate(indices)]
+            noise = np.sqrt(ch.noise[user]) * np.concatenate(normals)
             others = [j for j in lay.private_columns if j != stream]
             signal = amps[stream] * symbols[:, stream]
             disturbance = symbols[:, others] @ amps[others] + noise
             expected = float(np.mean(signal**2) / np.mean(disturbance**2))
             got = monte_carlo_sinr(ch, Precoder(matrix=P), lay, user, stream, num_symbols=num_symbols, seed=seed)
-            assert got == expected, (num_symbols, user, stream)
-
-    @pytest.mark.parametrize("num_values", [8191, 8192, 8193, 100_001, 131_073, 999_983, 1_000_000])
-    def test_leaf_sums_equal_numpy_sum(self, num_values):
-        # the estimator's means are its leaf sums added over numpy's own
-        # split tree; a numpy that sums in another order fails here
-        values = np.random.default_rng(num_values).normal(size=num_values)
-        leaves = []
-
-        def leaf_sum(rows):
-            lo = sum(leaves)
-            leaves.append(rows)
-            return np.add.reduce(values[lo : lo + rows])
-
-        total = signal_model._pairwise_sum(num_values, leaf_sum)
-        assert sum(leaves) == num_values and max(leaves) <= signal_model._MC_CHUNK
-        assert all(rows % 8 == 0 for rows in leaves[:-1])
-        assert total == np.add.reduce(values)
-        assert total / num_values == np.mean(values)
-
-    @pytest.mark.parametrize("streams", [2, 3])
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_indices_equal_numpy_integers(self, streams, offset):
-        # one row below, at and one above the last of 16 full leaves; with 3
-        # streams the counts one off it hold an odd number of indices
-        num_symbols = 16 * signal_model._MC_CHUNK + offset
-        for seed in (0, 1):
-            bits, _ = signal_model._mc_generators(seed, num_symbols, streams)
-            chunks = []
-            signal_model._pairwise_sum(num_symbols, lambda rows: chunks.append(
-                signal_model._pam4_indices(bits, rows, streams)) or 0.0)
-            assert all(index.dtype == np.uint8 for index in chunks)
-            got = np.concatenate(chunks)
-            np.testing.assert_array_equal(got, np.random.default_rng(seed).integers(0, 4, size=(num_symbols, streams)))
-
-    @pytest.mark.parametrize("streams,num_symbols", [(2, 100_001), (3, 100_001), (3, 100_000)])
-    def test_noise_generator_follows_the_indices(self, streams, num_symbols):
-        # the advanced generator draws the normals that one integers call
-        # leaves for the noise, an odd count of indices included
-        for seed in (0, 1):
-            _, noise = signal_model._mc_generators(seed, num_symbols, streams)
-            reference = np.random.default_rng(seed)
-            reference.integers(0, 4, size=(num_symbols, streams))
-            np.testing.assert_array_equal(1.3 * noise.standard_normal(1000), reference.normal(0.0, 1.3, 1000))
+            assert got == pytest.approx(expected, rel=1e-12), (num_symbols, user, stream)
 
     @pytest.mark.parametrize("num_users", [2, 3])
     def test_interferers_agree_with_the_kernel(self, num_users):
@@ -405,9 +369,8 @@ class TestMonteCarlo:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # a few leaves' arrays, whatever the number of symbols: 4e6 symbols
-        # peak within the bound of 1e6 (the tree's two more levels add a
-        # few hundred bytes of frames)
+        # a few chunks' arrays, whatever the number of symbols: 4e6 symbols
+        # peak within the bound of 1e6
         assert peaks[0] <= 1e6 and peaks[1] <= 1e6
 
     @pytest.mark.parametrize("scheme,streams", [("rsma", 2), ("sdma", 3)])
@@ -432,7 +395,7 @@ class TestMonteCarlo:
         def no_draws(*args):
             raise AssertionError("drew before checking the symbol count")
 
-        monkeypatch.setattr(signal_model, "_mc_generators", no_draws)
+        monkeypatch.setattr(signal_model.np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="num_symbols must be an integer"):
             monte_carlo_sinr(ch, HAND, lay, 0, 0, num_symbols=num_symbols, seed=1)
 
