@@ -18,9 +18,10 @@ An option not given takes its RunConfig default, or the scene's own value.
 
 Scenario files are INI files with sections [scenario], [sweep], [ao] and
 one [fixture i] / [user i] per fixture and user (save_scenario writes
-them). Each key is a field name of ScenarioSpec, Sweep, AoConfig, Fixture
-or Receiver; a missing key takes the field's default and an unknown key
-is ignored. The fields without a default (each position, the sweep's name
+them); a scene has exactly two users, one per rate column of run's rows.
+Each key is a field name of ScenarioSpec, Sweep, AoConfig, Fixture or
+Receiver; a missing key takes the field's default and an unknown key is
+ignored. The fields without a default (each position, the sweep's name
 and values) are required; name defaults to the file's basename. Vectors
 and lists are space-separated.
 
@@ -305,8 +306,6 @@ def _cell(value) -> str:
 def cmd_run(config: RunConfig) -> int:
     """Run the sweep and write one row per (scheme, sweep point)."""
     spec = _resolve_spec(config)
-    if len(spec.users) != 2:
-        raise ConfigError("the tabular output format carries exactly two user rate columns")
     if config.out:
         _check_out(config.out)
     result = run_sweep(spec, workers=config.workers)

@@ -486,8 +486,8 @@ def _stage_derivatives(comp: _Compiled, P: np.ndarray):
 
 def _objective(comp: _Compiled, dr, d2r, lam: np.ndarray):
     """Gradient (B, W) and Hessian (B, W, W) in the flat amplitudes of
-    sum_k w_k r_k + w_c sum_j lam_j r_cj, the common decoders weighted by
-    the (B, decoders) `lam`."""
+    sum_k w_k r_k + w_c sum_j lam_j r_cj, the two common decoders weighted
+    by the (B, 2) `lam`."""
     weights = np.concatenate((comp.w_priv, comp.w_common[:, None] * lam), axis=1)
     return _stage_sum(weights, dr), _stage_sum(weights, d2r)
 
@@ -504,11 +504,13 @@ def _stage_sum(weights: np.ndarray, per_stage: np.ndarray) -> np.ndarray:
 
 def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
     """(gap, lam): the residual of the (B, L, S) precoders P of `comp` in
-    b/s/Hz, and the (B, decoders) common-decoder weights lam that attain it.
+    b/s/Hz, and the (B, 2) common-decoder weights lam = (t, 1 - t) that
+    attain it.
 
-    With two common decoders, t in [0, 1] weights decoder 0 and 1 - t
-    decoder 1. G(t), the gradient in P (chained through J) of sum_k w_k
-    r_k + w_c (t r_c0 + (1 - t) r_c1), is affine in t, and
+    t in [0, 1] weights common decoder 0 and 1 - t decoder 1; it starts
+    on the binding decoder, decoder 0 on a tie. G(t), the gradient in P
+    (chained through J) of sum_k w_k r_k + w_c (t r_c0 + (1 - t) r_c1),
+    is affine in t, and
 
         gap(t) = sum_l eps ||G_l(t)||_inf - <G(t), P>    (eps = comp.eps)
                  + w_c (t r_c0 + (1 - t) r_c1 - min_j r_cj)
@@ -531,28 +533,20 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
     weighting that makes the point most nearly stationary on the kink,
     for the polish's kink step. A problem that does not weight the
     common stream (SDMA) has w_c = 0, so its gap is the private rates'
-    alone; with more than two decoders the binding one alone is weighted
-    (the catalog's problems have two).
+    alone.
     """
-    B, n = len(r), comp.n_priv
-    a = _stage_sum(comp.w_priv, dr[:, :n])[:, None, :]  # (B, 1, W)
-    b = np.zeros_like(a)
-    t = np.zeros(B)
-    cost = np.zeros((B, 2))  # what weight 1 on decoder 0, 1 gives away on the min
-    search = np.zeros(B, dtype=bool)
+    n = comp.n_priv
     rc = r[:, n:]
     drc = dr[:, n:] * comp.w_common[:, None, None]
-    lam = np.zeros_like(rc)
-    lam[np.arange(B), rc.argmin(axis=1)] = 1.0
-    if rc.shape[1] == 2:
-        a, b = a + drc[:, 1:], drc[:, :1] - drc[:, 1:]
-        t = lam[:, 0].copy()
-        if near is None:
-            cost = comp.w_common[:, None] * (rc - rc.min(axis=1, keepdims=True))
-        else:
-            search = np.abs(rc[:, 0] - rc[:, 1]) <= near
+    a = _stage_sum(comp.w_priv, dr[:, :n])[:, None, :] + drc[:, 1:]  # (B, 1, W)
+    b = drc[:, :1] - drc[:, 1:]
+    t = (rc[:, 0] <= rc[:, 1]) * 1.0
+    # what weight 1 on decoder 0, 1 gives away on the min
+    if near is None:
+        cost = comp.w_common[:, None] * (rc - rc.min(axis=1, keepdims=True))
     else:
-        a = a + _stage_sum(lam, drc)[:, None, :]
+        cost = np.zeros((len(r), 2))
+        search = np.abs(rc[:, 0] - rc[:, 1]) <= near
     eps, mask = comp.eps, comp.active[:, None, :]
     a = (a @ J)[:, 0].reshape(P.shape) * mask
     b = (b @ J)[:, 0].reshape(P.shape) * mask
@@ -563,7 +557,7 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
         return fw + t * cost[:, :1] + (1.0 - t) * cost[:, 1:]
 
     gap = fw_gap(t[:, None], a, b, P, eps, cost)[:, 0]
-    if near is None and lam.shape[1] == 2:
+    if near is None:
         # gap's slope as weight moves off the binding decoder: a row's
         # eps ||G_l||_inf changes at the rate of its largest s_i db_i
         # over its entries of largest |G_i| (s_i the sign of G_i, or of
@@ -588,9 +582,7 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
         gaps = fw_gap(tk, a, b, P[search], eps[search], cost[search])
         k = gaps.argmin(axis=1)
         gap[search], t[search] = gaps[np.arange(rows), k], tk[np.arange(rows), k]
-    if lam.shape[1] == 2:
-        lam = np.stack((t, 1.0 - t), axis=1)
-    return gap, lam
+    return gap, np.stack((t, 1.0 - t), axis=1)
 
 
 def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndarray, active: np.ndarray,
@@ -676,12 +668,12 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     on the face that holds the rows near their balls (within _FACE_BAND)
     that a gradient step would push out, and then the rows the free step
     would take out of them, with lam weighting the binding common
-    decoder. When two decoders are within _KINK bits of each other, a
-    second step d' follows the kink of the common-rate min: it closes
-    their difference to first order, with lam = (t, 1 - t), t first the
-    weighting that makes the point most nearly stationary
-    (`_decoder_weights`) and then corrected by each step's multiplier
-    (sequential quadratic programming on the kink).
+    decoder (decoder 0 on a tie). When the two decoders are within _KINK
+    bits of each other, a second step d' follows the kink of the
+    common-rate min: it closes their difference to first order, with
+    lam = (t, 1 - t), t first the weighting that makes the point most
+    nearly stationary (`_decoder_weights`) and then corrected by each
+    step's multiplier (sequential quadratic programming on the kink).
 
     The candidates proj(P + a d) and proj(P + a d'), a = 2^-k, and each
     proj(P + a d') moved along Z c back onto the kink to first order (a
@@ -727,7 +719,7 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     H = comp.H
     J = (H[:, :, None, :, None] * np.eye(S)[None, None, :, None, :]).reshape(B, -1, n)
     JT = J.transpose(0, 2, 1)
-    live, batch, nd = np.arange(B), comp, comp.n_priv  # nd: the K common decoders
+    live, batch = np.arange(B), comp
     stop = min(_POLISH_GAP, tolerance)
     for it in range(1, _POLISH_MAX_ITER + 2):
         Q, Jl, JTl = P[live], J[live], JT[live]
@@ -747,12 +739,9 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
             batch = comp.take(live)
             Jl, JTl = J[live], JT[live]
         m, e, act = len(live), batch.eps, batch.active
-        if nd == 2:
-            gap_c = r[:, -2] - r[:, -1]
-            c = ((dr[:, -2] - dr[:, -1])[:, None, :] @ Jl)[:, 0]
-            near = (np.abs(gap_c) <= _KINK) & (batch.w_common > 0.0)
-        else:
-            gap_c, c, near = np.zeros(m), np.zeros((m, n)), np.zeros(m, dtype=bool)
+        gap_c = r[:, -2] - r[:, -1]
+        c = ((dr[:, -2] - dr[:, -1])[:, None, :] @ Jl)[:, 0]
+        near = (np.abs(gap_c) <= _KINK) & (batch.w_common > 0.0)
 
         def face_step(lam, kink):
             grad_a, hess_a = _objective(batch, dr, d2r, lam)
@@ -773,9 +762,8 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
         # kink, the one that follows it, its decoders weighted by (t, 1 - t):
         # first the weighting that makes the point most nearly stationary,
         # then t corrected by the kink row's multiplier of each step
-        binding = np.zeros((m, nd))
-        binding[np.arange(m), r[:, nd:].argmin(axis=1)] = 1.0
-        d, _, _, G = face_step(binding, np.zeros(m, dtype=bool))
+        binding = (gap_c <= 0.0) * 1.0  # decoder 0 on a tie
+        d, _, _, G = face_step(np.stack((binding, 1.0 - binding), axis=1), np.zeros(m, dtype=bool))
         directions = [d]
         kink_t[live[~near]] = np.nan
         if near.any():
@@ -978,9 +966,10 @@ def grid_oracle(
 ) -> float:
     """Exhaustive WSR maximum over a per-row L1-feasible precoder grid.
 
-    Desk-scale verification only: refuses more than 2 fixtures, 3
-    streams or a resolution outside ORACLE_RESOLUTIONS (combinatorial
-    blow-up), and an epsilon that is negative or not finite.
+    Desk-scale verification only: refuses more than 2 fixtures or a
+    resolution outside ORACLE_RESOLUTIONS (combinatorial blow-up), and an
+    epsilon that is negative or not finite. The layout's two users have
+    at most 3 streams.
 
     The grid, over the layout's own columns, is placed on the RSMA
     columns (`StreamLayout.to_rsma`). It is `_grid_rows`, which holds the
@@ -993,8 +982,8 @@ def grid_oracle(
     kernel = SicKernel(layout.num_users, channel.noise)
     private, common = _stream_weights(layout, np.asarray(priorities, dtype=float))
     L, S = channel.num_fixtures, layout.num_streams
-    if L > 2 or S > 3 or resolution not in ORACLE_RESOLUTIONS:
-        raise ValueError(f"grid oracle limited to <= 2 fixtures, <= 3 streams, resolution in {ORACLE_RESOLUTIONS}")
+    if L > 2 or resolution not in ORACLE_RESOLUTIONS:
+        raise ValueError(f"grid oracle limited to <= 2 fixtures, resolution in {ORACLE_RESOLUTIONS}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError("epsilon must be finite and nonnegative")
     if epsilon == 0.0:

@@ -55,9 +55,11 @@ USER_HEIGHT = 0.8
 FIXTURE_HEIGHT = 4.0
 FOUR_LED_XY = ((-1.25, 1.25), (-1.25, -1.25), (1.25, 1.25), (1.25, -1.25))
 TWO_LED_XY = ((-1.25, 0.0), (1.25, 0.0))
-# "top of the room" user row for the close-separation scenarios; chosen so
-# the NOMA/SDMA crossover lands where reported (around 35 dB with four
-# fixtures, around 36 dB with two)
+# "top of the room" user row for the close-separation scenarios. It was
+# picked while the solver still missed the single-user corners, to put a
+# NOMA/SDMA crossover near 35 dB; with those corners found, NOMA and SDMA
+# tie at the single-user value at 25-30 dB in both scenario-2 scenes, so
+# no crossover lands there (ROADMAP "Measured", criterion 4)
 SCENARIO2_Y = 1.4
 DEFAULT_SNR_SWEEP = tuple(float(s) for s in range(0, 41, 5))
 DEFAULT_SEPARATIONS = tuple(k / 5.0 for k in range(1, 26))  # 0.2 .. 5.0 m
@@ -81,9 +83,10 @@ class Sweep:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative description of one experiment. Every user lies in
-    the room; a separation sweep has exactly two, and no value v that
-    mirrors them out of it (to x = +-v/2, `users_for_separation`).
+    """Declarative description of one experiment, of exactly two users
+    (any other count is a ValueError, whatever the sweep). Every fixture
+    and user lies in the room, and a separation sweep has no value v that
+    mirrors the users out of it (to x = +-v/2, `users_for_separation`).
     """
 
     name: str
@@ -105,8 +108,10 @@ class ScenarioSpec:
         object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "priorities", tuple(float(p) for p in self.priorities))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        if not self.fixtures or not self.users:
-            raise ValueError("scenario needs at least one fixture and one user")
+        if not self.fixtures:
+            raise ValueError("scenario needs at least one fixture")
+        if len(self.users) != 2:
+            raise ValueError(f"a scene has exactly two users, got {len(self.users)}")
         if not all(0 < p < math.inf for p in self.priorities) or len(self.priorities) != len(self.users):
             raise ValueError("priorities must be positive finite numbers, one per user")
         if not math.isfinite(self.snr_db):
@@ -122,13 +127,12 @@ class ScenarioSpec:
         if len(self.room) != 3 or not all(0 < v < math.inf for v in self.room):
             raise ValueError(f"room must be three finite positive sizes, got {self.room}")
         hx, hy, hz = self.room[0] / 2.0, self.room[1] / 2.0, self.room[2]
-        for rx in self.users:
-            x, y, z = rx.position
-            if abs(x) > hx or abs(y) > hy or not 0.0 <= z <= hz:
-                raise ValueError(f"user at {rx.position} lies outside the room")
+        for kind, devices in (("fixture", self.fixtures), ("user", self.users)):
+            for device in devices:
+                x, y, z = device.position
+                if abs(x) > hx or abs(y) > hy or not 0.0 <= z <= hz:
+                    raise ValueError(f"{kind} at {device.position} lies outside the room")
         if self.sweep.name == "separation":
-            if len(self.users) != 2:
-                raise ValueError(f"a separation sweep mirrors exactly two users, got {len(self.users)}")
             for v in self.sweep.values:
                 if abs(v) / 2.0 > hx:
                     raise ValueError(f"separation {v} puts the users outside the room")
@@ -285,10 +289,11 @@ def solve_schemes(channels, priorities, schemes, config, epsilons) -> dict:
     """{scheme: [(layout, Solution or the raised exception) per channel
     that requests the scheme, in channel order]}.
 
+    Every channel has exactly two users (`build_layout` raises otherwise).
     `schemes` names the schemes to solve at every channel, or holds one
     such tuple per channel. The one place RSMA is seeded from the
     special cases: each RSMA problem names its own channel's SDMA and
-    (two users) NOMA problems, in that order, as its `warm_from`, so their
+    NOMA problems, in that order, as its `warm_from`, so their
     converged precoders are its warm starts and WSR(RSMA) >=
     max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent. These helpers
     are solved also where only RSMA is requested; one that failed at a
@@ -298,38 +303,27 @@ def solve_schemes(channels, priorities, schemes, config, epsilons) -> dict:
     NOMA ones of either strong user included: the RSMA problems' warm
     starts run as the call's second wave, from the helpers' polished
     winners. If the call raises, each (scheme, channel) is solved in a
-    call of its own, after its helpers
-    that succeeded. A scheme whose layout cannot be built at a channel
-    gets the ValueError there, with layout None.
+    call of its own, after its helpers that succeeded.
     """
     channels = list(channels)
     wanted = [tuple(schemes)] * len(channels) if not schemes or isinstance(schemes[0], str) else list(schemes)
     if len(wanted) != len(channels):
         raise ValueError("schemes needs one tuple of schemes per channel")
-    layouts, solved = {}, {}  # by (scheme, channel index), the helpers first
+    layouts = {}  # by (scheme, channel index), the helpers first
     for scheme in ("sdma", "noma", "rsma"):
         for j, ch in enumerate(channels):
-            if scheme in wanted[j] or ("rsma" in wanted[j] and scheme in _helpers(ch)):
-                try:
-                    layouts[scheme, j] = build_layout(scheme, ch)
-                except ValueError as exc:
-                    solved[scheme, j] = (None, exc)
+            if scheme in wanted[j] or "rsma" in wanted[j]:
+                layouts[scheme, j] = build_layout(scheme, ch)
     keys = list(layouts)
     index = {key: p for p, key in enumerate(keys)}
     problems = [
-        Problem(channels[j], scheme, epsilons[j],
-                tuple(index[h, j] for h in _helpers(channels[j]) if (h, j) in index) if scheme == "rsma" else ())
+        Problem(channels[j], scheme, epsilons[j], (index["sdma", j], index["noma", j]) if scheme == "rsma" else ())
         for scheme, j in keys
     ]
     sols = _solve_points(problems, priorities, config)
-    solved.update((key, (layouts[key], sol)) for key, sol in zip(keys, sols))
+    solved = {key: (layouts[key], sol) for key, sol in zip(keys, sols)}
     return {s: [solved[s, j] for j, w in enumerate(wanted) if s in w]
             for s in ("sdma", "noma", "rsma") if any(s in w for w in wanted)}
-
-
-def _helpers(channel: ChannelMatrix) -> tuple:
-    """The schemes whose solutions seed RSMA at `channel`."""
-    return ("sdma", "noma") if channel.num_users == 2 else ("sdma",)
 
 
 def _row(spec: ScenarioSpec, scheme: str, value: float, sol) -> SweepRow:

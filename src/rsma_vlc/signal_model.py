@@ -7,16 +7,18 @@ model x = P s + d_dc:
   users' streams as noise.
 * "rsma": the private streams plus one common stream decoded first by
   every user (then cancelled before private decoding).
-* "noma": two users; the stronger user gets a private stream and the
-  weaker user's message rides the common stream, which both users
-  decode first.
+* "noma": the stronger user gets a private stream and the weaker
+  user's message rides the common stream, which both users decode
+  first.
 
-SDMA and NOMA are RSMA with a stream left at zero: SDMA is RSMA
-without the common stream, and NOMA is RSMA without the weak user's
-private stream, its message riding the common one. Every layout's
-streams sit on the RSMA streams of its K users: user k's private stream
-is column k and the common stream column K (`StreamLayout.rsma_columns`,
-`StreamLayout.to_rsma`), and a stream a layout lacks is a zero column.
+A layout has exactly two users (`StreamLayout` refuses any other
+count), so every reader of a layout holds two. SDMA and NOMA are RSMA
+with a stream left at zero: SDMA is RSMA without the common stream, and
+NOMA is RSMA without the weak user's private stream, its message riding
+the common one. Every layout's streams sit on the RSMA streams of its K
+users: user k's private stream is column k and the common stream column
+K (`StreamLayout.rsma_columns`, `StreamLayout.to_rsma`), and a stream a
+layout lacks is a zero column.
 
 One successive-interference-cancellation rule holds on those columns:
 every user decodes the common stream with every private stream as
@@ -90,15 +92,18 @@ class StreamDesc:
 
 @dataclass(frozen=True)
 class StreamLayout:
-    """A scheme's streams on K users. A layout only says which RSMA
-    streams a scheme fills (`rsma_columns`); its SINRs and rates are read
-    from `assemble_report`, where a stream it lacks reads 0."""
+    """A scheme's streams on its K = 2 users, the one count a layout
+    takes. A layout only says which RSMA streams a scheme fills
+    (`rsma_columns`); its SINRs and rates are read from `assemble_report`,
+    where a stream it lacks reads 0."""
 
     scheme: str
     num_users: int
     streams: tuple[StreamDesc, ...]
 
     def __post_init__(self):
+        if self.num_users != 2:
+            raise ValueError(f"a layout has exactly two users, got {self.num_users}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         commons = [s for s in self.streams if s.kind == "common"]
@@ -183,24 +188,20 @@ class RateReport:
 
 
 def build_layout(scheme: str, channel: ChannelMatrix) -> StreamLayout:
-    """Stream layout for a scheme on the channel's users; NOMA picks the
-    strong user by row norm."""
+    """Stream layout for a scheme on the channel's users, exactly two
+    (any other count is the layout's ValueError); NOMA picks the strong
+    user by row norm."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     num_users = channel.num_users
-    if num_users < 1:
-        raise ValueError("need at least one user")
     every = tuple(range(num_users))
     streams = tuple(StreamDesc("private", k, (k,)) for k in every)
     if scheme == "sdma":
         return StreamLayout(scheme, num_users, streams)
     if scheme == "rsma":
         return StreamLayout(scheme, num_users, streams + (StreamDesc("common", None, every),))
-    # noma: two-user formulation only
-    if num_users != 2:
-        raise ValueError("noma layout supports exactly two users")
     norms = np.linalg.norm(channel.gains, axis=1)
-    strong = 0 if norms[0] >= norms[1] else 1  # ties break to the lower index
+    strong = int(np.argmax(norms))  # ties break to the lower index
     weak = 1 - strong
     return StreamLayout(scheme, num_users, (streams[strong], StreamDesc("common", None, (weak,))))
 

@@ -255,7 +255,7 @@ class TestScenarioFiles:
         if edit == "third-user":
             cp["scenario"]["priorities"] = "0.3 0.3 0.4"
             cp["user 3"] = dict(cp["user 2"], position="0.5 1.0 0.8")
-            message = "a separation sweep mirrors exactly two users, got 3"
+            message = "a scene has exactly two users, got 3"
         else:
             cp["sweep"]["values"] = "9"
             message = "separation 9.0 puts the users outside the room"

@@ -111,20 +111,25 @@ class TestGeometryValidation:
     def test_user_outside_room_rejected(self):
         base = catalog()["scenario1_2led"]
         outside = (Receiver(position=(3.0, 0.0, 0.8)), base.users[1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="user at .* lies outside the room"):
             replace(base, users=outside)
+        # fixtures too, with the users' bounds: two fixtures 7.75 and 10.25 m
+        # off center in a 5 m room; the catalog's sit on the 4 m ceiling
+        far = tuple(replace(fx, position=fx.position + (9.0, 0.0, 0.0)) for fx in base.fixtures)
+        with pytest.raises(ValueError, match="fixture at .* lies outside the room"):
+            replace(base, fixtures=far)
+        assert all(fx.position[2] == base.room[2] for fx in base.fixtures)
 
     def test_separation_sweep_needs_two_users(self):
-        # the sweep mirrors users 0 and 1 only: a third user would be dropped
-        base = catalog()["separation_sweep_2led"]
+        # the sweep mirrors users 0 and 1 only: a third user would be dropped;
+        # and a scene of any sweep has exactly two users
         third = Receiver(position=(0.5, 1.0, 0.8))
-        with pytest.raises(ValueError, match="exactly two users"):
-            replace(base, users=base.users + (third,), priorities=(0.3, 0.3, 0.4))
-        with pytest.raises(ValueError, match="exactly two users"):
-            replace(base, users=base.users[:1], priorities=(1.0,))
-        # an SNR sweep keeps any number of users
-        snr = catalog()["scenario1_2led"]
-        assert len(replace(snr, users=snr.users + (third,), priorities=(0.3, 0.3, 0.4)).users) == 3
+        for name in ("separation_sweep_2led", "scenario1_2led"):
+            base = catalog()[name]
+            with pytest.raises(ValueError, match="a scene has exactly two users, got 3"):
+                replace(base, users=base.users + (third,), priorities=(0.3, 0.3, 0.4))
+            with pytest.raises(ValueError, match="a scene has exactly two users, got 1"):
+                replace(base, users=base.users[:1], priorities=(1.0,))
 
     def test_separation_must_keep_users_in_room(self):
         # the mirrored users sit at x = +-v/2: 9 m puts them 4.5 m off center

@@ -12,6 +12,8 @@ from rsma_vlc.signal_model import (
     SCHEMES,
     Precoder,
     SicKernel,
+    StreamDesc,
+    StreamLayout,
     build_layout,
     assemble_report,
     default_shares,
@@ -66,9 +68,25 @@ class TestLayouts:
         assert lay.streams[0].owner == 0
 
     def test_noma_needs_two_users(self):
-        ch = ChannelMatrix(gains=np.ones((3, 2)), noise=np.ones(3))
-        with pytest.raises(ValueError):
-            build_layout("noma", ch)
+        # as does every scheme: a layout has exactly two users, so no solver,
+        # oracle or report is ever given another count, and each path
+        # raises the layout's error
+        for users in (1, 3):
+            ch = ChannelMatrix(gains=np.ones((users, 2)), noise=np.ones(users))
+            w = np.full(users, 1.0 / users)
+            message = f"a layout has exactly two users, got {users}"
+            private = tuple(StreamDesc("private", k, (k,)) for k in range(users))
+            with pytest.raises(ValueError, match=message):
+                StreamLayout("sdma", users, private)
+            for scheme in SCHEMES:
+                with pytest.raises(ValueError, match=message):
+                    build_layout(scheme, ch)
+                # ao_solve builds each problem's layout from its own channel
+                two = build_layout(scheme, channel_2x2())
+                with pytest.raises(ValueError, match=message):
+                    optimizer.ao_solve([optimizer.Problem(ch, scheme, 1.0)], w, layout=two)
+                with pytest.raises(ValueError, match=message):
+                    optimizer.grid_oracle(ch, build_layout(scheme, ch), w, epsilon=1.0)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -113,21 +131,21 @@ class TestSinr:
         assert assemble_report(channel_2x2(), HAND, lay).sinr_private[0] == pytest.approx(HAND_PRIVATE_U1, rel=1e-12)
 
     def test_three_user_private_hand_instance(self):
+        # SicKernel codes the SIC rule of K users, though a layout has two
         # h1=(1,0), h2=(0,1), h3=(1,1); columns p1=(1,0), p2=(0,2), p3=(0.5,0.5), common=(1,1)
-        ch = ChannelMatrix(gains=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), noise=np.ones(3))
-        lay = build_layout("rsma", ch)
-        P = Precoder(matrix=np.array([[1.0, 0.0, 0.5, 1.0], [0.0, 2.0, 0.5, 1.0]]))
-        # user amplitudes (p1, p2, p3, common): (1, 0, .5, 1), (0, 2, .5, 1), (1, 2, 1, 2)
-        rep = assemble_report(ch, P, lay)
-        assert rep.sinr_private[0] == pytest.approx(1.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
-        assert rep.sinr_private[1] == pytest.approx(4.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
-        assert rep.sinr_private[2] == pytest.approx(1.0 / (1.0 + 4.0 + 1.0), rel=1e-14)
-        assert rep.sinr_common[2] == pytest.approx(4.0 / (1.0 + 4.0 + 1.0 + 1.0), rel=1e-14)
+        gains = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        P = np.array([[1.0, 0.0, 0.5, 1.0], [0.0, 2.0, 0.5, 1.0]])
         # the kernel's mask: user 0's private stage (stage 0) and user 2's
         # common stage (stage 3 + 2)
-        kernel = SicKernel(3, ch.noise)
+        kernel = SicKernel(3, np.ones(3))
         assert np.flatnonzero(kernel._interferes[:, 0]).tolist() == [1, 2]
         assert np.flatnonzero(kernel._interferes[:, 5]).tolist() == [0, 1, 2]
+        # user amplitudes (p1, p2, p3, common): (1, 0, .5, 1), (0, 2, .5, 1), (1, 2, 1, 2)
+        sinr_p, sinr_c = kernel.sinrs((gains @ P)[None])
+        assert sinr_p[0, 0] == pytest.approx(1.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
+        assert sinr_p[0, 1] == pytest.approx(4.0 / (0.0 + 0.25 + 1.0), rel=1e-14)
+        assert sinr_p[0, 2] == pytest.approx(1.0 / (1.0 + 4.0 + 1.0), rel=1e-14)
+        assert sinr_c[0, 2] == pytest.approx(4.0 / (1.0 + 4.0 + 1.0 + 1.0), rel=1e-14)
 
     def test_private_stage_excludes_common_stream(self):
         # adding power to the common column must not change any private SINR
@@ -338,14 +356,14 @@ class TestMonteCarlo:
             got = monte_carlo_sinr(ch, Precoder(matrix=P), lay, user, stream, num_symbols=num_symbols, seed=seed)
             assert got == pytest.approx(expected, rel=1e-12), (num_symbols, user, stream)
 
-    @pytest.mark.parametrize("num_users", [2, 3])
+    @pytest.mark.parametrize("num_users", [2])  # a layout has exactly two users
     def test_interferers_agree_with_the_kernel(self, num_users):
         # the Monte-Carlo interferers come from the decoding order, not from
         # SicKernel's mask; both must name the same streams at every stage
         gains = np.random.default_rng(4).uniform(0.2, 1.0, size=(num_users, num_users))
         ch = ChannelMatrix(gains=gains, noise=np.ones(num_users))
         kernel = SicKernel(num_users, ch.noise)
-        for scheme in SCHEMES if num_users == 2 else ("rsma", "sdma"):
+        for scheme in SCHEMES:
             lay = build_layout(scheme, ch)
             own = {j: i for i, j in enumerate(lay.rsma_columns)}
             for stream, desc in enumerate(lay.streams):
@@ -434,7 +452,7 @@ def loop_sinrs(H, noise, P, layout):
     return np.array(sinr_p), np.array(sinr_c)
 
 
-KERNEL_CASES = [(s, k, l) for s in SCHEMES for k in (2, 3, 4) for l in (1, 2, 4) if s != "noma" or k == 2]
+KERNEL_CASES = [(s, 2, l) for s in SCHEMES for l in (1, 2, 4)]  # a layout has exactly two users
 
 
 @pytest.mark.parametrize("scheme,users,fixtures", KERNEL_CASES)
@@ -488,7 +506,7 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
 
 
 @pytest.mark.parametrize("mask", ["zeros", "random"])
-@pytest.mark.parametrize("scheme,users,fixtures", [("rsma", 2, 2), ("noma", 2, 4), ("rsma", 3, 4)])
+@pytest.mark.parametrize("scheme,users,fixtures", [("rsma", 2, 2), ("noma", 2, 4)])
 def test_polish_stages_read_the_kernels_mask(scheme, users, fixtures, mask, monkeypatch):
     # the SIC rule is coded once, in SicKernel's 0/1 mask: built with
     # another mask (each private stage's own column still 0), the kernel's
