@@ -18,14 +18,19 @@ evaluates all links in one numpy pass; `radiant_intensity` and
 Python float out, and an array call equals the single calls bit for bit.
 Arc cosines, cosines and powers go through the C math library one
 element at a time, so the gains are those of Python's `math` formulas on
-any CPU. `fixture_gain` passes its batch of positions straight to the
-kernel; `scenarios.reference_gain` probes the whole floor lattice with
-one call per fixture.
+any CPU; each chain runs once per distinct cosine of a call, which
+repeats often on a symmetric floor lattice. `fixture_gain` takes a
+sequence of fixtures and makes one kernel call per group of alike
+fixtures (orientation, semi-angle, LED count), their positions stacked
+against the receiver's. `build_channel` makes one `fixture_gain` call
+per user, and `scenarios.reference_gain` one for the whole floor
+lattice and every fixture.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -292,55 +297,51 @@ def los_gain(led_position, led_orientation, m: float, rx: Receiver) -> float | n
     cos_rx = np.clip(_rowdot(-ray, rx.normal) / d, -1.0, 1.0)
     lit = (cos_rx > 0.0) & (cos_tx > 0.0)
     cos_rx = cos_rx[lit]
+    # the angle chains run once per distinct cosine, scattered back by the
+    # inverse index; lit links have cosines > 0, so no -0.0 is merged into
+    # 0.0 and equal values are equal bit patterns
+    tx, tx_of = np.unique(cos_tx[lit], return_inverse=True)
+    rx_cos, rx_of = np.unique(cos_rx, return_inverse=True)
     gain = np.zeros(len(ray))
     gain[lit] = (
         rx.area
         / d2[lit]
-        * radiant_intensity(m, _libm(math.acos, cos_tx[lit]))
+        * radiant_intensity(m, _libm(math.acos, tx))[tx_of]
         * rx.filter_gain
-        * concentrator_gain(rx.refractive_index, rx.fov, _libm(math.acos, cos_rx))
+        * concentrator_gain(rx.refractive_index, rx.fov, _libm(math.acos, rx_cos))[rx_of]
         * cos_rx
     )
     return _as_given(gain.reshape(shape))
 
 
-def _fixture_led_grid(fixture: Fixture, pitch: float) -> np.ndarray:
-    """Positions of the individual LEDs on a square grid in the fixture plane."""
-    q = fixture.leds_per_fixture
-    side = math.isqrt(q)
-    if side * side != q:
-        raise ValueError("exact per-LED sum requires a square LED count")
-    # orthonormal in-plane axes
-    axis = fixture.orientation
-    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(axis, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    offsets = (np.arange(side) - (side - 1) / 2.0) * pitch
-    grid = fixture.position[None, :] + offsets[:, None, None] * e1 + offsets[None, :, None] * e2
-    return grid.reshape(-1, 3)
+def fixture_gain(fixtures: Sequence[Fixture], rx: Receiver) -> np.ndarray:
+    """DC gains of whole fixtures to one photodiode, or to each of a batch.
 
-
-def fixture_gain(
-    fixture: Fixture, rx: Receiver, exact: bool = False, led_pitch: float = 0.01
-) -> float | np.ndarray:
-    """DC gain of a whole fixture to one photodiode, or to each of a batch.
-
-    `rx.position` is one point (3,), which gives a float, or an array of
-    points (..., 3), which gives an array of gains of shape (...); the
-    other receiver properties are shared. Default uses the center-point
-    approximation Q * los_gain(center): the LEDs of one fixture are far
-    closer to each other than to the receiver. `exact=True` sums the
-    per-LED gains over a square grid of spacing `led_pitch` instead
-    (validation path), all LEDs in one `los_gain` call.
+    `fixtures` is a sequence of fixtures; the result holds one gain per
+    fixture along its leading axis, in their order. `rx.position` is one
+    point (3,), which gives shape (L,), or an array of points (..., 3),
+    which gives (L, ...); the other receiver properties are shared. Each
+    fixture is its center-point approximation Q * los_gain(center): the
+    LEDs of one fixture are far closer to each other than to the
+    receiver. Fixtures that share orientation, semi-angle and LED count
+    form a group, and each group's positions go through one `los_gain`
+    call, stacked along a leading axis; a lone fixture is a group of one.
+    Every gain equals that of a call on its fixture alone, bit for bit.
     """
-    m = lambertian_order(fixture.semi_angle_half_power)
-    if not exact:
-        return fixture.leds_per_fixture * los_gain(fixture.position, fixture.orientation, m, rx)
-    grid = _fixture_led_grid(fixture, led_pitch)
-    # one LED per leading row, broadcast against the photodiode positions
-    grid = grid.reshape(len(grid), *(1,) * (rx.position.ndim - 1), 3)
-    return _as_given(los_gain(grid, fixture.orientation, m, rx).sum(axis=0))
+    fixtures = tuple(fixtures)
+    groups: dict = {}
+    for i, fx in enumerate(fixtures):
+        key = (fx.orientation.tobytes(), fx.semi_angle_half_power, fx.leds_per_fixture)
+        groups.setdefault(key, []).append(i)
+    # one fixture per leading row, broadcast against the photodiode positions
+    lead = (1,) * (rx.position.ndim - 1)
+    gains = np.empty((len(fixtures), *rx.position.shape[:-1]))
+    for members in groups.values():
+        fx = fixtures[members[0]]
+        positions = np.stack([fixtures[i].position for i in members]).reshape(len(members), *lead, 3)
+        m = lambertian_order(fx.semi_angle_half_power)
+        gains[members] = fx.leds_per_fixture * los_gain(positions, fx.orientation, m, rx)
+    return gains
 
 
 def shot_noise_variance(params: NoiseParams, responsivity: float, received_signal: float) -> float:
@@ -395,6 +396,7 @@ def build_channel(
 ) -> ChannelMatrix:
     """Assemble the users x fixtures gain matrix and noise vector.
 
+    Row k is one `fixture_gain` call over the whole scene for user k.
     noise_mode "unit" sets every variance to 1 (normalized analysis);
     "physical" evaluates the shot/thermal model at the DC operating
     point (each fixture driven at its DC bias).
@@ -403,10 +405,7 @@ def build_channel(
         raise ValueError("need at least one fixture and one user")
     if noise_mode not in ("unit", "physical"):
         raise ValueError(f"unknown noise_mode {noise_mode!r}")
-    gains = np.zeros((len(users), len(scene)))
-    for k, rx in enumerate(users):
-        for j, fx in enumerate(scene):
-            gains[k, j] = fixture_gain(fx, rx)
+    gains = np.stack([fixture_gain(scene, rx) for rx in users])
     if noise_mode == "unit":
         noise = np.ones(len(users))
     else:

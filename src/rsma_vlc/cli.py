@@ -53,7 +53,15 @@ import numpy as np
 from . import optimizer, scenarios, signal_model
 from .channel import ChannelMatrix, Fixture, Receiver
 from .optimizer import ORACLE_RESOLUTIONS, AoConfig
-from .scenarios import ScenarioSpec, Sweep, build_scene_channel, catalog, reference_gain, run_sweep
+from .scenarios import (
+    CATALOG_NAMES,
+    ScenarioSpec,
+    Sweep,
+    build_scene_channel,
+    catalog_scene,
+    reference_gain,
+    run_sweep,
+)
 
 __all__ = [
     "ConfigError",
@@ -203,12 +211,11 @@ def _resolve_spec(config: RunConfig) -> ScenarioSpec:
     if config.scenario_file is not None:
         spec = load_scenario(config.scenario_file)
     else:
-        known = catalog()
-        if config.scenario not in known:
+        if config.scenario not in CATALOG_NAMES:
             raise ConfigError(
-                f"unknown scenario {config.scenario!r}; valid entries: {', '.join(sorted(known))}"
+                f"unknown scenario {config.scenario!r}; valid entries: {', '.join(sorted(CATALOG_NAMES))}"
             )
-        spec = known[config.scenario]
+        spec = catalog_scene(config.scenario)
     if config.schemes is not None:
         bad = [s for s in config.schemes if s not in signal_model.SCHEMES]
         if bad:

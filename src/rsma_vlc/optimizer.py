@@ -967,9 +967,9 @@ def grid_oracle(
     """Exhaustive WSR maximum over a per-row L1-feasible precoder grid.
 
     Desk-scale verification only: refuses more than 2 fixtures or a
-    resolution outside ORACLE_RESOLUTIONS (combinatorial blow-up), and an
-    epsilon that is negative or not finite. The layout's two users have
-    at most 3 streams.
+    resolution outside ORACLE_RESOLUTIONS (combinatorial blow-up), an
+    epsilon that is negative or not finite, and a channel whose users are
+    not the layout's. The layout's two users have at most 3 streams.
 
     The grid, over the layout's own columns, is placed on the RSMA
     columns (`StreamLayout.to_rsma`). It is `_grid_rows`, which holds the
@@ -979,6 +979,7 @@ def grid_oracle(
     runs only over the grid rows whose entries are all >= 0, and the
     maximum is the one over the full grid, bit for bit.
     """
+    layout.check_channel(channel)
     kernel = SicKernel(layout.num_users, channel.noise)
     private, common = _stream_weights(layout, np.asarray(priorities, dtype=float))
     L, S = channel.num_fixtures, layout.num_streams

@@ -42,7 +42,9 @@ __all__ = [
     "ScenarioSpec",
     "SweepRow",
     "SweepResult",
+    "CATALOG_NAMES",
     "catalog",
+    "catalog_scene",
     "reference_gain",
     "build_scene_channel",
     "users_for_separation",
@@ -146,12 +148,30 @@ def _receiver(x: float, y: float) -> Receiver:
     return Receiver(position=(x, y, USER_HEIGHT))
 
 
-def _spec(name, led_xy, user_xy, sweep, **kw) -> ScenarioSpec:
+# name -> fixture layout, user positions, sweep and other ScenarioSpec fields
+_SNR_SWEEP = ("snr_db", DEFAULT_SNR_SWEEP)
+_CATALOG = {
+    "scenario1_4led": (FOUR_LED_XY, ((-1.5, 0.0), (1.5, 0.0)), _SNR_SWEEP, {}),
+    "scenario2_4led": (FOUR_LED_XY, ((-0.2, SCENARIO2_Y), (0.2, SCENARIO2_Y)), _SNR_SWEEP, {}),
+    "scenario3_4led": (FOUR_LED_XY, ((-0.74, SCENARIO2_Y), (0.2, SCENARIO2_Y)), _SNR_SWEEP, {}),
+    "scenario1_2led": (TWO_LED_XY, ((-1.5, 0.0), (1.5, 0.0)), _SNR_SWEEP, {}),
+    "scenario2_2led": (TWO_LED_XY, ((-0.2, SCENARIO2_Y), (0.2, SCENARIO2_Y)), _SNR_SWEEP, {}),
+    "separation_sweep_2led": (
+        TWO_LED_XY, ((-0.1, 0.0), (0.1, 0.0)), ("separation", DEFAULT_SEPARATIONS), {"schemes": ("rsma",)}
+    ),
+}
+CATALOG_NAMES = tuple(_CATALOG)
+
+
+def catalog_scene(name: str) -> ScenarioSpec:
+    """The catalog scene `name` as a fresh spec object (KeyError for an
+    unknown name); it builds that one scene only."""
+    led_xy, user_xy, (sweep, values), kw = _CATALOG[name]
     return ScenarioSpec(
         name=name,
         fixtures=tuple(_fixture(*p) for p in led_xy),
         users=tuple(_receiver(*p) for p in user_xy),
-        sweep=sweep,
+        sweep=Sweep(sweep, values),
         **kw,
     )
 
@@ -164,22 +184,7 @@ def catalog() -> dict[str, ScenarioSpec]:
     four fixtures). The separation sweep moves two users symmetrically
     from the center toward opposite walls, 5 m apart at most.
     """
-    snr = Sweep("snr_db", DEFAULT_SNR_SWEEP)
-    specs = [
-        _spec("scenario1_4led", FOUR_LED_XY, ((-1.5, 0.0), (1.5, 0.0)), snr),
-        _spec("scenario2_4led", FOUR_LED_XY, ((-0.2, SCENARIO2_Y), (0.2, SCENARIO2_Y)), snr),
-        _spec("scenario3_4led", FOUR_LED_XY, ((-0.74, SCENARIO2_Y), (0.2, SCENARIO2_Y)), snr),
-        _spec("scenario1_2led", TWO_LED_XY, ((-1.5, 0.0), (1.5, 0.0)), snr),
-        _spec("scenario2_2led", TWO_LED_XY, ((-0.2, SCENARIO2_Y), (0.2, SCENARIO2_Y)), snr),
-        _spec(
-            "separation_sweep_2led",
-            TWO_LED_XY,
-            ((-0.1, 0.0), (0.1, 0.0)),
-            Sweep("separation", DEFAULT_SEPARATIONS),
-            schemes=("rsma",),
-        ),
-    ]
-    return {s.name: s for s in specs}
+    return {name: catalog_scene(name) for name in CATALOG_NAMES}
 
 
 def reference_gain(spec: ScenarioSpec) -> float:
@@ -189,10 +194,11 @@ def reference_gain(spec: ScenarioSpec) -> float:
     the floor; averaged over fixtures. This is the link-gain reference
     of the SNR axis under the "area_mean" policy.
 
-    One `fixture_gain` call per fixture evaluates the whole lattice. The
-    gains are added strictly left to right, fixture by fixture and x
-    before y: this value sets epsilon at every sweep point, and a
-    pairwise sum (np.sum) would move it, and every row, in the last bits.
+    One `fixture_gain` call evaluates the whole lattice for every fixture
+    (one `los_gain` call per group of alike fixtures). The gains are
+    added strictly left to right, fixture by fixture and x before y: this
+    value sets epsilon at every sweep point, and a pairwise sum (np.sum)
+    would move it, and every row, in the last bits.
     """
     if spec.gain_reference == "none":
         return 1.0
@@ -202,7 +208,7 @@ def reference_gain(spec: ScenarioSpec) -> float:
     x, y = np.meshgrid(xs, ys, indexing="ij")
     floor = np.stack([x.ravel(), y.ravel(), np.full(x.size, height)], axis=1)
     probe = replace(spec.users[0], position=floor)
-    gains = np.concatenate([fixture_gain(fx, probe) for fx in spec.fixtures])
+    gains = fixture_gain(spec.fixtures, probe).ravel()
     return float(np.add.accumulate(gains)[-1]) / (len(spec.fixtures) * REFERENCE_GRID**2)
 
 

@@ -112,6 +112,11 @@ class StreamLayout:
         if self.scheme != "sdma" and len(commons) != 1:
             raise ValueError(f"{self.scheme} layouts need exactly one common stream")
 
+    def check_channel(self, channel: ChannelMatrix) -> None:
+        """ValueError unless `channel` has this layout's users (one gain row each)."""
+        if channel.num_users != self.num_users:
+            raise ValueError(f"the channel has {channel.num_users} users, the layout {self.num_users}")
+
     @property
     def num_streams(self) -> int:
         return len(self.streams)
@@ -301,8 +306,10 @@ def assemble_report(
     the layout: a stream the layout lacks reads exactly 0 (SDMA's common
     SINRs and cap, NOMA's weak user's private SINR and rate). The cap is
     split by `default_shares`. `weights` are the user priorities of the
-    weighted sum rate (uniform by default).
+    weighted sum rate (uniform by default). A channel whose users are not
+    the layout's is a ValueError.
     """
+    layout.check_channel(channel)
     K = channel.num_users
     w = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (K,) or not (np.isfinite(w).all() and (w > 0).all()):
@@ -364,7 +371,8 @@ def monte_carlo_sinr(
     The interferers come from the layout's decoding order
     (`_decoding_interferers`), not from `SicKernel`, whose SINRs this
     checks. Converges to the analytic SINR; the estimate is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. The channel must have the layout's
+    users (ValueError otherwise).
 
     Each chunk of at most `_MC_CHUNK` rows draws its 4-PAM indices with
     `rng.integers(0, 4, size=(rows, streams), dtype=np.uint8)`, then its
@@ -385,6 +393,7 @@ def monte_carlo_sinr(
         raise ValueError(f"stream {stream} is not one of the layout's {layout.num_streams} streams")
     if precoder.num_streams != layout.num_streams:
         raise ValueError(f"the precoder has {precoder.num_streams} streams, the layout {layout.num_streams}")
+    layout.check_channel(channel)
     interferers = _decoding_interferers(layout, user, stream)
 
     rng = np.random.default_rng(seed)

@@ -288,7 +288,7 @@ def test_criterion_7_channel_unit_values():
 
     rx = Receiver(position=(0.0, 0.0, 0.8))
     h1 = los_gain((0.0, 0.0, 4.0), (0.0, 0.0, -1.0), m, rx)
-    hq = fixture_gain(Fixture(position=(0.0, 0.0, 4.0)), rx)
+    (hq,) = fixture_gain([Fixture(position=(0.0, 0.0, 4.0))], rx)
 
     def sig4(x):
         return float(f"{x:.4g}")

@@ -9,7 +9,6 @@ from rsma_vlc.channel import (
     Fixture,
     NoiseParams,
     Receiver,
-    _fixture_led_grid,
     build_channel,
     concentrator_gain,
     fixture_gain,
@@ -27,6 +26,31 @@ RX = Receiver(position=(0.0, 0.0, 0.8))
 
 # frozen by the one-shot expression oracle in test_thermal_noise_golden
 THERMAL_GOLDEN = 6.793315927687443e-19
+
+
+def led_positions(fixture, pitch):
+    """The fixture's LEDs on a square grid of spacing `pitch` in the fixture
+    plane, one row each."""
+    side = math.isqrt(fixture.leds_per_fixture)
+    assert side * side == fixture.leds_per_fixture
+    axis = fixture.orientation
+    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(axis, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    offsets = (np.arange(side) - (side - 1) / 2.0) * pitch
+    grid = fixture.position + offsets[:, None, None] * e1 + offsets[None, :, None] * e2
+    return grid.reshape(-1, 3)
+
+
+def led_grid_sum(fixture, rx, pitch):
+    """Reference for the center-point approximation of `fixture_gain`: the
+    `los_gain` of every LED of `led_positions`, summed per photodiode
+    position, all LEDs in one call."""
+    # one LED per leading row, broadcast against the photodiode positions
+    grid = led_positions(fixture, pitch).reshape(-1, *(1,) * (rx.position.ndim - 1), 3)
+    m = lambertian_order(fixture.semi_angle_half_power)
+    return los_gain(grid, fixture.orientation, m, rx).sum(axis=0)
 
 
 class TestLambertianOrder:
@@ -126,30 +150,25 @@ class TestFixtureGain:
     def test_scales_los_gain_by_led_count(self):
         fx = Fixture(position=LED_POS)
         h1 = los_gain(LED_POS, (0, 0, -1), 1.0, RX)
-        assert fixture_gain(fx, RX) == pytest.approx(3600 * h1, rel=1e-12)
-        assert fixture_gain(fx, RX) == pytest.approx(0.033568, rel=2e-4)
+        assert fixture_gain([fx], RX)[0] == pytest.approx(3600 * h1, rel=1e-12)
+        assert fixture_gain([fx], RX)[0] == pytest.approx(0.033568, rel=2e-4)
 
     def test_single_led_fixture_equals_los_gain(self):
         fx = Fixture(position=LED_POS, leds_per_fixture=1)
-        assert fixture_gain(fx, RX) == los_gain(LED_POS, (0, 0, -1), 1.0, RX)
+        assert fixture_gain([fx], RX).tolist() == [los_gain(LED_POS, (0, 0, -1), 1.0, RX)]
 
     def test_outside_fov_is_zero(self):
         fx = Fixture(position=LED_POS)
         narrow = Receiver(position=(4.0, 0.0, 3.9), fov=10.0)
-        assert fixture_gain(fx, narrow) == 0.0
+        assert fixture_gain([fx], narrow).tolist() == [0.0]
 
     def test_exact_sum_approaches_center_approximation(self):
         fx = Fixture(position=LED_POS, leds_per_fixture=3600)
-        approx = fixture_gain(fx, RX)
-        spread = fixture_gain(fx, RX, exact=True, led_pitch=0.01)
-        tight = fixture_gain(fx, RX, exact=True, led_pitch=1e-4)
+        approx = fixture_gain([fx], RX)[0]
+        spread = led_grid_sum(fx, RX, 0.01)
+        tight = led_grid_sum(fx, RX, 1e-4)
         assert spread == pytest.approx(approx, rel=0.02)
         assert tight == pytest.approx(approx, rel=1e-5)
-
-    def test_exact_sum_requires_square_count(self):
-        fx = Fixture(position=LED_POS, leds_per_fixture=10)
-        with pytest.raises(ValueError):
-            fixture_gain(fx, RX, exact=True)
 
 
 class TestArrayKernel:
@@ -182,11 +201,11 @@ class TestArrayKernel:
         batch_rx = replace(rx, position=points)
         singles = [replace(rx, position=p) for p in points]
         los = los_gain(fx.position, fx.orientation, m, batch_rx)
-        fixture = fixture_gain(fx, batch_rx)
+        fixture = fixture_gain([fx], batch_rx)[0]
         assert los.shape == fixture.shape == (len(points),)
         assert all(type(los_gain(fx.position, fx.orientation, m, r)) is float for r in singles[:3])
         assert los.tolist() == [los_gain(fx.position, fx.orientation, m, r) for r in singles]
-        assert fixture.tolist() == [fixture_gain(fx, r) for r in singles]
+        assert fixture.tolist() == [fixture_gain([fx], r)[0] for r in singles]
         # both ways to a dark link occur, and give exactly 0
         ray = points - fx.position
         cos_rx = -ray @ rx.normal / np.linalg.norm(ray, axis=1)
@@ -204,29 +223,101 @@ class TestArrayKernel:
         assert batch.tolist() == [los_gain(p, fx.orientation, m, rx) for p in points]
         assert (batch == 0.0).any() and (batch > 0.0).any()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_fixtures_equal_single_fixture_calls(self, seed, monkeypatch):
+        # tilted fixtures of two semi-angles and two LED counts, some alike
+        # (one group, stacked into one kernel call), in a shuffled order
+        fx, rx, points = self._geometry(seed)
+        rng = np.random.default_rng(seed + 10)
+        tilt = np.array([0.0, 0.0, -1.0]) + rng.normal(scale=0.4, size=3)
+        kinds = [
+            (fx.orientation, fx.semi_angle_half_power, 3600),
+            (tilt, fx.semi_angle_half_power, 3600),
+            (fx.orientation, 45.0, 3600),
+            (fx.orientation, fx.semi_angle_half_power, 100),
+        ]
+        fixtures = [
+            Fixture(position=pos, orientation=kinds[k][0], semi_angle_half_power=kinds[k][1],
+                    leds_per_fixture=kinds[k][2])
+            for k, pos in zip([0, 1, 0, 2, 3, 0, 1, 2], rng.uniform((-2, -2, 2.5), (2, 2, 3.5), size=(8, 3)))
+        ]
+        kernel_calls = []
+
+        def counted(*args):
+            kernel_calls.append(args)
+            return los_gain(*args)
+
+        batch_rx = replace(rx, position=points)
+        single_rx = replace(rx, position=points[0])
+        with monkeypatch.context() as patch:
+            patch.setattr("rsma_vlc.channel.los_gain", counted)
+            batch = fixture_gain(fixtures, batch_rx)
+            single = fixture_gain(fixtures, single_rx)
+        assert len(kernel_calls) == 2 * len(kinds)
+        assert batch.shape == (len(fixtures), len(points)) and single.shape == (len(fixtures),)
+        for f, row, one in zip(fixtures, batch, single):
+            m = lambertian_order(f.semi_angle_half_power)
+            assert row.tolist() == fixture_gain([f], batch_rx)[0].tolist()
+            assert row.tolist() == (f.leds_per_fixture * los_gain(f.position, f.orientation, m, batch_rx)).tolist()
+            assert one == fixture_gain([f], single_rx)[0]
+            assert one == f.leds_per_fixture * los_gain(f.position, f.orientation, m, single_rx)
+            assert (row == 0.0).any() and (row > 0.0).any()
+
+    def test_repeated_cosines_equal_math_formulas(self):
+        # a floor lattice under a narrow fixture, plus its mirror above the
+        # fixture: most cosines repeat, and the fov and the back hemisphere
+        # both darken links
+        m = lambertian_order(40.0)
+        led, led_dir = np.array([1.25, 0.0, 4.0]), np.array([0.0, 0.0, -1.0])
+        rx = Receiver(position=(0.0, 0.0, 0.8), fov=45.0, area=1.5e-4, filter_gain=0.8)
+        axis = np.linspace(-2.5, 2.5, 41)
+        x, y = np.meshgrid(axis, axis, indexing="ij")
+        floor = np.stack([x.ravel(), y.ravel(), np.full(x.size, 0.8)], axis=1)
+        points = np.concatenate([floor, floor + (0.0, 0.0, 4.5)])
+        gains = los_gain(led, led_dir, m, replace(rx, position=points))
+        expected = []
+        for p in points:
+            ray = p - led
+            d2 = float(np.dot(ray, ray))
+            cos_tx = min(max(float(np.dot(ray, led_dir)) / math.sqrt(d2), -1.0), 1.0)
+            cos_rx = min(max(float(np.dot(-ray, rx.normal)) / math.sqrt(d2), -1.0), 1.0)
+            if cos_tx <= 0.0 or cos_rx <= 0.0 or math.acos(cos_rx) > math.radians(rx.fov):
+                expected.append(0.0)
+                continue
+            intensity = (m + 1.0) / (2.0 * math.pi) * math.pow(math.cos(math.acos(cos_tx)), m)
+            concentrator = rx.refractive_index**2 / math.sin(math.radians(rx.fov)) ** 2
+            expected.append(rx.area / d2 * intensity * rx.filter_gain * concentrator * cos_rx)
+        assert gains.tolist() == expected
+        lit = gains > 0.0
+        assert 0 < lit.sum() < len(floor) and not lit[len(floor):].any()
+        cosines = (led[2] - points[lit, 2]) / np.linalg.norm(points[lit] - led, axis=1)
+        assert len(np.unique(cosines)) < lit.sum() / 4
+
     def test_coincident_position_in_a_batch_rejected(self):
         fx, rx, points = self._geometry(0)
         points[7] = fx.position
         with pytest.raises(ValueError, match="coincide"):
-            fixture_gain(fx, replace(rx, position=points))
+            fixture_gain([fx], replace(rx, position=points))
         with pytest.raises(ValueError, match="coincide"):
             los_gain(points, fx.orientation, 1.0, replace(rx, position=fx.position))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_exact_sum_equals_single_led_calls(self, seed):
+        # the reference's one call over all LEDs, per photodiode and for a
+        # batch of them, against a loop of single-LED single-point calls
         fx, rx, points = self._geometry(seed)
         fx = replace(fx, leds_per_fixture=49)
         m = lambertian_order(fx.semi_angle_half_power)
-        grid = _fixture_led_grid(fx, 0.05)
-        lit = points[fixture_gain(fx, replace(rx, position=points)) > 0][:5]
+        lit = points[fixture_gain([fx], replace(rx, position=points))[0] > 0][:5]
+        assert len(lit) == 5
         for p in lit:
             probe = replace(rx, position=p)
             expected = 0.0
-            for led in grid:
+            for led in led_positions(fx, 0.05):
                 expected += los_gain(led, fx.orientation, m, probe)
-            assert fixture_gain(fx, probe, exact=True, led_pitch=0.05) == pytest.approx(expected, rel=1e-12)
-        batch = fixture_gain(fx, replace(rx, position=lit), exact=True, led_pitch=0.05)
-        singles = [fixture_gain(fx, replace(rx, position=p), exact=True, led_pitch=0.05) for p in lit]
+            assert led_grid_sum(fx, probe, 0.05) == pytest.approx(expected, rel=1e-12)
+        batch = led_grid_sum(fx, replace(rx, position=lit), 0.05)
+        singles = [led_grid_sum(fx, replace(rx, position=p), 0.05) for p in lit]
         assert batch == pytest.approx(singles, rel=1e-12)
 
 

@@ -555,6 +555,23 @@ class TestConfigPlumbing:
             assert captured.err.startswith("error: --snr ")
         assert not out.exists()
 
+    def test_resolve_spec_builds_only_the_named_catalog_scene(self, monkeypatch):
+        built = []
+        spec_type = scenarios.ScenarioSpec
+        monkeypatch.setattr(scenarios, "ScenarioSpec", lambda **kw: built.append(kw["name"]) or spec_type(**kw))
+        for name, want in catalog().items():
+            built.clear()
+            got = cli._resolve_spec(RunConfig(scenario=name))
+            assert built == [name]
+            assert repr(got) == repr(want)
+            for a, b in zip(got.fixtures + got.users, want.fixtures + want.users):
+                assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+    def test_unknown_scenario_lists_the_catalog(self, capsys):
+        assert main(["channel-dump", "--scenario", "nope"]) == 1
+        names = ", ".join(sorted(catalog()))
+        assert capsys.readouterr().err == f"error: unknown scenario 'nope'; valid entries: {names}\n"
+
     def test_runconfig_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(scenario=None, scenario_file=None)

@@ -1,10 +1,11 @@
-"""Golden outputs: the rows of the paper's main figure and a validate pass.
+"""Golden outputs: the rows of the paper's main figure, a validate pass
+and the channel-dump of every catalog scene.
 
 tests/golden_outputs.json holds, per command, its argument list, its
 exit code and its output (the JSON rows of a `run`, the stdout lines of
-`validate`); `tools/regen_golden.py` writes it. Each test replays one
-command: floats must agree to 1e-9, and integers, booleans, strings and
-the validate lines exactly.
+`validate` and `channel-dump`); `tools/regen_golden.py` writes it. Each
+test replays one command: floats must agree to 1e-9, and integers,
+booleans, strings and the printed lines exactly.
 """
 
 import json

@@ -1097,6 +1097,13 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(ch, build_layout("rsma", ch), (0.5, 0.5), epsilon=1.0, resolution=25)
 
+    def test_channel_of_other_users_rejected(self):
+        # a two-user layout and a three-user channel
+        lay = build_layout("rsma", channel([[0.9, 0.3], [0.3, 0.9]]))
+        ch3 = channel([[0.9, 0.3], [0.3, 0.9], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="the channel has 3 users, the layout 2"):
+            grid_oracle(ch3, lay, (0.5, 0.5), 2.0, 11)
+
     def test_epsilon_must_be_finite_and_nonnegative(self):
         ch = channel([[1.0, 0.2], [0.2, 1.0]])
         for eps in (-1.0, np.nan, np.inf):

@@ -193,7 +193,19 @@ class TestRates:
         assert rep.common_cap == pytest.approx(np.log2(1.0 + min(HAND_COMMON_U1, HAND_COMMON_U2)), rel=1e-12)
 
 
+# a two-user RSMA layout and a channel of three users
+THREE_USERS = ChannelMatrix(gains=np.array([[0.9, 0.3], [0.3, 0.9], [0.5, 0.5]]), noise=np.ones(3))
+OTHER_USERS = "the channel has 3 users, the layout 2"
+
+
 class TestAssembleReport:
+    def test_channel_of_other_users_rejected(self):
+        lay = build_layout("rsma", channel_2x2())
+        with pytest.raises(ValueError, match=OTHER_USERS):
+            assemble_report(THREE_USERS, HAND, lay)
+        with pytest.raises(ValueError, match=OTHER_USERS):
+            assemble_report(THREE_USERS, HAND, lay, weights=np.full(3, 1.0 / 3.0))
+
     def test_zero_precoder_zero_wsr(self):
         ch = channel_2x2()
         lay = build_layout("rsma", ch)
@@ -294,6 +306,12 @@ class TestAssembleReport:
 
 
 class TestMonteCarlo:
+    def test_channel_of_other_users_rejected(self):
+        lay = build_layout("rsma", channel_2x2())
+        for user, stream in ((0, 0), (0, 2), (2, 2)):
+            with pytest.raises(ValueError, match=OTHER_USERS):
+                monte_carlo_sinr(THREE_USERS, HAND, lay, user, stream, num_symbols=MC_MIN_SYMBOLS)
+
     def test_interference_free_agreement(self):
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
         lay = build_layout("rsma", ch)

@@ -7,8 +7,8 @@ Run it from the root of a source checkout. It runs each command of
 COMMANDS through `rsma_vlc.cli.main` in-process and writes
 tests/golden_outputs.json: per command its argument list, its exit code
 and either the JSON rows `run` writes (to a temporary `--out` file) or
-the lines `validate` prints. The test replays the stored argument lists,
-so this table is their one definition. A change that moves results on
+the lines `validate` and `channel-dump` print. The test replays the
+stored argument lists, so this table is their one definition. A change that moves results on
 purpose regenerates the file and lists the moved rows, or the largest
 move, in CHANGES.md.
 """
@@ -23,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 from rsma_vlc import cli
+from rsma_vlc.scenarios import CATALOG_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "golden_outputs.json"
@@ -37,7 +38,9 @@ FULL = "0,5,10,15,20,25,30,35,40"
 # the rows of the paper's main figure (the benchmark's snr_sweep), the
 # other catalog SNR sweeps, NOMA under unequal per-user noise (physical
 # noise on scenario3_4led), a separation sweep whose problems each have
-# their own channel, and the validate pass the benchmark runs
+# their own channel, the validate pass the benchmark runs, and the
+# channel-dump of every catalog scene in both noise modes (the benchmark's
+# channel_dump), whose lines pin the channel layer's printed output
 COMMANDS = {
     "scenario2_2led": _run("scenario2_2led", FULL),
     "scenario1_4led": _run("scenario1_4led", FULL),
@@ -47,6 +50,11 @@ COMMANDS = {
     "scenario3_4led_physical": _run("scenario3_4led", FULL, "--noise-mode", "physical"),
     "separation_sweep_2led": _run("separation_sweep_2led", "20", "--schemes", "rsma,sdma,noma"),
     "validate": ["validate", "--seed", "0", "--mc-instances", "20", "--oracle-instances", "18"],
+    **{
+        f"channel_dump_{scene}_{mode}": ["channel-dump", "--scenario", scene, "--noise-mode", mode]
+        for scene in CATALOG_NAMES
+        for mode in ("unit", "physical")
+    },
 }
 
 
