@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -81,6 +81,16 @@ def _unit_vec3(value, name: str) -> np.ndarray:
     return v / norm
 
 
+def exact_eq(self, other) -> bool:
+    """Field-by-field equality of two instances of one dataclass that
+    never raises: an array field is equal when its shape and every element
+    are (`np.array_equal`), so one position one bit apart compares unequal."""
+    if type(self) is not type(other):
+        return NotImplemented
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self)))
+
+
 @dataclass(frozen=True)
 class Fixture:
     """A ceiling luminaire of `leds_per_fixture` co-located LEDs.
@@ -98,6 +108,8 @@ class Fixture:
     conversion_factor: float = 1.0  # W/A electrical-to-optical
     dc_bias: float = 0.5
     max_drive: float = 1.0
+
+    __eq__ = exact_eq
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec3(self.position, "position"))
@@ -126,6 +138,8 @@ class Receiver:
     refractive_index: float = 1.5
     filter_gain: float = 1.0
     responsivity: float = 1.0  # A/W
+
+    __eq__ = exact_eq
 
     def __post_init__(self):
         object.__setattr__(self, "position", _points(self.position, "position"))

@@ -386,7 +386,7 @@ def cmd_validate(config: RunConfig) -> int:
         for i in range(config.mc_instances):
             channel, layout, precoder = _random_instance(rng, epsilon=3.0)
             user = i % 2
-            # RSMA's own columns: user k's private stream is column k, the common one column K
+            # the RSMA columns: user k's private stream is column k, the common one column K
             stream = user if i % 3 else layout.num_users
             empirical = pool.submit(
                 signal_model.monte_carlo_sinr,

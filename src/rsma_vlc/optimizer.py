@@ -33,22 +33,23 @@ priority taker, or to the weak user under NOMA), so the common stream
 contributes through the minimum of the decoders' rates. On exit each
 winner's report makes that split (`assemble_report`).
 
-Every problem is solved on the RSMA streams of its K users (the
-private columns in user order, then the common one), and every SINR and
-stage power, the grid oracle's included, comes from the one SIC kernel
-of K users (`signal_model.SicKernel`: K private stages, then K common
-decoders). A
-scheme enters only through its stream weights: a private weight is the
-user's priority if its layout gives that user a private stream, else 0,
-and the common weight is the priority of the user the greedy split
-hands the common rate to (0 for SDMA). SDMA and NOMA are thus RSMA with
-a zero-weighted stream. The starts (`_zf_start`, `_beam_start`,
-`_split_start`) leave it at 0 (`_Compiled.active`), the L1 projection
-keeps it at 0 and the polish leaves its column out of every face and
-step, so its stages add exact zeros to every rate and derivative. Every
-weighted sum of stage rates or their derivatives, the WSR of the true
-rates and of the grid oracle included, is added stage by stage in the
-kernel's order (`_stage_sum`).
+Every problem, every start and every precoder the solver returns is on
+the one column set of the package, the K + 1 RSMA columns of its K users
+(the private columns in user order, then the common one), and every
+SINR and stage power, the grid oracle's included, comes from the one
+SIC kernel of K users (`signal_model.SicKernel`: K private stages, then
+K common decoders). A scheme is its layout's column mask
+(`StreamLayout.active`), and enters only through it and its stream
+weights: a private weight is the user's priority where the mask fills
+the user's private column, else 0, and the common weight is the
+priority of the user the greedy split hands the common rate to (0 for
+SDMA). SDMA and NOMA are thus RSMA with an empty column. The starts
+(`_zf_start`, `_beam_start`, `_split_start`) leave it at 0
+(`_Compiled.active`), the L1 projection keeps it at 0 and the polish
+leaves it out of every face and step, so its stages add exact zeros to
+every rate and derivative. Every weighted sum of stage rates or their
+derivatives, the WSR of the true rates and of the grid oracle included,
+is added stage by stage in the kernel's order (`_stage_sum`).
 
 Every start is one problem of a lockstep batch. Each problem has its own
 row of every batched array: channel (gains stacked as (B, K, L), noise
@@ -62,7 +63,7 @@ problem's result does not depend on the problems that share its batch.
 `ao_solve` runs the starts of every problem it is given in waves, each
 wave one batch in which each problem keeps its own scheme: a batch that
 mixes SDMA, NOMA and RSMA problems is one RSMA batch in which each
-problem zero-weights the streams its scheme lacks. A problem may name
+problem keeps the columns its layout leaves empty at 0. A problem may name
 earlier problems of the call whose solutions become its warm starts
 (`Problem.warm_from`), the only way a solution seeds another solve;
 those starts run in a later wave, from the named problems' polished
@@ -179,7 +180,8 @@ class Problem:
 
 @dataclass(frozen=True)
 class Solution:
-    """One problem's result: the winning start's precoder, rate report
+    """One problem's result: the winning start's precoder, (L, K + 1) on
+    the RSMA columns with its layout's empty columns at 0, rate report
     (with the common-rate shares), iteration count, convergence flag,
     WSR history and residual.
 
@@ -230,16 +232,13 @@ def epsilon_from_snr(snr_db: float, sigma: float, reference_gain: float = 1.0) -
 def _stream_weights(layout: StreamLayout, w: np.ndarray) -> tuple[np.ndarray, float]:
     """(private, common) weights of a `layout` problem on the RSMA streams.
 
-    private[k] is w_k if the layout gives user k a private stream, else
-    0; common is the priority of the user the greedy split hands the
-    common rate to, 0 without a common stream.
+    private[k] is w_k where the layout's column mask fills user k's
+    private column, else 0; common is the priority of the user the greedy
+    split hands the common rate to, 0 with an empty common column.
     """
     if w.shape != (layout.num_users,) or not (np.isfinite(w).all() and (w > 0).all()):
         raise ValueError("priorities must be finite and positive, one per user")
-    private = np.zeros(layout.num_users)
-    owners = [layout.streams[j].owner for j in layout.private_columns]
-    private[owners] = w[owners]
-    return private, float(w @ default_shares(layout, 1.0, w))
+    return np.where(layout.active[:-1], w, 0.0), float(w @ default_shares(layout, 1.0, w))
 
 
 class _Compiled(SicKernel):
@@ -251,14 +250,14 @@ class _Compiled(SicKernel):
     B >= 1 of each, the channels all of one shape. Every per-problem
     array has one row per problem: the gains `H` (B, K, L), the stage
     noise (B, stages), the weights `w_priv` (B, K) and `w_common` (B,),
-    `active` (B, K + 1) and the budgets `eps` (B,). Precoders are (B, L,
-    K + 1).
+    the layouts' column masks `active` (B, K + 1) and the budgets `eps`
+    (B,). Precoders are (B, L, K + 1).
 
     The kernel is the SIC kernel of K users, whatever the layouts: K
     private stages, then K common decoders, on the K + 1 RSMA columns. A
-    stream a problem does not weight (SDMA's common stream, NOMA's weak
-    user's private stream) stays 0, and its stages add exact zeros to
-    that problem's sums.
+    column a problem's layout leaves empty (SDMA's common column, NOMA's
+    weak user's private column) stays 0, and its stages add exact zeros
+    to that problem's sums.
     """
 
     def __init__(self, channels: Sequence[ChannelMatrix], layouts: Sequence[StreamLayout], priorities: np.ndarray,
@@ -273,6 +272,7 @@ class _Compiled(SicKernel):
         weights = [_stream_weights(lay, w) for lay in layouts]
         self.w_priv = np.array([private for private, _ in weights])
         self.w_common = np.array([common for _, common in weights])
+        self.active = np.stack([lay.active for lay in layouts])
         super().__init__(len(w), np.stack([c.noise for c in channels]))
         self.H = np.stack([c.gains for c in channels])
         self._index_powers(len(w))
@@ -284,14 +284,12 @@ class _Compiled(SicKernel):
         interference plus noise I is its noise plus the squares of x over
         `interference_mask`: its user's private columns that `_interferes`
         keeps. Its received power T adds its own amplitude (`power_mask`).
-        `active` marks the columns some stage weights, (B, K + 1).
         """
         stages = self._gather.shape[1]
         self.interference_mask = np.zeros((stages, K * (K + 1)))
         self.interference_mask[np.arange(stages)[:, None], self._gather[:K].T] = self._interferes.T
         self.power_mask = self.interference_mask.copy()
         self.power_mask[np.arange(stages), self._gather[-1]] = 1.0
-        self.active = np.concatenate((self.w_priv > 0.0, (self.w_common > 0.0)[:, None]), axis=1)
 
     def take(self, keep: np.ndarray) -> "_Compiled":
         """The compiled batch of the precoders selected by `keep` (a boolean
@@ -388,7 +386,8 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
 
 
 def zf_precoder(channel: ChannelMatrix, epsilon: float) -> Precoder:
-    """Zero-forcing directions scaled into the per-row L1 budget.
+    """Zero-forcing directions scaled into the per-row L1 budget, on the
+    K + 1 RSMA columns with the common column 0.
 
     Pseudo-inverse columns are normalized to equal power and scaled by a
     common factor so the binding fixture row exactly meets the budget.
@@ -406,7 +405,7 @@ def zf_precoder(channel: ChannelMatrix, epsilon: float) -> Precoder:
     norms = np.linalg.norm(W, axis=0)
     W = W / np.maximum(norms, 1e-30)
     row_l1 = np.abs(W).sum(axis=1).max()
-    return Precoder(matrix=W * (epsilon / max(row_l1, 1e-30)))
+    return Precoder(matrix=np.column_stack((W * (epsilon / max(row_l1, 1e-30)), np.zeros(len(W)))))
 
 
 def _zf_start(channel: ChannelMatrix, active: np.ndarray, epsilon: float) -> np.ndarray:
@@ -866,10 +865,10 @@ def ao_solve(
     Each problem is solved under `build_layout(scheme, channel)` of its
     own scheme and channel, so one call takes, say, the SDMA, NOMA (of
     either strong user) and RSMA problems of a sweep; the channels must
-    all have one shape. Every start is built on the RSMA streams, with
-    the columns the problem does not weight at 0 (see the module
-    docstring), and each Solution's precoder and report are read back in
-    the problem's layout.
+    all have one shape. Every start is built on the RSMA columns, with
+    the columns the problem's layout leaves empty at 0 (see the module
+    docstring), and each Solution's precoder is the winner's (L, K + 1)
+    precoder on those columns.
 
     The starts are one table, a row per start in the order above,
     problem after problem: its problem (`owner`) and, for a warm start,
@@ -879,7 +878,7 @@ def ao_solve(
     a source, and a warm start runs in its problem's depth, one more
     than the deepest depth of its `warm_from` problems (0 without warm
     starts). It is filled then from its source's winner, on the RSMA
-    streams, with the columns its problem's layout lacks set to 0.
+    columns, with the columns its problem's layout leaves empty set to 0.
 
     The name is that of the alternating-optimization (AO) stage the
     solver once ran before the polish; it stays, with `layout`, because
@@ -936,7 +935,7 @@ def ao_solve(
     solutions = []
     for p, (ch, lay) in enumerate(zip(channels, layouts)):
         best = winner(p)
-        precoder = Precoder(matrix=P[best][:, lay.rsma_columns])
+        precoder = Precoder(matrix=P[best].copy())
         report = assemble_report(ch, precoder, lay, weights=w)
         solutions.append(
             Solution(
@@ -969,11 +968,12 @@ def grid_oracle(
     Desk-scale verification only: refuses more than 2 fixtures or a
     resolution outside ORACLE_RESOLUTIONS (combinatorial blow-up), an
     epsilon that is negative or not finite, and a channel whose users are
-    not the layout's. The layout's two users have at most 3 streams.
+    not the layout's. The grid has one dimension per column the layout's
+    mask fills (`StreamLayout.active`), at most 3 for two users, and its
+    rows hold 0 in the empty columns.
 
-    The grid, over the layout's own columns, is placed on the RSMA
-    columns (`StreamLayout.to_rsma`). It is `_grid_rows`, which holds the
-    negation of each of its rows. Negating column s of every precoder row negates column s of the
+    The grid is `_grid_rows`, which holds the negation of each of its
+    rows. Negating column s of every precoder row negates column s of the
     received amplitudes exactly, and every rate depends only on their
     squares, so the search fixes the sign of each column: the first row
     runs only over the grid rows whose entries are all >= 0, and the
@@ -982,14 +982,17 @@ def grid_oracle(
     layout.check_channel(channel)
     kernel = SicKernel(layout.num_users, channel.noise)
     private, common = _stream_weights(layout, np.asarray(priorities, dtype=float))
-    L, S = channel.num_fixtures, layout.num_streams
+    active = layout.active
+    L, S = channel.num_fixtures, int(active.sum())
     if L > 2 or resolution not in ORACLE_RESOLUTIONS:
         raise ValueError(f"grid oracle limited to <= 2 fixtures, resolution in {ORACLE_RESOLUTIONS}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError("epsilon must be finite and nonnegative")
     if epsilon == 0.0:
         return 0.0
-    rows = layout.to_rsma(_grid_rows(epsilon, resolution, S))  # a lacking column is +0
+    grid = _grid_rows(epsilon, resolution, S)
+    rows = np.zeros((len(grid), len(active)))
+    rows[:, active] = grid  # an empty column is +0
     first = rows[(rows >= 0.0).all(axis=1)]
     H = channel.gains
     if L == 1:

@@ -1,7 +1,7 @@
 """Catalog of room/user experiment setups, the sweep runner, and
 `solve_schemes`, the one path that seeds RSMA from SDMA/NOMA. SDMA and
-NOMA are RSMA with a zero-weighted stream (see `optimizer`), so their
-converged precoders, placed on the RSMA streams, are RSMA warm starts.
+NOMA are RSMA with an empty column (see `optimizer`), so their converged
+precoders, on the RSMA columns as every precoder is, are RSMA warm starts.
 
 All cataloged scenes use a 5 x 5 x 4 m room (origin at the floor
 center, z up), ceiling fixtures of 3600 LEDs with a 60 degree
@@ -33,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import ChannelMatrix, Fixture, Receiver, build_channel, fixture_gain
+from .channel import ChannelMatrix, Fixture, Receiver, build_channel, exact_eq, fixture_gain
 from .optimizer import AoConfig, Problem, ao_solve, epsilon_from_snr
 from .signal_model import SCHEMES, build_layout
 
@@ -104,6 +104,8 @@ class ScenarioSpec:
     snr_db: float = 40.0  # operating SNR when sweeping separations
     gain_reference: str = "area_mean"
     ao: AoConfig = AoConfig()
+
+    __eq__ = exact_eq
 
     def __post_init__(self):
         object.__setattr__(self, "fixtures", tuple(self.fixtures))
@@ -245,12 +247,6 @@ class SweepRow:
 class SweepResult:
     scenario: str
     rows: tuple
-
-    def for_scheme(self, scheme: str) -> tuple:
-        return tuple(r for r in self.rows if r.scheme == scheme)
-
-    def wsr_series(self, scheme: str) -> list:
-        return [(r.sweep_value, r.wsr) for r in self.for_scheme(scheme)]
 
     @property
     def failures(self) -> tuple:

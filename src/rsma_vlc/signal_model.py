@@ -12,13 +12,15 @@ model x = P s + d_dc:
   first.
 
 A layout has exactly two users (`StreamLayout` refuses any other
-count), so every reader of a layout holds two. SDMA and NOMA are RSMA
-with a stream left at zero: SDMA is RSMA without the common stream, and
-NOMA is RSMA without the weak user's private stream, its message riding
-the common one. Every layout's streams sit on the RSMA streams of its K
-users: user k's private stream is column k and the common stream column
-K (`StreamLayout.rsma_columns`, `StreamLayout.to_rsma`), and a stream a
-layout lacks is a zero column.
+count), so every reader of a layout holds two. There is one column set,
+the RSMA streams of the K users: user k's private stream is column k
+and the common stream column K. SDMA and NOMA are RSMA with a column
+left empty: SDMA leaves the common column empty, and NOMA the weak
+user's private column, its message riding the common one. A layout
+stores only the scheme, the users and NOMA's strong user; its streams
+and its column mask (`StreamLayout.active`) are derived from these.
+Every precoder has the K + 1 columns, and an empty column holds zeros
+(`StreamLayout.check_precoder`).
 
 One successive-interference-cancellation rule holds on those columns:
 every user decodes the common stream with every private stream as
@@ -28,13 +30,13 @@ home, for K users: K private stages, then K common stages, coded once
 as a 0/1 mask of the private columns that interfere at each stage, which
 the SINRs and the optimizer's stage powers both read (no `interferers`
 list beside it). Every analytic SINR, rate and equalizer in the package
-comes from it, whatever the scheme; a zero column's SINR and rate are
+comes from it, whatever the scheme; an empty column's SINR and rate are
 exactly 0, so a scheme differs from RSMA only in the columns it fills.
 
 `assemble_report` is the one reader of a precoder's SINRs, rates,
 common-rate cap and weighted sum rate: its `RateReport` holds every
-user's private and common SINR on the RSMA streams, and a stream the
-layout lacks reads 0 there.
+user's private and common SINR on the RSMA streams, and an empty column
+reads 0 there.
 
 `monte_carlo_sinr` checks those SINRs by 4-PAM symbol simulation. It
 takes a stage's interferers from the layout's decoding order, not from
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,75 +84,87 @@ MC_MIN_SYMBOLS = 100_000
 
 @dataclass(frozen=True)
 class StreamDesc:
-    """One transmit stream: its owner and the users whose messages it
-    carries. A private stream is decoded by its owner alone; a common
-    stream by every user, before the private ones (SIC)."""
+    """One RSMA column: its kind and the users whose messages it carries.
+    A private stream is decoded by its user alone; the common stream by
+    every user, before the private ones (SIC). A column its scheme leaves
+    empty carries no message (`carries == ()`)."""
 
     kind: str  # "private" | "common"
-    owner: int | None  # private stream owner, None for common
     carries: tuple[int, ...]  # users whose messages ride this stream
 
 
 @dataclass(frozen=True)
 class StreamLayout:
-    """A scheme's streams on its K = 2 users, the one count a layout
-    takes. A layout only says which RSMA streams a scheme fills
-    (`rsma_columns`); its SINRs and rates are read from `assemble_report`,
-    where a stream it lacks reads 0."""
+    """A scheme on the RSMA columns of its K = 2 users, the one count a
+    layout takes; NOMA's `strong` user holds the private stream.
+
+    `streams` is derived from these alone: user k's private stream is
+    column k and the common stream column K. `active` marks the columns
+    the scheme fills. A layout's SINRs and rates are read from
+    `assemble_report`, where an empty column reads 0.
+    """
 
     scheme: str
     num_users: int
-    streams: tuple[StreamDesc, ...]
+    strong: int | None = None  # NOMA's strong user, None for the other schemes
 
     def __post_init__(self):
         if self.num_users != 2:
             raise ValueError(f"a layout has exactly two users, got {self.num_users}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        commons = [s for s in self.streams if s.kind == "common"]
-        if self.scheme == "sdma" and commons:
-            raise ValueError("sdma layouts carry private streams only")
-        if self.scheme != "sdma" and len(commons) != 1:
-            raise ValueError(f"{self.scheme} layouts need exactly one common stream")
+        if self.strong not in (tuple(range(self.num_users)) if self.scheme == "noma" else (None,)):
+            raise ValueError(f"a {self.scheme} layout cannot have strong user {self.strong!r}")
 
     def check_channel(self, channel: ChannelMatrix) -> None:
         """ValueError unless `channel` has this layout's users (one gain row each)."""
         if channel.num_users != self.num_users:
             raise ValueError(f"the channel has {channel.num_users} users, the layout {self.num_users}")
 
+    def check_precoder(self, precoder: Precoder) -> None:
+        """ValueError unless `precoder` has the K + 1 RSMA columns, with
+        every entry of a column this layout leaves empty at 0."""
+        m = precoder.matrix
+        if m.shape[1] != self.num_streams:
+            raise ValueError(f"the precoder has {m.shape[1]} streams, the layout {self.num_streams}")
+        if np.any(m[:, ~self.active]):
+            raise ValueError(f"the precoder drives a column the {self.scheme} layout leaves empty")
+
+    @cached_property
+    def streams(self) -> tuple[StreamDesc, ...]:
+        """The K + 1 RSMA columns. SDMA leaves the common column empty and
+        NOMA the weak user's private column; the common stream carries the
+        users without a private stream, or every user when each has one.
+        Worked out on first use and kept (the fields are frozen)."""
+        every = range(self.num_users)
+        private = [(k,) if self.scheme != "noma" or k == self.strong else () for k in every]
+        common = () if self.scheme == "sdma" else tuple(k for k in every if not private[k]) or tuple(every)
+        return tuple(StreamDesc("private", c) for c in private) + (StreamDesc("common", common),)
+
+    @property
+    def active(self) -> np.ndarray:
+        """The column mask, (K + 1,) booleans: True where a column carries a message."""
+        return np.array([bool(s.carries) for s in self.streams])
+
     @property
     def num_streams(self) -> int:
-        return len(self.streams)
+        return self.num_users + 1
 
     @property
     def private_columns(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.streams) if s.kind == "private")
-
-    @property
-    def rsma_columns(self) -> tuple[int, ...]:
-        """Each stream's column among the RSMA streams of as many users:
-        user k's private stream is column k, the common stream column K."""
-        return tuple(self.num_users if s.kind == "common" else s.owner for s in self.streams)
-
-    def to_rsma(self, matrix: np.ndarray) -> np.ndarray:
-        """(..., fixtures, streams) precoders of this layout placed on the
-        RSMA columns; the columns this layout lacks are zero. A matrix
-        whose last axis is not this layout's streams is a ValueError."""
-        m = np.asarray(matrix, dtype=float)
-        if m.shape[-1:] != (self.num_streams,):
-            raise ValueError(f"precoders of shape {m.shape} do not have this layout's {self.num_streams} streams")
-        out = np.zeros(m.shape[:-1] + (self.num_users + 1,))
-        out[..., self.rsma_columns] = m
-        return out
+        """The private columns in use."""
+        return tuple(np.flatnonzero(self.active[:-1]).tolist())
 
 
 @dataclass(frozen=True)
 class Precoder:
-    """Fixture-by-stream precoding matrix.
+    """Fixture-by-stream precoding matrix on the K + 1 RSMA columns.
 
     Row l holds the amplitudes driving fixture l; its L1 norm is the
     drive headroom that row consumes and must stay within the active
-    amplitude budget.
+    amplitude budget. Column k is user k's private stream and column K
+    the common stream; a column the layout leaves empty holds zeros
+    (`StreamLayout.check_precoder`).
     """
 
     matrix: np.ndarray
@@ -165,9 +180,6 @@ class Precoder:
     @property
     def num_streams(self) -> int:
         return self.matrix.shape[1]
-
-    def max_row_l1(self) -> float:
-        return float(np.abs(self.matrix).sum(axis=1).max()) if self.matrix.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -198,17 +210,10 @@ def build_layout(scheme: str, channel: ChannelMatrix) -> StreamLayout:
     user by row norm."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    num_users = channel.num_users
-    every = tuple(range(num_users))
-    streams = tuple(StreamDesc("private", k, (k,)) for k in every)
-    if scheme == "sdma":
-        return StreamLayout(scheme, num_users, streams)
-    if scheme == "rsma":
-        return StreamLayout(scheme, num_users, streams + (StreamDesc("common", None, every),))
-    norms = np.linalg.norm(channel.gains, axis=1)
-    strong = int(np.argmax(norms))  # ties break to the lower index
-    weak = 1 - strong
-    return StreamLayout(scheme, num_users, (streams[strong], StreamDesc("common", None, (weak,))))
+    if scheme != "noma":
+        return StreamLayout(scheme, channel.num_users)
+    strong = int(np.argmax(np.linalg.norm(channel.gains, axis=1)))  # ties break to the lower index
+    return StreamLayout(scheme, channel.num_users, strong)
 
 
 class SicKernel:
@@ -226,9 +231,9 @@ class SicKernel:
     stage's own column, so a common stage sees all private power. `sinrs`
     and the polish's stage powers (`_Compiled._index_powers`) read it.
 
-    A layout's precoders are read on these columns (`StreamLayout.to_rsma`):
-    a stream the layout lacks is a zero column, whose stages have SINR
-    exactly 0 and which adds +0 to every interference sum. `noise` holds
+    Every precoder has these columns; a column its layout leaves empty
+    is zero, so its stages have SINR exactly 0 and it adds +0 to every
+    interference sum. `noise` holds
     the K noise variances of one channel, shared by every precoder, or a
     (B, K) array with one row per precoder. `sinrs` reads every stage's
     amplitudes through one flat gather whose indices are computed here;
@@ -279,17 +284,13 @@ def default_shares(layout: StreamLayout, cap: float, weights: np.ndarray) -> np.
     """Greedy common-rate split: all of it to the highest-priority taker.
 
     For NOMA the common stream carries only the weak user's message, so
-    that user takes the whole cap. Ties in priority go to the lower
-    user index.
+    that user takes the whole cap; an empty common column (SDMA) gives
+    no shares. Ties in priority go to the lower user index.
     """
     shares = np.zeros(layout.num_users)
-    stream = next((s for s in layout.streams if s.kind == "common"), None)
-    if stream is None or cap <= 0.0:
-        return shares
-    if len(stream.carries) == 1:
-        shares[stream.carries[0]] = cap
-    else:
-        shares[int(np.argmax(weights))] = cap
+    carries = layout.streams[-1].carries
+    if carries and cap > 0.0:
+        shares[carries[0] if len(carries) == 1 else int(np.argmax(weights))] = cap
     return shares
 
 
@@ -303,20 +304,22 @@ def assemble_report(
     reader of a precoder's SINRs, rates, common-rate cap and WSR.
 
     Every SINR and rate is indexed by user on the RSMA streams, whatever
-    the layout: a stream the layout lacks reads exactly 0 (SDMA's common
-    SINRs and cap, NOMA's weak user's private SINR and rate). The cap is
-    split by `default_shares`. `weights` are the user priorities of the
-    weighted sum rate (uniform by default). A channel whose users are not
-    the layout's is a ValueError.
+    the layout: an empty column reads exactly 0 (SDMA's common SINRs and
+    cap, NOMA's weak user's private SINR and rate). The cap is split by
+    `default_shares`. `weights` are the user priorities of the weighted
+    sum rate (uniform by default). A channel whose users are not the
+    layout's, or a precoder that is not on its columns
+    (`StreamLayout.check_precoder`), is a ValueError.
     """
     layout.check_channel(channel)
+    layout.check_precoder(precoder)
     K = channel.num_users
     w = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (K,) or not (np.isfinite(w).all() and (w > 0).all()):
         raise ValueError("weights must be finite and positive, one per user")
 
-    sinr_p, sinr_c = SicKernel(K, channel.noise).sinrs(channel.gains @ layout.to_rsma(precoder.matrix)[None])
-    s_private, s_common = sinr_p[0], sinr_c[0]  # 0 for a stream the layout lacks
+    sinr_p, sinr_c = SicKernel(K, channel.noise).sinrs(channel.gains @ precoder.matrix[None])
+    s_private, s_common = sinr_p[0], sinr_c[0]  # 0 for an empty column
     p_rates = np.log2(1.0 + s_private)
     cap = float(np.log2(1.0 + s_common).min())
 
@@ -340,16 +343,15 @@ _MC_CHUNK = 1 << 13
 
 
 def _decoding_interferers(layout: StreamLayout, user: int, stream: int) -> list[int]:
-    """The layout's streams that are interference when `user` decodes
-    `stream`, from the decoding order alone: every user decodes the common
-    stream first, with every private stream as interference, then cancels
-    it and decodes its own private stream with the other private streams
-    as interference. A stream that is neither the user's private stream
-    nor the common one is a ValueError."""
+    """The columns in use that are interference when `user` decodes
+    column `stream`, from the decoding order alone: every user decodes the
+    common stream first, with every private stream as interference, then
+    cancels it and decodes its own private stream with the other private
+    streams as interference. A column that is neither the user's private
+    column nor the common one is a ValueError."""
     K = layout.num_users
-    column = layout.rsma_columns[stream]
-    if not (0 <= user < K and column in (user, K)):
-        raise ValueError(f"column {column} is not user {user}'s private stream or the common column {K}")
+    if not (0 <= user < K and stream in (user, K)):
+        raise ValueError(f"column {stream} is not user {user}'s private stream or the common column {K}")
     return [j for j in layout.private_columns if j != stream]
 
 
@@ -364,7 +366,9 @@ def monte_carlo_sinr(
 ) -> float:
     """Empirical SINR of one stream at one receiver by symbol simulation.
 
-    Draws i.i.d. unit-variance 4-PAM symbols per stream plus Gaussian
+    `stream` is an RSMA column the layout fills, and the precoder has the
+    K + 1 RSMA columns (`StreamLayout.check_precoder`). Draws i.i.d.
+    unit-variance 4-PAM symbols per column plus Gaussian
     receiver noise and measures signal power over interference-plus-
     noise power at the stream's SIC stage (common stage sees all
     private streams; private stage has the common stream cancelled).
@@ -389,10 +393,9 @@ def monte_carlo_sinr(
         raise ValueError(f"num_symbols must be an integer, got {num_symbols!r}") from None
     if num_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"need at least {MC_MIN_SYMBOLS} symbols for a stable estimate")
-    if not 0 <= stream < layout.num_streams:
-        raise ValueError(f"stream {stream} is not one of the layout's {layout.num_streams} streams")
-    if precoder.num_streams != layout.num_streams:
-        raise ValueError(f"the precoder has {precoder.num_streams} streams, the layout {layout.num_streams}")
+    if not (0 <= stream < layout.num_streams and layout.active[stream]):
+        raise ValueError(f"stream {stream} is not one of the layout's columns in use, {np.flatnonzero(layout.active)}")
+    layout.check_precoder(precoder)
     layout.check_channel(channel)
     interferers = _decoding_interferers(layout, user, stream)
 

@@ -22,6 +22,8 @@ from rsma_vlc.optimizer import AoConfig, epsilon_from_snr, grid_oracle
 from rsma_vlc.scenarios import Sweep, build_scene_channel, catalog, reference_gain, run_sweep, solve_schemes
 from rsma_vlc.signal_model import Precoder, assemble_report, build_layout, monte_carlo_sinr
 
+from helpers import for_scheme, max_row_l1, wsr_series
+
 SNR_GRID = tuple(float(s) for s in range(0, 41, 5))
 SCENARIOS = ("scenario1_4led", "scenario2_4led", "scenario3_4led", "scenario1_2led", "scenario2_2led")
 
@@ -39,7 +41,7 @@ def separation_sweep(snr_db: float):
 
 
 def wsr_at(name: str, scheme: str, snr: float) -> float:
-    return dict(scenario_sweep(name).wsr_series(scheme))[snr]
+    return dict(wsr_series(scenario_sweep(name), scheme))[snr]
 
 
 def _report(line: str):
@@ -99,8 +101,8 @@ def test_rows_reach_single_user_floor():
         sigma, ref = float(np.sqrt(np.mean(channel.noise))), reference_gain(spec)
         for scheme in ("rsma", "sdma", "noma"):
             layout = build_layout(scheme, channel)
-            served = [s.owner for s in layout.streams if s.kind == "private"]
-            for snr, wsr in scenario_sweep(name).wsr_series(scheme):
+            served = layout.private_columns  # user k's private stream is column k
+            for snr, wsr in wsr_series(scenario_sweep(name), scheme):
                 eps = epsilon_from_snr(snr, sigma, reference_gain=ref)
                 floor = max(spec.priorities[k] * math.log2(1.0 + (eps * np.abs(channel.gains[k]).sum()) ** 2
                                                            / channel.noise[k]) for k in served)
@@ -124,7 +126,7 @@ def test_rows_reach_recorded_floor():
     assert len(separations) == 3 * 25
     fell = []
     for r in separations:
-        wsr = dict(separation_sweep(r["snr_db"]).wsr_series(r["scheme"]))[r["separation"]]
+        wsr = dict(wsr_series(separation_sweep(r["snr_db"]), r["scheme"]))[r["separation"]]
         if wsr < r["floor"] - 1e-6:
             fell.append((r["snr_db"], r["separation"], wsr, r["floor"]))
     assert fell == []
@@ -144,7 +146,7 @@ def test_wsr_never_falls_as_snr_rises():
     breaks = []
     for name in SCENARIOS:
         for scheme in ("rsma", "sdma", "noma"):
-            series = scenario_sweep(name).wsr_series(scheme)
+            series = wsr_series(scenario_sweep(name), scheme)
             assert [snr for snr, _ in series] == list(SNR_GRID)
             breaks += [(name, scheme, lo, hi) for (lo, w_lo), (hi, w_hi) in zip(series, series[1:])
                        if w_hi < w_lo - 1e-9]
@@ -168,7 +170,7 @@ def test_rows_converged_with_residual():
 
 def test_scenario3_sdma_40db_reaches_best_known():
     # it stopped at the former 500-iteration AO cap at 12.192
-    [row] = [r for r in scenario_sweep("scenario3_4led").for_scheme("sdma") if r.sweep_value == 40.0]
+    [row] = [r for r in for_scheme(scenario_sweep("scenario3_4led"), "sdma") if r.sweep_value == 40.0]
     assert row.converged and row.wsr >= 12.398 - 1e-3
     _report(f"SCENARIO3 SDMA 40 dB: PASS  {row.wsr:.4f} b/s/Hz, converged (best known 12.398)")
 
@@ -200,7 +202,7 @@ def test_criterion_4_noma_sdma_crossover():
 def test_criterion_5_separation_peak():
     peaks = {}
     for snr in (20.0, 30.0, 40.0):
-        series = separation_sweep(snr).wsr_series("rsma")
+        series = wsr_series(separation_sweep(snr), "rsma")
         values = np.array([w for _, w in series])
         seps = [s for s, _ in series]
         top = int(np.argmax(values))
@@ -232,7 +234,7 @@ def test_criterion_6_property_suite():
         solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), epsilons)[scheme]
         for eps, (_, sol) in zip(epsilons, solved):
             assert np.all(np.diff(sol.wsr_history) >= -1e-8)
-            assert sol.precoder.max_row_l1() <= eps + 1e-9
+            assert max_row_l1(sol.precoder) <= eps + 1e-9
             shares = sol.report.common_shares
             assert np.all(shares >= 0) and shares.sum() <= sol.report.common_cap + 1e-9
 

@@ -122,7 +122,7 @@ class TestScenarioFiles:
             assert a.area == b.area
         for spec in catalog().values():  # every field of every catalog scene
             save_scenario(spec, str(path))
-            assert repr(load_scenario(str(path))) == repr(spec)
+            assert load_scenario(str(path)) == spec
 
     def test_missing_keys_take_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.ini"
@@ -138,7 +138,7 @@ class TestScenarioFiles:
             users=(Receiver(position=(-1.0, 0.0, 0.8)), Receiver(position=(1.0, 0.0, 0.8))),
             sweep=Sweep("snr_db", (0.0, 10.0)),
         )
-        assert repr(load_scenario(str(path))) == repr(expected)
+        assert load_scenario(str(path)) == expected
 
     def test_ao_round_trip(self, tmp_path):
         ao = AoConfig(tolerance=3e-3)
@@ -189,7 +189,7 @@ class TestScenarioFiles:
         assert line in legacy
         plain = tmp_path / LEGACY_SCENE.name  # the same basename, so the same default name
         plain.write_text(legacy.replace(line, ""))
-        assert repr(load_scenario(str(LEGACY_SCENE))) == repr(load_scenario(str(plain)))
+        assert load_scenario(str(LEGACY_SCENE)) == load_scenario(str(plain))
         rows = []
         for path in (LEGACY_SCENE, plain):
             out = tmp_path / f"rows{len(rows)}.json"
@@ -563,7 +563,7 @@ class TestConfigPlumbing:
             built.clear()
             got = cli._resolve_spec(RunConfig(scenario=name))
             assert built == [name]
-            assert repr(got) == repr(want)
+            assert got == want
             for a, b in zip(got.fixtures + got.users, want.fixtures + want.users):
                 assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 

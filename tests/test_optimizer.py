@@ -24,6 +24,8 @@ from rsma_vlc.signal_model import (
     build_layout,
 )
 
+from helpers import max_row_l1, on_columns
+
 
 def channel(gains, noise=None):
     g = np.array(gains, dtype=float)
@@ -57,7 +59,7 @@ TIGHT = 1e-12
 def random_start(ch, lay, eps, rng):
     """A random point of the balls: each row drawn uniformly from [-1, 1]
     and scaled to a random share of its budget."""
-    P = rng.uniform(-1.0, 1.0, size=(ch.num_fixtures, lay.num_streams))
+    P = rng.uniform(-1.0, 1.0, size=(ch.num_fixtures, lay.active.sum()))
     return P / np.abs(P).sum(axis=1, keepdims=True) * (eps * rng.uniform(0.3, 1.0))
 
 
@@ -95,10 +97,10 @@ class TestEqualizerAndWeights:
         layout, or of one per problem: the compiled batch, P on the RSMA
         columns, and each stage's rate, equalizer and weight (B, stages)."""
         if isinstance(layouts, list):
-            Q = np.stack([lay.to_rsma(p) for lay, p in zip(layouts, P)])
+            Q = np.stack([on_columns(lay, p) for lay, p in zip(layouts, P)])
             comp = optimizer._Compiled(channels, layouts, np.array(w, dtype=float), np.ones(len(layouts)))
         else:
-            Q = layouts.to_rsma(P)
+            Q = on_columns(layouts, P)
             comp = compiled(channels, layouts, w, len(P))
         r, dr, _ = optimizer._stage_derivatives(comp, Q)
         stage, own = np.arange(r.shape[1]), comp._gather[-1]
@@ -175,14 +177,14 @@ class TestEqualizerAndWeights:
             for w in ((0.5, 0.5), (0.3, 0.7), (0.8, 0.2)):
                 ch = random_channel(rng)
                 lay = build_layout(scheme, ch)
-                P = rng.normal(size=(10, 2, lay.num_streams))
+                P = rng.normal(size=(10, 2, lay.active.sum()))
                 comp, Q, r, _, _ = self.stages(ch, lay, P, w)
                 # SDMA's common decoders have rate 0 and weight 0
                 value = r[:, : comp.n_priv] @ comp.w_priv[0] + comp.w_common * r[:, comp.n_priv :].min(axis=1)
                 wsr = comp.true_rates(Q)
                 np.testing.assert_allclose(value, wsr, rtol=0.0, atol=1e-9)
                 for b in range(len(P)):
-                    rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=np.array(w))
+                    rep = assemble_report(ch, Precoder(matrix=Q[b]), lay, weights=np.array(w))
                     assert value[b] == pytest.approx(rep.wsr, abs=1e-9)
 
 
@@ -267,7 +269,7 @@ class TestSubproblem:
         lay = build_layout("sdma", ch)
         for p_prev, eps in ((0.4, 10.0), (0.9, 0.5)):
             comp = compiled(ch, lay, [1.0, 1.0], eps=eps)
-            P, history, residual = self._polish(comp, lay.to_rsma(np.array([[[p_prev, 0.0]]])))
+            P, history, residual = self._polish(comp, on_columns(lay, np.array([[[p_prev, 0.0]]])))
             assert P[0, 0, 0] == pytest.approx(eps, rel=1e-12)
             assert P[0, 0, 1] == 0.0  # the second user's column
             assert P[0, 0, 2] == 0.0  # the unweighted common column
@@ -294,7 +296,7 @@ class TestSubproblem:
         rng = np.random.default_rng(10)
         ch = random_channel(rng, l=3)
         lay = build_layout(scheme, ch)
-        Q = lay.to_rsma(rng.normal(size=(40, 3, lay.num_streams)))
+        Q = on_columns(lay, rng.normal(size=(40, 3, lay.active.sum())))
         comp = compiled(ch, lay, w, len(Q))
         r, dr, d2r = optimizer._stage_derivatives(comp, Q)
         rc = r[:, comp.n_priv :]
@@ -327,7 +329,7 @@ class TestSubproblem:
         ch = channel([[1e150, 2e150], [3e150, 1e150]])
         lay = build_layout("sdma", ch)
         comp = compiled(ch, lay, [0.5, 0.5], eps=1e100)
-        P = lay.to_rsma(np.full((1, 2, 2), 0.5e100))
+        P = on_columns(lay, np.full((1, 2, 2), 0.5e100))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure, match="derivatives"):
                 optimizer._polish(comp, P, np.zeros(1), AoConfig().tolerance)
@@ -337,6 +339,8 @@ class TestZfPrecoder:
     def test_diagonal_channel_gives_diagonal_precoder(self):
         ch = channel([[1.0, 0.0], [0.0, 0.5]])
         P = zf_precoder(ch, 2.0).matrix
+        # on the K + 1 RSMA columns, the common one empty
+        assert P.shape == (2, 3) and np.all(P[:, 2] == 0.0)
         assert abs(P[0, 1]) < 1e-12 and abs(P[1, 0]) < 1e-12
         assert np.abs(P).sum(axis=1).max() == pytest.approx(2.0)
 
@@ -417,7 +421,7 @@ class TestAoSolve:
             sol = solve(ch, lay, (0.5, 0.5), eps)
             hist = np.array(sol.wsr_history)
             assert np.all(np.diff(hist) >= -1e-8)
-            assert sol.precoder.max_row_l1() <= eps + 1e-9
+            assert max_row_l1(sol.precoder) <= eps + 1e-9
             assert np.all(sol.report.common_shares >= 0.0)
             assert sol.report.common_shares.sum() <= sol.report.common_cap + 1e-9
 
@@ -452,9 +456,9 @@ class TestAoSolve:
         assert [len(P) for P in batches] == [sum(1 + k + n for n in splits), warm]
         # wave 0 holds each problem's ZF start, its corners, then its split starts
         first = 0
-        # on the RSMA columns, with the columns the problem's layout lacks at 0
+        # on the RSMA columns, with the columns the problem's layout leaves empty at 0
         for problem, n in zip(problems, splits):
-            active = np.isin(np.arange(k + 1), build_layout(problem.scheme, ch).rsma_columns)
+            active = build_layout(problem.scheme, ch).active
             zf = optimizer._zf_start(ch, active, problem.epsilon)
             own = [zf] + [optimizer._beam_start(ch, active, problem.epsilon, user) for user in range(k)]
             own += [optimizer._split_start(zf, ch, problem.epsilon, alpha) for alpha in optimizer._SPLITS[:n]]
@@ -531,10 +535,10 @@ class TestBatchedSolver:
             e = epsilon_from_snr(snr, 1.0)
             starts.append(optimizer._zf_start(ch, active, e))
             starts += [optimizer._beam_start(ch, active, e, k) for k in range(2)]
-            starts += [lay.to_rsma(random_start(ch, lay, e, rng)) for _ in range(2)]
+            starts += [on_columns(lay, random_start(ch, lay, e, rng)) for _ in range(2)]
             eps += [e] * 5
         # SDMA's common column, NOMA's weak user's private column
-        unused = [c for c in range(3) if c not in lay.rsma_columns]
+        unused = np.flatnonzero(~lay.active).tolist()
         comp = compiled(ch, lay, w, len(starts), eps)
         for cfg in (AoConfig(), AoConfig(tolerance=TIGHT)):
             P, hist, res = optimizer._solve_starts(comp, np.stack(starts), cfg)
@@ -575,7 +579,7 @@ class TestBatchedSolver:
             alone = ao_solve(problems[:n], (0.5, 0.5), layout=lay)
             assert all(self._same(a, b) for a, b in zip(alone, sols))
         for eps, sol in zip(epsilons, sols):
-            assert sol.converged and sol.precoder.max_row_l1() <= eps + 1e-9
+            assert sol.converged and max_row_l1(sol.precoder) <= eps + 1e-9
 
     def test_batch_of_one_equals_batch_of_many(self):
         rng = np.random.default_rng(46)
@@ -802,10 +806,10 @@ class TestBatchedSolver:
         sols = solve_all(problems, (0.5, 0.5))
         own = [1 + 2, 1 + 2, 1 + 2 + len(optimizer._SPLITS)]
         assert [len(P0) for P0 in waves] == [sum(own), 1, 2]
-        sdma, noma = build_layout("sdma", ch), build_layout("noma", ch)
-        assert np.array_equal(waves[1][0], noma.to_rsma(sdma.to_rsma(sols[0].precoder.matrix)[:, noma.rsma_columns]))
-        assert np.array_equal(waves[2][0], sdma.to_rsma(sols[0].precoder.matrix))
-        assert np.array_equal(waves[2][1], noma.to_rsma(sols[1].precoder.matrix))
+        noma = build_layout("noma", ch)
+        assert np.array_equal(waves[1][0], np.where(noma.active, sols[0].precoder.matrix, 0.0))
+        assert np.array_equal(waves[2][0], sols[0].precoder.matrix)
+        assert np.array_equal(waves[2][1], sols[1].precoder.matrix)
         assert sols[2].wsr >= max(sols[0].wsr, sols[1].wsr)
 
     def test_warm_from_names_earlier_problems_only(self):
@@ -870,7 +874,7 @@ class TestBatchedSolver:
         assert [np.flatnonzero(comp._interferes[:, k]).tolist() for k in (0, 1)] == [[1], [0]]
         assert [np.flatnonzero(comp._interferes[:, 2 + k]).tolist() for k in (0, 1)] == [[0, 1], [0, 1]]
         for row, lay in zip(comp.active, layouts):
-            assert np.flatnonzero(row).tolist() == sorted(lay.rsma_columns)
+            assert np.flatnonzero(row).tolist() == np.flatnonzero(lay.active).tolist()
 
     def test_channels_need_one_shape(self):
         a = channel([[0.9, 0.4], [0.3, 0.8]])
@@ -935,7 +939,7 @@ class TestPolish:
         rng = np.random.default_rng(60)
         ch = channel(rng.uniform(0.1, 1.0, size=(2, 4)), [1.0, 0.7])
         lay = build_layout(scheme, ch)
-        P = lay.to_rsma(rng.normal(size=(3, 4, lay.num_streams)))
+        P = on_columns(lay, rng.normal(size=(3, 4, lay.active.sum())))
         comp = compiled(ch, lay, [0.4, 0.6], len(P))
         J = np.kron(ch.gains, np.eye(3))[None]
         r, dr, d2r = optimizer._stage_derivatives(comp, P)
@@ -963,7 +967,7 @@ class TestPolish:
         rng = np.random.default_rng(61)
         ch = random_channel(rng, l=4)
         lay = build_layout("rsma", ch)
-        P = project_rows_l1(lay.to_rsma(rng.normal(size=(20, 4, 3))), np.full((20, 4), 2.0))
+        P = project_rows_l1(on_columns(lay, rng.normal(size=(20, 4, 3))), np.full((20, 4), 2.0))
         comp = compiled(ch, lay, [0.5, 0.5], len(P), eps=2.0)
         J = np.kron(ch.gains, np.eye(3))[None]
         r, dr, _ = optimizer._stage_derivatives(comp, P)
@@ -998,7 +1002,7 @@ class TestPolish:
 
         # a point whose decoders cross as user 0's private column scales by s
         while True:
-            P0 = project_rows_l1(lay.to_rsma(rng.normal(size=(1, 4, 3))), np.full((1, 4), eps))
+            P0 = project_rows_l1(on_columns(lay, rng.normal(size=(1, 4, 3))), np.full((1, 4), eps))
             scaled = lambda s: P0 * np.array([s, 1.0, 1.0])  # noqa: E731
             lo, hi = 0.5, 1.0
             if np.sign(difference(scaled(lo))[0]) != np.sign(difference(scaled(hi))[0]):
@@ -1016,7 +1020,7 @@ class TestPolish:
 
         deltas = [0.0, 1e-6, 1e-4, 1e-3, 1e-2]
         P = np.concatenate([at(d) for d in deltas] + [project_rows_l1(
-            lay.to_rsma(rng.normal(size=(20, 4, 3))), np.full((20, 4), eps))])
+            on_columns(lay, rng.normal(size=(20, 4, 3))), np.full((20, 4), eps))])
         B = len(P)
         comp = compiled(ch, lay, [0.5, 0.5], B, eps)
         r, dr, _ = optimizer._stage_derivatives(comp, P)
@@ -1054,7 +1058,7 @@ class TestPolish:
         lay = build_layout("sdma", ch)
         eps = 2.0
         comp = compiled(ch, lay, [0.5, 0.5], eps=eps)
-        P0 = lay.to_rsma(np.array([[[0.7, 0.2], [-0.1, 0.9]]]))
+        P0 = on_columns(lay, np.array([[[0.7, 0.2], [-0.1, 0.9]]]))
         wsr0 = comp.true_rates(P0)
         P, history, residual = optimizer._polish(comp, P0, wsr0, AoConfig().tolerance)
         expected = 0.5 * np.log2(1 + (1.0 * eps) ** 2) + 0.5 * np.log2(1 + (0.5 * eps) ** 2)
@@ -1072,7 +1076,7 @@ class TestPolish:
         lay = build_layout(scheme, ch)
         eps = np.repeat([epsilon_from_snr(snr, 1.0) for snr in (0.0, 10.0, 20.0, 30.0, 40.0)], 4)
         comp = compiled(ch, lay, [0.5, 0.5], len(eps), eps)
-        P0 = np.stack([lay.to_rsma(random_start(ch, lay, e, rng)) for e in eps])
+        P0 = np.stack([on_columns(lay, random_start(ch, lay, e, rng)) for e in eps])
         wsr0 = comp.true_rates(P0)
         P, history, residual = optimizer._polish(comp, P0, wsr0, AoConfig().tolerance)
         for b in range(len(P0)):
@@ -1128,12 +1132,13 @@ class TestGridOracle:
         for scheme in ("rsma", "sdma", "noma"):
             ch = random_channel(rng)
             lay = build_layout(scheme, ch)
-            S = lay.num_streams
+            S = lay.active.sum()
             axis = np.linspace(-eps, eps, res)
             mesh = np.stack(np.meshgrid(*([axis] * S), indexing="ij"), axis=-1).reshape(-1, S)
             rows = mesh[np.abs(mesh).sum(axis=1) <= eps + 1e-12]
             best = max(
-                assemble_report(ch, Precoder(matrix=np.stack([r1, r2])), lay, weights=np.array([0.5, 0.5])).wsr
+                assemble_report(ch, Precoder(matrix=on_columns(lay, np.stack([r1, r2]))), lay,
+                                weights=np.array([0.5, 0.5])).wsr
                 for r1 in rows
                 for r2 in rows
             )
@@ -1154,14 +1159,14 @@ class TestGridOracle:
                 eps = float(10.0 ** rng.uniform(-0.5, 1.5))
                 kernel = SicKernel(2, ch.noise)
                 private, common = optimizer._stream_weights(lay, w)
-                rows = optimizer._grid_rows(eps, resolution, lay.num_streams)
+                rows = optimizer._grid_rows(eps, resolution, lay.active.sum())
                 assert set(map(tuple, -rows)) == set(map(tuple, rows))  # the negation of every row
                 H = ch.gains
                 best = -np.inf
                 for lo in range(0, len(rows), 100):  # every (row 1, row 2) pair
                     A = (H[None, None, :, 0:1] * rows[lo : lo + 100, None, None, :]
-                         + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.num_streams)
-                    wsr = optimizer._amplitude_wsr(kernel, private[None], common, lay.to_rsma(A))
+                         + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.active.sum())
+                    wsr = optimizer._amplitude_wsr(kernel, private[None], common, on_columns(lay, A))
                     best = max(best, float(wsr.max()))
                 assert grid_oracle(ch, lay, w, eps, resolution) == best
 

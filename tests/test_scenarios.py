@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rsma_vlc.scenarios as scenarios
+import rsma_vlc.signal_model as signal_model
 from rsma_vlc.channel import Receiver
 from rsma_vlc.optimizer import epsilon_from_snr
 from rsma_vlc.scenarios import (
@@ -13,12 +14,15 @@ from rsma_vlc.scenarios import (
     Sweep,
     build_scene_channel,
     catalog,
+    catalog_scene,
     reference_gain,
     run_sweep,
     users_for_separation,
 )
 from rsma_vlc.cli import main
 from rsma_vlc.signal_model import StreamLayout, build_layout
+
+from helpers import for_scheme, wsr_series
 
 CATALOG_NAMES = {
     "scenario1_4led",
@@ -43,6 +47,20 @@ def _problems(problems):
 class TestCatalog:
     def test_names(self):
         assert set(catalog()) == CATALOG_NAMES
+
+    def test_exact_equality_never_raises(self):
+        # scenes, fixtures and receivers compare field by field, an array
+        # field element for element: one bit apart is unequal
+        a, b = catalog_scene("scenario1_2led"), catalog_scene("scenario1_2led")
+        assert a == b and not a != b
+        assert a.fixtures == b.fixtures and a.users == b.users
+        x, y, z = a.users[0].position
+        moved = replace(a, users=(replace(a.users[0], position=(np.nextafter(x, 0.0), y, z)), a.users[1]))
+        assert moved != a and not moved == a and moved.users[0] != a.users[0]
+        assert moved.fixtures == a.fixtures and moved.users[1] == a.users[1]
+        # another shape or another type is unequal, never an error
+        assert Receiver(position=np.zeros((2, 3))) != Receiver(position=np.zeros(3))
+        assert a != a.name and a.fixtures[0] != a.users[0] and a.users[0] != None  # noqa: E711
 
     def test_user_separations(self):
         cat = catalog()
@@ -234,7 +252,7 @@ class TestRunSweep:
 
     def test_rsma_rows_dominate_special_cases(self):
         res = run_sweep(self._tiny())
-        by = {s: dict(res.wsr_series(s)) for s in ("rsma", "sdma", "noma")}
+        by = {s: dict(wsr_series(res, s)) for s in ("rsma", "sdma", "noma")}
         for snr in (5.0, 15.0):
             assert by["rsma"][snr] >= by["sdma"][snr] - 1e-9
             assert by["rsma"][snr] >= by["noma"][snr] - 1e-9
@@ -307,7 +325,7 @@ class TestRunSweep:
         ]
         assert warm == [[2, 2], [], [], [], [], [2], [0]]
         assert [(r.scheme, r.sweep_value) for r in res.failures] == [("noma", 15.0), ("sdma", 15.0)]
-        rsma = {r.sweep_value: r for r in res.for_scheme("rsma")}
+        rsma = {r.sweep_value: r for r in for_scheme(res, "rsma")}
         assert rsma[5.0] == [r for r in clean.rows if (r.scheme, r.sweep_value) == ("rsma", 5.0)][0]
         assert rsma[15.0].error is None and rsma[15.0].converged and rsma[15.0].wsr > 0.0
 
@@ -406,3 +424,25 @@ class TestTracerContract:
         # for every oracle instance, RSMA's helpers included
         one_sweep = [(StreamLayout, "sdma", 6)]
         assert calls == one_sweep * 2 + [(StreamLayout, "sdma", 10)]
+
+    def test_monte_carlo_calls_keep_what_the_tracer_reads(self, monkeypatch):
+        # the traced run sizes each monte_carlo_sinr call from the
+        # precoder's column count, the layout's private columns in use and
+        # the kind of the stream it checks: on validate's RSMA calls, 3
+        # columns, 2 private ones, and the common stream at column 2
+        real = signal_model.monte_carlo_sinr
+        signature = inspect.signature(real)
+        calls = []
+
+        def traced(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(signal_model, "monte_carlo_sinr", traced)
+        assert main(["validate", "--mc-instances", "6", "--oracle-instances", "1"]) == 0
+        assert len(calls) == 6 and {call["stream"] for call in calls} == {0, 1, 2}
+        for call in calls:
+            layout, stream = call["layout"], call["stream"]
+            assert layout.scheme == "rsma" and call["precoder"].num_streams == 3
+            assert len(layout.private_columns) == 2
+            assert (layout.streams[stream].kind == "common") == (stream == 2)

@@ -12,13 +12,14 @@ from rsma_vlc.signal_model import (
     SCHEMES,
     Precoder,
     SicKernel,
-    StreamDesc,
     StreamLayout,
     build_layout,
     assemble_report,
     default_shares,
     monte_carlo_sinr,
 )
+
+from helpers import on_columns
 
 
 def channel_2x2(gains=((0.9, 0.3), (0.3, 0.9)), noise=(1.0, 1.0)):
@@ -37,15 +38,15 @@ HAND_COMMON_U2 = 1.44 / (0.09 + 0.09 + 1.0)
 class TestLayouts:
     def test_sdma_private_only(self):
         lay = build_layout("sdma", channel_2x2())
-        assert lay.num_streams == 2
-        assert [s.kind for s in lay.streams] == ["private", "private"]
-        assert [s.owner for s in lay.streams] == [0, 1]
-        assert lay.rsma_columns == (0, 1)
+        assert lay.num_streams == 3
+        assert [s.kind for s in lay.streams] == ["private", "private", "common"]
+        assert [s.carries for s in lay.streams] == [(0,), (1,), ()]
+        assert lay.private_columns == (0, 1) and lay.active.tolist() == [True, True, False]
 
     def test_rsma_adds_common(self):
         lay = build_layout("rsma", channel_2x2())
         assert lay.num_streams == 3
-        assert lay.rsma_columns == (0, 1, 2)
+        assert lay.active.tolist() == [True, True, True]
         assert lay.streams[2].kind == "common" and lay.streams[2].carries == (0, 1)
         # every user decodes the common stream, with every private stream
         # as interference
@@ -55,17 +56,17 @@ class TestLayouts:
     def test_noma_strong_user_selection(self):
         ch = channel_2x2(gains=((1.0, 0.2), (0.3, 0.25)))
         lay = build_layout("noma", ch)
-        assert [s.kind for s in lay.streams] == ["private", "common"]
-        assert lay.streams[0].owner == 0  # larger row norm
-        assert lay.streams[1].carries == (1,)
-        assert lay.rsma_columns == (0, 2)
+        assert [s.kind for s in lay.streams] == ["private", "private", "common"]
+        assert lay.strong == 0 and lay.streams[0].carries == (0,)  # larger row norm
+        assert lay.streams[2].carries == (1,)
+        assert lay.active.tolist() == [True, False, True]
         # both users decode the common stream: each has a common SINR
-        rep = assemble_report(ch, Precoder(matrix=np.array([[0.5, 1.0], [0.5, 1.0]])), lay)
+        rep = assemble_report(ch, Precoder(matrix=on_columns(lay, [[0.5, 1.0], [0.5, 1.0]])), lay)
         assert np.all(rep.sinr_common > 0.0) and rep.sinr_private[1] == 0.0
 
     def test_noma_tie_breaks_to_lower_index(self):
         lay = build_layout("noma", channel_2x2())
-        assert lay.streams[0].owner == 0
+        assert lay.strong == 0
 
     def test_noma_needs_two_users(self):
         # as does every scheme: a layout has exactly two users, so no solver,
@@ -75,9 +76,8 @@ class TestLayouts:
             ch = ChannelMatrix(gains=np.ones((users, 2)), noise=np.ones(users))
             w = np.full(users, 1.0 / users)
             message = f"a layout has exactly two users, got {users}"
-            private = tuple(StreamDesc("private", k, (k,)) for k in range(users))
             with pytest.raises(ValueError, match=message):
-                StreamLayout("sdma", users, private)
+                StreamLayout("sdma", users)
             for scheme in SCHEMES:
                 with pytest.raises(ValueError, match=message):
                     build_layout(scheme, ch)
@@ -92,10 +92,17 @@ class TestLayouts:
         with pytest.raises(ValueError):
             build_layout("tdma", channel_2x2())
 
+    def test_strong_user_is_nomas_alone(self):
+        # a layout stores only what build_layout decides: NOMA needs one of
+        # its users as the strong one, and no other scheme takes one
+        for scheme, strong in (("noma", None), ("noma", 2), ("noma", -1), ("sdma", 0), ("rsma", 1)):
+            with pytest.raises(ValueError, match="cannot have strong user"):
+                StreamLayout(scheme, 2, strong)
+
 
 class TestSinr:
     """Every SINR is read from the report, indexed by user on the RSMA
-    streams; a stream the layout lacks or a zero column reads 0."""
+    streams; an empty or zero column reads 0."""
 
     def test_zero_common_column(self):
         p = Precoder(matrix=np.array([[0.5, -0.2, 0.0], [-0.5, 0.4, 0.0]]))
@@ -115,15 +122,15 @@ class TestSinr:
         assert rep.sinr_common[1] == pytest.approx(HAND_COMMON_U2, rel=1e-12)
 
     def test_zero_private_column(self):
-        p = Precoder(matrix=np.zeros((2, 2)))
         lay = build_layout("sdma", channel_2x2())
+        p = Precoder(matrix=on_columns(lay, np.zeros((2, 2))))
         rep = assemble_report(channel_2x2(), p, lay)
         assert np.all(rep.sinr_private == 0.0) and np.all(rep.private_rates == 0.0)
 
     def test_orthogonal_users(self):
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
-        p = Precoder(matrix=np.array([[0.7, 0.0], [0.0, 0.4]]))
         lay = build_layout("sdma", ch)
+        p = Precoder(matrix=on_columns(lay, [[0.7, 0.0], [0.0, 0.4]]))
         assert assemble_report(ch, p, lay).sinr_private[0] == pytest.approx(0.49, rel=1e-14)
 
     def test_private_hand_instance(self):
@@ -166,8 +173,8 @@ class TestRates:
         # orthogonal users at SINR 0, 1 and 3: rates log2(1 + SINR) = 0, 1 and 2
         ch = channel_2x2(gains=((1.0, 0.0), (0.0, 1.0)))
         lay = build_layout("sdma", ch)
-        assert np.all(assemble_report(ch, Precoder(matrix=np.zeros((2, 2))), lay).private_rates == 0.0)
-        rep = assemble_report(ch, Precoder(matrix=np.diag([1.0, np.sqrt(3.0)])), lay)
+        assert np.all(assemble_report(ch, Precoder(matrix=on_columns(lay, np.zeros((2, 2)))), lay).private_rates == 0.0)
+        rep = assemble_report(ch, Precoder(matrix=on_columns(lay, np.diag([1.0, np.sqrt(3.0)]))), lay)
         assert rep.private_rates[0] == pytest.approx(1.0, rel=1e-15)
         assert rep.private_rates[1] == pytest.approx(2.0, rel=1e-15)
 
@@ -215,7 +222,7 @@ class TestAssembleReport:
     def test_sdma_common_fields_zero(self):
         ch = channel_2x2()
         lay = build_layout("sdma", ch)
-        rep = assemble_report(ch, Precoder(matrix=HAND.matrix[:, :2]), lay)
+        rep = assemble_report(ch, Precoder(matrix=on_columns(lay, HAND.matrix[:, :2])), lay)
         assert rep.common_cap == 0.0
         assert np.all(rep.common_shares == 0.0)
         assert np.all(rep.sinr_common == 0.0)
@@ -224,7 +231,7 @@ class TestAssembleReport:
         # strong user 1 private, weak user 2 on the common stream
         ch = channel_2x2(gains=((1.0, 0.2), (0.3, 0.25)), noise=(1.0, 1.0))
         lay = build_layout("noma", ch)
-        p = Precoder(matrix=np.array([[0.5, 0.5], [0.0, 0.5]]))  # columns: private(u1), common
+        p = Precoder(matrix=on_columns(lay, [[0.5, 0.5], [0.0, 0.5]]))  # columns in use: private(u1), common
         rep = assemble_report(ch, p, lay)
         # scalar oracle: gamma_1 = (h1.p1)^2 / sigma^2, no other private stream
         g1 = (1.0 * 0.5) ** 2 / 1.0
@@ -254,10 +261,27 @@ class TestAssembleReport:
                 assemble_report(ch, HAND, lay, weights=w)
 
     def test_wrong_stream_count_rejected(self):
-        # a 1-column precoder on SDMA's 2 streams is not broadcast to both
+        # a 1-column precoder on SDMA's 3 columns is not broadcast to them
         ch = channel_2x2(gains=((0.9, 0.4), (0.3, 0.8)))
-        with pytest.raises(ValueError, match="do not have this layout's 2 streams"):
+        with pytest.raises(ValueError, match="the precoder has 1 streams, the layout 3"):
             assemble_report(ch, Precoder(matrix=np.ones((2, 1))), build_layout("sdma", ch))
+
+    @pytest.mark.parametrize("scheme,column", [("sdma", 2), ("noma", 1)])
+    def test_nonzero_empty_column_rejected(self, scheme, column):
+        # SDMA's common column and NOMA's weak user's private column are
+        # empty: a precoder that drives one is refused by the report and by
+        # the Monte-Carlo check alike, not read as RSMA
+        ch = channel_2x2(gains=((0.9, 0.4), (0.3, 0.8)))
+        lay = build_layout(scheme, ch)
+        assert not lay.active[column]
+        P = on_columns(lay, [[0.5, 0.2], [-0.1, 0.4]])
+        assemble_report(ch, Precoder(matrix=P), lay)
+        P[1, column] = 1e-300
+        message = f"the precoder drives a column the {scheme} layout leaves empty"
+        with pytest.raises(ValueError, match=message):
+            assemble_report(ch, Precoder(matrix=P), lay)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_sinr(ch, Precoder(matrix=P), lay, 0, 0, num_symbols=MC_MIN_SYMBOLS, seed=1)
 
     def test_overall_identity(self):
         ch = channel_2x2()
@@ -284,7 +308,7 @@ class TestAssembleReport:
             rsma = build_layout("rsma", ch)
             sdma = build_layout("sdma", ch)
             rep_r = assemble_report(ch, Precoder(matrix=np.hstack([privates, np.zeros((2, 1))])), rsma)
-            rep_s = assemble_report(ch, Precoder(matrix=privates), sdma)
+            rep_s = assemble_report(ch, Precoder(matrix=on_columns(sdma, privates)), sdma)
             assert np.array_equal(rep_r.private_rates, rep_s.private_rates)
             assert np.array_equal(rep_r.overall, rep_s.overall)
             assert rep_r.wsr == rep_s.wsr
@@ -347,12 +371,12 @@ class TestMonteCarlo:
         # one row; NOMA's private stage has no interferer at all
         ch = channel_2x2(noise=(1.3, 0.7))
         lay = build_layout(scheme, ch)
-        P = np.array([[0.5, -0.2, 1.0], [-0.5, 0.4, 1.0]])[:, : lay.num_streams]
+        P = on_columns(lay, np.array([[0.5, -0.2, 1.0], [-0.5, 0.4, 1.0]])[:, : lay.active.sum()])
         # the SIC rule, stated here: every user decodes the common stream
-        # with every private stream as interference, and the owner of a
+        # with every private stream as interference, and the user of a
         # private stream decodes it with the other private streams
-        stages = [(user, stream) for stream, desc in enumerate(lay.streams)
-                  for user in (range(lay.num_users) if desc.kind == "common" else (desc.owner,))]
+        stages = [(user, stream) for stream, desc in enumerate(lay.streams) if desc.carries
+                  for user in (range(lay.num_users) if desc.kind == "common" else desc.carries)]
         chunk = signal_model._MC_CHUNK
         draws = [(num_symbols, user, stream) for num_symbols in (MC_MIN_SYMBOLS + 1, 16 * chunk + 1)
                  for user, stream in stages]
@@ -383,11 +407,10 @@ class TestMonteCarlo:
         kernel = SicKernel(num_users, ch.noise)
         for scheme in SCHEMES:
             lay = build_layout(scheme, ch)
-            own = {j: i for i, j in enumerate(lay.rsma_columns)}
             for stream, desc in enumerate(lay.streams):
-                for user in range(num_users) if desc.kind == "common" else (desc.owner,):
+                for user in (range(num_users) if desc.kind == "common" else desc.carries) if desc.carries else ():
                     stage = num_users + user if desc.kind == "common" else user
-                    expected = [own[j] for j in np.flatnonzero(kernel._interferes[:, stage]).tolist() if j in own]
+                    expected = [j for j in np.flatnonzero(kernel._interferes[:, stage]).tolist() if lay.active[j]]
                     assert signal_model._decoding_interferers(lay, user, stream) == expected, (scheme, user, stream)
 
     def test_peak_memory_of_a_million_symbols(self):
@@ -409,9 +432,9 @@ class TestMonteCarlo:
         # peak within the bound of 1e6
         assert peaks[0] <= 1e6 and peaks[1] <= 1e6
 
-    @pytest.mark.parametrize("scheme,streams", [("rsma", 2), ("sdma", 3)])
+    @pytest.mark.parametrize("scheme,streams", [("rsma", 2), ("sdma", 4)])
     def test_wrong_stream_count_rejected(self, scheme, streams):
-        # a precoder with fewer or more columns than the layout's streams
+        # a precoder with fewer or more columns than the layout's K + 1
         ch = channel_2x2(gains=((0.9, 0.4), (0.3, 0.8)))
         lay = build_layout(scheme, ch)
         with pytest.raises(ValueError, match=f"the precoder has {streams} streams, the layout {lay.num_streams}"):
@@ -440,28 +463,29 @@ class TestMonteCarlo:
         lay = build_layout("rsma", ch)
         with pytest.raises(ValueError, match="not user 0's private stream"):
             monte_carlo_sinr(ch, HAND, lay, 0, 1, num_symbols=MC_MIN_SYMBOLS, seed=1)
-        # a stream index outside the layout's streams, negative ones included
+        # a stream index outside the layout's columns in use, negative ones
+        # and SDMA's empty common column included
         for layout, stream in ((lay, -1), (lay, 3), (build_layout("sdma", ch), 2)):
-            P = Precoder(matrix=HAND.matrix[:, : layout.num_streams])
+            P = Precoder(matrix=on_columns(layout, HAND.matrix[:, : layout.active.sum()]))
             with pytest.raises(ValueError, match=f"stream {stream} is not one of the layout's"):
                 monte_carlo_sinr(ch, P, layout, 0, stream, num_symbols=MC_MIN_SYMBOLS, seed=1)
 
 
 def loop_sinrs(H, noise, P, layout):
-    """Reference SINRs from explicit loops on the layout's own columns:
-    private by column, common by user (every user decodes it)."""
+    """Reference SINRs from explicit loops over the columns the layout
+    fills: private by column, common by user (every user decodes it)."""
     A = H @ P
     priv = layout.private_columns
     sinr_p = []
     for c in priv:
-        k = layout.streams[c].owner
+        k = c  # user k's private column
         interference = 0.0
         for j in priv:
             if j != c:
                 interference += A[k, j] ** 2
         sinr_p.append(A[k, c] ** 2 / (interference + noise[k]))
     sinr_c = []
-    for c in [i for i, s in enumerate(layout.streams) if s.kind == "common"]:
+    for c in [i for i, s in enumerate(layout.streams) if s.kind == "common" and s.carries]:
         for k in range(len(H)):
             interference = 0.0
             for j in priv:
@@ -481,10 +505,10 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
     lay = build_layout(scheme, ch)
     w = rng.uniform(0.2, 1.0, size=users)
-    P = rng.normal(size=(16, fixtures, lay.num_streams))
+    P = rng.normal(size=(16, fixtures, lay.active.sum()))
     comp = optimizer._Compiled([ch] * len(P), [lay] * len(P), w, np.ones(len(P)))
-    # every caller reads the layout's precoders on the RSMA columns
-    Q = lay.to_rsma(P)
+    # every caller reads the precoders on the RSMA columns
+    Q = on_columns(lay, P)
     A = ch.gains @ Q
     kernel = SicKernel(users, ch.noise)
     sinr_p, sinr_c = kernel.sinrs(A)
@@ -497,16 +521,16 @@ def test_kernel_agrees_with_every_caller(scheme, users, fixtures):
     wsr_true = comp.true_rates(Q)
     w_priv, w_common = optimizer._stream_weights(lay, w)
     wsr_oracle = optimizer._amplitude_wsr(kernel, w_priv[None], w_common, A)
-    owners = [lay.streams[c].owner for c in lay.private_columns]
+    owners = list(lay.private_columns)
     unserved = [k for k in range(users) if k not in owners]
     for b in range(len(P)):
-        ref_p, ref_c = loop_sinrs(ch.gains, ch.noise, P[b], lay)
+        ref_p, ref_c = loop_sinrs(ch.gains, ch.noise, Q[b], lay)
         np.testing.assert_allclose(sinr_p[b, owners], ref_p, rtol=1e-12)
-        rep = assemble_report(ch, Precoder(matrix=P[b]), lay, weights=w)
+        rep = assemble_report(ch, Precoder(matrix=Q[b]), lay, weights=w)
         np.testing.assert_allclose(rep.sinr_private[owners], ref_p, rtol=1e-12)
         # the stage rates, (ln T - ln I) / ln 2 of each stage's received
-        # power T and interference plus noise I; a stream the layout lacks
-        # is a zero column, so its stages' SINRs and rates are exactly 0
+        # power T and interference plus noise I; a column the layout leaves
+        # empty is zero, so its stages' SINRs and rates are exactly 0
         np.testing.assert_allclose(r_p[b, owners], np.log2(1.0 + ref_p), rtol=0.0, atol=1e-12)
         assert np.all(sinr_p[b, unserved] == 0.0) and np.all(rep.sinr_private[unserved] == 0.0)
         assert np.all(r_p[b, unserved] == 0.0)
@@ -541,7 +565,7 @@ def test_polish_stages_read_the_kernels_mask(scheme, users, fixtures, mask, monk
 
     ch = ChannelMatrix(gains=rng.uniform(0.05, 1.0, size=(users, fixtures)), noise=rng.uniform(0.5, 2.0, size=users))
     lay = build_layout(scheme, ch)
-    Q = lay.to_rsma(rng.normal(size=(16, fixtures, lay.num_streams)))
+    Q = on_columns(lay, rng.normal(size=(16, fixtures, lay.active.sum())))
     monkeypatch.setattr(SicKernel, "__init__", other_mask)
     comp = optimizer._Compiled([ch] * len(Q), [lay] * len(Q), np.full(users, 1.0 / users), np.ones(len(Q)))
     assert not np.array_equal(comp._interferes, 1.0 - np.eye(users, 2 * users))
