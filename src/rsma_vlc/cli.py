@@ -147,11 +147,6 @@ def _text(value) -> str:
 
 
 def _parse(kind, text: str):
-    if kind is bool:
-        states = configparser.ConfigParser.BOOLEAN_STATES
-        if text.lower() not in states:
-            raise ValueError(f"not a boolean: {text!r}")
-        return states[text.lower()]
     if kind in (int, float, str):
         return kind(text)
     return tuple(_word(t) for t in text.replace(",", " ").split())  # vectors and lists
@@ -414,18 +409,16 @@ def cmd_validate(config: RunConfig) -> int:
                 instances.append((scheme, ChannelMatrix(gains=gains, noise=np.ones(2))))
         # one solve for every instance
         solved = scenarios.solve_schemes(
-            [channel for _, channel in instances], (0.5, 0.5), [(scheme,) for scheme, _ in instances],
-            AoConfig(), [epsilon] * len(instances),
+            [(channel, epsilon, (scheme,)) for scheme, channel in instances], (0.5, 0.5), AoConfig()
         )
         checks = []  # (scheme, index, solution, oracle future); a failed solve has no oracle
-        for scheme in signal_model.SCHEMES:
-            checked = [channel for s, channel in instances if s == scheme]
-            for i, (channel, (layout, sol)) in enumerate(zip(checked, solved.get(scheme, ()))):
-                oracle = None if isinstance(sol, Exception) else pool.submit(
-                    optimizer.grid_oracle,
-                    channel, layout, (0.5, 0.5), epsilon=epsilon, resolution=config.oracle_resolution,
-                )
-                checks.append((scheme, i, sol, oracle))
+        for n, ((scheme, channel), sols) in enumerate(zip(instances, solved)):
+            sol = sols[scheme]
+            oracle = None if isinstance(sol, Exception) else pool.submit(
+                optimizer.grid_oracle,
+                channel, sol.layout, (0.5, 0.5), epsilon=epsilon, resolution=config.oracle_resolution,
+            )
+            checks.append((scheme, n % config.oracle_instances, sol, oracle))
         for scheme, i, sol, oracle in checks:
             if oracle is None:  # a failed solve is one failed check
                 failures += 1

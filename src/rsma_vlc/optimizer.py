@@ -78,18 +78,20 @@ and thresholds the whole stack and keeps the rows inside their balls
 with `where` (`project_rows_l1`).
 
 A problem (`Problem`) is a channel, a scheme, an amplitude budget
-epsilon and the problems whose solutions are its warm starts; its
-starts are fixed by these (see `ao_solve`), so a solve draws no random
-numbers. `AoConfig` holds only the settings every problem of a call
-shares. The solver never sees an SNR: turning a sweep's SNR into
-epsilon (`epsilon_from_snr`) is the caller's job.
+epsilon and the problems whose solutions are its warm starts, plus the
+layout that its scheme and channel decide, made once with the problem
+(`Problem.layout`, NOMA's decoding order included) and carried by its
+`Solution`; its starts are fixed by these (see `ao_solve`), so a solve
+draws no random numbers. `AoConfig` holds only the settings every
+problem of a call shares. The solver never sees an SNR: turning a
+sweep's SNR into epsilon (`epsilon_from_snr`) is the caller's job.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,12 +172,22 @@ class Problem:
     of `scheme` ("rsma", "sdma" or "noma") on `channel` under the
     per-fixture amplitude budget `epsilon` (the radius of every row's L1
     ball). `warm_from` names earlier problems of the call (their indices)
-    whose solutions are its warm starts, in that order."""
+    whose solutions are its warm starts, in that order.
+
+    `layout` is `build_layout(scheme, channel)`, made with the problem
+    and read by everything downstream (the solver, `Solution.layout`), so
+    a problem's layout, NOMA's decoding order included, is decided once.
+    An unknown scheme or a channel without exactly two users raises
+    ValueError here."""
 
     channel: ChannelMatrix
     scheme: str
     epsilon: float
     warm_from: tuple = ()
+    layout: StreamLayout = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layout", build_layout(self.scheme, self.channel))
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,8 @@ class Solution:
     """One problem's result: the winning start's precoder, (L, K + 1) on
     the RSMA columns with its layout's empty columns at 0, rate report
     (with the common-rate shares), iteration count, convergence flag,
-    WSR history and residual.
+    WSR history and residual. `layout` is its problem's
+    (`Problem.layout`), the one the report was assembled under.
 
     `restart_index` names the winner among the problem's starts, in the
     order `ao_solve` lists them: 0 is ZF, 1..K the single-user corners,
@@ -204,6 +217,7 @@ class Solution:
     restart_index: int
     wsr_history: tuple
     residual: float
+    layout: StreamLayout
 
     @property
     def wsr(self) -> float:
@@ -862,9 +876,10 @@ def ao_solve(
     `scenarios.solve_schemes` seeds RSMA that way; without warm starts
     that bound is not assured.
 
-    Each problem is solved under `build_layout(scheme, channel)` of its
-    own scheme and channel, so one call takes, say, the SDMA, NOMA (of
-    either strong user) and RSMA problems of a sweep; the channels must
+    Each problem is solved under its own layout, `Problem.layout`
+    (`build_layout(scheme, channel)`, made with the problem), which its
+    Solution carries, so one call takes, say, the SDMA, NOMA (of either
+    strong user) and RSMA problems of a sweep; the channels must
     all have one shape. Every start is built on the RSMA columns, with
     the columns the problem's layout leaves empty at 0 (see the module
     docstring), and each Solution's precoder is the winner's (L, K + 1)
@@ -883,7 +898,8 @@ def ao_solve(
     The name is that of the alternating-optimization (AO) stage the
     solver once ran before the polish; it stays, with `layout`, because
     the benchmark's tracer binds both. `layout` is the first problem's
-    layout, of its scheme: the tracer tags the call by `layout.scheme`.
+    `Problem.layout`, of its scheme: the tracer tags the call by
+    `layout.scheme`.
     It goes once the tracer tags each problem by its own scheme (ROADMAP
     item 1).
 
@@ -901,7 +917,7 @@ def ao_solve(
         raise ValueError("warm_from may name only earlier problems of the call")
     w = np.asarray(priorities, dtype=float)
     channels = [problem.channel for problem in problems]
-    layouts = [build_layout(problem.scheme, problem.channel) for problem in problems]
+    layouts = [problem.layout for problem in problems]
     comp = _Compiled(channels, layouts, w, [problem.epsilon for problem in problems])
     K = channels[0].num_users
 
@@ -946,6 +962,7 @@ def ao_solve(
                 restart_index=best - firsts[p],
                 wsr_history=tuple(histories[best]),
                 residual=float(residual[best]),
+                layout=lay,
             )
         )
     return tuple(solutions)

@@ -2,6 +2,9 @@
 `solve_schemes`, the one path that seeds RSMA from SDMA/NOMA. SDMA and
 NOMA are RSMA with an empty column (see `optimizer`), so their converged
 precoders, on the RSMA columns as every precoder is, are RSMA warm starts.
+`solve_schemes` takes (channel, epsilon, schemes) points and returns one
+{scheme: Solution} per point; each Solution carries the layout its
+problem decided once (`Problem.layout`).
 
 All cataloged scenes use a 5 x 5 x 4 m room (origin at the floor
 center, z up), ceiling fixtures of 3600 LEDs with a 60 degree
@@ -35,7 +38,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, Fixture, Receiver, build_channel, exact_eq, fixture_gain
 from .optimizer import AoConfig, Problem, ao_solve, epsilon_from_snr
-from .signal_model import SCHEMES, build_layout
+from .signal_model import SCHEMES
 
 __all__ = [
     "Sweep",
@@ -262,70 +265,63 @@ def _solve_points(problems, priorities, config) -> list:
     which have no warm starts of their own), then the problem,
     warm-started from their solutions. A problem's result does not
     depend on its batch, so the helpers solve to their results again and
-    only the failing problems fail.
+    only the failing problems fail. Each call hands ao_solve its first
+    problem's layout as `layout`.
     """
     if len(problems) > 1:
         try:
-            return list(_ao_solve(problems, priorities, config))
+            return list(ao_solve(problems, priorities, config, layout=problems[0].layout))
         except Exception:  # isolate the failure below
             pass
     results = []
     for problem in problems:
         helpers = [problems[q] for q in problem.warm_from if not isinstance(results[q], Exception)]
         alone = replace(problem, warm_from=tuple(range(len(helpers))))
+        call = helpers + [alone]
         try:
-            results.append(_ao_solve(helpers + [alone], priorities, config)[-1])
+            results.append(ao_solve(call, priorities, config, layout=call[0].layout)[-1])
         except Exception as exc:  # failed points must not sink the sweep
             results.append(exc)
     return results
 
 
-def _ao_solve(problems, priorities, config):
-    """ao_solve, given the first problem's layout as its `layout`."""
-    first = problems[0]
-    layout = build_layout(first.scheme, first.channel)
-    return ao_solve(problems, priorities, config, layout=layout)
+def solve_schemes(points, priorities, config) -> list:
+    """One {scheme: Solution or the raised exception} per point, in point
+    order, holding the schemes that point asks for.
 
+    `points` holds (channel, epsilon, schemes) triples: channel j is
+    solved under the amplitude budget epsilon_j in each of its schemes
+    (each Solution carries its layout, `Solution.layout`). Every channel
+    has exactly two users and every scheme is known (ValueError
+    otherwise, raised before anything is solved). This is the one
+    place RSMA is seeded from the special cases: each RSMA problem names
+    its own point's SDMA and NOMA problems, in that order, as its
+    `warm_from`, so their converged precoders are its warm starts and
+    WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent.
+    These helpers are solved also where only RSMA is requested; one that
+    failed at a point gives no warm start there. Every solve runs under
+    the AoConfig `config`.
 
-def solve_schemes(channels, priorities, schemes, config, epsilons) -> dict:
-    """{scheme: [(layout, Solution or the raised exception) per channel
-    that requests the scheme, in channel order]}.
-
-    Every channel has exactly two users (`build_layout` raises otherwise).
-    `schemes` names the schemes to solve at every channel, or holds one
-    such tuple per channel. The one place RSMA is seeded from the
-    special cases: each RSMA problem names its own channel's SDMA and
-    NOMA problems, in that order, as its `warm_from`, so their
-    converged precoders are its warm starts and WSR(RSMA) >=
-    max(WSR(SDMA), WSR(NOMA)) holds by monotone ascent. These helpers
-    are solved also where only RSMA is requested; one that failed at a
-    channel gives no warm start there. Every solve runs under the
-    AoConfig `config`; channel j has the amplitude budget `epsilons[j]`
-    in every scheme. Every problem of every channel is one batched ao_solve call,
-    NOMA ones of either strong user included: the RSMA problems' warm
-    starts run as the call's second wave, from the helpers' polished
-    winners. If the call raises, each (scheme, channel) is solved in a
-    call of its own, after its helpers that succeeded.
+    Every problem of every point is one batched ao_solve call, NOMA ones
+    of either strong user included: every SDMA problem, then every NOMA
+    problem, then every RSMA problem, each in point order. The RSMA
+    problems' warm starts run as the call's second wave, from the
+    helpers' polished winners. If the call raises, each (scheme, point)
+    is solved in a call of its own, after its helpers that succeeded.
     """
-    channels = list(channels)
-    wanted = [tuple(schemes)] * len(channels) if not schemes or isinstance(schemes[0], str) else list(schemes)
-    if len(wanted) != len(channels):
-        raise ValueError("schemes needs one tuple of schemes per channel")
-    layouts = {}  # by (scheme, channel index), the helpers first
-    for scheme in ("sdma", "noma", "rsma"):
-        for j, ch in enumerate(channels):
-            if scheme in wanted[j] or "rsma" in wanted[j]:
-                layouts[scheme, j] = build_layout(scheme, ch)
-    keys = list(layouts)
+    points = list(points)
+    unknown = sorted({scheme for _, _, schemes in points for scheme in schemes} - set(SCHEMES))
+    if unknown:
+        raise ValueError(f"unknown schemes {unknown}")
+    keys = [(scheme, j) for scheme in ("sdma", "noma", "rsma")
+            for j, (_, _, schemes) in enumerate(points) if scheme in schemes or "rsma" in schemes]
     index = {key: p for p, key in enumerate(keys)}
     problems = [
-        Problem(channels[j], scheme, epsilons[j], (index["sdma", j], index["noma", j]) if scheme == "rsma" else ())
+        Problem(points[j][0], scheme, points[j][1], (index["sdma", j], index["noma", j]) if scheme == "rsma" else ())
         for scheme, j in keys
     ]
-    sols = _solve_points(problems, priorities, config)
-    solved = {key: (layouts[key], sol) for key, sol in zip(keys, sols)}
-    return {s: [solved[s, j] for j, w in enumerate(wanted) if s in w]
-            for s in ("sdma", "noma", "rsma") if any(s in w for w in wanted)}
+    solved = dict(zip(keys, _solve_points(problems, priorities, config)))
+    return [{scheme: solved[scheme, j] for scheme in schemes} for j, (_, _, schemes) in enumerate(points)]
 
 
 def _row(spec: ScenarioSpec, scheme: str, value: float, sol) -> SweepRow:
@@ -363,7 +359,7 @@ def _solve_chunk(spec: ScenarioSpec, points: list, ref: float) -> list:
     else:
         channel = build_scene_channel(spec)
         scenes = [(channel, value) for _, value in points]
-    rows, solvable, channels, epsilons = [], [], [], []
+    rows, solvable, wanted = [], [], []
     for (_, value), (channel, snr) in zip(points, scenes):
         try:
             eps = epsilon_from_snr(snr, float(np.sqrt(np.mean(channel.noise))), reference_gain=ref)
@@ -371,12 +367,10 @@ def _solve_chunk(spec: ScenarioSpec, points: list, ref: float) -> list:
             rows += [_row(spec, s, value, exc) for s in spec.schemes]
             continue
         solvable.append(value)
-        channels.append(channel)
-        epsilons.append(eps)
+        wanted.append((channel, eps, spec.schemes))
 
-    solved = solve_schemes(channels, spec.priorities, spec.schemes, spec.ao, epsilons)
-    for scheme, results in solved.items():
-        rows += [_row(spec, scheme, value, sol) for value, (_, sol) in zip(solvable, results)]
+    for value, solved in zip(solvable, solve_schemes(wanted, spec.priorities, spec.ao)):
+        rows += [_row(spec, scheme, value, sol) for scheme, sol in solved.items()]
     return rows
 
 

@@ -206,13 +206,18 @@ class RateReport:
 
 def build_layout(scheme: str, channel: ChannelMatrix) -> StreamLayout:
     """Stream layout for a scheme on the channel's users, exactly two
-    (any other count is the layout's ValueError); NOMA picks the strong
-    user by row norm."""
+    (any other count is the layout's ValueError).
+
+    NOMA's strong user, who holds the private stream and decodes the weak
+    user's message first, has the larger ||h_k||_1 / sigma_k, ties going
+    to the lower index: under per-fixture L1 budgets epsilon with
+    nonnegative gains, user k's largest received amplitude is
+    epsilon ||h_k||_1, against its noise level sigma_k."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme != "noma":
         return StreamLayout(scheme, channel.num_users)
-    strong = int(np.argmax(np.linalg.norm(channel.gains, axis=1)))  # ties break to the lower index
+    strong = int(np.argmax(channel.gains.sum(axis=1) / np.sqrt(channel.noise)))
     return StreamLayout(scheme, channel.num_users, strong)
 
 

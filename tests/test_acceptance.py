@@ -53,7 +53,7 @@ def test_criterion_1_scenario1_absolute_wsr():
     spec = catalog()["scenario1_4led"]
     channel = build_scene_channel(spec)
     eps = epsilon_from_snr(40.0, float(np.sqrt(np.mean(channel.noise))), reference_gain=reference_gain(spec))
-    _, sol = solve_schemes([channel], (0.5, 0.5), ("rsma",), spec.ao, [eps])["rsma"][0]
+    sol = solve_schemes([(channel, eps, ("rsma",))], (0.5, 0.5), spec.ao)[0]["rsma"]
     elapsed = time.monotonic() - t0
     assert 15.5 * 0.8 <= sol.wsr <= 15.5 * 1.2
     assert elapsed <= 120.0
@@ -175,6 +175,19 @@ def test_scenario3_sdma_40db_reaches_best_known():
     _report(f"SCENARIO3 SDMA 40 dB: PASS  {row.wsr:.4f} b/s/Hz, converged (best known 12.398)")
 
 
+@pytest.mark.parametrize("noise_mode", ["unit", "physical"])
+def test_scenario3_noma_at_low_snr_is_sdmas_row(noise_mode):
+    # NOMA's strong user is the one of larger ||h_k||_1 / sigma_k (user 1
+    # here, though user 0 has the larger L2 row norm). From 0 to 15 dB the
+    # best NOMA precoder serves that user alone, as SDMA's does, so the
+    # two rows are equal bit for bit
+    spec = replace(catalog()["scenario3_4led"], noise_mode=noise_mode, sweep=Sweep("snr_db", (0.0, 5.0, 10.0, 15.0)))
+    result = run_sweep(spec)
+    assert wsr_series(result, "noma") == wsr_series(result, "sdma")
+    assert all(r.converged for r in result.rows)
+    _report(f"SCENARIO3 NOMA 0-15 dB ({noise_mode} noise): PASS  equal to SDMA's rows")
+
+
 def _crossover_interval(name: str):
     """Grid interval where the NOMA-SDMA gap changes sign."""
     gaps = [(snr, wsr_at(name, "noma", snr) - wsr_at(name, "sdma", snr)) for snr in SNR_GRID]
@@ -230,9 +243,9 @@ def test_criterion_6_property_suite():
         eps = float(rng.uniform(0.5, 40.0))
         drawn[scheme].append((ch, eps))
     for scheme, instances in drawn.items():
-        channels, epsilons = zip(*instances)
-        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), epsilons)[scheme]
-        for eps, (_, sol) in zip(epsilons, solved):
+        solved = solve_schemes([(ch, eps, (scheme,)) for ch, eps in instances], (0.5, 0.5), AoConfig())
+        for (_, eps), point in zip(instances, solved):
+            sol = point[scheme]
             assert np.all(np.diff(sol.wsr_history) >= -1e-8)
             assert max_row_l1(sol.precoder) <= eps + 1e-9
             shares = sol.report.common_shares
@@ -262,9 +275,10 @@ def test_criterion_6_property_suite():
     for scheme in ("rsma", "sdma", "noma"):
         drawn[scheme] = [ChannelMatrix(gains=rng.uniform(0.1, 1.0, size=(2, 2)), noise=np.ones(2)) for _ in range(20)]
     for scheme, channels in drawn.items():
-        solved = solve_schemes(channels, (0.5, 0.5), (scheme,), AoConfig(), [eps] * 20)[scheme]
-        for i, (ch, (lay, sol)) in enumerate(zip(channels, solved)):
-            oracle = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=21)
+        solved = solve_schemes([(ch, eps, (scheme,)) for ch in channels], (0.5, 0.5), AoConfig())
+        for i, (ch, point) in enumerate(zip(channels, solved)):
+            sol = point[scheme]
+            oracle = grid_oracle(ch, sol.layout, (0.5, 0.5), epsilon=eps, resolution=21)
             assert abs(sol.wsr - oracle) <= 0.05 * oracle, (scheme, i)
 
     _report(

@@ -2,6 +2,7 @@ import configparser
 import json
 import os
 import re
+import sys
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
@@ -399,9 +400,9 @@ class TestValidate:
         real_solve_schemes, real_ao_solve = scenarios.solve_schemes, scenarios.ao_solve
         failing = []  # the channel of the first NOMA instance
 
-        def solve_schemes(channels, priorities, schemes, *args):
-            failing.append(next(ch for ch, wanted in zip(channels, schemes) if wanted == ("noma",)))
-            return real_solve_schemes(channels, priorities, schemes, *args)
+        def solve_schemes(points, *args):
+            failing.append(next(ch for ch, _, wanted in points if wanted == ("noma",)))
+            return real_solve_schemes(points, *args)
 
         def ao_solve(problems, *args, **kwargs):
             if any(p.channel is failing[0] and p.scheme == "noma" for p in problems):
@@ -431,9 +432,8 @@ class TestValidate:
             for i in range(3):
                 ch = ChannelMatrix(gains=rng.uniform(0.2, 1.0, size=(2, 2)), noise=np.ones(2))
                 rng.integers(1 << 31)  # validate spends one draw per instance
-                solved = scenarios.solve_schemes([ch], (0.5, 0.5), (scheme,), cfg, [eps])
-                lay, sol = solved[scheme][0]
-                oracle = optimizer.grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps)
+                sol = scenarios.solve_schemes([(ch, eps, (scheme,))], (0.5, 0.5), cfg)[0][scheme]
+                oracle = optimizer.grid_oracle(ch, sol.layout, (0.5, 0.5), epsilon=eps)
                 deviation = abs(sol.wsr - oracle) / max(oracle, 1e-12)
                 expected.append(f"oracle[{scheme}:{i:02d}] ao {sol.wsr:.4f} grid {oracle:.4f} "
                                 f"deviation {deviation:.3%} {'PASS' if deviation <= 0.05 else 'FAIL'}")
@@ -481,6 +481,39 @@ class TestValidate:
         threads = threading.active_count()
         assert main(self.ARGS) == 0
         assert threading.active_count() == threads
+
+
+class TestLayoutDecidedOnce:
+    """Each problem's layout is built once, where the problem is made:
+    one `build_layout` call per problem (and per Monte-Carlo instance of
+    `validate`), wherever the package calls it from."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        real, calls = signal_model.build_layout, []
+
+        def build_layout(scheme, channel):
+            calls.append(scheme)
+            return real(scheme, channel)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rsma_vlc") and getattr(module, "build_layout", None) is real:
+                monkeypatch.setattr(module, "build_layout", build_layout)
+        return calls
+
+    def test_snr_sweep_pass(self, monkeypatch, tmp_path):
+        calls = self.spy(monkeypatch)
+        for scenario, snrs in (("scenario1_4led", "0,5,10,15,20,25"), ("scenario2_2led", "0,5,10,15,20,25,30,35,40")):
+            argv = ["run", "--scenario", scenario, "--snr", snrs, "--seed", "0", "--workers", "1",
+                    "--format", "json", "--out", str(tmp_path / f"{scenario}.json")]
+            assert main(argv) == 0
+        assert len(calls) == 3 * (6 + 9) == 45
+
+    def test_validate_pass(self, monkeypatch, capsys):
+        calls = self.spy(monkeypatch)
+        assert main(["validate", "--seed", "0", "--mc-instances", "20", "--oracle-instances", "18"]) == 0
+        # each of the 18 RSMA instances brings its SDMA and NOMA helpers
+        assert len(calls) == 20 + 18 * 3 + 18 * 2 == 110
 
 
 class TestConfigPlumbing:

@@ -7,8 +7,8 @@ import pytest
 
 import rsma_vlc.scenarios as scenarios
 import rsma_vlc.signal_model as signal_model
-from rsma_vlc.channel import Receiver
-from rsma_vlc.optimizer import epsilon_from_snr
+from rsma_vlc.channel import ChannelMatrix, Receiver
+from rsma_vlc.optimizer import AoConfig, epsilon_from_snr
 from rsma_vlc.scenarios import (
     ScenarioSpec,
     Sweep,
@@ -22,7 +22,7 @@ from rsma_vlc.scenarios import (
 from rsma_vlc.cli import main
 from rsma_vlc.signal_model import StreamLayout, build_layout
 
-from helpers import for_scheme, wsr_series
+from helpers import for_scheme, max_row_l1, wsr_series
 
 CATALOG_NAMES = {
     "scenario1_4led",
@@ -329,6 +329,42 @@ class TestRunSweep:
         assert rsma[5.0] == [r for r in clean.rows if (r.scheme, r.sweep_value) == ("rsma", 5.0)][0]
         assert rsma[15.0].error is None and rsma[15.0].converged and rsma[15.0].wsr > 0.0
 
+    def test_solve_schemes_gives_each_point_its_schemes(self, monkeypatch):
+        # one dict per point, in point order, of the schemes it asks for;
+        # the SDMA and NOMA helpers of an RSMA point are solved, not returned
+        spec = self._tiny()
+        ch = build_scene_channel(spec)
+        points = [(ch, 2.0, ("noma",)), (ch, 3.0, ("rsma", "sdma")), (ch, 4.0, ("rsma",))]
+        calls = []
+        real = scenarios.ao_solve
+
+        def spy(problems, priorities, config, *, layout):
+            calls.append(_problems(problems))
+            return real(problems, priorities, config, layout=layout)
+
+        monkeypatch.setattr(scenarios, "ao_solve", spy)
+        solved = scenarios.solve_schemes(points, (0.5, 0.5), spec.ao)
+        assert [list(point) for point in solved] == [["noma"], ["rsma", "sdma"], ["rsma"]]
+        # every SDMA problem, then every NOMA one, then every RSMA one
+        assert calls == [[("sdma", 3.0), ("sdma", 4.0), ("noma", 2.0), ("noma", 3.0), ("noma", 4.0),
+                          ("rsma", 3.0), ("rsma", 4.0)]]
+        for (_, eps, _), point in zip(points, solved):
+            for scheme, sol in point.items():
+                assert sol.layout == build_layout(scheme, ch) and max_row_l1(sol.precoder) <= eps + 1e-9
+
+    def test_solve_schemes_refuses_bad_points_before_solving(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr(scenarios, "ao_solve", never)
+        ch = build_scene_channel(self._tiny())
+        with pytest.raises(ValueError, match=r"unknown schemes \['tdma'\]"):
+            scenarios.solve_schemes([(ch, 1.0, ("sdma",)), (ch, 1.0, ("rsma", "tdma"))], (0.5, 0.5), AoConfig())
+        three = ChannelMatrix(gains=np.full((3, 2), 0.5), noise=np.ones(3))
+        with pytest.raises(ValueError, match="a layout has exactly two users, got 3"):
+            scenarios.solve_schemes([(ch, 1.0, ("sdma",)), (three, 1.0, ("noma",))], (0.5, 0.5), AoConfig())
+        assert scenarios.solve_schemes([], (0.5, 0.5), AoConfig()) == []
+
     def test_separation_sweep_point(self):
         spec = replace(
             catalog()["separation_sweep_2led"],
@@ -361,7 +397,7 @@ class TestRunSweep:
         # have two layouts, and one batched call solves them all
         spec = replace(
             catalog()["separation_sweep_2led"],
-            fixtures=(scenarios._fixture(-2.4, 0.0), scenarios._fixture(0.4, 0.0)),
+            fixtures=(scenarios._fixture(-2.4, 0.0), scenarios._fixture(1.2, 0.0)),
             sweep=Sweep("separation", (0.4, 1.2, 2.8, 4.4)),
             snr_db=20.0,
             schemes=("rsma", "sdma", "noma"),

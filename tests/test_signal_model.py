@@ -57,12 +57,22 @@ class TestLayouts:
         ch = channel_2x2(gains=((1.0, 0.2), (0.3, 0.25)))
         lay = build_layout("noma", ch)
         assert [s.kind for s in lay.streams] == ["private", "private", "common"]
-        assert lay.strong == 0 and lay.streams[0].carries == (0,)  # larger row norm
+        assert lay.strong == 0 and lay.streams[0].carries == (0,)  # larger ||h_k||_1 / sigma_k
         assert lay.streams[2].carries == (1,)
         assert lay.active.tolist() == [True, False, True]
         # both users decode the common stream: each has a common SINR
         rep = assemble_report(ch, Precoder(matrix=on_columns(lay, [[0.5, 1.0], [0.5, 1.0]])), lay)
         assert np.all(rep.sinr_common > 0.0) and rep.sinr_private[1] == 0.0
+
+    def test_noma_strong_user_by_l1_norm_over_noise_level(self):
+        # user 0 has the larger L2 row norm, user 1 the larger L1 norm, the
+        # most amplitude the per-fixture budgets can put at a user
+        assert build_layout("noma", channel_2x2(gains=((1.0, 0.0), (0.6, 0.6)))).strong == 1
+        # against the noise level sigma_k, not its variance: 1.2 / 1 > 2 / 2
+        # while 1.2 / 1 < 2 / 1.5
+        gains = ((0.6, 0.6), (1.0, 1.0))
+        assert build_layout("noma", channel_2x2(gains=gains, noise=(1.0, 4.0))).strong == 0
+        assert build_layout("noma", channel_2x2(gains=gains, noise=(1.0, 2.25))).strong == 1
 
     def test_noma_tie_breaks_to_lower_index(self):
         lay = build_layout("noma", channel_2x2())

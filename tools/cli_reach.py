@@ -5,15 +5,17 @@
 
 Run it from the root of a source checkout; it takes no options and
 needs only the standard library (the program itself needs numpy). It
-runs these commands in this process through `rsma_vlc.cli.main`, `run`
-with one worker, under a line tracer (`sys.settrace`, and
-`threading.settrace` for `validate`'s pool threads) limited to the
-files of `src/`:
+runs these commands in this process through `rsma_vlc.cli.main` under a
+line tracer (`sys.settrace`, and `threading.settrace` for `validate`'s
+pool threads) limited to the files of `src/`:
 
-* `run` on the five catalog SNR scenes, under unit and physical noise;
-* the separation sweep at `--snr 20` with all three schemes;
-* `channel-dump` of all six catalog scenes, under unit and physical noise;
-* a default `validate`;
+* every command of `regen_golden.COMMANDS`, the ones the golden outputs
+  pin and the benchmark runs: `run` on the five catalog SNR scenes (with
+  `--snr`, `--format json` and one worker; scenario3_4led under physical
+  noise too) and on the separation sweep at `--snr 20` with all three
+  schemes, the benchmark's `validate` pass, and `channel-dump` of all six
+  catalog scenes under unit and physical noise. Each `run` writes its
+  rows to an `--out` file, as `regen_golden.record` has it;
 * `run --scenario-file` of a scene saved by `cli.save_scenario` (the
   save itself is not traced: no command saves a scene).
 
@@ -35,23 +37,18 @@ import tempfile
 import threading
 from pathlib import Path
 
+from regen_golden import COMMANDS
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-SNR_SCENES = ("scenario1_4led", "scenario2_4led", "scenario3_4led", "scenario1_2led", "scenario2_2led")
-SCENES = SNR_SCENES + ("separation_sweep_2led",)
-MODES = ("unit", "physical")
 
-
-def commands(scene_file: str) -> list:
-    """The argument lists of every traced command, in the order they run."""
-    run = ["--seed", "0", "--workers", "1"]
+def commands(out: str, scene_file: str) -> list:
+    """The argument lists of every traced command, in the order they run:
+    COMMANDS, each `run` writing to the file `out`, then the saved scene's run."""
     return (
-        [["run", "--scenario", s, "--noise-mode", m, *run] for s in SNR_SCENES for m in MODES]
-        + [["run", "--scenario", "separation_sweep_2led", "--snr", "20", "--schemes", "rsma,sdma,noma", *run]]
-        + [["channel-dump", "--scenario", s, "--noise-mode", m] for s in SCENES for m in MODES]
-        + [["validate"]]
-        + [["run", "--scenario-file", scene_file, *run]]
+        [argv + ["--out", out] if argv[0] == "run" else argv for argv in COMMANDS.values()]
+        + [["run", "--scenario-file", scene_file, "--seed", "0", "--workers", "1"]]
     )
 
 
@@ -154,7 +151,7 @@ def main() -> int:
         threading.settrace(reach.trace)
         sys.settrace(reach.trace)
         try:
-            for argv in commands(scene_file):
+            for argv in commands(str(Path(tmp) / "rows.json"), scene_file):
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                     code = cli.main(argv)
                 if code != 0:
@@ -164,7 +161,7 @@ def main() -> int:
             sys.settrace(None)
             threading.settrace(None)
     listing = unreached(reach)
-    print(f"# unreached by {len(commands(''))} commands: {len(listing)} functions and statements")
+    print(f"# unreached by {len(commands('', ''))} commands: {len(listing)} functions and statements")
     print("\n".join(listing))
     return 0
 
