@@ -28,7 +28,6 @@ from .optimizer import (
     ao_solve,
     epsilon_from_snr,
     grid_oracle,
-    zf_precoder,
 )
 from .scenarios import ScenarioSpec, Sweep, catalog, run_sweep, solve_schemes
 from .signal_model import (

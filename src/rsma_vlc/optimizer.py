@@ -15,7 +15,9 @@ stops at a residual of 1e-7 or `AoConfig.tolerance`, whichever is
 smaller.
 
 The fixed start set (ZF, the single-user corners, RSMA's split starts
-and the warm starts; see `ao_solve`) does the exploring. WMMSE
+and the warm starts; see `ao_solve`) does the exploring. One builder
+(`_starts`) makes every problem's ZF, corners and split starts at once,
+with one stacked pseudo-inverse for the whole batch. WMMSE
 alternating optimization (AO; Shi, Razaviyayn, Luo & He 2011) once ran
 up to 20 iterations from each start before the polish; from this start
 set it changed no catalog WSR by more than rounding, so it went. The
@@ -44,12 +46,12 @@ weights: a private weight is the user's priority where the mask fills
 the user's private column, else 0, and the common weight is the
 priority of the user the greedy split hands the common rate to (0 for
 SDMA). SDMA and NOMA are thus RSMA with an empty column. The starts
-(`_zf_start`, `_beam_start`, `_split_start`) leave it at 0
-(`_Compiled.active`), the L1 projection keeps it at 0 and the polish
-leaves it out of every face and step, so its stages add exact zeros to
-every rate and derivative. Every weighted sum of stage rates or their
-derivatives, the WSR of the true rates and of the grid oracle included,
-is added stage by stage in the kernel's order (`_stage_sum`).
+(`_starts`) leave it at 0 (`_Compiled.active`), the L1 projection keeps
+it at 0 and the polish leaves it out of every face and step, so its
+stages add exact zeros to every rate and derivative. Every weighted sum
+of stage rates or their derivatives, the WSR of the true rates and of
+the grid oracle included, is added stage by stage in the kernel's order
+(`_stage_sum`).
 
 Every start is one problem of a lockstep batch. Each problem has its own
 row of every batched array: channel (gains stacked as (B, K, L), noise
@@ -115,7 +117,6 @@ __all__ = [
     "project_rows_l1",
     "ao_solve",
     "grid_oracle",
-    "zf_precoder",
 ]
 
 LN2 = math.log(2.0)
@@ -201,7 +202,8 @@ class Solution:
     `restart_index` names the winner among the problem's starts, in the
     order `ao_solve` lists them: 0 is ZF, 1..K the single-user corners,
     then the `warm_from` solutions in order, and last, for RSMA, the four
-    split starts. `iterations` counts the winner's polish iterations, and
+    split starts (ZF, the corners and the splits as `_starts` builds
+    them). `iterations` counts the winner's polish iterations, and
     `wsr_history` holds its WSR at its start, projected onto the balls,
     and after each of them (so it has `iterations` + 1 entries and never
     falls). `residual` is the winner's final residual in b/s/Hz, the most
@@ -399,73 +401,48 @@ def project_rows_l1(matrix: np.ndarray, radius) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def zf_precoder(channel: ChannelMatrix, epsilon: float) -> Precoder:
-    """Zero-forcing directions scaled into the per-row L1 budget, on the
-    K + 1 RSMA columns with the common column 0.
+def _starts(comp: _Compiled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(zf, corners, splits): the fixed starts of every problem of `comp`
+    on the RSMA columns, with the columns its layout leaves empty at 0,
+    built for the whole batch at once. They are not projected onto the
+    balls: `_solve_starts` projects every start.
 
-    Pseudo-inverse columns are normalized to equal power and scaled by a
-    common factor so the binding fixture row exactly meets the budget.
-    A rank-deficient channel falls back to a ridge-regularized inverse
-    (ridge 1e-6).
+    - zf (B, L, K + 1): zero forcing on the private columns the problem's
+      mask fills. Pseudo-inverse columns (for a rank-deficient channel,
+      the ridge-regularized inverse H^T (H H^T + 1e-6 I)^-1) are
+      normalized to equal power and scaled by a common factor so the
+      binding fixture row exactly meets the budget. With an active common
+      column they are shrunk by 1e-3 and the common column takes each
+      row's leftover budget.
+    - corners (B, K, L, K + 1): the full budget on one user's stream, its
+      private column or, for the user the mask leaves without one (NOMA's
+      weak user), the common column: the single-user optima, which a
+      start inside the balls reaches only by crawling.
+    - splits (B, len(_SPLITS), L, K + 1): a share alpha of the budget on
+      every row of the common column and the rest on ZF, for alpha in
+      _SPLITS: the splits between the private and the common streams that
+      ZF and the corners leave out. `ao_solve` starts only RSMA problems
+      from them.
+
+    The gains are nonnegative (`ChannelMatrix`), so a column of equal
+    entries adds up in phase at every user.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    H = channel.gains
-    K = channel.num_users
-    if np.linalg.matrix_rank(H) < K:
-        W = H.T @ np.linalg.inv(H @ H.T + 1e-6 * np.eye(K))
-    else:
-        W = np.linalg.pinv(H)
-    norms = np.linalg.norm(W, axis=0)
-    W = W / np.maximum(norms, 1e-30)
-    row_l1 = np.abs(W).sum(axis=1).max()
-    return Precoder(matrix=np.column_stack((W * (epsilon / max(row_l1, 1e-30)), np.zeros(len(W)))))
-
-
-def _zf_start(channel: ChannelMatrix, active: np.ndarray, epsilon: float) -> np.ndarray:
-    """ZF on the private RSMA columns `active` (K + 1 flags) marks; an
-    active common column takes the leftover row budget. (L, K + 1)."""
-    K = channel.num_users
-    P = np.zeros((channel.num_fixtures, K + 1))
-    users = np.flatnonzero(active[:K])
-    P[:, users] = zf_precoder(channel, epsilon).matrix[:, users] * (1.0 - 1e-3 if active[K] else 1.0)
-    if active[K]:
-        P[:, K] = np.maximum(epsilon - np.abs(P).sum(axis=1), 0.0) * _broadside(channel)
-    return P
-
-
-def _broadside(channel: ChannelMatrix) -> np.ndarray:
-    """The signs (+1 at a zero) of each fixture's summed gains: a common
-    column of these signs adds up in phase at every user."""
-    signs = np.sign(channel.gains.sum(axis=0))
-    signs[signs == 0] = 1.0
-    return signs
-
-
-def _beam_start(channel: ChannelMatrix, active: np.ndarray, epsilon: float, user: int) -> np.ndarray:
-    """Full budget to one user's stream, on the RSMA columns: covers
-    single-user corner optima.
-
-    A user whose private column `active` leaves out (NOMA weak user)
-    gets the common column instead, matched in sign to their channel row.
-    """
-    K = channel.num_users
-    P = np.zeros((channel.num_fixtures, K + 1))
-    signs = np.sign(channel.gains[user])
-    signs[signs == 0] = 1.0
-    P[:, user if active[user] else K] = epsilon * signs
-    return P
-
-
-def _split_start(zf: np.ndarray, channel: ChannelMatrix, epsilon: float, alpha: float) -> np.ndarray:
-    """A share alpha of the budget on the common column (the last RSMA
-    column) matched in sign to the summed channel (broadside), the rest
-    on the problem's ZF start `zf` (`_zf_start`), projected onto the
-    balls: the split between the private and the common streams that ZF
-    and the corners leave out."""
-    P = (1.0 - alpha) * zf
-    P[:, -1] += alpha * epsilon * _broadside(channel)
-    return project_rows_l1(P, epsilon)
+    H, active, eps = comp.H, comp.active, comp.eps
+    B, K, L = H.shape
+    Ht = H.transpose(0, 2, 1)
+    ridge = Ht @ np.linalg.inv(H @ Ht + 1e-6 * np.eye(K))
+    W = np.where((np.linalg.matrix_rank(H) < K)[:, None, None], ridge, np.linalg.pinv(H))
+    W = W / np.maximum(np.linalg.norm(W, axis=1, keepdims=True), 1e-30)
+    W = W * (eps / np.maximum(np.abs(W).sum(axis=2).max(axis=1), 1e-30))[:, None, None]
+    zf = np.zeros((B, L, K + 1))
+    zf[..., :K] = np.where(active[:, None, :K], W * np.where(active[:, K], 1.0 - 1e-3, 1.0)[:, None, None], 0.0)
+    zf[..., K] = np.where(active[:, None, K], np.maximum(eps[:, None] - np.abs(zf).sum(axis=2), 0.0), 0.0)
+    column = np.where(active[:, :K], np.arange(K), K)  # (B, K): the column of each user's corner
+    corners = np.where(column[:, :, None, None] == np.arange(K + 1), eps[:, None, None, None], 0.0)
+    alpha = np.array(_SPLITS)[:, None, None]
+    splits = (1.0 - alpha) * zf[:, None]
+    splits[..., K] += alpha[..., 0] * eps[:, None, None]
+    return zf, np.broadcast_to(corners, (B, K, L, K + 1)), splits
 
 
 # --------------------------------------------------------------------------
@@ -863,18 +840,18 @@ def ao_solve(
     per problem, in order.
 
     A problem's starts are, in this order: ZF; one single-user corner
-    per user, the full budget on that user's stream (`_beam_start`: the
-    single-user optima, which a start inside the balls reaches only by
-    crawling); the solutions of its `warm_from` problems (below); and, for
-    RSMA, the four split starts `_split_start` with alpha = _SPLITS. The
-    set is fixed, so a solve is deterministic. Every start is projected
-    onto the balls and polished (`_polish`). The best final WSR wins, the
-    earliest start on ties (`Solution.restart_index`). The polish only
-    ever raises the WSR, so the result is at least as good as every warm
-    start: an RSMA problem warm-started from its channel's SDMA and NOMA
-    problems satisfies WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)).
-    `scenarios.solve_schemes` seeds RSMA that way; without warm starts
-    that bound is not assured.
+    per user, the full budget on that user's stream; the solutions of its
+    `warm_from` problems (below); and, for RSMA, the four split starts
+    with alpha = _SPLITS. `_starts` builds the ZF, corner and split starts
+    of every problem of the call at once, and the loop only lays each
+    problem's rows out in that order. The set is fixed, so a solve is
+    deterministic. Every start is projected onto the balls and polished
+    (`_polish`). The best final WSR wins, the earliest start on ties
+    (`Solution.restart_index`). The polish only ever raises the WSR, so
+    the result is at least as good as every warm start: an RSMA problem
+    warm-started from its channel's SDMA and NOMA problems satisfies
+    WSR(RSMA) >= max(WSR(SDMA), WSR(NOMA)). `scenarios.solve_schemes`
+    seeds RSMA that way; without warm starts that bound is not assured.
 
     Each problem is solved under its own layout, `Problem.layout`
     (`build_layout(scheme, channel)`, made with the problem), which its
@@ -921,18 +898,17 @@ def ao_solve(
     comp = _Compiled(channels, layouts, w, [problem.epsilon for problem in problems])
     K = channels[0].num_users
 
-    starts, owner, source, depth = [], [], [], []  # the start table, and each problem's depth
-    for p, (problem, act, eps) in enumerate(zip(problems, comp.active, comp.eps.tolist())):
-        ch, refs = problem.channel, list(problem.warm_from)
-        zf = _zf_start(ch, act, eps)
-        splits = [_split_start(zf, ch, eps, alpha) for alpha in _SPLITS] if problem.scheme == "rsma" else []
-        own = [zf] + [_beam_start(ch, act, eps, k) for k in range(K)] + [np.zeros_like(zf)] * len(refs) + splits
-        starts += own
-        owner += [p] * len(own)
-        source += [-1] * (K + 1) + refs + [-1] * len(splits)
+    zf, corners, splits = _starts(comp)
+    blocks, owner, source, depth = [], [], [], []  # the start table, and each problem's depth
+    for p, problem in enumerate(problems):
+        refs = list(problem.warm_from)
+        n = len(_SPLITS) * (problem.scheme == "rsma")
+        blocks += [zf[p, None], corners[p], np.zeros((len(refs),) + zf.shape[1:]), splits[p, :n]]
+        owner += [p] * (1 + K + len(refs) + n)
+        source += [-1] * (K + 1) + refs + [-1] * n
         depth.append(1 + max(depth[q] for q in refs) if refs else 0)
     owner, source = np.array(owner), np.array(source)
-    P = np.stack(starts)
+    P = np.concatenate(blocks)
     firsts = np.searchsorted(owner, np.arange(len(problems) + 1)).tolist()
     wave = np.where(source >= 0, np.array(depth)[owner], 0)
     histories, residual, final = [None] * len(P), np.empty(len(P)), np.empty(len(P))

@@ -123,9 +123,11 @@ class ScenarioSpec:
             raise ValueError("priorities must be positive finite numbers, one per user")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
+            if s in self.schemes[:i]:
+                raise ValueError(f"scheme {s!r} is listed twice")
         if self.noise_mode not in ("unit", "physical"):
             raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
         if self.gain_reference not in ("area_mean", "none"):

@@ -102,6 +102,16 @@ class TestRunCommand:
     def test_bad_scheme_rejected(self):
         assert main(["run", "--scenario", "scenario1_2led", "--schemes", "tdma"]) == 1
 
+    def test_repeated_scheme_exits_1_without_output(self, tmp_path, capsys):
+        # one row per scheme and point: a repeat, even where the point
+        # cannot be solved, is a configuration error
+        out = tmp_path / "rows.csv"
+        argv = ["run", "--scenario", "scenario1_2led", "--schemes", "rsma,rsma", "--snr", "5,7000", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: scheme 'rsma' is listed twice\n")
+        assert not out.exists()
+
 
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path):
@@ -269,6 +279,17 @@ class TestScenarioFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: malformed scenario file {str(path)!r}: {message}\n"
+
+    def test_repeated_scheme_in_file_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "scene.ini"
+        save_scenario(catalog()["scenario1_2led"], str(path))
+        text = path.read_text()
+        assert "schemes = rsma sdma noma\n" in text
+        path.write_text(text.replace("schemes = rsma sdma noma\n", "schemes = rsma rsma\n"))
+        assert main(["run", "--scenario-file", str(path), "--snr", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed scenario file {str(path)!r}: scheme 'rsma' is listed twice\n"
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["run", "--scenario-file", str(tmp_path / "nope.ini")]) == 1
@@ -605,9 +626,16 @@ class TestConfigPlumbing:
         names = ", ".join(sorted(catalog()))
         assert capsys.readouterr().err == f"error: unknown scenario 'nope'; valid entries: {names}\n"
 
-    def test_runconfig_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(scenario=None, scenario_file=None)
+    def test_runconfig_validation(self, tmp_path, capsys):
+        # a command that reads a scene needs exactly one of --scenario and
+        # --scenario-file; validate reads none
+        for command in ("run", "channel-dump"):
+            for scene in ([], ["--scenario", "scenario1_2led", "--scenario-file", str(tmp_path / "x.ini")]):
+                assert main([command, *scene]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: exactly one of --scenario / --scenario-file is required\n"
+        assert cli._config_from_args(cli.build_parser().parse_args(["validate"])).scenario is None
         with pytest.raises(ConfigError):
             RunConfig(scenario="a", format="xml")
 

@@ -14,7 +14,6 @@ from rsma_vlc.optimizer import (
     epsilon_from_snr,
     grid_oracle,
     project_rows_l1,
-    zf_precoder,
 )
 from rsma_vlc.signal_model import (
     SCHEMES,
@@ -335,10 +334,65 @@ class TestSubproblem:
                 optimizer._polish(comp, P, np.zeros(1), AoConfig().tolerance)
 
 
+# The per-problem start builders `optimizer._starts` replaced, kept as its
+# reference: ZF, a corner and a split start of one problem, (L, K + 1) on
+# the RSMA columns. Their sign vectors are all ones on the nonnegative gains
+# a ChannelMatrix holds.
+
+
+def reference_zf(ch, active, epsilon):
+    """ZF on the private columns `active` marks (ridge inverse for a
+    rank-deficient channel); an active common column takes the leftover
+    row budget along the summed channel's signs."""
+    H, K = ch.gains, ch.num_users
+    if np.linalg.matrix_rank(H) < K:
+        W = H.T @ np.linalg.inv(H @ H.T + 1e-6 * np.eye(K))
+    else:
+        W = np.linalg.pinv(H)
+    W = W / np.maximum(np.linalg.norm(W, axis=0), 1e-30)
+    W = W * (epsilon / max(np.abs(W).sum(axis=1).max(), 1e-30))
+    P = np.zeros((ch.num_fixtures, K + 1))
+    users = np.flatnonzero(active[:K])
+    P[:, users] = W[:, users] * (1.0 - 1e-3 if active[K] else 1.0)
+    if active[K]:
+        P[:, K] = np.maximum(epsilon - np.abs(P).sum(axis=1), 0.0) * reference_signs(ch.gains.sum(axis=0))
+    return P
+
+
+def reference_signs(v):
+    signs = np.sign(v)
+    signs[signs == 0] = 1.0
+    return signs
+
+
+def reference_corner(ch, active, epsilon, user):
+    """The full budget on `user`'s private column, or on the common column
+    where `active` leaves the user without one, along the user's signs."""
+    P = np.zeros((ch.num_fixtures, ch.num_users + 1))
+    P[:, user if active[user] else ch.num_users] = epsilon * reference_signs(ch.gains[user])
+    return P
+
+
+def reference_split(zf, ch, epsilon, alpha):
+    """A share alpha of the budget on the common column, along the summed
+    channel's signs, and the rest on the ZF start `zf`; not projected."""
+    P = (1.0 - alpha) * zf
+    P[:, -1] += alpha * epsilon * reference_signs(ch.gains.sum(axis=0))
+    return P
+
+
+def zf_rows(ch, eps):
+    """The ZF start `_starts` builds for an SDMA problem of `ch`: ZF on the
+    private columns, the common column 0."""
+    return optimizer._starts(compiled(ch, build_layout("sdma", ch), (0.5, 0.5), eps=eps))[0][0]
+
+
 class TestZfPrecoder:
+    """The ZF start `_starts` builds (`zf_rows`)."""
+
     def test_diagonal_channel_gives_diagonal_precoder(self):
         ch = channel([[1.0, 0.0], [0.0, 0.5]])
-        P = zf_precoder(ch, 2.0).matrix
+        P = zf_rows(ch, 2.0)
         # on the K + 1 RSMA columns, the common one empty
         assert P.shape == (2, 3) and np.all(P[:, 2] == 0.0)
         assert abs(P[0, 1]) < 1e-12 and abs(P[1, 0]) < 1e-12
@@ -348,14 +402,14 @@ class TestZfPrecoder:
         rng = np.random.default_rng(9)
         for _ in range(20):
             ch = random_channel(rng)
-            P = zf_precoder(ch, 1.0).matrix
+            P = zf_rows(ch, 1.0)
             cross = ch.gains @ P
             assert abs(cross[0, 1]) < 1e-9 and abs(cross[1, 0]) < 1e-9
 
     def test_known_pseudo_inverse_directions(self):
         H = np.array([[1.0, 0.3], [0.2, 0.8]])
         ch = channel(H)
-        P = zf_precoder(ch, 1.0).matrix
+        P = zf_rows(ch, 1.0)
         # hand inverse via the adjugate; columns match up to positive scale
         det = 1.0 * 0.8 - 0.3 * 0.2
         inv = np.array([[0.8, -0.3], [-0.2, 1.0]]) / det
@@ -366,9 +420,79 @@ class TestZfPrecoder:
 
     def test_rank_deficient_falls_back_to_ridge(self):
         ch = channel([[0.6, 0.3], [0.6, 0.3]])  # identical users
-        P = zf_precoder(ch, 1.0).matrix
+        P = zf_rows(ch, 1.0)
         assert np.all(np.isfinite(P))
         assert np.abs(P).sum(axis=1).max() <= 1.0 + 1e-9
+        # the ridge inverse, not the pseudo-inverse, chose the directions
+        W = ch.gains.T @ np.linalg.inv(ch.gains @ ch.gains.T + 1e-6 * np.eye(2))
+        assert np.array_equal(P[:, :2], reference_zf(ch, np.array([True, True, False]), 1.0)[:, :2])
+        assert np.allclose(P[:, :2] / np.linalg.norm(P[:, :2], axis=0), W / np.linalg.norm(W, axis=0))
+
+class TestStarts:
+    """`_starts`: every problem's fixed starts, built for the whole batch
+    at once."""
+
+    def test_starts_match_the_per_problem_builders(self):
+        # every scheme's problem on 300 drawn channels (generic, aligned and
+        # with zero gains; 1-4 fixtures, one batch per count; budgets
+        # 0.1-100) gets the starts of the per-problem builders, byte for
+        # byte; a split start is compared after one projection, the one
+        # `_solve_starts` gives every start
+        rng = np.random.default_rng(60)
+        channels, layouts, epsilons = [], [], []
+        for i in range(300):
+            fixtures = int(rng.integers(1, 5))
+            if i % 3 == 0:
+                gains = rng.uniform(0.05, 1.0, (2, fixtures))
+            elif i % 3 == 1:  # aligned, [h; c h]
+                h = rng.uniform(0.05, 1.0, fixtures)
+                gains = np.stack((h, rng.uniform(0.1, 1.0) * h))
+            else:  # about half the gains 0: some rows, or the whole matrix
+                gains = np.where(rng.random((2, fixtures)) < 0.5, 0.0, rng.uniform(0.05, 1.0, (2, fixtures)))
+            ch, eps = channel(gains, rng.uniform(0.5, 2.0, 2)), float(10.0 ** rng.uniform(-1.0, 2.0))
+            for scheme in SCHEMES:
+                channels.append(ch), layouts.append(build_layout(scheme, ch)), epsilons.append(eps)
+        ranks = set()
+        for fixtures in (1, 2, 3, 4):
+            rows = [b for b, ch in enumerate(channels) if ch.num_fixtures == fixtures]
+            comp = optimizer._Compiled([channels[b] for b in rows], [layouts[b] for b in rows],
+                                       np.array([0.5, 0.5]), [epsilons[b] for b in rows])
+            zf, corners, splits = optimizer._starts(comp)
+            assert zf.shape == (len(rows), fixtures, 3) and corners.shape == (len(rows), 2, fixtures, 3)
+            assert splits.shape == (len(rows), len(optimizer._SPLITS), fixtures, 3)
+            for i, b in enumerate(rows):
+                ch, active, eps = channels[b], layouts[b].active, epsilons[b]
+                ranks.add(int(np.linalg.matrix_rank(ch.gains)))
+                want = reference_zf(ch, active, eps)
+                assert zf[i].tobytes() == want.tobytes()
+                for user in range(2):
+                    assert corners[i, user].tobytes() == reference_corner(ch, active, eps, user).tobytes()
+                for alpha, got in zip(optimizer._SPLITS, splits[i]):
+                    want_split = project_rows_l1(reference_split(want, ch, eps, alpha), eps)
+                    assert project_rows_l1(got, eps).tobytes() == want_split.tobytes()
+                assert np.all(zf[i][:, ~active] == 0.0) and np.all(corners[i][..., ~active] == 0.0)
+        assert ranks == {0, 1, 2}
+
+    def test_one_pseudo_inverse_per_call(self, monkeypatch):
+        # one stacked pinv and matrix_rank for every problem of an ao_solve call
+        calls = {"pinv": 0, "matrix_rank": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        # a generic, an aligned and a zero-gain channel, and a warm-started problem
+        points = [([[0.9, 0.4], [0.3, 0.8]], 3.0), ([[0.6, 0.3], [0.3, 0.15]], 0.5), ([[0.0, 0.0], [0.3, 0.0]], 40.0)]
+        problems = [Problem(channel(gains), scheme, eps) for gains, eps in points for scheme in SCHEMES]
+        problems += [Problem(channel(points[0][0]), "rsma", 3.0, (0, 1))]
+        solve_all(problems, (0.5, 0.5))
+        assert calls == {"pinv": 1, "matrix_rank": 1}
+        scenarios.solve_schemes([(channel([[0.9, 0.4], [0.3, 0.8]]), eps, SCHEMES) for eps in (1.0, 5.0)],
+                                (0.5, 0.5), AoConfig())
+        assert calls == {"pinv": 2, "matrix_rank": 2}
 
 
 class TestProblemLayout:
@@ -483,16 +607,17 @@ class TestAoSolve:
         splits = [len(optimizer._SPLITS) * (p.scheme == "rsma") for p in problems]
         warm = sum(len(p.warm_from) for p in problems)
         assert [len(P) for P in batches] == [sum(1 + k + n for n in splits), warm]
-        # wave 0 holds each problem's ZF start, its corners, then its split starts
+        # wave 0 holds each problem's ZF start, its corners, then its split
+        # starts, as `_starts` builds them for the call's batch
+        zf, corners, split_starts = optimizer._starts(
+            optimizer._Compiled([ch] * 3, [p.layout for p in problems], np.full(k, 1.0 / k), [4.0, 5.0, 6.0]))
         first = 0
         # on the RSMA columns, with the columns the problem's layout leaves empty at 0
-        for problem, n in zip(problems, splits):
+        for p, (problem, n) in enumerate(zip(problems, splits)):
             active = build_layout(problem.scheme, ch).active
-            zf = optimizer._zf_start(ch, active, problem.epsilon)
-            own = [zf] + [optimizer._beam_start(ch, active, problem.epsilon, user) for user in range(k)]
-            own += [optimizer._split_start(zf, ch, problem.epsilon, alpha) for alpha in optimizer._SPLITS[:n]]
-            assert np.array_equal(batches[0][first : first + len(own)], np.stack(own))
-            assert np.all(np.stack(own)[..., ~active] == 0.0)
+            own = np.concatenate((zf[p, None], corners[p], split_starts[p, :n]))
+            assert np.array_equal(batches[0][first : first + len(own)], own)
+            assert np.all(own[..., ~active] == 0.0)
             first += len(own)
         for problem, sol, n in zip(problems, sols, splits):
             assert 0 <= sol.restart_index < 1 + k + len(problem.warm_from) + n
@@ -557,12 +682,11 @@ class TestBatchedSolver:
         rng = np.random.default_rng(40 + fixtures)
         ch = random_channel(rng, l=fixtures)
         lay = build_layout(scheme, ch)
-        active = compiled(ch, lay, w).active[0]
         eps, starts = [], []
         for snr in (5.0, 15.0, 30.0):
             e = epsilon_from_snr(snr, 1.0)
-            starts.append(optimizer._zf_start(ch, active, e))
-            starts += [optimizer._beam_start(ch, active, e, k) for k in range(2)]
+            zf, corners, _ = optimizer._starts(compiled(ch, lay, w, eps=e))
+            starts += [zf[0], *corners[0]]
             starts += [on_columns(lay, random_start(ch, lay, e, rng)) for _ in range(2)]
             eps += [e] * 5
         # SDMA's common column, NOMA's weak user's private column
@@ -740,6 +864,26 @@ class TestBatchedSolver:
             assert self._same(sol, alone)
             assert np.array_equal(sol.report.common_shares, alone.report.common_shares) and sol.wsr == alone.wsr
             assert sol.wsr >= max(sols[j].wsr, sols[n + j].wsr) - 1e-12
+
+    def test_rank_deficient_and_generic_points_equal_each_point_alone(self):
+        # one solve_schemes batch mixes channels whose starts take the ridge
+        # inverse (aligned users, identical users) with generic ones that
+        # take the pseudo-inverse: every point's solutions are those of the
+        # point solved alone
+        rng = np.random.default_rng(62)
+        points = []
+        for i in range(6):
+            h = rng.uniform(0.1, 1.0, 4)
+            gains = (np.stack((h, rng.uniform(0.2, 0.9) * h)), np.stack((h, h)), rng.uniform(0.1, 1.0, (2, 4)))[i % 3]
+            points.append((channel(gains, rng.uniform(0.5, 2.0, 2)), epsilon_from_snr(5.0 + 7.0 * i, 1.0), SCHEMES))
+        w = (0.4, 0.6)
+        batched = scenarios.solve_schemes(points, w, AoConfig())
+        assert [int(np.linalg.matrix_rank(ch.gains)) for ch, _, _ in points] == [1, 1, 2] * 2
+        for point, sols in zip(points, batched):
+            [alone] = scenarios.solve_schemes([point], w, AoConfig())
+            for scheme in SCHEMES:
+                assert self._same(sols[scheme], alone[scheme])
+                assert sols[scheme].precoder.matrix.tobytes() == alone[scheme].precoder.matrix.tobytes()
 
     @pytest.mark.parametrize("shared", [False, True], ids=["own-channels", "shared-channel"])
     def test_warm_from_equals_helpers_then_explicit_warm_starts(self, shared):

@@ -166,6 +166,14 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             replace(base, priorities=(1.0,))
 
+    def test_scheme_listed_twice_rejected(self):
+        # a repeated scheme would give an unsolvable point one error row per
+        # repeat
+        base = catalog()["scenario1_2led"]
+        for schemes in (("rsma", "rsma"), ("sdma", "noma", "sdma")):
+            with pytest.raises(ValueError, match=f"scheme '{schemes[0]}' is listed twice"):
+                replace(base, schemes=schemes)
+
     def test_sweep_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Sweep("snr_db", ())
