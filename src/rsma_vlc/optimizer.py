@@ -73,11 +73,17 @@ winners. Which problems seed RSMA, and from what, is
 `scenarios.solve_schemes`'s choice.
 
 The arrays are a few problems of 2 x 4 x 3 entries, so a polish
-iteration costs its count of numpy calls, not its arithmetic: a few
-dozen calls on (B, n, n) stacks, one `eigvalsh` and one or two
-`solve`s, and one L1 projection of every candidate step, which sorts
-and thresholds the whole stack and keeps the rows inside their balls
-with `where` (`project_rows_l1`).
+iteration costs its count of numpy calls, not its arithmetic. Its Newton
+systems, one per problem and one more per problem near the common-rate
+kink, are stacked along the batch axis and solved by one `_newton_step`
+call: a few dozen calls on (B, n, n) stacks, one `eigvalsh` and one
+`solve`. A second call re-solves only the systems whose free step leaves
+a ball. Then one L1 projection of every candidate step sorts and
+thresholds the whole stack and keeps the rows inside their balls with
+`where` (`project_rows_l1`); near the kink, one more projects the kink
+candidates of those problems alone. The identities, index pairs and
+masks these calls share are made once (`_eye`, `_pairs`,
+`_Compiled.derivative_masks`).
 
 A problem (`Problem`) is a channel, a scheme, an amplitude budget
 epsilon and the problems whose solutions are its warm starts, plus the
@@ -91,6 +97,7 @@ sweep's SNR into epsilon (`epsilon_from_snr`) is the caller's job.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -138,6 +145,25 @@ _NU = (1e-9, 1e-3, 1e3)
 _SPLITS = (0.2, 0.4, 0.6, 0.8)
 # grid points per dimension the grid oracle accepts
 ORACLE_RESOLUTIONS = range(2, 22)
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, made on first use and read-only, since every
+    caller shares it."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), made on first use and read-only: every pair
+    i < j of n items."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 class NumericalFailure(RuntimeError):
@@ -300,12 +326,18 @@ class _Compiled(SicKernel):
         interference plus noise I is its noise plus the squares of x over
         `interference_mask`: its user's private columns that `_interferes`
         keeps. Its received power T adds its own amplitude (`power_mask`).
+
+        `derivative_masks` holds, for T and then I, the mask M, 2 M, the
+        (stages, W, W) diagonals 2 diag(M) of its Hessian and its sign in
+        the rate (`_stage_derivatives`), made once per batch.
         """
-        stages = self._gather.shape[1]
-        self.interference_mask = np.zeros((stages, K * (K + 1)))
+        stages, W = self._gather.shape[1], K * (K + 1)
+        self.interference_mask = np.zeros((stages, W))
         self.interference_mask[np.arange(stages)[:, None], self._gather[:K].T] = self._interferes.T
         self.power_mask = self.interference_mask.copy()
         self.power_mask[np.arange(stages), self._gather[-1]] = 1.0
+        self.derivative_masks = tuple((mask, 2.0 * mask, (2.0 * mask)[..., None] * _eye(W), sign)
+                                      for mask, sign in ((self.power_mask, 1.0), (self.interference_mask, -1.0)))
 
     def take(self, keep: np.ndarray) -> "_Compiled":
         """The compiled batch of the precoders selected by `keep` (a boolean
@@ -411,7 +443,9 @@ def _starts(comp: _Compiled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       mask fills. Pseudo-inverse columns (for a rank-deficient channel,
       the ridge-regularized inverse H^T (H H^T + 1e-6 I)^-1) are
       normalized to equal power and scaled by a common factor so the
-      binding fixture row exactly meets the budget. With an active common
+      binding fixture row exactly meets the budget, whatever the scale of
+      the gains (the columns are first scaled by a power of two, which is
+      exact, so no norm overflows). With an active common
       column they are shrunk by 1e-3 and the common column takes each
       row's leftover budget.
     - corners (B, K, L, K + 1): the full budget on one user's stream, its
@@ -432,6 +466,9 @@ def _starts(comp: _Compiled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Ht = H.transpose(0, 2, 1)
     ridge = Ht @ np.linalg.inv(H @ Ht + 1e-6 * np.eye(K))
     W = np.where((np.linalg.matrix_rank(H) < K)[:, None, None], ridge, np.linalg.pinv(H))
+    # scaled by a power of two to a largest entry in [1/2, 1), exactly, so
+    # that neither the squares of the norm overflow nor its floor binds
+    W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=(1, 2), keepdims=True))[1])
     W = W / np.maximum(np.linalg.norm(W, axis=1, keepdims=True), 1e-30)
     W = W * (eps / np.maximum(np.abs(W).sum(axis=2).max(axis=1), 1e-30))[:, None, None]
     zf = np.zeros((B, L, K + 1))
@@ -464,12 +501,11 @@ def _stage_derivatives(comp: _Compiled, P: np.ndarray):
     x = (comp.H @ P).reshape(len(P), -1)
     x2 = x * x
     rate, grad, hess = 0.0, 0.0, 0.0
-    for mask, sign in ((comp.power_mask, 1.0), (comp.interference_mask, -1.0)):
+    for mask, mask2, diag, sign in comp.derivative_masks:
         D = comp._sig2 + (x2[:, None, :] * mask).sum(axis=2)
-        g = (2.0 * mask) * (x[:, None, :] / D[..., None])
+        g = mask2 * (x[:, None, :] / D[..., None])
         rate = rate + sign * np.log(D)
         grad = grad + sign * g
-        diag = (2.0 * mask)[..., None] * np.eye(x.shape[1])
         hess = hess + sign * (diag / D[..., None, None] - g[..., :, None] * g[..., None, :])
     return rate / LN2, grad / LN2, hess / LN2
 
@@ -563,12 +599,12 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
         a, b = a[search], b[search]
         lines0 = np.concatenate((a, -a), axis=2)  # every row's 2 S lines, (rows, L, 2 S)
         lines1 = np.concatenate((b, -b), axis=2)
-        i, j = np.triu_indices(lines0.shape[2], 1)
+        i, j = _pairs(lines0.shape[2])
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (lines0[..., j] - lines0[..., i]) / (lines1[..., i] - lines1[..., j])
         rows = len(a)
         tk = np.concatenate((t[search, None], 1.0 - t[search, None], cross.reshape(rows, -1)), axis=1)
-        tk = np.clip(np.nan_to_num(tk, nan=0.0, posinf=0.0, neginf=0.0), 0.0, 1.0)
+        tk = np.clip(np.where(np.isfinite(tk), tk, 0.0), 0.0, 1.0)
         gaps = fw_gap(tk, a, b, P[search], eps[search], cost[search])
         k = gaps.argmin(axis=1)
         gap[search], t[search] = gaps[np.arange(rows), k], tk[np.arange(rows), k]
@@ -581,6 +617,10 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndar
     holds the rows of `held` (B, L) on their L1 balls (of radius `eps`, B)
     and, where `kink`, moves the two common decoders' rate difference
     gap_c (B,), of gradient c (B, n), to 0 to first order.
+
+    Each of the B systems is solved on its own rows alone, so `_polish`
+    stacks its binding-decoder systems and its kink systems into one call,
+    and re-solves a subset of them in a second call with other `held` rows.
 
     A held row keeps its support and signs s, and its L1 norm moves to
     its radius. Its support is its entries above _FACE_BAND of the
@@ -624,15 +664,15 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndar
     dropped = held[..., None] & ~free
     d0 = -P * dropped + s * ((eps[:, None] - (absP * ~dropped).sum(axis=2)) / count)[..., None]
     d0 = d0.reshape(B, n, 1)
-    rows = free[..., None] * np.eye(S) - s[..., :, None] * s[..., None, :] / count[..., None, None]
-    Z = np.einsum("blst,lm->blsmt", rows, np.eye(L)).reshape(B, n, n)
+    rows = free[..., None] * _eye(S) - s[..., :, None] * s[..., None, :] / count[..., None, None]
+    Z = np.einsum("blst,lm->blsmt", rows, _eye(L)).reshape(B, n, n)
     ZHZ = Z @ hess @ Z
     ZHZ = 0.5 * (ZHZ + ZHZ.transpose(0, 2, 1))
     lam = np.linalg.eigvalsh(ZHZ)
     scale = np.abs(lam).max(axis=1)
     shift = np.where(scale > 0.0, np.maximum(lam[:, -1], 0.0) + nu * scale, 1.0)
     M = np.zeros((B, n + 1, n + 1))
-    M[:, :n, :n] = shift[:, None, None] * np.eye(n) - ZHZ
+    M[:, :n, :n] = shift[:, None, None] * _eye(n) - ZHZ
     Zc = (Z @ c[..., None])[..., 0]
     # a face that cannot move the difference leaves it alone; the kink row
     # is scaled to the shift, so that no pivot of the system is tiny
@@ -664,15 +704,22 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     lam = (t, 1 - t), t first the weighting that makes the point most
     nearly stationary (`_decoder_weights`) and then corrected by each
     step's multiplier (sequential quadratic programming on the kink).
+    The kink systems of the problems near the kink are stacked under every
+    problem's binding-decoder system, and one `_newton_step` call solves
+    them all. A second call solves again, with those rows held, only the
+    systems whose free step takes a row out of its ball; for every other
+    system the face would not change, and nor would its step.
 
     The candidates proj(P + a d) and proj(P + a d'), a = 2^-k, and each
     proj(P + a d') moved along Z c back onto the kink to first order (a
     second-order correction), are projected onto the balls, and the one
     of the highest true WSR is kept if it rises; if none does, the best
     of proj(P + t grad), t = 8^-k eps / |grad|_max, is kept if it rises,
-    a step that can change the face. A problem's Levenberg weight nu
-    falls fourfold after a full Newton step that rises and grows
-    sixteenfold after a Newton step that does not.
+    a step that can change the face. Away from the kink the kink
+    candidates repeat the free ones, and the correction's projection and
+    SINRs run on the problems near it alone. A problem's Levenberg
+    weight nu falls fourfold after a full Newton step that rises and
+    grows sixteenfold after a Newton step that does not.
 
     The residual is `_decoder_weights`'s. A problem stops when its
     residual is at most _POLISH_GAP or `tolerance`, whichever is smaller,
@@ -707,12 +754,12 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     residual = np.empty(B)
     steps, tsteps = 0.5 ** np.arange(_NEWTON_STEPS), 0.125 ** np.arange(_GRADIENT_STEPS)
     H = comp.H
-    J = (H[:, :, None, :, None] * np.eye(S)[None, None, :, None, :]).reshape(B, -1, n)
-    JT = J.transpose(0, 2, 1)
-    live, batch = np.arange(B), comp
+    J = (H[:, :, None, :, None] * _eye(S)[None, None, :, None, :]).reshape(B, -1, n)
+    JT = np.ascontiguousarray(J.transpose(0, 2, 1))
+    live, batch, Jl, JTl = np.arange(B), comp, J, JT
     stop = min(_POLISH_GAP, tolerance)
     for it in range(1, _POLISH_MAX_ITER + 2):
-        Q, Jl, JTl = P[live], J[live], JT[live]
+        Q = P[live]
         r, dr, d2r = _stage_derivatives(batch, Q)
         if not (np.isfinite(r).all() and np.isfinite(dr).all() and np.isfinite(d2r).all()):
             raise NumericalFailure("non-finite rate derivatives in the polish (check channel and noise scaling)")
@@ -728,62 +775,74 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
             r, dr, d2r = r[keep], dr[keep], d2r[keep]
             batch = comp.take(live)
             Jl, JTl = J[live], JT[live]
-        m, e, act = len(live), batch.eps, batch.active
+        m, e, act, nl, before = len(live), batch.eps, batch.active, nu[live], wsr[live]
         gap_c = r[:, -2] - r[:, -1]
         c = ((dr[:, -2] - dr[:, -1])[:, None, :] @ Jl)[:, 0]
         near = (np.abs(gap_c) <= _KINK) & (batch.w_common > 0.0)
 
-        def face_step(lam, kink):
-            grad_a, hess_a = _objective(batch, dr, d2r, lam)
-            grad, hess = (grad_a[:, None, :] @ Jl)[:, 0], JTl @ hess_a @ Jl
-            # the face: rows near their ball that a gradient step would
-            # push out, and then the rows the free step would take out of it
-            G = grad.reshape(Q.shape) * act[:, None, :]
-            absQ = np.abs(Q)
-            outward = np.where(absQ > 0.0, np.sign(Q) * G, np.abs(G)).sum(axis=2) > 0.0
-            held = (absQ.sum(axis=2) >= e[:, None] * (1.0 - _FACE_BAND)) & outward
-            d, v, zc = _newton_step(Q, grad, hess, e, act, held, nu[live], kink, c, gap_c)
-            leaving = np.abs(Q + d).sum(axis=2) > e[:, None]
-            if (leaving & ~held).any():
-                d, v, zc = _newton_step(Q, grad, hess, e, act, held | leaving, nu[live], kink, c, gap_c)
-            return d, v, zc, G
-
-        # the step on the binding decoder's smooth piece, and, near the
-        # kink, the one that follows it, its decoders weighted by (t, 1 - t):
-        # first the weighting that makes the point most nearly stationary,
-        # then t corrected by the kink row's multiplier of each step
-        binding = (gap_c <= 0.0) * 1.0  # decoder 0 on a tie
-        d, _, _, G = face_step(np.stack((binding, 1.0 - binding), axis=1), np.zeros(m, dtype=bool))
-        directions = [d]
+        # one Newton system per problem on the binding decoder's smooth piece
+        # (decoder 0 on a tie) and, near the kink, one more per near problem
+        # that follows it, its decoders weighted by (t, 1 - t): first the
+        # weighting that makes the point most nearly stationary, then t
+        # corrected by the kink row's multiplier of each step. The kink
+        # systems are stacked under the binding ones (system i is problem
+        # owner[i]'s), so that one `_newton_step` call solves them all
+        binding = (gap_c <= 0.0) * 1.0
+        lam = np.stack((binding, 1.0 - binding), axis=1)
         kink_t[live[~near]] = np.nan
-        if near.any():
-            t = kink_t[live]
-            fresh = near & np.isnan(t)
+        kinked = np.flatnonzero(near)
+        system = batch, Q, dr, d2r, Jl, JTl, e, act, nl, c, gap_c
+        if len(kinked):
+            t = kink_t[live[kinked]]
+            fresh = np.isnan(t)
             if fresh.any():
-                t = np.where(fresh, _decoder_weights(batch, r, dr, Jl, Q, _KINK)[1][:, 0], t)
-            t = np.where(near, t, 0.0)
-            d, v, zc, _ = face_step(np.stack((t, 1.0 - t), axis=1), near)
+                t = np.where(fresh, _decoder_weights(batch, r, dr, Jl, Q, _KINK)[1][kinked, 0], t)
+            lam = np.concatenate((lam, np.stack((t, 1.0 - t), axis=1)))
+            owner = np.concatenate((np.arange(m), kinked))
+            system = (batch.take(owner),) + tuple(x[owner] for x in system[1:])
+        sb, sQ, sdr, sd2r, sJ, sJT, se, sact, snu, sc, sgap = system
+        kink = np.arange(len(sQ)) >= m
+        grad_a, hess_a = _objective(sb, sdr, sd2r, lam)
+        grad, hess = (grad_a[:, None, :] @ sJ)[:, 0], sJT @ hess_a @ sJ
+        # the face: rows near their ball that a gradient step would push
+        # out, and then the rows the free step would take out of it. A
+        # system whose step takes none of its free rows out of its ball has
+        # held | leaving == held, so only the others are solved again
+        G = grad.reshape(sQ.shape) * sact[:, None, :]
+        absQ = np.abs(sQ)
+        outward = np.where(absQ > 0.0, np.sign(sQ) * G, np.abs(G)).sum(axis=2) > 0.0
+        held = (absQ.sum(axis=2) >= se[:, None] * (1.0 - _FACE_BAND)) & outward
+        d, v, zc = _newton_step(sQ, grad, hess, se, sact, held, snu, kink, sc, sgap)
+        leaving = np.abs(sQ + d).sum(axis=2) > se[:, None]
+        out = np.flatnonzero((leaving & ~held).any(axis=1))
+        if len(out):
+            d[out], v[out], zc[out] = _newton_step(sQ[out], grad[out], hess[out], se[out], sact[out],
+                                                   (held | leaving)[out], snu[out], kink[out], sc[out], sgap[out])
+        G, directions = G[:m], [d[:m]]
+        if len(kinked):
             # away from the kink these candidates repeat the free ones, so
             # a problem's pick does not depend on the others
-            directions.append(np.where(near[:, None, None], d, directions[0]))
-            kink_t[live[near]] = np.clip(t - v / np.where(near, batch.w_common, 1.0), 0.0, 1.0)[near]
+            directions.append(d[:m].copy())
+            directions[1][kinked] = d[m:]
+            kink_t[live[kinked]] = np.clip(t - v[m:] / batch.w_common[kinked], 0.0, 1.0)
         # a step longer than a ball's diameter is cut to it: projecting a
         # far point loses the step's direction, and its digits
         longest = [np.maximum(np.abs(d).sum(axis=2).max(axis=1), 1e-300) for d in directions]
         directions = [d * np.minimum(1.0, 2.0 * e / size)[:, None, None] for d, size in zip(directions, longest)]
         newton_cands = [Q[:, None] + steps[:, None, None] * d[:, None] for d in directions]
-        if near.any():
+        if len(kinked):
             # a second-order correction: each kink candidate moves along Z c
             # until the decoders' rate difference is 0 to first order again
-            k = len(steps)
-            kc = project_rows_l1(newton_cands[1].reshape(m * k, L, S), np.repeat(e, k)[:, None])
-            rep = batch.take(np.repeat(np.arange(m), k))
+            k, zc = len(steps), zc[m:]
+            kc = project_rows_l1(newton_cands[1][kinked].reshape(-1, L, S), np.repeat(e[kinked], k)[:, None])
+            rep = batch.take(np.repeat(kinked, k))
             rates_c = np.log2(1.0 + rep.sinrs(rep.H @ kc)[1])
-            czc = (c * zc).sum(axis=1)
-            along = np.where(near & (czc > 0.0), 1.0 / np.where(czc > 0.0, czc, 1.0), 0.0)
-            shift_k = (rates_c[:, 0] - rates_c[:, 1]).reshape(m, k) * along[:, None]
-            corrected = kc.reshape(m, k, L, S) - shift_k[..., None, None] * zc.reshape(m, 1, L, S)
-            newton_cands.append(np.where(near[:, None, None, None], corrected, newton_cands[1]))
+            czc = (c[kinked] * zc).sum(axis=1)
+            along = np.where(czc > 0.0, 1.0 / np.where(czc > 0.0, czc, 1.0), 0.0)
+            shift_k = (rates_c[:, 0] - rates_c[:, 1]).reshape(-1, k) * along[:, None]
+            corrected = newton_cands[1].copy()
+            corrected[kinked] = kc.reshape(-1, k, L, S) - shift_k[..., None, None] * zc.reshape(-1, 1, L, S)
+            newton_cands.append(corrected)
         N = len(steps) * len(newton_cands)
         C = N + len(tsteps)
         gmax = np.abs(G).max(axis=(1, 2))
@@ -793,19 +852,19 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
         cand = project_rows_l1(cand.reshape(m * C, L, S), np.repeat(e, C)[:, None])
         cwsr = batch.take(np.repeat(np.arange(m), C)).true_rates(cand).reshape(m, C)
         # the best Newton candidate if one rises, else the best gradient one
-        newton_rose = cwsr[:, :N].max(axis=1) > wsr[live]
+        newton_rose = cwsr[:, :N].max(axis=1) > before
         best = np.where(newton_rose, cwsr[:, :N].argmax(axis=1), N + cwsr[:, N:].argmax(axis=1))
         top = cwsr[np.arange(m), best]
-        rise = top > wsr[live]
+        rise = top > before
         P[live[rise]] = cand.reshape(m, C, L, S)[rise, best[rise]]
         wsr[live[rise]] = top[rise]
         history[it, live] = wsr[live]
         full = best % len(steps) == 0
-        nu[live] = np.where(newton_rose, np.where(full, np.maximum(nu[live] / 4.0, _NU[0]), nu[live]),
-                            np.minimum(nu[live] * 16.0, 16.0 * _NU[2]))
+        nu[live] = nl = np.where(newton_rose, np.where(full, np.maximum(nl / 4.0, _NU[0]), nl),
+                                 np.minimum(nl * 16.0, 16.0 * _NU[2]))
         rose[live[rise]] = True
-        stuck[live] = ~rise & (nu[live] > _NU[2])
-        afresh = stuck[live] & (res > tolerance) & rose[live]
+        stuck[live] = halted = ~rise & (nl > _NU[2])
+        afresh = halted & (res > tolerance) & rose[live]
         if afresh.any():
             again = live[afresh]
             nu[again], kink_t[again], rose[again], stuck[again] = _NU[1], np.nan, False, False

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +63,29 @@ def random_start(ch, lay, eps, rng):
     and scaled to a random share of its budget."""
     P = rng.uniform(-1.0, 1.0, size=(ch.num_fixtures, lay.active.sum()))
     return P / np.abs(P).sum(axis=1, keepdims=True) * (eps * rng.uniform(0.3, 1.0))
+
+
+def newton_log(monkeypatch):
+    """Record the polish's `_newton_step` calls, per lockstep iteration.
+
+    Each iteration opens with one `_stage_derivatives` call on its live
+    problems. The log holds one (live problems, calls) entry per
+    iteration, and `calls` holds one (systems, kink systems) pair per
+    `_newton_step` call made in it."""
+    log = []
+    stage_derivatives, newton_step = optimizer._stage_derivatives, optimizer._newton_step
+
+    def stage_spy(comp, P):
+        log.append((len(P), []))
+        return stage_derivatives(comp, P)
+
+    def step_spy(P, grad, hess, eps, active, held, nu, kink, *rest):
+        log[-1][1].append((len(P), int(np.count_nonzero(kink))))
+        return newton_step(P, grad, hess, eps, active, held, nu, kink, *rest)
+
+    monkeypatch.setattr(optimizer, "_stage_derivatives", stage_spy)
+    monkeypatch.setattr(optimizer, "_newton_step", step_spy)
+    return log
 
 
 def solve_all(problems, w, config=AoConfig()):
@@ -428,6 +453,25 @@ class TestZfPrecoder:
         assert np.array_equal(P[:, :2], reference_zf(ch, np.array([True, True, False]), 1.0)[:, :2])
         assert np.allclose(P[:, :2] / np.linalg.norm(P[:, :2], axis=0), W / np.linalg.norm(W, axis=0))
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_starts_do_not_depend_on_the_gains_scale(self, scheme):
+        # gains s H with budget eps / s reach the same amplitudes as H with
+        # eps: the ZF start is scaled by a power of two before its norms, so
+        # no norm overflows (tiny gains) and their floor never binds (huge
+        # gains, where it once broke equal-power ZF)
+        def wsr(s, eps):
+            [sol] = solve_all([Problem(channel(np.array([[1.0, 2.0], [3.0, 1.0]]) * s), scheme, eps)], (0.5, 0.5))
+            return sol.wsr
+
+        unit = wsr(1.0, 3.0)
+        for s in (1e-100, 1e100, 1e150):
+            assert wsr(s, 3.0 / s) == pytest.approx(unit, rel=1e-12, abs=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for s in (1e-160, 1e-300):
+                assert math.isfinite(wsr(s, 3.0))
+
+
 class TestStarts:
     """`_starts`: every problem's fixed starts, built for the whole batch
     at once."""
@@ -678,7 +722,8 @@ class TestBatchedSolver:
         # the projection and the polish, for a stack of starts at three
         # budgets and for each start alone, bit for bit: at the default
         # tolerance, which every start reaches, and at TIGHT, which some stop
-        # short of
+        # short of. Alone, a start's kink system sits right under its binding
+        # system; in the batch, under every start's binding system
         rng = np.random.default_rng(40 + fixtures)
         ch = random_channel(rng, l=fixtures)
         lay = build_layout(scheme, ch)
@@ -693,7 +738,17 @@ class TestBatchedSolver:
         unused = np.flatnonzero(~lay.active).tolist()
         comp = compiled(ch, lay, w, len(starts), eps)
         for cfg in (AoConfig(), AoConfig(tolerance=TIGHT)):
-            P, hist, res = optimizer._solve_starts(comp, np.stack(starts), cfg)
+            with pytest.MonkeyPatch.context() as mp:
+                log = newton_log(mp)
+                P, hist, res = optimizer._solve_starts(comp, np.stack(starts), cfg)
+            # the batch stacks kink systems under the binding ones (not
+            # SDMA's, which does not weight the common stream) and solves
+            # again the systems whose free step leaves a ball, kink systems
+            # among them, so the check below covers the stacked layout
+            kinks = [k for _, step in log for _, k in step[:1]]
+            again = [k for _, step in log for _, k in step[1:]]
+            assert again and (max(kinks) > 0) == (scheme != "sdma")
+            assert (max(again) > 0) == (scheme == "rsma" or (scheme == "noma" and fixtures == 4))
             polished, outcomes = 0, set()
             for b in range(len(starts)):
                 one = compiled(ch, lay, w, eps=eps[b])
@@ -1258,6 +1313,25 @@ class TestPolish:
             assert np.abs(P[b]).sum(axis=1).max() <= eps[b] * (1.0 + 1e-12)
             assert comp.take([b]).true_rates(P[b : b + 1])[0] == history[b][-1]
         assert np.all(residual <= AoConfig().tolerance)
+
+    def test_one_stacked_newton_system_per_iteration(self, monkeypatch):
+        # scenario1_4led at 0-25 dB: each lockstep iteration solves its
+        # binding systems, one per start still live after its residual
+        # check, and its kink systems, at most one per binding one, in one
+        # `_newton_step` call, and at most one more call re-solves a strict
+        # subset of them, those whose free step leaves a ball
+        log = newton_log(monkeypatch)
+        spec = replace(scenarios.catalog_scene("scenario1_4led"), sweep=scenarios.Sweep("snr_db", range(0, 30, 5)))
+        assert not scenarios.run_sweep(spec).failures
+        for live, calls in log:
+            assert len(calls) <= 2
+            if calls:
+                systems, kinks = calls[0]
+                assert kinks <= systems - kinks <= live
+            if len(calls) == 2:
+                assert calls[1][0] < calls[0][0]
+        # both the stacked kink systems and the re-solve are exercised
+        assert any(calls and calls[0][1] for _, calls in log) and any(len(calls) == 2 for _, calls in log)
 
 
 class TestGridOracle:

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate the golden outputs that tests/test_golden.py pins.
+"""Regenerate the golden outputs that tests/test_golden.py pins, or check
+that the code still reproduces them exactly.
 
     PYTHONPATH=src python3 tools/regen_golden.py
+    PYTHONPATH=src python3 tools/regen_golden.py --check
 
 Run it from the root of a source checkout. It runs each command of
 COMMANDS through `rsma_vlc.cli.main` in-process and writes
@@ -11,10 +13,19 @@ the lines `validate` and `channel-dump` print. The test replays the
 stored argument lists, so this table is their one definition. A change that moves results on
 purpose regenerates the file and lists the moved rows, or the largest
 move, in CHANGES.md.
+
+`--check` writes nothing. It re-runs every command and compares its
+entry with the stored one exactly, as JSON text: every float must be
+equal, not within the test's 1e-9. It prints the commands whose output
+moved and exits 1 if any did, 0 otherwise. This is the check of a change
+meant to leave every output byte-identical. It is not part of CI:
+exact equality across BLAS and numpy builds is not promised, which is
+why the test allows 1e-9.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -74,11 +85,33 @@ def record(argv: list) -> dict:
     return entry
 
 
-def main() -> None:
+def _text(entry) -> str:
+    return json.dumps(entry, sort_keys=True)
+
+
+def check() -> int:
+    """Re-run COMMANDS against the stored file; print what moved, return the exit code."""
+    stored = json.loads(OUT.read_text())
+    moved = sorted(set(stored) ^ set(COMMANDS))
+    moved += [name for name, argv in COMMANDS.items()
+              if name in stored and _text(record(argv)) != _text(stored[name])]
+    for name in moved:
+        print(f"moved: {name}")
+    print(f"{len(COMMANDS) - len(moved)} of {len(COMMANDS)} commands match {OUT.relative_to(ROOT)} exactly")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare every command with the stored outputs exactly; write nothing")
+    if parser.parse_args(argv).check:
+        return check()
     golden = {name: record(argv) for name, argv in COMMANDS.items()}
     OUT.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {OUT.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
