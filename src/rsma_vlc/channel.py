@@ -310,19 +310,26 @@ def los_gain(led_position, led_orientation, m: float, rx: Receiver) -> float | n
     cos_tx = np.clip(_rowdot(ray, led_dir) / d, -1.0, 1.0)
     cos_rx = np.clip(_rowdot(-ray, rx.normal) / d, -1.0, 1.0)
     lit = (cos_rx > 0.0) & (cos_tx > 0.0)
-    cos_rx = cos_rx[lit]
+    cos_tx, cos_rx = cos_tx[lit], cos_rx[lit]
     # the angle chains run once per distinct cosine, scattered back by the
     # inverse index; lit links have cosines > 0, so no -0.0 is merged into
-    # 0.0 and equal values are equal bit patterns
-    tx, tx_of = np.unique(cos_tx[lit], return_inverse=True)
-    rx_cos, rx_of = np.unique(cos_rx, return_inverse=True)
+    # 0.0 and equal values are equal bit patterns. A LED facing straight
+    # down at a photodiode facing straight up (every catalog link) has
+    # equal cosines, and then the incidence angles are the emission ones
+    tx, tx_of = np.unique(cos_tx, return_inverse=True)
+    tx_angle = _libm(math.acos, tx)
+    if np.array_equal(cos_tx, cos_rx):
+        rx_angle, rx_of = tx_angle, tx_of
+    else:
+        rx_cos, rx_of = np.unique(cos_rx, return_inverse=True)
+        rx_angle = _libm(math.acos, rx_cos)
     gain = np.zeros(len(ray))
     gain[lit] = (
         rx.area
         / d2[lit]
-        * radiant_intensity(m, _libm(math.acos, tx))[tx_of]
+        * radiant_intensity(m, tx_angle)[tx_of]
         * rx.filter_gain
-        * concentrator_gain(rx.refractive_index, rx.fov, _libm(math.acos, rx_cos))[rx_of]
+        * concentrator_gain(rx.refractive_index, rx.fov, rx_angle)[rx_of]
         * cos_rx
     )
     return _as_given(gain.reshape(shape))

@@ -12,7 +12,14 @@ the min's kink the weighting that makes the point most nearly
 stationary, with the step held on the kink. A step is kept only if the
 true weighted sum rate (WSR) rises, so a start's WSR never falls. It
 stops at a residual of 1e-7 or `AoConfig.tolerance`, whichever is
-smaller.
+smaller. Once its residual is within the tolerance (and within 1e-4,
+`AoConfig`'s default) a start is in its final phase: its kink steps are
+exact sequential quadratic programming (SQP) steps, the Levenberg shift
+taken on the kink's tangent space alone, and it stops where nothing
+rises and its Newton step's quadratic model gains at most a few ulps of
+its WSR, the machine-precision floor. Only starts that already count as
+converged take these steps, so they move a WSR only in digits below the
+tolerance and shorten the lockstep tail.
 
 The fixed start set (ZF, the single-user corners, RSMA's split starts
 and the warm starts; see `ao_solve`) does the exploring. One builder
@@ -76,9 +83,9 @@ The arrays are a few problems of 2 x 4 x 3 entries, so a polish
 iteration costs its count of numpy calls, not its arithmetic. Its Newton
 systems, one per problem and one more per problem near the common-rate
 kink, are stacked along the batch axis and solved by one `_newton_step`
-call: a few dozen calls on (B, n, n) stacks, one `eigvalsh` and one
-`solve`. A second call re-solves only the systems whose free step leaves
-a ball. Then one L1 projection of every candidate step sorts and
+call: a few dozen calls on (B, n, n) stacks, one `eigvalsh` (two with a
+final-phase kink system) and one `solve`. A second call re-solves only
+the systems whose free step leaves a ball. Then one L1 projection of every candidate step sorts and
 thresholds the whole stack and keeps the rows inside their balls with
 `where` (`project_rows_l1`); near the kink, one more projects the kink
 candidates of those problems alone. The identities, index pairs and
@@ -339,13 +346,17 @@ class _Compiled(SicKernel):
         self.derivative_masks = tuple((mask, 2.0 * mask, (2.0 * mask)[..., None] * _eye(W), sign)
                                       for mask, sign in ((self.power_mask, 1.0), (self.interference_mask, -1.0)))
 
-    def take(self, keep: np.ndarray) -> "_Compiled":
+    def take(self, keep: np.ndarray, rates_only: bool = False) -> "_Compiled":
         """The compiled batch of the precoders selected by `keep` (a boolean
-        mask or indices): every per-problem array's rows of `keep`."""
+        mask or indices): every per-problem array's rows of `keep`. With
+        `rates_only` the column masks and budgets are left out (None), for a
+        batch that only the rates and their derivatives read (`sinrs`,
+        `true_rates`, `_objective`)."""
         sub = object.__new__(_Compiled)
         sub.__dict__.update(self.__dict__)
-        sub.w_priv, sub.w_common, sub.active = self.w_priv[keep], self.w_common[keep], self.active[keep]
-        sub.H, sub._sig2, sub.eps = self.H[keep], self._sig2[keep], self.eps[keep]
+        sub.w_priv, sub.w_common = self.w_priv[keep], self.w_common[keep]
+        sub.H, sub._sig2 = self.H[keep], self._sig2[keep]
+        sub.active, sub.eps = (None, None) if rates_only else (self.active[keep], self.eps[keep])
         return sub
 
     def true_rates(self, P: np.ndarray) -> np.ndarray:
@@ -612,7 +623,8 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
 
 
 def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndarray, active: np.ndarray,
-                 held: np.ndarray, nu: np.ndarray, kink: np.ndarray, c: np.ndarray, gap_c: np.ndarray) -> np.ndarray:
+                 held: np.ndarray, nu: np.ndarray, kink: np.ndarray, c: np.ndarray, gap_c: np.ndarray,
+                 tangent: np.ndarray) -> np.ndarray:
     """The (B, L, S) Levenberg-shifted Newton step at P on the face that
     holds the rows of `held` (B, L) on their L1 balls (of radius `eps`, B)
     and, where `kink`, moves the two common decoders' rate difference
@@ -641,7 +653,18 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndar
     the face cannot move the difference; the kink row is scaled to
     sigma). The Levenberg shift sigma = max(lambda_max(Z Hess Z), 0) + nu
     |lambda|_max makes the upper left block positive definite; `nu` (one
-    per problem) damps the step toward the gradient as it grows. Returns
+    per problem) damps the step toward the gradient as it grows.
+
+    A kink system marked `tangent` (the final phase's) takes lambda_max
+    on the kink's tangent space instead: that of P_c Z Hess Z P_c, with
+    P_c = I - u u^T and u = Z c / |Z c|. Across the kink the curvature is positive,
+    and the kink row already holds that direction, so the whole face's
+    shift would damp every kink step and leave the convergence linear; an
+    SQP step needs the Hessian negative definite on the constraint's
+    tangent space only (Nocedal & Wright, Numerical Optimization, ch.
+    18), and with nu at its floor this is that step. The scale
+    |lambda|_max stays that of Z Hess Z: taken from the reduced matrix,
+    it leaves the system of a one-dimensional face singular. Returns
     the step, the multiplier v of the kink row and Z c (both 0 without a
     kink row).
     """
@@ -668,16 +691,24 @@ def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndar
     Z = np.einsum("blst,lm->blsmt", rows, _eye(L)).reshape(B, n, n)
     ZHZ = Z @ hess @ Z
     ZHZ = 0.5 * (ZHZ + ZHZ.transpose(0, 2, 1))
-    lam = np.linalg.eigvalsh(ZHZ)
-    scale = np.abs(lam).max(axis=1)
-    shift = np.where(scale > 0.0, np.maximum(lam[:, -1], 0.0) + nu * scale, 1.0)
-    M = np.zeros((B, n + 1, n + 1))
-    M[:, :n, :n] = shift[:, None, None] * _eye(n) - ZHZ
     Zc = (Z @ c[..., None])[..., 0]
     # a face that cannot move the difference leaves it alone; the kink row
     # is scaled to the shift, so that no pivot of the system is tiny
     zmax = np.abs(Zc).max(axis=1)
     kink = kink & (zmax > 1e-9 * np.abs(c).max(axis=1))
+    tangent = tangent & kink
+    lam = np.linalg.eigvalsh(ZHZ)
+    scale, top = np.abs(lam).max(axis=1), lam[:, -1]
+    if tangent.any():
+        # the kink row holds the step across the kink, so only the curvature
+        # along it, on the tangent space P_c = I - u u^T, u = Zc / |Zc|, sets
+        # the shift
+        u = Zc[tangent] / np.linalg.norm(Zc[tangent], axis=1, keepdims=True)
+        Pc = _eye(n) - u[:, :, None] * u[:, None, :]
+        top[tangent] = np.linalg.eigvalsh(Pc @ ZHZ[tangent] @ Pc)[:, -1]
+    shift = np.where(scale > 0.0, np.maximum(top, 0.0) + nu * scale, 1.0)
+    M = np.zeros((B, n + 1, n + 1))
+    M[:, :n, :n] = shift[:, None, None] * _eye(n) - ZHZ
     scaled = np.where(kink, shift / np.where(kink, zmax, 1.0), 0.0)
     M[:, :n, n] = M[:, n, :n] = Zc * scaled[:, None]
     M[:, n, n] = np.where(kink, 0.0, 1.0)
@@ -721,9 +752,22 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     weight nu falls fourfold after a full Newton step that rises and
     grows sixteenfold after a Newton step that does not.
 
-    The residual is `_decoder_weights`'s. A problem stops when its
-    residual is at most _POLISH_GAP or `tolerance`, whichever is smaller,
-    when nothing rises at nu above _NU[2] (it is stuck), or after
+    The residual is `_decoder_weights`'s. A problem whose residual is at
+    most `tolerance` and 1e-4 (`AoConfig`'s default tolerance) is in its
+    final phase, where a start already counts as converged: its kink
+    systems take the Levenberg shift on the kink's tangent space
+    (`_newton_step`'s `tangent`), so that its kink steps are exact SQP
+    steps and converge fast, and it is stuck as soon as nothing rises
+    while its binding Newton step's model gain g^T d + d^T Hess d / 2 is
+    at most 4 ulps of its WSR: no ascent is left at machine precision, and
+    growing nu would only repeat that. Held to that phase, neither
+    changes a WSR by more than the digits below the tolerance; taken
+    earlier, the tangent shift lowered some random problems' WSRs and
+    stalled others on the kink.
+
+    A problem stops when its residual is at most _POLISH_GAP or
+    `tolerance`, whichever is smaller, when nothing rises at nu above
+    _NU[2] or at its final phase's floor (it is stuck), or after
     _POLISH_MAX_ITER iterations. It leaves the batch at the residual
     check that opens each iteration, the one exit: a stuck problem
     leaves at the next check, where its precoder has not moved, so its
@@ -747,7 +791,7 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     nu = np.full(B, _NU[1])
     kink_t = np.full(B, np.nan)  # the weight of decoder 0 at the kink
     rose = np.zeros(B, dtype=bool)  # the WSR rose since the start or the last fresh start
-    stuck = np.zeros(B, dtype=bool)  # nothing rose at nu above _NU[2], and no fresh start
+    stuck = np.zeros(B, dtype=bool)  # nothing rose at nu above _NU[2] or at the floor, and no fresh start
     history = np.empty((_POLISH_MAX_ITER + 1, B))
     history[0] = wsr
     iterations = np.empty(B, dtype=int)
@@ -757,7 +801,7 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
     J = (H[:, :, None, :, None] * _eye(S)[None, None, :, None, :]).reshape(B, -1, n)
     JT = np.ascontiguousarray(J.transpose(0, 2, 1))
     live, batch, Jl, JTl = np.arange(B), comp, J, JT
-    stop = min(_POLISH_GAP, tolerance)
+    stop, final_phase = min(_POLISH_GAP, tolerance), min(tolerance, AoConfig.tolerance)
     for it in range(1, _POLISH_MAX_ITER + 2):
         Q = P[live]
         r, dr, d2r = _stage_derivatives(batch, Q)
@@ -779,6 +823,7 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
         gap_c = r[:, -2] - r[:, -1]
         c = ((dr[:, -2] - dr[:, -1])[:, None, :] @ Jl)[:, 0]
         near = (np.abs(gap_c) <= _KINK) & (batch.w_common > 0.0)
+        final = res <= final_phase
 
         # one Newton system per problem on the binding decoder's smooth piece
         # (decoder 0 on a tie) and, near the kink, one more per near problem
@@ -791,17 +836,19 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
         lam = np.stack((binding, 1.0 - binding), axis=1)
         kink_t[live[~near]] = np.nan
         kinked = np.flatnonzero(near)
-        system = batch, Q, dr, d2r, Jl, JTl, e, act, nl, c, gap_c
+        system = batch, Q, dr, d2r, Jl, JTl, e, act, nl, c, gap_c, final
         if len(kinked):
             t = kink_t[live[kinked]]
             fresh = np.isnan(t)
             if fresh.any():
-                t = np.where(fresh, _decoder_weights(batch, r, dr, Jl, Q, _KINK)[1][kinked, 0], t)
+                need = kinked[fresh]
+                t[fresh] = _decoder_weights(batch.take(need), r[need], dr[need], Jl[need], Q[need], _KINK)[1][:, 0]
             lam = np.concatenate((lam, np.stack((t, 1.0 - t), axis=1)))
             owner = np.concatenate((np.arange(m), kinked))
-            system = (batch.take(owner),) + tuple(x[owner] for x in system[1:])
-        sb, sQ, sdr, sd2r, sJ, sJT, se, sact, snu, sc, sgap = system
+            system = (batch.take(owner, rates_only=True),) + tuple(x[owner] for x in system[1:])
+        sb, sQ, sdr, sd2r, sJ, sJT, se, sact, snu, sc, sgap, sfinal = system
         kink = np.arange(len(sQ)) >= m
+        tangent = kink & sfinal
         grad_a, hess_a = _objective(sb, sdr, sd2r, lam)
         grad, hess = (grad_a[:, None, :] @ sJ)[:, 0], sJT @ hess_a @ sJ
         # the face: rows near their ball that a gradient step would push
@@ -812,12 +859,13 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
         absQ = np.abs(sQ)
         outward = np.where(absQ > 0.0, np.sign(sQ) * G, np.abs(G)).sum(axis=2) > 0.0
         held = (absQ.sum(axis=2) >= se[:, None] * (1.0 - _FACE_BAND)) & outward
-        d, v, zc = _newton_step(sQ, grad, hess, se, sact, held, snu, kink, sc, sgap)
+        d, v, zc = _newton_step(sQ, grad, hess, se, sact, held, snu, kink, sc, sgap, tangent)
         leaving = np.abs(sQ + d).sum(axis=2) > se[:, None]
         out = np.flatnonzero((leaving & ~held).any(axis=1))
         if len(out):
             d[out], v[out], zc[out] = _newton_step(sQ[out], grad[out], hess[out], se[out], sact[out],
-                                                   (held | leaving)[out], snu[out], kink[out], sc[out], sgap[out])
+                                                   (held | leaving)[out], snu[out], kink[out], sc[out], sgap[out],
+                                                   tangent[out])
         G, directions = G[:m], [d[:m]]
         if len(kinked):
             # away from the kink these candidates repeat the free ones, so
@@ -835,7 +883,7 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
             # until the decoders' rate difference is 0 to first order again
             k, zc = len(steps), zc[m:]
             kc = project_rows_l1(newton_cands[1][kinked].reshape(-1, L, S), np.repeat(e[kinked], k)[:, None])
-            rep = batch.take(np.repeat(kinked, k))
+            rep = batch.take(np.repeat(kinked, k), rates_only=True)
             rates_c = np.log2(1.0 + rep.sinrs(rep.H @ kc)[1])
             czc = (c[kinked] * zc).sum(axis=1)
             along = np.where(czc > 0.0, 1.0 / np.where(czc > 0.0, czc, 1.0), 0.0)
@@ -850,7 +898,7 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
         cand = np.concatenate(newton_cands + [Q[:, None] + (t0[:, None] * tsteps)[..., None, None] * G[:, None]],
                               axis=1)
         cand = project_rows_l1(cand.reshape(m * C, L, S), np.repeat(e, C)[:, None])
-        cwsr = batch.take(np.repeat(np.arange(m), C)).true_rates(cand).reshape(m, C)
+        cwsr = batch.take(np.repeat(np.arange(m), C), rates_only=True).true_rates(cand).reshape(m, C)
         # the best Newton candidate if one rises, else the best gradient one
         newton_rose = cwsr[:, :N].max(axis=1) > before
         best = np.where(newton_rose, cwsr[:, :N].argmax(axis=1), N + cwsr[:, N:].argmax(axis=1))
@@ -863,7 +911,14 @@ def _polish(comp: _Compiled, P: np.ndarray, wsr: np.ndarray, tolerance: float):
         nu[live] = nl = np.where(newton_rose, np.where(full, np.maximum(nl / 4.0, _NU[0]), nl),
                                  np.minimum(nl * 16.0, 16.0 * _NU[2]))
         rose[live[rise]] = True
-        stuck[live] = halted = ~rise & (nl > _NU[2])
+        # in the final phase a start where nothing rose stops once its binding
+        # Newton step's model gain g^T d + d^T Hess d / 2 is a few ulps of its WSR
+        floor = final & ~rise
+        if floor.any():
+            g, dn, hn = grad[:m][floor], d[:m][floor].reshape(-1, n), hess[:m][floor]
+            gain = (g * dn).sum(axis=1) + 0.5 * (dn[:, None, :] @ hn @ dn[..., None])[:, 0, 0]
+            floor[floor] = gain <= 4.0 * np.spacing(before[floor])
+        stuck[live] = halted = (~rise & (nl > _NU[2])) | floor
         afresh = halted & (res > tolerance) & rose[live]
         if afresh.any():
             again = live[afresh]

@@ -1,6 +1,8 @@
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,23 @@ def newton_log(monkeypatch):
     monkeypatch.setattr(optimizer, "_stage_derivatives", stage_spy)
     monkeypatch.setattr(optimizer, "_newton_step", step_spy)
     return log
+
+
+def polish_lengths(monkeypatch):
+    """Record each `_polish` call's lockstep iterations, in call order: the
+    iterations of `newton_log` that solve Newton systems (its last residual
+    check, where every start has finished, solves none)."""
+    log, lengths = newton_log(monkeypatch), []
+    polish = optimizer._polish
+
+    def spy(*args):
+        first = len(log)
+        out = polish(*args)
+        lengths.append(sum(1 for _, calls in log[first:] if calls))
+        return out
+
+    monkeypatch.setattr(optimizer, "_polish", spy)
+    return lengths
 
 
 def solve_all(problems, w, config=AoConfig()):
@@ -1332,6 +1351,58 @@ class TestPolish:
                 assert calls[1][0] < calls[0][0]
         # both the stacked kink systems and the re-solve are exercised
         assert any(calls and calls[0][1] for _, calls in log) and any(len(calls) == 2 for _, calls in log)
+
+    def test_final_phase_shortens_the_lockstep_tails(self, monkeypatch):
+        # the benchmark's snr_sweep pass: scenario1_4led at 0-25 dB and
+        # scenario2_2led at 0-40 dB. Exact SQP steps on the kink and the stop
+        # at the machine-precision floor, once a start's residual is within
+        # the tolerance, cut its four polish calls from 22, 5, 12 and 0
+        # lockstep iterations to at most 25 in all; scenario1_4led's warm
+        # wave, 5 iterations before, ends in at most 2
+        lengths = polish_lengths(monkeypatch)
+        for name, snrs in (("scenario1_4led", range(0, 30, 5)), ("scenario2_2led", range(0, 45, 5))):
+            spec = replace(scenarios.catalog_scene(name), sweep=scenarios.Sweep("snr_db", snrs))
+            assert not scenarios.run_sweep(spec).failures
+        assert len(lengths) == 4 and sum(lengths) <= 25 and lengths[1] <= 2
+
+    def test_split_start_converges_on_the_kink(self):
+        # RSMA's alpha = 0.8 split start at 0 dB on scenario1_4led sits on
+        # the common-rate kink; with the kink's shift taken on its tangent
+        # space it reaches the 1e-7 stop in at most 14 iterations (22 with the
+        # shift over the whole face), at or above the WSR it reached then
+        spec = scenarios.catalog_scene("scenario1_4led")
+        ch = scenarios.build_scene_channel(spec)
+        eps = epsilon_from_snr(0.0, float(np.sqrt(np.mean(ch.noise))), reference_gain=scenarios.reference_gain(spec))
+        comp = compiled(ch, build_layout("rsma", ch), spec.priorities, eps=eps)
+        start = optimizer._starts(comp)[2][:, optimizer._SPLITS.index(0.8)]
+        _, history, residual = optimizer._solve_starts(comp, start, AoConfig())
+        assert len(history[0]) - 1 <= 14 and residual[0] <= optimizer._POLISH_GAP
+        assert history[0][-1] >= 2.171423487165324 - 1e-12
+
+
+class TestRandomProblems:
+    """The seeded random-problem suite: 100 two-user problems (2 or 4
+    fixtures, random gains, noise, priorities and 0-40 dB budgets), each
+    solved for SDMA, NOMA and RSMA in one `solve_schemes` call, against the
+    floors that tools/random_floors.py recorded in tests/data."""
+
+    RECORDED = json.loads((Path(__file__).parent / "data" / "random_floors.json").read_text())["problems"]
+
+    def test_rows_hold_their_floors(self):
+        below, converged, recorded = [], 0, 0
+        for i, problem in enumerate(self.RECORDED):
+            noise = np.array(problem["noise"])
+            ch = ChannelMatrix(gains=np.array(problem["gains"]), noise=noise)
+            eps = epsilon_from_snr(problem["snr_db"], float(np.sqrt(np.mean(noise))))
+            [solved] = scenarios.solve_schemes([(ch, eps, SCHEMES)], (problem["w1"], 1.0 - problem["w1"]), AoConfig())
+            for scheme, sol in solved.items():
+                if sol.wsr < problem["floor"][scheme] - 1e-9:
+                    below.append((i, scheme, sol.wsr, problem["floor"][scheme]))
+                converged += sol.converged
+                recorded += problem["converged"][scheme]
+        assert len(self.RECORDED) == 100
+        assert below == []
+        assert converged >= recorded
 
 
 class TestGridOracle:
