@@ -150,8 +150,11 @@ _FACE_BAND = 1e-2
 _NU = (1e-9, 1e-3, 1e3)
 # the common stream's budget shares of RSMA's split starts
 _SPLITS = (0.2, 0.4, 0.6, 0.8)
-# grid points per dimension the grid oracle accepts
-ORACLE_RESOLUTIONS = range(2, 22)
+# grid points per dimension the grid oracle accepts; from 3, since the
+# axis of 2 points, {-epsilon, epsilon}, has no 0: every layout fills 2 or 3
+# columns, so each row of that grid has an L1 norm of 2 epsilon or more and
+# lies outside the ball, and the grid is empty
+ORACLE_RESOLUTIONS = range(3, 22)
 
 
 @functools.cache
@@ -624,7 +627,7 @@ def _decoder_weights(comp: _Compiled, r, dr, J, P: np.ndarray, near=None):
 
 def _newton_step(P: np.ndarray, grad: np.ndarray, hess: np.ndarray, eps: np.ndarray, active: np.ndarray,
                  held: np.ndarray, nu: np.ndarray, kink: np.ndarray, c: np.ndarray, gap_c: np.ndarray,
-                 tangent: np.ndarray) -> np.ndarray:
+                 tangent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (B, L, S) Levenberg-shifted Newton step at P on the face that
     holds the rows of `held` (B, L) on their L1 balls (of radius `eps`, B)
     and, where `kink`, moves the two common decoders' rate difference
@@ -1085,6 +1088,18 @@ def grid_oracle(
     squares, so the search fixes the sign of each column: the first row
     runs only over the grid rows whose entries are all >= 0, and the
     maximum is the one over the full grid, bit for bit.
+
+    Where the layout fills the common column, each grid row is a private
+    part with the largest common entry the grid holds for it, so only the
+    private columns are searched. This loses no maximum either, bit for
+    bit, on two premises: every user decodes the common stream first and
+    cancels it, so no private SINR reads the common column
+    (`SicKernel.sinrs`); and the gains are nonnegative (`ChannelMatrix`).
+    Then the common amplitude at user k, h_k0 c_1 + h_k1 c_2, is at most
+    h_k0 c_max1 + h_k1 c_max2 in magnitude, in floating point too, since
+    rounding is monotone and the axis holds -c for every c. So each
+    common SINR can only rise, the private ones stay, and with a common
+    weight >= 0 no WSR falls.
     """
     layout.check_channel(channel)
     kernel = SicKernel(layout.num_users, channel.noise)
@@ -1100,6 +1115,12 @@ def grid_oracle(
     grid = _grid_rows(epsilon, resolution, S)
     rows = np.zeros((len(grid), len(active)))
     rows[:, active] = grid  # an empty column is +0
+    if active[-1]:
+        # `_grid_rows` varies its last axis fastest, so each private part's
+        # rows are one run in ascending common order: keep each run's last
+        keep = np.ones(len(rows), dtype=bool)
+        keep[:-1] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+        rows = rows[keep]
     first = rows[(rows >= 0.0).all(axis=1)]
     H = channel.gains
     if L == 1:

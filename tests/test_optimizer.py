@@ -1464,15 +1464,21 @@ class TestGridOracle:
             got = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=res)
             assert got == pytest.approx(best, abs=1e-12)
 
-    @pytest.mark.parametrize("resolution", [5, 11, 15, 21])
+    @pytest.mark.parametrize("resolution", [4, 5, 6, 11, 15, 21])
     def test_sign_fixed_search_equals_full_grid(self, resolution):
         # the oracle's first row runs over the grid rows with no negative
-        # entry; on a grid that holds the negation of every row this loses
-        # no maximum, bit for bit (on np.linspace it does)
+        # entry, and each of its rows takes the largest common entry of its
+        # private part; on a grid that holds the negation of every row
+        # this loses no maximum, bit for bit (on np.linspace it does). The
+        # channels have 2 fixtures, then 1, and then a zero gain; an even
+        # resolution's axis has no 0
         rng = np.random.default_rng(resolution)
         for scheme in SCHEMES:
-            for _ in range(10):
-                ch = channel(rng.uniform(0.1, 1.0, size=(2, 2)), rng.uniform(0.3, 3.0, size=2))
+            for fixtures, zero in [(2, False)] * 10 + [(1, False)] * 5 + [(2, True), (1, True)]:
+                gains = rng.uniform(0.1, 1.0, size=(2, fixtures))
+                if zero:
+                    gains[rng.integers(2), rng.integers(fixtures)] = 0.0
+                ch = channel(gains, rng.uniform(0.3, 3.0, size=2))
                 lay = build_layout(scheme, ch)
                 w = rng.uniform(0.2, 1.0, size=2)
                 eps = float(10.0 ** rng.uniform(-0.5, 1.5))
@@ -1481,13 +1487,46 @@ class TestGridOracle:
                 rows = optimizer._grid_rows(eps, resolution, lay.active.sum())
                 assert set(map(tuple, -rows)) == set(map(tuple, rows))  # the negation of every row
                 H = ch.gains
-                best = -np.inf
-                for lo in range(0, len(rows), 100):  # every (row 1, row 2) pair
-                    A = (H[None, None, :, 0:1] * rows[lo : lo + 100, None, None, :]
-                         + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.active.sum())
-                    wsr = optimizer._amplitude_wsr(kernel, private[None], common, on_columns(lay, A))
-                    best = max(best, float(wsr.max()))
+                if fixtures == 1:  # every row
+                    A = H[None, :, 0:1] * rows[:, None, :]
+                    best = float(optimizer._amplitude_wsr(kernel, private[None], common, on_columns(lay, A)).max())
+                else:
+                    best = -np.inf
+                    for lo in range(0, len(rows), 100):  # every (row 1, row 2) pair
+                        A = (H[None, None, :, 0:1] * rows[lo : lo + 100, None, None, :]
+                             + H[None, None, :, 1:2] * rows[None, :, None, :]).reshape(-1, 2, lay.active.sum())
+                        wsr = optimizer._amplitude_wsr(kernel, private[None], common, on_columns(lay, A))
+                        best = max(best, float(wsr.max()))
                 assert grid_oracle(ch, lay, w, eps, resolution) == best
+
+    def test_every_resolution_gives_a_finite_maximum(self):
+        # the smallest resolution's axis, {-eps, 0, eps}, holds 0, so its
+        # grid holds the rows with at most one entry at +-eps
+        rng = np.random.default_rng(7)
+        for fixtures in (1, 2):
+            ch = channel(rng.uniform(0.1, 1.0, size=(2, fixtures)))
+            for scheme in SCHEMES:
+                lay = build_layout(scheme, ch)
+                for resolution in optimizer.ORACLE_RESOLUTIONS:
+                    assert math.isfinite(grid_oracle(ch, lay, (0.5, 0.5), 2.0, resolution))
+
+    def test_precoders_scored_per_call(self, monkeypatch):
+        # at resolution 21, RSMA's rows are the 221 private parts of the 2-D
+        # grid (66 of them with no negative entry, for the first row) and
+        # NOMA's the 21 of the 1-D one (11): the common column is not searched
+        scored = []
+        amplitude_wsr = optimizer._amplitude_wsr
+
+        def spy(kernel, w_priv, w_common, A):
+            scored.append(len(A))
+            return amplitude_wsr(kernel, w_priv, w_common, A)
+
+        monkeypatch.setattr(optimizer, "_amplitude_wsr", spy)
+        ch = channel([[0.9, 0.3], [0.2, 0.7]])
+        for scheme, most in (("rsma", 66 * 221), ("noma", 11 * 21)):
+            scored.clear()
+            grid_oracle(ch, build_layout(scheme, ch), (0.5, 0.5), 5.6, 21)
+            assert 0 < sum(scored) <= most
 
     def test_ao_close_to_oracle(self):
         rng = np.random.default_rng(14)

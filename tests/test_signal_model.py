@@ -171,6 +171,20 @@ class TestSinr:
         rep_boosted, rep = assemble_report(channel_2x2(), boosted, lay), assemble_report(channel_2x2(), HAND, lay)
         assert np.array_equal(rep_boosted.sinr_private, rep.sinr_private)
 
+    def test_kernel_private_stages_ignore_the_common_column(self):
+        # every user decodes the common stream first and cancels it, so on a
+        # block of precoders that differ only in their common column's
+        # amplitudes every private SINR is the same, bit for bit; the grid
+        # oracle searches only the private columns on this premise
+        rng = np.random.default_rng(5)
+        for K in (2, 3):
+            kernel = SicKernel(K, rng.uniform(0.3, 3.0, size=K))
+            A = rng.normal(size=(64, K, K + 1))
+            other = A.copy()
+            other[..., K] = rng.normal(scale=10.0, size=(64, K))
+            other[::4, :, K] = 0.0
+            assert np.array_equal(kernel.sinrs(other)[0], kernel.sinrs(A)[0])
+
     def test_common_stage_includes_all_privates(self):
         lay = build_layout("rsma", channel_2x2())
         boosted = Precoder(matrix=HAND.matrix * np.array([2.0, 1.0, 1.0]))
