@@ -29,7 +29,7 @@ from .optimizer import (
     epsilon_from_snr,
     grid_oracle,
 )
-from .scenarios import ScenarioSpec, Sweep, catalog, run_sweep, solve_schemes
+from .scenarios import ScenarioSpec, Sweep, run_sweep, solve_schemes
 from .signal_model import (
     Precoder,
     RateReport,

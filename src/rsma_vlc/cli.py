@@ -5,8 +5,9 @@ Commands and the options each takes (any other option exits 1):
                 --scenario NAME or --scenario-file PATH, --schemes, --snr,
                 --noise-mode, --delta (the residual at which a solution
                 counts as converged), --seed (only written to the seed
-                column: the solver draws no random numbers), --workers,
-                --out, --format
+                column: the solver draws no random numbers), --workers
+                (accepted for existing invocations; takes only 1, since
+                the sweep runs in one process), --out, --format
   channel-dump  print the gain matrix and noise vector of a scene
                 --scenario NAME or --scenario-file PATH, --noise-mode
   validate      Monte-Carlo SINR checks and brute-force oracle cross-checks,
@@ -97,7 +98,7 @@ class RunConfig:
     format: str = "csv"
     noise_mode: str | None = None
     tolerance: float | None = None
-    workers: int = 1
+    workers: int = 1  # only 1 is accepted, so that `run --workers 1` still parses; nothing reads it
     mc_instances: int = 20
     mc_symbols: int = 1_000_000
     oracle_instances: int = 20
@@ -108,8 +109,8 @@ class RunConfig:
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1: the sweep runs in one process, got {self.workers}")
         if self.mc_instances < 0:
             raise ConfigError(f"mc-instances must be >= 0, got {self.mc_instances}")
         if self.oracle_instances < 0:
@@ -117,8 +118,8 @@ class RunConfig:
         if self.mc_symbols < signal_model.MC_MIN_SYMBOLS:
             raise ConfigError(f"mc-symbols must be >= {signal_model.MC_MIN_SYMBOLS}, got {self.mc_symbols}")
         if self.oracle_resolution not in ORACLE_RESOLUTIONS:
-            lo, hi = ORACLE_RESOLUTIONS[0], ORACLE_RESOLUTIONS[-1]
-            raise ConfigError(f"oracle-resolution must be in [{lo}, {hi}], got {self.oracle_resolution}")
+            odd = ", ".join(map(str, ORACLE_RESOLUTIONS))
+            raise ConfigError(f"oracle-resolution must be one of {odd}, got {self.oracle_resolution}")
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +314,7 @@ def cmd_run(config: RunConfig) -> int:
     spec = _resolve_spec(config)
     if config.out:
         _check_out(config.out)
-    result = run_sweep(spec, workers=config.workers)
+    result = run_sweep(spec)
     records = [_row_record(r, config.seed) for r in result.rows]
     if config.out:
         try:
@@ -454,13 +455,13 @@ _OPTIONS = {
     "--delta": {"dest": "tolerance", "metavar": "DELTA", "type": float,
                 "help": "convergence (residual) tolerance in bits/s/Hz"},
     "--seed": {"type": int, "help": "random seed of validate's instances; run writes it to its seed column"},
-    "--workers": {"type": int, "help": "parallel sweep workers"},
+    "--workers": {"type": int, "help": "only 1, kept for existing invocations: the sweep runs in one process"},
     "--out": {"help": "output file path"},
     "--format": {"choices": ("csv", "json"), "help": "format of the --out file"},
     "--mc-instances": {"type": int, "help": "Monte-Carlo SINR checks"},
     "--mc-symbols": {"type": int, "help": "symbols per Monte-Carlo check"},
     "--oracle-instances": {"type": int, "help": "grid-oracle checks per scheme"},
-    "--oracle-resolution": {"type": int, "help": "grid points per precoder axis"},
+    "--oracle-resolution": {"type": int, "help": "grid points per precoder axis (odd, 3 to 21)"},
 }
 
 # the options each command takes

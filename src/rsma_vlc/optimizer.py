@@ -150,11 +150,8 @@ _FACE_BAND = 1e-2
 _NU = (1e-9, 1e-3, 1e3)
 # the common stream's budget shares of RSMA's split starts
 _SPLITS = (0.2, 0.4, 0.6, 0.8)
-# grid points per dimension the grid oracle accepts; from 3, since the
-# axis of 2 points, {-epsilon, epsilon}, has no 0: every layout fills 2 or 3
-# columns, so each row of that grid has an L1 norm of 2 epsilon or more and
-# lies outside the ball, and the grid is empty
-ORACLE_RESOLUTIONS = range(3, 22)
+# grid points per axis the grid oracle accepts: odd only, since an even axis has no 0 entry
+ORACLE_RESOLUTIONS = range(3, 22, 2)
 
 
 @functools.cache
@@ -1076,7 +1073,8 @@ def grid_oracle(
     """Exhaustive WSR maximum over a per-row L1-feasible precoder grid.
 
     Desk-scale verification only: refuses more than 2 fixtures or a
-    resolution outside ORACLE_RESOLUTIONS (combinatorial blow-up), an
+    resolution outside ORACLE_RESOLUTIONS (combinatorial blow-up, or an
+    even axis, which has no 0 and so no optimum with an entry at 0), an
     epsilon that is negative or not finite, and a channel whose users are
     not the layout's. The grid has one dimension per column the layout's
     mask fills (`StreamLayout.active`), at most 3 for two users, and its

@@ -30,9 +30,7 @@ noise, each user's SINR scaling with sigma^2 over its own variance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +44,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "CATALOG_NAMES",
-    "catalog",
     "catalog_scene",
     "reference_gain",
     "build_scene_channel",
@@ -155,7 +152,11 @@ def _receiver(x: float, y: float) -> Receiver:
     return Receiver(position=(x, y, USER_HEIGHT))
 
 
-# name -> fixture layout, user positions, sweep and other ScenarioSpec fields
+# name -> fixture layout, user positions, sweep and other ScenarioSpec
+# fields. Users sit mid-room 3 m apart (scenario 1), near the room top
+# 0.4 m apart (scenario 2), or 0.94 m apart along the same row (scenario
+# 3, four fixtures). The separation sweep moves two users symmetrically
+# from the center toward opposite walls, 5 m apart at most.
 _SNR_SWEEP = ("snr_db", DEFAULT_SNR_SWEEP)
 _CATALOG = {
     "scenario1_4led": (FOUR_LED_XY, ((-1.5, 0.0), (1.5, 0.0)), _SNR_SWEEP, {}),
@@ -181,17 +182,6 @@ def catalog_scene(name: str) -> ScenarioSpec:
         sweep=Sweep(sweep, values),
         **kw,
     )
-
-
-def catalog() -> dict[str, ScenarioSpec]:
-    """Named experiment setups; every call builds fresh spec objects.
-
-    Users sit mid-room 3 m apart (scenario 1), near the room top 0.4 m
-    apart (scenario 2), or 0.94 m apart along the same row (scenario 3,
-    four fixtures). The separation sweep moves two users symmetrically
-    from the center toward opposite walls, 5 m apart at most.
-    """
-    return {name: catalog_scene(name) for name in CATALOG_NAMES}
 
 
 def reference_gain(spec: ScenarioSpec) -> float:
@@ -343,26 +333,33 @@ def _row(spec: ScenarioSpec, scheme: str, value: float, sol) -> SweepRow:
     )
 
 
-def _solve_chunk(spec: ScenarioSpec, points: list, ref: float) -> list:
-    """Rows of a chunk of (index, value) sweep points (separate process safe).
+def run_sweep(spec: ScenarioSpec) -> SweepResult:
+    """Solve every (scheme, sweep value) of the scenario.
 
     Each point's amplitude budget is epsilon_from_snr of its SNR, its
-    channel's RMS noise level and the reference gain `ref`. The chunk is
-    one `solve_schemes` call, so its SDMA, NOMA and RSMA points are one
-    batched solve, each RSMA point's warm starts running in its second
-    wave from its own point's SDMA/NOMA solutions. The points of an SNR
-    sweep share one channel; a separation sweep moves
-    the users, so each of its points has a channel of its own. A point
-    whose budget cannot be computed (say, 10^(SNR/20) overflows) gets an
-    error row in every scheme and is not solved.
+    channel's RMS noise level and the scene's reference gain. The sweep
+    is one `solve_schemes` call, so its SDMA, NOMA and RSMA points are
+    one batched solve, each RSMA point's warm starts running in its
+    second wave from its own point's SDMA/NOMA solutions. The points of
+    an SNR sweep share one channel; a separation sweep moves the users,
+    so each of its points has a channel of its own. A point's result
+    does not depend on the batch it is solved in, so a sweep's rows equal
+    those of its points swept alone. A point whose budget cannot be
+    computed (say, 10^(SNR/20) overflows) gets an error row in every
+    scheme and is not solved. If the batched call raises, each (scheme,
+    point) of it is solved again in a call of its own, after its helpers
+    that succeeded, and only the ones that still fail get a row with
+    `error` set. Rows come back sorted by (scheme, sweep index).
     """
+    values = spec.sweep.values
+    ref = reference_gain(spec)
     if spec.sweep.name == "separation":
-        scenes = [(build_scene_channel(spec, value), spec.snr_db) for _, value in points]
+        scenes = [(build_scene_channel(spec, value), spec.snr_db) for value in values]
     else:
         channel = build_scene_channel(spec)
-        scenes = [(channel, value) for _, value in points]
+        scenes = [(channel, value) for value in values]
     rows, solvable, wanted = [], [], []
-    for (_, value), (channel, snr) in zip(points, scenes):
+    for value, (channel, snr) in zip(values, scenes):
         try:
             eps = epsilon_from_snr(snr, float(np.sqrt(np.mean(channel.noise))), reference_gain=ref)
         except (ArithmeticError, ValueError) as exc:
@@ -373,36 +370,6 @@ def _solve_chunk(spec: ScenarioSpec, points: list, ref: float) -> list:
 
     for value, solved in zip(solvable, solve_schemes(wanted, spec.priorities, spec.ao)):
         rows += [_row(spec, scheme, value, sol) for scheme, sol in solved.items()]
-    return rows
-
-
-def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
-    """Solve every (scheme, sweep value) of the scenario.
-
-    With `workers` > 1 the points are dealt round-robin into that many
-    chunks, one per worker process, so the slow points (high SNR) spread
-    over the workers; each chunk solves the SDMA, NOMA and RSMA problems
-    of its points in one batched ao_solve call, whether the points share
-    one channel (an SNR sweep) or each have their own (a separation
-    sweep). A point's result does not depend on the batch it is solved
-    in, so any worker count produces identical rows. If a batched call
-    raises, each (scheme, point) of it is solved again in a call of its
-    own, after its helpers that succeeded, and only the ones that still
-    fail get a row with `error` set. Rows come back sorted by (scheme,
-    sweep index).
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    points = list(enumerate(spec.sweep.values))
-    ref = reference_gain(spec)
-    n = min(workers, len(points))
-    if n > 1:
-        chunks = [points[c::n] for c in range(n)]
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(_solve_chunk, repeat(spec), chunks, repeat(ref)))
-    else:
-        results = [_solve_chunk(spec, points, ref)]
-    rows = [row for chunk in results for row in chunk]
-    order = {v: i for i, v in points}
+    order = {v: i for i, v in enumerate(values)}
     rows.sort(key=lambda r: (r.scheme, order[r.sweep_value]))
     return SweepResult(scenario=spec.name, rows=tuple(rows))

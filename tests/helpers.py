@@ -2,6 +2,13 @@
 
 import numpy as np
 
+from rsma_vlc.scenarios import CATALOG_NAMES, catalog_scene
+
+
+def catalog() -> dict:
+    """Every catalog scene by name, as fresh spec objects."""
+    return {name: catalog_scene(name) for name in CATALOG_NAMES}
+
 
 def on_columns(layout, matrix) -> np.ndarray:
     """(..., fixtures, n) precoders of the n columns `layout` fills, placed

@@ -19,10 +19,10 @@ from rsma_vlc.channel import ChannelMatrix, Fixture, Receiver, fixture_gain, lam
 from rsma_vlc.channel import concentrator_gain
 from rsma_vlc.cli import main
 from rsma_vlc.optimizer import AoConfig, epsilon_from_snr, grid_oracle
-from rsma_vlc.scenarios import Sweep, build_scene_channel, catalog, reference_gain, run_sweep, solve_schemes
+from rsma_vlc.scenarios import Sweep, build_scene_channel, reference_gain, run_sweep, solve_schemes
 from rsma_vlc.signal_model import Precoder, assemble_report, build_layout, monte_carlo_sinr
 
-from helpers import for_scheme, max_row_l1, wsr_series
+from helpers import catalog, for_scheme, max_row_l1, wsr_series
 
 SNR_GRID = tuple(float(s) for s in range(0, 41, 5))
 SCENARIOS = ("scenario1_4led", "scenario2_4led", "scenario3_4led", "scenario1_2led", "scenario2_2led")
@@ -31,13 +31,13 @@ SCENARIOS = ("scenario1_4led", "scenario2_4led", "scenario3_4led", "scenario1_2l
 @lru_cache(maxsize=None)
 def scenario_sweep(name: str):
     spec = replace(catalog()[name], sweep=Sweep("snr_db", SNR_GRID))
-    return run_sweep(spec, workers=2)
+    return run_sweep(spec)
 
 
 @lru_cache(maxsize=None)
 def separation_sweep(snr_db: float):
     spec = replace(catalog()["separation_sweep_2led"], snr_db=snr_db)
-    return run_sweep(spec, workers=2)
+    return run_sweep(spec)
 
 
 def wsr_at(name: str, scheme: str, snr: float) -> float:

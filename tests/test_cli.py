@@ -2,6 +2,7 @@ import configparser
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
@@ -17,7 +18,9 @@ import rsma_vlc.signal_model as signal_model
 from rsma_vlc.channel import ChannelMatrix, Fixture, Receiver
 from rsma_vlc.cli import CSV_HEADER, ConfigError, RunConfig, load_scenario, main, save_scenario
 from rsma_vlc.optimizer import ORACLE_RESOLUTIONS, AoConfig
-from rsma_vlc.scenarios import ScenarioSpec, Sweep, catalog
+from rsma_vlc.scenarios import ScenarioSpec, Sweep
+
+from helpers import catalog
 
 RUN = ["run", "--scenario", "scenario1_2led", "--schemes", "rsma,sdma", "--snr", "5,15"]
 # scenario1_2led as saved while AoConfig still had corner_starts
@@ -554,20 +557,38 @@ class TestConfigPlumbing:
         assert exc.value.code == 0
         assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == options | {"--help"}
 
-    def test_workers_env_not_read(self, monkeypatch):
-        # only --workers sets the pool size; RSMA_VLC_WORKERS is no setting
+    def test_workers_env_not_read(self, monkeypatch, capsys):
+        # RSMA_VLC_WORKERS is no setting, and --workers takes only 1: the
+        # sweep runs in one process
         monkeypatch.setenv("RSMA_VLC_WORKERS", "3")
         args = cli.build_parser().parse_args(["run", "--scenario", "scenario1_2led"])
         assert cli._config_from_args(args).workers == 1
         args = cli.build_parser().parse_args(["run", "--scenario", "scenario1_2led", "--workers", "2"])
-        assert cli._config_from_args(args).workers == 2
+        with pytest.raises(ConfigError, match="workers must be 1: the sweep runs in one process"):
+            cli._config_from_args(args)
         monkeypatch.setenv("RSMA_VLC_WORKERS", "two")
         assert main(["run", "--scenario", "scenario1_2led", "--schemes", "sdma", "--snr", "10"]) == 0
+        assert main(["run", "--scenario", "scenario1_2led", "--schemes", "sdma", "--snr", "10", "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--scenario", "scenario1_2led", "--schemes", "sdma", "--snr", "10", "--workers", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: workers must be 1: the sweep runs in one process, got 2\n"
+
+    def test_import_loads_no_process_pool(self):
+        # the sweep runs in one process, so the command line never needs
+        # multiprocessing; a fresh interpreter shows what the import loads
+        package = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, rsma_vlc.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "[]\n"
 
     def test_bad_worker_counts_exit_1(self, capsys):
-        assert main(["run", "--scenario", "scenario1_2led", "--workers", "-3"]) == 1
-        assert "error: workers must be >= 1" in capsys.readouterr().err
-        assert main(["run", "--scenario", "scenario1_2led", "--workers", "0"]) == 1
+        for workers in ("-3", "0", "2"):
+            assert main(["run", "--scenario", "scenario1_2led", "--workers", workers]) == 1
+            assert "error: workers must be 1: the sweep runs in one process" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -575,6 +596,7 @@ class TestConfigPlumbing:
             ["validate", "--mc-symbols", str(signal_model.MC_MIN_SYMBOLS - 1)],
             ["validate", "--oracle-resolution", str(ORACLE_RESOLUTIONS[-1] + 1)],
             ["validate", "--oracle-resolution", str(ORACLE_RESOLUTIONS[0] - 1)],
+            ["validate", "--oracle-resolution", str(ORACLE_RESOLUTIONS[0] + 1)],
             RUN + ["--max-iters", "0"],
             RUN + ["--restarts", "0"],
             RUN + ["--delta", "-1"],

@@ -10,6 +10,7 @@ import pytest
 import rsma_vlc.optimizer as optimizer
 import rsma_vlc.scenarios as scenarios
 from rsma_vlc.channel import ChannelMatrix
+from rsma_vlc.cli import main
 from rsma_vlc.optimizer import (
     AoConfig,
     NumericalFailure,
@@ -1464,14 +1465,13 @@ class TestGridOracle:
             got = grid_oracle(ch, lay, (0.5, 0.5), epsilon=eps, resolution=res)
             assert got == pytest.approx(best, abs=1e-12)
 
-    @pytest.mark.parametrize("resolution", [4, 5, 6, 11, 15, 21])
+    @pytest.mark.parametrize("resolution", [5, 11, 15, 21])
     def test_sign_fixed_search_equals_full_grid(self, resolution):
         # the oracle's first row runs over the grid rows with no negative
         # entry, and each of its rows takes the largest common entry of its
         # private part; on a grid that holds the negation of every row
         # this loses no maximum, bit for bit (on np.linspace it does). The
-        # channels have 2 fixtures, then 1, and then a zero gain; an even
-        # resolution's axis has no 0
+        # channels have 2 fixtures, then 1, and then a zero gain
         rng = np.random.default_rng(resolution)
         for scheme in SCHEMES:
             for fixtures, zero in [(2, False)] * 10 + [(1, False)] * 5 + [(2, True), (1, True)]:
@@ -1498,6 +1498,18 @@ class TestGridOracle:
                         wsr = optimizer._amplitude_wsr(kernel, private[None], common, on_columns(lay, A))
                         best = max(best, float(wsr.max()))
                 assert grid_oracle(ch, lay, w, eps, resolution) == best
+
+    def test_even_resolutions_refused(self, capsys):
+        # an even axis has no 0, so no grid row can leave an entry at 0 and
+        # the oracle would miss every optimum that does: the oracle and
+        # validate refuse every even resolution
+        ch = channel([[0.9, 0.3], [0.2, 0.7]])
+        for resolution in range(4, 21, 2):
+            with pytest.raises(ValueError, match="resolution in"):
+                grid_oracle(ch, build_layout("rsma", ch), (0.5, 0.5), 2.0, resolution)
+            assert main(["validate", "--oracle-resolution", str(resolution)]) == 1
+            odd = "3, 5, 7, 9, 11, 13, 15, 17, 19, 21"
+            assert capsys.readouterr().err == f"error: oracle-resolution must be one of {odd}, got {resolution}\n"
 
     def test_every_resolution_gives_a_finite_maximum(self):
         # the smallest resolution's axis, {-eps, 0, eps}, holds 0, so its

@@ -13,7 +13,6 @@ from rsma_vlc.scenarios import (
     ScenarioSpec,
     Sweep,
     build_scene_channel,
-    catalog,
     catalog_scene,
     reference_gain,
     run_sweep,
@@ -22,7 +21,7 @@ from rsma_vlc.scenarios import (
 from rsma_vlc.cli import main
 from rsma_vlc.signal_model import StreamLayout, build_layout
 
-from helpers import for_scheme, max_row_l1, wsr_series
+from helpers import catalog, for_scheme, max_row_l1, wsr_series
 
 CATALOG_NAMES = {
     "scenario1_4led",
@@ -42,6 +41,14 @@ def separation(spec):
 def _problems(problems):
     """(scheme, epsilon) of every problem of one ao_solve call."""
     return [(p.scheme, p.epsilon) for p in problems]
+
+
+def _swept_in_groups(spec, groups) -> tuple:
+    """The rows of `spec`'s sweep with its points swept in `groups`, one
+    run_sweep call per tuple of sweep values, sorted as run_sweep sorts."""
+    values = spec.sweep.values
+    rows = [row for group in groups for row in run_sweep(replace(spec, sweep=Sweep(spec.sweep.name, group))).rows]
+    return tuple(sorted(rows, key=lambda r: (r.scheme, values.index(r.sweep_value))))
 
 
 class TestCatalog:
@@ -250,13 +257,14 @@ class TestRunSweep:
         assert calls == []
 
     def test_deterministic_across_reruns_and_workers(self):
-        # the chunks differ with the worker count, the rows must not
+        # a sweep's rows do not depend on how its points are grouped into
+        # solves: they equal those of each point swept alone
         spec = replace(self._tiny(), sweep=Sweep("snr_db", (5.0, 15.0, 25.0)))
-        a = run_sweep(spec, workers=1)
-        b = run_sweep(spec, workers=1)
-        c = run_sweep(spec, workers=2)
+        a = run_sweep(spec)
+        b = run_sweep(spec)
         assert len(a.rows) == 9
-        assert a == b == c
+        assert a == b
+        assert a.rows == _swept_in_groups(spec, [(v,) for v in spec.sweep.values])
 
     def test_rsma_rows_dominate_special_cases(self):
         res = run_sweep(self._tiny())
@@ -385,21 +393,21 @@ class TestRunSweep:
         assert res.rows[0].wsr > 5.0
 
     def test_separation_sweep_workers(self):
-        # the chunks (batches of points with their own channels) differ
-        # with the worker count, the rows must not
+        # the rows of points with their own channels do not depend on how
+        # the points are grouped into solves either: each point alone, or
+        # round-robin in two groups
         spec = replace(
             catalog()["separation_sweep_2led"],
             sweep=Sweep("separation", (2.0, 3.6, 5.0)),
             snr_db=20.0,
             schemes=("rsma", "sdma", "noma"),
         )
-        a = run_sweep(spec, workers=1)
-        b = run_sweep(spec, workers=2)
+        a = run_sweep(spec)
         assert [r.sweep_value for r in a.rows] == [2.0, 3.6, 5.0] * 3
-        assert a == b
+        assert a.rows == _swept_in_groups(spec, [(2.0,), (3.6,), (5.0,)])
+        assert a.rows == _swept_in_groups(spec, [(2.0, 5.0), (3.6,)])
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_separation_sweep_batch_equals_points_alone(self, workers, monkeypatch):
+    def test_separation_sweep_batch_equals_points_alone(self, monkeypatch):
         # off-centre fixtures make the second user the stronger one at
         # short separations and the first at long ones, so NOMA's points
         # have two layouts, and one batched call solves them all
@@ -413,9 +421,7 @@ class TestRunSweep:
         values = spec.sweep.values
         channels = [build_scene_channel(spec, v) for v in values]
         assert len({build_layout("noma", ch) for ch in channels}) == 2
-        ref = reference_gain(spec)
-        alone = [row for point in enumerate(values) for row in scenarios._solve_chunk(spec, [point], ref)]
-        alone.sort(key=lambda r: (r.scheme, values.index(r.sweep_value)))
+        alone = _swept_in_groups(spec, [(v,) for v in values])
         calls = []
         real = scenarios.ao_solve
 
@@ -424,10 +430,9 @@ class TestRunSweep:
             return real(problems, priorities, config, layout=layout)
 
         monkeypatch.setattr(scenarios, "ao_solve", spy)
-        res = run_sweep(spec, workers=workers)
-        assert res.rows == tuple(alone)
-        if workers == 1:  # the pool's processes keep their own call lists
-            assert calls == [("sdma", 12)]
+        res = run_sweep(spec)
+        assert res.rows == alone
+        assert calls == [("sdma", 12)]
 
 
 class TestTracerContract:

@@ -11,7 +11,7 @@ pool threads) limited to the files of `src/`:
 
 * every command of `regen_golden.COMMANDS`, the ones the golden outputs
   pin and the benchmark runs: `run` on the five catalog SNR scenes (with
-  `--snr`, `--format json` and one worker; scenario3_4led under physical
+  `--snr`, `--format json` and `--workers 1`; scenario3_4led under physical
   noise too) and on the separation sweep at `--snr 20` with all three
   schemes, the benchmark's `validate` pass, and `channel-dump` of all six
   catalog scenes under unit and physical noise. Each `run` writes its
